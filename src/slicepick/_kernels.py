@@ -1,40 +1,36 @@
-"""Hot numeric inner loops, with numba-jitted kernels and pure-numpy fallbacks.
+"""Hot numeric inner loops, vectorized in numpy.
 
-The backend is chosen once at import time from the SLICEPICK_BACKEND
-environment variable: "auto" (default, numba when importable), "numba"
-(require numba), or "numpy" (force the fallback path). Both paths implement
-the same contracts; results agree to floating-point reduction order.
-All kernels expect C-contiguous float64 input.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Every kernel converts its matrix arguments to C-contiguous float64 first.
+``tests/test_kernels.py`` checks each one against a plain-Python loop oracle.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on install
-    njit = None
-    HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
+def _as_c64(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
 
-def _np_dist_to_row(emb, idx):
-    diff = emb - emb[idx]
+
+def dist_to_row(emb, idx):
+    """Euclidean distance from every row of ``emb`` to row ``idx``."""
+    emb = _as_c64(emb)
+    diff = emb - emb[int(idx)]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _np_pair_mean_abs(X, ia, ib):
+def pair_mean_abs(X, ia, ib):
+    """Mean absolute per-feature difference for each row pair (ia[k], ib[k])."""
+    X = _as_c64(X)
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
     return np.abs(X[ia] - X[ib]).mean(axis=1)
 
 
-def _np_all_pairs_mean_abs(X):
+def all_pairs_mean_abs(X):
+    """Mean over all unordered row pairs of the mean absolute difference."""
+    X = _as_c64(X)
     n = X.shape[0]
     total = 0.0
     for i in range(n - 1):
@@ -42,7 +38,12 @@ def _np_all_pairs_mean_abs(X):
     return total / (n * (n - 1) / 2.0)
 
 
-def _np_nn_indices(Q, R):
+def nn_indices(Q, R):
+    """Index of the nearest row of ``R`` for each row of ``Q``.
+
+    Ties resolve to the lowest reference index.
+    """
+    Q, R = _as_c64(Q), _as_c64(R)
     out = np.empty(Q.shape[0], dtype=np.int64)
     # block the queries so the (block, refs, dim) difference tensor stays small
     block = max(1, int(2 ** 22 // max(1, R.shape[0] * R.shape[1])))
@@ -54,7 +55,9 @@ def _np_nn_indices(Q, R):
     return out
 
 
-def _np_pairwise_dists(X):
+def pairwise_dists(X):
+    """Full symmetric Euclidean distance matrix."""
+    X = _as_c64(X)
     n = X.shape[0]
     D = np.zeros((n, n))
     for i in range(n - 1):
@@ -63,154 +66,3 @@ def _np_pairwise_dists(X):
         D[i, i + 1:] = d
         D[i + 1:, i] = d
     return D
-
-
-# ---------------------------------------------------------------------------
-# loop bodies for numba (slow as plain python; only ever compiled)
-
-def _loop_dist_to_row(emb, idx):
-    n, p = emb.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(p):
-            d = emb[i, j] - emb[idx, j]
-            s += d * d
-        out[i] = np.sqrt(s)
-    return out
-
-
-def _loop_pair_mean_abs(X, ia, ib):
-    m = ia.shape[0]
-    p = X.shape[1]
-    out = np.empty(m)
-    for k in range(m):
-        s = 0.0
-        for j in range(p):
-            s += abs(X[ia[k], j] - X[ib[k], j])
-        out[k] = s / p
-    return out
-
-
-def _loop_all_pairs_mean_abs(X):
-    n, p = X.shape
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            s = 0.0
-            for q in range(p):
-                s += abs(X[i, q] - X[j, q])
-            total += s / p
-    return total / (n * (n - 1) / 2.0)
-
-
-def _loop_nn_indices(Q, R):
-    nq, p = Q.shape
-    nr = R.shape[0]
-    out = np.empty(nq, dtype=np.int64)
-    for i in range(nq):
-        best = np.inf
-        best_j = 0
-        for j in range(nr):
-            s = 0.0
-            for q in range(p):
-                d = Q[i, q] - R[j, q]
-                s += d * d
-            if s < best:
-                best = s
-                best_j = j
-        out[i] = best_j
-    return out
-
-
-def _loop_pairwise_dists(X):
-    n, p = X.shape
-    D = np.zeros((n, n))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            s = 0.0
-            for q in range(p):
-                d = X[i, q] - X[j, q]
-                s += d * d
-            d = np.sqrt(s)
-            D[i, j] = d
-            D[j, i] = d
-    return D
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_NUMPY_IMPLS = {
-    "dist_to_row": _np_dist_to_row,
-    "pair_mean_abs": _np_pair_mean_abs,
-    "all_pairs_mean_abs": _np_all_pairs_mean_abs,
-    "nn_indices": _np_nn_indices,
-    "pairwise_dists": _np_pairwise_dists,
-}
-
-_LOOP_IMPLS = {
-    "dist_to_row": _loop_dist_to_row,
-    "pair_mean_abs": _loop_pair_mean_abs,
-    "all_pairs_mean_abs": _loop_all_pairs_mean_abs,
-    "nn_indices": _loop_nn_indices,
-    "pairwise_dists": _loop_pairwise_dists,
-}
-
-
-def _compile_numba():
-    return {
-        name: njit(cache=True, nogil=True)(fn) for name, fn in _LOOP_IMPLS.items()
-    }
-
-
-_mode = os.environ.get("SLICEPICK_BACKEND", "auto").lower()
-if _mode not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"SLICEPICK_BACKEND must be auto, numba, or numpy; got {_mode!r}"
-    )
-if _mode == "numba" and not HAVE_NUMBA:
-    raise RuntimeError("SLICEPICK_BACKEND=numba but numba is not importable")
-
-if _mode == "numpy" or not HAVE_NUMBA:
-    BACKEND = "numpy"
-    _IMPLS = _NUMPY_IMPLS
-else:
-    BACKEND = "numba"
-    _IMPLS = _compile_numba()
-
-
-def _as_c64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def dist_to_row(emb, idx):
-    """Euclidean distance from every row of ``emb`` to row ``idx``."""
-    return _IMPLS["dist_to_row"](_as_c64(emb), int(idx))
-
-
-def pair_mean_abs(X, ia, ib):
-    """Mean absolute per-feature difference for each row pair (ia[k], ib[k])."""
-    return _IMPLS["pair_mean_abs"](
-        _as_c64(X),
-        np.ascontiguousarray(ia, dtype=np.int64),
-        np.ascontiguousarray(ib, dtype=np.int64),
-    )
-
-
-def all_pairs_mean_abs(X):
-    """Mean over all unordered row pairs of the mean absolute difference."""
-    return float(_IMPLS["all_pairs_mean_abs"](_as_c64(X)))
-
-
-def nn_indices(Q, R):
-    """Index of the nearest row of ``R`` for each row of ``Q``.
-
-    Ties resolve to the lowest reference index.
-    """
-    return _IMPLS["nn_indices"](_as_c64(Q), _as_c64(R))
-
-
-def pairwise_dists(X):
-    """Full symmetric Euclidean distance matrix."""
-    return _IMPLS["pairwise_dists"](_as_c64(X))

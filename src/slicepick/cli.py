@@ -244,10 +244,20 @@ def cmd_select(args):
     matrix, meta = gcle.read_gcle(args.embeddings)
     emb = matrix.astype(np.float64)
     row_of = {int(r["slice_id"]): i for i, r in enumerate(meta)}
-    if args.initial in ("empty", ""):
-        initial = []
-    else:
-        initial = [row_of[int(s)] for s in args.initial.split(",")]
+    initial = []
+    if args.initial not in ("empty", ""):
+        for token in args.initial.split(","):
+            try:
+                slice_id = int(token)
+            except ValueError:
+                raise SlicepickError(
+                    f"--initial: {token!r} is not an integer slice id"
+                ) from None
+            if slice_id not in row_of:
+                raise SlicepickError(
+                    f"--initial: slice id {slice_id} is not in {args.embeddings}"
+                )
+            initial.append(row_of[slice_id])
     state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
     lines = []
     for rank, (idx, dist) in enumerate(state.trace):

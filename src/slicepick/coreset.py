@@ -38,19 +38,41 @@ def d_phi(emb, i, j):
     return float(np.linalg.norm(emb[i] - emb[j]))
 
 
+def _extend_cover(min_dist, emb, rows):
+    """Lower ``min_dist``, each row's distance to its nearest center, in
+    place to account for the new centers ``rows``; returns ``min_dist``."""
+    for idx in rows:
+        np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
+    return min_dist
+
+
 def _initial_state(emb, initial_labeled):
     n = emb.shape[0]
     labeled = sorted(set(int(i) for i in initial_labeled))
     if labeled and not (0 <= min(labeled) and max(labeled) < n):
         raise IndexError("initial labeled index out of range")
-    min_dist = np.full(n, np.inf)
-    for idx in labeled:
-        np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
+    min_dist = _extend_cover(np.full(n, np.inf), emb, labeled)
     return SelectionState(labeled=labeled, min_dist=min_dist)
+
+
+def _continued_state(emb, state):
+    if state.min_dist.shape != (emb.shape[0],):
+        raise ValueError(
+            f"selection state covers {state.min_dist.shape[0]} rows, "
+            f"the matrix has {emb.shape[0]}"
+        )
+    return SelectionState(labeled=list(state.labeled), min_dist=state.min_dist.copy())
 
 
 def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     """Extend ``initial_labeled`` with k greedy farthest-point picks.
+
+    ``initial_labeled`` is either an iterable of row indices or the
+    ``SelectionState`` returned by an earlier call on the same matrix. A
+    state continues that call's cover without recomputing any distance, and
+    gives the same picks as passing its rows as a list. The passed state is
+    not modified: the returned state holds a copy of its rows followed by
+    this call's picks, and a ``trace`` of this call's picks only.
 
     With an empty initial set the first center is the head of a seeded
     shuffle of the rows (row 0 when no seed is given); after that every
@@ -59,7 +81,10 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     """
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     n = emb.shape[0]
-    state = _initial_state(emb, initial_labeled)
+    if isinstance(initial_labeled, SelectionState):
+        state = _continued_state(emb, initial_labeled)
+    else:
+        state = _initial_state(emb, initial_labeled)
     if k < 0 or k > n - len(state.labeled):
         raise ValueError(
             f"budget {k} exceeds the {n - len(state.labeled)} unlabeled rows"
@@ -80,7 +105,7 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
         state.labeled.append(idx)
         labeled_mask[idx] = True
         state.trace.append((idx, picked_dist))
-        np.minimum(state.min_dist, _kernels.dist_to_row(emb, idx), out=state.min_dist)
+        _extend_cover(state.min_dist, emb, [idx])
     return state
 
 
@@ -90,10 +115,7 @@ def cover_radius(emb, labeled):
     if not labeled:
         raise ValueError("cover radius of an empty labeled set is undefined")
     emb = np.ascontiguousarray(emb, dtype=np.float64)
-    min_dist = np.full(emb.shape[0], np.inf)
-    for idx in labeled:
-        np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
-    return float(min_dist.max())
+    return float(_extend_cover(np.full(emb.shape[0], np.inf), emb, labeled).max())
 
 
 def brute_force_k_center(emb, initial_labeled, k):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .coreset import cover_radius, k_center_greedy
+from .coreset import _extend_cover, k_center_greedy
 from .encoder import TrainConfig, embed_all, train
 from .losses import LossConfig
 
@@ -228,16 +228,27 @@ def _run_repeat(ds, X, labels, strategies, plan, budget_list, repeat):
         else:
             space = X if strat.kind == "coreset_raw" else learned_spaces[strat.name]
             cold_seed = _stream_seed(plan.seed, repeat, strat.name, 2)
+        # running covers, extended by each round's new rows only: the greedy
+        # state, and every row's distance to the selection in the primary
+        # learned space
+        state = []
+        learned_min = None if primary_learned is None else np.full(n, np.inf)
         selected = []
         for round_index, budget in enumerate(budget_list):
             t0 = time.perf_counter()
             if strat.kind == "random":
-                selected = [int(i) for i in order[:budget]]
+                new = [int(i) for i in order[len(selected):budget]]
             else:
                 state = k_center_greedy(
-                    space, selected, budget - len(selected), cold_start_seed=cold_seed
+                    space, state, budget - len(selected), cold_start_seed=cold_seed
                 )
-                selected = selected + [int(i) for i, _ in state.trace]
+                new = [int(i) for i, _ in state.trace]
+            selected = selected + new
+            if learned_min is not None:
+                if space is primary_learned:
+                    learned_min = state.min_dist
+                else:
+                    _extend_cover(learned_min, primary_learned, new)
             acc = probe_accuracy(X, selected, labels)
             entry = RoundEntry(
                 strategy=strat.name,
@@ -247,12 +258,8 @@ def _run_repeat(ds, X, labels, strategies, plan, budget_list, repeat):
                 budget=budget,
                 selected=[slice_ids[i] for i in selected],
                 probe_accuracy=acc,
-                delta=cover_radius(space, selected) if space is not None else None,
-                delta_learned=(
-                    cover_radius(primary_learned, selected)
-                    if primary_learned is not None
-                    else None
-                ),
+                delta=float(state.min_dist.max()) if space is not None else None,
+                delta_learned=float(learned_min.max()) if learned_min is not None else None,
                 wall_time_s=time.perf_counter() - t0,
             )
             entries.append(entry)

@@ -110,6 +110,39 @@ class TestEncoderPipeline:
         assert all(r["min_dist"] is not None for r in rows)
 
 
+class TestSelectInitial:
+    @pytest.fixture
+    def gcle_path(self, tmp_path):
+        from slicepick import gcle
+
+        meta = [
+            {"slice_id": 10 + i, "patient_id": 0, "volume_id": 0, "slice_index": i}
+            for i in range(4)
+        ]
+        path = tmp_path / "emb.gcle"
+        gcle.write_gcle(path, np.arange(8.0).reshape(4, 2), meta)
+        return path
+
+    def test_unknown_slice_id(self, gcle_path, capsys):
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", "1",
+            "--initial", "10,999",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--initial" in err and "999" in err and str(gcle_path) in err
+
+    def test_non_integer_slice_id(self, gcle_path, capsys):
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", "1",
+            "--initial", "abc",
+        )
+        assert code == 1
+        assert out == ""
+        assert "--initial" in err and "'abc'" in err
+        assert "invalid literal" not in err
+
+
 class TestRunRounds:
     def test_thread_count_does_not_change_bytes(self, data_dir, tmp_path, capsys):
         common = [

@@ -113,6 +113,50 @@ class TestGreedy:
         assert a == b
 
 
+class TestGreedyContinuation:
+    emb = np.random.default_rng(4).standard_normal((30, 3))
+
+    @pytest.mark.parametrize("initial", [[], [11, 5]])
+    def test_continued_state_matches_list_seed(self, initial):
+        first = k_center_greedy(self.emb, initial, 4, cold_start_seed=1)
+        cont = k_center_greedy(self.emb, first, 6, cold_start_seed=1)
+        seeded = k_center_greedy(self.emb, first.labeled, 6, cold_start_seed=1)
+        assert cont.trace == seeded.trace
+        assert np.array_equal(cont.min_dist, seeded.min_dist)
+        assert cont.labeled == first.labeled + [i for i, _ in cont.trace]
+        whole = k_center_greedy(self.emb, initial, 10, cold_start_seed=1)
+        assert first.trace + cont.trace == whole.trace
+
+    def test_chained_rounds_match_one_call(self):
+        state = k_center_greedy(self.emb, [], 0, cold_start_seed=7)
+        picks = []
+        for k in (1, 0, 3, 5):
+            state = k_center_greedy(self.emb, state, k, cold_start_seed=7)
+            assert len(state.trace) == k
+            picks += state.trace
+        assert picks == k_center_greedy(self.emb, [], 9, cold_start_seed=7).trace
+        assert float(state.min_dist.max()) == cover_radius(self.emb, state.labeled)
+
+    def test_passed_state_is_not_modified(self):
+        first = k_center_greedy(self.emb, [3], 2)
+        labeled, min_dist, trace = list(first.labeled), first.min_dist.copy(), list(first.trace)
+        k_center_greedy(self.emb, first, 4)
+        assert first.labeled == labeled
+        assert np.array_equal(first.min_dist, min_dist)
+        assert first.trace == trace
+
+    def test_state_from_another_matrix_rejected(self):
+        state = k_center_greedy(self.emb[:10], [], 2)
+        with pytest.raises(ValueError):
+            k_center_greedy(self.emb, state, 1)
+
+    def test_budget_counts_state_rows(self):
+        state = k_center_greedy(self.emb, [], 28)
+        k_center_greedy(self.emb, state, 2)
+        with pytest.raises(ValueError):
+            k_center_greedy(self.emb, state, 3)
+
+
 class TestBruteForce:
     def test_line_instance(self):
         emb = np.array([[0.0], [1.0], [10.0]])

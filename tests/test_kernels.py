@@ -1,63 +1,136 @@
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
 from slicepick import _kernels
 
-pytestmark = pytest.mark.skipif(
-    not _kernels.HAVE_NUMBA, reason="numba not installed"
-)
+# ---------------------------------------------------------------------------
+# plain-Python loop oracles: one scalar operation at a time, no vectorization
 
 
-@pytest.fixture(scope="module")
-def impls():
-    return _kernels._NUMPY_IMPLS, _kernels._compile_numba()
+def loop_dist_to_row(emb, idx):
+    n, p = emb.shape
+    out = np.empty(n)
+    for i in range(n):
+        s = 0.0
+        for j in range(p):
+            d = emb[i, j] - emb[idx, j]
+            s += d * d
+        out[i] = math.sqrt(s)
+    return out
 
 
-def test_backends_agree_on_random_data(impls):
-    np_impls, nb_impls = impls
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal((40, 7))
-    Q = rng.standard_normal((15, 7))
-    ia = rng.integers(0, 40, size=25).astype(np.int64)
-    ib = rng.integers(0, 40, size=25).astype(np.int64)
-
-    assert np.allclose(np_impls["dist_to_row"](X, 3), nb_impls["dist_to_row"](X, 3),
-                       rtol=1e-12, atol=1e-12)
-    assert np.allclose(np_impls["pair_mean_abs"](X, ia, ib),
-                       nb_impls["pair_mean_abs"](X, ia, ib), rtol=1e-12, atol=1e-12)
-    assert np.isclose(np_impls["all_pairs_mean_abs"](X),
-                      nb_impls["all_pairs_mean_abs"](X), rtol=1e-12)
-    assert np.array_equal(np_impls["nn_indices"](Q, X), nb_impls["nn_indices"](Q, X))
-    assert np.allclose(np_impls["pairwise_dists"](X), nb_impls["pairwise_dists"](X),
-                       rtol=1e-12, atol=1e-12)
+def loop_pair_mean_abs(X, ia, ib):
+    p = X.shape[1]
+    out = np.empty(len(ia))
+    for k in range(len(ia)):
+        s = 0.0
+        for j in range(p):
+            s += abs(X[ia[k], j] - X[ib[k], j])
+        out[k] = s / p
+    return out
 
 
-def test_nn_tie_breaks_to_lowest_reference(impls):
-    np_impls, nb_impls = impls
+def loop_all_pairs_mean_abs(X):
+    n, p = X.shape
+    total = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            s = 0.0
+            for q in range(p):
+                s += abs(X[i, q] - X[j, q])
+            total += s / p
+    return total / (n * (n - 1) / 2.0)
+
+
+def loop_nn_indices(Q, R):
+    nq, p = Q.shape
+    out = np.empty(nq, dtype=np.int64)
+    for i in range(nq):
+        best = math.inf
+        best_j = 0
+        for j in range(R.shape[0]):
+            s = 0.0
+            for q in range(p):
+                d = Q[i, q] - R[j, q]
+                s += d * d
+            if s < best:
+                best = s
+                best_j = j
+        out[i] = best_j
+    return out
+
+
+def loop_pairwise_dists(X):
+    n, p = X.shape
+    D = np.zeros((n, n))
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            s = 0.0
+            for q in range(p):
+                d = X[i, q] - X[j, q]
+                s += d * d
+            D[i, j] = D[j, i] = math.sqrt(s)
+    return D
+
+
+SHAPES = [(2, 1), (7, 3), (40, 7)]
+
+
+@pytest.fixture(params=SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def X(request):
+    n, p = request.param
+    return np.random.default_rng(n * 100 + p).standard_normal((n, p))
+
+
+def test_dist_to_row(X):
+    for idx in (0, X.shape[0] - 1):
+        got = _kernels.dist_to_row(X, idx)
+        assert got[idx] == 0.0
+        assert np.allclose(got, loop_dist_to_row(X, idx), rtol=1e-12, atol=1e-12)
+
+
+def test_pair_mean_abs(X):
+    rng = np.random.default_rng(1)
+    ia = rng.integers(0, X.shape[0], size=25)
+    ib = rng.integers(0, X.shape[0], size=25)
+    assert np.allclose(
+        _kernels.pair_mean_abs(X, ia, ib), loop_pair_mean_abs(X, ia, ib),
+        rtol=1e-12, atol=1e-12,
+    )
+
+
+def test_all_pairs_mean_abs(X):
+    got = _kernels.all_pairs_mean_abs(X)
+    assert isinstance(got, float)
+    assert math.isclose(got, loop_all_pairs_mean_abs(X), rel_tol=1e-12)
+
+
+def test_nn_indices(X):
+    Q = np.random.default_rng(2).standard_normal((15, X.shape[1]))
+    got = _kernels.nn_indices(Q, X)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, loop_nn_indices(Q, X))
+    assert np.array_equal(_kernels.nn_indices(X, X), np.arange(X.shape[0]))
+
+
+def test_pairwise_dists(X):
+    got = _kernels.pairwise_dists(X)
+    assert np.array_equal(got, got.T)
+    assert np.allclose(got, loop_pairwise_dists(X), rtol=1e-12, atol=1e-12)
+
+
+def test_nn_tie_breaks_to_lowest_reference():
     refs = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     queries = np.array([[0.0, 0.0], [1.0, 1.0]])
-    for impl in (np_impls["nn_indices"], nb_impls["nn_indices"]):
-        assert list(impl(queries, refs)) == [1, 0]
+    assert list(_kernels.nn_indices(queries, refs)) == [1, 0]
+    assert list(loop_nn_indices(queries, refs)) == [1, 0]
 
 
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, SLICEPICK_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "import slicepick; print(slicepick.BACKEND)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_value():
-    env = dict(os.environ, SLICEPICK_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import slicepick"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0
-    assert "SLICEPICK_BACKEND" in out.stderr
+def test_kernels_accept_non_contiguous_float32():
+    X = np.random.default_rng(3).standard_normal((9, 8)).astype(np.float32)[:, ::2]
+    X64 = X.astype(np.float64)
+    assert np.array_equal(_kernels.dist_to_row(X, 4), _kernels.dist_to_row(X64, 4))
+    assert np.array_equal(_kernels.pairwise_dists(X), _kernels.pairwise_dists(X64))
+    assert np.array_equal(_kernels.nn_indices(X, X[:3]), _kernels.nn_indices(X64, X64[:3]))

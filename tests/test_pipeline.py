@@ -151,6 +151,43 @@ class TestRunExperiment:
         assert e.delta is None
         assert e.delta_learned is not None
 
+    def test_deltas_equal_cover_radius_recomputed(self, monkeypatch):
+        # the running covers must give exactly what cover_radius gives from
+        # scratch, for every strategy kind and a second learned strategy
+        from slicepick import cover_radius, pipeline
+
+        spaces = []
+        real_embed_all = pipeline.embed_all
+
+        def recording_embed_all(params, ds):
+            spaces.append(real_embed_all(params, ds))
+            return spaces[-1]
+
+        monkeypatch.setattr(pipeline, "embed_all", recording_embed_all)
+        ds, labels = small_experiment_ds()
+        second = StrategySpec(
+            "coreset_learned",
+            loss=LossConfig(tau=0.5, ntxent=1.0, patient=0, volume=0, slice_group=0),
+            train=TrainConfig(epochs=1, hidden=(6,), rep_dim=3, proj_dim=2),
+            name="learned_b",
+        )
+        strategies = [StrategySpec("random"), StrategySpec("coreset_raw"),
+                      learned_strategy(), second]
+        plan = RoundPlan(fractions=(0.05, 0.06, 0.3, 0.6), n_repeats=2, seed=3)
+        report = run_experiment(ds, labels, strategies, plan)
+        assert report.budgets == [1, 1, 7, 14]
+        X = ds.pixel_matrix()
+        row_of = {rec.slice_id: i for i, rec in enumerate(ds.slices)}
+        for e in report.entries:
+            learned = dict(zip(["coreset_learned", "learned_b"], spaces[2 * e.repeat:]))
+            space = {"random": None, "coreset_raw": X, **learned}[e.strategy]
+            rows = [row_of[s] for s in e.selected]
+            if space is None:
+                assert e.delta is None
+            else:
+                assert e.delta == cover_radius(space, rows)
+            assert e.delta_learned == cover_radius(learned["coreset_learned"], rows)
+
     def test_json_excludes_wall_time(self):
         report = self.run_small()
         doc = json.loads(report.to_json())
