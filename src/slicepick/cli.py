@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, gcle
+from ._io import write_atomic
 from .coreset import cover_radius, k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
@@ -218,7 +219,7 @@ def cmd_train_encoder(args):
     train_cfg = dataclasses.replace(_train_config(cfg), batch_size=batch_size)
     if args.dump_epoch:
         plan = build_epoch(ds, groups, batch_size, epoch_seed(train_cfg.seed, 0))
-        Path(args.dump_epoch).write_text(plan.to_json() + "\n")
+        write_atomic(args.dump_epoch, plan.to_json() + "\n")
     result = train(ds, groups, loss_cfg, train_cfg)
     save_checkpoint(args.out, result.params, train_cfg, train_cfg.seed)
     if args.history:
@@ -274,7 +275,7 @@ def cmd_select(args):
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -296,15 +297,18 @@ def _strategies(cfg):
 
 def cmd_run_rounds(args):
     cfg = _Cfg(args)
+    threads = cfg["threads"]
+    if threads < 1:
+        raise SlicepickError(f"--threads must be >= 1, got {threads}")
     ds, labels = load_dataset(args.data)
     plan = RoundPlan(
         fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
     )
-    report = run_experiment(ds, labels, _strategies(cfg), plan, threads=cfg["threads"])
+    report = run_experiment(ds, labels, _strategies(cfg), plan, threads=threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json())
-    (out / "summary.csv").write_text(report.summary_csv())
+    write_atomic(out / "report.json", report.to_json())
+    write_atomic(out / "summary.csv", report.summary_csv())
     total_train = sum(report.train_seconds.values())
     total_rounds = sum(e.wall_time_s for e in report.entries)
     print(
@@ -364,7 +368,7 @@ def cmd_ablate(args):
         )
     text = "\n".join(rows) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -383,7 +387,10 @@ def cmd_verify(args):
 def _add_common(p, *keys):
     flags = {
         "seed": dict(type=int),
-        "threads": dict(type=int),
+        "threads": dict(
+            type=int,
+            help="worker processes for independent repeats (at most one per repeat)",
+        ),
         "groups": dict(type=_csv_str, help="loss terms: ntxent,patient,volume,slice"),
         "tau": dict(type=float),
         "w_patient": dict(type=float),

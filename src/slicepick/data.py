@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, gcle
+from ._io import write_atomic
 from .errors import FormatError, InvalidSpecError, UndefinedStatisticError
 
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
@@ -252,50 +253,79 @@ def save_dataset(ds, labels, out_dir, spec=None):
         ],
         "spec": asdict(spec) if spec is not None else None,
     }
-    (out / "meta.json").write_bytes(
-        (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
+    write_atomic(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_atomic(
+        out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4").tobytes()
     )
-    (out / "data.bin").write_bytes(
-        np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4").tobytes()
-    )
-    (out / "labels.json").write_bytes(
-        (json.dumps([int(x) for x in labels]) + "\n").encode()
-    )
+    write_atomic(out / "labels.json", json.dumps([int(x) for x in labels]) + "\n")
+
+
+_RECORD_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
+
+
+def _meta_int(meta_path, value, where):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{meta_path}: {where} must be an integer, got {value!r}")
+    return value
+
+
+def _read_meta(meta_path):
+    """(h, w, slice records) from meta.json; every missing or malformed key
+    is a FormatError naming the file and the key."""
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{meta_path}: not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: top level must be a JSON object")
+    if meta.get("format_version") != 1:
+        raise FormatError(
+            f"{meta_path}: unsupported dataset format_version {meta.get('format_version')!r}"
+        )
+    for key in ("h", "w", "slices"):
+        if key not in meta:
+            raise FormatError(f"{meta_path}: missing key {key!r}")
+    h = _meta_int(meta_path, meta["h"], "'h'")
+    w = _meta_int(meta_path, meta["w"], "'w'")
+    if h < 1 or w < 1:
+        raise FormatError(f"{meta_path}: 'h' and 'w' must be >= 1, got {h} and {w}")
+    if not isinstance(meta["slices"], list):
+        raise FormatError(f"{meta_path}: 'slices' must be a list of slice records")
+    records = []
+    for i, r in enumerate(meta["slices"]):
+        if not isinstance(r, dict):
+            raise FormatError(f"{meta_path}: slices[{i}] must be a JSON object")
+        for key in _RECORD_KEYS:
+            if key not in r:
+                raise FormatError(f"{meta_path}: slices[{i}] is missing key {key!r}")
+        records.append(
+            {key: _meta_int(meta_path, r[key], f"slices[{i}].{key}") for key in _RECORD_KEYS}
+        )
+    return h, w, records
 
 
 def load_dataset(in_dir):
     """Read a dataset directory back into (DatasetIndex, labels)."""
     root = Path(in_dir)
-    try:
-        meta = json.loads((root / "meta.json").read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"meta.json is not valid JSON: {exc}") from exc
-    if meta.get("format_version") != 1:
-        raise FormatError(f"unsupported dataset format_version {meta.get('format_version')}")
-    h, w = int(meta["h"]), int(meta["w"])
-    rows = meta["slices"]
-    raw = (root / "data.bin").read_bytes()
+    h, w, rows = _read_meta(root / "meta.json")
+    data_path = root / "data.bin"
+    raw = data_path.read_bytes()
     expected = len(rows) * h * w * 4
     if len(raw) != expected:
-        raise FormatError(f"data.bin holds {len(raw)} bytes, expected {expected}")
+        raise FormatError(f"{data_path}: holds {len(raw)} bytes, expected {expected}")
     X = np.frombuffer(raw, dtype="<f4").reshape(len(rows), h * w).astype(np.float64)
     if not np.all(np.isfinite(X)):
-        raise FormatError("data.bin contains non-finite values")
-    labels = np.asarray(json.loads((root / "labels.json").read_text()), dtype=np.int64)
+        raise FormatError(f"{data_path}: contains non-finite values")
+    labels_path = root / "labels.json"
+    try:
+        labels = np.asarray(json.loads(labels_path.read_text()), dtype=np.int64)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{labels_path}: not a JSON list of integers: {exc}") from exc
     if labels.shape != (len(rows),):
         raise FormatError(
-            f"labels.json holds {labels.size} labels for {len(rows)} slices"
+            f"{labels_path}: holds {labels.size} labels for {len(rows)} slices"
         )
-    slices = [
-        SliceRecord(
-            slice_id=int(r["slice_id"]),
-            patient_id=int(r["patient_id"]),
-            volume_id=int(r["volume_id"]),
-            slice_index=int(r["slice_index"]),
-            pixels=X[i],
-        )
-        for i, r in enumerate(rows)
-    ]
+    slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
     return DatasetIndex(slices, h, w), labels
 
 

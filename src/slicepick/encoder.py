@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
+from ._io import write_atomic
 from .errors import FormatError, SamplerError, TrainingDivergedError
 from .losses import LossBatch, loss_and_grad, slice_positives_from_rows
 
@@ -301,8 +302,10 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
                 raise TrainingDivergedError(
                     f"non-finite projections at epoch {epoch}, aborting"
                 )
+            # the stack is finite (checked above) and built well-formed
             batch = LossBatch(
-                z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos
+                z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos,
+                validate=False,
             )
             loss, d_proj = loss_and_grad(batch, loss_cfg)
             if not np.isfinite(loss):
@@ -337,36 +340,69 @@ def save_checkpoint(path, params, train_cfg=None, seed=None):
         for t in (w, b)
     )
     head = json.dumps(header, sort_keys=True).encode()
-    Path(path).write_bytes(
-        CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + blob
-    )
+    write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + blob)
+
+
+def _checkpoint_arch(path, header):
+    a = header.get("architecture")
+    if not isinstance(a, dict):
+        raise FormatError(f"{path}: checkpoint header key 'architecture' is missing")
+    for key in ("input_dim", "hidden", "rep_dim", "proj_dim"):
+        if key not in a:
+            raise FormatError(
+                f"{path}: checkpoint header key 'architecture.{key}' is missing"
+            )
+    try:
+        hidden = tuple(int(d) for d in a["hidden"])
+        arch = Architecture(int(a["input_dim"]), hidden, int(a["rep_dim"]), int(a["proj_dim"]))
+        valid = min(d for layer in arch.layer_dims() for d in layer) >= 1
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise FormatError(
+            f"{path}: checkpoint header key 'architecture' has invalid dimensions {a}"
+        )
+    return arch
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (EncoderParams, header dict)."""
+    """Read a checkpoint; returns (EncoderParams, header dict).
+
+    A truncated or corrupt file raises FormatError naming the path and the
+    part that is wrong: magic, header length, header key or blob size.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {raw[:4]!r}")
+    if len(raw) < 8:
+        raise FormatError(
+            f"{path}: truncated checkpoint header length ({len(raw)} bytes, need 8)"
+        )
     (head_len,) = struct.unpack("<I", raw[4:8])
+    if len(raw) < 8 + head_len:
+        raise FormatError(
+            f"{path}: checkpoint header length {head_len} runs past the end "
+            f"of the {len(raw)}-byte file"
+        )
     try:
         header = json.loads(raw[8 : 8 + head_len])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header") from exc
+    except ValueError as exc:
+        raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format_version") != 1:
-        raise FormatError(f"{path}: unsupported checkpoint version")
-    a = header["architecture"]
-    arch = Architecture(
-        input_dim=a["input_dim"],
-        hidden=tuple(a["hidden"]),
-        rep_dim=a["rep_dim"],
-        proj_dim=a["proj_dim"],
-    )
-    blob = np.frombuffer(raw, dtype="<f4", offset=8 + head_len)
-    expected = sum(fi * fo + fo for fi, fo in arch.layer_dims())
-    if blob.size != expected:
         raise FormatError(
-            f"{path}: parameter blob holds {blob.size} floats, expected {expected}"
+            f"{path}: unsupported checkpoint header key 'format_version' "
+            f"{header.get('format_version')!r}"
         )
+    arch = _checkpoint_arch(path, header)
+    blob_bytes = len(raw) - 8 - head_len
+    expected = 4 * sum(fi * fo + fo for fi, fo in arch.layer_dims())
+    if blob_bytes != expected:
+        raise FormatError(
+            f"{path}: parameter blob size is {blob_bytes} bytes, expected {expected}"
+        )
+    blob = np.frombuffer(raw, dtype="<f4", offset=8 + head_len)
     weights, biases = [], []
     pos = 0
     for fi, fo in arch.layer_dims():
@@ -374,10 +410,13 @@ def load_checkpoint(path):
         pos += fi * fo
         biases.append(blob[pos : pos + fo].astype(np.float64))
         pos += fo
-    return EncoderParams(arch, weights, biases), header
+    try:
+        return EncoderParams(arch, weights, biases), header
+    except ValueError as exc:
+        raise FormatError(f"{path}: parameter blob: {exc}") from exc
 
 
 def write_loss_history(path, epoch_losses):
     lines = ["epoch,mean_loss"]
     lines += [f"{e + 1},{loss!r}" for e, loss in enumerate(epoch_losses)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

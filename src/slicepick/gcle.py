@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_atomic
 from .errors import FormatError
 
 MAGIC = b"GCLE"
@@ -42,11 +43,9 @@ def write_gcle(path, matrix, meta_rows):
         raise FormatError(f"{len(meta_rows)} metadata rows for {n} matrix rows")
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
     header = MAGIC + struct.pack("<III", VERSION, n, dim)
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
     meta = {"rows": [{k: int(r[k]) for k in _META_KEYS} for r in meta_rows]}
-    Path(str(path) + ".meta.json").write_bytes(
-        (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
-    )
+    write_atomic(str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_gcle(path):

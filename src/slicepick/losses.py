@@ -11,7 +11,7 @@ All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -120,14 +120,21 @@ class LossBatch:
     ``slice_positives`` (when the adjacent-slice loss is used) gives, for
     each anchor row i < N, the indices of all rows that are another view of
     the same slice or a depth neighbor within the same volume.
+
+    ``validate=False`` stores the fields as given. It is for callers that
+    already hold a finite float64 ``z``, mirrored int64 id arrays and sorted
+    unique int64 positive sets, such as the training loop.
     """
 
     z: np.ndarray  # (2N, e) float64
     patient_ids: np.ndarray  # (2N,)
     volume_ids: np.ndarray = None  # (2N,) or None
     slice_positives: tuple = None  # per-anchor index arrays, or None
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate):
+        if not validate:
+            return
         z = np.asarray(self.z, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2:
             raise ValueError("embeddings must be a (2N, e) matrix with N >= 1")

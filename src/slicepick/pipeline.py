@@ -2,19 +2,19 @@
 label-efficiency probe.
 
 Each repeat owns independent seed-derived RNG streams keyed by (plan seed,
-repeat, strategy name), so repeats can run on any number of worker threads
-with byte-identical results. The learned-metric strategy trains its encoder
-once per repeat on the full pool; selection then extends a nested labeled
-set round by round. The probe is 1-nearest-neighbor classification in raw
+repeat, strategy name), so repeats can run in any number of worker
+processes with byte-identical results. The learned-metric strategy trains
+its encoder once per repeat on the full pool; selection then extends a
+nested labeled set round by round. The probe is 1-nearest-neighbor classification in raw
 pixel space for every strategy, so the learned metric influences selection
 only, never evaluation.
 """
 
 import dataclasses
+import functools
 import json
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from . import _kernels
 from .coreset import _extend_cover, k_center_greedy
 from .encoder import TrainConfig, embed_all, train
+from .errors import SlicepickError
 from .losses import LossConfig
 
 DEFAULT_FRACTIONS = (0.02, 0.03, 0.04, 0.05, 0.10, 0.15, 0.20, 0.40)
@@ -266,12 +267,42 @@ def _run_repeat(ds, X, labels, strategies, plan, budget_list, repeat):
     return entries, train_seconds
 
 
+def _map_in_processes(fn, items, workers):
+    """``[fn(x) for x in items]`` on a pool of forked worker processes.
+
+    Training is short Python-bound numpy calls, so threads would serialize
+    on the GIL; forked workers also start with every module imported. An
+    exception raised by ``fn`` reaches the caller unchanged; a worker that
+    dies becomes a SlicepickError.
+    """
+    # imported here, not at module level: multiprocessing adds ~20 ms to
+    # every command's start-up, and only this path needs it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    )
+    try:
+        return list(pool.map(fn, items))
+    except BrokenProcessPool as exc:
+        raise SlicepickError(f"a repeat worker process died: {exc}") from exc
+    finally:
+        # after a failure, items still queued are dropped, not run
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(ds, labels, strategies, plan, threads=1):
     """Run every (strategy, repeat, round) cell; deterministic in plan.seed.
 
-    Repeats are independent and may run on several threads; entries are
-    assembled in (strategy, repeat, round) order regardless of worker count.
+    Repeats are independent; with ``threads > 1`` they run in up to that
+    many forked worker processes (never more than there are repeats).
+    Entries are assembled in (strategy, repeat, round) order regardless of
+    worker count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     labels = np.asarray(labels)
     if labels.shape[0] != ds.n:
         raise ValueError("labels must align with the dataset slices")
@@ -282,18 +313,14 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
     budget_list = budgets(plan, ds.n)
 
     repeats = list(range(plan.n_repeats))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda r: _run_repeat(ds, X, labels, strategies, plan, budget_list, r),
-                    repeats,
-                )
-            )
+    run_repeat = functools.partial(
+        _run_repeat, ds, X, labels, strategies, plan, budget_list
+    )
+    workers = min(threads, plan.n_repeats)
+    if workers > 1:
+        results = _map_in_processes(run_repeat, repeats, workers)
     else:
-        results = [
-            _run_repeat(ds, X, labels, strategies, plan, budget_list, r) for r in repeats
-        ]
+        results = [run_repeat(r) for r in repeats]
 
     order = {name: i for i, name in enumerate(names)}
     entries = [e for ents, _ in results for e in ents]

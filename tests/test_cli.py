@@ -160,6 +160,57 @@ class TestRunRounds:
         ).read_bytes()
 
 
+    def test_worker_error_exits_one_without_report(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        code, _, err = run(
+            capsys, "run-rounds", "--data", str(data_dir), "--out", str(out),
+            "--threads", "2", "--repeats", "2", "--batch-size", "7",
+            "--strategies", "coreset_learned", "--epochs", "1", "--hidden", "8",
+            "--rep-dim", "4", "--proj-dim", "3",
+        )
+        assert code == 1
+        assert err == "error: batch size 7 is not a multiple of tuple width 3\n"
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, data_dir, tmp_path, capsys, threads):
+        code, _, err = run(
+            capsys, "run-rounds", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+            "--threads", threads,
+        )
+        assert code == 1
+        assert err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not (tmp_path / "r").exists()
+
+
+class TestMalformedInputs:
+    def test_truncated_checkpoint(self, data_dir, tmp_path, capsys):
+        ckpt = tmp_path / "enc.ckpt"
+        assert run(
+            capsys, "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+            "--groups", "ntxent", "--epochs", "1", "--hidden", "8",
+            "--rep-dim", "4", "--proj-dim", "3",
+        )[0] == 0
+        cut = tmp_path / "t.ckpt"
+        cut.write_bytes(ckpt.read_bytes()[:6])
+        code, _, err = run(
+            capsys, "embed", "--data", str(data_dir), "--checkpoint", str(cut),
+            "--out", str(tmp_path / "e.gcle"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {cut}: ") and "header length" in err
+        assert not (tmp_path / "e.gcle").exists()
+
+    def test_meta_without_slices(self, data_dir, capsys):
+        meta_path = data_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["slices"]
+        meta_path.write_text(json.dumps(meta))
+        code, out, err = run(capsys, "stats", "--data", str(data_dir))
+        assert code == 1 and out == ""
+        assert err == f"error: {meta_path}: missing key 'slices'\n"
+
+
 class TestAblate:
     def test_enumerates_subsets(self, data_dir, tmp_path, capsys):
         out_csv = tmp_path / "abl.csv"

@@ -207,6 +207,67 @@ class TestDatasetDirectoryErrors:
             load_dataset(tmp_path / "d")
 
 
+class TestDatasetMetaErrors:
+    def rewrite_meta(self, tmp_path, tiny_ds, edit):
+        import json
+
+        ds, labels = tiny_ds
+        save_dataset(ds, labels, tmp_path / "d")
+        meta_path = tmp_path / "d" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        return meta_path
+
+    @pytest.mark.parametrize("key", ["slices", "h", "w"])
+    def test_missing_top_level_key(self, tmp_path, tiny_ds, key):
+        from slicepick import FormatError
+
+        meta_path = self.rewrite_meta(tmp_path, tiny_ds, lambda m: m.pop(key))
+        with pytest.raises(FormatError) as exc:
+            load_dataset(tmp_path / "d")
+        assert str(meta_path) in str(exc.value) and f"'{key}'" in str(exc.value)
+
+    @pytest.mark.parametrize("key", ["slice_id", "patient_id", "volume_id", "slice_index"])
+    def test_missing_record_key(self, tmp_path, tiny_ds, key):
+        from slicepick import FormatError
+
+        meta_path = self.rewrite_meta(tmp_path, tiny_ds, lambda m: m["slices"][1].pop(key))
+        with pytest.raises(FormatError) as exc:
+            load_dataset(tmp_path / "d")
+        msg = str(exc.value)
+        assert str(meta_path) in msg and "slices[1]" in msg and f"'{key}'" in msg
+
+    def test_non_positive_size(self, tmp_path, tiny_ds):
+        from slicepick import FormatError
+
+        def edit(meta):
+            meta["h"] = 0
+
+        self.rewrite_meta(tmp_path, tiny_ds, edit)
+        with pytest.raises(FormatError, match="'h' and 'w' must be >= 1"):
+            load_dataset(tmp_path / "d")
+
+    def test_non_integer_field(self, tmp_path, tiny_ds):
+        from slicepick import FormatError
+
+        def edit(meta):
+            meta["slices"][0]["volume_id"] = "v0"
+
+        self.rewrite_meta(tmp_path, tiny_ds, edit)
+        with pytest.raises(FormatError, match=r"slices\[0\]\.volume_id"):
+            load_dataset(tmp_path / "d")
+
+    def test_invalid_json(self, tmp_path, tiny_ds):
+        from slicepick import FormatError
+
+        ds, labels = tiny_ds
+        save_dataset(ds, labels, tmp_path / "d")
+        (tmp_path / "d" / "meta.json").write_text("{")
+        with pytest.raises(FormatError, match="meta.json"):
+            load_dataset(tmp_path / "d")
+
+
 class TestImportEmbeddings:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

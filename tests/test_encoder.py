@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from slicepick import (
     Architecture,
     AugmentSpec,
     EncoderParams,
+    FormatError,
     LossConfig,
     SynthSpec,
     TrainConfig,
@@ -206,6 +210,32 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    def test_unvalidated_batches_train_bit_identically(self, monkeypatch):
+        # the training loop skips LossBatch validation; forcing the full
+        # validation back on must not change a single bit, for every term
+        from slicepick import encoder
+
+        spec = SynthSpec(
+            n_patients=3, volumes_per_patient=2, slices_per_volume=4, h=3, w=3,
+            class_count=2, seed=4,
+        )
+        ds = generate_synthetic(spec)[0]
+        loss_cfg = LossConfig(tau=0.2, ntxent=1.0, patient=0.05, volume=0.35, slice_group=0.1)
+        fast = train(ds, None, loss_cfg, self.cfg(epochs=3, seed=2))
+        flags = []
+
+        def validated(*args, validate=True, **kwargs):
+            flags.append(validate)
+            return LossBatch(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "LossBatch", validated)
+        checked = train(ds, None, loss_cfg, self.cfg(epochs=3, seed=2))
+        assert flags and not any(flags)
+        assert fast.epoch_losses == checked.epoch_losses
+        for a, b in zip(fast.params.weights + fast.params.biases,
+                        checked.params.weights + checked.params.biases):
+            assert np.array_equal(a, b)
+
 
 class TestEmbedAll:
     def test_matches_forward_calls_exactly(self):
@@ -254,3 +284,74 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError):
             load_checkpoint(p)
+
+    def saved(self, tmp_path):
+        path = tmp_path / "enc.ckpt"
+        params = init_params(Architecture(input_dim=6, hidden=(5,), rep_dim=4, proj_dim=3), 7)
+        save_checkpoint(path, params, TrainConfig(epochs=1), seed=7)
+        raw = path.read_bytes()
+        head_len = int.from_bytes(raw[4:8], "little")
+        return raw, head_len
+
+    def with_header(self, tmp_path, edit):
+        """A copy of a saved checkpoint whose JSON header went through ``edit``."""
+        raw, head_len = self.saved(tmp_path)
+        header = json.loads(raw[8 : 8 + head_len])
+        edit(header)
+        head = json.dumps(header).encode()
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
+        return path
+
+    def test_truncation_names_path_and_field(self, tmp_path):
+        raw, head_len = self.saved(tmp_path)
+        cuts = {
+            0: "magic", 3: "magic", 4: "header length", 7: "header length",
+            8: "header length", 8 + head_len // 2: "header length",
+            8 + head_len: "blob size", len(raw) - 5: "blob size",
+            len(raw) - 1: "blob size",
+        }
+        for cut, field in cuts.items():
+            path = tmp_path / f"cut{cut}.ckpt"
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(path)
+            assert str(path) in str(exc.value) and field in str(exc.value), (cut, exc.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        raw, _ = self.saved(tmp_path)
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(raw + b"\x00" * 4)
+        with pytest.raises(FormatError, match="blob size"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", [
+        "format_version", "architecture", "architecture.input_dim",
+        "architecture.hidden", "architecture.rep_dim", "architecture.proj_dim",
+    ])
+    def test_missing_header_key_names_it(self, tmp_path, key):
+        def drop(header):
+            *parents, leaf = key.split(".")
+            for name in parents:
+                header = header[name]
+            del header[leaf]
+
+        path = self.with_header(tmp_path, drop)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value) and f"'{key}'" in str(exc.value)
+
+    @pytest.mark.parametrize("field,value", [("rep_dim", 0), ("hidden", 5), ("input_dim", "x")])
+    def test_invalid_architecture_dimensions(self, tmp_path, field, value):
+        path = self.with_header(
+            tmp_path, lambda header: header["architecture"].__setitem__(field, value)
+        )
+        with pytest.raises(FormatError, match="'architecture' has invalid dimensions"):
+            load_checkpoint(path)
+
+    def test_corrupt_header_json(self, tmp_path):
+        raw, head_len = self.saved(tmp_path)
+        path = tmp_path / "garbled.ckpt"
+        path.write_bytes(raw[:8] + b"\xff" * head_len + raw[8 + head_len:])
+        with pytest.raises(FormatError, match="corrupt checkpoint header"):
+            load_checkpoint(path)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -235,3 +236,83 @@ class TestRunExperiment:
         expected = 1000 * 5 / 20
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < CHI2_CRIT_19
+
+
+class TestRepeatWorkers:
+    def strategies(self, **train_kw):
+        base = dict(epochs=1, hidden=(6,), rep_dim=3, proj_dim=2)
+        base.update(train_kw)
+        return [
+            StrategySpec("random"),
+            StrategySpec(
+                "coreset_learned",
+                loss=LossConfig(tau=0.5, ntxent=1.0, patient=0.05, volume=0.35),
+                train=TrainConfig(**base),
+            ),
+        ]
+
+    def test_pool_never_exceeds_repeat_count(self, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context):
+                asked.append((max_workers, mp_context.get_start_method()))
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        ds, labels = small_experiment_ds()
+        plan = RoundPlan(fractions=(0.1, 0.5), n_repeats=2, seed=1)
+        pooled = run_experiment(ds, labels, self.strategies(), plan, threads=8)
+        assert asked == [(2, "fork")]
+        serial = run_experiment(ds, labels, self.strategies(), plan, threads=1)
+        assert pooled.to_json() == serial.to_json()
+
+    def test_single_repeat_runs_without_a_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one repeat")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        ds, labels = small_experiment_ds()
+        plan = RoundPlan(fractions=(0.5,), n_repeats=1)
+        run_experiment(ds, labels, [StrategySpec("random")], plan, threads=4)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        ds, labels = small_experiment_ds()
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(
+                ds, labels, [StrategySpec("random")],
+                RoundPlan(fractions=(0.5,), n_repeats=2), threads=threads,
+            )
+
+    def test_worker_error_keeps_its_type_and_message(self):
+        from slicepick import SamplerError
+
+        ds, labels = small_experiment_ds()
+        plan = RoundPlan(fractions=(0.5,), n_repeats=2)
+        with pytest.raises(SamplerError, match="batch size 7 is not a multiple of tuple width"):
+            run_experiment(ds, labels, self.strategies(batch_size=7), plan, threads=2)
+
+    def test_dead_worker_is_a_slicepick_error(self, monkeypatch):
+        from slicepick import SlicepickError, pipeline
+
+        parent = os.getpid()
+
+        def die_in_worker(*args, **kwargs):
+            assert os.getpid() != parent, "training ran in the calling process"
+            os._exit(3)
+
+        monkeypatch.setattr(pipeline, "train", die_in_worker)
+        ds, labels = small_experiment_ds()
+        plan = RoundPlan(fractions=(0.5,), n_repeats=2)
+        with pytest.raises(SlicepickError, match="worker process died"):
+            run_experiment(ds, labels, self.strategies(), plan, threads=2)
