@@ -19,6 +19,11 @@ SUMMARY_SHA = "181d7db4ab94efdb7b2a69cfae56f396a343fc3ee1c0254ae6dbbb1f9b88558a"
 STATS_SHA = "e3a20fc8f3b7c699cc6f5177c01ecd167e43c3c9a19a1a6603ab7063e2d607c7"
 SELECT_EMPTY_SHA = "4b4d16df44f46d6836aa740a3407ad77a2454af34ec740bba1e674688f1db06f"
 SELECT_INITIAL_SHA = "fd186592b0403938af2e3f19c29fd867df7d0e5e65a83d4f56e049498c14c2e2"
+# train-encoder with all four loss terms: checkpoint and --history CSV
+CHECKPOINT_SHA = "171be57a893323bffa2830fb3e0fe290ba21831ed9d1ffea6af052df7f67608d"
+HISTORY_SHA = "f6caa062963c531e4cc00b05ce76ca80361f5f5f4be966c4bad5646b2bde398f"
+# ablate over every subset of the four loss terms
+ABLATE_SHA = "beada147b42ed79895e94b39afbc5c7418152395e0ff3f06e445230d1f594495"
 
 
 def sha(data):
@@ -89,3 +94,25 @@ def test_select_trace_digest(embeddings, tmp_path, capsys, initial, expected):
         "--initial", initial, "--seed", "9", "--out", out,
     )
     assert sha(out.read_bytes()) == expected
+
+
+def test_train_encoder_digest(data_dir, tmp_path, capsys):
+    ckpt, history = tmp_path / "enc.ckpt", tmp_path / "history.csv"
+    run(
+        capsys, "train-encoder", "--data", data_dir, "--out", ckpt,
+        "--history", history, "--groups", "ntxent,patient,volume,slice",
+        "--epochs", "3", "--hidden", "8,6", "--rep-dim", "4", "--proj-dim", "3",
+        "--seed", "4",
+    )
+    assert sha(ckpt.read_bytes()) == CHECKPOINT_SHA
+    assert sha(history.read_bytes()) == HISTORY_SHA
+
+
+def test_ablate_digest(data_dir, tmp_path, capsys):
+    out = tmp_path / "ablate.csv"
+    run(
+        capsys, "ablate", "--data", data_dir, "--out", out,
+        "--groups", "ntxent,patient,volume,slice", "--epochs", "2", "--hidden", "8",
+        "--rep-dim", "4", "--proj-dim", "3", "--seed", "5", "--fraction", "0.1",
+    )
+    assert sha(out.read_bytes()) == ABLATE_SHA
