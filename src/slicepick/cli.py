@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks, gcle
 from ._io import write_atomic
-from .coreset import cover_radius, k_center_greedy, kmeans_labels, silhouette_score
+from .coreset import k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
     SynthSpec,
@@ -100,10 +100,13 @@ def _read_config_file(path):
         if "=" not in line:
             raise SlicepickError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if key not in CONFIG:
             raise SlicepickError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = CONFIG[key][1](raw.strip())
+        try:
+            values[key] = CONFIG[key][1](raw)
+        except ValueError:
+            raise SlicepickError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from None
     return values
 
 
@@ -356,7 +359,7 @@ def cmd_ablate(args):
             weights = (0.0, 0.0, 0.0, 0.0)
         state = k_center_greedy(space, [], budget, cold_start_seed=cfg["seed"])
         acc = probe_accuracy(X, state.labeled, labels)
-        delta = cover_radius(space, state.labeled)
+        delta = float(state.min_dist.max())
         if n_volumes >= 2:
             sil = silhouette_score(space, kmeans_labels(space, n_volumes, cfg["seed"]))
             sil_text = repr(sil)
@@ -496,18 +499,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.print_config:
-        print(_Cfg(args).dump())
-        return 0
-    if not getattr(args, "command", None):
+    if not args.print_config and not getattr(args, "command", None):
         parser.print_help()
         return 2
     try:
+        if args.print_config:
+            print(_Cfg(args).dump())
+            return 0
         return args.func(args)
-    except SlicepickError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, AssertionError) as exc:
+    except (SlicepickError, ValueError, OSError, KeyError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

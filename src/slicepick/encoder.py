@@ -7,6 +7,12 @@ projection output feeds the loss; the pre-projection representation is what
 downstream selection uses as the learned feature space. Backpropagation is
 written out by hand; training is single-threaded and bit-reproducible for a
 fixed seed.
+
+Every weight and bias lives in one float64 vector laid out W0, b0, W1, b1,
+...; the per-layer arrays are views into it. The gradient and the ADAM
+moments are vectors with the same layout, so an ADAM step is one update over
+the whole vector, and a checkpoint's parameter blob is that vector in
+little-endian float32.
 """
 
 import json
@@ -36,13 +42,30 @@ class Architecture:
         return list(zip(dims[:-1], dims[1:]))
 
 
+def _layer_views(arch, flat):
+    """Per-layer (weights, biases) views into a vector laid out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    pos = 0
+    for fi, fo in arch.layer_dims():
+        weights.append(flat[pos : pos + fi * fo].reshape(fi, fo))
+        pos += fi * fo
+        biases.append(flat[pos : pos + fo])
+        pos += fo
+    return weights, biases
+
+
 @dataclass(eq=False)
 class EncoderParams:
-    """Weights and biases for every layer, ordered hidden -> rep -> proj."""
+    """Weights and biases for every layer, ordered hidden -> rep -> proj.
+
+    The constructor copies them into ``flat``, one float64 vector in
+    checkpoint order; ``weights`` and ``biases`` become views into it.
+    """
 
     arch: Architecture
     weights: list
     biases: list
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = self.arch.layer_dims()
@@ -53,15 +76,10 @@ class EncoderParams:
                 raise ValueError(f"layer {layer} shapes do not chain: {w.shape}, {b.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {layer} contains non-finite parameters")
-
-    @property
-    def param_count(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def copy(self):
-        return EncoderParams(
-            self.arch, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
+        self.flat = np.concatenate(
+            [np.ravel(t) for pair in zip(self.weights, self.biases) for t in pair]
+        ).astype(np.float64, copy=False)
+        self.weights, self.biases = _layer_views(self.arch, self.flat)
 
 
 @dataclass(frozen=True)
@@ -153,22 +171,27 @@ def _forward_batch(params, X):
     return rep, proj, (acts, pre, rep)
 
 
-def _backward_batch(params, cache, d_proj):
-    """Gradients of all weights/biases given d(loss)/d(projection)."""
+def _backward_batch(params, cache, d_proj, grad=None):
+    """Gradient of all weights/biases given d(loss)/d(projection).
+
+    Writes into ``grad``, a vector laid out like ``params.flat`` (a new one
+    when None), and returns its per-layer (weights, biases) views.
+    """
     acts, pre, rep = cache
     n_hidden = len(params.arch.hidden)
-    g_w = [None] * (n_hidden + 2)
-    g_b = [None] * (n_hidden + 2)
-    g_w[n_hidden + 1] = rep.T @ d_proj
-    g_b[n_hidden + 1] = d_proj.sum(axis=0)
+    if grad is None:
+        grad = np.empty_like(params.flat)
+    g_w, g_b = _layer_views(params.arch, grad)
+    np.matmul(rep.T, d_proj, out=g_w[n_hidden + 1])
+    np.sum(d_proj, axis=0, out=g_b[n_hidden + 1])
     d_rep = d_proj @ params.weights[n_hidden + 1].T
-    g_w[n_hidden] = acts[n_hidden].T @ d_rep
-    g_b[n_hidden] = d_rep.sum(axis=0)
+    np.matmul(acts[n_hidden].T, d_rep, out=g_w[n_hidden])
+    np.sum(d_rep, axis=0, out=g_b[n_hidden])
     dA = d_rep @ params.weights[n_hidden].T
     for layer in reversed(range(n_hidden)):
         dZ = dA * (pre[layer] > 0)
-        g_w[layer] = acts[layer].T @ dZ
-        g_b[layer] = dZ.sum(axis=0)
+        np.matmul(acts[layer].T, dZ, out=g_w[layer])
+        np.sum(dZ, axis=0, out=g_b[layer])
         dA = dZ @ params.weights[layer].T
     return g_w, g_b
 
@@ -210,28 +233,22 @@ def augment_batch(X, spec, rng, h, w):
 
 class _AdamState:
     def __init__(self, params):
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
 
-def _adam_step(params, g_w, g_b, state, cfg):
-    # decoupled weight decay: multiplicative shrink before the moment update
+def _adam_step(params, grad, state, cfg):
+    """One ADAM step on ``params.flat`` given a gradient vector of the same
+    layout; decoupled weight decay shrinks the parameters first."""
     state.t += 1
-    shrink = 1.0 - cfg.learning_rate * cfg.weight_decay
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for tensors, grads, ms, vs in (
-        (params.weights, g_w, state.m_w, state.v_w),
-        (params.biases, g_b, state.m_b, state.v_b),
-    ):
-        for i, (p, g) in enumerate(zip(tensors, grads)):
-            p *= shrink
-            ms[i] = cfg.beta1 * ms[i] + (1.0 - cfg.beta1) * g
-            vs[i] = cfg.beta2 * vs[i] + (1.0 - cfg.beta2) * (g * g)
-            p -= cfg.learning_rate * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + cfg.adam_eps)
+    p = params.flat
+    p *= 1.0 - cfg.learning_rate * cfg.weight_decay
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (grad * grad)
+    p -= cfg.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.adam_eps)
 
 
 def _batch_loss_input(ds, X, batch_tuples, loss_cfg, aug_spec, rng):
@@ -281,6 +298,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     )
     params = init_params(arch, np.random.SeedSequence([train_cfg.seed, 0]))
     state = _AdamState(params)
+    grad = np.empty_like(params.flat)
     aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
 
     epoch_losses = []
@@ -312,8 +330,8 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, aborting"
                 )
-            g_w, g_b = _backward_batch(params, cache, d_proj)
-            _adam_step(params, g_w, g_b, state, train_cfg)
+            _backward_batch(params, cache, d_proj, grad)
+            _adam_step(params, grad, state, train_cfg)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
     return TrainResult(params=params, epoch_losses=epoch_losses)
@@ -334,12 +352,8 @@ def save_checkpoint(path, params, train_cfg=None, seed=None):
         "train_cfg": asdict(train_cfg) if train_cfg is not None else None,
         "seed": seed,
     }
-    blob = b"".join(
-        np.ascontiguousarray(t, dtype="<f4").tobytes()
-        for w, b in zip(params.weights, params.biases)
-        for t in (w, b)
-    )
     head = json.dumps(header, sort_keys=True).encode()
+    blob = params.flat.astype("<f4").tobytes()
     write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + blob)
 
 
@@ -402,16 +416,9 @@ def load_checkpoint(path):
         raise FormatError(
             f"{path}: parameter blob size is {blob_bytes} bytes, expected {expected}"
         )
-    blob = np.frombuffer(raw, dtype="<f4", offset=8 + head_len)
-    weights, biases = [], []
-    pos = 0
-    for fi, fo in arch.layer_dims():
-        weights.append(blob[pos : pos + fi * fo].astype(np.float64).reshape(fi, fo))
-        pos += fi * fo
-        biases.append(blob[pos : pos + fo].astype(np.float64))
-        pos += fo
+    flat = np.frombuffer(raw, dtype="<f4", offset=8 + head_len).astype(np.float64)
     try:
-        return EncoderParams(arch, weights, biases), header
+        return EncoderParams(arch, *_layer_views(arch, flat)), header
     except ValueError as exc:
         raise FormatError(f"{path}: parameter blob: {exc}") from exc
 

@@ -33,7 +33,6 @@ class LossConfig:
     patient: float = 0.0
     volume: float = 0.0
     slice_group: float = 0.0
-    norm_eps: float = 1e-12
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -45,13 +44,6 @@ class LossConfig:
             raise ValueError("loss weights must be nonnegative")
         if not any(w > 0 for w in weights):
             raise ValueError("at least one loss weight must be positive")
-        if self.norm_eps <= 0:
-            raise ValueError("norm_eps must be positive")
-
-    @classmethod
-    def from_tuple(cls, weights, tau=0.1):
-        l0, l1, l2, l3 = weights
-        return cls(tau=tau, ntxent=l0, patient=l1, volume=l2, slice_group=l3)
 
     def weight_of(self, group_type):
         return {"patient": self.patient, "volume": self.volume, "slice": self.slice_group}[
@@ -213,11 +205,6 @@ def _unit_rows(z, eps):
     return z / clamped[:, None], norms, clamped
 
 
-def _sim_matrix(batch, eps):
-    zhat, _, _ = _unit_rows(batch.z, eps)
-    return zhat @ zhat.T
-
-
 def _masked_log_denoms(logits, den_mask):
     """Stable log sum exp of each row over its denominator mask.
 
@@ -247,15 +234,7 @@ def _ntxent_masks(n2):
 def ntxent_loss(batch, tau):
     """Standard two-view contrastive loss: mean over all 2N rows of
     -log softmax(sim with the paired view / tau) against every other row."""
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    S = _sim_matrix(batch, NORM_EPS)
-    n2 = S.shape[0]
-    pos, den = _ntxent_masks(n2)
-    logits = S / tau
-    log_denoms, _ = _masked_log_denoms(logits, den)
-    rows = np.arange(n2)
-    return float(np.mean(log_denoms - logits[rows, pos]))
+    return combined_loss(batch, LossConfig(tau=tau))
 
 
 def _group_masks(batch, group_type):
@@ -275,12 +254,10 @@ def _group_masks(batch, group_type):
     else:
         if group_type == "patient":
             labels = pid
-        elif group_type == "volume":
+        else:
             if batch.volume_ids is None:
                 raise ValueError("batch has no volume labels")
             labels = batch.volume_ids
-        else:
-            raise ValueError(f"unknown group type {group_type!r}")
         pos = (labels[:n, None] == labels[None, :]) & not_self
     den = (pos | other_patient) & not_self
     return pos, den
@@ -310,22 +287,10 @@ def group_loss(batch, group_type, tau):
     the same group or belonging to a different patient, so same-patient
     rows outside the group exert no repulsion.
     """
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    pos, den = _group_masks(batch, group_type)
-    pos_counts = pos.sum(axis=1)
-    if pos_counts.sum() == 0:
-        return 0.0
-    S = _sim_matrix(batch, NORM_EPS)
-    n = pos.shape[0]
-    logits = S[:n] / tau
-    log_denoms, _ = _masked_log_denoms(logits, den)
-    active = pos_counts > 0
-    total = float(
-        np.sum(pos_counts[active] * log_denoms[active])
-        - np.sum(logits[pos])
-    )
-    return _group_norm(batch, group_type, pos) * total
+    if group_type not in GROUP_LOSSES:
+        raise ValueError(f"unknown group type {group_type!r}")
+    weight = {"slice_group" if group_type == "slice" else group_type: 1.0}
+    return combined_loss(batch, LossConfig(tau=tau, ntxent=0.0, **weight))
 
 
 def combined_loss(batch, cfg):
@@ -345,7 +310,7 @@ def loss_and_grad(batch, cfg):
 
 
 def _combined(batch, cfg, want_grad):
-    zhat, norms, clamped = _unit_rows(batch.z, cfg.norm_eps)
+    zhat, norms, clamped = _unit_rows(batch.z, NORM_EPS)
     S = zhat @ zhat.T
     n2 = S.shape[0]
     n = n2 // 2
@@ -395,6 +360,6 @@ def _combined(batch, cfg, want_grad):
     # chain d(loss)/d(sim) through S = zhat zhat^T and the clamped row norms
     g_hat = (GS + GS.T) @ zhat
     radial = np.einsum("ij,ij->i", g_hat, zhat)
-    unclamped = (norms > cfg.norm_eps).astype(np.float64)
+    unclamped = (norms > NORM_EPS).astype(np.float64)
     grad = (g_hat - unclamped[:, None] * radial[:, None] * zhat) / clamped[:, None]
     return loss, grad

@@ -199,8 +199,11 @@ def _stream_seed(plan_seed, repeat, name, salt=0):
     return np.random.SeedSequence([plan_seed, repeat, zlib.crc32(name.encode()), salt])
 
 
-def _run_repeat(ds, X, labels, strategies, plan, budget_list, repeat):
+def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
     n = ds.n
+    # built here rather than passed in: ds already carries the pixels, and
+    # every argument is pickled into each worker's task
+    X = ds.pixel_matrix()
     slice_ids = [rec.slice_id for rec in ds.slices]
     entries = []
     train_seconds = {}
@@ -309,13 +312,10 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
     names = [s.name for s in strategies]
     if len(set(names)) != len(names):
         raise ValueError(f"strategy names must be unique, got {names}")
-    X = ds.pixel_matrix()
     budget_list = budgets(plan, ds.n)
 
     repeats = list(range(plan.n_repeats))
-    run_repeat = functools.partial(
-        _run_repeat, ds, X, labels, strategies, plan, budget_list
-    )
+    run_repeat = functools.partial(_run_repeat, ds, labels, strategies, plan, budget_list)
     workers = min(threads, plan.n_repeats)
     if workers > 1:
         results = _map_in_processes(run_repeat, repeats, workers)

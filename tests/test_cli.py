@@ -259,6 +259,36 @@ class TestConfig:
         assert code == 1
         assert "bogus" in err
 
+    def test_bad_config_value_names_file_line_and_key(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\nepochs=abc\n")
+        code, _, err = run(
+            capsys, "train-encoder", "--config", str(cfg), "--data", str(data_dir),
+            "--out", str(tmp_path / "enc.ckpt"),
+        )
+        assert code == 1
+        assert err == f"error: {cfg}:2: bad value for 'epochs': 'abc'\n"
+        assert not (tmp_path / "enc.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("threads=\n", "bad.cfg:1: bad value for 'threads': ''"),
+            ("seed=1\nbogus=1\n", "bad.cfg:2: unknown config key 'bogus'"),
+            (None, "bad.cfg"),
+        ],
+        ids=["bad-value", "unknown-key", "missing-file"],
+    )
+    def test_print_config_with_bad_config_exits_one(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run(capsys, "--config", str(cfg), "--print-config")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestErrors:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -24,7 +24,13 @@ from slicepick import (
 )
 from slicepick.checks import max_rel_err
 from slicepick.data import DatasetIndex
-from slicepick.encoder import _AdamState, _adam_step, _backward_batch, _forward_batch
+from slicepick.encoder import (
+    _AdamState,
+    _adam_step,
+    _backward_batch,
+    _forward_batch,
+    _layer_views,
+)
 from slicepick.losses import LossBatch, combined_loss, loss_and_grad
 
 
@@ -143,11 +149,52 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, epochs=1)
         state = _AdamState(params)
         norms0 = [np.linalg.norm(w) for w in params.weights]
-        zero_w = [np.zeros_like(w) for w in params.weights]
-        zero_b = [np.zeros_like(b) for b in params.biases]
-        _adam_step(params, zero_w, zero_b, state, cfg)
+        _adam_step(params, np.zeros_like(params.flat), state, cfg)
         norms1 = [np.linalg.norm(w) for w in params.weights]
         assert all(b < a for a, b in zip(norms0, norms1))
+
+    def test_flat_step_matches_per_tensor_reference(self):
+        # reference: the same decoupled-decay ADAM applied tensor by tensor
+        arch = Architecture(5, (4, 3), 3, 2)
+        params = init_params(arch, 2)
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.1, epochs=1)
+        ref = [t.copy() for pair in zip(params.weights, params.biases) for t in pair]
+        m = [np.zeros_like(t) for t in ref]
+        v = [np.zeros_like(t) for t in ref]
+        state = _AdamState(params)
+        rng = np.random.default_rng(5)
+        for step in range(1, 4):
+            grad = rng.standard_normal(params.flat.size)
+            g_w, g_b = _layer_views(arch, grad)
+            grads = [g for pair in zip(g_w, g_b) for g in pair]
+            _adam_step(params, grad, state, cfg)
+            for i, (p, g) in enumerate(zip(ref, grads)):
+                p *= 1.0 - cfg.learning_rate * cfg.weight_decay
+                m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
+                v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g * g)
+                p -= cfg.learning_rate * (m[i] / (1.0 - cfg.beta1 ** step)) / (
+                    np.sqrt(v[i] / (1.0 - cfg.beta2 ** step)) + cfg.adam_eps
+                )
+        got = [t for pair in zip(params.weights, params.biases) for t in pair]
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+class TestFlatParams:
+    def test_layers_are_views_in_checkpoint_order(self):
+        arch = Architecture(4, (3,), 2, 2)
+        weights = [np.full(s, float(i)) for i, s in enumerate(((4, 3), (3, 2), (2, 2)))]
+        biases = [np.full(s, -float(i)) for i, s in enumerate((3, 2, 2))]
+        params = EncoderParams(arch, weights, biases)
+        expected = np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
+        assert params.flat.dtype == np.float64
+        assert np.array_equal(params.flat, expected)
+        weights[0][0, 0] = 99.0  # the constructor copied its inputs
+        assert params.weights[0][0, 0] == 0.0
+        params.flat[0] = 7.0
+        assert params.weights[0][0, 0] == 7.0
+        assert all(
+            np.shares_memory(t, params.flat) for t in params.weights + params.biases
+        )
 
 
 class TestTraining:

@@ -1,0 +1,51 @@
+"""The benchmark's outside tracer still finds the training layers.
+
+``perfbench/tracer.py`` wraps slicepick functions by name, so renaming one
+of them silently empties a per-layer metric of ``perfbench/run.py --trace 1``.
+This test loads the tracer read-only (no bytecode is written next to it) and
+runs a tiny training and embedding under it.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from slicepick import TrainConfig, data, encoder, preset_loss_config
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_training_layers_are_traced_and_restored(tracer_module, tiny_ds):
+    ds, _ = tiny_ds
+    pixel_matrix = data.DatasetIndex.pixel_matrix
+    loss_cfg = preset_loss_config({"ntxent", "patient", "volume"})
+    train_cfg = TrainConfig(epochs=1, hidden=(4,), rep_dim=3, proj_dim=2, seed=1)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        result = encoder.train(ds, None, loss_cfg, train_cfg)
+        encoder.embed_all(result.params, ds)
+    finally:
+        tracer.restore()
+    names = {span[1] for span in tracer.spans}
+    assert {
+        "losses.loss_and_grad", "losses.LossBatch", "encoder.augment_batch",
+        "data.pixel_matrix", "encoder.train", "encoder.embed_all", "encoder.forward",
+    } <= names
+    assert tracer_module.leftovers() == []
+    assert data.DatasetIndex.pixel_matrix is pixel_matrix
