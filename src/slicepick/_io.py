@@ -1,4 +1,4 @@
-"""Atomic artifact writes.
+"""Atomic artifact writes, and the field rules of the JSON readers.
 
 An artifact is written to a temporary file in its own directory and then
 renamed over the target with ``os.replace``, so a reader (or a re-run after
@@ -8,6 +8,30 @@ partial write.
 
 import os
 from pathlib import Path
+
+from .errors import FormatError
+
+
+def json_int(path, value, where):
+    """``value`` if it is a JSON integer (not a bool or a float) that fits in
+    int64, else a FormatError naming the file and ``where`` in it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{path}: {where} must be an integer, got {value!r}")
+    if not -(2 ** 63) <= value < 2 ** 63:
+        raise FormatError(f"{path}: {where} does not fit in int64: {value}")
+    return value
+
+
+def json_int_record(path, value, where, keys):
+    """The integer fields ``keys`` of the JSON object ``value``, as a new
+    dict; a non-object, a missing key or a non-integer is a FormatError
+    naming the file, ``where`` and the key."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{path}: {where} must be a JSON object")
+    for key in keys:
+        if key not in value:
+            raise FormatError(f"{path}: {where} is missing key {key!r}")
+    return {key: json_int(path, value[key], f"{where}.{key}") for key in keys}
 
 
 def write_atomic(path, data):

@@ -5,6 +5,8 @@ Each suite re-derives an expected result through an independent route
 the production path against it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .coreset import brute_force_k_center, cover_radius, k_center_greedy
@@ -46,19 +48,10 @@ def fd_loss_grad(batch, cfg, step=1e-5):
         zp[idx] += step
         zm = z0.copy()
         zm[idx] -= step
-        lp = combined_loss(_with_z(batch, zp), cfg)
-        lm = combined_loss(_with_z(batch, zm), cfg)
+        lp = combined_loss(replace(batch, z=zp), cfg)
+        lm = combined_loss(replace(batch, z=zm), cfg)
         grad[idx] = (lp - lm) / (2 * step)
     return grad
-
-
-def _with_z(batch, z):
-    return LossBatch(
-        z=z,
-        patient_ids=batch.patient_ids,
-        volume_ids=batch.volume_ids,
-        slice_positives=batch.slice_positives,
-    )
 
 
 def max_rel_err(a, b):

@@ -137,16 +137,14 @@ class _Cfg:
         return "\n".join(lines)
 
 
+def _weight_overrides(cfg):
+    """Per-group weights set by --w-* or the config file; None where unset."""
+    return {g: cfg[f"w_{g}"] for g in GROUP_LOSSES}
+
+
 def _loss_config(cfg):
-    terms = set(cfg["groups"])
     return preset_loss_config(
-        terms,
-        tau=cfg["tau"],
-        overrides={
-            "patient": cfg["w_patient"],
-            "volume": cfg["w_volume"],
-            "slice": cfg["w_slice"],
-        },
+        set(cfg["groups"]), tau=cfg["tau"], overrides=_weight_overrides(cfg)
     )
 
 
@@ -247,7 +245,7 @@ def cmd_select(args):
     cfg = _Cfg(args)
     matrix, meta = gcle.read_gcle(args.embeddings)
     emb = matrix.astype(np.float64)
-    row_of = {int(r["slice_id"]): i for i, r in enumerate(meta)}
+    row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
     initial = []
     if args.initial not in ("empty", ""):
         for token in args.initial.split(","):
@@ -270,7 +268,7 @@ def cmd_select(args):
                 {
                     "round": 0,
                     "rank": rank,
-                    "slice_id": int(meta[idx]["slice_id"]),
+                    "slice_id": meta[idx]["slice_id"],
                     "min_dist": None if np.isinf(dist) else dist,
                 },
                 sort_keys=True,
@@ -330,6 +328,10 @@ def cmd_ablate(args):
     unknown = set(terms) - ({"ntxent"} | set(GROUP_LOSSES))
     if unknown:
         raise SlicepickError(f"unknown loss terms {sorted(unknown)}")
+    overrides = {g: w for g, w in _weight_overrides(cfg).items() if w is not None}
+    stray = sorted(set(overrides) - set(terms))
+    if stray:
+        raise SlicepickError(f"weight set for {stray[0]!r}, which is not in --groups")
     budget = budgets(RoundPlan(fractions=(args.fraction,), seed=cfg["seed"]), ds.n)[0]
     n_volumes = len(ds.volume_slices)
     subsets = [
@@ -344,11 +346,7 @@ def cmd_ablate(args):
             loss_cfg = preset_loss_config(
                 set(combo),
                 tau=cfg["tau"],
-                overrides={
-                    "patient": cfg["w_patient"],
-                    "volume": cfg["w_volume"],
-                    "slice": cfg["w_slice"],
-                } if args.use_weight_overrides else None,
+                overrides={g: w for g, w in overrides.items() if g in combo},
             )
             train_cfg = _train_config(cfg, seed=cfg["seed"])
             result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
@@ -481,10 +479,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, default=0.05)
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.add_argument(
-        "--use-weight-overrides", action="store_true",
-        help="apply --w-* overrides to every subset instead of preset weights",
-    )
     _add_common(
         p, "seed", "groups", "tau", "w_patient", "w_volume", "w_slice", "epochs",
         "lr", "weight_decay", "batch_size", "hidden", "rep_dim", "proj_dim",

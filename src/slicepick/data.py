@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, gcle
-from ._io import write_atomic
+from ._io import json_int, json_int_record, write_atomic
 from .errors import FormatError, InvalidSpecError, UndefinedStatisticError
 
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
@@ -242,15 +242,7 @@ def save_dataset(ds, labels, out_dir, spec=None):
         "format_version": 1,
         "h": ds.h,
         "w": ds.w,
-        "slices": [
-            {
-                "slice_id": r.slice_id,
-                "patient_id": r.patient_id,
-                "volume_id": r.volume_id,
-                "slice_index": r.slice_index,
-            }
-            for r in ds.slices
-        ],
+        "slices": gcle.meta_rows_from_dataset(ds),
         "spec": asdict(spec) if spec is not None else None,
     }
     write_atomic(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -258,15 +250,6 @@ def save_dataset(ds, labels, out_dir, spec=None):
         out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4").tobytes()
     )
     write_atomic(out / "labels.json", json.dumps([int(x) for x in labels]) + "\n")
-
-
-_RECORD_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
-
-
-def _meta_int(meta_path, value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{meta_path}: {where} must be an integer, got {value!r}")
-    return value
 
 
 def _read_meta(meta_path):
@@ -285,22 +268,16 @@ def _read_meta(meta_path):
     for key in ("h", "w", "slices"):
         if key not in meta:
             raise FormatError(f"{meta_path}: missing key {key!r}")
-    h = _meta_int(meta_path, meta["h"], "'h'")
-    w = _meta_int(meta_path, meta["w"], "'w'")
+    h = json_int(meta_path, meta["h"], "'h'")
+    w = json_int(meta_path, meta["w"], "'w'")
     if h < 1 or w < 1:
         raise FormatError(f"{meta_path}: 'h' and 'w' must be >= 1, got {h} and {w}")
     if not isinstance(meta["slices"], list):
         raise FormatError(f"{meta_path}: 'slices' must be a list of slice records")
-    records = []
-    for i, r in enumerate(meta["slices"]):
-        if not isinstance(r, dict):
-            raise FormatError(f"{meta_path}: slices[{i}] must be a JSON object")
-        for key in _RECORD_KEYS:
-            if key not in r:
-                raise FormatError(f"{meta_path}: slices[{i}] is missing key {key!r}")
-        records.append(
-            {key: _meta_int(meta_path, r[key], f"slices[{i}].{key}") for key in _RECORD_KEYS}
-        )
+    records = [
+        json_int_record(meta_path, r, f"slices[{i}]", gcle.RECORD_KEYS)
+        for i, r in enumerate(meta["slices"])
+    ]
     return h, w, records
 
 
@@ -318,13 +295,19 @@ def load_dataset(in_dir):
         raise FormatError(f"{data_path}: contains non-finite values")
     labels_path = root / "labels.json"
     try:
-        labels = np.asarray(json.loads(labels_path.read_text()), dtype=np.int64)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{labels_path}: not a JSON list of integers: {exc}") from exc
-    if labels.shape != (len(rows),):
+        labels = json.loads(labels_path.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{labels_path}: not valid JSON: {exc}") from exc
+    if not isinstance(labels, list):
+        raise FormatError(f"{labels_path}: top level must be a JSON list of integers")
+    if len(labels) != len(rows):
         raise FormatError(
-            f"{labels_path}: holds {labels.size} labels for {len(rows)} slices"
+            f"{labels_path}: holds {len(labels)} labels for {len(rows)} slices"
         )
+    labels = np.array(
+        [json_int(labels_path, x, f"index {i}") for i, x in enumerate(labels)],
+        dtype=np.int64,
+    )
     slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
     return DatasetIndex(slices, h, w), labels
 
@@ -339,14 +322,5 @@ def import_embeddings(path):
     matrix, meta_rows = gcle.read_gcle(path)
     X = matrix.astype(np.float64)
     dim = X.shape[1]
-    slices = [
-        SliceRecord(
-            slice_id=int(r["slice_id"]),
-            patient_id=int(r["patient_id"]),
-            volume_id=int(r["volume_id"]),
-            slice_index=int(r["slice_index"]),
-            pixels=X[i],
-        )
-        for i, r in enumerate(meta_rows)
-    ]
+    slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(meta_rows)]
     return DatasetIndex(slices, 1, dim), matrix

@@ -251,27 +251,21 @@ def _adam_step(params, grad, state, cfg):
     p -= cfg.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.adam_eps)
 
 
-def _batch_loss_input(ds, X, batch_tuples, loss_cfg, aug_spec, rng):
-    """Assemble the two-view LossBatch and cache metadata for one batch."""
-    sids = [sid for t in batch_tuples for sid in t.slice_ids()]
-    rows = [ds.row_of(s) for s in sids]
+def _batch_loss_input(ds, X, ids, batch_tuples, loss_cfg, aug_spec, rng):
+    """Two-view stack, patient ids, volume ids and adjacency mask of one batch.
+
+    ``ids`` is a C-contiguous (4, n) int64 array: the slice_id, patient_id,
+    volume_id and slice_index of every dataset row.
+    """
+    rows = [ds.row_of(sid) for t in batch_tuples for sid in t.slice_ids()]
     originals = X[rows]
     views = augment_batch(originals, aug_spec, rng, ds.h, ds.w)
     stacked = np.vstack([originals, views])
-    recs = [ds.slices[r] for r in rows]
-    pid = np.array([r.patient_id for r in recs] * 2)
-    vid = np.array([r.volume_id for r in recs] * 2)
-    meta = dict(
-        slice_ids=np.array([r.slice_id for r in recs] * 2),
-        volume_ids=vid,
-        slice_indices=np.array([r.slice_index for r in recs] * 2),
-        patient_ids=pid,
-    )
+    # take, unlike ids[:, rows], yields contiguous id rows for the loss masks
+    sid, pid, vid, depth = ids.take(rows * 2, axis=1)
     slice_pos = None
     if loss_cfg.slice_group > 0:
-        slice_pos = slice_positives_from_rows(
-            meta["slice_ids"], meta["volume_ids"], meta["slice_indices"]
-        )
+        slice_pos = slice_positives_from_rows(sid, vid, depth)
     return stacked, pid, vid, slice_pos
 
 
@@ -290,6 +284,10 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
             enabled_groups, n_patients=len(ds.patient_volumes)
         )
     X = ds.pixel_matrix()
+    ids = np.array(
+        [[r.slice_id, r.patient_id, r.volume_id, r.slice_index] for r in ds.slices],
+        dtype=np.int64,
+    ).T.copy()
     arch = Architecture(
         input_dim=ds.h * ds.w,
         hidden=tuple(train_cfg.hidden),
@@ -313,17 +311,15 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
         batch_losses = []
         for batch_tuples in plan.batches:
             stacked, pid, vid, slice_pos = _batch_loss_input(
-                ds, X, batch_tuples, loss_cfg, train_cfg.augment, aug_rng
+                ds, X, ids, batch_tuples, loss_cfg, train_cfg.augment, aug_rng
             )
             _, proj, cache = _forward_batch(params, stacked)
-            if not np.all(np.isfinite(proj)):
+            if not np.isfinite(proj).all():
                 raise TrainingDivergedError(
                     f"non-finite projections at epoch {epoch}, aborting"
                 )
-            # the stack is finite (checked above) and built well-formed
             batch = LossBatch(
-                z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos,
-                validate=False,
+                z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos
             )
             loss, d_proj = loss_and_grad(batch, loss_cfg)
             if not np.isfinite(loss):

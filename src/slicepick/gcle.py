@@ -3,7 +3,7 @@
 Layout: magic ``GCLE``, then little-endian u32 version (=1), u32 row count,
 u32 dim, then the float32 little-endian row-major payload. A sidecar
 ``<path>.meta.json`` carries one record per row with slice/patient/volume
-identity and depth index.
+identity and depth index; ``slice_id`` is unique across rows.
 """
 
 import json
@@ -12,24 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import write_atomic
+from ._io import json_int_record, write_atomic
 from .errors import FormatError
 
 MAGIC = b"GCLE"
 VERSION = 1
-_META_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
+# the identity fields of a slice record, in GCLE sidecars and meta.json alike
+RECORD_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
 
 
 def meta_rows_from_dataset(ds):
-    return [
-        {
-            "slice_id": r.slice_id,
-            "patient_id": r.patient_id,
-            "volume_id": r.volume_id,
-            "slice_index": r.slice_index,
-        }
-        for r in ds.slices
-    ]
+    return [{k: getattr(r, k) for k in RECORD_KEYS} for r in ds.slices]
 
 
 def write_gcle(path, matrix, meta_rows):
@@ -44,12 +37,17 @@ def write_gcle(path, matrix, meta_rows):
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
     header = MAGIC + struct.pack("<III", VERSION, n, dim)
     write_atomic(path, header + payload)
-    meta = {"rows": [{k: int(r[k]) for k in _META_KEYS} for r in meta_rows]}
+    meta = {"rows": [{k: int(r[k]) for k in RECORD_KEYS} for r in meta_rows]}
     write_atomic(str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_gcle(path):
-    """Read an embedding file; returns (float32 matrix, metadata rows)."""
+    """Read an embedding file; returns (float32 matrix, metadata rows).
+
+    Each returned row holds exactly the four integer identity keys. A
+    malformed sidecar raises FormatError naming the sidecar, the row and
+    the key.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise FormatError(f"{path}: file too short for a GCLE header")
@@ -73,12 +71,20 @@ def read_gcle(path):
         raise FormatError(f"missing sidecar {meta_path}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: invalid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: top level must be a JSON object")
     rows = meta.get("rows")
     if not isinstance(rows, list) or len(rows) != n:
         count = len(rows) if isinstance(rows, list) else "no"
         raise FormatError(f"{meta_path}: {count} metadata rows for {n} matrix rows")
+    records = []
+    seen = set()
     for i, r in enumerate(rows):
-        for key in _META_KEYS:
-            if key not in r:
-                raise FormatError(f"{meta_path}: row {i} missing {key!r}")
-    return matrix, rows
+        record = json_int_record(meta_path, r, f"rows[{i}]", RECORD_KEYS)
+        if record["slice_id"] in seen:
+            raise FormatError(
+                f"{meta_path}: rows[{i}].slice_id {record['slice_id']} repeats an earlier row"
+            )
+        seen.add(record["slice_id"])
+        records.append(record)
+    return matrix, records

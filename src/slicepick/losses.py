@@ -5,13 +5,15 @@ augmented views, paired by offset N. Besides the standard augmentation-pair
 loss (NT-Xent), group losses treat every batch row sharing the anchor's
 group (patient, volume, or adjacent-slice neighborhood) as a positive, and
 drop same-patient rows that are NOT in the group from the denominator so
-that several group losses can be summed without fighting each other.
+that several group losses can be summed without fighting each other. The
+adjacent-slice positives of a batch are one (N, 2N) boolean mask, from batch
+assembly through to the loss, and every ``LossBatch`` is validated.
 
 All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +76,8 @@ def preset_loss_config(terms, tau=0.1, overrides=None):
     """Build a LossConfig from a set of term names using the stock weights.
 
     ``terms`` may contain "ntxent" plus any of the group names. Explicit
-    per-group weights in ``overrides`` replace the preset values.
+    per-group weights in ``overrides`` replace the preset values; None means
+    no override, and overriding a group that is not in ``terms`` is an error.
     """
     terms = set(terms)
     unknown = terms - ({"ntxent"} | set(GROUP_LOSSES))
@@ -82,20 +85,19 @@ def preset_loss_config(terms, tau=0.1, overrides=None):
         raise ValueError(f"unknown loss terms {sorted(unknown)}")
     use_ntxent = "ntxent" in terms
     groups = frozenset(terms & set(GROUP_LOSSES))
+    weights = {}
     if groups:
-        preset = _PRESET_WEIGHTS.get((use_ntxent, groups))
-        if preset is None:
-            each = (0.35 if use_ntxent else 1.0) / len(groups)
-            preset = {g: (1.0 if len(groups) == 1 and not use_ntxent else each) for g in groups}
-            if len(groups) == 1 and use_ntxent:
-                preset = {g: 0.35 for g in groups}
-        weights = dict(preset)
-    else:
-        weights = {}
-    if overrides:
-        for g, w in overrides.items():
-            if w is not None:
-                weights[g] = w
+        each = (0.35 if use_ntxent else 1.0) / len(groups)
+        weights = dict(_PRESET_WEIGHTS.get((use_ntxent, groups), {g: each for g in groups}))
+    for g, w in (overrides or {}).items():
+        if w is None:
+            continue
+        if g not in groups:
+            raise ValueError(
+                f"weight override for {g!r}, which is not among the loss terms "
+                f"{sorted(terms)}"
+            )
+        weights[g] = w
     return LossConfig(
         tau=tau,
         ntxent=1.0 if use_ntxent else 0.0,
@@ -109,28 +111,26 @@ def preset_loss_config(terms, tau=0.1, overrides=None):
 class LossBatch:
     """Embeddings plus the group structure of one two-view batch.
 
-    ``slice_positives`` (when the adjacent-slice loss is used) gives, for
-    each anchor row i < N, the indices of all rows that are another view of
-    the same slice or a depth neighbor within the same volume.
+    ``slice_positives`` (when the adjacent-slice loss is used) is an (N, 2N)
+    boolean mask: entry (i, j) is True when row j is another view of anchor
+    i's slice or a depth neighbor within the same volume.
 
-    ``validate=False`` stores the fields as given. It is for callers that
-    already hold a finite float64 ``z``, mirrored int64 id arrays and sorted
-    unique int64 positive sets, such as the training loop.
+    Construction validates every batch: ``z`` must be a finite (2N, e)
+    matrix, the id arrays must mirror their originals in the augmented
+    half, and the mask must have shape (N, 2N) with no anchor its own
+    positive.
     """
 
     z: np.ndarray  # (2N, e) float64
     patient_ids: np.ndarray  # (2N,)
     volume_ids: np.ndarray = None  # (2N,) or None
-    slice_positives: tuple = None  # per-anchor index arrays, or None
-    validate: InitVar[bool] = True
+    slice_positives: np.ndarray = None  # (N, 2N) bool, or None
 
-    def __post_init__(self, validate):
-        if not validate:
-            return
+    def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2:
             raise ValueError("embeddings must be a (2N, e) matrix with N >= 1")
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("embeddings contain non-finite values")
         object.__setattr__(self, "z", z)
         n2 = z.shape[0]
@@ -146,18 +146,12 @@ class LossBatch:
             _check_mirrored(vid, "volume_ids")
             object.__setattr__(self, "volume_ids", vid)
         if self.slice_positives is not None:
-            n = n2 // 2
-            if len(self.slice_positives) != n:
-                raise ValueError("slice_positives must list one index set per anchor")
-            sets = []
-            for i, s in enumerate(self.slice_positives):
-                arr = np.asarray(sorted(set(int(j) for j in s)), dtype=np.int64)
-                if arr.size and (arr.min() < 0 or arr.max() >= n2):
-                    raise ValueError(f"anchor {i}: positive index out of range")
-                if i in arr:
-                    raise ValueError(f"anchor {i} cannot be its own positive")
-                sets.append(arr)
-            object.__setattr__(self, "slice_positives", tuple(sets))
+            pos = np.asarray(self.slice_positives)
+            if pos.dtype != bool or pos.shape != (n2 // 2, n2):
+                raise ValueError("slice_positives must be an (N, 2N) boolean mask")
+            if pos.diagonal().any():
+                raise ValueError("no anchor can be its own positive")
+            object.__setattr__(self, "slice_positives", pos)
 
     @property
     def n_pairs(self):
@@ -166,12 +160,12 @@ class LossBatch:
 
 def _check_mirrored(arr, name):
     n = arr.shape[0] // 2
-    if not np.array_equal(arr[:n], arr[n:]):
+    if not (arr[:n] == arr[n:]).all():
         raise ValueError(f"{name} of augmented rows must mirror their originals")
 
 
 def slice_positives_from_rows(slice_ids, volume_ids, slice_indices):
-    """Adjacency positive sets for each anchor of a two-view batch.
+    """Adjacency positive mask (N, 2N) of a two-view batch.
 
     Row j is a positive of anchor i when it is another view of the same
     slice, or lies in the same volume at depth distance exactly 1.
@@ -187,7 +181,7 @@ def slice_positives_from_rows(slice_ids, volume_ids, slice_indices):
     )
     mask = same_slice | adjacent
     mask[np.arange(n), np.arange(n)] = False
-    return tuple(np.flatnonzero(mask[i]) for i in range(n))
+    return mask
 
 
 def cosine_sim(a, b, eps=1e-12):
@@ -247,10 +241,8 @@ def _group_masks(batch, group_type):
     not_self[np.arange(n), np.arange(n)] = False
     if group_type == "slice":
         if batch.slice_positives is None:
-            raise ValueError("batch has no adjacency positive sets")
-        pos = np.zeros((n, n2), dtype=bool)
-        for i, idxs in enumerate(batch.slice_positives):
-            pos[i, idxs] = True
+            raise ValueError("batch has no adjacency positive mask")
+        pos = batch.slice_positives
     else:
         if group_type == "patient":
             labels = pid

@@ -158,7 +158,7 @@ def ref_group_loss_from_batch(batch, group_type, tau):
     elif group_type == "volume":
         labels = list(batch.volume_ids)
     else:
-        sets = [set(int(x) for x in s) for s in batch.slice_positives]
+        sets = [set(int(x) for x in np.flatnonzero(s)) for s in batch.slice_positives]
     return ref_group_loss(
         [list(row) for row in batch.z],
         list(batch.patient_ids),

@@ -143,6 +143,60 @@ class TestSelectInitial:
         assert "invalid literal" not in err
 
 
+class TestMalformedSidecar:
+    """Each sidecar defect through ``select``: exit 1 and one error line
+    naming the sidecar, the row and the key, never a traceback."""
+
+    @pytest.fixture
+    def gcle_path(self, tmp_path):
+        from slicepick import gcle
+
+        meta = [
+            {"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
+            for i in range(3)
+        ]
+        path = tmp_path / "emb.gcle"
+        gcle.write_gcle(path, np.arange(6.0).reshape(3, 2), meta)
+        return path
+
+    def select_with_sidecar(self, capsys, gcle_path, doc):
+        sidecar = f"{gcle_path}.meta.json"
+        with open(sidecar, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {sidecar}: ") and err.count("\n") == 1
+        return err
+
+    def rows(self, gcle_path):
+        with open(f"{gcle_path}.meta.json") as fh:
+            return json.load(fh)["rows"]
+
+    def test_document_not_an_object(self, gcle_path, capsys):
+        err = self.select_with_sidecar(capsys, gcle_path, [1, 2])
+        assert "top level must be a JSON object" in err
+
+    def test_row_not_an_object(self, gcle_path, capsys):
+        err = self.select_with_sidecar(capsys, gcle_path, {"rows": [1, 2, 3]})
+        assert "rows[0] must be a JSON object" in err
+
+    @pytest.mark.parametrize("key", ["slice_id", "patient_id", "volume_id", "slice_index"])
+    def test_non_integer_key(self, gcle_path, capsys, key):
+        rows = self.rows(gcle_path)
+        rows[1][key] = "x"
+        err = self.select_with_sidecar(capsys, gcle_path, {"rows": rows})
+        assert f"rows[1].{key} must be an integer, got 'x'" in err
+        assert "invalid literal" not in err
+
+    def test_duplicate_slice_id(self, gcle_path, capsys):
+        rows = self.rows(gcle_path)
+        rows[2]["slice_id"] = rows[0]["slice_id"]
+        err = self.select_with_sidecar(capsys, gcle_path, {"rows": rows})
+        assert "rows[2].slice_id 0 repeats an earlier row" in err
+
+
 class TestRunRounds:
     def test_thread_count_does_not_change_bytes(self, data_dir, tmp_path, capsys):
         common = [
@@ -224,6 +278,45 @@ class TestAblate:
         assert lines[0].startswith("terms,")
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["none", "ntxent", "volume", "ntxent+volume"]
+
+    def test_weight_applies_only_to_subsets_with_its_term(self, data_dir, tmp_path, capsys):
+        out_csv = tmp_path / "abl.csv"
+        code, _, _ = run(
+            capsys, "ablate", "--data", str(data_dir), "--groups", "ntxent,patient",
+            "--w-patient", "0.7", "--fraction", "0.2", "--epochs", "1", "--hidden", "8",
+            "--rep-dim", "4", "--proj-dim", "3", "--out", str(out_csv),
+        )
+        assert code == 0
+        lines = out_csv.read_text().splitlines()
+        assert lines[0].split(",")[:3] == ["terms", "ntxent", "patient"]
+        patient_weight = {
+            line.split(",")[0]: line.split(",")[2] for line in lines[1:]
+        }
+        assert patient_weight == {
+            "none": "0.0", "ntxent": "0.0", "patient": "0.7", "ntxent+patient": "0.7",
+        }
+
+    def test_weight_for_term_outside_groups_rejected(self, data_dir, tmp_path, capsys):
+        out_csv = tmp_path / "abl.csv"
+        code, _, err = run(
+            capsys, "ablate", "--data", str(data_dir), "--groups", "ntxent,volume",
+            "--w-patient", "0.7", "--epochs", "1", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert "'patient'" in err
+        assert not out_csv.exists()
+
+
+class TestWeightOverrides:
+    def test_train_encoder_rejects_weight_of_absent_term(self, data_dir, tmp_path, capsys):
+        ckpt = tmp_path / "enc.ckpt"
+        code, out, err = run(
+            capsys, "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+            "--groups", "ntxent,volume", "--w-patient", "0.7", "--epochs", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: weight override for 'patient'")
+        assert not ckpt.exists()
 
 
 class TestConfig:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,42 @@ class TestDatasetDirectoryErrors:
         save_dataset(ds, labels, tmp_path / "d")
         (tmp_path / "d" / "labels.json").write_text("[1, 2]")
         with pytest.raises(FormatError):
+            load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None, [1]])
+    def test_non_integer_label(self, tmp_path, tiny_ds, bad):
+        from slicepick import FormatError
+
+        ds, labels = tiny_ds
+        save_dataset(ds, labels, tmp_path / "d")
+        values = [int(x) for x in labels]
+        values[3] = bad
+        labels_path = tmp_path / "d" / "labels.json"
+        labels_path.write_text(json.dumps(values))
+        with pytest.raises(FormatError) as exc:
+            load_dataset(tmp_path / "d")
+        assert str(exc.value) == (
+            f"{labels_path}: index 3 must be an integer, got {bad!r}"
+        )
+
+    def test_label_beyond_int64(self, tmp_path, tiny_ds):
+        from slicepick import FormatError
+
+        ds, labels = tiny_ds
+        save_dataset(ds, labels, tmp_path / "d")
+        values = [int(x) for x in labels]
+        values[0] = 2 ** 63
+        (tmp_path / "d" / "labels.json").write_text(json.dumps(values))
+        with pytest.raises(FormatError, match="index 0 does not fit in int64"):
+            load_dataset(tmp_path / "d")
+
+    def test_labels_not_a_list(self, tmp_path, tiny_ds):
+        from slicepick import FormatError
+
+        ds, labels = tiny_ds
+        save_dataset(ds, labels, tmp_path / "d")
+        (tmp_path / "d" / "labels.json").write_text('{"0": 1}')
+        with pytest.raises(FormatError, match="labels.json: top level"):
             load_dataset(tmp_path / "d")
 
     def test_non_finite_pixels(self, tmp_path, tiny_ds):

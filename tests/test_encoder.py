@@ -257,32 +257,6 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
-    def test_unvalidated_batches_train_bit_identically(self, monkeypatch):
-        # the training loop skips LossBatch validation; forcing the full
-        # validation back on must not change a single bit, for every term
-        from slicepick import encoder
-
-        spec = SynthSpec(
-            n_patients=3, volumes_per_patient=2, slices_per_volume=4, h=3, w=3,
-            class_count=2, seed=4,
-        )
-        ds = generate_synthetic(spec)[0]
-        loss_cfg = LossConfig(tau=0.2, ntxent=1.0, patient=0.05, volume=0.35, slice_group=0.1)
-        fast = train(ds, None, loss_cfg, self.cfg(epochs=3, seed=2))
-        flags = []
-
-        def validated(*args, validate=True, **kwargs):
-            flags.append(validate)
-            return LossBatch(*args, **kwargs)
-
-        monkeypatch.setattr(encoder, "LossBatch", validated)
-        checked = train(ds, None, loss_cfg, self.cfg(epochs=3, seed=2))
-        assert flags and not any(flags)
-        assert fast.epoch_losses == checked.epoch_losses
-        for a, b in zip(fast.params.weights + fast.params.biases,
-                        checked.params.weights + checked.params.biases):
-            assert np.array_equal(a, b)
-
 
 class TestEmbedAll:
     def test_matches_forward_calls_exactly(self):

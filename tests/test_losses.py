@@ -158,9 +158,7 @@ def test_pair_permutation_invariance(seed, n):
     perm = rng.permutation(n)
     full = np.concatenate([perm, perm + n])
     z = batch.z[full]
-    inv = np.empty(2 * n, dtype=np.int64)
-    inv[full] = np.arange(2 * n)
-    pos = tuple(np.sort(inv[batch.slice_positives[p]]) for p in perm)
+    pos = batch.slice_positives[np.ix_(perm, full)]
     permuted = LossBatch(
         z=z,
         patient_ids=batch.patient_ids[full],
@@ -241,6 +239,69 @@ class TestLossGrad:
             assert err < 1e-6
 
 
+class TestLossBatchValidation:
+    def batch_parts(self):
+        rng = np.random.default_rng(12)
+        batch = random_structured_batch(rng, n_pairs=3, dim=4)
+        return dict(
+            z=batch.z,
+            patient_ids=batch.patient_ids,
+            volume_ids=batch.volume_ids,
+            slice_positives=batch.slice_positives,
+        )
+
+    def test_well_formed_batch_accepted(self):
+        batch = LossBatch(**self.batch_parts())
+        assert batch.slice_positives.shape == (3, 6)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 6), (2, 6), (3, 6, 1)])
+    def test_wrong_shape_mask(self, shape):
+        parts = self.batch_parts()
+        parts["slice_positives"] = np.zeros(shape, dtype=bool)
+        with pytest.raises(ValueError, match=r"\(N, 2N\) boolean mask"):
+            LossBatch(**parts)
+
+    def test_index_sets_are_not_a_mask(self):
+        parts = self.batch_parts()
+        parts["slice_positives"] = np.ones((3, 6), dtype=np.int64)
+        with pytest.raises(ValueError, match="boolean mask"):
+            LossBatch(**parts)
+
+    @pytest.mark.parametrize("anchor", [0, 2])
+    def test_anchor_on_its_own_diagonal(self, anchor):
+        parts = self.batch_parts()
+        pos = parts["slice_positives"].copy()
+        pos[anchor, anchor] = True
+        parts["slice_positives"] = pos
+        with pytest.raises(ValueError, match="its own positive"):
+            LossBatch(**parts)
+
+    def test_own_view_is_not_the_diagonal(self):
+        parts = self.batch_parts()
+        pos = np.zeros((3, 6), dtype=bool)
+        pos[np.arange(3), np.arange(3) + 3] = True
+        parts["slice_positives"] = pos
+        assert LossBatch(**parts).slice_positives[0, 3]
+
+    @pytest.mark.parametrize("key", ["patient_ids", "volume_ids"])
+    def test_non_mirrored_ids(self, key):
+        parts = self.batch_parts()
+        ids = parts[key].copy()
+        ids[4] = ids[1] + 100
+        parts[key] = ids
+        with pytest.raises(ValueError, match=f"{key} of augmented rows must mirror"):
+            LossBatch(**parts)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_z(self, value):
+        parts = self.batch_parts()
+        z = parts["z"].copy()
+        z[5, 1] = value
+        parts["z"] = z
+        with pytest.raises(ValueError, match="non-finite"):
+            LossBatch(**parts)
+
+
 class TestSlicePositives:
     def test_adjacency_and_same_slice(self):
         # two volumes: 0 holds slices 0,1,2 (depths 0,1,2); 1 holds slice 3
@@ -248,9 +309,10 @@ class TestSlicePositives:
         vid = np.array([0, 0, 0, 1] * 2)
         idx = np.array([0, 1, 2, 0] * 2)
         pos = slice_positives_from_rows(sid, vid, idx)
-        assert list(pos[0]) == [1, 4, 5]  # depth neighbor 1, own view, view of 1
-        assert list(pos[1]) == [0, 2, 4, 5, 6]
-        assert list(pos[3]) == [7]  # isolated volume: only its own view
+        # depth neighbor 1, own view, view of 1
+        assert list(np.flatnonzero(pos[0])) == [1, 4, 5]
+        assert list(np.flatnonzero(pos[1])) == [0, 2, 4, 5, 6]
+        assert list(np.flatnonzero(pos[3])) == [7]  # isolated volume: only its own view
 
 
 class TestPresets:
@@ -269,6 +331,16 @@ class TestPresets:
     def test_override(self):
         cfg = preset_loss_config({"volume"}, overrides={"volume": 0.7})
         assert cfg.volume == 0.7
+
+    def test_override_of_absent_term_rejected(self):
+        with pytest.raises(ValueError, match="'patient'"):
+            preset_loss_config({"volume"}, overrides={"patient": 0.7})
+        with pytest.raises(ValueError, match="'slice'"):
+            preset_loss_config({"ntxent"}, overrides={"slice": 0.1})
+
+    def test_unset_override_of_absent_term_ignored(self):
+        cfg = preset_loss_config({"ntxent", "volume"}, overrides={"patient": None})
+        assert (cfg.patient, cfg.volume) == (0.0, 0.35)
 
     def test_unknown_term(self):
         with pytest.raises(ValueError):
