@@ -8,10 +8,14 @@ update the digest here and say why in CHANGES.md.
 """
 
 import hashlib
+import itertools
 
+import numpy as np
 import pytest
 
+from slicepick.checks import random_loss_batch
 from slicepick.cli import main
+from slicepick.losses import LossConfig, combined_loss, loss_and_grad
 
 # run-rounds, for --threads 1 and 2 alike
 REPORT_SHA = "d4122505c754b077f21b969a1e217f14886e404e64ddd30a62f9fcbc94316427"
@@ -24,6 +28,13 @@ CHECKPOINT_SHA = "171be57a893323bffa2830fb3e0fe290ba21831ed9d1ffea6af052df7f6760
 HISTORY_SHA = "f6caa062963c531e4cc00b05ce76ca80361f5f5f4be966c4bad5646b2bde398f"
 # ablate over every subset of the four loss terms
 ABLATE_SHA = "beada147b42ed79895e94b39afbc5c7418152395e0ff3f06e445230d1f594495"
+# train-encoder --dump-epoch with all four loss terms (tuple width 4)
+DUMP_EPOCH_SHA = "3eafc72f03a9e65c9bfb84a2e7bdf38aef141eaae3a1e5d45c18de973ac8341b"
+# embed: the GCLE file and its .meta.json sidecar
+GCLE_SHA = "093a3abfada824713a0a394623e2133b7ee8fac504392a4ecd7b0c5a32b2239c"
+GCLE_META_SHA = "18416fe7eb35ea36a97b29c3dcf1312c6b895d15c9e8a901a2cce49edc39b53d"
+# loss, gradient and combined_loss over every subset of the four terms
+LOSS_SHA = "0f0acbaf316c4697be4bc29d5a693449d785dde7beed6bc35f311ac7a240ed92"
 
 
 def sha(data):
@@ -116,3 +127,44 @@ def test_ablate_digest(data_dir, tmp_path, capsys):
         "--rep-dim", "4", "--proj-dim", "3", "--seed", "5", "--fraction", "0.1",
     )
     assert sha(out.read_bytes()) == ABLATE_SHA
+
+
+def test_dump_epoch_digest(data_dir, tmp_path, capsys):
+    plan = tmp_path / "epoch.json"
+    run(
+        capsys, "train-encoder", "--data", data_dir, "--out", tmp_path / "enc.ckpt",
+        "--dump-epoch", plan, "--groups", "ntxent,patient,volume,slice",
+        "--epochs", "1", "--hidden", "8", "--rep-dim", "4", "--proj-dim", "3",
+        "--seed", "8",
+    )
+    assert sha(plan.read_bytes()) == DUMP_EPOCH_SHA
+
+
+def test_embed_digest(embeddings):
+    assert sha(embeddings.read_bytes()) == GCLE_SHA
+    meta = embeddings.with_name(embeddings.name + ".meta.json")
+    assert sha(meta.read_bytes()) == GCLE_META_SHA
+
+
+def test_loss_digest():
+    """Loss value, gradient bytes and ``combined_loss`` for every non-empty
+    subset of the four terms over seeded random batches."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(77)
+    batches = [
+        random_loss_batch(rng, n_pairs=n, dim=5, n_patients=3)
+        for n in (1, 2, 3, 4, 5, 7, 9, 12)
+    ]
+    terms = ("ntxent", "patient", "volume", "slice_group")
+    weights = {"patient": 0.05, "volume": 0.35, "slice_group": 0.1}
+    for k in range(1, len(terms) + 1):
+        for subset in itertools.combinations(terms, k):
+            kwargs = {t: (1.0 if t == "ntxent" else weights[t]) for t in subset}
+            kwargs.setdefault("ntxent", 0.0)
+            for i, batch in enumerate(batches):
+                cfg = LossConfig(tau=(0.1, 0.5)[i % 2], **kwargs)
+                loss, grad = loss_and_grad(batch, cfg)
+                h.update(repr(loss).encode())
+                h.update(grad.tobytes())
+                h.update(repr(combined_loss(batch, cfg)).encode())
+    assert h.hexdigest() == LOSS_SHA
