@@ -260,7 +260,10 @@ def cmd_select(args):
                     f"--initial: slice id {slice_id} is not in {args.embeddings}"
                 )
             initial.append(row_of[slice_id])
-    state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
+    try:
+        state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
+    except ValueError as exc:  # the budget is the only value left to reject
+        raise SlicepickError(f"--budget: {exc}") from None
     lines = []
     for rank, (idx, dist) in enumerate(state.trace):
         lines.append(

@@ -64,6 +64,11 @@ def _continued_state(emb, state):
     return SelectionState(labeled=list(state.labeled), min_dist=state.min_dist.copy())
 
 
+def _check_budget(k, free):
+    if not 0 <= k <= free:
+        raise ValueError(f"budget must lie in [0, {free}] (the unlabeled rows), got {k}")
+
+
 def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     """Extend ``initial_labeled`` with k greedy farthest-point picks.
 
@@ -85,10 +90,7 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
         state = _continued_state(emb, initial_labeled)
     else:
         state = _initial_state(emb, initial_labeled)
-    if k < 0 or k > n - len(state.labeled):
-        raise ValueError(
-            f"budget {k} exceeds the {n - len(state.labeled)} unlabeled rows"
-        )
+    _check_budget(k, n - len(state.labeled))
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[state.labeled] = True
     for _ in range(k):
@@ -129,8 +131,7 @@ def brute_force_k_center(emb, initial_labeled, k):
     n = emb.shape[0]
     state = _initial_state(emb, initial_labeled)
     free = [i for i in range(n) if i not in set(state.labeled)]
-    if k < 0 or k > len(free):
-        raise ValueError(f"budget {k} exceeds the {len(free)} unlabeled rows")
+    _check_budget(k, len(free))
     if math.comb(len(free), k) > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"C({len(free)}, {k}) exceeds the {BRUTE_FORCE_LIMIT} subset limit"

@@ -31,6 +31,14 @@ class SliceRecord:
     pixels: np.ndarray  # flat, length h*w
 
 
+class _RecordError(InvalidSpecError):
+    """A hierarchy fault at ``slices[index]`` of a DatasetIndex."""
+
+    def __init__(self, index, message):
+        super().__init__(f"slices[{index}]: {message}")
+        self.index, self.message = index, message
+
+
 class DatasetIndex:
     """Ordered slice list with patient->volumes and volume->slices maps.
 
@@ -49,9 +57,9 @@ class DatasetIndex:
         seen_ids = set()
         vol_patient = {}
         vol_indices = {}
-        for rec in self.slices:
+        for i, rec in enumerate(self.slices):
             if rec.slice_id in seen_ids:
-                raise InvalidSpecError(f"duplicate slice_id {rec.slice_id}")
+                raise _RecordError(i, f"duplicate slice_id {rec.slice_id}")
             seen_ids.add(rec.slice_id)
             if len(rec.pixels) != pix_len:
                 raise InvalidSpecError(
@@ -59,8 +67,8 @@ class DatasetIndex:
                 )
             prev = vol_patient.setdefault(rec.volume_id, rec.patient_id)
             if prev != rec.patient_id:
-                raise InvalidSpecError(
-                    f"volume {rec.volume_id} maps to patients {prev} and {rec.patient_id}"
+                raise _RecordError(
+                    i, f"volume {rec.volume_id} maps to patients {prev} and {rec.patient_id}"
                 )
             vol_indices.setdefault(rec.volume_id, []).append(
                 (rec.slice_index, rec.slice_id)
@@ -98,6 +106,17 @@ class DatasetIndex:
         for vid in self.patient_volumes[patient_id]:
             out.extend(self.volume_slices[vid])
         return out
+
+
+def _index_from_file(path, records, slices, h, w):
+    """DatasetIndex of the records read from ``path``; a hierarchy fault is
+    a FormatError naming the file and ``records[i]`` or the volume."""
+    try:
+        return DatasetIndex(slices, h, w)
+    except _RecordError as exc:
+        raise FormatError(f"{path}: {records}[{exc.index}]: {exc.message}") from exc
+    except InvalidSpecError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -309,7 +328,7 @@ def load_dataset(in_dir):
         dtype=np.int64,
     )
     slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
-    return DatasetIndex(slices, h, w), labels
+    return _index_from_file(root / "meta.json", "slices", slices, h, w), labels
 
 
 def import_embeddings(path):
@@ -323,4 +342,4 @@ def import_embeddings(path):
     X = matrix.astype(np.float64)
     dim = X.shape[1]
     slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(meta_rows)]
-    return DatasetIndex(slices, 1, dim), matrix
+    return _index_from_file(f"{path}.meta.json", "rows", slices, 1, dim), matrix

@@ -7,7 +7,10 @@ group (patient, volume, or adjacent-slice neighborhood) as a positive, and
 drop same-patient rows that are NOT in the group from the denominator so
 that several group losses can be summed without fighting each other. The
 adjacent-slice positives of a batch are one (N, 2N) boolean mask, from batch
-assembly through to the loss, and every ``LossBatch`` is validated.
+assembly through to the loss, and every ``LossBatch`` is validated. The
+logits and the masks the terms share (not-self, other-patient) are built
+once per call, and each group term's positives, denominator and 1/(N*G)
+scale are worked out in one block.
 
 All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
@@ -203,14 +206,14 @@ def _masked_log_denoms(logits, den_mask):
     """Stable log sum exp of each row over its denominator mask.
 
     Returns (log_denoms, softmax) where softmax is exp(logit)/denom on the
-    mask and 0 elsewhere. Rows with an empty mask yield garbage and must be
+    mask and 0 elsewhere: off the mask the shifted logit is -inf, so its
+    exp is exactly 0. Rows with an empty mask yield garbage and must be
     ignored by the caller.
     """
     neg = np.where(den_mask, logits, -np.inf)
     m = np.max(neg, axis=1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     E = np.exp(neg - safe_m[:, None])
-    E[~den_mask] = 0.0
     D = E.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_denoms = np.log(D) + safe_m
@@ -218,57 +221,10 @@ def _masked_log_denoms(logits, den_mask):
     return log_denoms, softmax
 
 
-def _ntxent_masks(n2):
-    n = n2 // 2
-    pos = np.concatenate([np.arange(n) + n, np.arange(n)])
-    den = ~np.eye(n2, dtype=bool)
-    return pos, den
-
-
 def ntxent_loss(batch, tau):
     """Standard two-view contrastive loss: mean over all 2N rows of
     -log softmax(sim with the paired view / tau) against every other row."""
     return combined_loss(batch, LossConfig(tau=tau))
-
-
-def _group_masks(batch, group_type):
-    """Positive and denominator masks (N x 2N) for one group loss."""
-    n2 = batch.z.shape[0]
-    n = n2 // 2
-    pid = batch.patient_ids
-    other_patient = pid[:n, None] != pid[None, :]
-    not_self = np.ones((n, n2), dtype=bool)
-    not_self[np.arange(n), np.arange(n)] = False
-    if group_type == "slice":
-        if batch.slice_positives is None:
-            raise ValueError("batch has no adjacency positive mask")
-        pos = batch.slice_positives
-    else:
-        if group_type == "patient":
-            labels = pid
-        else:
-            if batch.volume_ids is None:
-                raise ValueError("batch has no volume labels")
-            labels = batch.volume_ids
-        pos = (labels[:n, None] == labels[None, :]) & not_self
-    den = (pos | other_patient) & not_self
-    return pos, den
-
-
-def _group_norm(batch, group_type, pos_mask):
-    """The 1/(N*G) scale: G is the mean group size.
-
-    For partition groups, G = unaugmented rows / distinct groups among them.
-    For the (non-transitive) adjacency loss, G is the mean over anchors of
-    (positive count + 1).
-    """
-    n = batch.z.shape[0] // 2
-    if group_type == "slice":
-        G = float(np.mean(pos_mask.sum(axis=1) + 1))
-    else:
-        labels = batch.patient_ids if group_type == "patient" else batch.volume_ids
-        G = n / np.unique(labels[:n]).size
-    return 1.0 / (n * G)
 
 
 def group_loss(batch, group_type, tau):
@@ -307,38 +263,57 @@ def _combined(batch, cfg, want_grad):
     n2 = S.shape[0]
     n = n2 // 2
     tau = cfg.tau
+    # shared by every term; the group terms use the top N (anchor) rows
+    logits = S / tau
+    not_self = ~np.eye(n2, dtype=bool)
     loss = 0.0
     GS = np.zeros_like(S) if want_grad else None
 
     if cfg.ntxent > 0:
-        pos, den = _ntxent_masks(n2)
-        logits = S / tau
-        log_denoms, softmax = _masked_log_denoms(logits, den)
         rows = np.arange(n2)
-        loss += cfg.ntxent * float(np.mean(log_denoms - logits[rows, pos]))
+        pair = (rows + n) % n2  # each row's other view
+        log_denoms, softmax = _masked_log_denoms(logits, not_self)
+        loss += cfg.ntxent * float(np.mean(log_denoms - logits[rows, pair]))
         if want_grad:
             w = cfg.ntxent / n2
             GS += (w / tau) * softmax
-            GS[rows, pos] -= w / tau
+            GS[rows, pair] -= w / tau
 
-    for group_type in GROUP_LOSSES:
-        lam = cfg.weight_of(group_type)
-        if lam == 0:
-            continue
-        pos, den = _group_masks(batch, group_type)
-        pos_counts = pos.sum(axis=1)
+    groups = [(g, lam) for g in GROUP_LOSSES if (lam := cfg.weight_of(g)) != 0]
+    if groups:
+        pid = batch.patient_ids
+        other_patient = pid[:n, None] != pid[None, :]
+        anchor_logits = logits[:n]
+        anchor_not_self = not_self[:n]
+    for group_type, lam in groups:
+        # positives and the mean group size G of the 1/(N*G) scale: for a
+        # partition, unaugmented rows per distinct group among them; for the
+        # (non-transitive) adjacency loss, the mean of (positive count + 1)
+        if group_type == "slice":
+            if batch.slice_positives is None:
+                raise ValueError("batch has no adjacency positive mask")
+            pos = batch.slice_positives
+            pos_counts = pos.sum(axis=1)
+            G = float(np.mean(pos_counts + 1))
+        else:
+            labels = pid if group_type == "patient" else batch.volume_ids
+            if labels is None:
+                raise ValueError("batch has no volume labels")
+            pos = (labels[:n, None] == labels[None, :]) & anchor_not_self
+            pos_counts = pos.sum(axis=1)
+            G = n / np.unique(labels[:n]).size
         if pos_counts.sum() == 0:
             continue
-        logits = S[:n] / tau
-        log_denoms, softmax = _masked_log_denoms(logits, den)
+        # same-patient rows outside the group leave the denominator
+        den = (pos | other_patient) & anchor_not_self
+        log_denoms, softmax = _masked_log_denoms(anchor_logits, den)
         active = pos_counts > 0
-        scale = _group_norm(batch, group_type, pos)
+        w = lam * (1.0 / (n * G))
         total = float(
-            np.sum(pos_counts[active] * log_denoms[active]) - np.sum(logits[pos])
+            np.sum(pos_counts[active] * log_denoms[active]) - np.sum(anchor_logits[pos])
         )
-        loss += lam * scale * total
+        loss += w * total
         if want_grad:
-            w = lam * scale
             contrib = np.zeros((n, n2))
             contrib[active] = (
                 (w / tau) * pos_counts[active, None] * softmax[active]

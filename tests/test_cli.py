@@ -264,6 +264,65 @@ class TestMalformedInputs:
         assert code == 1 and out == ""
         assert err == f"error: {meta_path}: missing key 'slices'\n"
 
+    def stats_with_slices(self, data_dir, capsys, edit):
+        meta_path = data_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta["slices"])
+        meta_path.write_text(json.dumps(meta))
+        code, out, err = run(capsys, "stats", "--data", str(data_dir))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {meta_path}: ") and err.count("\n") == 1
+        return err
+
+    def test_duplicate_slice_id_names_file_and_record(self, data_dir, capsys):
+        def edit(slices):
+            slices[1]["slice_id"] = slices[0]["slice_id"]
+
+        err = self.stats_with_slices(data_dir, capsys, edit)
+        assert "slices[1]: duplicate slice_id 0" in err
+
+    def test_volume_on_two_patients_names_file_and_record(self, data_dir, capsys):
+        def edit(slices):
+            slices[1]["patient_id"] = slices[0]["patient_id"] + 1
+
+        err = self.stats_with_slices(data_dir, capsys, edit)
+        assert "slices[1]: volume 0 maps to patients 0 and 1" in err
+
+    def test_non_contiguous_depths_name_file_and_volume(self, data_dir, capsys):
+        def edit(slices):
+            slices[3]["slice_index"] = 7
+
+        err = self.stats_with_slices(data_dir, capsys, edit)
+        assert "volume 0 slice_index values [0, 1, 2, 7] are not contiguous" in err
+
+
+class TestSelectBudget:
+    @pytest.fixture
+    def gcle_path(self, tmp_path):
+        from slicepick import gcle
+
+        meta = [
+            {"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
+            for i in range(3)
+        ]
+        path = tmp_path / "emb.gcle"
+        gcle.write_gcle(path, np.arange(6.0).reshape(3, 2), meta)
+        return path
+
+    @pytest.mark.parametrize("budget", ["-1", "4"])
+    def test_budget_outside_range(self, gcle_path, tmp_path, capsys, budget):
+        out_path = tmp_path / "trace.jsonl"
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", budget,
+            "--out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: --budget: budget must lie in [0, 3] (the unlabeled rows), "
+            f"got {budget}\n"
+        )
+        assert not out_path.exists()
+
 
 class TestAblate:
     def test_enumerates_subsets(self, data_dir, tmp_path, capsys):

@@ -67,6 +67,12 @@ class TestGreedy:
         with pytest.raises(ValueError):
             k_center_greedy(self.line, [0], 3)
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_budget_outside_range_gives_range_and_value(self, k):
+        with pytest.raises(ValueError) as info:
+            k_center_greedy(self.line, [0], k)
+        assert str(info.value) == f"budget must lie in [0, 2] (the unlabeled rows), got {k}"
+
     def test_cold_start_defaults_to_lowest_index(self):
         state = k_center_greedy(self.line, [], 1)
         assert state.labeled == [0]
@@ -176,6 +182,13 @@ class TestBruteForce:
         radius, _ = brute_force_k_center(emb, [0], 1)
         greedy = k_center_greedy(emb, [0], 1)
         assert cover_radius(emb, greedy.labeled) == radius == 1.0
+
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_budget_outside_range_gives_range_and_value(self, k):
+        emb = np.zeros((6, 1))
+        with pytest.raises(ValueError) as info:
+            brute_force_k_center(emb, [0], k)
+        assert str(info.value) == f"budget must lie in [0, 5] (the unlabeled rows), got {k}"
 
     def test_instance_size_guard(self):
         emb = np.zeros((60, 1))
