@@ -16,7 +16,8 @@ All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,6 +41,10 @@ class LossConfig:
     slice_group: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"loss setting {field.name} must be finite, got {value!r}")
         if self.tau <= 0:
             raise ValueError("temperature must be positive")
         if self.ntxent not in (0, 1):

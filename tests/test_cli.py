@@ -377,6 +377,23 @@ class TestWeightOverrides:
         assert err.startswith("error: weight override for 'patient'")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--w-patient", "nan", "patient"), ("--w-patient", "inf", "patient"),
+         ("--tau", "nan", "tau")],
+    )
+    def test_non_finite_loss_setting_rejected_before_training(
+        self, data_dir, tmp_path, capsys, flag, value, field
+    ):
+        ckpt = tmp_path / "enc.ckpt"
+        code, out, err = run(
+            capsys, "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+            "--groups", "ntxent,patient", flag, value, "--epochs", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: loss setting {field} must be finite, got {value}"]
+        assert not ckpt.exists()
+
 
 class TestConfig:
     def test_print_config_lists_defaults(self, capsys):

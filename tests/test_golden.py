@@ -20,7 +20,7 @@ from slicepick.losses import LossConfig, combined_loss, loss_and_grad
 # run-rounds, for --threads 1 and 2 alike
 REPORT_SHA = "d4122505c754b077f21b969a1e217f14886e404e64ddd30a62f9fcbc94316427"
 SUMMARY_SHA = "181d7db4ab94efdb7b2a69cfae56f396a343fc3ee1c0254ae6dbbb1f9b88558a"
-STATS_SHA = "e3a20fc8f3b7c699cc6f5177c01ecd167e43c3c9a19a1a6603ab7063e2d607c7"
+STATS_SHA = "0cca3c088cba97d302d042a7807200899aaa2696e6e54db41e9bdc2a33de9138"
 SELECT_EMPTY_SHA = "4b4d16df44f46d6836aa740a3407ad77a2454af34ec740bba1e674688f1db06f"
 SELECT_INITIAL_SHA = "fd186592b0403938af2e3f19c29fd867df7d0e5e65a83d4f56e049498c14c2e2"
 # train-encoder with all four loss terms: checkpoint and --history CSV

@@ -134,3 +134,72 @@ def test_kernels_accept_non_contiguous_float32():
     assert np.array_equal(_kernels.dist_to_row(X, 4), _kernels.dist_to_row(X64, 4))
     assert np.array_equal(_kernels.pairwise_dists(X), _kernels.pairwise_dists(X64))
     assert np.array_equal(_kernels.nn_indices(X, X[:3]), _kernels.nn_indices(X64, X64[:3]))
+
+
+def test_kernels_public_functions_are_the_traced_set():
+    # perfbench/tracer.py wraps every public function of _kernels and knows
+    # the byte count of exactly these five; helpers must stay private
+    public = {
+        name for name, obj in vars(_kernels).items()
+        if callable(obj) and not name.startswith("_")
+    }
+    assert public == {
+        "dist_to_row", "pair_mean_abs", "all_pairs_mean_abs", "nn_indices", "pairwise_dists",
+    }
+
+
+def test_nn_duplicated_reference_rows():
+    rng = np.random.default_rng(4)
+    base = rng.standard_normal((5, 6))
+    refs = base[[3, 0, 3, 1, 0, 4, 2, 4, 3]]
+    queries = np.vstack([base, refs, rng.standard_normal((20, 6))])
+    got = _kernels.nn_indices(queries, refs)
+    assert np.array_equal(got, loop_nn_indices(queries, refs))
+    assert list(got[:5]) == [1, 3, 6, 0, 5]
+
+
+def test_nn_identical_reference_rows():
+    rng = np.random.default_rng(5)
+    refs = np.repeat(rng.standard_normal((1, 4)), 7, axis=0)
+    queries = np.vstack([refs[:1], rng.standard_normal((10, 4))])
+    got = _kernels.nn_indices(queries, refs)
+    assert np.array_equal(got, loop_nn_indices(queries, refs))
+    assert not got.any()
+
+
+def test_nn_large_offset_needs_reranking():
+    # |q|^2 - 2 q.r + |r|^2 cancels about 16 digits here, so the matrix
+    # product alone cannot order the references; the direct re-rank must
+    rng = np.random.default_rng(6)
+    refs = 1e4 + 1e-4 * rng.standard_normal((30, 5))
+    queries = 1e4 + 1e-4 * rng.standard_normal((40, 5))
+    assert np.array_equal(_kernels.nn_indices(queries, refs), loop_nn_indices(queries, refs))
+
+
+def test_nn_norms_past_overflow_use_direct_distances():
+    # |q|^2 overflows to inf, so the expansion is nan; the differences do not
+    queries = np.array([[2e154]])
+    refs = np.array([[2e154 + 1e140], [2e154 - 1e139], [1e154]])
+    got = _kernels.nn_indices(queries, refs)
+    assert np.array_equal(got, loop_nn_indices(queries, refs))
+    assert list(got) == [1]
+
+
+def test_nn_empty_reference_set_rejected():
+    with pytest.raises(ValueError, match="at least one reference row"):
+        _kernels.nn_indices(np.zeros((3, 2)), np.zeros((0, 2)))
+
+
+def test_all_pairs_mean_abs_large_offset():
+    # the signed-weight sorted form sum_k (2k - n + 1) x_(k) cancels here and
+    # misses this tolerance by four orders of magnitude (2e-8 relative)
+    X = 1e6 + 1e-3 * np.random.default_rng(7).standard_normal((40, 7))
+    assert math.isclose(
+        _kernels.all_pairs_mean_abs(X), loop_all_pairs_mean_abs(X), rel_tol=1e-12
+    )
+
+
+def test_all_pairs_mean_abs_two_rows():
+    X = np.array([[1.0, -2.0, 0.5], [4.0, 2.0, 0.5]])
+    assert _kernels.all_pairs_mean_abs(X) == 7.0 / 3.0
+    assert loop_all_pairs_mean_abs(X) == 7.0 / 3.0

@@ -209,6 +209,12 @@ class TestCombined:
         with pytest.raises(ValueError):
             LossConfig(ntxent=0, patient=0, volume=0, slice_group=0)
 
+    @pytest.mark.parametrize("field", ["tau", "ntxent", "patient", "volume", "slice_group"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            LossConfig(**{field: value})
+
 
 class TestLossGrad:
     def test_single_pair_identical_rows_zero_grad(self):
