@@ -38,6 +38,7 @@ from .errors import (
     FormatError,
     InvalidSpecError,
     SamplerError,
+    SettingError,
     SlicepickError,
     TrainingDivergedError,
     UndefinedStatisticError,

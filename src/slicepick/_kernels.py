@@ -6,7 +6,10 @@ directly. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
 difference, O(p n log n) and within a few ulps of the pairwise sum.
 ``nn_indices`` finds candidates with one matrix product per query block and
 re-ranks them with the direct squared distance, so its answer, ties
-included, is exactly that of the direct search.
+included, is exactly that of the direct search. The private helpers
+``_sq_dist_slack`` (the rounding bound of that product, shared with the
+screened cover update in ``coreset``) and ``_row_dists`` (``dist_to_row``'s
+values at a subset of rows, bit for bit) are not part of the traced set.
 ``tests/test_kernels.py`` checks each one against a plain-Python loop oracle.
 """
 
@@ -21,9 +24,37 @@ def _as_c64(a):
 
 def dist_to_row(emb, idx):
     """Euclidean distance from every row of ``emb`` to row ``idx``."""
-    emb = _as_c64(emb)
-    diff = emb - emb[int(idx)]
+    return _row_dists(_as_c64(emb), int(idx))
+
+
+def _row_dists(emb, idx, rows=None):
+    """``dist_to_row(emb, idx)``, or its values at ``rows`` only, bit for bit.
+
+    ``emb`` must be C-contiguous float64. ``einsum`` sums every row of a
+    matrix with two or more rows in the same order, wherever the row sits,
+    but a lone row in another order once p passes its 8192-element buffer;
+    so a one-row subset of a larger matrix is evaluated as a pair.
+    """
+    if rows is None:
+        sub = emb
+    elif len(rows) == 1 and emb.shape[0] > 1:
+        return _row_dists(emb, idx, [rows[0], rows[0]])[:1]
+    else:
+        sub = emb[rows]
+    diff = sub - emb[idx]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _sq_dist_slack(scale, p):
+    """Twice the bound B of ``nn_indices``' docstring for each ``scale`` S,
+    the sum of a query's squared norm and the largest reference one: inf
+    wherever 4 S overflows or is nan, so that callers treat it as unbounded.
+    """
+    f64 = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = 4 * (p + 8) * f64.eps * scale + 2 * f64.tiny
+        slack[~np.isfinite(4 * scale)] = np.inf
+    return slack
 
 
 def pair_mean_abs(X, ia, ib):
@@ -85,17 +116,23 @@ def nn_indices(Q, R):
     4 S_q overflows or is nan re-ranks every reference. The re-rank's
     ``einsum`` sums each row in one pass, in the same order as over a full
     (queries, refs, p) tensor, while p <= 8192 (numpy's buffer size).
+
+    The same 2 B_q screens a threshold m, a float, in ``coreset``: if the
+    direct distance ``sqrt(d2)`` is below m then ``approx <= fl(m * m) +
+    2 B_q``, computed in float64. A correctly rounded sqrt is monotone, so
+    ``d2 < m^2`` exactly, and ``approx < m^2 + B_q``. When m^2 <= 4 S_q,
+    rounding m^2 and then the sum costs at most 8 u S_q + 2 u B_q plus an
+    underflow term, well inside the other B_q (B_q >= 36 u S_q + tiny). When
+    m^2 > 4 S_q, ``approx <= 2 S_q + B_q / 2 < 4 S_q <= fl(m^2)`` already.
     """
     Q, R = _as_c64(Q), _as_c64(R)
     if R.shape[0] == 0:
         raise ValueError("the 1-NN search needs at least one reference row")
     q_sq = np.einsum("ij,ij->i", Q, Q)
     r_sq = np.einsum("ij,ij->i", R, R)
-    f64 = np.finfo(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = q_sq + r_sq.max()
-        slack = 4 * (Q.shape[1] + 8) * f64.eps * scale + 2 * f64.tiny
-        unbounded = ~np.isfinite(4 * scale)
+        slack = _sq_dist_slack(q_sq + r_sq.max(), Q.shape[1])
+    unbounded = np.isinf(slack)
     out = np.empty(Q.shape[0], dtype=np.int64)
     # block the queries so the (block, refs) distance matrix stays small
     block = max(1, 2 ** 18 // R.shape[0])

@@ -1,14 +1,15 @@
 """Self-contained oracle suites behind the ``verify`` CLI subcommand.
 
 Each suite re-derives an expected result through an independent route
-(finite differences, exhaustive search, invariant checking) and compares
-the production path against it.
+(finite differences, exhaustive search, full distance passes, invariant
+checking) and compares the production path against it.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
+from . import _kernels
 from .coreset import brute_force_k_center, cover_radius, k_center_greedy
 from .data import SynthSpec, generate_synthetic
 from .losses import (
@@ -100,6 +101,52 @@ def check_two_opt(n_instances=30, seed=2024):
     return ok, f"worst greedy/optimal ratio {worst_ratio:.4f} (bound 2)"
 
 
+def full_pass_greedy(emb, initial, k, cold_start_seed=None):
+    """k-center greedy with one full ``dist_to_row`` pass per center and no
+    screen; returns (trace, min_dist) for comparison with ``k_center_greedy``."""
+    emb = np.ascontiguousarray(emb, dtype=np.float64)
+    n = emb.shape[0]
+    labeled = sorted(set(int(i) for i in initial))
+    min_dist = np.full(n, np.inf)
+    for idx in labeled:
+        np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
+    trace = []
+    for _ in range(k):
+        if labeled:
+            cand = min_dist.copy()
+            cand[labeled] = -np.inf
+            idx = int(np.argmax(cand))
+            picked = float(min_dist[idx])
+        else:
+            rng = np.random.default_rng(cold_start_seed)
+            idx = 0 if cold_start_seed is None else int(rng.permutation(n)[0])
+            picked = np.inf
+        labeled.append(idx)
+        trace.append((idx, picked))
+        np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
+    return trace, min_dist
+
+
+def check_screened_cover(n_instances=20, seed=2024):
+    """Screened greedy against the full-pass loop, picks and min_dist bytes,
+    on Gaussian data and on near-tie data (a large offset plus tiny noise,
+    where the norm expansion cancels about 16 digits)."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_instances):
+        n, p = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+        emb = rng.standard_normal((n, p))
+        if i % 2:
+            emb = 1e4 + 1e-4 * emb
+        initial = list(rng.choice(n, size=int(rng.integers(0, 3)), replace=False))
+        k = int(rng.integers(0, n - len(initial) + 1))
+        cold = int(rng.integers(2 ** 31))
+        state = k_center_greedy(emb, initial, k, cold_start_seed=cold)
+        trace, min_dist = full_pass_greedy(emb, initial, k, cold)
+        if state.trace != trace or state.min_dist.tobytes() != min_dist.tobytes():
+            return False, f"instance {i} ({n}x{p}, k={k}) differs from the full passes"
+    return True, f"{n_instances} instances bit-identical to full passes"
+
+
 def validate_plan(ds, plan, enabled_groups):
     """Raise AssertionError unless an epoch plan satisfies all invariants."""
     width = tuple_width(enabled_groups)
@@ -163,8 +210,11 @@ def check_sampler(n_datasets=10, seed=2024):
 
 def run_all():
     """Run every suite; returns a list of (name, ok, detail)."""
+    # one line for both greedy oracles: exhaustive search and full passes
+    two_opt_ok, two_opt = check_two_opt()
+    cover_ok, cover = check_screened_cover()
     return [
         ("gradient-vs-finite-differences", *check_gradients()),
-        ("greedy-two-opt-vs-exhaustive", *check_two_opt()),
+        ("greedy-vs-exhaustive-and-full-passes", two_opt_ok and cover_ok, f"{two_opt}; {cover}"),
         ("sampler-invariants", *check_sampler()),
     ]

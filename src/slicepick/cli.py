@@ -37,7 +37,7 @@ from .encoder import (
     train,
     write_loss_history,
 )
-from .errors import SlicepickError, UndefinedStatisticError
+from .errors import SettingError, SlicepickError, UndefinedStatisticError
 from .losses import GROUP_LOSSES, preset_loss_config
 from .pipeline import (
     DEFAULT_FRACTIONS,
@@ -148,22 +148,36 @@ def _loss_config(cfg):
     )
 
 
-def _train_config(cfg, seed=None):
-    return TrainConfig(
-        learning_rate=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        hidden=tuple(cfg["hidden"]),
-        rep_dim=cfg["rep_dim"],
-        proj_dim=cfg["proj_dim"],
-        augment=AugmentSpec(
-            flip_prob=cfg["flip_prob"],
-            noise_sigma=cfg["noise_sigma"],
-            scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
-        ),
-        seed=cfg["seed"] if seed is None else seed,
+# the flag behind each TrainConfig field that the command line sets
+_TRAIN_FLAGS = {
+    "learning_rate": "--lr", "weight_decay": "--weight-decay", "epochs": "--epochs",
+    "batch_size": "--batch-size", "hidden": "--hidden", "rep_dim": "--rep-dim",
+    "proj_dim": "--proj-dim", "seed": "--seed",
+}
+
+
+def _train_config(cfg):
+    """The TrainConfig of ``cfg``; a rejected value names its flag."""
+    augment = AugmentSpec(
+        flip_prob=cfg["flip_prob"],
+        noise_sigma=cfg["noise_sigma"],
+        scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
     )
+    try:
+        return TrainConfig(
+            learning_rate=cfg["lr"],
+            weight_decay=cfg["weight_decay"],
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
+            hidden=tuple(cfg["hidden"]),
+            rep_dim=cfg["rep_dim"],
+            proj_dim=cfg["proj_dim"],
+            augment=augment,
+            seed=cfg["seed"],
+        )
+    except SettingError as exc:
+        flag = _TRAIN_FLAGS.get(exc.setting)
+        raise SlicepickError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
 def _synth_spec(cfg):
@@ -216,8 +230,11 @@ def cmd_train_encoder(args):
     ds, _ = load_dataset(args.data)
     loss_cfg = _loss_config(cfg)
     groups = loss_cfg.enabled_groups
-    batch_size = cfg["batch_size"] or default_batch_size(groups, len(ds.patient_volumes))
-    train_cfg = dataclasses.replace(_train_config(cfg), batch_size=batch_size)
+    train_cfg = _train_config(cfg)
+    batch_size = train_cfg.batch_size
+    if batch_size is None:
+        batch_size = default_batch_size(groups, len(ds.patient_volumes))
+        train_cfg = dataclasses.replace(train_cfg, batch_size=batch_size)
     if args.dump_epoch:
         plan = build_epoch(ds, groups, batch_size, epoch_seed(train_cfg.seed, 0))
         write_atomic(args.dump_epoch, plan.to_json() + "\n")
@@ -335,6 +352,7 @@ def cmd_ablate(args):
     stray = sorted(set(overrides) - set(terms))
     if stray:
         raise SlicepickError(f"weight set for {stray[0]!r}, which is not in --groups")
+    train_cfg = _train_config(cfg)
     budget = budgets(RoundPlan(fractions=(args.fraction,), seed=cfg["seed"]), ds.n)[0]
     n_volumes = len(ds.volume_slices)
     subsets = [
@@ -351,7 +369,6 @@ def cmd_ablate(args):
                 tau=cfg["tau"],
                 overrides={g: w for g, w in overrides.items() if g in combo},
             )
-            train_cfg = _train_config(cfg, seed=cfg["seed"])
             result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
             space = embed_all(result.params, ds)
             weights = (loss_cfg.ntxent, loss_cfg.patient, loss_cfg.volume, loss_cfg.slice_group)

@@ -16,6 +16,7 @@ little-endian float32.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import sampler
 from ._io import write_atomic
-from .errors import FormatError, SamplerError, TrainingDivergedError
+from .errors import FormatError, SamplerError, SettingError, TrainingDivergedError
 from .losses import LossBatch, loss_and_grad, slice_positives_from_rows
 
 CHECKPOINT_MAGIC = b"SENC"
@@ -40,6 +41,11 @@ class Architecture:
     def layer_dims(self):
         dims = (self.input_dim, *self.hidden, self.rep_dim, self.proj_dim)
         return list(zip(dims[:-1], dims[1:]))
+
+
+def _is_width(d):
+    """The one rule for a layer width, in configs and checkpoints: >= 1."""
+    return d >= 1
 
 
 def _layer_views(arch, flat):
@@ -115,16 +121,32 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def reject(name, rule):
+            raise SettingError(
+                name, f"training setting {name} must {rule}, got {getattr(self, name)!r}"
+            )
+
+        for name in ("learning_rate", "weight_decay", "adam_eps"):
+            if not math.isfinite(getattr(self, name)):
+                reject(name, "be finite")
+        if not all(_is_width(d) for d in self.hidden):
+            reject("hidden", "hold layer widths >= 1")
+        for name in ("rep_dim", "proj_dim"):
+            if not _is_width(getattr(self, name)):
+                reject(name, "be a layer width >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            reject("batch_size", "be >= 1 slice")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            reject("learning_rate", "be positive")
         if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+            reject("weight_decay", "be nonnegative")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("ADAM betas must lie in [0, 1)")
+            reject("epochs", "be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                reject(name, "lie in [0, 1)")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            reject("seed", "be a nonnegative integer")
 
 
 @dataclass
@@ -365,7 +387,7 @@ def _checkpoint_arch(path, header):
     try:
         hidden = tuple(int(d) for d in a["hidden"])
         arch = Architecture(int(a["input_dim"]), hidden, int(a["rep_dim"]), int(a["proj_dim"]))
-        valid = min(d for layer in arch.layer_dims() for d in layer) >= 1
+        valid = all(_is_width(d) for layer in arch.layer_dims() for d in layer)
     except (TypeError, ValueError):
         valid = False
     if not valid:

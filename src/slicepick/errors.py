@@ -9,6 +9,15 @@ class InvalidSpecError(SlicepickError):
     """A synthetic-data spec or configuration is unusable."""
 
 
+class SettingError(InvalidSpecError, ValueError):
+    """A configuration field holds a value outside its domain; ``setting``
+    is the field's name."""
+
+    def __init__(self, setting, message):
+        super().__init__(message)
+        self.setting = setting
+
+
 class UndefinedStatisticError(SlicepickError):
     """A statistic was requested for a grouping with no valid pairs."""
 

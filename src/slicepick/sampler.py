@@ -106,6 +106,8 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
     """
     groups = set(enabled_groups)
     width = tuple_width(groups)
+    if batch_size < 1:
+        raise SamplerError(f"batch size must be >= 1, got {batch_size}")
     if batch_size % width != 0:
         raise SamplerError(
             f"batch size {batch_size} is not a multiple of tuple width {width}"

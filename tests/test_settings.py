@@ -1,0 +1,145 @@
+"""Training settings the checkpoint reader or the sampler would refuse are
+rejected up front, naming the field (and, on the command line, the flag).
+
+A batch size below 1 once sent ``build_epoch`` into an endless loop, so
+those cases run in a subprocess under a timeout.
+"""
+
+import os
+import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import slicepick
+from slicepick import TrainConfig
+from slicepick.cli import main
+from slicepick.sampler import default_batch_size
+
+SRC = str(Path(slicepick.__file__).resolve().parents[1])
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _limit_memory():
+    # a runaway epoch loop then ends in MemoryError, not in the OOM killer
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+def run_bounded(*argv, code="from slicepick.cli import main; raise SystemExit(main())"):
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_memory,
+    )
+
+
+@pytest.fixture
+def data_dir(tmp_path, capsys):
+    out = tmp_path / "data"
+    code, _, _ = run(
+        capsys, "gen-data", "--out", str(out), "--patients", "4",
+        "--volumes-per-patient", "2", "--slices-per-volume", "3",
+        "--height", "3", "--width", "3", "--classes", "3", "--seed", "3",
+    )
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("size", [-3, 0])
+def test_build_epoch_rejects_batch_size_below_one(size):
+    code = (
+        "import sys; from slicepick import SynthSpec, generate_synthetic; "
+        "from slicepick.sampler import build_epoch; "
+        "ds, _ = generate_synthetic(SynthSpec(n_patients=3, volumes_per_patient=1, "
+        "slices_per_volume=3, h=2, w=2)); "
+        "build_epoch(ds, {'volume', 'patient'}, int(sys.argv[1]), 0)"
+    )
+    proc = run_bounded(str(size), code=code)
+    assert proc.returncode == 1
+    assert f"SamplerError: batch size must be >= 1, got {size}" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train-encoder", "run-rounds", "ablate"])
+@pytest.mark.parametrize("size", ["-3", "0"])
+def test_cli_batch_size_below_one_exits_one(data_dir, tmp_path, command, size):
+    out = tmp_path / "out"
+    proc = run_bounded(
+        command, "--data", str(data_dir), "--out", str(out), "--batch-size", size,
+        "--epochs", "1",
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: --batch-size: training setting batch_size must be >= 1 slice, got {size}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,field,rule",
+    [
+        ("--hidden", "0", "hidden", "hold layer widths >= 1, got (0,)"),
+        ("--hidden", "8,0", "hidden", "hold layer widths >= 1, got (8, 0)"),
+        ("--rep-dim", "0", "rep_dim", "be a layer width >= 1, got 0"),
+        ("--proj-dim", "0", "proj_dim", "be a layer width >= 1, got 0"),
+        ("--lr", "nan", "learning_rate", "be finite, got nan"),
+        ("--lr", "inf", "learning_rate", "be finite, got inf"),
+        ("--weight-decay", "nan", "weight_decay", "be finite, got nan"),
+        ("--weight-decay", "inf", "weight_decay", "be finite, got inf"),
+    ],
+)
+def test_train_encoder_rejects_setting_before_training(
+    data_dir, tmp_path, capsys, flag, value, field, rule
+):
+    ckpt = tmp_path / "enc.ckpt"
+    code, out, err = run(
+        capsys, "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+        "--epochs", "1", flag, value,
+    )
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {flag}: training setting {field} must {rule}"]
+    assert not ckpt.exists()
+
+
+def test_run_rounds_rejects_zero_width_space(data_dir, tmp_path, capsys):
+    out = tmp_path / "r"
+    code, _, err = run(
+        capsys, "run-rounds", "--data", str(data_dir), "--out", str(out),
+        "--rep-dim", "0", "--epochs", "1", "--repeats", "1",
+    )
+    assert code == 1
+    assert err.splitlines() == [
+        "error: --rep-dim: training setting rep_dim must be a layer width >= 1, got 0"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("adam_eps", float("nan")), ("learning_rate", float("-inf")), ("batch_size", -1),
+     ("proj_dim", 0), ("hidden", (4, -2))],
+)
+def test_train_config_names_field_and_value(field, value):
+    message = f"training setting {field} must .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
+def test_config_file_batch_size_auto_means_default(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch_size=auto\nepochs=1\nhidden=4\nrep_dim=3\nproj_dim=2\n")
+    plan = tmp_path / "epoch0.json"
+    code, _, _ = run(
+        capsys, "--config", str(cfg), "train-encoder", "--data", str(data_dir),
+        "--out", str(tmp_path / "enc.ckpt"), "--dump-epoch", str(plan),
+    )
+    assert code == 0
+    stock = default_batch_size({"patient", "volume"}, n_patients=4)
+    assert f'"batch_size_slices": {stock},' in plan.read_text()
