@@ -35,6 +35,8 @@ GCLE_SHA = "093a3abfada824713a0a394623e2133b7ee8fac504392a4ecd7b0c5a32b2239c"
 GCLE_META_SHA = "18416fe7eb35ea36a97b29c3dcf1312c6b895d15c9e8a901a2cce49edc39b53d"
 # loss, gradient and combined_loss over every subset of the four terms
 LOSS_SHA = "0f0acbaf316c4697be4bc29d5a693449d785dde7beed6bc35f311ac7a240ed92"
+# --print-config: every key's default, in CONFIG order
+PRINT_CONFIG_SHA = "833505d591a8578d6c068414cf4ca95cfb13779ee6b090b9930d70625cc766f3"
 
 
 def sha(data):
@@ -144,6 +146,10 @@ def test_embed_digest(embeddings):
     assert sha(embeddings.read_bytes()) == GCLE_SHA
     meta = embeddings.with_name(embeddings.name + ".meta.json")
     assert sha(meta.read_bytes()) == GCLE_META_SHA
+
+
+def test_print_config_digest(capsys):
+    assert sha(run(capsys, "--print-config").encode()) == PRINT_CONFIG_SHA
 
 
 def test_loss_digest():
