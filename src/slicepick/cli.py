@@ -1,16 +1,19 @@
 """Command-line surface tying the modules into reproducible experiments.
 
 Configuration is a flat key=value file plus per-flag overrides; every
-default is printable via ``slicepick --print-config``. All randomness is
-driven by explicit seeds (never the wall clock), so re-running a command
-overwrites its outputs with identical bytes. Exit codes: 0 success,
-2 usage error, 1 runtime error.
+default is printable via ``slicepick --print-config``. A key's flag and
+its config line share ``CONFIG``'s one cast; a flag beats the file. A
+rejected value names its flag, or its ``<config path>: <key>``. All
+randomness is driven by explicit seeds (never the wall clock), so re-running
+a command overwrites its outputs with identical bytes. Exit codes:
+0 success, 2 usage error, 1 runtime error.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -55,7 +58,7 @@ _csv_int = lambda s: [int(x) for x in _csv_str(s)]
 _opt_float = lambda s: None if s.lower() in ("", "none") else float(s)
 _opt_int = lambda s: None if s.lower() in ("", "none", "auto") else int(s)
 
-# every configurable key: (default, cast used for config-file strings)
+# every configurable key: (default, cast of its flag and config-file strings)
 CONFIG = {
     "seed": (0, int),
     "threads": (1, int),
@@ -90,6 +93,22 @@ CONFIG = {
     "noise_scale": (0.05, float),
 }
 
+# the config keys behind each settings-object field not named as its key
+_FIELD_KEYS = {
+    "learning_rate": ("lr",), "n_repeats": ("repeats",), "n_patients": ("patients",),
+    "h": ("height",), "w": ("width",), "class_count": ("classes",),
+    "scale_jitter": ("scale_lo", "scale_hi"), "kind": ("strategies",),
+}
+
+_HELP = {
+    "threads": "worker processes for independent repeats (at most one per repeat)",
+    "groups": "loss terms: ntxent,patient,volume,slice",
+}
+
+
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
+
 
 def _read_config_file(path):
     values = {}
@@ -114,18 +133,36 @@ class _Cfg:
     """Merged view of defaults, config file, and CLI flags."""
 
     def __init__(self, args):
-        self.file_values = (
-            _read_config_file(args.config) if getattr(args, "config", None) else {}
-        )
-        self.args = args
+        self.path = getattr(args, "config", None)
+        self.file_values = _read_config_file(self.path) if self.path else {}
+        # flags default to SUPPRESS, so only the ones given are attributes
+        self.flags = {k: v for k, v in vars(args).items() if k in CONFIG}
 
     def __getitem__(self, key):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.file_values:
-            return self.file_values[key]
+        for values in (self.flags, self.file_values):
+            if key in values:
+                return values[key]
         return CONFIG[key][0]
+
+    def source(self, *keys):
+        """The flag or ``<config path>: <key>`` that set each of ``keys``;
+        empty when all hold their defaults."""
+        return ", ".join(
+            _flag(k) if k in self.flags else f"{self.path}: {k}"
+            for k in keys if k in self.flags or k in self.file_values
+        )
+
+    @contextmanager
+    def settings(self, **flags):
+        """Build settings objects inside; a SettingError becomes
+        ``<source>: <message>``. ``flags`` maps a field that no config key
+        sets to the command's own flag (``ablate``'s ``--fraction``)."""
+        try:
+            yield
+        except SettingError as exc:
+            keys = _FIELD_KEYS.get(exc.setting, (exc.setting,))
+            source = flags.get(exc.setting) or self.source(*keys)
+            raise SlicepickError(f"{source}: {exc}" if source else str(exc)) from None
 
     def dump(self):
         lines = []
@@ -137,33 +174,18 @@ class _Cfg:
         return "\n".join(lines)
 
 
-def _weight_overrides(cfg):
-    """Per-group weights set by --w-* or the config file; None where unset."""
-    return {g: cfg[f"w_{g}"] for g in GROUP_LOSSES}
-
-
 def _loss_config(cfg):
-    return preset_loss_config(
-        set(cfg["groups"]), tau=cfg["tau"], overrides=_weight_overrides(cfg)
-    )
-
-
-# the flag behind each TrainConfig field that the command line sets
-_TRAIN_FLAGS = {
-    "learning_rate": "--lr", "weight_decay": "--weight-decay", "epochs": "--epochs",
-    "batch_size": "--batch-size", "hidden": "--hidden", "rep_dim": "--rep-dim",
-    "proj_dim": "--proj-dim", "seed": "--seed",
-}
+    overrides = {g: cfg[f"w_{g}"] for g in GROUP_LOSSES}
+    return preset_loss_config(set(cfg["groups"]), tau=cfg["tau"], overrides=overrides)
 
 
 def _train_config(cfg):
-    """The TrainConfig of ``cfg``; a rejected value names its flag."""
-    augment = AugmentSpec(
-        flip_prob=cfg["flip_prob"],
-        noise_sigma=cfg["noise_sigma"],
-        scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
-    )
-    try:
+    with cfg.settings():
+        augment = AugmentSpec(
+            flip_prob=cfg["flip_prob"],
+            noise_sigma=cfg["noise_sigma"],
+            scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
+        )
         return TrainConfig(
             learning_rate=cfg["lr"],
             weight_decay=cfg["weight_decay"],
@@ -175,25 +197,23 @@ def _train_config(cfg):
             augment=augment,
             seed=cfg["seed"],
         )
-    except SettingError as exc:
-        flag = _TRAIN_FLAGS.get(exc.setting)
-        raise SlicepickError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
 def _synth_spec(cfg):
-    return SynthSpec(
-        n_patients=cfg["patients"],
-        volumes_per_patient=cfg["volumes_per_patient"],
-        slices_per_volume=cfg["slices_per_volume"],
-        h=cfg["height"],
-        w=cfg["width"],
-        class_count=cfg["classes"],
-        patient_scale=cfg["patient_scale"],
-        volume_scale=cfg["volume_scale"],
-        adjacent_scale=cfg["adjacent_scale"],
-        noise_scale=cfg["noise_scale"],
-        seed=cfg["seed"],
-    )
+    with cfg.settings():
+        return SynthSpec(
+            n_patients=cfg["patients"],
+            volumes_per_patient=cfg["volumes_per_patient"],
+            slices_per_volume=cfg["slices_per_volume"],
+            h=cfg["height"],
+            w=cfg["width"],
+            class_count=cfg["classes"],
+            patient_scale=cfg["patient_scale"],
+            volume_scale=cfg["volume_scale"],
+            adjacent_scale=cfg["adjacent_scale"],
+            noise_scale=cfg["noise_scale"],
+            seed=cfg["seed"],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +280,9 @@ def cmd_embed(args):
 
 def cmd_select(args):
     cfg = _Cfg(args)
+    seed = cfg["seed"]
+    if seed < 0:
+        raise SlicepickError(f"{cfg.source('seed')} must be a nonnegative integer, got {seed}")
     matrix, meta = gcle.read_gcle(args.embeddings)
     emb = matrix.astype(np.float64)
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
@@ -278,7 +301,7 @@ def cmd_select(args):
                 )
             initial.append(row_of[slice_id])
     try:
-        state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
+        state = k_center_greedy(emb, initial, args.budget, cold_start_seed=seed)
     except ValueError as exc:  # the budget is the only value left to reject
         raise SlicepickError(f"--budget: {exc}") from None
     lines = []
@@ -302,30 +325,24 @@ def cmd_select(args):
     return 0
 
 
-def _strategies(cfg):
-    loss_cfg = _loss_config(cfg)
-    train_cfg = _train_config(cfg)
-    out = []
-    for kind in cfg["strategies"]:
-        if kind == "coreset_learned":
-            out.append(StrategySpec(kind, loss=loss_cfg, train=train_cfg))
-        elif kind in ("random", "coreset_raw"):
-            out.append(StrategySpec(kind))
-        else:
-            raise SlicepickError(f"unknown strategy {kind!r}")
-    return out
-
-
 def cmd_run_rounds(args):
     cfg = _Cfg(args)
     threads = cfg["threads"]
     if threads < 1:
-        raise SlicepickError(f"--threads must be >= 1, got {threads}")
+        raise SlicepickError(f"{cfg.source('threads')} must be >= 1, got {threads}")
     ds, labels = load_dataset(args.data)
-    plan = RoundPlan(
-        fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
-    )
-    report = run_experiment(ds, labels, _strategies(cfg), plan, threads=threads)
+    with cfg.settings():
+        plan = RoundPlan(
+            fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
+        )
+        loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
+        strategies = [
+            StrategySpec(kind, loss=loss_cfg, train=train_cfg)
+            if kind == "coreset_learned"
+            else StrategySpec(kind)
+            for kind in cfg["strategies"]
+        ]
+    report = run_experiment(ds, labels, strategies, plan, threads=threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "report.json", report.to_json())
@@ -345,15 +362,11 @@ def cmd_ablate(args):
     ds, labels = load_dataset(args.data)
     X = ds.pixel_matrix()
     terms = cfg["groups"]
-    unknown = set(terms) - ({"ntxent"} | set(GROUP_LOSSES))
-    if unknown:
-        raise SlicepickError(f"unknown loss terms {sorted(unknown)}")
-    overrides = {g: w for g, w in _weight_overrides(cfg).items() if w is not None}
-    stray = sorted(set(overrides) - set(terms))
-    if stray:
-        raise SlicepickError(f"weight set for {stray[0]!r}, which is not in --groups")
+    _loss_config(cfg)  # rejects unknown terms and stray weights before any training
     train_cfg = _train_config(cfg)
-    budget = budgets(RoundPlan(fractions=(args.fraction,), seed=cfg["seed"]), ds.n)[0]
+    with cfg.settings(fractions="--fraction"):
+        plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
+    budget = budgets(plan, ds.n)[0]
     n_volumes = len(ds.volume_slices)
     subsets = [
         combo
@@ -367,7 +380,7 @@ def cmd_ablate(args):
             loss_cfg = preset_loss_config(
                 set(combo),
                 tau=cfg["tau"],
-                overrides={g: w for g, w in overrides.items() if g in combo},
+                overrides={g: cfg[f"w_{g}"] for g in GROUP_LOSSES if g in combo},
             )
             result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
             space = embed_all(result.params, ds)
@@ -406,31 +419,12 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(p, *keys):
-    flags = {
-        "seed": dict(type=int),
-        "threads": dict(
-            type=int,
-            help="worker processes for independent repeats (at most one per repeat)",
-        ),
-        "groups": dict(type=_csv_str, help="loss terms: ntxent,patient,volume,slice"),
-        "tau": dict(type=float),
-        "w_patient": dict(type=float),
-        "w_volume": dict(type=float),
-        "w_slice": dict(type=float),
-        "epochs": dict(type=int),
-        "lr": dict(type=float),
-        "weight_decay": dict(type=float),
-        "batch_size": dict(type=int),
-        "hidden": dict(type=_csv_int),
-        "rep_dim": dict(type=int),
-        "proj_dim": dict(type=int),
-        "fractions": dict(type=_csv_float),
-        "repeats": dict(type=int),
-        "strategies": dict(type=_csv_str),
-    }
     p.add_argument("--config", default=argparse.SUPPRESS, help="flat key=value config file")
     for key in keys:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, **flags[key])
+        p.add_argument(
+            _flag(key), dest=key, type=CONFIG[key][1], default=argparse.SUPPRESS,
+            help=_HELP.get(key),
+        )
 
 
 def build_parser():
@@ -447,12 +441,11 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset directory")
     p.add_argument("--out", required=True)
-    for key in (
-        "patients", "volumes_per_patient", "slices_per_volume", "height", "width",
-        "classes", "patient_scale", "volume_scale", "adjacent_scale", "noise_scale",
-    ):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=CONFIG[key][1])
-    _add_common(p, "seed")
+    _add_common(
+        p, "seed", "patients", "volumes_per_patient", "slices_per_volume", "height",
+        "width", "classes", "patient_scale", "volume_scale", "adjacent_scale",
+        "noise_scale",
+    )
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("stats", help="within-group deviation statistics")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels, gcle
 from ._io import json_int, json_int_record, write_atomic
-from .errors import FormatError, InvalidSpecError, UndefinedStatisticError
+from .errors import FormatError, InvalidSpecError, SettingError, UndefinedStatisticError
 
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
 
@@ -135,16 +135,17 @@ class SynthSpec:
     noise_scale: float = 0.05
     seed: int = 0
 
-    def validate(self):
-        if min(self.n_patients, self.volumes_per_patient, self.slices_per_volume) < 1:
-            raise InvalidSpecError("patient/volume/slice counts must all be >= 1")
-        if self.h < 1 or self.w < 1:
-            raise InvalidSpecError("h and w must be >= 1")
+    def __post_init__(self):
+        for name in ("n_patients", "volumes_per_patient", "slices_per_volume", "h", "w"):
+            if getattr(self, name) < 1:
+                raise SettingError("synthetic-data", self, name, "be >= 1")
         if self.class_count < 2:
-            raise InvalidSpecError("class_count must be >= 2")
+            raise SettingError("synthetic-data", self, "class_count", "be >= 2")
         for name in ("patient_scale", "volume_scale", "adjacent_scale", "noise_scale"):
-            if getattr(self, name) < 0:
-                raise InvalidSpecError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise SettingError("synthetic-data", self, name, "be finite and nonnegative")
+        if self.seed < 0:
+            raise SettingError("synthetic-data", self, "seed", "be a nonnegative integer")
 
 
 def generate_synthetic(spec):
@@ -159,7 +160,6 @@ def generate_synthetic(spec):
 
     Returns (DatasetIndex, labels) with one integer class per slice.
     """
-    spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     n_p, n_vpp, d = spec.n_patients, spec.volumes_per_patient, spec.slices_per_volume
     n_vol = n_p * n_vpp

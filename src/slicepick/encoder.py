@@ -98,11 +98,12 @@ class AugmentSpec:
 
     def __post_init__(self):
         if not 0 <= self.flip_prob <= 1:
-            raise ValueError("flip_prob must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if self.scale_jitter[0] > self.scale_jitter[1]:
-            raise ValueError("scale_jitter must be (lo, hi) with lo <= hi")
+            raise SettingError("augment", self, "flip_prob", "lie in [0, 1]")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise SettingError("augment", self, "noise_sigma", "be finite and nonnegative")
+        lo, hi = self.scale_jitter
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise SettingError("augment", self, "scale_jitter", "be finite (lo, hi) with lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -121,32 +122,27 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        def reject(name, rule):
-            raise SettingError(
-                name, f"training setting {name} must {rule}, got {getattr(self, name)!r}"
-            )
-
         for name in ("learning_rate", "weight_decay", "adam_eps"):
             if not math.isfinite(getattr(self, name)):
-                reject(name, "be finite")
+                raise SettingError("training", self, name, "be finite")
         if not all(_is_width(d) for d in self.hidden):
-            reject("hidden", "hold layer widths >= 1")
+            raise SettingError("training", self, "hidden", "hold layer widths >= 1")
         for name in ("rep_dim", "proj_dim"):
             if not _is_width(getattr(self, name)):
-                reject(name, "be a layer width >= 1")
+                raise SettingError("training", self, name, "be a layer width >= 1")
         if self.batch_size is not None and self.batch_size < 1:
-            reject("batch_size", "be >= 1 slice")
+            raise SettingError("training", self, "batch_size", "be >= 1 slice")
         if self.learning_rate <= 0:
-            reject("learning_rate", "be positive")
+            raise SettingError("training", self, "learning_rate", "be positive")
         if self.weight_decay < 0:
-            reject("weight_decay", "be nonnegative")
+            raise SettingError("training", self, "weight_decay", "be nonnegative")
         if self.epochs < 1:
-            reject("epochs", "be >= 1")
+            raise SettingError("training", self, "epochs", "be >= 1")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
-                reject(name, "lie in [0, 1)")
+                raise SettingError("training", self, name, "lie in [0, 1)")
         if self.seed < 0:
-            reject("seed", "be a nonnegative integer")
+            raise SettingError("training", self, "seed", "be a nonnegative integer")
 
 
 @dataclass

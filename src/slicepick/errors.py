@@ -10,11 +10,12 @@ class InvalidSpecError(SlicepickError):
 
 
 class SettingError(InvalidSpecError, ValueError):
-    """A configuration field holds a value outside its domain; ``setting``
-    is the field's name."""
+    """Field ``setting`` of a ``kind`` settings object ``owner`` holds a value
+    outside its domain: "<kind> setting <setting> must <rule>, got <value>"."""
 
-    def __init__(self, setting, message):
-        super().__init__(message)
+    def __init__(self, kind, owner, setting, rule):
+        value = getattr(owner, setting)
+        super().__init__(f"{kind} setting {setting} must {rule}, got {value!r}")
         self.setting = setting
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .coreset import _extend_cover, k_center_greedy
 from .encoder import TrainConfig, embed_all, train
-from .errors import SlicepickError
+from .errors import SettingError, SlicepickError
 from .losses import LossConfig
 
 DEFAULT_FRACTIONS = (0.02, 0.03, 0.04, 0.05, 0.10, 0.15, 0.20, 0.40)
@@ -38,17 +38,17 @@ class RoundPlan:
 
     def __post_init__(self):
         fr = tuple(float(f) for f in self.fractions)
-        if not fr:
-            raise ValueError("at least one budget fraction is required")
-        if any(not 0 < f <= 1 for f in fr):
-            raise ValueError("budget fractions must lie in (0, 1]")
-        if any(b >= a for b, a in zip(fr, fr[1:])):
-            raise ValueError("budget fractions must be strictly increasing")
         object.__setattr__(self, "fractions", fr)
+        if not fr:
+            raise SettingError("round", self, "fractions", "hold at least one budget fraction")
+        if any(not 0 < f <= 1 for f in fr):
+            raise SettingError("round", self, "fractions", "lie in (0, 1]")
+        if any(b >= a for b, a in zip(fr, fr[1:])):
+            raise SettingError("round", self, "fractions", "be strictly increasing")
         if self.n_repeats < 1:
-            raise ValueError("n_repeats must be >= 1")
+            raise SettingError("round", self, "n_repeats", "be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise SettingError("round", self, "seed", "be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class StrategySpec:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise SettingError("strategy", self, "kind", f"be one of {', '.join(STRATEGY_KINDS)}")
         if self.kind == "coreset_learned" and self.loss is None:
             raise ValueError("coreset_learned requires a loss config")
         if self.name is None:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from slicepick.cli import main
+from slicepick.cli import CONFIG, build_parser, main
 
 
 def run(capsys, *argv):
@@ -236,6 +237,19 @@ class TestRunRounds:
         assert err == f"error: --threads must be >= 1, got {threads}\n"
         assert not (tmp_path / "r").exists()
 
+    def test_unknown_strategy_names_its_flag(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        code, stdout, err = run(
+            capsys, "run-rounds", "--data", str(data_dir), "--out", str(out),
+            "--strategies", "bogus", "--epochs", "1",
+        )
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [
+            "error: --strategies: strategy setting kind must be one of random, "
+            "coreset_raw, coreset_learned, got 'bogus'"
+        ]
+        assert not out.exists()
+
 
 class TestMalformedInputs:
     def test_truncated_checkpoint(self, data_dir, tmp_path, capsys):
@@ -323,6 +337,16 @@ class TestSelectBudget:
         )
         assert not out_path.exists()
 
+    def test_negative_seed_names_seed_not_budget(self, gcle_path, tmp_path, capsys):
+        out_path = tmp_path / "trace.jsonl"
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", "2",
+            "--seed", "-1", "--out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
+        assert not out_path.exists()
+
 
 class TestAblate:
     def test_enumerates_subsets(self, data_dir, tmp_path, capsys):
@@ -364,6 +388,22 @@ class TestAblate:
         assert code == 1
         assert "'patient'" in err
         assert not out_csv.exists()
+
+    def test_unknown_term_rejected_before_training(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        from slicepick import cli as cli_mod
+
+        trained = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: trained.append(a))
+        out_csv = tmp_path / "abl.csv"
+        code, _, err = run(
+            capsys, "ablate", "--data", str(data_dir), "--groups", "ntxent,foo",
+            "--epochs", "1", "--out", str(out_csv),
+        )
+        assert code == 1
+        assert err.splitlines() == ["error: unknown loss terms ['foo']"]
+        assert trained == [] and not out_csv.exists()
 
 
 class TestWeightOverrides:
@@ -420,6 +460,23 @@ class TestConfig:
         assert code == 0
         meta = json.loads((out_b / "meta.json").read_text())
         assert meta["spec"]["n_patients"] == 3
+
+    def test_common_flags_use_the_config_cast_and_suppress_default(self):
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        seen = set()
+        for name, sub in commands.items():
+            for action in sub._actions:
+                if action.dest in CONFIG:
+                    seen.add(action.dest)
+                    assert action.option_strings == [
+                        "--" + action.dest.replace("_", "-")
+                    ], name
+                    assert action.type is CONFIG[action.dest][1], (name, action.dest)
+                    assert action.default is argparse.SUPPRESS, (name, action.dest)
+        # every key but the config-only augment settings has a flag somewhere
+        assert seen == set(CONFIG) - {"flip_prob", "noise_sigma", "scale_lo", "scale_hi"}
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

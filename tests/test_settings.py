@@ -143,3 +143,62 @@ def test_config_file_batch_size_auto_means_default(data_dir, tmp_path, capsys):
     assert code == 0
     stock = default_batch_size({"patient", "volume"}, n_patients=4)
     assert f'"batch_size_slices": {stock},' in plan.read_text()
+
+
+def test_batch_size_auto_flag_beats_config_file(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch_size=12\nepochs=1\nhidden=4\nrep_dim=3\nproj_dim=2\n")
+    plan = tmp_path / "epoch0.json"
+    code, _, _ = run(
+        capsys, "train-encoder", "--config", str(cfg), "--data", str(data_dir),
+        "--out", str(tmp_path / "enc.ckpt"), "--groups", "volume,patient",
+        "--batch-size", "auto", "--dump-epoch", str(plan),
+    )
+    assert code == 0
+    assert '"batch_size_slices": 9,' in plan.read_text()
+
+
+@pytest.mark.parametrize(
+    "command,argv,config,line",
+    [
+        ("train-encoder", [], "scale_lo=-inf",
+         "{cfg}: scale_lo: augment setting scale_jitter must be finite (lo, hi) "
+         "with lo <= hi, got (-inf, 1.1)"),
+        ("train-encoder", [], "noise_sigma=nan",
+         "{cfg}: noise_sigma: augment setting noise_sigma must be finite and "
+         "nonnegative, got nan"),
+        ("gen-data", ["--noise-scale", "nan"], None,
+         "--noise-scale: synthetic-data setting noise_scale must be finite and "
+         "nonnegative, got nan"),
+        ("gen-data", ["--seed", "-1"], None,
+         "--seed: synthetic-data setting seed must be a nonnegative integer, got -1"),
+        ("run-rounds", ["--repeats", "0"], None,
+         "--repeats: round setting n_repeats must be >= 1, got 0"),
+        ("run-rounds", ["--fractions", "1.5"], None,
+         "--fractions: round setting fractions must lie in (0, 1], got (1.5,)"),
+        ("ablate", ["--fraction", "0"], None,
+         "--fraction: round setting fractions must lie in (0, 1], got (0.0,)"),
+        ("run-rounds", [], "threads=0", "{cfg}: threads must be >= 1, got 0"),
+        ("train-encoder", [], "lr=nan",
+         "{cfg}: lr: training setting learning_rate must be finite, got nan"),
+    ],
+    ids=[
+        "scale_lo-inf", "noise_sigma-nan", "noise-scale-nan", "gen-data-seed",
+        "repeats", "fractions", "ablate-fraction", "threads-config", "lr-config",
+    ],
+)
+def test_rejected_setting_names_its_flag_or_config_line(
+    data_dir, tmp_path, capsys, command, argv, config, line
+):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    args = [command, "--out", str(out), *argv]
+    if command != "gen-data":
+        args += ["--data", str(data_dir), "--epochs", "1"]
+    if config is not None:
+        cfg.write_text(config + "\n")
+        args += ["--config", str(cfg)]
+    code, stdout, err = run(capsys, *args)
+    assert code == 1 and stdout == ""
+    assert err.splitlines() == [f"error: {line.format(cfg=cfg)}"]
+    assert not out.exists()
