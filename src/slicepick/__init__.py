@@ -17,7 +17,6 @@ from .data import (
     SynthSpec,
     generate_synthetic,
     group_deviation,
-    import_embeddings,
     load_dataset,
     save_dataset,
 )

@@ -2,15 +2,16 @@
 
 Configuration is a flat key=value file plus per-flag overrides; every
 default is printable via ``slicepick --print-config``. A key's flag and
-its config line share ``CONFIG``'s one cast; a flag beats the file. A
-rejected value names its flag, or its ``<config path>: <key>``. All
+its config line share ``CONFIG``'s one named cast; a flag beats the file.
+Every settings object, each ``ablate`` subset's ``LossConfig`` included, is
+built inside ``_Cfg.settings()``, so a rejected value names its flag, or its
+``<config path>: <key>``. All
 randomness is driven by explicit seeds (never the wall clock), so re-running
 a command overwrites its outputs with identical bytes. Exit codes:
 0 success, 2 usage error, 1 runtime error.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from .encoder import (
     train,
     write_loss_history,
 )
-from .errors import SettingError, SlicepickError, UndefinedStatisticError
+from .errors import FormatError, SettingError, SlicepickError, UndefinedStatisticError
 from .losses import GROUP_LOSSES, preset_loss_config
 from .pipeline import (
     DEFAULT_FRACTIONS,
@@ -50,37 +51,58 @@ from .pipeline import (
     probe_accuracy,
     run_experiment,
 )
-from .sampler import build_epoch, default_batch_size
+from .sampler import build_epoch
 
-_csv_str = lambda s: [x for x in s.split(",") if x]
-_csv_float = lambda s: [float(x) for x in _csv_str(s)]
-_csv_int = lambda s: [int(x) for x in _csv_str(s)]
-_opt_float = lambda s: None if s.lower() in ("", "none") else float(s)
-_opt_int = lambda s: None if s.lower() in ("", "none", "auto") else int(s)
+
+# named casts: argparse reports a value one cannot read as "invalid <name> value"
+def name_list(text):
+    """Comma-separated names, each at most once."""
+    names = [x for x in text.split(",") if x]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"{name!r} is repeated in {text!r}")
+    return names
+
+
+def float_list(text):
+    return [float(x) for x in text.split(",") if x]
+
+
+def int_list(text):
+    return [int(x) for x in text.split(",") if x]
+
+
+def float_or_none(text):
+    return None if text.lower() in ("", "none") else float(text)
+
+
+def int_or_auto(text):
+    return None if text.lower() in ("", "none", "auto") else int(text)
+
 
 # every configurable key: (default, cast of its flag and config-file strings)
 CONFIG = {
     "seed": (0, int),
     "threads": (1, int),
-    "groups": (["ntxent", "patient", "volume"], _csv_str),
+    "groups": (["ntxent", "patient", "volume"], name_list),
     "tau": (0.1, float),
-    "w_patient": (None, _opt_float),
-    "w_volume": (None, _opt_float),
-    "w_slice": (None, _opt_float),
+    "w_patient": (None, float_or_none),
+    "w_volume": (None, float_or_none),
+    "w_slice": (None, float_or_none),
     "epochs": (100, int),
     "lr": (3e-4, float),
     "weight_decay": (1e-6, float),
-    "batch_size": (None, _opt_int),
-    "hidden": ([64, 64], _csv_int),
+    "batch_size": (None, int_or_auto),
+    "hidden": ([64, 64], int_list),
     "rep_dim": (32, int),
     "proj_dim": (16, int),
     "flip_prob": (0.5, float),
     "noise_sigma": (0.05, float),
     "scale_lo": (0.9, float),
     "scale_hi": (1.1, float),
-    "fractions": (list(DEFAULT_FRACTIONS), _csv_float),
+    "fractions": (list(DEFAULT_FRACTIONS), float_list),
     "repeats": (5, int),
-    "strategies": (["random", "coreset_raw", "coreset_learned"], _csv_str),
+    "strategies": (["random", "coreset_raw", "coreset_learned"], name_list),
     "patients": (20, int),
     "volumes_per_patient": (2, int),
     "slices_per_volume": (12, int),
@@ -98,6 +120,8 @@ _FIELD_KEYS = {
     "learning_rate": ("lr",), "n_repeats": ("repeats",), "n_patients": ("patients",),
     "h": ("height",), "w": ("width",), "class_count": ("classes",),
     "scale_jitter": ("scale_lo", "scale_hi"), "kind": ("strategies",),
+    "patient": ("w_patient",), "volume": ("w_volume",), "slice_group": ("w_slice",),
+    "weights": ("groups", "w_patient", "w_volume", "w_slice"),
 }
 
 _HELP = {
@@ -124,6 +148,8 @@ def _read_config_file(path):
             raise SlicepickError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = CONFIG[key][1](raw)
+        except argparse.ArgumentTypeError as exc:
+            raise SlicepickError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
         except ValueError:
             raise SlicepickError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from None
     return values
@@ -174,9 +200,14 @@ class _Cfg:
         return "\n".join(lines)
 
 
-def _loss_config(cfg):
-    overrides = {g: cfg[f"w_{g}"] for g in GROUP_LOSSES}
-    return preset_loss_config(set(cfg["groups"]), tau=cfg["tau"], overrides=overrides)
+def _loss_config(cfg, terms=None):
+    """The LossConfig of ``terms`` (an ``ablate`` subset) or ``--groups``, with
+    ``--tau`` and the ``--w-*`` weights of its terms; ``--groups`` rejects the rest."""
+    overrides = {g: cfg[f"w_{g}"] for g in GROUP_LOSSES if terms is None or g in terms}
+    with cfg.settings():
+        return preset_loss_config(
+            cfg["groups"] if terms is None else terms, tau=cfg["tau"], overrides=overrides
+        )
 
 
 def _train_config(cfg):
@@ -250,15 +281,11 @@ def cmd_train_encoder(args):
     ds, _ = load_dataset(args.data)
     loss_cfg = _loss_config(cfg)
     groups = loss_cfg.enabled_groups
-    train_cfg = _train_config(cfg)
-    batch_size = train_cfg.batch_size
-    if batch_size is None:
-        batch_size = default_batch_size(groups, len(ds.patient_volumes))
-        train_cfg = dataclasses.replace(train_cfg, batch_size=batch_size)
+    result = train(ds, groups, loss_cfg, _train_config(cfg))
+    train_cfg = result.config
     if args.dump_epoch:
-        plan = build_epoch(ds, groups, batch_size, epoch_seed(train_cfg.seed, 0))
+        plan = build_epoch(ds, groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, 0))
         write_atomic(args.dump_epoch, plan.to_json() + "\n")
-    result = train(ds, groups, loss_cfg, train_cfg)
     save_checkpoint(args.out, result.params, train_cfg, train_cfg.seed)
     if args.history:
         write_loss_history(args.history, result.epoch_losses)
@@ -272,6 +299,11 @@ def cmd_train_encoder(args):
 def cmd_embed(args):
     ds, _ = load_dataset(args.data)
     params, _ = load_checkpoint(args.checkpoint)
+    if params.arch.input_dim != ds.h * ds.w:
+        raise FormatError(
+            f"{args.checkpoint}: checkpoint input_dim {params.arch.input_dim} does not "
+            f"match {args.data}: {ds.h}x{ds.w} = {ds.h * ds.w} pixels per slice"
+        )
     emb = embed_all(params, ds)
     gcle.write_gcle(args.out, emb, gcle.meta_rows_from_dataset(ds))
     print(f"wrote {emb.shape[0]}x{emb.shape[1]} embeddings to {args.out}")
@@ -362,32 +394,25 @@ def cmd_ablate(args):
     ds, labels = load_dataset(args.data)
     X = ds.pixel_matrix()
     terms = cfg["groups"]
-    _loss_config(cfg)  # rejects unknown terms and stray weights before any training
+    _loss_config(cfg)  # rejects a weight for a term outside --groups
+    # every subset's LossConfig is built, and so checked, before any training
+    runs = [("none", None)] + [
+        ("+".join(combo), _loss_config(cfg, combo))
+        for size in range(1, len(terms) + 1)
+        for combo in combinations(terms, size)
+    ]
     train_cfg = _train_config(cfg)
     with cfg.settings(fractions="--fraction"):
         plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
     budget = budgets(plan, ds.n)[0]
     n_volumes = len(ds.volume_slices)
-    subsets = [
-        combo
-        for size in range(len(terms) + 1)
-        for combo in combinations(terms, size)
-    ]
     rows = ["terms,ntxent,patient,volume,slice,silhouette,probe_accuracy,delta"]
-    for combo in subsets:
-        name = "+".join(combo) if combo else "none"
-        if combo:
-            loss_cfg = preset_loss_config(
-                set(combo),
-                tau=cfg["tau"],
-                overrides={g: cfg[f"w_{g}"] for g in GROUP_LOSSES if g in combo},
-            )
-            result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
-            space = embed_all(result.params, ds)
-            weights = (loss_cfg.ntxent, loss_cfg.patient, loss_cfg.volume, loss_cfg.slice_group)
+    for name, loss_cfg in runs:
+        if loss_cfg is None:
+            space, weights = X, (0.0, 0.0, 0.0, 0.0)
         else:
-            space = X
-            weights = (0.0, 0.0, 0.0, 0.0)
+            result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
+            space, weights = embed_all(result.params, ds), loss_cfg.weights
         state = k_center_greedy(space, [], budget, cold_start_seed=cfg["seed"])
         acc = probe_accuracy(X, state.labeled, labels)
         delta = float(state.min_dist.max())

@@ -31,14 +31,6 @@ class SliceRecord:
     pixels: np.ndarray  # flat, length h*w
 
 
-class _RecordError(InvalidSpecError):
-    """A hierarchy fault at ``slices[index]`` of a DatasetIndex."""
-
-    def __init__(self, index, message):
-        super().__init__(f"slices[{index}]: {message}")
-        self.index, self.message = index, message
-
-
 class DatasetIndex:
     """Ordered slice list with patient->volumes and volume->slices maps.
 
@@ -59,7 +51,7 @@ class DatasetIndex:
         vol_indices = {}
         for i, rec in enumerate(self.slices):
             if rec.slice_id in seen_ids:
-                raise _RecordError(i, f"duplicate slice_id {rec.slice_id}")
+                raise InvalidSpecError(f"slices[{i}]: duplicate slice_id {rec.slice_id}")
             seen_ids.add(rec.slice_id)
             if len(rec.pixels) != pix_len:
                 raise InvalidSpecError(
@@ -67,8 +59,9 @@ class DatasetIndex:
                 )
             prev = vol_patient.setdefault(rec.volume_id, rec.patient_id)
             if prev != rec.patient_id:
-                raise _RecordError(
-                    i, f"volume {rec.volume_id} maps to patients {prev} and {rec.patient_id}"
+                raise InvalidSpecError(
+                    f"slices[{i}]: volume {rec.volume_id} maps to patients {prev} "
+                    f"and {rec.patient_id}"
                 )
             vol_indices.setdefault(rec.volume_id, []).append(
                 (rec.slice_index, rec.slice_id)
@@ -106,17 +99,6 @@ class DatasetIndex:
         for vid in self.patient_volumes[patient_id]:
             out.extend(self.volume_slices[vid])
         return out
-
-
-def _index_from_file(path, records, slices, h, w):
-    """DatasetIndex of the records read from ``path``; a hierarchy fault is
-    a FormatError naming the file and ``records[i]`` or the volume."""
-    try:
-        return DatasetIndex(slices, h, w)
-    except _RecordError as exc:
-        raise FormatError(f"{path}: {records}[{exc.index}]: {exc.message}") from exc
-    except InvalidSpecError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -303,7 +285,8 @@ def _read_meta(meta_path):
 def load_dataset(in_dir):
     """Read a dataset directory back into (DatasetIndex, labels)."""
     root = Path(in_dir)
-    h, w, rows = _read_meta(root / "meta.json")
+    meta_path = root / "meta.json"
+    h, w, rows = _read_meta(meta_path)
     data_path = root / "data.bin"
     raw = data_path.read_bytes()
     expected = len(rows) * h * w * 4
@@ -328,18 +311,7 @@ def load_dataset(in_dir):
         dtype=np.int64,
     )
     slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
-    return _index_from_file(root / "meta.json", "slices", slices, h, w), labels
-
-
-def import_embeddings(path):
-    """Load an embedding file plus sidecar metadata as a feature dataset.
-
-    Each embedding row becomes the "pixels" of a 1 x dim slice, so selection
-    and probing can run on externally computed features. Returns
-    (DatasetIndex, matrix) with matrix row i describing slices[i].
-    """
-    matrix, meta_rows = gcle.read_gcle(path)
-    X = matrix.astype(np.float64)
-    dim = X.shape[1]
-    slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(meta_rows)]
-    return _index_from_file(f"{path}.meta.json", "rows", slices, 1, dim), matrix
+    try:  # a hierarchy fault names the record slices[i] or the volume
+        return DatasetIndex(slices, h, w), labels
+    except InvalidSpecError as exc:
+        raise FormatError(f"{meta_path}: {exc}") from exc

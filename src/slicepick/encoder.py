@@ -18,7 +18,7 @@ little-endian float32.
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +149,7 @@ class TrainConfig:
 class TrainResult:
     params: EncoderParams
     epoch_losses: list
+    config: TrainConfig  # the settings trained with, the stock batch size resolved
 
 
 def epoch_seed(seed, epoch):
@@ -292,15 +293,15 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
 
     Each epoch builds a fresh batch plan (epoch-derived seed), augments
     every batch slice once to form the 2N-row view stack, and applies one
-    ADAM step per batch on the combined loss.
+    ADAM step per batch on the combined loss. A ``batch_size`` of None is
+    resolved here, once, to the stock size; the result's ``config`` holds it.
     """
     if enabled_groups is None:
         enabled_groups = loss_cfg.enabled_groups
-    batch_size = train_cfg.batch_size
-    if batch_size is None:
-        batch_size = sampler.default_batch_size(
+    if train_cfg.batch_size is None:
+        train_cfg = replace(train_cfg, batch_size=sampler.default_batch_size(
             enabled_groups, n_patients=len(ds.patient_volumes)
-        )
+        ))
     X = ds.pixel_matrix()
     ids = np.array(
         [[r.slice_id, r.patient_id, r.volume_id, r.slice_index] for r in ds.slices],
@@ -320,11 +321,11 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     epoch_losses = []
     for epoch in range(train_cfg.epochs):
         plan = sampler.build_epoch(
-            ds, enabled_groups, batch_size, epoch_seed(train_cfg.seed, epoch)
+            ds, enabled_groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, epoch)
         )
         if not plan.batches:
             raise SamplerError(
-                f"batch size {batch_size} yields no batches on this dataset"
+                f"batch size {train_cfg.batch_size} yields no batches on this dataset"
             )
         batch_losses = []
         for batch_tuples in plan.batches:
@@ -348,7 +349,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
             _adam_step(params, grad, state, train_cfg)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-    return TrainResult(params=params, epoch_losses=epoch_losses)
+    return TrainResult(params=params, epoch_losses=epoch_losses, config=train_cfg)
 
 
 # ---------------------------------------------------------------------------

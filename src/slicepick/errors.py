@@ -10,11 +10,12 @@ class InvalidSpecError(SlicepickError):
 
 
 class SettingError(InvalidSpecError, ValueError):
-    """Field ``setting`` of a ``kind`` settings object ``owner`` holds a value
-    outside its domain: "<kind> setting <setting> must <rule>, got <value>"."""
+    """Field ``setting`` of a ``kind`` settings object ``owner`` (or a dict's key,
+    for loss terms not yet in a ``LossConfig``) holds a value outside its
+    domain: "<kind> setting <setting> must <rule>, got <value>"."""
 
     def __init__(self, kind, owner, setting, rule):
-        value = getattr(owner, setting)
+        value = owner[setting] if isinstance(owner, dict) else getattr(owner, setting)
         super().__init__(f"{kind} setting {setting} must {rule}, got {value!r}")
         self.setting = setting
 

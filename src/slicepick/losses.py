@@ -14,6 +14,8 @@ scale are worked out in one block.
 
 All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
+A loss-setting fault is a ``SettingError`` naming ``tau``, a weight field,
+``weights`` (no positive term) or ``groups`` (an unknown term).
 """
 
 import math
@@ -21,7 +23,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import SettingError
+
 GROUP_LOSSES = ("patient", "volume", "slice")
+# the LossConfig field holding each group term's weight
+_WEIGHT_FIELD = {"patient": "patient", "volume": "volume", "slice": "slice_group"}
 
 NORM_EPS = 1e-12
 
@@ -42,23 +48,25 @@ class LossConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ValueError(f"loss setting {field.name} must be finite, got {value!r}")
+            if not math.isfinite(getattr(self, field.name)):
+                raise SettingError("loss", self, field.name, "be finite")
         if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+            raise SettingError("loss", self, "tau", "be positive")
         if self.ntxent not in (0, 1):
-            raise ValueError("ntxent weight is a 0/1 switch")
-        weights = (self.ntxent, self.patient, self.volume, self.slice_group)
-        if any(w < 0 for w in weights):
-            raise ValueError("loss weights must be nonnegative")
-        if not any(w > 0 for w in weights):
-            raise ValueError("at least one loss weight must be positive")
+            raise SettingError("loss", self, "ntxent", "be 0 or 1 (a switch)")
+        for name in _WEIGHT_FIELD.values():
+            if getattr(self, name) < 0:
+                raise SettingError("loss", self, name, "be nonnegative")
+        if not any(w > 0 for w in self.weights):
+            raise SettingError("loss", self, "weights", "hold at least one positive weight")
+
+    @property
+    def weights(self):
+        """The four term weights: (ntxent, patient, volume, slice_group)."""
+        return (self.ntxent, self.patient, self.volume, self.slice_group)
 
     def weight_of(self, group_type):
-        return {"patient": self.patient, "volume": self.volume, "slice": self.slice_group}[
-            group_type
-        ]
+        return getattr(self, _WEIGHT_FIELD[group_type])
 
     @property
     def enabled_groups(self):
@@ -83,14 +91,16 @@ _PRESET_WEIGHTS = {
 def preset_loss_config(terms, tau=0.1, overrides=None):
     """Build a LossConfig from a set of term names using the stock weights.
 
-    ``terms`` may contain "ntxent" plus any of the group names. Explicit
-    per-group weights in ``overrides`` replace the preset values; None means
-    no override, and overriding a group that is not in ``terms`` is an error.
+    ``terms`` may contain "ntxent" plus any of the group names; any other
+    name is a SettingError on ``groups``. Explicit per-group weights in
+    ``overrides`` replace the preset values; None means no override, and
+    overriding a group that is not in ``terms`` is a SettingError on that
+    group's weight field.
     """
     terms = set(terms)
-    unknown = terms - ({"ntxent"} | set(GROUP_LOSSES))
-    if unknown:
-        raise ValueError(f"unknown loss terms {sorted(unknown)}")
+    if not terms <= {"ntxent", *GROUP_LOSSES}:
+        rule = f"hold only the terms ntxent, {', '.join(GROUP_LOSSES)}"
+        raise SettingError("loss", {"groups": sorted(terms)}, "groups", rule)
     use_ntxent = "ntxent" in terms
     groups = frozenset(terms & set(GROUP_LOSSES))
     weights = {}
@@ -101,17 +111,14 @@ def preset_loss_config(terms, tau=0.1, overrides=None):
         if w is None:
             continue
         if g not in groups:
-            raise ValueError(
-                f"weight override for {g!r}, which is not among the loss terms "
-                f"{sorted(terms)}"
-            )
+            field = _WEIGHT_FIELD.get(g, g)
+            rule = f"be unset, as {g!r} is not among the loss terms {sorted(terms)}"
+            raise SettingError("loss", {field: w}, field, rule)
         weights[g] = w
     return LossConfig(
         tau=tau,
         ntxent=1.0 if use_ntxent else 0.0,
-        patient=weights.get("patient", 0.0),
-        volume=weights.get("volume", 0.0),
-        slice_group=weights.get("slice", 0.0),
+        **{_WEIGHT_FIELD[g]: w for g, w in weights.items()},
     )
 
 
@@ -242,7 +249,7 @@ def group_loss(batch, group_type, tau):
     """
     if group_type not in GROUP_LOSSES:
         raise ValueError(f"unknown group type {group_type!r}")
-    weight = {"slice_group" if group_type == "slice" else group_type: 1.0}
+    weight = {_WEIGHT_FIELD[group_type]: 1.0}
     return combined_loss(batch, LossConfig(tau=tau, ntxent=0.0, **weight))
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +270,31 @@ class TestMalformedInputs:
         assert err.startswith(f"error: {cut}: ") and "header length" in err
         assert not (tmp_path / "e.gcle").exists()
 
+    def test_checkpoint_for_other_pixel_size(self, data_dir, tmp_path, capsys):
+        small = tmp_path / "small"
+        assert run(
+            capsys, "gen-data", "--out", str(small), "--patients", "3",
+            "--volumes-per-patient", "1", "--slices-per-volume", "3",
+            "--height", "3", "--width", "3",
+        )[0] == 0
+        ckpt = tmp_path / "enc.ckpt"
+        assert run(
+            capsys, "train-encoder", "--data", str(small), "--out", str(ckpt),
+            "--groups", "ntxent", "--epochs", "1", "--hidden", "4",
+            "--rep-dim", "3", "--proj-dim", "2",
+        )[0] == 0
+        out = tmp_path / "e.gcle"
+        code, stdout, err = run(
+            capsys, "embed", "--data", str(data_dir), "--checkpoint", str(ckpt),
+            "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert err.splitlines() == [
+            f"error: {ckpt}: checkpoint input_dim 9 does not match {data_dir}: "
+            "4x4 = 16 pixels per slice"
+        ]
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
     def test_meta_without_slices(self, data_dir, capsys):
         meta_path = data_dir / "meta.json"
         meta = json.loads(meta_path.read_text())
@@ -402,7 +428,10 @@ class TestAblate:
             "--epochs", "1", "--out", str(out_csv),
         )
         assert code == 1
-        assert err.splitlines() == ["error: unknown loss terms ['foo']"]
+        assert err.splitlines() == [
+            "error: --groups: loss setting groups must hold only the terms "
+            "ntxent, patient, volume, slice, got ['foo', 'ntxent']"
+        ]
         assert trained == [] and not out_csv.exists()
 
 
@@ -414,7 +443,10 @@ class TestWeightOverrides:
             "--groups", "ntxent,volume", "--w-patient", "0.7", "--epochs", "1",
         )
         assert code == 1 and out == ""
-        assert err.startswith("error: weight override for 'patient'")
+        assert err.splitlines() == [
+            "error: --w-patient: loss setting patient must be unset, as 'patient' is "
+            "not among the loss terms ['ntxent', 'volume'], got 0.7"
+        ]
         assert not ckpt.exists()
 
     @pytest.mark.parametrize(
@@ -431,7 +463,9 @@ class TestWeightOverrides:
             "--groups", "ntxent,patient", flag, value, "--epochs", "1",
         )
         assert code == 1 and out == ""
-        assert err.splitlines() == [f"error: loss setting {field} must be finite, got {value}"]
+        assert err.splitlines() == [
+            f"error: {flag}: loss setting {field} must be finite, got {value}"
+        ]
         assert not ckpt.exists()
 
 
@@ -477,6 +511,47 @@ class TestConfig:
                     assert action.default is argparse.SUPPRESS, (name, action.dest)
         # every key but the config-only augment settings has a flag somewhere
         assert seen == set(CONFIG) - {"flip_prob", "noise_sigma", "scale_lo", "scale_hi"}
+
+    @pytest.mark.parametrize(
+        "command,flag,value,name",
+        [("ablate", "--groups", "volume,volume", "volume"),
+         ("run-rounds", "--strategies", "random,random", "random")],
+    )
+    def test_repeated_name_is_usage_error(
+        self, data_dir, tmp_path, capsys, command, flag, value, name
+    ):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(data_dir), "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {flag}: {name!r} is repeated in {value!r}"
+        )
+        assert not out.exists()
+
+    def test_repeated_name_in_config_file(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("groups=volume,volume\n")
+        out = tmp_path / "abl.csv"
+        code, _, err = run(
+            capsys, "ablate", "--config", str(cfg), "--data", str(data_dir),
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == (
+            f"error: {cfg}:1: bad value for 'groups': 'volume' is repeated in "
+            "'volume,volume'\n"
+        )
+        assert not out.exists()
+
+    def test_bad_flag_value_names_its_cast(self, capsys):
+        assert all(cast.__name__ != "<lambda>" for _, cast in CONFIG.values())
+        with pytest.raises(SystemExit) as exc:
+            main(["train-encoder", "--data", "d", "--out", "o", "--batch-size", "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --batch-size: invalid int_or_auto value: 'abc'"
+        )
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

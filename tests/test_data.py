@@ -13,11 +13,9 @@ from slicepick import (
     UndefinedStatisticError,
     generate_synthetic,
     group_deviation,
-    import_embeddings,
     load_dataset,
     save_dataset,
 )
-from slicepick.gcle import write_gcle
 
 
 class TestDatasetIndex:
@@ -304,47 +302,3 @@ class TestDatasetMetaErrors:
         (tmp_path / "d" / "meta.json").write_text("{")
         with pytest.raises(FormatError, match="meta.json"):
             load_dataset(tmp_path / "d")
-
-
-class TestImportEmbeddings:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 4)).astype(np.float32)
-        meta = [
-            {"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
-            for i in range(3)
-        ]
-        write_gcle(tmp_path / "e.gcle", m, meta)
-        ds, matrix = import_embeddings(tmp_path / "e.gcle")
-        assert np.array_equal(matrix, m)
-        assert ds.n == 3
-        assert np.allclose(ds.pixel_matrix(), m.astype(np.float64))
-
-    def test_hierarchy_fault_names_sidecar(self, tmp_path):
-        from slicepick import FormatError
-
-        meta = [
-            {"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
-            for i in range(3)
-        ]
-        meta[2]["slice_index"] = 7
-        write_gcle(tmp_path / "e.gcle", np.zeros((3, 2)), meta)
-        sidecar = f"{tmp_path / 'e.gcle'}.meta.json"
-        with pytest.raises(FormatError) as info:
-            import_embeddings(tmp_path / "e.gcle")
-        assert str(info.value) == (
-            f"{sidecar}: volume 0 slice_index values [0, 1, 7] are not contiguous from 0"
-        )
-
-    def test_volume_on_two_patients_names_sidecar_row(self, tmp_path):
-        from slicepick import FormatError
-
-        meta = [
-            {"slice_id": i, "patient_id": i, "volume_id": 0, "slice_index": i}
-            for i in range(2)
-        ]
-        write_gcle(tmp_path / "e.gcle", np.zeros((2, 2)), meta)
-        sidecar = f"{tmp_path / 'e.gcle'}.meta.json"
-        with pytest.raises(FormatError) as info:
-            import_embeddings(tmp_path / "e.gcle")
-        assert str(info.value) == f"{sidecar}: rows[1]: volume 0 maps to patients 0 and 1"

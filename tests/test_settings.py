@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slicepick
@@ -202,3 +203,55 @@ def test_rejected_setting_names_its_flag_or_config_line(
     assert code == 1 and stdout == ""
     assert err.splitlines() == [f"error: {line.format(cfg=cfg)}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-encoder", "run-rounds", "ablate"])
+@pytest.mark.parametrize(
+    "argv,config,line",
+    [
+        ([], "tau=nan", "{cfg}: tau: loss setting tau must be finite, got nan"),
+        (["--tau", "0"], None, "--tau: loss setting tau must be positive, got 0.0"),
+        (["--w-volume", "-1"], None,
+         "--w-volume: loss setting volume must be nonnegative, got -1.0"),
+        (["--w-volume", "nan"], None,
+         "--w-volume: loss setting volume must be finite, got nan"),
+        (["--groups", ""], None,
+         "--groups: loss setting weights must hold at least one positive weight, "
+         "got (0.0, 0.0, 0.0, 0.0)"),
+        (["--groups", "ntxent,foo"], None,
+         "--groups: loss setting groups must hold only the terms ntxent, patient, "
+         "volume, slice, got ['foo', 'ntxent']"),
+    ],
+    ids=["tau-nan-config", "tau-zero", "w-volume-negative", "w-volume-nan",
+         "groups-empty", "groups-unknown"],
+)
+def test_rejected_loss_setting_names_its_flag_or_config_line(
+    data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+):
+    from slicepick import cli, pipeline
+
+    trained = []
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "train", lambda *a, **k: trained.append(a))
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    args = [command, "--data", str(data_dir), "--out", str(out), "--epochs", "1", *argv]
+    if config is not None:
+        cfg.write_text(config + "\n")
+        args += ["--config", str(cfg)]
+    code, stdout, err = run(capsys, *args)
+    assert code == 1 and stdout == ""
+    assert err.splitlines() == [f"error: {line.format(cfg=cfg)}"]
+    assert trained == [] and not out.exists()
+
+
+def test_diverged_training_leaves_no_checkpoint_or_plan(data_dir, tmp_path, capsys):
+    ckpt, plan = tmp_path / "enc.ckpt", tmp_path / "epoch0.json"
+    with np.errstate(all="ignore"):
+        code, stdout, err = run(
+            capsys, "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+            "--dump-epoch", str(plan), "--lr", "1e155", "--epochs", "2",
+        )
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: non-finite ") and "at epoch 0, aborting" in err
+    assert not ckpt.exists() and not plan.exists()
