@@ -6,11 +6,12 @@ directly. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
 difference, O(p n log n) and within a few ulps of the pairwise sum.
 ``nn_indices`` finds candidates with one matrix product per query block and
 re-ranks them with the direct squared distance, so its answer, ties
-included, is exactly that of the direct search. The private helpers
-``_sq_dist_slack`` (the rounding bound of that product, shared with the
-screened cover update in ``coreset``) and ``_row_dists`` (``dist_to_row``'s
-values at a subset of rows, bit for bit) are not part of the traced set.
-``tests/test_kernels.py`` checks each one against a plain-Python loop oracle.
+included, is exactly that of the direct search. The private helpers, not
+part of the traced set, are ``_sq_norms``, ``_sq_dist_expansion`` (that
+product, |a|^2 - 2 a.b + |b|^2, computed nowhere else) and ``_sq_dist_slack``
+(its rounding bound), which the screened cover update in ``coreset`` shares,
+and ``_row_dists`` (``dist_to_row``'s values at a subset of rows, bit for bit).
+``tests/test_kernels.py`` checks each kernel against a plain-Python loop oracle.
 """
 
 import numpy as np
@@ -43,6 +44,21 @@ def _row_dists(emb, idx, rows=None):
         sub = emb[rows]
     diff = sub - emb[idx]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _sq_norms(X):
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _sq_dist_expansion(A, a_sq, B, b_sq):
+    """|a|^2 - 2 a.b + |b|^2 for every row a of ``A`` (axis 0) and b of ``B``
+    (axis 1), from the squared row norms: ``nn_indices``' ``approx``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = A @ B.T
+        approx *= -2.0
+        approx += a_sq[:, None]
+        approx += b_sq
+    return approx
 
 
 def _sq_dist_slack(scale, p):
@@ -128,8 +144,7 @@ def nn_indices(Q, R):
     Q, R = _as_c64(Q), _as_c64(R)
     if R.shape[0] == 0:
         raise ValueError("the 1-NN search needs at least one reference row")
-    q_sq = np.einsum("ij,ij->i", Q, Q)
-    r_sq = np.einsum("ij,ij->i", R, R)
+    q_sq, r_sq = _sq_norms(Q), _sq_norms(R)
     with np.errstate(over="ignore", invalid="ignore"):
         slack = _sq_dist_slack(q_sq + r_sq.max(), Q.shape[1])
     unbounded = np.isinf(slack)
@@ -138,11 +153,8 @@ def nn_indices(Q, R):
     block = max(1, 2 ** 18 // R.shape[0])
     for start in range(0, Q.shape[0], block):
         stop = min(start + block, Q.shape[0])
+        approx = _sq_dist_expansion(Q[start:stop], q_sq[start:stop], R, r_sq)
         with np.errstate(over="ignore", invalid="ignore"):
-            approx = Q[start:stop] @ R.T
-            approx *= -2.0
-            approx += q_sq[start:stop, None]
-            approx += r_sq
             near = approx <= (approx.min(axis=1) + slack[start:stop])[:, None]
         near[unbounded[start:stop]] = True
         out[start:stop] = np.argmax(near, axis=1)

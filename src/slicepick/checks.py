@@ -12,6 +12,7 @@ import numpy as np
 from . import _kernels
 from .coreset import brute_force_k_center, cover_radius, k_center_greedy
 from .data import SynthSpec, generate_synthetic
+from .errors import SamplerError
 from .losses import (
     LossBatch,
     LossConfig,
@@ -147,43 +148,39 @@ def check_screened_cover(n_instances=20, seed=2024):
     return True, f"{n_instances} instances bit-identical to full passes"
 
 
+def _require(holds, invariant):
+    if not holds:
+        raise SamplerError(f"sampler invariant broken: {invariant}")
+
+
 def validate_plan(ds, plan, enabled_groups):
-    """Raise AssertionError unless an epoch plan satisfies all invariants."""
+    """Raise SamplerError, naming the invariant, unless an epoch plan
+    satisfies all of them."""
     width = tuple_width(enabled_groups)
+    order = [g for g in ("slice", "volume", "patient") if g in enabled_groups]
     anchors = []
     for batch in plan.batches:
         patients = [ds.record(t.anchor).patient_id for t in batch]
-        assert len(set(patients)) == len(patients), "patients repeat within a batch"
+        _require(len(set(patients)) == len(patients), "patients repeat within a batch")
         n_slices = sum(len(t.slice_ids()) for t in batch)
-        assert n_slices == plan.batch_size_slices, "batch is not exactly M slices"
+        _require(n_slices == plan.batch_size_slices, "batch is not exactly M slices")
         for t in batch:
             anchors.append(t.anchor)
             a = ds.record(t.anchor)
-            assert len(t.slice_ids()) == width, "tuple width mismatch"
-            got_types = [g for g, _ in t.companions]
-            assert got_types == [
-                g for g in ("slice", "volume", "patient") if g in enabled_groups
-            ], "companion order/type mismatch"
+            _require(len(t.slice_ids()) == width, "tuple width mismatch")
+            _require([g for g, _ in t.companions] == order, "companion order/type mismatch")
             for group_type, sid in t.companions:
                 c = ds.record(sid)
                 if group_type == "slice":
-                    same_vol_adjacent = (
-                        c.volume_id == a.volume_id
-                        and abs(c.slice_index - a.slice_index) == 1
-                    )
                     single = len(ds.volume_slices[a.volume_id]) == 1
-                    assert same_vol_adjacent or (single and sid == a.slice_id), (
-                        "bad adjacent companion"
-                    )
+                    ok = c.volume_id == a.volume_id and abs(c.slice_index - a.slice_index) == 1
+                    ok = ok or (single and sid == a.slice_id)
                 elif group_type == "volume":
-                    assert c.volume_id == a.volume_id and sid != a.slice_id, (
-                        "bad volume companion"
-                    )
+                    ok = c.volume_id == a.volume_id and sid != a.slice_id
                 else:
-                    assert c.patient_id == a.patient_id and sid != a.slice_id, (
-                        "bad patient companion"
-                    )
-    assert len(anchors) == len(set(anchors)), "an anchor repeats within the epoch"
+                    ok = c.patient_id == a.patient_id and sid != a.slice_id
+                _require(ok, f"bad {group_type} companion")
+    _require(len(anchors) == len(set(anchors)), "an anchor repeats within the epoch")
 
 
 def check_sampler(n_datasets=10, seed=2024):
@@ -203,7 +200,7 @@ def check_sampler(n_datasets=10, seed=2024):
             plan = build_epoch(ds, groups, width * 2, seed=int(rng.integers(2 ** 31)))
             try:
                 validate_plan(ds, plan, groups)
-            except AssertionError as exc:
+            except SamplerError as exc:
                 return False, f"dataset {i}, groups {sorted(groups)}: {exc}"
     return True, f"{n_datasets} datasets x 4 group settings clean"
 

@@ -135,8 +135,12 @@ def _flag(key):
 
 
 def _read_config_file(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SlicepickError(f"{path}: not UTF-8 text: {exc}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -416,11 +420,11 @@ def cmd_ablate(args):
         state = k_center_greedy(space, [], budget, cold_start_seed=cfg["seed"])
         acc = probe_accuracy(X, state.labeled, labels)
         delta = float(state.min_dist.max())
+        sil_text = ""  # undefined: one volume, or k-means finds one cluster
         if n_volumes >= 2:
-            sil = silhouette_score(space, kmeans_labels(space, n_volumes, cfg["seed"]))
-            sil_text = repr(sil)
-        else:
-            sil_text = ""
+            clusters = kmeans_labels(space, n_volumes, cfg["seed"])
+            if np.unique(clusters).size >= 2:
+                sil_text = repr(silhouette_score(space, clusters))
         rows.append(
             f"{name},{weights[0]!r},{weights[1]!r},{weights[2]!r},{weights[3]!r},"
             f"{sil_text},{acc!r},{delta!r}"
@@ -539,7 +543,7 @@ def main(argv=None):
             print(_Cfg(args).dump())
             return 0
         return args.func(args)
-    except (SlicepickError, ValueError, OSError, KeyError, AssertionError) as exc:
+    except (SlicepickError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

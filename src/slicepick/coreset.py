@@ -2,21 +2,20 @@
 and clustering quality metrics over an embedding matrix.
 
 Greedy selection repeatedly takes the point farthest from the current
-centers (ties to the lowest row index), which 2-approximates the optimal
-max-min cover radius. Distances are Euclidean in float64 regardless of the
-embedding storage precision; the argmax scan is index-ordered so results do
-not depend on worker count.
+centers, which 2-approximates the optimal max-min cover radius. Distances
+are Euclidean in float64 regardless of the embedding storage precision, and
+the argmax scan takes the first maximum, so ties go to the lowest row.
 
 Each row's distance to its nearest center is lowered by ``_extend_cover``
-alone, behind a screen: one matrix product gives |x|^2 - 2 x.c + |c|^2 for
-every row x and new center c, and only rows within the rounding bound of
-``_kernels.nn_indices`` of their current distance m (or whose bound is not
-finite) get the direct distance. That bound proves every row whose direct
-distance is below m passes, so the picks and every ``min_dist`` byte are
-those of a full ``dist_to_row`` pass per center. A greedy pick computes the
-screen columns of the next farthest rows along with its own, since later
-picks mostly come from them. ``cover_radius`` keeps the full passes as the
-independent oracle.
+alone, behind a screen: one matrix product (``_kernels._sq_dist_expansion``)
+gives |x|^2 - 2 x.c + |c|^2 for every row x and new center c, and only rows
+within the rounding bound of ``_kernels.nn_indices`` of their current
+distance m (or whose bound is not finite) get the direct distance. That
+bound proves every row whose direct distance is below m passes, so the picks
+and every ``min_dist`` byte are those of a full ``dist_to_row`` pass per
+center. A greedy pick computes the screen columns of the next farthest rows
+along with its own, since later picks mostly come from them.
+``cover_radius`` keeps the full passes as the independent oracle.
 """
 
 import math
@@ -54,27 +53,13 @@ def d_phi(emb, i, j):
     return float(np.linalg.norm(emb[i] - emb[j]))
 
 
-def _sq_norms(emb):
-    return np.einsum("ij,ij->i", emb, emb)
-
-
-def _sq_dist_columns(emb, sq_norms, centers):
-    """|x|^2 - 2 x.c + |c|^2 for every row x (axis 0) and center c (axis 1)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        approx = emb @ emb[centers].T
-        approx *= -2.0
-        approx += sq_norms[:, None]
-        approx += sq_norms[centers]
-    return approx
-
-
 def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None):
     """Lower ``min_dist``, each row's distance to its nearest center, in
     place to account for the new centers ``rows``; returns ``min_dist``.
 
-    ``sq_norms`` holds the squared row norms of ``emb`` as float64 (computed
-    when not given), and ``approx`` the ``_sq_dist_columns`` of ``rows``
-    (computed when not given). The result is bit-identical to
+    ``sq_norms`` holds the squared row norms of ``emb`` as float64, and
+    ``approx`` the ``_kernels._sq_dist_expansion`` of every row against
+    ``rows``; each is computed when not given. The result is bit-identical to
     ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` for each c in
     turn: for each center, a row whose ``approx`` exceeds fl(m^2) plus
     ``_kernels._sq_dist_slack`` cannot have a direct distance below its m
@@ -87,7 +72,7 @@ def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None):
         return min_dist
     emb = _kernels._as_c64(emb)
     if sq_norms is None:
-        sq_norms = _sq_norms(emb)
+        sq_norms = _kernels._sq_norms(emb)
     n = emb.shape[0]
     # block the centers so the (rows, block) screen matrix stays small
     block = len(rows) if approx is not None else max(1, 2 ** 18 // n)
@@ -95,7 +80,9 @@ def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None):
         slack = _kernels._sq_dist_slack(sq_norms[rows] + sq_norms.max(), emb.shape[1])
         for start in range(0, len(rows), block):
             centers = rows[start:start + block]
-            cols = approx if approx is not None else _sq_dist_columns(emb, sq_norms, centers)
+            cols = approx
+            if cols is None:
+                cols = _kernels._sq_dist_expansion(emb, sq_norms, emb[centers], sq_norms[centers])
             for j, idx in enumerate(centers):
                 bound = min_dist * min_dist
                 bound += slack[start + j]
@@ -150,7 +137,7 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     """
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     n = emb.shape[0]
-    sq_norms = _sq_norms(emb)
+    sq_norms = _kernels._sq_norms(emb)
     if isinstance(initial_labeled, SelectionState):
         state = _continued_state(emb, initial_labeled)
     else:
@@ -174,7 +161,8 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
             if idx not in prefetched:
                 top = np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
                 top = [idx] + [int(i) for i in top if i != idx]
-                prefetched = dict(zip(top, _sq_dist_columns(emb, sq_norms, top).T))
+                cols = _kernels._sq_dist_expansion(emb, sq_norms, emb[top], sq_norms[top])
+                prefetched = dict(zip(top, cols.T))
             approx = prefetched[idx][:, None]
         state.labeled.append(idx)
         labeled_mask[idx] = True

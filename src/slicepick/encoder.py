@@ -319,36 +319,38 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
 
     epoch_losses = []
-    for epoch in range(train_cfg.epochs):
-        plan = sampler.build_epoch(
-            ds, enabled_groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, epoch)
-        )
-        if not plan.batches:
-            raise SamplerError(
-                f"batch size {train_cfg.batch_size} yields no batches on this dataset"
+    # divergence ends in one TrainingDivergedError below, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train_cfg.epochs):
+            plan = sampler.build_epoch(
+                ds, enabled_groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, epoch)
             )
-        batch_losses = []
-        for batch_tuples in plan.batches:
-            stacked, pid, vid, slice_pos = _batch_loss_input(
-                ds, X, ids, batch_tuples, loss_cfg, train_cfg.augment, aug_rng
-            )
-            _, proj, cache = _forward_batch(params, stacked)
-            if not np.isfinite(proj).all():
-                raise TrainingDivergedError(
-                    f"non-finite projections at epoch {epoch}, aborting"
+            if not plan.batches:
+                raise SamplerError(
+                    f"batch size {train_cfg.batch_size} yields no batches on this dataset"
                 )
-            batch = LossBatch(
-                z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos
-            )
-            loss, d_proj = loss_and_grad(batch, loss_cfg)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, aborting"
+            batch_losses = []
+            for batch_tuples in plan.batches:
+                stacked, pid, vid, slice_pos = _batch_loss_input(
+                    ds, X, ids, batch_tuples, loss_cfg, train_cfg.augment, aug_rng
                 )
-            _backward_batch(params, cache, d_proj, grad)
-            _adam_step(params, grad, state, train_cfg)
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
+                _, proj, cache = _forward_batch(params, stacked)
+                if not np.isfinite(proj).all():
+                    raise TrainingDivergedError(
+                        f"non-finite projections at epoch {epoch}, aborting"
+                    )
+                batch = LossBatch(
+                    z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos
+                )
+                loss, d_proj = loss_and_grad(batch, loss_cfg)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, aborting"
+                    )
+                _backward_batch(params, cache, d_proj, grad)
+                _adam_step(params, grad, state, train_cfg)
+                batch_losses.append(loss)
+            epoch_losses.append(float(np.mean(batch_losses)))
     return TrainResult(params=params, epoch_losses=epoch_losses, config=train_cfg)
 
 

@@ -69,7 +69,7 @@ def read_gcle(path):
         meta = json.loads(meta_path.read_text())
     except FileNotFoundError as exc:
         raise FormatError(f"missing sidecar {meta_path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise FormatError(f"{meta_path}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: top level must be a JSON object")

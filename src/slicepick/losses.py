@@ -16,6 +16,8 @@ All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
 A loss-setting fault is a ``SettingError`` naming ``tau``, a weight field,
 ``weights`` (no positive term) or ``groups`` (an unknown term).
+``loss_and_grad`` is the one evaluation: every other loss function returns
+a part of it.
 """
 
 import math
@@ -255,21 +257,16 @@ def group_loss(batch, group_type, tau):
 
 def combined_loss(batch, cfg):
     """Weighted sum of the enabled loss terms."""
-    loss, _ = _combined(batch, cfg, want_grad=False)
-    return loss
+    return loss_and_grad(batch, cfg)[0]
 
 
 def loss_grad(batch, cfg):
     """Exact gradient of ``combined_loss`` with respect to every embedding."""
-    _, grad = _combined(batch, cfg, want_grad=True)
-    return grad
+    return loss_and_grad(batch, cfg)[1]
 
 
 def loss_and_grad(batch, cfg):
-    return _combined(batch, cfg, want_grad=True)
-
-
-def _combined(batch, cfg, want_grad):
+    """``combined_loss`` and ``loss_grad`` from one evaluation."""
     zhat, norms, clamped = _unit_rows(batch.z, NORM_EPS)
     S = zhat @ zhat.T
     n2 = S.shape[0]
@@ -279,17 +276,16 @@ def _combined(batch, cfg, want_grad):
     logits = S / tau
     not_self = ~np.eye(n2, dtype=bool)
     loss = 0.0
-    GS = np.zeros_like(S) if want_grad else None
+    GS = np.zeros_like(S)
 
     if cfg.ntxent > 0:
         rows = np.arange(n2)
         pair = (rows + n) % n2  # each row's other view
         log_denoms, softmax = _masked_log_denoms(logits, not_self)
         loss += cfg.ntxent * float(np.mean(log_denoms - logits[rows, pair]))
-        if want_grad:
-            w = cfg.ntxent / n2
-            GS += (w / tau) * softmax
-            GS[rows, pair] -= w / tau
+        w = cfg.ntxent / n2
+        GS += (w / tau) * softmax
+        GS[rows, pair] -= w / tau
 
     groups = [(g, lam) for g in GROUP_LOSSES if (lam := cfg.weight_of(g)) != 0]
     if groups:
@@ -325,16 +321,10 @@ def _combined(batch, cfg, want_grad):
             np.sum(pos_counts[active] * log_denoms[active]) - np.sum(anchor_logits[pos])
         )
         loss += w * total
-        if want_grad:
-            contrib = np.zeros((n, n2))
-            contrib[active] = (
-                (w / tau) * pos_counts[active, None] * softmax[active]
-            )
-            contrib[pos] -= w / tau
-            GS[:n] += contrib
-
-    if not want_grad:
-        return loss, None
+        contrib = np.zeros((n, n2))
+        contrib[active] = (w / tau) * pos_counts[active, None] * softmax[active]
+        contrib[pos] -= w / tau
+        GS[:n] += contrib
 
     # chain d(loss)/d(sim) through S = zhat zhat^T and the clamped row norms
     g_hat = (GS + GS.T) @ zhat

@@ -198,6 +198,13 @@ class TestMalformedSidecar:
         err = self.select_with_sidecar(capsys, gcle_path, {"rows": rows})
         assert "rows[2].slice_id 0 repeats an earlier row" in err
 
+    def test_sidecar_not_utf8(self, gcle_path, capsys):
+        sidecar = Path(f"{gcle_path}.meta.json")
+        sidecar.write_bytes(b"\xff\xfe" + sidecar.read_bytes())
+        code, out, err = run(capsys, "select", "--embeddings", str(gcle_path), "--budget", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {sidecar}: invalid JSON: ") and err.count("\n") == 1
+
 
 class TestRunRounds:
     def test_thread_count_does_not_change_bytes(self, data_dir, tmp_path, capsys):
@@ -434,6 +441,26 @@ class TestAblate:
         ]
         assert trained == [] and not out_csv.exists()
 
+    def test_identical_slices_leave_silhouette_empty(self, tmp_path, capsys):
+        # every slice equal, so k-means finds one cluster and no silhouette
+        data = tmp_path / "flat"
+        code, _, _ = run(
+            capsys, "gen-data", "--out", str(data), "--patients", "3",
+            "--volumes-per-patient", "2", "--slices-per-volume", "3", "--height", "3",
+            "--width", "3", "--patient-scale", "0", "--volume-scale", "0",
+            "--adjacent-scale", "0", "--noise-scale", "0", "--seed", "1",
+        )
+        assert code == 0
+        out_csv = tmp_path / "abl.csv"
+        code, _, err = run(
+            capsys, "ablate", "--data", str(data), "--groups", "ntxent", "--epochs", "1",
+            "--out", str(out_csv),
+        )
+        assert code == 0 and err == ""
+        lines = out_csv.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["none", "ntxent"]
+        assert [line.split(",")[5] for line in lines[1:]] == ["", ""]
+
 
 class TestWeightOverrides:
     def test_train_encoder_rejects_weight_of_absent_term(self, data_dir, tmp_path, capsys):
@@ -552,6 +579,18 @@ class TestConfig:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             "error: argument --batch-size: invalid int_or_auto value: 'abc'"
         )
+
+    def test_config_file_not_utf8_names_file(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "bin.cfg"
+        cfg.write_bytes(b"\xff\xfeepochs=1\n")
+        ckpt = tmp_path / "enc.ckpt"
+        code, out, err = run(
+            capsys, "train-encoder", "--config", str(cfg), "--data", str(data_dir),
+            "--out", str(ckpt),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg}: not UTF-8 text: ") and err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

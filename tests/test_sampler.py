@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slicepick
 from conftest import make_dataset
 from slicepick import SamplerError, SynthSpec, generate_synthetic
 from slicepick.sampler import build_epoch, default_batch_size, tuple_width
@@ -216,3 +222,35 @@ class TestBuildEpoch:
                     sim = simulate_build_epoch(ds, groups, per_batch * width, seed=seed)
                     got = [[t.slice_ids() for t in b] for b in plan.batches]
                     assert got == [[tuple(t) for t in b] for b in sim]
+
+
+# a plan whose first batch holds one tuple twice, so a patient repeats in it
+_BAD_PLAN = """
+import sys
+from slicepick import SamplerError, SynthSpec, generate_synthetic
+from slicepick.checks import validate_plan
+from slicepick.sampler import build_epoch
+ds, _ = generate_synthetic(
+    SynthSpec(n_patients=3, volumes_per_patient=1, slices_per_volume=2, h=2, w=2, seed=0)
+)
+plan = build_epoch(ds, set(), 2, seed=0)
+plan.batches[0] = [plan.batches[0][0]] * 2
+try:
+    validate_plan(ds, plan, set())
+except SamplerError as exc:
+    print(exc)
+print(sys.flags.optimize)
+"""
+
+
+def test_validate_plan_checks_under_python_optimize():
+    # python -O strips assert statements, so no invariant may rest on one
+    env = dict(os.environ, PYTHONPATH=str(Path(slicepick.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_PLAN], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "sampler invariant broken: patients repeat within a batch", "1",
+    ]

@@ -255,3 +255,15 @@ def test_diverged_training_leaves_no_checkpoint_or_plan(data_dir, tmp_path, caps
     assert code == 1 and stdout == ""
     assert err.startswith("error: non-finite ") and "at epoch 0, aborting" in err
     assert not ckpt.exists() and not plan.exists()
+
+
+def test_diverged_training_prints_only_its_error_line(data_dir, tmp_path):
+    # a subprocess, so numpy's RuntimeWarnings would reach the stderr read here
+    ckpt = tmp_path / "enc.ckpt"
+    proc = run_bounded(
+        "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+        "--lr", "1e155", "--epochs", "2",
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: non-finite projections at epoch 0, aborting"]
+    assert not ckpt.exists()
