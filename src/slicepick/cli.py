@@ -51,7 +51,7 @@ from .pipeline import (
     probe_accuracy,
     run_experiment,
 )
-from .sampler import build_epoch
+from .sampler import build_epoch, tuple_width
 
 
 # named casts: argparse reports a value one cannot read as "invalid <name> value"
@@ -234,6 +234,16 @@ def _train_config(cfg):
         )
 
 
+def _check_batch_size(cfg, train_cfg, loss_cfg, terms):
+    """Reject, before any training, a batch size that is no whole number of
+    the sampler's tuples for ``loss_cfg``, whose ``terms`` the message names."""
+    width = tuple_width(loss_cfg.enabled_groups)
+    if train_cfg.batch_size is not None and train_cfg.batch_size % width:
+        rule = f"be a multiple of {width}, the tuple width of the loss terms {'+'.join(terms)}"
+        with cfg.settings():
+            raise SettingError("training", train_cfg, "batch_size", rule)
+
+
 def _synth_spec(cfg):
     with cfg.settings():
         return SynthSpec(
@@ -283,9 +293,10 @@ def cmd_stats(args):
 def cmd_train_encoder(args):
     cfg = _Cfg(args)
     ds, _ = load_dataset(args.data)
-    loss_cfg = _loss_config(cfg)
+    loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
+    _check_batch_size(cfg, train_cfg, loss_cfg, cfg["groups"])
     groups = loss_cfg.enabled_groups
-    result = train(ds, groups, loss_cfg, _train_config(cfg))
+    result = train(ds, groups, loss_cfg, train_cfg)
     train_cfg = result.config
     if args.dump_epoch:
         plan = build_epoch(ds, groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, 0))
@@ -378,6 +389,8 @@ def cmd_run_rounds(args):
             else StrategySpec(kind)
             for kind in cfg["strategies"]
         ]
+    if "coreset_learned" in cfg["strategies"]:
+        _check_batch_size(cfg, train_cfg, loss_cfg, cfg["groups"])
     report = run_experiment(ds, labels, strategies, plan, threads=threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -406,6 +419,8 @@ def cmd_ablate(args):
         for combo in combinations(terms, size)
     ]
     train_cfg = _train_config(cfg)
+    for name, loss_cfg in runs[1:]:
+        _check_batch_size(cfg, train_cfg, loss_cfg, name.split("+"))
     with cfg.settings(fractions="--fraction"):
         plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
     budget = budgets(plan, ds.n)[0]

@@ -233,17 +233,23 @@ def silhouette_score(emb, cluster_labels):
     if uniq.size < 2:
         raise ValueError("silhouette needs at least two clusters")
     D = _kernels.pairwise_dists(emb)
-    n = emb.shape[0]
-    scores = np.zeros(n)
-    members = {c: np.flatnonzero(labels == c) for c in uniq}
-    for i in range(n):
-        own = members[labels[i]]
-        if own.size < 2:
-            continue  # singleton convention: 0
-        a = D[i, own].sum() / (own.size - 1)
-        b = min(D[i, members[c]].mean() for c in uniq if c != labels[i])
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    # per-cluster row sums of D; take, unlike D[:, cols], gives each row's
+    # columns contiguous, so every sum is the one a single row's would be
+    members = [np.flatnonzero(labels == c) for c in uniq]
+    sums = np.stack([D.take(cols, axis=1).sum(axis=1) for cols in members], axis=1)
+    sizes = np.array([cols.size for cols in members])
+    own = np.searchsorted(uniq, labels)
+    rows = np.arange(emb.shape[0])
+    own_size = sizes[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (own_size - 1)
+        means = sums / sizes
+        means[rows, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        scores = (b - a) / denom
+    # singleton convention, and the 0/0 of coincident points: 0
+    scores[(own_size < 2) | (denom == 0)] = 0.0
     return float(scores.mean())
 
 

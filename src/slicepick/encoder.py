@@ -11,8 +11,14 @@ fixed seed.
 Every weight and bias lives in one float64 vector laid out W0, b0, W1, b1,
 ...; the per-layer arrays are views into it. The gradient and the ADAM
 moments are vectors with the same layout, so an ADAM step is one update over
-the whole vector, and a checkpoint's parameter blob is that vector in
-little-endian float32.
+the whole vector, in place through two scratch vectors allocated once per
+run, and a checkpoint's parameter blob is that vector in little-endian
+float32.
+
+Each epoch turns its batch plan, once, into the dataset rows of every batch
+and one ``LossStructure`` of the epoch's loss masks. A step then only
+augments its rows, runs forward, evaluates the loss, runs backward into
+gradient views built once per run, and updates ADAM.
 """
 
 import json
@@ -26,7 +32,7 @@ import numpy as np
 from . import sampler
 from ._io import write_atomic
 from .errors import FormatError, SamplerError, SettingError, TrainingDivergedError
-from .losses import LossBatch, loss_and_grad, slice_positives_from_rows
+from .losses import LossBatch, LossStructure, loss_and_grad, slice_positives_from_rows
 
 CHECKPOINT_MAGIC = b"SENC"
 
@@ -190,17 +196,17 @@ def _forward_batch(params, X):
     return rep, proj, (acts, pre, rep)
 
 
-def _backward_batch(params, cache, d_proj, grad=None):
+def _backward_batch(params, cache, d_proj, views=None):
     """Gradient of all weights/biases given d(loss)/d(projection).
 
-    Writes into ``grad``, a vector laid out like ``params.flat`` (a new one
-    when None), and returns its per-layer (weights, biases) views.
+    Writes into ``views``, the per-layer (weights, biases) views of a vector
+    laid out like ``params.flat`` (of a new one when None), and returns them.
     """
     acts, pre, rep = cache
     n_hidden = len(params.arch.hidden)
-    if grad is None:
-        grad = np.empty_like(params.flat)
-    g_w, g_b = _layer_views(params.arch, grad)
+    if views is None:
+        views = _layer_views(params.arch, np.empty_like(params.flat))
+    g_w, g_b = views
     np.matmul(rep.T, d_proj, out=g_w[n_hidden + 1])
     np.sum(d_proj, axis=0, out=g_b[n_hidden + 1])
     d_rep = d_proj @ params.weights[n_hidden + 1].T
@@ -255,46 +261,69 @@ class _AdamState:
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
         self.t = 0
+        # scratch vectors of the in-place step
+        self.a = np.empty_like(params.flat)
+        self.b = np.empty_like(params.flat)
 
 
 def _adam_step(params, grad, state, cfg):
     """One ADAM step on ``params.flat`` given a gradient vector of the same
-    layout; decoupled weight decay shrinks the parameters first."""
+    layout; decoupled weight decay shrinks the parameters first.
+
+    Every update is in place, through the state's two scratch vectors, and
+    rounds as the textbook expressions do:
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    """
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    p = params.flat
+    p, m, v, a, b = params.flat, state.m, state.v, state.a, state.b
     p *= 1.0 - cfg.learning_rate * cfg.weight_decay
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (grad * grad)
-    p -= cfg.learning_rate * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.adam_eps)
+    m *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=a)
+    m += a
+    v *= cfg.beta2
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - cfg.beta2
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= cfg.learning_rate
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.adam_eps
+    a /= b
+    p -= a
 
 
-def _batch_loss_input(ds, X, ids, batch_tuples, loss_cfg, aug_spec, rng):
-    """Two-view stack, patient ids, volume ids and adjacency mask of one batch.
+def _epoch_structure(ids, row_of, plan, terms):
+    """Dataset rows (B, N) of an epoch's batches, and their LossStructure.
 
-    ``ids`` is a C-contiguous (4, n) int64 array: the slice_id, patient_id,
-    volume_id and slice_index of every dataset row.
+    ``ids`` is a C-contiguous (4, n) int64 array, the slice_id, patient_id,
+    volume_id and slice_index of every dataset row; ``row_of`` orders the
+    rows by slice_id, so a sorted search maps slice ids to rows.
     """
-    rows = [ds.row_of(sid) for t in batch_tuples for sid in t.slice_ids()]
-    originals = X[rows]
-    views = augment_batch(originals, aug_spec, rng, ds.h, ds.w)
-    stacked = np.vstack([originals, views])
-    # take, unlike ids[:, rows], yields contiguous id rows for the loss masks
-    sid, pid, vid, depth = ids.take(rows * 2, axis=1)
-    slice_pos = None
-    if loss_cfg.slice_group > 0:
-        slice_pos = slice_positives_from_rows(sid, vid, depth)
-    return stacked, pid, vid, slice_pos
+    sids = np.array(
+        [[sid for t in batch for sid in t.slice_ids()] for batch in plan.batches],
+        dtype=np.int64,
+    )
+    rows = row_of[np.searchsorted(ids[0], sids, sorter=row_of)]
+    # take, unlike ids[:, ...], yields contiguous (B, 2N) id rows
+    sid, pid, vid, depth = ids.take(np.concatenate([rows, rows], axis=1), axis=1)
+    slice_pos = slice_positives_from_rows(sid, vid, depth) if "slice" in terms else None
+    return rows, LossStructure(pid, vid, slice_pos, terms)
 
 
 def train(ds, enabled_groups, loss_cfg, train_cfg):
     """Train the encoder on the full slice pool; returns a TrainResult.
 
-    Each epoch builds a fresh batch plan (epoch-derived seed), augments
-    every batch slice once to form the 2N-row view stack, and applies one
-    ADAM step per batch on the combined loss. A ``batch_size`` of None is
-    resolved here, once, to the stock size; the result's ``config`` holds it.
+    Each epoch builds a fresh batch plan (epoch-derived seed) and its loss
+    structure, augments every batch slice once to form the 2N-row view
+    stack, and applies one ADAM step per batch on the combined loss. A
+    ``batch_size`` of None is resolved here, once, to the stock size; the
+    result's ``config`` holds it. ``sampler.build_epoch``, ``augment_batch``,
+    ``LossBatch`` and ``loss_and_grad`` are looked up as globals on every
+    epoch or step, where an outside tracer can wrap them.
     """
     if enabled_groups is None:
         enabled_groups = loss_cfg.enabled_groups
@@ -307,6 +336,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
         [[r.slice_id, r.patient_id, r.volume_id, r.slice_index] for r in ds.slices],
         dtype=np.int64,
     ).T.copy()
+    row_of = np.argsort(ids[0])
     arch = Architecture(
         input_dim=ds.h * ds.w,
         hidden=tuple(train_cfg.hidden),
@@ -316,6 +346,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     params = init_params(arch, np.random.SeedSequence([train_cfg.seed, 0]))
     state = _AdamState(params)
     grad = np.empty_like(params.flat)
+    grad_views = _layer_views(arch, grad)
     aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
 
     epoch_losses = []
@@ -329,25 +360,24 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
                 raise SamplerError(
                     f"batch size {train_cfg.batch_size} yields no batches on this dataset"
                 )
+            rows, structure = _epoch_structure(ids, row_of, plan, loss_cfg.terms)
             batch_losses = []
-            for batch_tuples in plan.batches:
-                stacked, pid, vid, slice_pos = _batch_loss_input(
-                    ds, X, ids, batch_tuples, loss_cfg, train_cfg.augment, aug_rng
-                )
-                _, proj, cache = _forward_batch(params, stacked)
+            for b in range(len(rows)):
+                originals = X.take(rows[b], axis=0)
+                views = augment_batch(originals, train_cfg.augment, aug_rng, ds.h, ds.w)
+                _, proj, cache = _forward_batch(params, np.vstack([originals, views]))
                 if not np.isfinite(proj).all():
                     raise TrainingDivergedError(
                         f"non-finite projections at epoch {epoch}, aborting"
                     )
-                batch = LossBatch(
-                    z=proj, patient_ids=pid, volume_ids=vid, slice_positives=slice_pos
+                loss, d_proj = loss_and_grad(
+                    LossBatch(z=proj, structure=structure, index=b), loss_cfg
                 )
-                loss, d_proj = loss_and_grad(batch, loss_cfg)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, aborting"
                     )
-                _backward_batch(params, cache, d_proj, grad)
+                _backward_batch(params, cache, d_proj, grad_views)
                 _adam_step(params, grad, state, train_cfg)
                 batch_losses.append(loss)
             epoch_losses.append(float(np.mean(batch_losses)))

@@ -6,11 +6,15 @@ loss (NT-Xent), group losses treat every batch row sharing the anchor's
 group (patient, volume, or adjacent-slice neighborhood) as a positive, and
 drop same-patient rows that are NOT in the group from the denominator so
 that several group losses can be summed without fighting each other. The
-adjacent-slice positives of a batch are one (N, 2N) boolean mask, from batch
-assembly through to the loss, and every ``LossBatch`` is validated. The
-logits and the masks the terms share (not-self, other-patient) are built
-once per call, and each group term's positives, denominator and 1/(N*G)
-scale are worked out in one block.
+adjacent-slice positives of a batch are one (N, 2N) boolean mask.
+
+Nothing but the embeddings changes from step to step, so a
+``LossStructure`` builds the rest once for B batches: each term's positive
+and denominator masks, positive counts, active anchors and 1/(N*G) scale,
+after checking the ids and masks of all B. Training builds one per epoch
+from the batch plan; a lone ``LossBatch`` builds one of B = 1 from its own
+ids. A step then makes one masked log-sum-exp over the stacked rows of
+every term, ntxent's 2N and each group term's N anchors.
 
 All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
@@ -74,6 +78,13 @@ class LossConfig:
     def enabled_groups(self):
         return frozenset(g for g in GROUP_LOSSES if self.weight_of(g) > 0)
 
+    @property
+    def terms(self):
+        """The active terms: "ntxent" first, then group terms in GROUP_LOSSES order."""
+        return ("ntxent",) * (self.ntxent > 0) + tuple(
+            g for g in GROUP_LOSSES if self.weight_of(g) > 0
+        )
+
 
 # tuned weights for specific term combinations; single group losses use 1.0
 # alone and 0.35 alongside NT-Xent, other combinations split those evenly
@@ -124,24 +135,105 @@ def preset_loss_config(terms, tau=0.1, overrides=None):
     )
 
 
+class LossStructure:
+    """Everything in the loss of B two-view batches of N pairs each that the
+    embeddings do not change, built once for all B.
+
+    ``patient_ids`` and ``volume_ids`` are (B, 2N) id arrays and
+    ``slice_positives`` a (B, N, 2N) adjacency mask; the checks a
+    ``LossBatch`` promises (ids mirrored in the augmented half, mask shape
+    and type, no anchor its own positive) run here, over all B batches at
+    once. ``terms`` names the terms to build, "ntxent" and then group terms
+    in GROUP_LOSSES order; None builds ntxent and every group term whose ids
+    are given. For the k-th group term of ``groups`` this holds, per batch:
+
+    - ``pos[:, k]``: the (N, 2N) positives of each anchor, and ``pos_counts``
+    - ``active``: the anchors with a positive; ``live``: the batches with any
+    - ``scale``: 1/(N*G), G the mean group size (rows per distinct id among
+      the anchors, or the mean of positive count + 1 for adjacency)
+
+    ``den[b]`` stacks the denominator masks of every term's rows, the 2N
+    ntxent rows first and then N anchor rows per group term; ``rows`` is the
+    logit row behind each stacked row. One masked log-sum-exp over them
+    serves every term of a step.
+    """
+
+    def __init__(self, patient_ids, volume_ids=None, slice_positives=None, terms=None):
+        pid = np.asarray(patient_ids, dtype=np.int64)
+        if pid.ndim != 2 or pid.shape[1] < 2 or pid.shape[1] % 2:
+            raise ValueError("patient_ids must be a (B, 2N) array with N >= 1")
+        _check_mirrored(pid, "patient_ids")
+        n_batches, n2 = pid.shape
+        n = n2 // 2
+        given = {"patient": pid}  # the ids or mask behind each group term
+        if volume_ids is not None:
+            vid = np.asarray(volume_ids, dtype=np.int64)
+            if vid.shape != pid.shape:
+                raise ValueError("volume_ids must have one entry per row")
+            _check_mirrored(vid, "volume_ids")
+            given["volume"] = vid
+        if slice_positives is not None:
+            spos = np.asarray(slice_positives)
+            if spos.dtype != bool or spos.shape != (n_batches, n, n2):
+                raise ValueError("slice_positives must be an (N, 2N) boolean mask")
+            if spos[:, np.arange(n), np.arange(n)].any():
+                raise ValueError("no anchor can be its own positive")
+            given["slice"] = spos
+        # a term without its ids is left out; loss_and_grad names it if used
+        ntxent = terms is None or "ntxent" in terms
+        self.groups = tuple(g for g in given if terms is None or g in terms)
+        self.terms = ("ntxent",) * ntxent + self.groups
+        self.ntxent_rows = n2 * ntxent  # stacked rows before the group terms'
+
+        not_self = ~np.eye(n2, dtype=bool)
+        anchor_not_self = not_self[:n]
+        pos = np.zeros((n_batches, len(self.groups), n, n2), dtype=bool)
+        self.scale = np.zeros((n_batches, len(self.groups)))
+        for k, group_type in enumerate(self.groups):
+            ids = given[group_type]
+            if group_type == "slice":
+                pos[:, k] = ids
+                G = np.mean(ids.sum(axis=2) + 1, axis=1)
+            else:
+                pos[:, k] = (ids[:, :n, None] == ids[:, None, :]) & anchor_not_self
+                # distinct ids among the anchors, counted on sorted rows
+                first = np.sort(ids[:, :n], axis=1)
+                G = n / (1 + np.count_nonzero(np.diff(first, axis=1), axis=1))
+            self.scale[:, k] = 1.0 / (n * G)
+        self.pos = pos
+        self.pos_counts = pos.sum(axis=3)
+        self.active = self.pos_counts > 0
+        self.live = self.active.any(axis=2)
+        # same-patient rows outside the group leave the denominator
+        other_patient = pid[:, None, :n, None] != pid[:, None, None, :]
+        den = ((pos | other_patient) & anchor_not_self).reshape(n_batches, -1, n2)
+        head = [np.broadcast_to(not_self, (n_batches, n2, n2))] * ntxent
+        self.den = np.concatenate(head + [den], axis=1)
+        self.rows = np.concatenate([np.arange(n2)] * ntxent + [np.arange(n)] * len(self.groups))
+
+
 @dataclass(frozen=True, eq=False)
 class LossBatch:
-    """Embeddings plus the group structure of one two-view batch.
+    """Embeddings of one two-view batch plus its group structure.
 
-    ``slice_positives`` (when the adjacent-slice loss is used) is an (N, 2N)
-    boolean mask: entry (i, j) is True when row j is another view of anchor
-    i's slice or a depth neighbor within the same volume.
+    A lone batch gives its ids: ``patient_ids`` and ``volume_ids`` of its 2N
+    rows and ``slice_positives`` (when the adjacent-slice loss is used), an
+    (N, 2N) boolean mask whose entry (i, j) is True when row j is another
+    view of anchor i's slice or a depth neighbor within the same volume. Its
+    ``structure`` is then a ``LossStructure`` of B = 1, which checks the ids.
+    A training step instead passes its epoch's ``structure`` and the batch's
+    ``index`` in it, so nothing but ``z`` is checked per step.
 
-    Construction validates every batch: ``z`` must be a finite (2N, e)
-    matrix, the id arrays must mirror their originals in the augmented
-    half, and the mask must have shape (N, 2N) with no anchor its own
-    positive.
+    ``z`` must be a finite (2N, e) matrix whose row count matches the
+    structure's.
     """
 
     z: np.ndarray  # (2N, e) float64
-    patient_ids: np.ndarray  # (2N,)
+    patient_ids: np.ndarray = None  # (2N,)
     volume_ids: np.ndarray = None  # (2N,) or None
     slice_positives: np.ndarray = None  # (N, 2N) bool, or None
+    structure: LossStructure = None  # built from the ids when None
+    index: int = 0  # this batch's position in ``structure``
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -151,24 +243,22 @@ class LossBatch:
             raise ValueError("embeddings contain non-finite values")
         object.__setattr__(self, "z", z)
         n2 = z.shape[0]
-        pid = np.asarray(self.patient_ids, dtype=np.int64)
-        if pid.shape != (n2,):
-            raise ValueError("patient_ids must have one entry per row")
-        _check_mirrored(pid, "patient_ids")
-        object.__setattr__(self, "patient_ids", pid)
-        if self.volume_ids is not None:
-            vid = np.asarray(self.volume_ids, dtype=np.int64)
-            if vid.shape != (n2,):
-                raise ValueError("volume_ids must have one entry per row")
-            _check_mirrored(vid, "volume_ids")
-            object.__setattr__(self, "volume_ids", vid)
-        if self.slice_positives is not None:
-            pos = np.asarray(self.slice_positives)
-            if pos.dtype != bool or pos.shape != (n2 // 2, n2):
-                raise ValueError("slice_positives must be an (N, 2N) boolean mask")
-            if pos.diagonal().any():
-                raise ValueError("no anchor can be its own positive")
-            object.__setattr__(self, "slice_positives", pos)
+        if self.structure is None:
+            if self.patient_ids is None:
+                raise ValueError("a batch needs its patient_ids or a structure")
+            for name in ("patient_ids", "volume_ids"):
+                if getattr(self, name) is not None:
+                    ids = np.asarray(getattr(self, name), dtype=np.int64)
+                    if ids.shape != (n2,):
+                        raise ValueError(f"{name} must have one entry per row")
+                    object.__setattr__(self, name, ids)
+            if self.slice_positives is not None:
+                object.__setattr__(self, "slice_positives", np.asarray(self.slice_positives))
+            parts = (self.patient_ids, self.volume_ids, self.slice_positives)
+            structure = LossStructure(*(None if x is None else x[None] for x in parts))
+            object.__setattr__(self, "structure", structure)
+        elif self.structure.den.shape[2] != n2:
+            raise ValueError("embeddings must have one row per row of the batch structure")
 
     @property
     def n_pairs(self):
@@ -176,13 +266,14 @@ class LossBatch:
 
 
 def _check_mirrored(arr, name):
-    n = arr.shape[0] // 2
-    if not (arr[:n] == arr[n:]).all():
+    n = arr.shape[-1] // 2
+    if not (arr[..., :n] == arr[..., n:]).all():
         raise ValueError(f"{name} of augmented rows must mirror their originals")
 
 
 def slice_positives_from_rows(slice_ids, volume_ids, slice_indices):
-    """Adjacency positive mask (N, 2N) of a two-view batch.
+    """Adjacency positive mask (N, 2N) of a two-view batch's (2N,) ids, or
+    (B, N, 2N) of B batches' (B, 2N) ids.
 
     Row j is a positive of anchor i when it is another view of the same
     slice, or lies in the same volume at depth distance exactly 1.
@@ -190,14 +281,13 @@ def slice_positives_from_rows(slice_ids, volume_ids, slice_indices):
     sid = np.asarray(slice_ids)
     vid = np.asarray(volume_ids)
     idx = np.asarray(slice_indices)
-    n2 = sid.shape[0]
-    n = n2 // 2
-    same_slice = sid[:n, None] == sid[None, :]
-    adjacent = (vid[:n, None] == vid[None, :]) & (
-        np.abs(idx[:n, None] - idx[None, :]) == 1
+    n = sid.shape[-1] // 2
+    same_slice = sid[..., :n, None] == sid[..., None, :]
+    adjacent = (vid[..., :n, None] == vid[..., None, :]) & (
+        np.abs(idx[..., :n, None] - idx[..., None, :]) == 1
     )
     mask = same_slice | adjacent
-    mask[np.arange(n), np.arange(n)] = False
+    mask[..., np.arange(n), np.arange(n)] = False
     return mask
 
 
@@ -225,7 +315,7 @@ def _masked_log_denoms(logits, den_mask):
     ignored by the caller.
     """
     neg = np.where(den_mask, logits, -np.inf)
-    m = np.max(neg, axis=1)
+    m = neg.max(axis=1)
     safe_m = np.where(np.isfinite(m), m, 0.0)
     E = np.exp(neg - safe_m[:, None])
     D = E.sum(axis=1)
@@ -267,6 +357,10 @@ def loss_grad(batch, cfg):
 
 def loss_and_grad(batch, cfg):
     """``combined_loss`` and ``loss_grad`` from one evaluation."""
+    st, b = batch.structure, batch.index
+    missing = [t for t in cfg.terms if t not in st.terms]
+    if missing:
+        raise ValueError(f"batch has no structure for the loss terms {missing}")
     zhat, norms, clamped = _unit_rows(batch.z, NORM_EPS)
     S = zhat @ zhat.T
     n2 = S.shape[0]
@@ -274,56 +368,36 @@ def loss_and_grad(batch, cfg):
     tau = cfg.tau
     # shared by every term; the group terms use the top N (anchor) rows
     logits = S / tau
-    not_self = ~np.eye(n2, dtype=bool)
+    # one log-sum-exp over every term's rows, ntxent's first
+    log_denoms, softmax = _masked_log_denoms(logits.take(st.rows, axis=0), st.den[b])
     loss = 0.0
     GS = np.zeros_like(S)
 
     if cfg.ntxent > 0:
         rows = np.arange(n2)
         pair = (rows + n) % n2  # each row's other view
-        log_denoms, softmax = _masked_log_denoms(logits, not_self)
-        loss += cfg.ntxent * float(np.mean(log_denoms - logits[rows, pair]))
+        loss += cfg.ntxent * float(np.mean(log_denoms[:n2] - logits[rows, pair]))
         w = cfg.ntxent / n2
-        GS += (w / tau) * softmax
+        GS += (w / tau) * softmax[:n2]
         GS[rows, pair] -= w / tau
 
-    groups = [(g, lam) for g in GROUP_LOSSES if (lam := cfg.weight_of(g)) != 0]
-    if groups:
-        pid = batch.patient_ids
-        other_patient = pid[:n, None] != pid[None, :]
-        anchor_logits = logits[:n]
-        anchor_not_self = not_self[:n]
-    for group_type, lam in groups:
-        # positives and the mean group size G of the 1/(N*G) scale: for a
-        # partition, unaugmented rows per distinct group among them; for the
-        # (non-transitive) adjacency loss, the mean of (positive count + 1)
-        if group_type == "slice":
-            if batch.slice_positives is None:
-                raise ValueError("batch has no adjacency positive mask")
-            pos = batch.slice_positives
-            pos_counts = pos.sum(axis=1)
-            G = float(np.mean(pos_counts + 1))
-        else:
-            labels = pid if group_type == "patient" else batch.volume_ids
-            if labels is None:
-                raise ValueError("batch has no volume labels")
-            pos = (labels[:n, None] == labels[None, :]) & anchor_not_self
-            pos_counts = pos.sum(axis=1)
-            G = n / np.unique(labels[:n]).size
-        if pos_counts.sum() == 0:
+    anchor_logits = logits[:n]
+    for k, group_type in enumerate(st.groups):
+        lam = cfg.weight_of(group_type)
+        if lam == 0 or not st.live[b, k]:
             continue
-        # same-patient rows outside the group leave the denominator
-        den = (pos | other_patient) & anchor_not_self
-        log_denoms, softmax = _masked_log_denoms(anchor_logits, den)
-        active = pos_counts > 0
-        w = lam * (1.0 / (n * G))
+        pos, pos_counts, active = st.pos[b, k], st.pos_counts[b, k], st.active[b, k]
+        block = slice(st.ntxent_rows + k * n, st.ntxent_rows + (k + 1) * n)
+        w = lam * float(st.scale[b, k])
         total = float(
-            np.sum(pos_counts[active] * log_denoms[active]) - np.sum(anchor_logits[pos])
+            (pos_counts[active] * log_denoms[block][active]).sum()
+            - anchor_logits[pos].sum()
         )
         loss += w * total
-        contrib = np.zeros((n, n2))
-        contrib[active] = (w / tau) * pos_counts[active, None] * softmax[active]
-        contrib[pos] -= w / tau
+        contrib = np.where(
+            active[:, None], (w / tau) * pos_counts[:, None] * softmax[block], 0.0
+        )
+        np.subtract(contrib, w / tau, out=contrib, where=pos)
         GS[:n] += contrib
 
     # chain d(loss)/d(sim) through S = zhat zhat^T and the clamped row norms

@@ -227,12 +227,12 @@ class TestRunRounds:
         out = tmp_path / "r"
         code, _, err = run(
             capsys, "run-rounds", "--data", str(data_dir), "--out", str(out),
-            "--threads", "2", "--repeats", "2", "--batch-size", "7",
+            "--threads", "2", "--repeats", "2", "--lr", "1e155",
             "--strategies", "coreset_learned", "--epochs", "1", "--hidden", "8",
             "--rep-dim", "4", "--proj-dim", "3",
         )
         assert code == 1
-        assert err == "error: batch size 7 is not a multiple of tuple width 3\n"
+        assert err == "error: non-finite projections at epoch 0, aborting\n"
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])

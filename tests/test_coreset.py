@@ -9,6 +9,7 @@ from slicepick import (
     kmeans_labels,
     silhouette_score,
 )
+from slicepick._kernels import pairwise_dists
 
 
 def ref_silhouette(emb, labels):
@@ -29,6 +30,25 @@ def ref_silhouette(emb, labels):
         )
         scores.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
     return float(np.mean(scores))
+
+
+def loop_silhouette(emb, labels):
+    """The per-row loop ``silhouette_score`` replaced, kept as its bit-level
+    oracle: one row's distance sums and means at a time."""
+    D = pairwise_dists(np.ascontiguousarray(emb, dtype=np.float64))
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    scores = np.zeros(len(D))
+    members = {c: np.flatnonzero(labels == c) for c in uniq}
+    for i in range(len(D)):
+        own = members[labels[i]]
+        if own.size < 2:
+            continue
+        a = D[i, own].sum() / (own.size - 1)
+        b = min(D[i, members[c]].mean() for c in uniq if c != labels[i])
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
 
 
 class TestDistance:
@@ -253,6 +273,29 @@ class TestSilhouette:
             assert silhouette_score(emb, labels) == pytest.approx(
                 ref_silhouette(emb, labels), abs=1e-12
             )
+
+    def test_bits_match_per_row_loop(self):
+        # singletons, coincident points and 2-40 clusters of up to 480 rows
+        rng = np.random.default_rng(14)
+        for trial in range(30):
+            n = int(rng.integers(3, 481)) if trial % 3 else int(rng.integers(3, 40))
+            k = int(rng.integers(2, min(n, 40) + 1))
+            labels = rng.integers(0, k, size=n)
+            labels[:2] = [0, 1]
+            labels[rng.random(n) < 0.05] = k  # a few extra, often tiny clusters
+            emb = rng.standard_normal((n, int(rng.integers(1, 33))))
+            emb[rng.random(n) < 0.2] = emb[0]  # coincident rows
+            if trial % 5 == 0:
+                emb = np.round(emb)
+            got = silhouette_score(emb, labels)
+            assert got == loop_silhouette(emb, labels)
+            if n < 60:  # the pure-python oracle is O(n^2 k)
+                assert got == pytest.approx(ref_silhouette(emb, labels), abs=1e-12)
+
+    def test_singletons_and_coincident_clusters(self):
+        emb = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [5.0, 5.0]])
+        labels = [0, 0, 1, 2, 3]
+        assert silhouette_score(emb, labels) == loop_silhouette(emb, labels) == 0.4
 
 
 class TestKmeans:

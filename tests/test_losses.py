@@ -307,6 +307,16 @@ class TestLossBatchValidation:
         with pytest.raises(ValueError, match="non-finite"):
             LossBatch(**parts)
 
+    @pytest.mark.parametrize("key,term", [("volume_ids", "volume"),
+                                          ("slice_positives", "slice_group")])
+    def test_term_without_its_ids_is_named(self, key, term):
+        parts = self.batch_parts()
+        parts[key] = None
+        cfg = LossConfig(tau=0.5, ntxent=0.0, **{term: 1.0})
+        name = term.replace("_group", "")
+        with pytest.raises(ValueError, match=rf"loss terms \['{name}'\]"):
+            combined_loss(LossBatch(**parts), cfg)
+
 
 class TestSlicePositives:
     def test_adjacency_and_same_slice(self):

@@ -205,6 +205,28 @@ def test_rejected_setting_names_its_flag_or_config_line(
     assert not out.exists()
 
 
+def _assert_rejected_before_training(
+    data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+):
+    """``command`` with ``argv`` (and ``config`` as its config file) exits 1
+    with the one line ``error: <line>``, trains nothing and writes nothing."""
+    from slicepick import cli, pipeline
+
+    trained = []
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "train", lambda *a, **k: trained.append(a))
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    args = [command, "--data", str(data_dir), "--out", str(out), "--epochs", "1", *argv]
+    if config is not None:
+        cfg.write_text(config + "\n")
+        args += ["--config", str(cfg)]
+    code, stdout, err = run(capsys, *args)
+    assert code == 1 and stdout == ""
+    assert err.splitlines() == [f"error: {line.format(cfg=cfg)}"]
+    assert trained == [] and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train-encoder", "run-rounds", "ablate"])
 @pytest.mark.parametrize(
     "argv,config,line",
@@ -228,21 +250,35 @@ def test_rejected_setting_names_its_flag_or_config_line(
 def test_rejected_loss_setting_names_its_flag_or_config_line(
     data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
 ):
-    from slicepick import cli, pipeline
+    _assert_rejected_before_training(
+        data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+    )
 
-    trained = []
-    for module in (cli, pipeline):
-        monkeypatch.setattr(module, "train", lambda *a, **k: trained.append(a))
-    out = tmp_path / "out"
-    cfg = tmp_path / "run.cfg"
-    args = [command, "--data", str(data_dir), "--out", str(out), "--epochs", "1", *argv]
-    if config is not None:
-        cfg.write_text(config + "\n")
-        args += ["--config", str(cfg)]
-    code, stdout, err = run(capsys, *args)
-    assert code == 1 and stdout == ""
-    assert err.splitlines() == [f"error: {line.format(cfg=cfg)}"]
-    assert trained == [] and not out.exists()
+
+@pytest.mark.parametrize(
+    "command,argv,config,line",
+    [
+        ("ablate", ["--groups", "patient,volume", "--batch-size", "8"], None,
+         "--batch-size: training setting batch_size must be a multiple of 3, the tuple "
+         "width of the loss terms patient+volume, got 8"),
+        ("ablate", ["--groups", "ntxent,slice"], "batch_size=3",
+         "{cfg}: batch_size: training setting batch_size must be a multiple of 2, the "
+         "tuple width of the loss terms slice, got 3"),
+        ("train-encoder", ["--groups", "ntxent,patient,volume", "--batch-size", "7"], None,
+         "--batch-size: training setting batch_size must be a multiple of 3, the tuple "
+         "width of the loss terms ntxent+patient+volume, got 7"),
+        ("run-rounds", ["--batch-size", "4"], None,
+         "--batch-size: training setting batch_size must be a multiple of 3, the tuple "
+         "width of the loss terms ntxent+patient+volume, got 4"),
+    ],
+    ids=["ablate-flag", "ablate-config", "train-encoder", "run-rounds"],
+)
+def test_batch_size_checked_against_every_tuple_width_before_training(
+    data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+):
+    _assert_rejected_before_training(
+        data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+    )
 
 
 def test_diverged_training_leaves_no_checkpoint_or_plan(data_dir, tmp_path, capsys):

@@ -1,0 +1,207 @@
+"""``train`` against the per-step loop it replaced, bit for bit.
+
+``reference_train`` is that loop: each step looks its rows up slice by
+slice, builds its masks through a lone ``LossBatch`` and takes an
+out-of-place ADAM step. ``train`` builds the masks once per epoch as one
+``LossStructure`` and updates ADAM in place; both must give the same
+parameters and epoch losses. The outside tracer of ``perfbench`` wraps
+``encoder``'s globals, so the tests also count that ``train`` looks each of
+them up once per epoch or step.
+"""
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import make_dataset
+from slicepick import SynthSpec, TrainConfig, generate_synthetic, preset_loss_config
+from slicepick import encoder, sampler
+from slicepick.encoder import (
+    Architecture,
+    _backward_batch,
+    _forward_batch,
+    augment_batch,
+    epoch_seed,
+    init_params,
+    train,
+)
+from slicepick.losses import (
+    LossBatch,
+    LossConfig,
+    LossStructure,
+    loss_and_grad,
+    slice_positives_from_rows,
+)
+
+TERMS = ("ntxent", "patient", "volume", "slice")
+SUBSETS = [c for k in range(1, 5) for c in itertools.combinations(TERMS, k)]
+SMALL = TrainConfig(epochs=2, hidden=(6,), rep_dim=4, proj_dim=3, seed=5)
+
+
+def reference_train(ds, loss_cfg, train_cfg):
+    """(flat parameters, epoch losses) of the per-step loop."""
+    groups = loss_cfg.enabled_groups
+    if train_cfg.batch_size is None:
+        size = sampler.default_batch_size(groups, n_patients=len(ds.patient_volumes))
+        train_cfg = replace(train_cfg, batch_size=size)
+    X = ds.pixel_matrix()
+    arch = Architecture(ds.h * ds.w, tuple(train_cfg.hidden), train_cfg.rep_dim,
+                        train_cfg.proj_dim)
+    params = init_params(arch, np.random.SeedSequence([train_cfg.seed, 0]))
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
+    c = train_cfg
+    t = 0
+    epoch_losses = []
+    for epoch in range(c.epochs):
+        plan = sampler.build_epoch(ds, groups, c.batch_size, epoch_seed(c.seed, epoch))
+        batch_losses = []
+        for batch_tuples in plan.batches:
+            recs = [ds.record(sid) for tup in batch_tuples for sid in tup.slice_ids()]
+            originals = X[[ds.row_of(r.slice_id) for r in recs]]
+            views = augment_batch(originals, c.augment, aug_rng, ds.h, ds.w)
+            _, proj, cache = _forward_batch(params, np.vstack([originals, views]))
+            ids = np.array([[r.slice_id, r.patient_id, r.volume_id, r.slice_index]
+                            for r in recs * 2]).T
+            slice_pos = None
+            if loss_cfg.slice_group > 0:
+                slice_pos = slice_positives_from_rows(ids[0], ids[2], ids[3])
+            batch = LossBatch(z=proj, patient_ids=ids[1], volume_ids=ids[2],
+                              slice_positives=slice_pos)
+            loss, d_proj = loss_and_grad(batch, loss_cfg)
+            g_w, g_b = _backward_batch(params, cache, d_proj)
+            grad = np.concatenate([np.ravel(x) for p in zip(g_w, g_b) for x in p])
+            t += 1
+            p = params.flat
+            p *= 1.0 - c.learning_rate * c.weight_decay
+            m = c.beta1 * m + (1.0 - c.beta1) * grad
+            v = c.beta2 * v + (1.0 - c.beta2) * (grad * grad)
+            p -= c.learning_rate * (m / (1.0 - c.beta1 ** t)) / (
+                np.sqrt(v / (1.0 - c.beta2 ** t)) + c.adam_eps
+            )
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return params.flat, epoch_losses
+
+
+def _uneven_ds():
+    """Volumes of 2-5 slices, and patients with one volume, so tuples share
+    slices and patient companions come from the anchor's own volume."""
+    layout = [(0, 0, 2), (0, 1, 5), (1, 2, 3), (2, 3, 2), (2, 4, 4), (3, 5, 4),
+              (4, 6, 3), (4, 7, 2)]
+    n = sum(k for _, _, k in layout)
+    rng = np.random.default_rng(3)
+    return make_dataset(layout, rng.standard_normal((n, 6)), h=2, w=3)
+
+
+def _two_patient_ds():
+    """Two patients cap every stock batch at two tuples."""
+    spec = SynthSpec(n_patients=2, volumes_per_patient=2, slices_per_volume=3, h=2, w=2,
+                     class_count=2, seed=8)
+    return generate_synthetic(spec)[0]
+
+
+@pytest.mark.parametrize("make_ds", [_uneven_ds, _two_patient_ds],
+                         ids=["uneven", "two-patients"])
+def test_train_matches_per_step_loop_bit_for_bit(make_ds):
+    ds = make_ds()
+    for subset in SUBSETS:
+        loss_cfg = preset_loss_config(subset, tau=0.3)
+        result = train(ds, None, loss_cfg, SMALL)
+        flat, losses = reference_train(ds, loss_cfg, SMALL)
+        assert np.array_equal(result.params.flat, flat), subset
+        assert result.epoch_losses == losses, subset
+
+
+def test_two_patients_cap_the_batch():
+    ds = _two_patient_ds()
+    loss_cfg = preset_loss_config(("ntxent", "patient", "volume"))
+    assert train(ds, None, loss_cfg, replace(SMALL, epochs=1)).config.batch_size == 6
+
+
+def _random_epoch(rng, n_batches, n):
+    """(B, 2N) patient, volume, slice and depth ids of mirrored two-view batches."""
+    pid = rng.integers(0, 3, size=(n_batches, n))
+    vid = pid * 10 + rng.integers(0, 2, size=(n_batches, n))
+    sid = rng.integers(0, 2 * n, size=(n_batches, n))
+    depth = rng.integers(0, 4, size=(n_batches, n))
+    return [np.concatenate([x, x], axis=1) for x in (pid, vid, sid, depth)]
+
+
+def test_epoch_structure_matches_lone_batches():
+    # batch 1 has no adjacency positive (its term is skipped), batch 2 one
+    # anchor without any; every batch's loss must equal its lone batch's
+    rng = np.random.default_rng(21)
+    n = 5
+    pid, vid, sid, depth = _random_epoch(rng, 4, n)
+    spos = slice_positives_from_rows(sid, vid, depth)
+    spos[1] = False
+    spos[2, 3] = False
+    cfgs = [LossConfig(tau=0.4, **dict(zip(["ntxent", "patient", "volume", "slice_group"],
+                                           [float(w) for w in ws])))
+            for ws in itertools.product((0, 1), (0, 0.3), (0, 0.5), (0, 0.2)) if any(ws)]
+    for cfg in cfgs:
+        structure = LossStructure(pid, vid, spos, cfg.terms)
+        for b in range(4):
+            z = rng.standard_normal((2 * n, 3))
+            lone = LossBatch(z=z, patient_ids=pid[b], volume_ids=vid[b],
+                             slice_positives=spos[b])
+            loss, grad = loss_and_grad(LossBatch(z=z, structure=structure, index=b), cfg)
+            lone_loss, lone_grad = loss_and_grad(lone, cfg)
+            assert loss == lone_loss and np.array_equal(grad, lone_grad)
+    assert not LossStructure(pid, vid, spos, ("slice",)).live[1].any()
+
+
+@pytest.mark.parametrize("key", ["patient_ids", "volume_ids"])
+def test_epoch_with_non_mirrored_ids_rejected(key):
+    pid, vid, sid, depth = _random_epoch(np.random.default_rng(22), 3, 4)
+    ids = {"patient_ids": pid, "volume_ids": vid}
+    ids[key][2, 5] += 100  # batch 2, the view of its anchor 1
+    with pytest.raises(ValueError, match=f"{key} of augmented rows must mirror"):
+        LossStructure(**ids)
+
+
+def test_epoch_mask_with_a_diagonal_entry_rejected():
+    pid, vid, sid, depth = _random_epoch(np.random.default_rng(23), 3, 4)
+    spos = slice_positives_from_rows(sid, vid, depth)
+    spos[1, 2, 2] = True
+    with pytest.raises(ValueError, match="no anchor can be its own positive"):
+        LossStructure(pid, vid, spos)
+    with pytest.raises(ValueError, match=r"\(N, 2N\) boolean mask"):
+        LossStructure(pid, vid, spos[:, :, :-1])
+
+
+def test_step_batch_must_fit_its_structure():
+    pid, vid, sid, depth = _random_epoch(np.random.default_rng(24), 2, 3)
+    structure = LossStructure(pid, vid)
+    with pytest.raises(ValueError, match="one row per row of the batch structure"):
+        LossBatch(z=np.ones((4, 2)), structure=structure, index=1)
+
+
+def test_traced_names_looked_up_once_per_epoch_or_step(monkeypatch, tiny_ds):
+    ds, _ = tiny_ds
+    calls = {"build_epoch": 0, "augment_batch": 0, "LossBatch": 0, "loss_and_grad": 0}
+    steps = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counted("build_epoch", sampler.build_epoch)
+
+    def build_epoch(*args):
+        plan = build(*args)
+        steps.append(len(plan.batches))
+        return plan
+
+    monkeypatch.setattr(sampler, "build_epoch", build_epoch)
+    for name in ("augment_batch", "LossBatch", "loss_and_grad"):
+        monkeypatch.setattr(encoder, name, counted(name, getattr(encoder, name)))
+    loss_cfg = preset_loss_config(("ntxent", "patient", "volume", "slice"))
+    train(ds, None, loss_cfg, replace(SMALL, epochs=3))
+    assert calls["build_epoch"] == 3 and sum(steps) > 3
+    assert calls["augment_batch"] == calls["LossBatch"] == calls["loss_and_grad"] == sum(steps)
