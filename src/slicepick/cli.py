@@ -3,9 +3,10 @@
 Configuration is a flat key=value file plus per-flag overrides; every
 default is printable via ``slicepick --print-config``. A key's flag and
 its config line share ``CONFIG``'s one named cast; a flag beats the file.
-Every settings object, each ``ablate`` subset's ``LossConfig`` included, is
-built inside ``_Cfg.settings()``, so a rejected value names its flag, or its
-``<config path>: <key>``. All
+The CLI checks nothing but its parsing: each value's owner (a settings
+object, the sampler for every training before the first, the experiment,
+the greedy) checks it inside ``_Cfg.settings()``, so a rejected value
+names its flag, or its ``<config path>: <key>``. All
 randomness is driven by explicit seeds (never the wall clock), so re-running
 a command overwrites its outputs with identical bytes. Exit codes:
 0 success, 2 usage error, 1 runtime error.
@@ -35,13 +36,12 @@ from .encoder import (
     AugmentSpec,
     TrainConfig,
     embed_all,
-    epoch_seed,
     load_checkpoint,
     save_checkpoint,
     train,
     write_loss_history,
 )
-from .errors import FormatError, SettingError, SlicepickError, UndefinedStatisticError
+from .errors import FormatError, SamplerError, SettingError, SlicepickError, UndefinedStatisticError
 from .losses import GROUP_LOSSES, preset_loss_config
 from .pipeline import (
     DEFAULT_FRACTIONS,
@@ -51,7 +51,7 @@ from .pipeline import (
     probe_accuracy,
     run_experiment,
 )
-from .sampler import build_epoch, tuple_width
+from .sampler import epoch_batch_size
 
 
 # named casts: argparse reports a value one cannot read as "invalid <name> value"
@@ -121,7 +121,7 @@ _FIELD_KEYS = {
     "h": ("height",), "w": ("width",), "class_count": ("classes",),
     "scale_jitter": ("scale_lo", "scale_hi"), "kind": ("strategies",),
     "patient": ("w_patient",), "volume": ("w_volume",), "slice_group": ("w_slice",),
-    "weights": ("groups", "w_patient", "w_volume", "w_slice"),
+    "ntxent": ("groups",), "weights": ("groups", "w_patient", "w_volume", "w_slice"),
 }
 
 _HELP = {
@@ -174,24 +174,19 @@ class _Cfg:
                 return values[key]
         return CONFIG[key][0]
 
-    def source(self, *keys):
-        """The flag or ``<config path>: <key>`` that set each of ``keys``;
-        empty when all hold their defaults."""
-        return ", ".join(
-            _flag(k) if k in self.flags else f"{self.path}: {k}"
-            for k in keys if k in self.flags or k in self.file_values
-        )
-
     @contextmanager
     def settings(self, **flags):
-        """Build settings objects inside; a SettingError becomes
-        ``<source>: <message>``. ``flags`` maps a field that no config key
-        sets to the command's own flag (``ablate``'s ``--fraction``)."""
+        """Build settings objects inside; a SettingError becomes ``<source>: <message>``,
+        its source the flags or ``<config path>: <key>`` that set its field. ``flags``
+        maps a field to the command's own flag (``--fraction``, ``--budget``)."""
         try:
             yield
         except SettingError as exc:
-            keys = _FIELD_KEYS.get(exc.setting, (exc.setting,))
-            source = flags.get(exc.setting) or self.source(*keys)
+            source = flags.get(exc.setting) or ", ".join(
+                _flag(k) if k in self.flags else f"{self.path}: {k}"
+                for k in _FIELD_KEYS.get(exc.setting, (exc.setting,))
+                if k in self.flags or k in self.file_values
+            )
             raise SlicepickError(f"{source}: {exc}" if source else str(exc)) from None
 
     def dump(self):
@@ -234,14 +229,13 @@ def _train_config(cfg):
         )
 
 
-def _check_batch_size(cfg, train_cfg, loss_cfg, terms):
-    """Reject, before any training, a batch size that is no whole number of
-    the sampler's tuples for ``loss_cfg``, whose ``terms`` the message names."""
-    width = tuple_width(loss_cfg.enabled_groups)
-    if train_cfg.batch_size is not None and train_cfg.batch_size % width:
-        rule = f"be a multiple of {width}, the tuple width of the loss terms {'+'.join(terms)}"
-        with cfg.settings():
-            raise SettingError("training", train_cfg, "batch_size", rule)
+def _check_draws(cfg, data, ds, loss_cfg, train_cfg):
+    """Let the sampler check a training with ``loss_cfg`` on ``ds``, read from ``data``."""
+    with cfg.settings():
+        try:
+            epoch_batch_size(ds, loss_cfg.enabled_groups, train_cfg.batch_size)
+        except SamplerError as exc:
+            raise SamplerError(f"{data}: loss terms {'+'.join(loss_cfg.terms)}: {exc}") from None
 
 
 def _synth_spec(cfg):
@@ -294,13 +288,11 @@ def cmd_train_encoder(args):
     cfg = _Cfg(args)
     ds, _ = load_dataset(args.data)
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
-    _check_batch_size(cfg, train_cfg, loss_cfg, cfg["groups"])
-    groups = loss_cfg.enabled_groups
-    result = train(ds, groups, loss_cfg, train_cfg)
+    _check_draws(cfg, args.data, ds, loss_cfg, train_cfg)
+    result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
     train_cfg = result.config
     if args.dump_epoch:
-        plan = build_epoch(ds, groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, 0))
-        write_atomic(args.dump_epoch, plan.to_json() + "\n")
+        write_atomic(args.dump_epoch, result.first_plan.to_json() + "\n")
     save_checkpoint(args.out, result.params, train_cfg, train_cfg.seed)
     if args.history:
         write_loss_history(args.history, result.epoch_losses)
@@ -327,9 +319,6 @@ def cmd_embed(args):
 
 def cmd_select(args):
     cfg = _Cfg(args)
-    seed = cfg["seed"]
-    if seed < 0:
-        raise SlicepickError(f"{cfg.source('seed')} must be a nonnegative integer, got {seed}")
     matrix, meta = gcle.read_gcle(args.embeddings)
     emb = matrix.astype(np.float64)
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
@@ -347,24 +336,15 @@ def cmd_select(args):
                     f"--initial: slice id {slice_id} is not in {args.embeddings}"
                 )
             initial.append(row_of[slice_id])
-    try:
-        state = k_center_greedy(emb, initial, args.budget, cold_start_seed=seed)
-    except ValueError as exc:  # the budget is the only value left to reject
-        raise SlicepickError(f"--budget: {exc}") from None
-    lines = []
-    for rank, (idx, dist) in enumerate(state.trace):
-        lines.append(
-            json.dumps(
-                {
-                    "round": 0,
-                    "rank": rank,
-                    "slice_id": meta[idx]["slice_id"],
-                    "min_dist": None if np.isinf(dist) else dist,
-                },
-                sort_keys=True,
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    with cfg.settings(budget="--budget"):
+        state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
+    records = [
+        {"round": 0, "rank": rank, "slice_id": meta[idx]["slice_id"],
+         "min_dist": None if np.isinf(dist) else dist}
+        for rank, (idx, dist) in enumerate(state.trace)
+    ]
+    # JSON Lines: no picks is an empty file
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if args.out:
         write_atomic(args.out, text)
     else:
@@ -374,9 +354,6 @@ def cmd_select(args):
 
 def cmd_run_rounds(args):
     cfg = _Cfg(args)
-    threads = cfg["threads"]
-    if threads < 1:
-        raise SlicepickError(f"{cfg.source('threads')} must be >= 1, got {threads}")
     ds, labels = load_dataset(args.data)
     with cfg.settings():
         plan = RoundPlan(
@@ -389,9 +366,9 @@ def cmd_run_rounds(args):
             else StrategySpec(kind)
             for kind in cfg["strategies"]
         ]
-    if "coreset_learned" in cfg["strategies"]:
-        _check_batch_size(cfg, train_cfg, loss_cfg, cfg["groups"])
-    report = run_experiment(ds, labels, strategies, plan, threads=threads)
+        if "coreset_learned" in cfg["strategies"]:
+            _check_draws(cfg, args.data, ds, loss_cfg, train_cfg)
+        report = run_experiment(ds, labels, strategies, plan, threads=cfg["threads"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "report.json", report.to_json())
@@ -419,8 +396,9 @@ def cmd_ablate(args):
         for combo in combinations(terms, size)
     ]
     train_cfg = _train_config(cfg)
-    for name, loss_cfg in runs[1:]:
-        _check_batch_size(cfg, train_cfg, loss_cfg, name.split("+"))
+    # so are their draws, the full set first: its companion pools are every subset's
+    for _, loss_cfg in reversed(runs[1:]):
+        _check_draws(cfg, args.data, ds, loss_cfg, train_cfg)
     with cfg.settings(fractions="--fraction"):
         plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
     budget = budgets(plan, ds.n)[0]

@@ -25,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
+from .errors import SettingError
 
 BRUTE_FORCE_LIMIT = 10 ** 6
 
@@ -117,7 +118,8 @@ def _continued_state(emb, state):
 
 def _check_budget(k, free):
     if not 0 <= k <= free:
-        raise ValueError(f"budget must lie in [0, {free}] (the unlabeled rows), got {k}")
+        rule = f"lie in [0, {free}] (the unlabeled rows)"
+        raise SettingError("selection", {"budget": k}, "budget", rule)
 
 
 def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
@@ -133,8 +135,11 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     With an empty initial set the first center is the head of a seeded
     shuffle of the rows (row 0 when no seed is given); after that every
     pick maximizes the distance to the nearest existing center, ties going
-    to the lowest row index.
+    to the lowest row index. An integer seed must be nonnegative.
     """
+    if isinstance(cold_start_seed, (int, np.integer)) and cold_start_seed < 0:
+        seed = {"seed": cold_start_seed}
+        raise SettingError("selection", seed, "seed", "be a nonnegative integer")
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     n = emb.shape[0]
     sq_norms = _kernels._sq_norms(emb)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sampler
 from ._io import write_atomic
-from .errors import FormatError, SamplerError, SettingError, TrainingDivergedError
+from .errors import FormatError, SettingError, TrainingDivergedError
 from .losses import LossBatch, LossStructure, loss_and_grad, slice_positives_from_rows
 
 CHECKPOINT_MAGIC = b"SENC"
@@ -156,6 +156,7 @@ class TrainResult:
     params: EncoderParams
     epoch_losses: list
     config: TrainConfig  # the settings trained with, the stock batch size resolved
+    first_plan: sampler.EpochPlan  # epoch 0's batch plan
 
 
 def epoch_seed(seed, epoch):
@@ -319,18 +320,19 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
 
     Each epoch builds a fresh batch plan (epoch-derived seed) and its loss
     structure, augments every batch slice once to form the 2N-row view
-    stack, and applies one ADAM step per batch on the combined loss. A
-    ``batch_size`` of None is resolved here, once, to the stock size; the
-    result's ``config`` holds it. ``sampler.build_epoch``, ``augment_batch``,
+    stack, and applies one ADAM step per batch on the combined loss.
+    ``sampler.epoch_batch_size`` checks the batch size and companion pools
+    before any work, and resolves a ``batch_size`` of None to the stock
+    size; the result's ``config`` holds it, and ``first_plan`` the plan of
+    epoch 0. ``sampler.build_epoch``, ``augment_batch``,
     ``LossBatch`` and ``loss_and_grad`` are looked up as globals on every
     epoch or step, where an outside tracer can wrap them.
     """
     if enabled_groups is None:
         enabled_groups = loss_cfg.enabled_groups
-    if train_cfg.batch_size is None:
-        train_cfg = replace(train_cfg, batch_size=sampler.default_batch_size(
-            enabled_groups, n_patients=len(ds.patient_volumes)
-        ))
+    train_cfg = replace(train_cfg, batch_size=sampler.epoch_batch_size(
+        ds, enabled_groups, train_cfg.batch_size
+    ))
     X = ds.pixel_matrix()
     ids = np.array(
         [[r.slice_id, r.patient_id, r.volume_id, r.slice_index] for r in ds.slices],
@@ -356,10 +358,8 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
             plan = sampler.build_epoch(
                 ds, enabled_groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, epoch)
             )
-            if not plan.batches:
-                raise SamplerError(
-                    f"batch size {train_cfg.batch_size} yields no batches on this dataset"
-                )
+            if epoch == 0:
+                first_plan = plan
             rows, structure = _epoch_structure(ids, row_of, plan, loss_cfg.terms)
             batch_losses = []
             for b in range(len(rows)):
@@ -381,7 +381,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
                 _adam_step(params, grad, state, train_cfg)
                 batch_losses.append(loss)
             epoch_losses.append(float(np.mean(batch_losses)))
-    return TrainResult(params=params, epoch_losses=epoch_losses, config=train_cfg)
+    return TrainResult(params, epoch_losses, train_cfg, first_plan)
 
 
 # ---------------------------------------------------------------------------

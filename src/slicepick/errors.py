@@ -19,6 +19,10 @@ class SettingError(InvalidSpecError, ValueError):
         super().__init__(f"{kind} setting {setting} must {rule}, got {value!r}")
         self.setting = setting
 
+    def __reduce__(self):
+        # unpickled from its message, as from a repeat worker, not its owner
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class UndefinedStatisticError(SlicepickError):
     """A statistic was requested for a grouping with no valid pairs."""
@@ -29,7 +33,7 @@ class FormatError(SlicepickError):
 
 
 class SamplerError(SlicepickError):
-    """Batch-plan construction failed (bad batch size or empty companion pool)."""
+    """A batch plan cannot be built (an empty companion pool) or breaks an invariant."""
 
 
 class TrainingDivergedError(SlicepickError):

@@ -260,10 +260,6 @@ class LossBatch:
         elif self.structure.den.shape[2] != n2:
             raise ValueError("embeddings must have one row per row of the batch structure")
 
-    @property
-    def n_pairs(self):
-        return self.z.shape[0] // 2
-
 
 def _check_mirrored(arr, name):
     n = arr.shape[-1] // 2

@@ -305,7 +305,7 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
     worker count.
     """
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise SettingError("experiment", {"threads": threads}, "threads", "be >= 1")
     labels = np.asarray(labels)
     if labels.shape[0] != ds.n:
         raise ValueError("labels must align with the dataset slices")

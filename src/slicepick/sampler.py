@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplerError
+from .errors import SamplerError, SettingError
 
 GROUP_SLICE = "slice"
 GROUP_VOLUME = "volume"
@@ -78,6 +78,38 @@ def default_batch_size(enabled_groups, n_patients=None):
     return width * per_batch
 
 
+def _check_draw(ds, groups, batch_size):
+    """The tuple width; raises for a batch size of no whole tuples, then for
+    the first patient or volume, in ``build_epoch``'s order, with no pool."""
+    width = tuple_width(groups)
+    if batch_size < 1:
+        raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", "be >= 1 slice")
+    if batch_size % width:
+        rule = f"be a multiple of {width}, the tuple width of the groups {'+'.join(sorted(groups))}"
+        raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", rule)
+    for pid, vids in sorted(ds.patient_volumes.items()):
+        if GROUP_PATIENT in groups and sum(len(ds.volume_slices[v]) for v in vids) < 2:
+            raise SamplerError(f"patient {pid} has a single slice; patient companions need >= 2")
+        for vid in vids:
+            if GROUP_VOLUME in groups and len(ds.volume_slices[vid]) < 2:
+                raise SamplerError(f"volume {vid} has a single slice; volume companions need >= 2")
+    return width
+
+
+def epoch_batch_size(ds, enabled_groups, batch_size=None):
+    """The batch size of every epoch of a training on ``ds``: ``batch_size``, or
+    the stock size for None. Raises what ``build_epoch`` raises, and SettingError
+    for more tuples than patients: only then does a batch never fill, whatever the seed."""
+    n_patients = len(ds.patient_volumes)
+    if batch_size is None:
+        batch_size = default_batch_size(enabled_groups, n_patients=n_patients)
+    width = _check_draw(ds, set(enabled_groups), batch_size)
+    if batch_size // width > n_patients:
+        rule = f"be at most {width * n_patients}: one {width}-slice tuple per patient"
+        raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", rule)
+    return batch_size
+
+
 def _pick(rng, seq):
     # rng.integers is drawn even for single-candidate pools so the stream
     # advances identically across datasets of the same shape
@@ -103,32 +135,19 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
     tuples left, pop a uniform tuple from it, and mark the patient used.
     If no patient is available before the batch fills, the epoch ends and
     the leftover tuples are dropped.
+    A bad batch size or an empty pool raises before any draw.
     """
     groups = set(enabled_groups)
-    width = tuple_width(groups)
-    if batch_size < 1:
-        raise SamplerError(f"batch size must be >= 1, got {batch_size}")
-    if batch_size % width != 0:
-        raise SamplerError(
-            f"batch size {batch_size} is not a multiple of tuple width {width}"
-        )
+    width = _check_draw(ds, groups, batch_size)
     tuples_per_batch = batch_size // width
     rng = np.random.default_rng(seed)
 
     per_patient = {}
     for pid in sorted(ds.patient_volumes):
         patient_sids = ds.patient_slices(pid)
-        if GROUP_PATIENT in groups and len(patient_sids) < 2:
-            raise SamplerError(
-                f"patient {pid} has a single slice; patient companions need >= 2"
-            )
         tuples = []
         for vid in ds.patient_volumes[pid]:
             vol_sids = ds.volume_slices[vid]
-            if GROUP_VOLUME in groups and len(vol_sids) < 2:
-                raise SamplerError(
-                    f"volume {vid} has a single slice; volume companions need >= 2"
-                )
             cross_volume = [s for s in patient_sids if ds.record(s).volume_id != vid]
             for k, anchor in enumerate(vol_sids):
                 companions = []

@@ -242,7 +242,7 @@ class TestRunRounds:
             "--threads", threads,
         )
         assert code == 1
-        assert err == f"error: --threads must be >= 1, got {threads}\n"
+        assert err == f"error: --threads: experiment setting threads must be >= 1, got {threads}\n"
         assert not (tmp_path / "r").exists()
 
     def test_unknown_strategy_names_its_flag(self, data_dir, tmp_path, capsys):
@@ -365,10 +365,19 @@ class TestSelectBudget:
         )
         assert code == 1 and out == ""
         assert err == (
-            f"error: --budget: budget must lie in [0, 3] (the unlabeled rows), "
-            f"got {budget}\n"
+            f"error: --budget: selection setting budget must lie in [0, 3] (the unlabeled "
+            f"rows), got {budget}\n"
         )
         assert not out_path.exists()
+
+    def test_zero_budget_writes_an_empty_trace(self, gcle_path, tmp_path, capsys):
+        out_path = tmp_path / "trace.jsonl"
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", "0",
+            "--out", str(out_path),
+        )
+        assert code == 0 and out == "" and err == ""
+        assert out_path.read_bytes() == b""  # JSON Lines with no records
 
     def test_negative_seed_names_seed_not_budget(self, gcle_path, tmp_path, capsys):
         out_path = tmp_path / "trace.jsonl"
@@ -377,7 +386,10 @@ class TestSelectBudget:
             "--seed", "-1", "--out", str(out_path),
         )
         assert code == 1 and out == ""
-        assert err == "error: --seed must be a nonnegative integer, got -1\n"
+        assert err == (
+            "error: --seed: selection setting seed must be a nonnegative "
+            "integer, got -1\n"
+        )
         assert not out_path.exists()
 
 

@@ -91,7 +91,9 @@ class TestGreedy:
     def test_budget_outside_range_gives_range_and_value(self, k):
         with pytest.raises(ValueError) as info:
             k_center_greedy(self.line, [0], k)
-        assert str(info.value) == f"budget must lie in [0, 2] (the unlabeled rows), got {k}"
+        assert str(info.value) == (
+            f"selection setting budget must lie in [0, 2] (the unlabeled rows), got {k}"
+        )
 
     def test_cold_start_defaults_to_lowest_index(self):
         state = k_center_greedy(self.line, [], 1)
@@ -208,7 +210,9 @@ class TestBruteForce:
         emb = np.zeros((6, 1))
         with pytest.raises(ValueError) as info:
             brute_force_k_center(emb, [0], k)
-        assert str(info.value) == f"budget must lie in [0, 5] (the unlabeled rows), got {k}"
+        assert str(info.value) == (
+            f"selection setting budget must lie in [0, 5] (the unlabeled rows), got {k}"
+        )
 
     def test_instance_size_guard(self):
         emb = np.zeros((60, 1))

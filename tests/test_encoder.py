@@ -247,6 +247,17 @@ class TestTraining:
         norm_after = np.sqrt(sum(np.sum(w ** 2) for w in res.params.weights))
         assert norm_after < norm_before
 
+    def test_oversized_batch_rejected_before_first_epoch(self, monkeypatch):
+        from slicepick import SettingError, sampler
+
+        plans = []
+        monkeypatch.setattr(sampler, "build_epoch", lambda *args: plans.append(args))
+        loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)
+        # two patients: a batch holds at most two 1-slice tuples
+        with pytest.raises(SettingError, match="batch_size must be at most 2: .*, got 3$"):
+            train(self.small_ds(), set(), loss_cfg, self.cfg(batch_size=3))
+        assert plans == []
+
     def test_divergence_guard(self):
         ds = self.small_ds()
         loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)

@@ -295,11 +295,11 @@ class TestRepeatWorkers:
             )
 
     def test_worker_error_keeps_its_type_and_message(self):
-        from slicepick import SamplerError
+        from slicepick import SettingError
 
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.5,), n_repeats=2)
-        with pytest.raises(SamplerError, match="batch size 7 is not a multiple of tuple width"):
+        with pytest.raises(SettingError, match="batch_size must be a multiple of .*, got 7$"):
             run_experiment(ds, labels, self.strategies(batch_size=7), plan, threads=2)
 
     def test_dead_worker_is_a_slicepick_error(self, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import slicepick
 from conftest import make_dataset
-from slicepick import SamplerError, SynthSpec, generate_synthetic
+from slicepick import SamplerError, SettingError, SynthSpec, generate_synthetic
 from slicepick.sampler import build_epoch, default_batch_size, tuple_width
 
 
@@ -157,7 +157,7 @@ class TestBuildEpoch:
 
     def test_indivisible_batch_size(self, tiny_ds):
         ds, _ = tiny_ds
-        with pytest.raises(SamplerError):
+        with pytest.raises(SettingError, match="batch_size must be a multiple of 3"):
             build_epoch(ds, {"slice", "volume"}, 8, seed=0)
 
     def test_single_slice_volume_fallback_and_errors(self):

@@ -54,6 +54,19 @@ def data_dir(tmp_path, capsys):
     return out
 
 
+@pytest.fixture
+def lone_slice_dir(tmp_path, capsys):
+    """3 patients x 2 volumes x 1 slice: no volume has a volume companion."""
+    out = tmp_path / "lone"
+    code, _, _ = run(
+        capsys, "gen-data", "--out", str(out), "--patients", "3",
+        "--volumes-per-patient", "2", "--slices-per-volume", "1",
+        "--height", "3", "--width", "3", "--classes", "3", "--seed", "3",
+    )
+    assert code == 0
+    return out
+
+
 @pytest.mark.parametrize("size", [-3, 0])
 def test_build_epoch_rejects_batch_size_below_one(size):
     code = (
@@ -65,7 +78,7 @@ def test_build_epoch_rejects_batch_size_below_one(size):
     )
     proc = run_bounded(str(size), code=code)
     assert proc.returncode == 1
-    assert f"SamplerError: batch size must be >= 1, got {size}" in proc.stderr
+    assert f"SettingError: sampler setting batch_size must be >= 1 slice, got {size}" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train-encoder", "run-rounds", "ablate"])
@@ -179,7 +192,8 @@ def test_batch_size_auto_flag_beats_config_file(data_dir, tmp_path, capsys):
          "--fractions: round setting fractions must lie in (0, 1], got (1.5,)"),
         ("ablate", ["--fraction", "0"], None,
          "--fraction: round setting fractions must lie in (0, 1], got (0.0,)"),
-        ("run-rounds", [], "threads=0", "{cfg}: threads must be >= 1, got 0"),
+        ("run-rounds", [], "threads=0",
+         "{cfg}: threads: experiment setting threads must be >= 1, got 0"),
         ("train-encoder", [], "lr=nan",
          "{cfg}: lr: training setting learning_rate must be finite, got nan"),
     ],
@@ -205,11 +219,35 @@ def test_rejected_setting_names_its_flag_or_config_line(
     assert not out.exists()
 
 
+# fields no config key sets: constants of the code, whole settings objects,
+# a strategy's name, and select's own --budget
+_UNSET_FIELDS = {"beta1", "beta2", "adam_eps", "augment", "loss", "train", "name", "budget"}
+# fields a SettingError names outside any settings object
+_OWNER_FIELDS = {"groups", "weights", "batch_size", "threads", "budget", "seed"}
+
+
+def test_every_setting_field_resolves_to_config_keys():
+    from dataclasses import fields
+
+    from slicepick import AugmentSpec, LossConfig, RoundPlan, StrategySpec, SynthSpec
+    from slicepick.cli import _FIELD_KEYS, CONFIG
+
+    owners = (TrainConfig, AugmentSpec, RoundPlan, SynthSpec, LossConfig, StrategySpec)
+    names = {f.name for owner in owners for f in fields(owner)} | _OWNER_FIELDS
+    unresolved = [
+        name for name in sorted(names - _UNSET_FIELDS)
+        if not set(_FIELD_KEYS.get(name, (name,))) <= CONFIG.keys()
+    ]
+    assert unresolved == []
+    assert not _UNSET_FIELDS & CONFIG.keys()
+
+
 def _assert_rejected_before_training(
     data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
 ):
     """``command`` with ``argv`` (and ``config`` as its config file) exits 1
-    with the one line ``error: <line>``, trains nothing and writes nothing."""
+    with the one line ``error: <line>``, trains nothing and writes nothing.
+    ``{cfg}`` and ``{data}`` in ``line`` stand for the config file and data."""
     from slicepick import cli, pipeline
 
     trained = []
@@ -223,7 +261,7 @@ def _assert_rejected_before_training(
         args += ["--config", str(cfg)]
     code, stdout, err = run(capsys, *args)
     assert code == 1 and stdout == ""
-    assert err.splitlines() == [f"error: {line.format(cfg=cfg)}"]
+    assert err.splitlines() == [f"error: {line.format(cfg=cfg, data=data_dir)}"]
     assert trained == [] and not out.exists()
 
 
@@ -255,29 +293,50 @@ def test_rejected_loss_setting_names_its_flag_or_config_line(
     )
 
 
+_LONE_VOLUME = "volume 0 has a single slice; volume companions need >= 2"
+
+
 @pytest.mark.parametrize(
-    "command,argv,config,line",
+    "command,argv,config,line,data",
     [
         ("ablate", ["--groups", "patient,volume", "--batch-size", "8"], None,
-         "--batch-size: training setting batch_size must be a multiple of 3, the tuple "
-         "width of the loss terms patient+volume, got 8"),
+         "--batch-size: sampler setting batch_size must be a multiple of 3, the tuple "
+         "width of the groups patient+volume, got 8", "data_dir"),
         ("ablate", ["--groups", "ntxent,slice"], "batch_size=3",
-         "{cfg}: batch_size: training setting batch_size must be a multiple of 2, the "
-         "tuple width of the loss terms slice, got 3"),
+         "{cfg}: batch_size: sampler setting batch_size must be a multiple of 2, the "
+         "tuple width of the groups slice, got 3", "data_dir"),
         ("train-encoder", ["--groups", "ntxent,patient,volume", "--batch-size", "7"], None,
-         "--batch-size: training setting batch_size must be a multiple of 3, the tuple "
-         "width of the loss terms ntxent+patient+volume, got 7"),
+         "--batch-size: sampler setting batch_size must be a multiple of 3, the tuple "
+         "width of the groups patient+volume, got 7", "data_dir"),
         ("run-rounds", ["--batch-size", "4"], None,
-         "--batch-size: training setting batch_size must be a multiple of 3, the tuple "
-         "width of the loss terms ntxent+patient+volume, got 4"),
+         "--batch-size: sampler setting batch_size must be a multiple of 3, the tuple "
+         "width of the groups patient+volume, got 4", "data_dir"),
+        # 4 patients fill no batch of six tuples
+        ("ablate", ["--groups", "patient,volume", "--batch-size", "18"], None,
+         "--batch-size: sampler setting batch_size must be at most 12: one 3-slice "
+         "tuple per patient, got 18", "data_dir"),
+        ("train-encoder", ["--batch-size", "15"], None,
+         "--batch-size: sampler setting batch_size must be at most 12: one 3-slice "
+         "tuple per patient, got 15", "data_dir"),
+        ("run-rounds", [], "batch_size=15",
+         "{cfg}: batch_size: sampler setting batch_size must be at most 12: one 3-slice "
+         "tuple per patient, got 15", "data_dir"),
+        # the subset patient has its companions; volume and patient+volume do not
+        ("ablate", ["--groups", "patient,volume"], None,
+         f"{{data}}: loss terms patient+volume: {_LONE_VOLUME}", "lone_slice_dir"),
+        ("run-rounds", ["--groups", "ntxent,volume"], None,
+         f"{{data}}: loss terms ntxent+volume: {_LONE_VOLUME}", "lone_slice_dir"),
     ],
-    ids=["ablate-flag", "ablate-config", "train-encoder", "run-rounds"],
+    ids=["ablate-flag", "ablate-config", "train-encoder", "run-rounds",
+         "ablate-oversized", "train-encoder-oversized", "run-rounds-oversized",
+         "ablate-lone-volume", "run-rounds-lone-volume"],
 )
 def test_batch_size_checked_against_every_tuple_width_before_training(
-    data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+    request, tmp_path, capsys, monkeypatch, command, argv, config, line, data
 ):
     _assert_rejected_before_training(
-        data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
+        request.getfixturevalue(data), tmp_path, capsys, monkeypatch, command, argv,
+        config, line,
     )
 
 
