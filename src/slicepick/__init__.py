@@ -59,6 +59,7 @@ from .pipeline import (
     RoundReport,
     StrategySpec,
     budgets,
+    cover_probe_accuracy,
     probe_accuracy,
     run_experiment,
 )

@@ -4,14 +4,18 @@ Every kernel converts its matrix arguments to C-contiguous float64 first.
 ``dist_to_row``, ``pair_mean_abs`` and ``pairwise_dists`` compute each value
 directly. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
 difference, O(p n log n) and within a few ulps of the pairwise sum.
-``nn_indices`` finds candidates with one matrix product per query block and
-re-ranks them with the direct squared distance, so its answer, ties
-included, is exactly that of the direct search. The private helpers, not
-part of the traced set, are ``_sq_norms``, ``_sq_dist_expansion`` (that
-product, |a|^2 - 2 a.b + |b|^2, computed nowhere else) and ``_sq_dist_slack``
-(its rounding bound), which the screened cover update in ``coreset`` shares,
-and ``_row_dists`` (``dist_to_row``'s values at a subset of rows, bit for bit).
-``tests/test_kernels.py`` checks each kernel against a plain-Python loop oracle.
+``nn_indices`` finds candidates with one float32 matrix product per query
+block and re-ranks them with the direct float64 squared distance, so its
+answer, ties included, is exactly that of the direct search. The private
+helpers, not part of the traced set, are ``_sq_norms``, ``_as_f32`` (the one
+float32 copy a caller makes of its matrix), ``_sq_dist_expansion`` (that
+product, |a|^2 - 2 a.b + |b|^2, computed nowhere else), ``_sq_dist_slack``
+(its rounding bound, float32 product included), which the screened cover
+update in ``coreset`` shares, ``_sq_dists`` (the direct squared distance of
+each row of a difference matrix, in one summation order wherever the row
+sits) and ``_row_dists`` (``dist_to_row``'s values at a subset of rows, bit
+for bit). ``tests/test_kernels.py`` checks each kernel against a
+plain-Python loop oracle.
 """
 
 import numpy as np
@@ -31,31 +35,44 @@ def dist_to_row(emb, idx):
 def _row_dists(emb, idx, rows=None):
     """``dist_to_row(emb, idx)``, or its values at ``rows`` only, bit for bit.
 
-    ``emb`` must be C-contiguous float64. ``einsum`` sums every row of a
-    matrix with two or more rows in the same order, wherever the row sits,
-    but a lone row in another order once p passes its 8192-element buffer;
-    so a one-row subset of a larger matrix is evaluated as a pair.
+    ``emb`` must be C-contiguous float64.
     """
-    if rows is None:
-        sub = emb
-    elif len(rows) == 1 and emb.shape[0] > 1:
-        return _row_dists(emb, idx, [rows[0], rows[0]])[:1]
-    else:
-        sub = emb[rows]
-    diff = sub - emb[idx]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    sub = emb if rows is None else emb[rows]
+    return np.sqrt(_sq_dists(sub - emb[idx]))
+
+
+def _sq_dists(diff):
+    """The direct squared distance, the sum of squares of each row of the
+    C-contiguous float64 ``diff``. ``einsum`` sums every row of a matrix with
+    two or more rows in the same order, wherever the row sits, but a lone row
+    in another order once p passes its 8192-element buffer; so a lone row is
+    summed as a pair. (A one-row matrix's only distance, to itself, is 0, or
+    nan, in either order.)
+    """
+    if diff.shape[0] == 1:
+        return _sq_dists(np.concatenate([diff, diff]))[:1]
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def _sq_norms(X):
     return np.einsum("ij,ij->i", X, X)
 
 
+def _as_f32(X):
+    """The float32 copy of ``X`` that ``_sq_dist_expansion`` multiplies;
+    a value past the float32 range becomes inf, which ``_sq_dist_slack``
+    already treats as unbounded."""
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(X, dtype=np.float32)
+
+
 def _sq_dist_expansion(A, a_sq, B, b_sq):
     """|a|^2 - 2 a.b + |b|^2 for every row a of ``A`` (axis 0) and b of ``B``
-    (axis 1), from the squared row norms: ``nn_indices``' ``approx``."""
+    (axis 1): ``nn_indices``' ``approx``. ``A`` and ``B`` are the ``_as_f32``
+    copies of the rows, whose product is float32; ``a_sq`` and ``b_sq`` are
+    the float64 squared norms of the float64 rows, and the sum is float64."""
     with np.errstate(over="ignore", invalid="ignore"):
-        approx = A @ B.T
-        approx *= -2.0
+        approx = np.multiply(A @ B.T, -2.0, dtype=np.float64)
         approx += a_sq[:, None]
         approx += b_sq
     return approx
@@ -64,12 +81,19 @@ def _sq_dist_expansion(A, a_sq, B, b_sq):
 def _sq_dist_slack(scale, p):
     """Twice the bound B of ``nn_indices``' docstring for each ``scale`` S,
     the sum of a query's squared norm and the largest reference one: inf
-    wherever 4 S overflows or is nan, so that callers treat it as unbounded.
+    wherever the float32 product can overflow (4 S above the float32
+    maximum, or nan) or p is too large for the float32 bound, so that
+    callers treat it as unbounded.
     """
-    f64 = np.finfo(np.float64)
+    f64, f32 = np.finfo(np.float64), np.finfo(np.float32)
+    # gamma_{p+2} in float32's unit roundoff, as a Python float
+    k = (p + 2) * float(f32.eps) / 2
+    gamma = k / (1 - k) if k <= 0.5 else np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        slack = 4 * (p + 8) * f64.eps * scale + 2 * f64.tiny
-        slack[~np.isfinite(4 * scale)] = np.inf
+        bound = 2 * (p + 8) * f64.eps * scale + gamma * scale
+        bound += 12 * float(f32.tiny) * (np.sqrt(p * scale) + p) + f64.tiny
+        slack = 2 * bound
+        slack[~(4 * scale <= float(f32.max))] = np.inf
     return slack
 
 
@@ -78,7 +102,13 @@ def pair_mean_abs(X, ia, ib):
     X = _as_c64(X)
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
-    return np.abs(X[ia] - X[ib]).mean(axis=1)
+    out = np.empty(ia.shape[0])
+    # a block of pairs at a time, so no (pairs, p) matrix is held
+    for start in range(0, ia.shape[0], 256):
+        rows = slice(start, start + 256)
+        diff = X[ia[rows]] - X[ib[rows]]
+        out[rows] = np.abs(diff, out=diff).mean(axis=1)
+    return out
 
 
 def all_pairs_mean_abs(X):
@@ -92,7 +122,14 @@ def all_pairs_mean_abs(X):
     """
     X = _as_c64(X)
     n = X.shape[0]
-    gaps = np.diff(np.sort(X, axis=0), axis=0)
+    gaps = np.sort(X, axis=0)
+    # differences taken in place, from the last rows up, one block at a time:
+    # each block reads rows not yet overwritten, and no second (n, p) matrix
+    # is held
+    for stop in range(n, 1, -256):
+        start = max(1, stop - 256)
+        gaps[start:stop] -= gaps[start - 1:stop - 1]
+    gaps = gaps[1:]
     k = np.arange(1.0, n)
     gaps *= (k * (n - k))[:, None]
     return float(gaps.sum()) / X.shape[1] / (n * (n - 1) / 2.0)
@@ -104,47 +141,61 @@ def nn_indices(Q, R):
     Ties resolve to the lowest reference index. The answer is that of the
     direct search, which takes the first minimum of
     ``d2 = einsum((q - r)**2)`` over the references, but most of the work
-    is one matrix product per query block,
+    is one float32 matrix product per query block,
     ``approx = |q|^2 - 2 q.r + |r|^2``, followed by an exact re-rank.
 
-    Rounding bound. For p features, eps = 2u the float64 machine epsilon,
-    gamma_p = p u / (1 - p u) and S_q = |q|^2 + max_r |r|^2, let
+    Rounding bound. ``approx`` multiplies the float32 copies of the rows in
+    float32 and adds their float64 squared norms in float64. For p features,
+    let u = 2^-53 and eps = 2 u (float64), u' = 2^-24 (float32),
+    gamma_k = k u / (1 - k u) and gamma'_k = k u' / (1 - k u'), tiny and
+    tiny' the smallest normal float64 and float32, S_q = |q|^2 + max_r |r|^2,
+    and
 
-        B_q = 2 (p + 8) eps S_q + tiny.
+        B_q = 2 (p + 8) eps S_q + gamma'_{p+2} S_q
+              + 12 tiny' (sqrt(p S_q) + p) + tiny.
 
-    Both ``approx`` and the direct ``d2`` lie within B_q / 2 of the exact
-    squared distance d <= 2 S_q. The direct ``d2`` rounds p differences,
+    ``approx`` and the direct ``d2`` differ by at most B_q. The exact squared
+    distance is d <= 2 S_q. The direct ``d2`` rounds p differences,
     p squares and a (p - 1)-term sum of nonnegative terms: at most
-    (p + 2) u d <= (2 p + 4) u S_q. ``approx`` carries the dot-product error
-    gamma_p |q| |r| <= gamma_p S_q / 2 (doubled), the two norm errors,
-    gamma_p S_q together, and two additions of magnitude <= 2 S_q: at most
-    (2 p + 4) u S_q. Together that is 2 (p + 2) eps S_q; the other
-    12 eps S_q cover the rounding of the threshold below and second-order
-    terms, and ``tiny`` (the smallest normal float64) covers underflow. The
-    dot-product bound holds for any summation order, with or without FMA,
-    so for any BLAS that multiplies matrices the classical way.
+    (p + 2) u d <= (2 p + 4) u S_q. In ``approx``, rounding an entry x to
+    float32 errs by at most u' |x| + tiny', and the float32 dot product of
+    the rounded rows by at most gamma'_p times the sum of the absolute
+    products, plus tiny' for each product or partial sum that underflows
+    (tiny' also covers a BLAS that flushes subnormals to zero). With
+    |q| |r| <= S_q / 2, |q|, |r| <= sqrt(S_q) and
+    (1 + gamma'_p) (1 + u')^2 <= 1 + gamma'_{p+2} (Higham, Lemma 3.3), the
+    product errs by at most gamma'_{p+2} S_q / 2 + 6 tiny' (sqrt(p S_q) + p),
+    doubled by the factor -2. The two float64 norms err by gamma_p S_q
+    together, and the two float64 additions, of magnitude about 2 S_q, by
+    4 u S_q plus second-order terms. The rest of 2 (p + 8) eps S_q, at least
+    (p + 24) u S_q, covers those terms, and ``tiny`` covers float64
+    underflow. The dot-product bound holds for any summation order, with or
+    without FMA, so for any BLAS that multiplies matrices the classical way.
+    It needs (p + 2) u' <= 1/2, and no float32 overflow: while
+    4 S_q <= the float32 maximum, no rounded entry, product or partial sum
+    reaches it. Otherwise, or when S_q is nan, the bound is infinite.
 
-    So ``approx`` and ``d2`` differ by at most B_q, and the direct nearest
-    reference has ``approx`` within 2 B_q of the row minimum. Every
-    reference that close is a candidate. A query with one candidate takes
-    it; a query with several re-ranks them with the direct ``d2`` in
-    reference order, so ties go to the lowest index. A query for which
-    4 S_q overflows or is nan re-ranks every reference. The re-rank's
-    ``einsum`` sums each row in one pass, in the same order as over a full
-    (queries, refs, p) tensor, while p <= 8192 (numpy's buffer size).
+    So the direct nearest reference has ``approx`` within 2 B_q of the row
+    minimum. Every reference that close is a candidate. A query with one
+    candidate takes it; a query with several re-ranks them with the direct
+    ``d2`` (``_sq_dists``) in reference order, so ties go to the lowest
+    index. A query with an infinite bound re-ranks every reference.
 
     The same 2 B_q screens a threshold m, a float, in ``coreset``: if the
-    direct distance ``sqrt(d2)`` is below m then ``approx <= fl(m * m) +
-    2 B_q``, computed in float64. A correctly rounded sqrt is monotone, so
-    ``d2 < m^2`` exactly, and ``approx < m^2 + B_q``. When m^2 <= 4 S_q,
-    rounding m^2 and then the sum costs at most 8 u S_q + 2 u B_q plus an
-    underflow term, well inside the other B_q (B_q >= 36 u S_q + tiny). When
-    m^2 > 4 S_q, ``approx <= 2 S_q + B_q / 2 < 4 S_q <= fl(m^2)`` already.
+    direct distance ``sqrt(d2)`` is at most m, ties included, then
+    ``approx <= fl(fl(m * m) + 2 B_q)``, computed in float64. A correctly
+    rounded sqrt is monotone, so ``d2 <= m^2 (1 + 3 u)`` and
+    ``approx <= m^2 (1 + 3 u) + B_q``. When m^2 <= 4 S_q, the threshold is
+    at least m^2 + 2 B_q - 2 u m^2 - 2 u B_q, and 5 u m^2 + 2 u B_q <= B_q
+    because B_q >= 36 u S_q; an underflow of m^2 costs less than ``tiny``.
+    When m^2 > 4 S_q, fl(m^2) >= 4 S_q, and the threshold is at least
+    (4 S_q + 2 B_q)(1 - u), above 2 S_q (1 + (p + 2) u) + B_q >= ``approx``.
     """
     Q, R = _as_c64(Q), _as_c64(R)
     if R.shape[0] == 0:
         raise ValueError("the 1-NN search needs at least one reference row")
     q_sq, r_sq = _sq_norms(Q), _sq_norms(R)
+    Q32, R32 = _as_f32(Q), _as_f32(R)
     with np.errstate(over="ignore", invalid="ignore"):
         slack = _sq_dist_slack(q_sq + r_sq.max(), Q.shape[1])
     unbounded = np.isinf(slack)
@@ -153,15 +204,14 @@ def nn_indices(Q, R):
     block = max(1, 2 ** 18 // R.shape[0])
     for start in range(0, Q.shape[0], block):
         stop = min(start + block, Q.shape[0])
-        approx = _sq_dist_expansion(Q[start:stop], q_sq[start:stop], R, r_sq)
+        approx = _sq_dist_expansion(Q32[start:stop], q_sq[start:stop], R32, r_sq)
         with np.errstate(over="ignore", invalid="ignore"):
             near = approx <= (approx.min(axis=1) + slack[start:stop])[:, None]
         near[unbounded[start:stop]] = True
         out[start:stop] = np.argmax(near, axis=1)
         for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
             cand = np.flatnonzero(near[i])
-            diff = Q[start + i] - R[cand]
-            out[start + i] = cand[np.argmin(np.einsum("rp,rp->r", diff, diff))]
+            out[start + i] = cand[np.argmin(_sq_dists(Q[start + i] - R[cand]))]
     return out
 
 

@@ -128,24 +128,55 @@ def full_pass_greedy(emb, initial, k, cold_start_seed=None):
     return trace, min_dist
 
 
-def check_screened_cover(n_instances=20, seed=2024):
+def brute_force_nearest(emb, labeled):
+    """Each row's nearest labeled row, by a plain loop over the labeled rows
+    in index order: the least direct squared distance ``einsum((x - c)**2)``,
+    ties going to the lowest row. -1 for every row when none is labeled."""
+    emb = np.ascontiguousarray(emb, dtype=np.float64)
+    order = sorted(set(int(i) for i in labeled))
+    out = np.full(emb.shape[0], -1, dtype=np.int64)
+    for i in range(emb.shape[0]):
+        diff = emb[i] - emb[order + order]  # each row twice: never a lone row
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        best = np.inf
+        for c, d in zip(order, d2):
+            if out[i] < 0 or d < best:
+                out[i], best = c, d
+    return out
+
+
+def check_screened_cover(n_instances=30, seed=2024):
     """Screened greedy against the full-pass loop, picks and min_dist bytes,
-    on Gaussian data and on near-tie data (a large offset plus tiny noise,
-    where the norm expansion cancels about 16 digits)."""
+    and its nearest labeled rows against ``brute_force_nearest``, on Gaussian
+    data, on near-tie data (a large offset plus tiny noise, where the norm
+    expansion cancels about 16 digits) and on small integers (exact ties).
+    Both screens run through this machine's BLAS: the greedy's float32
+    product, and the probe's inside ``nn_indices``, checked the same way."""
     rng = np.random.default_rng(seed)
     for i in range(n_instances):
         n, p = int(rng.integers(2, 60)), int(rng.integers(1, 40))
         emb = rng.standard_normal((n, p))
-        if i % 2:
+        if i % 3 == 1:
             emb = 1e4 + 1e-4 * emb
+        elif i % 3 == 2:
+            emb = rng.integers(-2, 3, size=(n, p)).astype(np.float64)
         initial = list(rng.choice(n, size=int(rng.integers(0, 3)), replace=False))
         k = int(rng.integers(0, n - len(initial) + 1))
         cold = int(rng.integers(2 ** 31))
         state = k_center_greedy(emb, initial, k, cold_start_seed=cold)
         trace, min_dist = full_pass_greedy(emb, initial, k, cold)
+        where = f"instance {i} ({n}x{p}, k={k})"
         if state.trace != trace or state.min_dist.tobytes() != min_dist.tobytes():
-            return False, f"instance {i} ({n}x{p}, k={k}) differs from the full passes"
-    return True, f"{n_instances} instances bit-identical to full passes"
+            return False, f"{where} differs from the full passes"
+        nearest = brute_force_nearest(emb, state.labeled)
+        if not np.array_equal(state.nearest, nearest):
+            return False, f"{where}: nearest labeled rows differ from the loop"
+        if state.labeled and not np.array_equal(
+            _kernels.nn_indices(emb, emb[sorted(state.labeled)]),
+            np.searchsorted(sorted(state.labeled), nearest),
+        ):
+            return False, f"{where}: the 1-NN search differs from the loop"
+    return True, f"{n_instances} instances bit-identical to full passes and the nearest-row loop"
 
 
 def _require(holds, invariant):

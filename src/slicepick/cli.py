@@ -48,6 +48,7 @@ from .pipeline import (
     RoundPlan,
     StrategySpec,
     budgets,
+    cover_probe_accuracy,
     probe_accuracy,
     run_experiment,
 )
@@ -324,7 +325,8 @@ def cmd_select(args):
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
     initial = []
     if args.initial not in ("empty", ""):
-        for token in args.initial.split(","):
+        # an empty item is skipped, as in every other list flag
+        for token in filter(None, args.initial.split(",")):
             try:
                 slice_id = int(token)
             except ValueError:
@@ -411,7 +413,10 @@ def cmd_ablate(args):
             result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
             space, weights = embed_all(result.params, ds), loss_cfg.weights
         state = k_center_greedy(space, [], budget, cold_start_seed=cfg["seed"])
-        acc = probe_accuracy(X, state.labeled, labels)
+        if loss_cfg is None:  # selected in the probe's space: read its cover
+            acc = cover_probe_accuracy(state, labels)
+        else:
+            acc = probe_accuracy(X, state.labeled, labels)
         delta = float(state.min_dist.max())
         sil_text = ""  # undefined: one volume, or k-means finds one cluster
         if n_volumes >= 2:

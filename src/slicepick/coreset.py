@@ -7,15 +7,24 @@ are Euclidean in float64 regardless of the embedding storage precision, and
 the argmax scan takes the first maximum, so ties go to the lowest row.
 
 Each row's distance to its nearest center is lowered by ``_extend_cover``
-alone, behind a screen: one matrix product (``_kernels._sq_dist_expansion``)
-gives |x|^2 - 2 x.c + |c|^2 for every row x and new center c, and only rows
-within the rounding bound of ``_kernels.nn_indices`` of their current
-distance m (or whose bound is not finite) get the direct distance. That
-bound proves every row whose direct distance is below m passes, so the picks
-and every ``min_dist`` byte are those of a full ``dist_to_row`` pass per
-center. A greedy pick computes the screen columns of the next farthest rows
-along with its own, since later picks mostly come from them.
-``cover_radius`` keeps the full passes as the independent oracle.
+alone, behind a screen: one float32 matrix product
+(``_kernels._sq_dist_expansion``) gives |x|^2 - 2 x.c + |c|^2 for every row x
+and new center c, and only rows within the rounding bound of
+``_kernels.nn_indices`` of their current distance m (or whose bound is not
+finite) get the direct float64 distance. That bound proves every row whose
+direct distance is at most m passes, so the picks and every ``min_dist``
+byte are those of a full ``dist_to_row`` pass per center. A greedy pick
+computes the screen columns of the next farthest rows along with its own,
+since later picks mostly come from them. ``cover_radius`` keeps the full
+passes as the independent oracle.
+
+The cover also holds each row's nearest center, ``SelectionState.nearest``,
+in the order of the 1-NN probe (``pipeline.probe_accuracy``): the least
+direct squared distance d2, ties going to the lowest row index. A center
+whose distance is below m takes the row; where it ties m, the two centers'
+direct d2 decide, since two different d2 can round to one distance. So a
+greedy state over the probe's matrix answers the probe with no search
+(``pipeline.cover_probe_accuracy``).
 """
 
 import math
@@ -37,12 +46,14 @@ _PREFETCH = 16
 
 @dataclass
 class SelectionState:
-    """Selected rows, each row's distance to its nearest center, and the
-    greedy trace of (picked index, distance at pick time)."""
+    """Selected rows, each row's distance to its nearest center, the greedy
+    trace of (picked index, distance at pick time), and each row's nearest
+    center (-1 before the first), or None for a state built without it."""
 
     labeled: list
     min_dist: np.ndarray
     trace: list = field(default_factory=list)
+    nearest: np.ndarray = None
 
 
 def d_phi(emb, i, j):
@@ -54,19 +65,22 @@ def d_phi(emb, i, j):
     return float(np.linalg.norm(emb[i] - emb[j]))
 
 
-def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None):
+def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None, nearest=None, emb32=None):
     """Lower ``min_dist``, each row's distance to its nearest center, in
     place to account for the new centers ``rows``; returns ``min_dist``.
 
-    ``sq_norms`` holds the squared row norms of ``emb`` as float64, and
-    ``approx`` the ``_kernels._sq_dist_expansion`` of every row against
-    ``rows``; each is computed when not given. The result is bit-identical to
+    ``sq_norms`` holds the squared row norms of ``emb`` as float64, ``emb32``
+    its ``_kernels._as_f32`` copy, and ``approx`` the
+    ``_kernels._sq_dist_expansion`` of every row against ``rows``; each is
+    computed when not given. The result is bit-identical to
     ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` for each c in
     turn: for each center, a row whose ``approx`` exceeds fl(m^2) plus
-    ``_kernels._sq_dist_slack`` cannot have a direct distance below its m
+    ``_kernels._sq_dist_slack`` cannot have a direct distance at most its m
     (the proof is in ``nn_indices``' docstring), and every other row gets
     that direct distance. When every row passes, as in a cold start, the
-    center takes a full ``dist_to_row`` pass.
+    center takes a full ``dist_to_row`` pass. ``nearest``, when given, is
+    updated in place to each row's nearest center, in the module
+    docstring's order.
     """
     rows = [int(i) for i in rows]
     if not rows:
@@ -74,6 +88,8 @@ def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None):
     emb = _kernels._as_c64(emb)
     if sq_norms is None:
         sq_norms = _kernels._sq_norms(emb)
+    if approx is None and emb32 is None:
+        emb32 = _kernels._as_f32(emb)
     n = emb.shape[0]
     # block the centers so the (rows, block) screen matrix stays small
     block = len(rows) if approx is not None else max(1, 2 ** 18 // n)
@@ -83,28 +99,47 @@ def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None):
             centers = rows[start:start + block]
             cols = approx
             if cols is None:
-                cols = _kernels._sq_dist_expansion(emb, sq_norms, emb[centers], sq_norms[centers])
+                cols = _kernels._sq_dist_expansion(emb32, sq_norms, emb32[centers], sq_norms[centers])
             for j, idx in enumerate(centers):
                 bound = min_dist * min_dist
                 bound += slack[start + j]
                 # a nan on either side, or an infinite bound, keeps the row
                 cand = np.flatnonzero(~(cols[:, j] > bound))
                 if cand.size == n:
-                    np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
+                    dist = _kernels.dist_to_row(emb, idx)
                 elif cand.size:
-                    min_dist[cand] = np.minimum(
-                        min_dist[cand], _kernels._row_dists(emb, idx, cand)
-                    )
+                    dist = _kernels._row_dists(emb, idx, cand)
+                else:
+                    continue
+                if nearest is not None:
+                    _take_nearest(nearest, min_dist, emb, idx, cand, dist)
+                min_dist[cand] = np.minimum(min_dist[cand], dist)
     return min_dist
 
 
-def _initial_state(emb, initial_labeled, sq_norms=None):
+def _take_nearest(nearest, min_dist, emb, idx, rows, dist):
+    """Make center ``idx`` the nearest of each of ``rows`` (distances
+    ``dist``, before ``min_dist`` is lowered) that it is nearer to, by direct
+    d2 and then row index, than its current nearest center."""
+    old = min_dist[rows]
+    win = dist < old
+    tie = np.flatnonzero(dist == old)
+    if tie.size:
+        tied, prev = rows[tie], nearest[rows[tie]]
+        new_d2 = _kernels._sq_dists(emb[tied] - emb[idx])
+        old_d2 = _kernels._sq_dists(emb[tied] - emb[prev])
+        win[tie] = (prev < 0) | (new_d2 < old_d2) | ((new_d2 == old_d2) & (idx < prev))
+    nearest[rows[win]] = idx
+
+
+def _initial_state(emb, initial_labeled, sq_norms=None, emb32=None):
     n = emb.shape[0]
     labeled = sorted(set(int(i) for i in initial_labeled))
     if labeled and not (0 <= min(labeled) and max(labeled) < n):
         raise IndexError("initial labeled index out of range")
-    min_dist = _extend_cover(np.full(n, np.inf), emb, labeled, sq_norms)
-    return SelectionState(labeled=labeled, min_dist=min_dist)
+    nearest = np.full(n, -1, dtype=np.int64)
+    min_dist = _extend_cover(np.full(n, np.inf), emb, labeled, sq_norms, nearest=nearest, emb32=emb32)
+    return SelectionState(labeled=labeled, min_dist=min_dist, nearest=nearest)
 
 
 def _continued_state(emb, state):
@@ -113,7 +148,10 @@ def _continued_state(emb, state):
             f"selection state covers {state.min_dist.shape[0]} rows, "
             f"the matrix has {emb.shape[0]}"
         )
-    return SelectionState(labeled=list(state.labeled), min_dist=state.min_dist.copy())
+    nearest = None if state.nearest is None else state.nearest.copy()
+    return SelectionState(
+        labeled=list(state.labeled), min_dist=state.min_dist.copy(), nearest=nearest
+    )
 
 
 def _check_budget(k, free):
@@ -130,7 +168,8 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     state continues that call's cover without recomputing any distance, and
     gives the same picks as passing its rows as a list. The passed state is
     not modified: the returned state holds a copy of its rows followed by
-    this call's picks, and a ``trace`` of this call's picks only.
+    this call's picks, a ``trace`` of this call's picks only, and each
+    row's nearest center (unless the passed state holds none).
 
     With an empty initial set the first center is the head of a seeded
     shuffle of the rows (row 0 when no seed is given); after that every
@@ -142,11 +181,11 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
         raise SettingError("selection", seed, "seed", "be a nonnegative integer")
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     n = emb.shape[0]
-    sq_norms = _kernels._sq_norms(emb)
+    sq_norms, emb32 = _kernels._sq_norms(emb), _kernels._as_f32(emb)
     if isinstance(initial_labeled, SelectionState):
         state = _continued_state(emb, initial_labeled)
     else:
-        state = _initial_state(emb, initial_labeled, sq_norms)
+        state = _initial_state(emb, initial_labeled, sq_norms, emb32)
     _check_budget(k, n - len(state.labeled))
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[state.labeled] = True
@@ -166,13 +205,13 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
             if idx not in prefetched:
                 top = np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
                 top = [idx] + [int(i) for i in top if i != idx]
-                cols = _kernels._sq_dist_expansion(emb, sq_norms, emb[top], sq_norms[top])
+                cols = _kernels._sq_dist_expansion(emb32, sq_norms, emb32[top], sq_norms[top])
                 prefetched = dict(zip(top, cols.T))
             approx = prefetched[idx][:, None]
         state.labeled.append(idx)
         labeled_mask[idx] = True
         state.trace.append((idx, picked_dist))
-        _extend_cover(state.min_dist, emb, [idx], sq_norms, approx)
+        _extend_cover(state.min_dist, emb, [idx], sq_norms, approx, state.nearest, emb32)
     return state
 
 

@@ -7,6 +7,7 @@ patient-level, volume-level, depth-drift, and noise variance so that group
 structure is visible in pixel space.
 """
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -79,6 +80,12 @@ class DatasetIndex:
         for vid in sorted(vol_patient):
             self.patient_volumes.setdefault(vol_patient[vid], []).append(vid)
         self._row_of = {rec.slice_id: i for i, rec in enumerate(self.slices)}
+        self._pixels = None
+
+    def __reduce__(self):
+        # one matrix crosses a process boundary, not a copy of every row
+        rows = gcle.meta_rows_from_dataset(self)
+        return _dataset_from_matrix, (rows, self.pixel_matrix(), self.h, self.w)
 
     @property
     def n(self):
@@ -91,8 +98,22 @@ class DatasetIndex:
         return self.slices[self._row_of[slice_id]]
 
     def pixel_matrix(self):
-        """All pixels as an (n, h*w) float64 matrix, rows in slice order."""
-        return np.stack([np.asarray(r.pixels, dtype=np.float64) for r in self.slices])
+        """All pixels as a read-only (n, h*w) float64 matrix, rows in slice
+        order: one matrix per dataset, built at most once. A dataset that
+        ``load_dataset`` or ``generate_synthetic`` made already holds it, and
+        its slices' pixels are views of its rows."""
+        if self._pixels is None:
+            X = np.stack([np.asarray(r.pixels, dtype=np.float64) for r in self.slices])
+            X.flags.writeable = False
+            self._pixels = X
+        return self._pixels
+
+    @functools.cached_property
+    def _unit_pixels(self):
+        """``pixel_matrix`` min-max normalized over the whole dataset, read-only."""
+        X = _minmax_normalize(self.pixel_matrix())
+        X.flags.writeable = False
+        return X
 
     def patient_slices(self, patient_id):
         out = []
@@ -154,31 +175,34 @@ def generate_synthetic(spec):
 
     ramp = np.zeros(d) if d == 1 else np.arange(d) / (d - 1) - 0.5
 
-    slices = []
-    labels = np.empty(n_vol * d, dtype=np.int64)
-    sid = 0
-    for p in range(n_p):
-        for v in range(n_vpp):
-            vol = p * n_vpp + v
-            for t in range(d):
-                pixels = (
-                    patient_off[p]
-                    + volume_off[vol]
-                    + spec.adjacent_scale * ramp[t] * drift_dir[vol]
-                    + noise[sid]
-                )
-                slices.append(
-                    SliceRecord(
-                        slice_id=sid,
-                        patient_id=p,
-                        volume_id=vol,
-                        slice_index=t,
-                        pixels=pixels,
-                    )
-                )
-                labels[sid] = vol % spec.class_count
-                sid += 1
-    return DatasetIndex(slices, spec.h, spec.w), labels
+    # (patient, volume, depth) of each slice id, in id order
+    ids = [(p, p * n_vpp + v, t) for p in range(n_p) for v in range(n_vpp) for t in range(d)]
+    X = np.empty((n_vol * d, pix))
+    for sid, (p, vol, t) in enumerate(ids):
+        X[sid] = (
+            patient_off[p]
+            + volume_off[vol]
+            + spec.adjacent_scale * ramp[t] * drift_dir[vol]
+            + noise[sid]
+        )
+    labels = np.array([vol % spec.class_count for _, vol, _ in ids], dtype=np.int64)
+    rows = (
+        dict(slice_id=sid, patient_id=p, volume_id=vol, slice_index=t)
+        for sid, (p, vol, t) in enumerate(ids)
+    )
+    return _dataset_from_matrix(rows, X, spec.h, spec.w), labels
+
+
+def _dataset_from_matrix(rows, X, h, w):
+    """A DatasetIndex over the rows of the float64 matrix ``X``, which it
+    takes over read-only: ``rows`` holds each row's ``gcle.RECORD_KEYS``,
+    each slice's pixels are a view of its row, and ``pixel_matrix`` returns
+    ``X`` itself."""
+    X.flags.writeable = False
+    slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
+    ds = DatasetIndex(slices, h, w)
+    ds._pixels = X
+    return ds
 
 
 def _minmax_normalize(X):
@@ -192,7 +216,8 @@ def _minmax_normalize(X):
 def group_deviation(ds, grouping):
     """Mean pairwise absolute pixel deviation within groups of one grouping.
 
-    Pixels are min-max normalized over the whole dataset first. For each
+    Pixels are min-max normalized over the whole dataset first, once per
+    dataset whichever groupings are asked for. For each
     group with at least two members the statistic averages, over all
     unordered slice pairs in the group, the mean absolute pixel difference;
     groups are then averaged with equal weight. Groupings:
@@ -203,7 +228,7 @@ def group_deviation(ds, grouping):
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
-    X = _minmax_normalize(ds.pixel_matrix())
+    X = ds._unit_pixels
     if grouping == "dataset":
         if ds.n < 2:
             raise UndefinedStatisticError("dataset grouping needs >= 2 slices")
@@ -310,8 +335,7 @@ def load_dataset(in_dir):
         [json_int(labels_path, x, f"index {i}") for i, x in enumerate(labels)],
         dtype=np.int64,
     )
-    slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
     try:  # a hierarchy fault names the record slices[i] or the volume
-        return DatasetIndex(slices, h, w), labels
+        return _dataset_from_matrix(rows, X, h, w), labels
     except InvalidSpecError as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc

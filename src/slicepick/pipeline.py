@@ -7,7 +7,9 @@ processes with byte-identical results. The learned-metric strategy trains
 its encoder once per repeat on the full pool; selection then extends a
 nested labeled set round by round. The probe is 1-nearest-neighbor classification in raw
 pixel space for every strategy, so the learned metric influences selection
-only, never evaluation.
+only, never evaluation. ``coreset_raw`` selects in that same space, so its
+greedy state already holds each row's nearest labeled row and its probe is
+read from there (``cover_probe_accuracy``); the other strategies search.
 """
 
 import dataclasses
@@ -183,16 +185,33 @@ def probe_accuracy(features, labeled_rows, labels):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     labeled = sorted(set(int(i) for i in labeled_rows))
-    if not labeled:
-        raise ValueError("probe needs at least one labeled row")
-    mask = np.zeros(features.shape[0], dtype=bool)
-    mask[labeled] = True
-    unlabeled = np.flatnonzero(~mask)
+    unlabeled = _unlabeled_rows(features.shape[0], labeled)
     if unlabeled.size == 0:
         return 1.0
     nn = _kernels.nn_indices(features[unlabeled], features[labeled])
     pred = labels[np.asarray(labeled)][nn]
     return float(np.mean(pred == labels[unlabeled]))
+
+
+def cover_probe_accuracy(state, labels):
+    """``probe_accuracy(X, state.labeled, labels)`` for a ``k_center_greedy``
+    state over X, bit for bit, with no search: the greedy's cover already
+    holds each row's nearest labeled row, in the probe's order."""
+    labels = np.asarray(labels)
+    if state.nearest is None:
+        raise ValueError("the selection state holds no nearest labeled rows")
+    unlabeled = _unlabeled_rows(state.nearest.shape[0], state.labeled)
+    if unlabeled.size == 0:
+        return 1.0
+    return float(np.mean(labels[state.nearest[unlabeled]] == labels[unlabeled]))
+
+
+def _unlabeled_rows(n, labeled):
+    if len(labeled) == 0:
+        raise ValueError("probe needs at least one labeled row")
+    mask = np.zeros(n, dtype=bool)
+    mask[labeled] = True
+    return np.flatnonzero(~mask)
 
 
 def _stream_seed(plan_seed, repeat, name, salt=0):
@@ -253,7 +272,10 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
                     learned_min = state.min_dist
                 else:
                     _extend_cover(learned_min, primary_learned, new)
-            acc = probe_accuracy(X, selected, labels)
+            if strat.kind == "coreset_raw":
+                acc = cover_probe_accuracy(state, labels)
+            else:
+                acc = probe_accuracy(X, selected, labels)
             entry = RoundEntry(
                 strategy=strat.name,
                 repeat=repeat,

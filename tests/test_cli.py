@@ -134,6 +134,19 @@ class TestSelectInitial:
         assert out == ""
         assert "--initial" in err and "999" in err and str(gcle_path) in err
 
+    def test_empty_items_are_skipped(self, gcle_path, capsys):
+        # as in every other list flag: "10,,11," is "10,11"
+        picks = {}
+        for initial in ("10,,11,", "10,11"):
+            code, out, err = run(
+                capsys, "select", "--embeddings", str(gcle_path), "--budget", "1",
+                "--initial", initial,
+            )
+            assert code == 0 and err == ""
+            picks[initial] = out
+        assert picks["10,,11,"] == picks["10,11"]
+        assert json.loads(picks["10,11"])["slice_id"] == 13
+
     def test_non_integer_slice_id(self, gcle_path, capsys):
         code, out, err = run(
             capsys, "select", "--embeddings", str(gcle_path), "--budget", "1",

@@ -155,6 +155,51 @@ class TestGroupDeviation:
                 )
 
 
+class TestPixelMatrix:
+    """One read-only float64 matrix per dataset: the slices' pixels are views
+    of its rows, ``pixel_matrix`` returns it without a copy, and the
+    deviation statistic normalizes it once."""
+
+    def assert_one_matrix(self, ds):
+        X = ds.pixel_matrix()
+        assert ds.pixel_matrix() is X and X.dtype == np.float64
+        assert not X.flags.writeable
+        assert all(np.shares_memory(rec.pixels, X[i]) for i, rec in enumerate(ds.slices))
+
+    def test_generated_and_loaded(self, tmp_path):
+        ds, labels = generate_synthetic(SynthSpec(2, 2, 3, h=2, w=3, seed=4))
+        self.assert_one_matrix(ds)
+        save_dataset(ds, labels, tmp_path / "d")
+        self.assert_one_matrix(load_dataset(tmp_path / "d")[0])
+
+    def test_pickled_as_one_matrix(self):
+        import pickle
+
+        ds, _ = generate_synthetic(SynthSpec(3, 2, 4, h=8, w=8, seed=5))
+        copy = pickle.loads(pickle.dumps(ds))
+        self.assert_one_matrix(copy)
+        assert np.array_equal(copy.pixel_matrix(), ds.pixel_matrix())
+        assert [rec.slice_id for rec in copy.slices] == [rec.slice_id for rec in ds.slices]
+        assert copy.volume_slices == ds.volume_slices
+        assert len(pickle.dumps(ds)) < 1.5 * ds.pixel_matrix().nbytes
+
+    def test_built_from_records_once(self):
+        ds = make_dataset([(0, 0, 2), (1, 1, 1)], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        X = ds.pixel_matrix()
+        assert ds.pixel_matrix() is X and not X.flags.writeable
+
+    def test_statistic_normalizes_once(self, monkeypatch):
+        from slicepick import data
+
+        calls = []
+        real = data._minmax_normalize
+        monkeypatch.setattr(data, "_minmax_normalize", lambda X: calls.append(1) or real(X))
+        ds, _ = generate_synthetic(SynthSpec(2, 2, 3, h=2, w=2, seed=6))
+        for grouping in data.GROUPINGS:
+            group_deviation(ds, grouping)
+        assert len(calls) == 1
+
+
 class TestDatasetDirectory:
     def test_round_trip(self, tmp_path, tiny_ds):
         ds, labels = tiny_ds

@@ -15,6 +15,7 @@ from slicepick import (
     probe_accuracy,
     run_experiment,
 )
+from slicepick.checks import brute_force_nearest
 
 # chi-square upper critical value, 19 dof, p = 0.001
 CHI2_CRIT_19 = 43.82
@@ -138,13 +139,18 @@ class TestRunExperiment:
                 assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
 
     def test_probe_computed_in_raw_pixel_space(self):
+        # against a loop over direct pixel differences, not the 1-NN search
+        # that probe_accuracy shares with the greedy's screen
         ds, labels = small_experiment_ds()
         report = self.run_small()
         X = ds.pixel_matrix()
         row_of = {rec.slice_id: i for i, rec in enumerate(ds.slices)}
         for e in report.entries:
             rows = [row_of[s] for s in e.selected]
-            assert e.probe_accuracy == probe_accuracy(X, rows, labels)
+            nearest = brute_force_nearest(X, rows)
+            unlabeled = np.setdiff1d(np.arange(ds.n), rows)
+            want = float(np.mean(labels[nearest[unlabeled]] == labels[unlabeled]))
+            assert e.probe_accuracy == want
 
     def test_random_has_no_delta_but_learned_space_radius(self):
         report = self.run_small()

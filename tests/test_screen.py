@@ -3,7 +3,8 @@
 ``coreset._extend_cover`` skips the rows a new center provably cannot
 lower; every test here compares the picks and the exact ``min_dist`` bytes
 with ``checks.full_pass_greedy``, which takes one full ``dist_to_row`` pass
-per center and no screen.
+per center and no screen, and each row's nearest center with the loop
+``checks.brute_force_nearest``.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slicepick import _kernels, coreset
-from slicepick.checks import full_pass_greedy
+from slicepick.checks import brute_force_nearest, full_pass_greedy
 from slicepick.coreset import SelectionState, _extend_cover, k_center_greedy
 
 
@@ -20,6 +21,7 @@ def assert_same_as_full_passes(emb, initial, k, seed=None):
     trace, min_dist = full_pass_greedy(emb, initial, k, seed)
     assert state.trace == trace
     assert state.min_dist.tobytes() == min_dist.tobytes()
+    assert np.array_equal(state.nearest, brute_force_nearest(emb, state.labeled))
     return state
 
 
