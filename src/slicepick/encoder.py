@@ -17,8 +17,12 @@ float32.
 
 Each epoch turns its batch plan, once, into the dataset rows of every batch
 and one ``LossStructure`` of the epoch's loss masks. A step then only
-augments its rows, runs forward, evaluates the loss, runs backward into
-gradient views built once per run, and updates ADAM.
+gathers its rows into the top half of one (2N, p) input buffer and their
+augmented views into the bottom half, runs forward, evaluates the loss,
+runs backward into gradient views built once per run (stopping at the
+first layer's parameters), and updates ADAM. The buffer is allocated once
+per run, like the gradient and ADAM's scratch vectors, and every step
+rounds as the textbook expressions do.
 """
 
 import json
@@ -202,6 +206,8 @@ def _backward_batch(params, cache, d_proj, views=None):
 
     Writes into ``views``, the per-layer (weights, biases) views of a vector
     laid out like ``params.flat`` (of a new one when None), and returns them.
+    It stops at layer 0's gradients: nothing reads the gradient of the
+    input, so that product is never formed.
     """
     acts, pre, rep = cache
     n_hidden = len(params.arch.hidden)
@@ -210,15 +216,13 @@ def _backward_batch(params, cache, d_proj, views=None):
     g_w, g_b = views
     np.matmul(rep.T, d_proj, out=g_w[n_hidden + 1])
     np.sum(d_proj, axis=0, out=g_b[n_hidden + 1])
-    d_rep = d_proj @ params.weights[n_hidden + 1].T
-    np.matmul(acts[n_hidden].T, d_rep, out=g_w[n_hidden])
-    np.sum(d_rep, axis=0, out=g_b[n_hidden])
-    dA = d_rep @ params.weights[n_hidden].T
-    for layer in reversed(range(n_hidden)):
-        dZ = dA * (pre[layer] > 0)
+    # dZ: d(loss)/d(pre-activation) of ``layer``, the rep layer's first
+    dZ = d_proj @ params.weights[n_hidden + 1].T
+    for layer in reversed(range(n_hidden + 1)):
         np.matmul(acts[layer].T, dZ, out=g_w[layer])
         np.sum(dZ, axis=0, out=g_b[layer])
-        dA = dZ @ params.weights[layer].T
+        if layer:
+            dZ = (dZ @ params.weights[layer].T) * (pre[layer - 1] > 0)
     return g_w, g_b
 
 
@@ -238,23 +242,31 @@ def embed_all(params, ds):
     return np.stack([forward(params, rec.pixels)[0] for rec in ds.slices])
 
 
-def augment_batch(X, spec, rng, h, w):
+def augment_batch(X, spec, rng, h, w, out=None):
     """One stochastic view per row: scale jitter, maybe horizontal flip, noise.
 
     Draw order (scales, flips, noise) is fixed so a given rng state always
-    produces the same views.
+    produces the same views. The views are written into ``out``, a
+    C-contiguous array shaped like ``X`` (a new one when None), and
+    returned; ``X`` is only read.
     """
     n = X.shape[0]
     lo, hi = spec.scale_jitter
     scales = rng.uniform(lo, hi, size=n)
     flips = rng.random(size=n) < spec.flip_prob
-    noise = rng.standard_normal(size=X.shape) * spec.noise_sigma
-    out = X * scales[:, None]
+    noise = rng.standard_normal(size=X.shape)
+    noise *= spec.noise_sigma
+    if out is None:
+        out = np.empty(X.shape)
+    elif not out.flags.c_contiguous:
+        # a reshape of it would be a copy, and the flip would be lost
+        raise ValueError("augment_batch needs a C-contiguous out array")
+    np.multiply(X, scales[:, None], out=out)
     if flips.any():
         img = out.reshape(n, h, w)
         img[flips] = img[flips, :, ::-1]
-        out = img.reshape(n, h * w)
-    return out + noise
+    out += noise
+    return out
 
 
 class _AdamState:
@@ -274,7 +286,9 @@ def _adam_step(params, grad, state, cfg):
     Every update is in place, through the state's two scratch vectors, and
     rounds as the textbook expressions do:
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps). Once bc1 = 1 - b1^t rounds
+    to exactly 1.0 (t >= 356 at b1 = 0.9), m / bc1 is m itself, so that
+    division is skipped.
     """
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
@@ -288,8 +302,11 @@ def _adam_step(params, grad, state, cfg):
     np.multiply(grad, grad, out=a)
     a *= 1.0 - cfg.beta2
     v += a
-    np.divide(m, bc1, out=a)
-    a *= cfg.learning_rate
+    if bc1 == 1.0:
+        np.multiply(m, cfg.learning_rate, out=a)
+    else:
+        np.divide(m, bc1, out=a)
+        a *= cfg.learning_rate
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
     b += cfg.adam_eps
@@ -319,8 +336,9 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     """Train the encoder on the full slice pool; returns a TrainResult.
 
     Each epoch builds a fresh batch plan (epoch-derived seed) and its loss
-    structure, augments every batch slice once to form the 2N-row view
-    stack, and applies one ADAM step per batch on the combined loss.
+    structure; each step gathers its batch's N rows and their N augmented
+    views into the one 2N-row input buffer, and applies one ADAM step on
+    the combined loss.
     ``sampler.epoch_batch_size`` checks the batch size and companion pools
     before any work, and resolves a ``batch_size`` of None to the stock
     size; the result's ``config`` holds it, and ``first_plan`` the plan of
@@ -349,6 +367,9 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     state = _AdamState(params)
     grad = np.empty_like(params.flat)
     grad_views = _layer_views(arch, grad)
+    # each step's network input: its batch rows on top, their views below
+    n = train_cfg.batch_size
+    stack = np.empty((2 * n, X.shape[1]))
     aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
 
     epoch_losses = []
@@ -363,9 +384,9 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
             rows, structure = _epoch_structure(ids, row_of, plan, loss_cfg.terms)
             batch_losses = []
             for b in range(len(rows)):
-                originals = X.take(rows[b], axis=0)
-                views = augment_batch(originals, train_cfg.augment, aug_rng, ds.h, ds.w)
-                _, proj, cache = _forward_batch(params, np.vstack([originals, views]))
+                X.take(rows[b], axis=0, out=stack[:n])
+                augment_batch(stack[:n], train_cfg.augment, aug_rng, ds.h, ds.w, out=stack[n:])
+                _, proj, cache = _forward_batch(params, stack)
                 if not np.isfinite(proj).all():
                     raise TrainingDivergedError(
                         f"non-finite projections at epoch {epoch}, aborting"
@@ -373,7 +394,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
                 loss, d_proj = loss_and_grad(
                     LossBatch(z=proj, structure=structure, index=b), loss_cfg
                 )
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, aborting"
                     )

@@ -155,7 +155,8 @@ class LossStructure:
     ``den[b]`` stacks the denominator masks of every term's rows, the 2N
     ntxent rows first and then N anchor rows per group term; ``rows`` is the
     logit row behind each stacked row. One masked log-sum-exp over them
-    serves every term of a step.
+    serves every term of a step. ``pair`` indexes, in a (2N, 2N) matrix,
+    each row's entry for its other view.
     """
 
     def __init__(self, patient_ids, volume_ids=None, slice_positives=None, terms=None):
@@ -184,6 +185,8 @@ class LossStructure:
         self.groups = tuple(g for g in given if terms is None or g in terms)
         self.terms = ("ntxent",) * ntxent + self.groups
         self.ntxent_rows = n2 * ntxent  # stacked rows before the group terms'
+        rows = np.arange(n2)
+        self.pair = (rows, (rows + n) % n2)  # each row and its other view
 
         not_self = ~np.eye(n2, dtype=bool)
         anchor_not_self = not_self[:n]
@@ -209,7 +212,7 @@ class LossStructure:
         den = ((pos | other_patient) & anchor_not_self).reshape(n_batches, -1, n2)
         head = [np.broadcast_to(not_self, (n_batches, n2, n2))] * ntxent
         self.den = np.concatenate(head + [den], axis=1)
-        self.rows = np.concatenate([np.arange(n2)] * ntxent + [np.arange(n)] * len(self.groups))
+        self.rows = np.concatenate([rows] * ntxent + [rows[:n]] * len(self.groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,15 +370,14 @@ def loss_and_grad(batch, cfg):
     # one log-sum-exp over every term's rows, ntxent's first
     log_denoms, softmax = _masked_log_denoms(logits.take(st.rows, axis=0), st.den[b])
     loss = 0.0
-    GS = np.zeros_like(S)
 
     if cfg.ntxent > 0:
-        rows = np.arange(n2)
-        pair = (rows + n) % n2  # each row's other view
-        loss += cfg.ntxent * float(np.mean(log_denoms[:n2] - logits[rows, pair]))
+        loss += cfg.ntxent * float(np.mean(log_denoms[:n2] - logits[st.pair]))
         w = cfg.ntxent / n2
-        GS += (w / tau) * softmax[:n2]
-        GS[rows, pair] -= w / tau
+        GS = (w / tau) * softmax[:n2]
+        GS[st.pair] -= w / tau
+    else:
+        GS = np.zeros_like(S)
 
     anchor_logits = logits[:n]
     for k, group_type in enumerate(st.groups):

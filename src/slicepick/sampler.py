@@ -144,12 +144,13 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
 
     per_patient = {}
     for pid in sorted(ds.patient_volumes):
-        patient_sids = ds.patient_slices(pid)
+        vids = ds.patient_volumes[pid]
         tuples = []
-        for vid in ds.patient_volumes[pid]:
+        for vid in vids:
             vol_sids = ds.volume_slices[vid]
-            cross_volume = [s for s in patient_sids if ds.record(s).volume_id != vid]
+            cross_volume = [s for v in vids if v != vid for s in ds.volume_slices[v]]
             for k, anchor in enumerate(vol_sids):
+                others = vol_sids[:k] + vol_sids[k + 1:]
                 companions = []
                 if GROUP_SLICE in groups:
                     neighbors = [
@@ -158,24 +159,22 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
                     pool = neighbors if neighbors else [anchor]
                     companions.append((GROUP_SLICE, _pick(rng, pool)))
                 if GROUP_VOLUME in groups:
-                    pool = [s for s in vol_sids if s != anchor]
-                    companions.append((GROUP_VOLUME, _pick(rng, pool)))
+                    companions.append((GROUP_VOLUME, _pick(rng, others)))
                 if GROUP_PATIENT in groups:
-                    pool = cross_volume if cross_volume else [
-                        s for s in vol_sids if s != anchor
-                    ]
+                    pool = cross_volume if cross_volume else others
                     companions.append((GROUP_PATIENT, _pick(rng, pool)))
                 tuples.append(AnchorTuple(anchor, tuple(companions)))
         per_patient[pid] = tuples
 
     batches = []
+    # built in sorted patient order and only ever shrunk, so it stays sorted
     remaining = {pid: tl for pid, tl in per_patient.items() if tl}
     slices_left = sum(len(tl) for tl in remaining.values()) * width
     while slices_left >= batch_size:
         batch = []
         used = set()
         while len(batch) < tuples_per_batch:
-            avail = [p for p in sorted(remaining) if p not in used]
+            avail = [p for p in remaining if p not in used]
             if not avail:
                 break
             pid = _pick(rng, avail)

@@ -30,6 +30,7 @@ from slicepick.encoder import (
     _backward_batch,
     _forward_batch,
     _layer_views,
+    augment_batch,
 )
 from slicepick.losses import LossBatch, combined_loss, loss_and_grad
 
@@ -97,8 +98,13 @@ class TestForward:
 
 class TestBackprop:
     def test_parameter_gradients_match_finite_differences(self):
+        # hidden=() is the linear encoder, whose backward stops at the rep layer
+        for hidden in ((5, 4), ()):
+            self.check_finite_differences(hidden)
+
+    def check_finite_differences(self, hidden):
         rng = np.random.default_rng(11)
-        arch = Architecture(input_dim=6, hidden=(5, 4), rep_dim=4, proj_dim=3)
+        arch = Architecture(input_dim=6, hidden=hidden, rep_dim=4, proj_dim=3)
         params = init_params(arch, 17)
         batch0 = random_structured_batch(rng, n_pairs=4, dim=6)
         X = batch0.z  # reuse the random rows as network inputs
@@ -140,7 +146,7 @@ class TestBackprop:
                     lm = loss_of()
                     t[idx] = orig
                     worst = max(worst, max_rel_err(grads[li][idx], (lp - lm) / (2 * h)))
-        assert worst < 1e-4
+        assert worst < 1e-4, hidden
 
 
 class TestAdam:
@@ -177,6 +183,62 @@ class TestAdam:
                 )
         got = [t for pair in zip(params.weights, params.biases) for t in pair]
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("beta1", [0.9, 0.999])
+    def test_step_matches_textbook_bit_for_bit(self, beta1):
+        # at beta1 = 0.9, 1 - beta1**t rounds to exactly 1.0 from t = 356 on
+        # and the step skips its m / bc1; at 0.999 that never happens here
+        crossed = [t for t in range(1, 401) if 1.0 - beta1 ** t == 1.0]
+        assert crossed == (list(range(356, 401)) if beta1 == 0.9 else [])
+        assert (1.0 - beta1 ** 5000 == 1.0) == (beta1 == 0.9)
+        params = init_params(Architecture(20, (16,), 8, 4), 3)
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.1, epochs=1, beta1=beta1)
+        state = _AdamState(params)
+        p = params.flat.copy()
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        rng = np.random.default_rng(9)
+        for t in [*range(1, 401), 5000]:
+            state.t = t - 1
+            grad = rng.standard_normal(p.size)
+            _adam_step(params, grad, state, cfg)
+            p *= 1.0 - cfg.learning_rate * cfg.weight_decay
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
+            p -= cfg.learning_rate * (m / (1.0 - cfg.beta1 ** t)) / (
+                np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.adam_eps
+            )
+            assert state.t == t
+            assert np.array_equal(params.flat, p), t
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), t
+
+
+class TestAugment:
+    H, W, N = 3, 4, 6
+
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.5, 1.0])
+    def test_into_buffer_matches_allocating_call(self, flip_prob):
+        n, spec = self.N, AugmentSpec(flip_prob=flip_prob)
+        X = np.random.default_rng(1).standard_normal((n, self.H * self.W))
+        rng_new, rng_out = np.random.default_rng(7), np.random.default_rng(7)
+        expected = augment_batch(X, spec, rng_new, self.H, self.W)
+        stack = np.full((2 * n, X.shape[1]), np.nan)
+        stack[:n] = X
+        views = stack[n:]
+        got = augment_batch(stack[:n], spec, rng_out, self.H, self.W, out=views)
+        assert got is views
+        assert views.tobytes() == expected.tobytes()
+        assert stack[:n].tobytes() == X.tobytes()
+        assert rng_out.random() == rng_new.random()
+
+    @pytest.mark.parametrize("make_out", [
+        lambda n, p: np.empty((p, n)).T,
+        lambda n, p: np.empty((n, 2 * p))[:, :p],
+    ], ids=["transposed", "column-slice"])
+    def test_non_contiguous_out_rejected(self, make_out):
+        X = np.ones((self.N, self.H * self.W))
+        out = make_out(*X.shape)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            augment_batch(X, AugmentSpec(), np.random.default_rng(0), self.H, self.W, out=out)
 
 
 class TestFlatParams:

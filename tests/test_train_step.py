@@ -1,12 +1,13 @@
 """``train`` against the per-step loop it replaced, bit for bit.
 
 ``reference_train`` is that loop: each step looks its rows up slice by
-slice, builds its masks through a lone ``LossBatch`` and takes an
-out-of-place ADAM step. ``train`` builds the masks once per epoch as one
-``LossStructure`` and updates ADAM in place; both must give the same
-parameters and epoch losses. The outside tracer of ``perfbench`` wraps
-``encoder``'s globals, so the tests also count that ``train`` looks each of
-them up once per epoch or step.
+slice, augments them into a new array and stacks both views, builds its
+masks through a lone ``LossBatch`` and takes an out-of-place textbook ADAM
+step. ``train`` fills one input buffer per run, builds the masks once per
+epoch as one ``LossStructure`` and updates ADAM in place; both must give
+the same parameters and epoch losses. The outside tracer of ``perfbench``
+wraps ``encoder``'s globals, so the tests also count that ``train`` looks
+each of them up once per epoch or step.
 """
 
 import itertools
@@ -41,7 +42,7 @@ SMALL = TrainConfig(epochs=2, hidden=(6,), rep_dim=4, proj_dim=3, seed=5)
 
 
 def reference_train(ds, loss_cfg, train_cfg):
-    """(flat parameters, epoch losses) of the per-step loop."""
+    """(flat parameters, epoch losses, steps taken) of the per-step loop."""
     groups = loss_cfg.enabled_groups
     if train_cfg.batch_size is None:
         size = sampler.default_batch_size(groups, n_patients=len(ds.patient_volumes))
@@ -83,7 +84,7 @@ def reference_train(ds, loss_cfg, train_cfg):
             )
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-    return params.flat, epoch_losses
+    return params.flat, epoch_losses, t
 
 
 def _uneven_ds():
@@ -103,16 +104,32 @@ def _two_patient_ds():
     return generate_synthetic(spec)[0]
 
 
+def _assert_train_matches_reference(ds, train_cfg, subsets=SUBSETS):
+    """``train`` and ``reference_train`` agree bit for bit on every subset;
+    returns the steps of the last run."""
+    for subset in subsets:
+        loss_cfg = preset_loss_config(subset, tau=0.3)
+        result = train(ds, None, loss_cfg, train_cfg)
+        flat, losses, steps = reference_train(ds, loss_cfg, train_cfg)
+        assert np.array_equal(result.params.flat, flat), (subset, train_cfg.hidden)
+        assert result.epoch_losses == losses, (subset, train_cfg.hidden)
+    return steps
+
+
 @pytest.mark.parametrize("make_ds", [_uneven_ds, _two_patient_ds],
                          ids=["uneven", "two-patients"])
 def test_train_matches_per_step_loop_bit_for_bit(make_ds):
     ds = make_ds()
-    for subset in SUBSETS:
-        loss_cfg = preset_loss_config(subset, tau=0.3)
-        result = train(ds, None, loss_cfg, SMALL)
-        flat, losses = reference_train(ds, loss_cfg, SMALL)
-        assert np.array_equal(result.params.flat, flat), subset
-        assert result.epoch_losses == losses, subset
+    # with no hidden layer the rep layer's input gradient is the unused one
+    for train_cfg in (SMALL, replace(SMALL, hidden=())):
+        _assert_train_matches_reference(ds, train_cfg)
+
+
+def test_train_matches_per_step_loop_past_the_adam_bias_crossing():
+    # from step 356 on, 1 - 0.9**t is exactly 1.0 and ADAM skips m / bc1
+    cfg = replace(SMALL, epochs=60)
+    steps = _assert_train_matches_reference(_two_patient_ds(), cfg, [TERMS])
+    assert 1.0 - cfg.beta1 ** 355 != 1.0 and steps > 356
 
 
 def test_two_patients_cap_the_batch():
