@@ -6,7 +6,6 @@ from .coreset import (
     SelectionState,
     brute_force_k_center,
     cover_radius,
-    d_phi,
     k_center_greedy,
     kmeans_labels,
     silhouette_score,
@@ -47,7 +46,6 @@ from .losses import (
     LossBatch,
     LossConfig,
     combined_loss,
-    cosine_sim,
     group_loss,
     loss_grad,
     ntxent_loss,

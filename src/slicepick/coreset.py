@@ -6,17 +6,19 @@ centers, which 2-approximates the optimal max-min cover radius. Distances
 are Euclidean in float64 regardless of the embedding storage precision, and
 the argmax scan takes the first maximum, so ties go to the lowest row.
 
-Each row's distance to its nearest center is lowered by ``_extend_cover``
-alone, behind a screen: one float32 matrix product
-(``_kernels._sq_dist_expansion``) gives |x|^2 - 2 x.c + |c|^2 for every row x
-and new center c, and only rows within the rounding bound of
-``_kernels.nn_indices`` of their current distance m (or whose bound is not
-finite) get the direct float64 distance. That bound proves every row whose
-direct distance is at most m passes, so the picks and every ``min_dist``
-byte are those of a full ``dist_to_row`` pass per center. A greedy pick
-computes the screen columns of the next farthest rows along with its own,
-since later picks mostly come from them. ``cover_radius`` keeps the full
-passes as the independent oracle.
+One ``SelectionState`` is the running cover of one matrix: built once,
+with the matrix's squared norms and float32 copy, and extended in place by
+every later greedy call or by rows chosen elsewhere. Each row's distance to
+its nearest center is lowered by ``SelectionState.extend`` alone, behind a
+screen: one float32 matrix product (``_kernels._sq_dist_expansion``) gives
+|x|^2 - 2 x.c + |c|^2 for every row x and new center c, and only rows
+within the rounding bound of ``_kernels.nn_indices`` of their current
+distance m (or whose bound is not finite) get the direct float64 distance.
+That bound proves every row whose direct distance is at most m passes, so
+the picks and every ``min_dist`` byte are those of a full ``dist_to_row``
+pass per center. A greedy pick computes the screen columns of the next
+farthest rows along with its own, since later picks mostly come from them.
+``cover_radius`` keeps the full passes as the independent oracle.
 
 The cover also holds each row's nearest center, ``SelectionState.nearest``,
 in the order of the 1-NN probe (``pipeline.probe_accuracy``): the least
@@ -28,7 +30,6 @@ greedy state over the probe's matrix answers the probe with no search
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -44,114 +45,91 @@ BRUTE_FORCE_LIMIT = 10 ** 6
 _PREFETCH = 16
 
 
-@dataclass
 class SelectionState:
-    """Selected rows, each row's distance to its nearest center, the greedy
-    trace of (picked index, distance at pick time), and each row's nearest
-    center (-1 before the first), or None for a state built without it."""
+    """A running k-center cover of one matrix, extended in place.
 
-    labeled: list
-    min_dist: np.ndarray
-    trace: list = field(default_factory=list)
-    nearest: np.ndarray = None
-
-
-def d_phi(emb, i, j):
-    """Euclidean distance between embedding rows i and j."""
-    emb = np.asarray(emb, dtype=np.float64)
-    n = emb.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"row index out of range for {n} rows")
-    return float(np.linalg.norm(emb[i] - emb[j]))
-
-
-def _extend_cover(min_dist, emb, rows, sq_norms=None, approx=None, nearest=None, emb32=None):
-    """Lower ``min_dist``, each row's distance to its nearest center, in
-    place to account for the new centers ``rows``; returns ``min_dist``.
-
-    ``sq_norms`` holds the squared row norms of ``emb`` as float64, ``emb32``
-    its ``_kernels._as_f32`` copy, and ``approx`` the
-    ``_kernels._sq_dist_expansion`` of every row against ``rows``; each is
-    computed when not given. The result is bit-identical to
-    ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` for each c in
-    turn: for each center, a row whose ``approx`` exceeds fl(m^2) plus
-    ``_kernels._sq_dist_slack`` cannot have a direct distance at most its m
-    (the proof is in ``nn_indices``' docstring), and every other row gets
-    that direct distance. When every row passes, as in a cold start, the
-    center takes a full ``dist_to_row`` pass. ``nearest``, when given, is
-    updated in place to each row's nearest center, in the module
-    docstring's order.
+    Holds the C-contiguous float64 matrix ``emb``, its float64 squared row
+    norms ``sq_norms`` and its one float32 copy ``emb32`` (both computed
+    here, once), the selected rows ``labeled``, each row's distance to its
+    nearest center ``min_dist`` and that center ``nearest`` (-1 before the
+    first), and ``trace``, the (picked index, distance at pick time) pairs
+    of the last ``k_center_greedy`` call. ``labeled`` seeds the cover, sorted
+    and without repeats.
     """
-    rows = [int(i) for i in rows]
-    if not rows:
-        return min_dist
-    emb = _kernels._as_c64(emb)
-    if sq_norms is None:
-        sq_norms = _kernels._sq_norms(emb)
-    if approx is None and emb32 is None:
-        emb32 = _kernels._as_f32(emb)
-    n = emb.shape[0]
-    # block the centers so the (rows, block) screen matrix stays small
-    block = len(rows) if approx is not None else max(1, 2 ** 18 // n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slack = _kernels._sq_dist_slack(sq_norms[rows] + sq_norms.max(), emb.shape[1])
-        for start in range(0, len(rows), block):
-            centers = rows[start:start + block]
-            cols = approx
-            if cols is None:
-                cols = _kernels._sq_dist_expansion(emb32, sq_norms, emb32[centers], sq_norms[centers])
-            for j, idx in enumerate(centers):
-                bound = min_dist * min_dist
-                bound += slack[start + j]
-                # a nan on either side, or an infinite bound, keeps the row
-                cand = np.flatnonzero(~(cols[:, j] > bound))
-                if cand.size == n:
-                    dist = _kernels.dist_to_row(emb, idx)
-                elif cand.size:
-                    dist = _kernels._row_dists(emb, idx, cand)
-                else:
-                    continue
-                if nearest is not None:
-                    _take_nearest(nearest, min_dist, emb, idx, cand, dist)
-                min_dist[cand] = np.minimum(min_dist[cand], dist)
-    return min_dist
 
+    def __init__(self, emb, labeled=()):
+        self.emb = _kernels._as_c64(emb)
+        n = self.emb.shape[0]
+        labeled = sorted(set(int(i) for i in labeled))
+        if labeled and not (0 <= labeled[0] and labeled[-1] < n):
+            raise IndexError("initial labeled index out of range")
+        self.sq_norms = _kernels._sq_norms(self.emb)
+        self.emb32 = _kernels._as_f32(self.emb)
+        self.labeled = []
+        self.min_dist = np.full(n, np.inf)
+        self.nearest = np.full(n, -1, dtype=np.int64)
+        self.trace = []
+        self.extend(labeled)
 
-def _take_nearest(nearest, min_dist, emb, idx, rows, dist):
-    """Make center ``idx`` the nearest of each of ``rows`` (distances
-    ``dist``, before ``min_dist`` is lowered) that it is nearer to, by direct
-    d2 and then row index, than its current nearest center."""
-    old = min_dist[rows]
-    win = dist < old
-    tie = np.flatnonzero(dist == old)
-    if tie.size:
-        tied, prev = rows[tie], nearest[rows[tie]]
-        new_d2 = _kernels._sq_dists(emb[tied] - emb[idx])
-        old_d2 = _kernels._sq_dists(emb[tied] - emb[prev])
-        win[tie] = (prev < 0) | (new_d2 < old_d2) | ((new_d2 == old_d2) & (idx < prev))
-    nearest[rows[win]] = idx
+    def extend(self, rows, approx=None):
+        """Add ``rows``, rows not yet labeled, as centers: append them to
+        ``labeled`` and lower ``min_dist`` and ``nearest`` in place.
 
+        ``approx``, when given, holds the ``_kernels._sq_dist_expansion`` of
+        every row against ``rows``. The result is bit-identical to
+        ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` for each
+        c in turn: for each center, a row whose ``approx`` exceeds fl(m^2)
+        plus ``_kernels._sq_dist_slack`` cannot have a direct distance at
+        most its m (the proof is in ``nn_indices``' docstring), and every
+        other row gets that direct distance. When every row passes, as in a
+        cold start, the center takes a full ``dist_to_row`` pass. ``nearest``
+        follows the module docstring's order.
+        """
+        rows = [int(i) for i in rows]
+        self.labeled += rows
+        if not rows:
+            return
+        emb, sq_norms, min_dist = self.emb, self.sq_norms, self.min_dist
+        n = emb.shape[0]
+        # block the centers so the (rows, block) screen matrix stays small
+        block = len(rows) if approx is not None else max(1, 2 ** 18 // n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = _kernels._sq_dist_slack(sq_norms[rows] + sq_norms.max(), emb.shape[1])
+            for start in range(0, len(rows), block):
+                centers = rows[start:start + block]
+                cols = approx
+                if cols is None:
+                    cols = _kernels._sq_dist_expansion(
+                        self.emb32, sq_norms, self.emb32[centers], sq_norms[centers]
+                    )
+                for j, idx in enumerate(centers):
+                    bound = min_dist * min_dist
+                    bound += slack[start + j]
+                    # a nan on either side, or an infinite bound, keeps the row
+                    cand = np.flatnonzero(~(cols[:, j] > bound))
+                    if cand.size == n:
+                        dist = _kernels.dist_to_row(emb, idx)
+                    elif cand.size:
+                        dist = _kernels._row_dists(emb, idx, cand)
+                    else:
+                        continue
+                    self._take_nearest(idx, cand, dist)
+                    min_dist[cand] = np.minimum(min_dist[cand], dist)
 
-def _initial_state(emb, initial_labeled, sq_norms=None, emb32=None):
-    n = emb.shape[0]
-    labeled = sorted(set(int(i) for i in initial_labeled))
-    if labeled and not (0 <= min(labeled) and max(labeled) < n):
-        raise IndexError("initial labeled index out of range")
-    nearest = np.full(n, -1, dtype=np.int64)
-    min_dist = _extend_cover(np.full(n, np.inf), emb, labeled, sq_norms, nearest=nearest, emb32=emb32)
-    return SelectionState(labeled=labeled, min_dist=min_dist, nearest=nearest)
-
-
-def _continued_state(emb, state):
-    if state.min_dist.shape != (emb.shape[0],):
-        raise ValueError(
-            f"selection state covers {state.min_dist.shape[0]} rows, "
-            f"the matrix has {emb.shape[0]}"
-        )
-    nearest = None if state.nearest is None else state.nearest.copy()
-    return SelectionState(
-        labeled=list(state.labeled), min_dist=state.min_dist.copy(), nearest=nearest
-    )
+    def _take_nearest(self, idx, rows, dist):
+        """Make center ``idx`` the nearest of each of ``rows`` (distances
+        ``dist``, before ``min_dist`` is lowered) that it is nearer to, by
+        direct d2 and then row index, than its current nearest center."""
+        emb, nearest = self.emb, self.nearest
+        old = self.min_dist[rows]
+        win = dist < old
+        tie = np.flatnonzero(dist == old)
+        if tie.size:
+            tied, prev = rows[tie], nearest[rows[tie]]
+            new_d2 = _kernels._sq_dists(emb[tied] - emb[idx])
+            old_d2 = _kernels._sq_dists(emb[tied] - emb[prev])
+            win[tie] = (prev < 0) | (new_d2 < old_d2) | ((new_d2 == old_d2) & (idx < prev))
+        nearest[rows[win]] = idx
 
 
 def _check_budget(k, free):
@@ -163,13 +141,12 @@ def _check_budget(k, free):
 def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     """Extend ``initial_labeled`` with k greedy farthest-point picks.
 
-    ``initial_labeled`` is either an iterable of row indices or the
-    ``SelectionState`` returned by an earlier call on the same matrix. A
-    state continues that call's cover without recomputing any distance, and
-    gives the same picks as passing its rows as a list. The passed state is
-    not modified: the returned state holds a copy of its rows followed by
-    this call's picks, a ``trace`` of this call's picks only, and each
-    row's nearest center (unless the passed state holds none).
+    ``initial_labeled`` is either an iterable of row indices, from which a
+    new ``SelectionState`` is built, or a state over the same matrix (an
+    earlier call's result, say). A state is extended in place and returned:
+    it continues its cover without recomputing any distance, norm or float32
+    copy, and gives the same picks as passing its rows as a list. The
+    returned state's ``trace`` holds this call's picks only.
 
     With an empty initial set the first center is the head of a seeded
     shuffle of the rows (row 0 when no seed is given); after that every
@@ -179,13 +156,17 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     if isinstance(cold_start_seed, (int, np.integer)) and cold_start_seed < 0:
         seed = {"seed": cold_start_seed}
         raise SettingError("selection", seed, "seed", "be a nonnegative integer")
-    emb = np.ascontiguousarray(emb, dtype=np.float64)
-    n = emb.shape[0]
-    sq_norms, emb32 = _kernels._sq_norms(emb), _kernels._as_f32(emb)
     if isinstance(initial_labeled, SelectionState):
-        state = _continued_state(emb, initial_labeled)
+        state = initial_labeled
+        if state.min_dist.shape[0] != len(emb):
+            raise ValueError(
+                f"selection state covers {state.min_dist.shape[0]} rows, "
+                f"the matrix has {len(emb)}"
+            )
+        state.trace = []
     else:
-        state = _initial_state(emb, initial_labeled, sq_norms, emb32)
+        state = SelectionState(emb, initial_labeled)
+    n = state.min_dist.shape[0]
     _check_budget(k, n - len(state.labeled))
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[state.labeled] = True
@@ -205,13 +186,14 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
             if idx not in prefetched:
                 top = np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
                 top = [idx] + [int(i) for i in top if i != idx]
-                cols = _kernels._sq_dist_expansion(emb32, sq_norms, emb32[top], sq_norms[top])
+                cols = _kernels._sq_dist_expansion(
+                    state.emb32, state.sq_norms, state.emb32[top], state.sq_norms[top]
+                )
                 prefetched = dict(zip(top, cols.T))
             approx = prefetched[idx][:, None]
-        state.labeled.append(idx)
         labeled_mask[idx] = True
         state.trace.append((idx, picked_dist))
-        _extend_cover(state.min_dist, emb, [idx], sq_norms, approx, state.nearest, emb32)
+        state.extend([idx], approx)
     return state
 
 
@@ -219,7 +201,8 @@ def cover_radius(emb, labeled):
     """Largest distance from any row to its nearest labeled row.
 
     The oracle for the screened cover: the plain minimum over one full
-    ``dist_to_row`` pass per labeled row, never through ``_extend_cover``.
+    ``dist_to_row`` pass per labeled row, never through
+    ``SelectionState.extend``.
     """
     labeled = list(labeled)
     if not labeled:
@@ -240,7 +223,7 @@ def brute_force_k_center(emb, initial_labeled, k):
     """
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     n = emb.shape[0]
-    state = _initial_state(emb, initial_labeled)
+    state = SelectionState(emb, initial_labeled)
     free = [i for i in range(n) if i not in set(state.labeled)]
     _check_budget(k, len(free))
     if math.comb(len(free), k) > BRUTE_FORCE_LIMIT:

@@ -223,12 +223,13 @@ class LossBatch:
     rows and ``slice_positives`` (when the adjacent-slice loss is used), an
     (N, 2N) boolean mask whose entry (i, j) is True when row j is another
     view of anchor i's slice or a depth neighbor within the same volume. Its
-    ``structure`` is then a ``LossStructure`` of B = 1, which checks the ids.
-    A training step instead passes its epoch's ``structure`` and the batch's
-    ``index`` in it, so nothing but ``z`` is checked per step.
+    ``structure`` is then a ``LossStructure`` of B = 1, which checks the ids,
+    and ``z`` must be finite. A training step instead passes its epoch's
+    ``structure`` and the batch's ``index`` in it, and has already tested
+    ``z`` for finiteness (``encoder.train`` raises ``TrainingDivergedError``),
+    so only the shape of ``z`` is checked per step.
 
-    ``z`` must be a finite (2N, e) matrix whose row count matches the
-    structure's.
+    ``z`` must be a (2N, e) matrix whose row count matches the structure's.
     """
 
     z: np.ndarray  # (2N, e) float64
@@ -242,11 +243,11 @@ class LossBatch:
         z = np.asarray(self.z, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2:
             raise ValueError("embeddings must be a (2N, e) matrix with N >= 1")
-        if not np.isfinite(z).all():
-            raise ValueError("embeddings contain non-finite values")
         object.__setattr__(self, "z", z)
         n2 = z.shape[0]
         if self.structure is None:
+            if not np.isfinite(z).all():
+                raise ValueError("embeddings contain non-finite values")
             if self.patient_ids is None:
                 raise ValueError("a batch needs its patient_ids or a structure")
             for name in ("patient_ids", "volume_ids"):
@@ -288,15 +289,6 @@ def slice_positives_from_rows(slice_ids, volume_ids, slice_indices):
     mask = same_slice | adjacent
     mask[..., np.arange(n), np.arange(n)] = False
     return mask
-
-
-def cosine_sim(a, b, eps=1e-12):
-    """Cosine similarity with norms clamped below by ``eps``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = max(float(np.linalg.norm(a)), eps)
-    nb = max(float(np.linalg.norm(b)), eps)
-    return float(a @ b) / (na * nb)
 
 
 def _unit_rows(z, eps):

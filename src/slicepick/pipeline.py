@@ -5,11 +5,16 @@ Each repeat owns independent seed-derived RNG streams keyed by (plan seed,
 repeat, strategy name), so repeats can run in any number of worker
 processes with byte-identical results. The learned-metric strategy trains
 its encoder once per repeat on the full pool; selection then extends a
-nested labeled set round by round. The probe is 1-nearest-neighbor classification in raw
-pixel space for every strategy, so the learned metric influences selection
-only, never evaluation. ``coreset_raw`` selects in that same space, so its
-greedy state already holds each row's nearest labeled row and its probe is
-read from there (``cover_probe_accuracy``); the other strategies search.
+nested labeled set round by round. A selecting strategy builds one
+``SelectionState`` per repeat, which the greedy extends in place each round.
+``delta_learned``, the selection's cover in the first learned space, is
+that same state when the strategy selects there, and otherwise a state of
+that space extended by each round's new rows. The probe is 1-nearest-neighbor
+classification in raw pixel space for every strategy, so the learned metric
+influences selection only, never evaluation. ``coreset_raw`` selects in that
+same space, so its state already holds each row's nearest labeled row and
+its probe is read from there (``cover_probe_accuracy``); the other
+strategies search.
 """
 
 import dataclasses
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .coreset import _extend_cover, k_center_greedy
+from .coreset import SelectionState, k_center_greedy
 from .encoder import TrainConfig, embed_all, train
 from .errors import SettingError, SlicepickError
 from .losses import LossConfig
@@ -194,12 +199,10 @@ def probe_accuracy(features, labeled_rows, labels):
 
 
 def cover_probe_accuracy(state, labels):
-    """``probe_accuracy(X, state.labeled, labels)`` for a ``k_center_greedy``
-    state over X, bit for bit, with no search: the greedy's cover already
-    holds each row's nearest labeled row, in the probe's order."""
+    """``probe_accuracy(X, state.labeled, labels)`` for a ``SelectionState``
+    over X, bit for bit, with no search: the cover already holds each row's
+    nearest labeled row, in the probe's order."""
     labels = np.asarray(labels)
-    if state.nearest is None:
-        raise ValueError("the selection state holds no nearest labeled rows")
     unlabeled = _unlabeled_rows(state.nearest.shape[0], state.labeled)
     if unlabeled.size == 0:
         return 1.0
@@ -239,39 +242,36 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
         emb = embed_all(result.params, ds)
         train_seconds[(strat.name, repeat)] = time.perf_counter() - t0
         learned_spaces[strat.name] = emb
-    primary_learned = next(
-        (learned_spaces[s.name] for s in strategies if s.name in learned_spaces), None
-    )
+    primary = next((s.name for s in strategies if s.name in learned_spaces), None)
 
     for strat in strategies:
+        # running covers, extended by each round's new rows only: the
+        # strategy's greedy state, and the selection's cover in the primary
+        # learned space, which is that same state when the strategy selects
+        # there
+        state = learned = None
         if strat.kind == "random":
             rng = np.random.default_rng(_stream_seed(plan.seed, repeat, strat.name))
             order = rng.permutation(n)
-            space = None
         else:
             space = X if strat.kind == "coreset_raw" else learned_spaces[strat.name]
+            state = SelectionState(space)
             cold_seed = _stream_seed(plan.seed, repeat, strat.name, 2)
-        # running covers, extended by each round's new rows only: the greedy
-        # state, and every row's distance to the selection in the primary
-        # learned space
-        state = []
-        learned_min = None if primary_learned is None else np.full(n, np.inf)
+        if strat.name == primary:
+            learned = state
+        elif primary is not None:
+            learned = SelectionState(learned_spaces[primary])
         selected = []
         for round_index, budget in enumerate(budget_list):
             t0 = time.perf_counter()
             if strat.kind == "random":
                 new = [int(i) for i in order[len(selected):budget]]
             else:
-                state = k_center_greedy(
-                    space, state, budget - len(selected), cold_start_seed=cold_seed
-                )
+                k_center_greedy(space, state, budget - len(selected), cold_start_seed=cold_seed)
                 new = [int(i) for i, _ in state.trace]
             selected = selected + new
-            if learned_min is not None:
-                if space is primary_learned:
-                    learned_min = state.min_dist
-                else:
-                    _extend_cover(learned_min, primary_learned, new)
+            if learned is not None and learned is not state:
+                learned.extend(new)
             if strat.kind == "coreset_raw":
                 acc = cover_probe_accuracy(state, labels)
             else:
@@ -284,8 +284,8 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
                 budget=budget,
                 selected=[slice_ids[i] for i in selected],
                 probe_accuracy=acc,
-                delta=float(state.min_dist.max()) if space is not None else None,
-                delta_learned=float(learned_min.max()) if learned_min is not None else None,
+                delta=float(state.min_dist.max()) if state is not None else None,
+                delta_learned=float(learned.min_dist.max()) if learned is not None else None,
                 wall_time_s=time.perf_counter() - t0,
             )
             entries.append(entry)

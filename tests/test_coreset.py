@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from slicepick import (
+    _kernels,
     brute_force_k_center,
     cover_radius,
-    d_phi,
     k_center_greedy,
     kmeans_labels,
     silhouette_score,
 )
-from slicepick._kernels import pairwise_dists
+from slicepick._kernels import dist_to_row, pairwise_dists
+from slicepick.coreset import SelectionState
 
 
 def ref_silhouette(emb, labels):
@@ -52,23 +53,25 @@ def loop_silhouette(emb, labels):
 
 
 class TestDistance:
+    """The greedy's row distance, ``dist_to_row``."""
+
     def test_self_distance_zero(self):
         emb = np.random.default_rng(0).standard_normal((4, 3))
-        assert d_phi(emb, 2, 2) == 0.0
+        assert dist_to_row(emb, 2)[2] == 0.0
 
     def test_three_four_five(self):
         emb = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert d_phi(emb, 0, 1) == 5.0
+        assert dist_to_row(emb, 0)[1] == 5.0
 
     def test_symmetry(self):
         emb = np.random.default_rng(1).standard_normal((6, 4))
         for i in range(6):
             for j in range(6):
-                assert d_phi(emb, i, j) == pytest.approx(d_phi(emb, j, i), abs=0)
+                assert dist_to_row(emb, i)[j] == dist_to_row(emb, j)[i]
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            d_phi(np.zeros((3, 2)), 0, 3)
+            dist_to_row(np.zeros((3, 2)), 3)
 
 
 class TestGreedy:
@@ -147,13 +150,14 @@ class TestGreedyContinuation:
     @pytest.mark.parametrize("initial", [[], [11, 5]])
     def test_continued_state_matches_list_seed(self, initial):
         first = k_center_greedy(self.emb, initial, 4, cold_start_seed=1)
+        labeled, trace = list(first.labeled), first.trace
         cont = k_center_greedy(self.emb, first, 6, cold_start_seed=1)
-        seeded = k_center_greedy(self.emb, first.labeled, 6, cold_start_seed=1)
+        seeded = k_center_greedy(self.emb, labeled, 6, cold_start_seed=1)
         assert cont.trace == seeded.trace
         assert np.array_equal(cont.min_dist, seeded.min_dist)
-        assert cont.labeled == first.labeled + [i for i, _ in cont.trace]
+        assert cont.labeled == labeled + [i for i, _ in cont.trace]
         whole = k_center_greedy(self.emb, initial, 10, cold_start_seed=1)
-        assert first.trace + cont.trace == whole.trace
+        assert trace + cont.trace == whole.trace
 
     def test_chained_rounds_match_one_call(self):
         state = k_center_greedy(self.emb, [], 0, cold_start_seed=7)
@@ -165,13 +169,30 @@ class TestGreedyContinuation:
         assert picks == k_center_greedy(self.emb, [], 9, cold_start_seed=7).trace
         assert float(state.min_dist.max()) == cover_radius(self.emb, state.labeled)
 
-    def test_passed_state_is_not_modified(self):
+    def test_passed_state_is_extended_in_place(self):
         first = k_center_greedy(self.emb, [3], 2)
-        labeled, min_dist, trace = list(first.labeled), first.min_dist.copy(), list(first.trace)
-        k_center_greedy(self.emb, first, 4)
-        assert first.labeled == labeled
-        assert np.array_equal(first.min_dist, min_dist)
-        assert first.trace == trace
+        labeled, min_dist = list(first.labeled), first.min_dist
+        cont = k_center_greedy(self.emb, first, 4)
+        assert cont is first and cont.min_dist is min_dist
+        assert len(cont.trace) == 4
+        assert cont.labeled == labeled + [i for i, _ in cont.trace]
+        assert cont.trace == k_center_greedy(self.emb, labeled, 4).trace
+
+    def test_continuations_reuse_the_norms_and_float32_copy(self, monkeypatch):
+        calls = {"_sq_norms": 0, "_as_f32": 0}
+        for name in calls:
+            real = getattr(_kernels, name)
+
+            def counted(X, name=name, real=real):
+                calls[name] += 1
+                return real(X)
+
+            monkeypatch.setattr(_kernels, name, counted)
+        state = SelectionState(self.emb)
+        for k in (1, 3, 0, 5):
+            assert k_center_greedy(self.emb, state, k, cold_start_seed=2) is state
+        assert calls == {"_sq_norms": 1, "_as_f32": 1}
+        assert state.trace == k_center_greedy(self.emb, state.labeled[:4], 5).trace
 
     def test_state_from_another_matrix_rejected(self):
         state = k_center_greedy(self.emb[:10], [], 2)
@@ -180,9 +201,11 @@ class TestGreedyContinuation:
 
     def test_budget_counts_state_rows(self):
         state = k_center_greedy(self.emb, [], 28)
-        k_center_greedy(self.emb, state, 2)
         with pytest.raises(ValueError):
             k_center_greedy(self.emb, state, 3)
+        k_center_greedy(self.emb, state, 2)
+        with pytest.raises(ValueError):
+            k_center_greedy(self.emb, state, 1)
 
 
 class TestBruteForce:

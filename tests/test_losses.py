@@ -14,8 +14,9 @@ from slicepick.checks import fd_loss_grad, max_rel_err
 from slicepick.losses import (
     LossBatch,
     LossConfig,
+    NORM_EPS,
+    _unit_rows,
     combined_loss,
-    cosine_sim,
     group_loss,
     loss_grad,
     ntxent_loss,
@@ -33,6 +34,13 @@ def pair_batch(z_pairs, pid_pairs, vid_pairs=None, slice_pos=None):
         volume_ids=None if vid_pairs is None else np.tile(vid_pairs, 2),
         slice_positives=slice_pos,
     )
+
+
+def cosine_sim(a, b):
+    """The losses' cosine similarity of two rows: the product of their unit
+    rows, each norm clamped below by ``NORM_EPS``."""
+    zhat, _, _ = _unit_rows(np.array([a, b], dtype=np.float64), NORM_EPS)
+    return float(zhat[0] @ zhat[1])
 
 
 class TestCosine:

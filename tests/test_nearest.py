@@ -16,7 +16,7 @@ import pytest
 from slicepick import _kernels
 from slicepick.checks import brute_force_nearest as loop_nearest
 from slicepick.checks import full_pass_greedy
-from slicepick.coreset import SelectionState, k_center_greedy
+from slicepick.coreset import k_center_greedy
 from slicepick.pipeline import cover_probe_accuracy, probe_accuracy
 
 
@@ -188,12 +188,9 @@ def test_cover_probe_matches_the_loop_probe():
         assert probe_accuracy(emb, state.labeled, labels) == want
 
 
-def test_cover_probe_of_a_full_or_empty_or_foreign_state():
+def test_cover_probe_of_a_full_or_empty_state():
     emb = np.random.default_rng(39).standard_normal((5, 2))
     labels = np.array([0, 1, 0, 1, 1])
     assert cover_probe_accuracy(k_center_greedy(emb, [], 5), labels) == 1.0
     with pytest.raises(ValueError, match="at least one labeled row"):
         cover_probe_accuracy(k_center_greedy(emb, [], 0), labels)
-    foreign = SelectionState(labeled=[0], min_dist=np.zeros(5))
-    with pytest.raises(ValueError, match="no nearest labeled rows"):
-        cover_probe_accuracy(k_center_greedy(emb, foreign, 1), labels)

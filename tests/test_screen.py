@@ -1,6 +1,6 @@
 """The screened cover update against plain full distance passes.
 
-``coreset._extend_cover`` skips the rows a new center provably cannot
+``SelectionState.extend`` skips the rows a new center provably cannot
 lower; every test here compares the picks and the exact ``min_dist`` bytes
 with ``checks.full_pass_greedy``, which takes one full ``dist_to_row`` pass
 per center and no screen, and each row's nearest center with the loop
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from slicepick import _kernels, coreset
 from slicepick.checks import brute_force_nearest, full_pass_greedy
-from slicepick.coreset import SelectionState, _extend_cover, k_center_greedy
+from slicepick.coreset import SelectionState, k_center_greedy
 
 
 def assert_same_as_full_passes(emb, initial, k, seed=None):
@@ -52,11 +52,12 @@ def test_property_matches_full_passes(n, p, seed, n_init, first, offset, scale):
     free = n - len(initial)
     k1 = min(first, free)
     state = assert_same_as_full_passes(emb, initial, k1, seed)
+    first = state.trace
     # continuing the state gives the picks of one longer call
     k2 = int(rng.integers(0, free - k1 + 1))
     cont = k_center_greedy(emb, state, k2, cold_start_seed=seed)
     trace, min_dist = full_pass_greedy(emb, initial, k1 + k2, seed)
-    assert state.trace + cont.trace == trace
+    assert first + cont.trace == trace
     assert cont.min_dist.tobytes() == min_dist.tobytes()
 
 
@@ -115,18 +116,18 @@ def test_batched_extend_cover_matches_sequential_passes():
     rng = np.random.default_rng(16)
     emb = rng.standard_normal((3000, 3))
     rows = rng.choice(3000, size=200, replace=False).tolist()
-    got = _extend_cover(np.full(3000, np.inf), emb, rows)
-    assert got.tobytes() == full_pass_cover(emb, rows).tobytes()
+    state = SelectionState(emb, rows)
+    assert state.min_dist.tobytes() == full_pass_cover(emb, rows).tobytes()
     more = rng.choice(3000, size=150, replace=False).tolist()
-    before = got.copy()
-    _extend_cover(got, emb, more)
-    assert got.tobytes() == full_pass_cover(emb, more, before).tobytes()
+    before = state.min_dist.copy()
+    state.extend(more)
+    assert state.min_dist.tobytes() == full_pass_cover(emb, more, before).tobytes()
 
 
 def test_batched_extend_cover_float32_input():
     rng = np.random.default_rng(17)
     emb = rng.standard_normal((50, 7)).astype(np.float32)
-    got = _extend_cover(np.full(50, np.inf), emb, [4, 9, 30])
+    got = SelectionState(emb, [4, 9, 30]).min_dist
     assert got.tobytes() == full_pass_cover(emb, [4, 9, 30]).tobytes()
 
 
@@ -135,7 +136,7 @@ def test_non_finite_entries_propagate_like_full_passes():
     emb[5, 1] = np.nan
     emb[9, 0] = np.inf
     rows = [0, 5, 12]
-    got = _extend_cover(np.full(20, np.inf), emb, rows)
+    got = SelectionState(emb, rows).min_dist
     with np.errstate(invalid="ignore"):
         want = full_pass_cover(emb, rows)
     assert got.tobytes() == want.tobytes()
@@ -160,10 +161,11 @@ def test_screened_state_continues_a_foreign_cover():
     # a state whose distances exceed any in the matrix still screens exactly
     rng = np.random.default_rng(20)
     emb = rng.standard_normal((30, 4))
-    state = SelectionState(labeled=[0], min_dist=np.full(30, 1e30))
+    state = k_center_greedy(emb, [0], 0)
+    state.min_dist[:] = 1e30
     state.min_dist[0] = 0.0
-    got = k_center_greedy(emb, state, 5)
     min_dist = state.min_dist.copy()
+    got = k_center_greedy(emb, state, 5)
     labeled = [0]
     for idx, dist in got.trace:
         cand = np.where(np.isin(np.arange(30), labeled), -np.inf, min_dist)

@@ -1,9 +1,12 @@
-"""The benchmark's outside tracer still finds the training layers.
+"""The benchmark's outside tracer still finds the training and selection
+layers.
 
-``perfbench/tracer.py`` wraps slicepick functions by name, so renaming one
-of them silently empties a per-layer metric of ``perfbench/run.py --trace 1``.
-This test loads the tracer read-only (no bytecode is written next to it) and
-runs a tiny training and embedding under it.
+``perfbench/tracer.py`` wraps slicepick functions by name and counts work
+from their arguments and results, so renaming one of them, or changing what
+it returns, silently empties a per-layer metric of
+``perfbench/run.py --trace 1``. This test loads the tracer read-only (no
+bytecode is written next to it) and runs a tiny training and embedding, and
+a tiny experiment, under it.
 """
 
 import importlib.util
@@ -12,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from slicepick import TrainConfig, data, encoder, preset_loss_config
+from slicepick import (
+    RoundPlan,
+    StrategySpec,
+    TrainConfig,
+    data,
+    encoder,
+    pipeline,
+    preset_loss_config,
+)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -49,3 +60,29 @@ def test_training_layers_are_traced_and_restored(tracer_module, tiny_ds):
     } <= names
     assert tracer_module.leftovers() == []
     assert data.DatasetIndex.pixel_matrix is pixel_matrix
+
+
+def test_selection_counters_are_traced(tracer_module, tiny_ds):
+    ds, labels = tiny_ds
+    learned = StrategySpec(
+        "coreset_learned",
+        loss=preset_loss_config({"ntxent", "patient", "volume"}),
+        train=TrainConfig(epochs=1, hidden=(4,), rep_dim=3, proj_dim=2),
+    )
+    strategies = [StrategySpec("random"), StrategySpec("coreset_raw"), learned]
+    plan = RoundPlan(fractions=(0.25, 0.5), n_repeats=1, seed=3)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        report = pipeline.run_experiment(ds, labels, strategies, plan)
+    finally:
+        tracer.restore()
+    names = {span[1] for span in tracer.spans}
+    assert {"coreset.k_center_greedy", "pipeline.probe_accuracy"} <= names
+    picks = sum(
+        len(report.entry(name, 0, 1).selected) for name in ("coreset_raw", "coreset_learned")
+    )
+    assert picks == 2 * report.budgets[-1]
+    assert tracer.counts["coreset.picks"] == picks
+    assert tracer.counts["pipeline.probe.queries"] > 0
+    assert tracer_module.leftovers() == []
