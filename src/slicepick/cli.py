@@ -5,8 +5,10 @@ default is printable via ``slicepick --print-config``. A key's flag and
 its config line share ``CONFIG``'s one named cast; a flag beats the file.
 The CLI checks nothing but its parsing: each value's owner (a settings
 object, the sampler for every training before the first, the experiment,
-the greedy) checks it inside ``_Cfg.settings()``, so a rejected value
-names its flag, or its ``<config path>: <key>``. All
+the greedy) checks it, and ``main``, the one place that reports a
+``SettingError``, names the rejected value's flag, or its
+``<config path>: <key>``. Every command reads and checks ``--config``
+before it runs. All
 randomness is driven by explicit seeds (never the wall clock), so re-running
 a command overwrites its outputs with identical bytes. Exit codes:
 0 success, 2 usage error, 1 runtime error.
@@ -15,7 +17,6 @@ a command overwrites its outputs with identical bytes. Exit codes:
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -125,6 +126,12 @@ _FIELD_KEYS = {
     "ntxent": ("groups",), "weights": ("groups", "w_patient", "w_volume", "w_slice"),
 }
 
+# the settings of an encoder training, taken by train-encoder, run-rounds and ablate
+TRAINING_KEYS = (
+    "groups", "tau", "w_patient", "w_volume", "w_slice", "epochs", "lr",
+    "weight_decay", "batch_size", "hidden", "rep_dim", "proj_dim",
+)
+
 _HELP = {
     "threads": "worker processes for independent repeats (at most one per repeat)",
     "groups": "loss terms: ntxent,patient,volume,slice",
@@ -175,20 +182,16 @@ class _Cfg:
                 return values[key]
         return CONFIG[key][0]
 
-    @contextmanager
-    def settings(self, **flags):
-        """Build settings objects inside; a SettingError becomes ``<source>: <message>``,
-        its source the flags or ``<config path>: <key>`` that set its field. ``flags``
-        maps a field to the command's own flag (``--fraction``, ``--budget``)."""
-        try:
-            yield
-        except SettingError as exc:
-            source = flags.get(exc.setting) or ", ".join(
-                _flag(k) if k in self.flags else f"{self.path}: {k}"
-                for k in _FIELD_KEYS.get(exc.setting, (exc.setting,))
-                if k in self.flags or k in self.file_values
-            )
-            raise SlicepickError(f"{source}: {exc}" if source else str(exc)) from None
+    def explain(self, exc, own_flags):
+        """A SettingError as ``<source>: <message>``, its source the flags or
+        ``<config path>: <key>`` that set its field. ``own_flags`` maps a field
+        to the command's own flag (``--fraction``, ``--budget``)."""
+        source = own_flags.get(exc.setting) or ", ".join(
+            _flag(k) if k in self.flags else f"{self.path}: {k}"
+            for k in _FIELD_KEYS.get(exc.setting, (exc.setting,))
+            if k in self.flags or k in self.file_values
+        )
+        return f"{source}: {exc}" if source else str(exc)
 
     def dump(self):
         lines = []
@@ -204,63 +207,58 @@ def _loss_config(cfg, terms=None):
     """The LossConfig of ``terms`` (an ``ablate`` subset) or ``--groups``, with
     ``--tau`` and the ``--w-*`` weights of its terms; ``--groups`` rejects the rest."""
     overrides = {g: cfg[f"w_{g}"] for g in GROUP_LOSSES if terms is None or g in terms}
-    with cfg.settings():
-        return preset_loss_config(
-            cfg["groups"] if terms is None else terms, tau=cfg["tau"], overrides=overrides
-        )
+    return preset_loss_config(
+        cfg["groups"] if terms is None else terms, tau=cfg["tau"], overrides=overrides
+    )
 
 
 def _train_config(cfg):
-    with cfg.settings():
-        augment = AugmentSpec(
-            flip_prob=cfg["flip_prob"],
-            noise_sigma=cfg["noise_sigma"],
-            scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
-        )
-        return TrainConfig(
-            learning_rate=cfg["lr"],
-            weight_decay=cfg["weight_decay"],
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch_size"],
-            hidden=tuple(cfg["hidden"]),
-            rep_dim=cfg["rep_dim"],
-            proj_dim=cfg["proj_dim"],
-            augment=augment,
-            seed=cfg["seed"],
-        )
+    augment = AugmentSpec(
+        flip_prob=cfg["flip_prob"],
+        noise_sigma=cfg["noise_sigma"],
+        scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
+    )
+    return TrainConfig(
+        learning_rate=cfg["lr"],
+        weight_decay=cfg["weight_decay"],
+        epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        hidden=tuple(cfg["hidden"]),
+        rep_dim=cfg["rep_dim"],
+        proj_dim=cfg["proj_dim"],
+        augment=augment,
+        seed=cfg["seed"],
+    )
 
 
-def _check_draws(cfg, data, ds, loss_cfg, train_cfg):
+def _check_draws(data, ds, loss_cfg, train_cfg):
     """Let the sampler check a training with ``loss_cfg`` on ``ds``, read from ``data``."""
-    with cfg.settings():
-        try:
-            epoch_batch_size(ds, loss_cfg.enabled_groups, train_cfg.batch_size)
-        except SamplerError as exc:
-            raise SamplerError(f"{data}: loss terms {'+'.join(loss_cfg.terms)}: {exc}") from None
+    try:
+        epoch_batch_size(ds, loss_cfg.enabled_groups, train_cfg.batch_size)
+    except SamplerError as exc:
+        raise SamplerError(f"{data}: loss terms {'+'.join(loss_cfg.terms)}: {exc}") from None
 
 
 def _synth_spec(cfg):
-    with cfg.settings():
-        return SynthSpec(
-            n_patients=cfg["patients"],
-            volumes_per_patient=cfg["volumes_per_patient"],
-            slices_per_volume=cfg["slices_per_volume"],
-            h=cfg["height"],
-            w=cfg["width"],
-            class_count=cfg["classes"],
-            patient_scale=cfg["patient_scale"],
-            volume_scale=cfg["volume_scale"],
-            adjacent_scale=cfg["adjacent_scale"],
-            noise_scale=cfg["noise_scale"],
-            seed=cfg["seed"],
-        )
+    return SynthSpec(
+        n_patients=cfg["patients"],
+        volumes_per_patient=cfg["volumes_per_patient"],
+        slices_per_volume=cfg["slices_per_volume"],
+        h=cfg["height"],
+        w=cfg["width"],
+        class_count=cfg["classes"],
+        patient_scale=cfg["patient_scale"],
+        volume_scale=cfg["volume_scale"],
+        adjacent_scale=cfg["adjacent_scale"],
+        noise_scale=cfg["noise_scale"],
+        seed=cfg["seed"],
+    )
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen_data(args):
-    cfg = _Cfg(args)
+def cmd_gen_data(args, cfg):
     spec = _synth_spec(cfg)
     ds, labels = generate_synthetic(spec)
     save_dataset(ds, labels, args.out, spec)
@@ -268,7 +266,7 @@ def cmd_gen_data(args):
     return 0
 
 
-def cmd_stats(args):
+def cmd_stats(args, cfg):
     ds, _ = load_dataset(args.data)
     values = {}
     for grouping in GROUPINGS:
@@ -285,16 +283,15 @@ def cmd_stats(args):
     return 0
 
 
-def cmd_train_encoder(args):
-    cfg = _Cfg(args)
+def cmd_train_encoder(args, cfg):
     ds, _ = load_dataset(args.data)
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
-    _check_draws(cfg, args.data, ds, loss_cfg, train_cfg)
+    _check_draws(args.data, ds, loss_cfg, train_cfg)
     result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
     train_cfg = result.config
     if args.dump_epoch:
         write_atomic(args.dump_epoch, result.first_plan.to_json() + "\n")
-    save_checkpoint(args.out, result.params, train_cfg, train_cfg.seed)
+    save_checkpoint(args.out, result.params, train_cfg)
     if args.history:
         write_loss_history(args.history, result.epoch_losses)
     print(
@@ -304,7 +301,7 @@ def cmd_train_encoder(args):
     return 0
 
 
-def cmd_embed(args):
+def cmd_embed(args, cfg):
     ds, _ = load_dataset(args.data)
     params, _ = load_checkpoint(args.checkpoint)
     if params.arch.input_dim != ds.h * ds.w:
@@ -318,8 +315,7 @@ def cmd_embed(args):
     return 0
 
 
-def cmd_select(args):
-    cfg = _Cfg(args)
+def cmd_select(args, cfg):
     matrix, meta = gcle.read_gcle(args.embeddings)
     emb = matrix.astype(np.float64)
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
@@ -338,8 +334,7 @@ def cmd_select(args):
                     f"--initial: slice id {slice_id} is not in {args.embeddings}"
                 )
             initial.append(row_of[slice_id])
-    with cfg.settings(budget="--budget"):
-        state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
+    state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
     records = [
         {"round": 0, "rank": rank, "slice_id": meta[idx]["slice_id"],
          "min_dist": None if np.isinf(dist) else dist}
@@ -354,23 +349,21 @@ def cmd_select(args):
     return 0
 
 
-def cmd_run_rounds(args):
-    cfg = _Cfg(args)
+def cmd_run_rounds(args, cfg):
     ds, labels = load_dataset(args.data)
-    with cfg.settings():
-        plan = RoundPlan(
-            fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
-        )
-        loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
-        strategies = [
-            StrategySpec(kind, loss=loss_cfg, train=train_cfg)
-            if kind == "coreset_learned"
-            else StrategySpec(kind)
-            for kind in cfg["strategies"]
-        ]
-        if "coreset_learned" in cfg["strategies"]:
-            _check_draws(cfg, args.data, ds, loss_cfg, train_cfg)
-        report = run_experiment(ds, labels, strategies, plan, threads=cfg["threads"])
+    plan = RoundPlan(
+        fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
+    )
+    loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
+    strategies = [
+        StrategySpec(kind, loss=loss_cfg, train=train_cfg)
+        if kind == "coreset_learned"
+        else StrategySpec(kind)
+        for kind in cfg["strategies"]
+    ]
+    if "coreset_learned" in cfg["strategies"]:
+        _check_draws(args.data, ds, loss_cfg, train_cfg)
+    report = run_experiment(ds, labels, strategies, plan, threads=cfg["threads"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "report.json", report.to_json())
@@ -385,8 +378,7 @@ def cmd_run_rounds(args):
     return 0
 
 
-def cmd_ablate(args):
-    cfg = _Cfg(args)
+def cmd_ablate(args, cfg):
     ds, labels = load_dataset(args.data)
     X = ds.pixel_matrix()
     terms = cfg["groups"]
@@ -400,9 +392,8 @@ def cmd_ablate(args):
     train_cfg = _train_config(cfg)
     # so are their draws, the full set first: its companion pools are every subset's
     for _, loss_cfg in reversed(runs[1:]):
-        _check_draws(cfg, args.data, ds, loss_cfg, train_cfg)
-    with cfg.settings(fractions="--fraction"):
-        plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
+        _check_draws(args.data, ds, loss_cfg, train_cfg)
+    plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
     budget = budgets(plan, ds.n)[0]
     n_volumes = len(ds.volume_slices)
     rows = ["terms,ntxent,patient,volume,slice,silhouette,probe_accuracy,delta"]
@@ -418,6 +409,7 @@ def cmd_ablate(args):
         else:
             acc = probe_accuracy(X, state.labeled, labels)
         delta = float(state.min_dist.max())
+        del state  # no row's cover outlives its row
         sil_text = ""  # undefined: one volume, or k-means finds one cluster
         if n_volumes >= 2:
             clusters = kmeans_labels(space, n_volumes, cfg["seed"])
@@ -435,7 +427,7 @@ def cmd_ablate(args):
     return 0
 
 
-def cmd_verify(args):
+def cmd_verify(args, cfg):
     failed = False
     for name, ok, detail in checks.run_all():
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -485,10 +477,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="write per-epoch mean loss CSV here")
     p.add_argument("--dump-epoch", help="write the first epoch's batch plan as JSON")
-    _add_common(
-        p, "seed", "groups", "tau", "w_patient", "w_volume", "w_slice", "epochs",
-        "lr", "weight_decay", "batch_size", "hidden", "rep_dim", "proj_dim",
-    )
+    _add_common(p, "seed", *TRAINING_KEYS)
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("embed", help="embed a dataset with a trained encoder")
@@ -503,27 +492,20 @@ def build_parser():
     p.add_argument("--initial", default="empty", help='"empty" or comma slice ids')
     p.add_argument("--out", help="JSONL trace path (default stdout)")
     _add_common(p, "seed")
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_select, own_flags={"budget": "--budget"})
 
     p = sub.add_parser("run-rounds", help="full active-learning experiment")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(
-        p, "seed", "threads", "strategies", "fractions", "repeats", "groups", "tau",
-        "w_patient", "w_volume", "w_slice", "epochs", "lr", "weight_decay",
-        "batch_size", "hidden", "rep_dim", "proj_dim",
-    )
+    _add_common(p, "seed", "threads", "strategies", "fractions", "repeats", *TRAINING_KEYS)
     p.set_defaults(func=cmd_run_rounds)
 
     p = sub.add_parser("ablate", help="loss-combination sweep")
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, default=0.05)
     p.add_argument("--out", help="CSV path (default stdout)")
-    _add_common(
-        p, "seed", "groups", "tau", "w_patient", "w_volume", "w_slice", "epochs",
-        "lr", "weight_decay", "batch_size", "hidden", "rep_dim", "proj_dim",
-    )
-    p.set_defaults(func=cmd_ablate)
+    _add_common(p, "seed", *TRAINING_KEYS)
+    p.set_defaults(func=cmd_ablate, own_flags={"fractions": "--fraction"})
 
     p = sub.add_parser("verify", help="run the oracle suites")
     p.set_defaults(func=cmd_verify)
@@ -537,13 +519,17 @@ def main(argv=None):
         parser.print_help()
         return 2
     try:
+        cfg = _Cfg(args)  # reads and checks --config before any command runs
         if args.print_config:
-            print(_Cfg(args).dump())
+            print(cfg.dump())
             return 0
-        return args.func(args)
+        return args.func(args, cfg)
+    except SettingError as exc:
+        message = cfg.explain(exc, getattr(args, "own_flags", {}))
     except (SlicepickError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = exc
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

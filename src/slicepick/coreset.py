@@ -219,19 +219,23 @@ def brute_force_k_center(emb, initial_labeled, k):
 
     Tries every k-subset of the unlabeled rows and returns (optimal radius,
     first optimal subset in lexicographic order). Refuses instances with
-    more than 10^6 candidate subsets.
+    more than 10^6 candidate subsets. Every distance, the initial cover's
+    included, comes from one direct ``pairwise_dists`` matrix, never through
+    ``SelectionState``'s screen.
     """
     emb = np.ascontiguousarray(emb, dtype=np.float64)
     n = emb.shape[0]
-    state = SelectionState(emb, initial_labeled)
-    free = [i for i in range(n) if i not in set(state.labeled)]
+    labeled = set(int(i) for i in initial_labeled)
+    if labeled and not (0 <= min(labeled) and max(labeled) < n):
+        raise IndexError("initial labeled index out of range")
+    free = [i for i in range(n) if i not in labeled]
     _check_budget(k, len(free))
     if math.comb(len(free), k) > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"C({len(free)}, {k}) exceeds the {BRUTE_FORCE_LIMIT} subset limit"
         )
     D = _kernels.pairwise_dists(emb)
-    base = state.min_dist
+    base = D[list(labeled)].min(axis=0) if labeled else np.full(n, np.inf)
     best_radius = np.inf
     best_set = None
     for combo in combinations(free, k):

@@ -116,14 +116,17 @@ class AugmentSpec:
             raise SettingError("augment", self, "scale_jitter", "be finite (lo, hi) with lo <= hi")
 
 
+# ADAM's moment decays and denominator offset: Kingma & Ba's defaults, no setting
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 3e-4
     weight_decay: float = 1e-6
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = None  # None: stock 8/9 rule, capped by patient count
     hidden: tuple = (64, 64)
     rep_dim: int = 32
@@ -132,7 +135,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay", "adam_eps"):
+        for name in ("learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise SettingError("training", self, name, "be finite")
         if not all(_is_width(d) for d in self.hidden):
@@ -148,9 +151,6 @@ class TrainConfig:
             raise SettingError("training", self, "weight_decay", "be nonnegative")
         if self.epochs < 1:
             raise SettingError("training", self, "epochs", "be >= 1")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise SettingError("training", self, name, "lie in [0, 1)")
         if self.seed < 0:
             raise SettingError("training", self, "seed", "be a nonnegative integer")
 
@@ -286,21 +286,22 @@ def _adam_step(params, grad, state, cfg):
     Every update is in place, through the state's two scratch vectors, and
     rounds as the textbook expressions do:
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps). Once bc1 = 1 - b1^t rounds
-    to exactly 1.0 (t >= 356 at b1 = 0.9), m / bc1 is m itself, so that
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), with b1, b2 and eps the
+    constants ``BETA1``, ``BETA2`` and ``ADAM_EPS``. Once bc1 = 1 - b1^t
+    rounds to exactly 1.0 (t >= 356), m / bc1 is m itself, so that
     division is skipped.
     """
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     p, m, v, a, b = params.flat, state.m, state.v, state.a, state.b
     p *= 1.0 - cfg.learning_rate * cfg.weight_decay
-    m *= cfg.beta1
-    np.multiply(grad, 1.0 - cfg.beta1, out=a)
+    m *= BETA1
+    np.multiply(grad, 1.0 - BETA1, out=a)
     m += a
-    v *= cfg.beta2
+    v *= BETA2
     np.multiply(grad, grad, out=a)
-    a *= 1.0 - cfg.beta2
+    a *= 1.0 - BETA2
     v += a
     if bc1 == 1.0:
         np.multiply(m, cfg.learning_rate, out=a)
@@ -309,7 +310,7 @@ def _adam_step(params, grad, state, cfg):
         a *= cfg.learning_rate
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
-    b += cfg.adam_eps
+    b += ADAM_EPS
     a /= b
     p -= a
 
@@ -408,7 +409,12 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
 # ---------------------------------------------------------------------------
 # checkpoint file: magic + u32 header length + JSON header + float32 LE blob
 
-def save_checkpoint(path, params, train_cfg=None, seed=None):
+def save_checkpoint(path, params, train_cfg=None):
+    """Write ``params``; the header keeps ``train_cfg``, ADAM's constants
+    included, and its seed."""
+    settings = None if train_cfg is None else {
+        **asdict(train_cfg), "beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS
+    }
     header = {
         "format_version": 1,
         "architecture": {
@@ -417,8 +423,8 @@ def save_checkpoint(path, params, train_cfg=None, seed=None):
             "rep_dim": params.arch.rep_dim,
             "proj_dim": params.arch.proj_dim,
         },
-        "train_cfg": asdict(train_cfg) if train_cfg is not None else None,
-        "seed": seed,
+        "train_cfg": settings,
+        "seed": None if train_cfg is None else train_cfg.seed,
     }
     head = json.dumps(header, sort_keys=True).encode()
     blob = params.flat.astype("<f4").tobytes()

@@ -332,6 +332,10 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
     if labels.shape[0] != ds.n:
         raise ValueError("labels must align with the dataset slices")
     names = [s.name for s in strategies]
+    if not names:
+        raise SettingError(
+            "experiment", {"strategies": names}, "strategies", "hold at least one strategy"
+        )
     if len(set(names)) != len(names):
         raise ValueError(f"strategy names must be unique, got {names}")
     budget_list = budgets(plan, ds.n)

@@ -636,6 +636,22 @@ class TestConfig:
         assert not (tmp_path / "enc.ckpt").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [["stats", "--data", "{data}"],
+         ["embed", "--data", "{data}", "--checkpoint", "enc.ckpt", "--out", "x.gcle"],
+         ["verify"]],
+        ids=["stats", "embed", "verify"],
+    )
+    def test_every_command_reads_its_config_file_first(self, data_dir, tmp_path, capsys, argv):
+        # commands that take no config key still refuse a malformed file
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("oops\n")
+        argv = [a.format(data=data_dir) for a in argv]
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}:1: expected key=value, got 'oops'\n"
+
+    @pytest.mark.parametrize(
         "text,message",
         [
             ("threads=\n", "bad.cfg:1: bad value for 'threads': ''"),

@@ -237,6 +237,17 @@ class TestBruteForce:
             f"selection setting budget must lie in [0, 5] (the unlabeled rows), got {k}"
         )
 
+    def test_initial_cover_uses_no_selection_state(self, monkeypatch):
+        # the oracle must not run through the screen it checks
+        from slicepick import coreset
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("brute force built a SelectionState")
+
+        monkeypatch.setattr(coreset, "SelectionState", no_state)
+        emb = np.array([[0.0], [1.0], [4.0], [6.0], [10.0]])
+        assert brute_force_k_center(emb, [0, 4], 1) == (2.0, [2])
+
     def test_instance_size_guard(self):
         emb = np.zeros((60, 1))
         with pytest.raises(ValueError):

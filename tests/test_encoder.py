@@ -25,6 +25,9 @@ from slicepick import (
 from slicepick.checks import max_rel_err
 from slicepick.data import DatasetIndex
 from slicepick.encoder import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     _AdamState,
     _adam_step,
     _backward_batch,
@@ -176,23 +179,22 @@ class TestAdam:
             _adam_step(params, grad, state, cfg)
             for i, (p, g) in enumerate(zip(ref, grads)):
                 p *= 1.0 - cfg.learning_rate * cfg.weight_decay
-                m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g
-                v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * (g * g)
-                p -= cfg.learning_rate * (m[i] / (1.0 - cfg.beta1 ** step)) / (
-                    np.sqrt(v[i] / (1.0 - cfg.beta2 ** step)) + cfg.adam_eps
+                m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+                v[i] = BETA2 * v[i] + (1.0 - BETA2) * (g * g)
+                p -= cfg.learning_rate * (m[i] / (1.0 - BETA1 ** step)) / (
+                    np.sqrt(v[i] / (1.0 - BETA2 ** step)) + ADAM_EPS
                 )
         got = [t for pair in zip(params.weights, params.biases) for t in pair]
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
-    @pytest.mark.parametrize("beta1", [0.9, 0.999])
-    def test_step_matches_textbook_bit_for_bit(self, beta1):
-        # at beta1 = 0.9, 1 - beta1**t rounds to exactly 1.0 from t = 356 on
-        # and the step skips its m / bc1; at 0.999 that never happens here
-        crossed = [t for t in range(1, 401) if 1.0 - beta1 ** t == 1.0]
-        assert crossed == (list(range(356, 401)) if beta1 == 0.9 else [])
-        assert (1.0 - beta1 ** 5000 == 1.0) == (beta1 == 0.9)
+    def test_step_matches_textbook_bit_for_bit(self):
+        # 1 - BETA1**t rounds to exactly 1.0 from t = 356 on, and the step
+        # skips its m / bc1
+        crossed = [t for t in range(1, 401) if 1.0 - BETA1 ** t == 1.0]
+        assert crossed == list(range(356, 401))
+        assert 1.0 - BETA1 ** 5000 == 1.0
         params = init_params(Architecture(20, (16,), 8, 4), 3)
-        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.1, epochs=1, beta1=beta1)
+        cfg = TrainConfig(learning_rate=0.05, weight_decay=0.1, epochs=1)
         state = _AdamState(params)
         p = params.flat.copy()
         m, v = np.zeros_like(p), np.zeros_like(p)
@@ -202,10 +204,10 @@ class TestAdam:
             grad = rng.standard_normal(p.size)
             _adam_step(params, grad, state, cfg)
             p *= 1.0 - cfg.learning_rate * cfg.weight_decay
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (grad * grad)
-            p -= cfg.learning_rate * (m / (1.0 - cfg.beta1 ** t)) / (
-                np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.adam_eps
+            m = BETA1 * m + (1.0 - BETA1) * grad
+            v = BETA2 * v + (1.0 - BETA2) * (grad * grad)
+            p -= cfg.learning_rate * (m / (1.0 - BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - BETA2 ** t)) + ADAM_EPS
             )
             assert state.t == t
             assert np.array_equal(params.flat, p), t
@@ -363,7 +365,7 @@ class TestCheckpoint:
         params = init_params(arch, 7)
         cfg = TrainConfig(epochs=1, seed=7)
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, params, cfg, seed=7)
+        save_checkpoint(path, params, cfg)
         loaded, header = load_checkpoint(path)
         assert loaded.arch == arch
         assert header["seed"] == 7
@@ -382,7 +384,7 @@ class TestCheckpoint:
     def saved(self, tmp_path):
         path = tmp_path / "enc.ckpt"
         params = init_params(Architecture(input_dim=6, hidden=(5,), rep_dim=4, proj_dim=3), 7)
-        save_checkpoint(path, params, TrainConfig(epochs=1), seed=7)
+        save_checkpoint(path, params, TrainConfig(epochs=1))
         raw = path.read_bytes()
         head_len = int.from_bytes(raw[4:8], "little")
         return raw, head_len

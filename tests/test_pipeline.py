@@ -210,6 +210,15 @@ class TestRunExperiment:
                 RoundPlan(fractions=(0.5,), n_repeats=1),
             )
 
+    def test_no_strategies_rejected(self):
+        from slicepick import SettingError
+
+        ds, labels = small_experiment_ds()
+        message = "experiment setting strategies must hold at least one strategy, got []"
+        with pytest.raises(SettingError) as info:
+            run_experiment(ds, labels, [], RoundPlan(fractions=(0.5,), n_repeats=1))
+        assert str(info.value) == message
+
     def test_label_alignment_checked(self):
         ds, labels = small_experiment_ds()
         with pytest.raises(ValueError):

@@ -137,8 +137,8 @@ def test_run_rounds_rejects_zero_width_space(data_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("adam_eps", float("nan")), ("learning_rate", float("-inf")), ("batch_size", -1),
-     ("proj_dim", 0), ("hidden", (4, -2))],
+    [("learning_rate", float("-inf")), ("batch_size", -1), ("proj_dim", 0),
+     ("weight_decay", float("nan")), ("hidden", (4, -2))],
 )
 def test_train_config_names_field_and_value(field, value):
     message = f"training setting {field} must .*, got {re.escape(repr(value))}$"
@@ -196,10 +196,17 @@ def test_batch_size_auto_flag_beats_config_file(data_dir, tmp_path, capsys):
          "{cfg}: threads: experiment setting threads must be >= 1, got 0"),
         ("train-encoder", [], "lr=nan",
          "{cfg}: lr: training setting learning_rate must be finite, got nan"),
+        ("run-rounds", ["--strategies", ","], None,
+         "--strategies: experiment setting strategies must hold at least one strategy, "
+         "got []"),
+        ("run-rounds", [], "strategies=",
+         "{cfg}: strategies: experiment setting strategies must hold at least one "
+         "strategy, got []"),
     ],
     ids=[
         "scale_lo-inf", "noise_sigma-nan", "noise-scale-nan", "gen-data-seed",
         "repeats", "fractions", "ablate-fraction", "threads-config", "lr-config",
+        "strategies-empty", "strategies-config-empty",
     ],
 )
 def test_rejected_setting_names_its_flag_or_config_line(
@@ -219,11 +226,11 @@ def test_rejected_setting_names_its_flag_or_config_line(
     assert not out.exists()
 
 
-# fields no config key sets: constants of the code, whole settings objects,
-# a strategy's name, and select's own --budget
-_UNSET_FIELDS = {"beta1", "beta2", "adam_eps", "augment", "loss", "train", "name", "budget"}
+# fields no config key sets: whole settings objects, a strategy's name, and
+# select's own --budget
+_UNSET_FIELDS = {"augment", "loss", "train", "name", "budget"}
 # fields a SettingError names outside any settings object
-_OWNER_FIELDS = {"groups", "weights", "batch_size", "threads", "budget", "seed"}
+_OWNER_FIELDS = {"groups", "weights", "batch_size", "threads", "budget", "seed", "strategies"}
 
 
 def test_every_setting_field_resolves_to_config_keys():
@@ -240,6 +247,8 @@ def test_every_setting_field_resolves_to_config_keys():
     ]
     assert unresolved == []
     assert not _UNSET_FIELDS & CONFIG.keys()
+    # a field that is gone cannot linger here
+    assert _UNSET_FIELDS <= names
 
 
 def _assert_rejected_before_training(

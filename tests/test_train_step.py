@@ -77,10 +77,10 @@ def reference_train(ds, loss_cfg, train_cfg):
             t += 1
             p = params.flat
             p *= 1.0 - c.learning_rate * c.weight_decay
-            m = c.beta1 * m + (1.0 - c.beta1) * grad
-            v = c.beta2 * v + (1.0 - c.beta2) * (grad * grad)
-            p -= c.learning_rate * (m / (1.0 - c.beta1 ** t)) / (
-                np.sqrt(v / (1.0 - c.beta2 ** t)) + c.adam_eps
+            m = encoder.BETA1 * m + (1.0 - encoder.BETA1) * grad
+            v = encoder.BETA2 * v + (1.0 - encoder.BETA2) * (grad * grad)
+            p -= c.learning_rate * (m / (1.0 - encoder.BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - encoder.BETA2 ** t)) + encoder.ADAM_EPS
             )
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
@@ -129,7 +129,7 @@ def test_train_matches_per_step_loop_past_the_adam_bias_crossing():
     # from step 356 on, 1 - 0.9**t is exactly 1.0 and ADAM skips m / bc1
     cfg = replace(SMALL, epochs=60)
     steps = _assert_train_matches_reference(_two_patient_ds(), cfg, [TERMS])
-    assert 1.0 - cfg.beta1 ** 355 != 1.0 and steps > 356
+    assert 1.0 - encoder.BETA1 ** 355 != 1.0 and steps > 356
 
 
 def test_two_patients_cap_the_batch():
