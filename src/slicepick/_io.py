@@ -35,22 +35,24 @@ def json_int_record(path, value, where, keys):
 
 
 def write_atomic(path, data):
-    """Write ``data`` (bytes or str, UTF-8) to ``path`` atomically."""
-    path = Path(path)
+    """Write ``data`` (bytes or str, UTF-8) to ``path`` atomically; an error names ``path``."""
+    target = Path(path)
     if isinstance(data, str):
         data = data.encode()
-    if path.exists() and not path.is_file():
+    if target.exists() and not target.is_file():
         # a pipe or device such as /dev/stdout: there is no file to replace
-        path.write_bytes(data)
+        target.write_bytes(data)
         return
-    path = path.resolve()  # through a symlink to its target, like a plain write
+    path = target.resolve()  # through a symlink to its target, like a plain write
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    # 0o666 minus the umask, the mode Path.write_bytes would give
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        # 0o666 minus the umask, the mode Path.write_bytes would give
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is not None:  # not the temporary file
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
         raise

@@ -7,8 +7,8 @@ The CLI checks nothing but its parsing: each value's owner (a settings
 object, the sampler for every training before the first, the experiment,
 the greedy) checks it, and ``main``, the one place that reports a
 ``SettingError``, names the rejected value's flag, or its
-``<config path>: <key>``. Every command reads and checks ``--config``
-before it runs. All
+``<config path>: <key>``. Every command takes ``--config`` before or
+after its name, and reads and checks the file before it runs. All
 randomness is driven by explicit seeds (never the wall clock), so re-running
 a command overwrites its outputs with identical bytes. Exit codes:
 0 success, 2 usage error, 1 runtime error.
@@ -287,7 +287,7 @@ def cmd_train_encoder(args, cfg):
     ds, _ = load_dataset(args.data)
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
     _check_draws(args.data, ds, loss_cfg, train_cfg)
-    result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
+    result = train(ds, loss_cfg, train_cfg)
     train_cfg = result.config
     if args.dump_epoch:
         write_atomic(args.dump_epoch, result.first_plan.to_json() + "\n")
@@ -304,12 +304,10 @@ def cmd_train_encoder(args, cfg):
 def cmd_embed(args, cfg):
     ds, _ = load_dataset(args.data)
     params, _ = load_checkpoint(args.checkpoint)
-    if params.arch.input_dim != ds.h * ds.w:
-        raise FormatError(
-            f"{args.checkpoint}: checkpoint input_dim {params.arch.input_dim} does not "
-            f"match {args.data}: {ds.h}x{ds.w} = {ds.h * ds.w} pixels per slice"
-        )
-    emb = embed_all(params, ds)
+    try:
+        emb = embed_all(params, ds)
+    except ValueError as exc:  # the checkpoint was trained on another pixel size
+        raise FormatError(f"{args.checkpoint} does not fit {args.data}: {exc}") from None
     gcle.write_gcle(args.out, emb, gcle.meta_rows_from_dataset(ds))
     print(f"wrote {emb.shape[0]}x{emb.shape[1]} embeddings to {args.out}")
     return 0
@@ -350,6 +348,10 @@ def cmd_select(args, cfg):
 
 
 def cmd_run_rounds(args, cfg):
+    out = Path(args.out)  # made with its parents after the experiment, so checked first
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise SlicepickError(f"--out {out}: {nearest} is not a directory")
     ds, labels = load_dataset(args.data)
     plan = RoundPlan(
         fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
@@ -364,7 +366,6 @@ def cmd_run_rounds(args, cfg):
     if "coreset_learned" in cfg["strategies"]:
         _check_draws(args.data, ds, loss_cfg, train_cfg)
     report = run_experiment(ds, labels, strategies, plan, threads=cfg["threads"])
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "report.json", report.to_json())
     write_atomic(out / "summary.csv", report.summary_csv())
@@ -379,6 +380,9 @@ def cmd_run_rounds(args, cfg):
 
 
 def cmd_ablate(args, cfg):
+    out = args.out and Path(args.out)  # written after every training, so checked first
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise SlicepickError(f"--out {out}: not a file path in an existing directory")
     ds, labels = load_dataset(args.data)
     X = ds.pixel_matrix()
     terms = cfg["groups"]
@@ -401,7 +405,7 @@ def cmd_ablate(args, cfg):
         if loss_cfg is None:
             space, weights = X, (0.0, 0.0, 0.0, 0.0)
         else:
-            result = train(ds, loss_cfg.enabled_groups, loss_cfg, train_cfg)
+            result = train(ds, loss_cfg, train_cfg)
             space, weights = embed_all(result.params, ds), loss_cfg.weights
         state = k_center_greedy(space, [], budget, cold_start_seed=cfg["seed"])
         if loss_cfg is None:  # selected in the probe's space: read its cover
@@ -420,8 +424,8 @@ def cmd_ablate(args, cfg):
             f"{sil_text},{acc!r},{delta!r}"
         )
     text = "\n".join(rows) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
+    if out:
+        write_atomic(out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -470,6 +474,7 @@ def build_parser():
     p = sub.add_parser("stats", help="within-group deviation statistics")
     p.add_argument("--data", required=True)
     p.add_argument("--json", action="store_true")
+    _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train-encoder", help="train the contrastive encoder")
@@ -484,6 +489,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="GCLE output path")
+    _add_common(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("select", help="k-center greedy selection over embeddings")
@@ -508,6 +514,7 @@ def build_parser():
     p.set_defaults(func=cmd_ablate, own_flags={"fractions": "--fraction"})
 
     p = sub.add_parser("verify", help="run the oracle suites")
+    _add_common(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

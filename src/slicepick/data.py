@@ -1,10 +1,11 @@
 """Slice/volume/patient data model, synthetic generator, and deviation statistic.
 
-A dataset is a flat list of 2D slices. Every slice knows the volume it was
-cut from, the patient that volume belongs to, and its depth position within
-the volume. The synthetic generator produces a hierarchy with controllable
-patient-level, volume-level, depth-drift, and noise variance so that group
-structure is visible in pixel space.
+A dataset is one read-only pixel matrix, a row per 2D slice, and an
+identity table: every row knows the volume its slice was cut from, the
+patient that volume belongs to, and its depth within the volume. The
+synthetic generator produces a hierarchy with controllable patient-level,
+volume-level, depth-drift, and noise variance so that group structure is
+visible in pixel space.
 """
 
 import functools
@@ -21,32 +22,38 @@ from .errors import FormatError, InvalidSpecError, SettingError, UndefinedStatis
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SliceRecord:
-    """One 2D slice: identity within the patient/volume hierarchy plus pixels."""
+    """One 2D slice's identity within the patient/volume hierarchy."""
 
     slice_id: int
     patient_id: int
     volume_id: int
     slice_index: int
-    pixels: np.ndarray  # flat, length h*w
 
 
 class DatasetIndex:
-    """Ordered slice list with patient->volumes and volume->slices maps.
-
-    Construction validates the hierarchy: slice indices within a volume form
-    a contiguous 0..d-1 range, each volume belongs to exactly one patient,
-    and all pixel vectors share one length (h*w).
+    """The (n, h*w) ``pixels`` matrix, taken over read-only as float64 (a
+    float64 array without a copy), ``rows``, each matrix row's
+    ``gcle.RECORD_KEYS``, and patient->volumes and volume->slices maps.
+    Construction checks the matrix shape and the hierarchy: each volume's
+    slice indices run 0..d-1, and each volume belongs to one patient.
     """
 
-    def __init__(self, slices, h, w):
-        self.slices = list(slices)
+    def __init__(self, rows, pixels, h, w):
+        self.slices = [SliceRecord(**r) for r in rows]
         self.h = int(h)
         self.w = int(w)
         if not self.slices:
             raise InvalidSpecError("dataset must contain at least one slice")
-        pix_len = self.h * self.w
+        X = np.asarray(pixels, dtype=np.float64)
+        if X.shape != (self.n, self.h * self.w):
+            raise InvalidSpecError(
+                f"pixel matrix has shape {X.shape}, expected "
+                f"({self.n}, h*w={self.h * self.w})"
+            )
+        X.flags.writeable = False
+        self._pixels = X
         seen_ids = set()
         vol_patient = {}
         vol_indices = {}
@@ -54,10 +61,6 @@ class DatasetIndex:
             if rec.slice_id in seen_ids:
                 raise InvalidSpecError(f"slices[{i}]: duplicate slice_id {rec.slice_id}")
             seen_ids.add(rec.slice_id)
-            if len(rec.pixels) != pix_len:
-                raise InvalidSpecError(
-                    f"slice {rec.slice_id}: pixel length {len(rec.pixels)} != h*w={pix_len}"
-                )
             prev = vol_patient.setdefault(rec.volume_id, rec.patient_id)
             if prev != rec.patient_id:
                 raise InvalidSpecError(
@@ -80,12 +83,10 @@ class DatasetIndex:
         for vid in sorted(vol_patient):
             self.patient_volumes.setdefault(vol_patient[vid], []).append(vid)
         self._row_of = {rec.slice_id: i for i, rec in enumerate(self.slices)}
-        self._pixels = None
 
     def __reduce__(self):
-        # one matrix crosses a process boundary, not a copy of every row
-        rows = gcle.meta_rows_from_dataset(self)
-        return _dataset_from_matrix, (rows, self.pixel_matrix(), self.h, self.w)
+        # the matrix and identity rows cross a process boundary, no derived map or cache
+        return DatasetIndex, (gcle.meta_rows_from_dataset(self), self._pixels, self.h, self.w)
 
     @property
     def n(self):
@@ -98,14 +99,8 @@ class DatasetIndex:
         return self.slices[self._row_of[slice_id]]
 
     def pixel_matrix(self):
-        """All pixels as a read-only (n, h*w) float64 matrix, rows in slice
-        order: one matrix per dataset, built at most once. A dataset that
-        ``load_dataset`` or ``generate_synthetic`` made already holds it, and
-        its slices' pixels are views of its rows."""
-        if self._pixels is None:
-            X = np.stack([np.asarray(r.pixels, dtype=np.float64) for r in self.slices])
-            X.flags.writeable = False
-            self._pixels = X
+        """All pixels, the read-only (n, h*w) float64 matrix the dataset
+        holds, rows in slice order."""
         return self._pixels
 
     @functools.cached_property
@@ -190,19 +185,7 @@ def generate_synthetic(spec):
         dict(slice_id=sid, patient_id=p, volume_id=vol, slice_index=t)
         for sid, (p, vol, t) in enumerate(ids)
     )
-    return _dataset_from_matrix(rows, X, spec.h, spec.w), labels
-
-
-def _dataset_from_matrix(rows, X, h, w):
-    """A DatasetIndex over the rows of the float64 matrix ``X``, which it
-    takes over read-only: ``rows`` holds each row's ``gcle.RECORD_KEYS``,
-    each slice's pixels are a view of its row, and ``pixel_matrix`` returns
-    ``X`` itself."""
-    X.flags.writeable = False
-    slices = [SliceRecord(**r, pixels=X[i]) for i, r in enumerate(rows)]
-    ds = DatasetIndex(slices, h, w)
-    ds._pixels = X
-    return ds
+    return DatasetIndex(rows, X, spec.h, spec.w), labels
 
 
 def _minmax_normalize(X):
@@ -336,6 +319,6 @@ def load_dataset(in_dir):
         dtype=np.int64,
     )
     try:  # a hierarchy fault names the record slices[i] or the volume
-        return _dataset_from_matrix(rows, X, h, w), labels
+        return DatasetIndex(rows, X, h, w), labels
     except InvalidSpecError as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc

@@ -238,8 +238,15 @@ def forward(params, pixels):
 
 
 def embed_all(params, ds):
-    """Representation matrix (n, rep_dim), row i for slices[i], no augmentation."""
-    return np.stack([forward(params, rec.pixels)[0] for rec in ds.slices])
+    """Representation matrix (n, rep_dim), row i for slices[i], no augmentation:
+    one ``forward`` per pixel row, once the row width matches ``input_dim``."""
+    X = ds.pixel_matrix()
+    if X.shape[1] != params.arch.input_dim:
+        raise ValueError(
+            f"encoder input_dim {params.arch.input_dim} does not match "
+            f"{ds.h}x{ds.w} = {X.shape[1]} pixels per slice"
+        )
+    return np.stack([forward(params, x)[0] for x in X])
 
 
 def augment_batch(X, spec, rng, h, w, out=None):
@@ -333,13 +340,13 @@ def _epoch_structure(ids, row_of, plan, terms):
     return rows, LossStructure(pid, vid, slice_pos, terms)
 
 
-def train(ds, enabled_groups, loss_cfg, train_cfg):
+def train(ds, loss_cfg, train_cfg):
     """Train the encoder on the full slice pool; returns a TrainResult.
 
     Each epoch builds a fresh batch plan (epoch-derived seed) and its loss
     structure; each step gathers its batch's N rows and their N augmented
     views into the one 2N-row input buffer, and applies one ADAM step on
-    the combined loss.
+    the combined loss; ``loss_cfg``'s group terms choose the companions.
     ``sampler.epoch_batch_size`` checks the batch size and companion pools
     before any work, and resolves a ``batch_size`` of None to the stock
     size; the result's ``config`` holds it, and ``first_plan`` the plan of
@@ -347,10 +354,8 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     ``LossBatch`` and ``loss_and_grad`` are looked up as globals on every
     epoch or step, where an outside tracer can wrap them.
     """
-    if enabled_groups is None:
-        enabled_groups = loss_cfg.enabled_groups
     train_cfg = replace(train_cfg, batch_size=sampler.epoch_batch_size(
-        ds, enabled_groups, train_cfg.batch_size
+        ds, loss_cfg.enabled_groups, train_cfg.batch_size
     ))
     X = ds.pixel_matrix()
     ids = np.array(
@@ -378,7 +383,7 @@ def train(ds, enabled_groups, loss_cfg, train_cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(train_cfg.epochs):
             plan = sampler.build_epoch(
-                ds, enabled_groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, epoch)
+                ds, loss_cfg.enabled_groups, train_cfg.batch_size, epoch_seed(train_cfg.seed, epoch)
             )
             if epoch == 0:
                 first_plan = plan

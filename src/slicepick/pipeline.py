@@ -238,7 +238,7 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
         seed = int(_stream_seed(plan.seed, repeat, strat.name, 1).generate_state(1)[0])
         cfg = dataclasses.replace(cfg, seed=seed)
         t0 = time.perf_counter()
-        result = train(ds, None, strat.loss, cfg)
+        result = train(ds, strat.loss, cfg)
         emb = embed_all(result.params, ds)
         train_seconds[(strat.name, repeat)] = time.perf_counter() - t0
         learned_spaces[strat.name] = emb

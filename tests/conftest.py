@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from slicepick import DatasetIndex, SliceRecord, SynthSpec, generate_synthetic
+from slicepick import DatasetIndex, SynthSpec, generate_synthetic
 from slicepick.losses import LossBatch, slice_positives_from_rows
 
 
@@ -26,18 +26,12 @@ def make_dataset(vol_layout, pixel_rows, h=1, w=None):
     """
     if w is None:
         w = len(pixel_rows[0])
-    slices = []
-    sid = 0
-    for pid, vid, n in vol_layout:
-        for t in range(n):
-            slices.append(
-                SliceRecord(
-                    slice_id=sid, patient_id=pid, volume_id=vid, slice_index=t,
-                    pixels=np.asarray(pixel_rows[sid], dtype=np.float64),
-                )
-            )
-            sid += 1
-    return DatasetIndex(slices, h, w)
+    slices = [(pid, vid, t) for pid, vid, n in vol_layout for t in range(n)]
+    rows = [
+        dict(slice_id=sid, patient_id=pid, volume_id=vid, slice_index=t)
+        for sid, (pid, vid, t) in enumerate(slices)
+    ]
+    return DatasetIndex(rows, np.asarray(pixel_rows, dtype=np.float64), h, w)
 
 
 def random_structured_batch(rng, n_pairs, dim, n_patients=2, n_volumes=3):

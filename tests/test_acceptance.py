@@ -255,12 +255,9 @@ def test_criterion_5_training_descent(reference_data):
     t0 = time.perf_counter()
     ds, _ = reference_data
     outcomes = []
-    for name, cfg, groups in (
-        ("ntxent-only", NTXENT_ONLY, set()),
-        ("(1,0.05,0.35,0)", BEST_WEIGHTS, None),
-    ):
+    for name, cfg in (("ntxent-only", NTXENT_ONLY), ("(1,0.05,0.35,0)", BEST_WEIGHTS)):
         for seed in range(3):
-            result = train(ds, groups, cfg, TrainConfig(epochs=30, seed=seed))
+            result = train(ds, cfg, TrainConfig(epochs=30, seed=seed))
             first, last = result.epoch_losses[0], result.epoch_losses[29]
             assert last < first, f"{name} seed {seed}: {first} -> {last}"
             outcomes.append(f"{name}/s{seed}: {first:.3f}->{last:.3f}")
@@ -320,10 +317,10 @@ def test_criterion_7_cluster_quality(reference_data):
     sils = []
     for seed in range(3):
         emb_group = embed_all(
-            train(ds, None, volume_cfg, TrainConfig(epochs=40, seed=seed)).params, ds
+            train(ds, volume_cfg, TrainConfig(epochs=40, seed=seed)).params, ds
         )
         emb_ntxent = embed_all(
-            train(ds, set(), NTXENT_ONLY, TrainConfig(epochs=40, seed=seed)).params, ds
+            train(ds, NTXENT_ONLY, TrainConfig(epochs=40, seed=seed)).params, ds
         )
         sil_group = silhouette_score(emb_group, kmeans_labels(emb_group, n_vol, seed=seed))
         sil_ntxent = silhouette_score(

@@ -271,6 +271,23 @@ class TestRunRounds:
         ]
         assert not out.exists()
 
+    def test_out_that_is_a_file_rejected_before_training(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        from slicepick import pipeline
+
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: trained.append(a))
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        code, stdout, err = run(
+            capsys, "run-rounds", "--data", str(data_dir), "--out", str(out),
+            "--epochs", "1",
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: --out {out}: {out} is not a directory\n"
+        assert trained == [] and out.read_text() == "keep\n"
+
 
 class TestMalformedInputs:
     def test_truncated_checkpoint(self, data_dir, tmp_path, capsys):
@@ -310,8 +327,8 @@ class TestMalformedInputs:
         )
         assert code == 1 and stdout == ""
         assert err.splitlines() == [
-            f"error: {ckpt}: checkpoint input_dim 9 does not match {data_dir}: "
-            "4x4 = 16 pixels per slice"
+            f"error: {ckpt} does not fit {data_dir}: encoder input_dim 9 does not "
+            "match 4x4 = 16 pixels per slice"
         ]
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
@@ -465,6 +482,22 @@ class TestAblate:
             "ntxent, patient, volume, slice, got ['foo', 'ntxent']"
         ]
         assert trained == [] and not out_csv.exists()
+
+    def test_out_in_missing_directory_rejected_before_training(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        from slicepick import cli as cli_mod
+
+        trained = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: trained.append(a))
+        out_csv = tmp_path / "missing" / "abl.csv"
+        code, stdout, err = run(
+            capsys, "ablate", "--data", str(data_dir), "--epochs", "1",
+            "--out", str(out_csv),
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: --out {out_csv}: not a file path in an existing directory\n"
+        assert trained == [] and not out_csv.parent.exists()
 
     def test_identical_slices_leave_silhouette_empty(self, tmp_path, capsys):
         # every slice equal, so k-means finds one cluster and no silhouette
@@ -648,6 +681,24 @@ class TestConfig:
         cfg.write_text("oops\n")
         argv = [a.format(data=data_dir) for a in argv]
         code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}:1: expected key=value, got 'oops'\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices.items(),
+        ids=lambda item: item[0],
+    )
+    def test_config_after_any_command_is_read_first(self, tmp_path, capsys, command):
+        name, sub = command
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("oops\n")
+        required = [
+            arg for a in sub._actions if a.required for arg in (a.option_strings[0], "1")
+        ]
+        code, out, err = run(capsys, name, *required, "--config", str(cfg))
         assert code == 1 and out == ""
         assert err == f"error: {cfg}:1: expected key=value, got 'oops'\n"
 

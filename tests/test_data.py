@@ -8,7 +8,6 @@ from conftest import make_dataset, ref_group_deviation
 from slicepick import (
     DatasetIndex,
     InvalidSpecError,
-    SliceRecord,
     SynthSpec,
     UndefinedStatisticError,
     generate_synthetic,
@@ -16,36 +15,35 @@ from slicepick import (
     load_dataset,
     save_dataset,
 )
+from slicepick.gcle import RECORD_KEYS
+
+
+def identity_rows(*records):
+    """``gcle.RECORD_KEYS`` dicts from (slice_id, patient_id, volume_id,
+    slice_index) tuples."""
+    return [dict(zip(RECORD_KEYS, r)) for r in records]
 
 
 class TestDatasetIndex:
     def test_noncontiguous_slice_index_rejected(self):
-        slices = [
-            SliceRecord(0, 0, 0, 0, np.zeros(2)),
-            SliceRecord(1, 0, 0, 2, np.zeros(2)),
-        ]
+        rows = identity_rows((0, 0, 0, 0), (1, 0, 0, 2))
         with pytest.raises(InvalidSpecError):
-            DatasetIndex(slices, 1, 2)
+            DatasetIndex(rows, np.zeros((2, 2)), 1, 2)
 
     def test_volume_with_two_patients_rejected(self):
-        slices = [
-            SliceRecord(0, 0, 0, 0, np.zeros(2)),
-            SliceRecord(1, 1, 0, 1, np.zeros(2)),
-        ]
+        rows = identity_rows((0, 0, 0, 0), (1, 1, 0, 1))
         with pytest.raises(InvalidSpecError):
-            DatasetIndex(slices, 1, 2)
+            DatasetIndex(rows, np.zeros((2, 2)), 1, 2)
 
-    def test_ragged_pixels_rejected(self):
-        slices = [
-            SliceRecord(0, 0, 0, 0, np.zeros(2)),
-            SliceRecord(1, 0, 0, 1, np.zeros(3)),
-        ]
-        with pytest.raises(InvalidSpecError):
-            DatasetIndex(slices, 1, 2)
+    def test_matrix_of_wrong_shape_rejected(self):
+        rows = identity_rows((0, 0, 0, 0), (1, 0, 0, 1))
+        for shape in [(2, 3), (3, 2), (1, 2), (4,), (2, 1, 2)]:
+            with pytest.raises(InvalidSpecError, match=rf"shape \({shape[0]},"):
+                DatasetIndex(rows, np.zeros(shape), 1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidSpecError):
-            DatasetIndex([], 1, 2)
+            DatasetIndex([], np.zeros((0, 2)), 1, 2)
 
 
 class TestGenerateSynthetic:
@@ -156,15 +154,15 @@ class TestGroupDeviation:
 
 
 class TestPixelMatrix:
-    """One read-only float64 matrix per dataset: the slices' pixels are views
-    of its rows, ``pixel_matrix`` returns it without a copy, and the
-    deviation statistic normalizes it once."""
+    """One read-only float64 matrix per dataset: the constructor takes it
+    over, ``pixel_matrix`` returns it without a copy, and the deviation
+    statistic normalizes it once."""
 
     def assert_one_matrix(self, ds):
         X = ds.pixel_matrix()
         assert ds.pixel_matrix() is X and X.dtype == np.float64
+        assert X.shape == (ds.n, ds.h * ds.w)
         assert not X.flags.writeable
-        assert all(np.shares_memory(rec.pixels, X[i]) for i, rec in enumerate(ds.slices))
 
     def test_generated_and_loaded(self, tmp_path):
         ds, labels = generate_synthetic(SynthSpec(2, 2, 3, h=2, w=3, seed=4))
@@ -176,6 +174,7 @@ class TestPixelMatrix:
         import pickle
 
         ds, _ = generate_synthetic(SynthSpec(3, 2, 4, h=8, w=8, seed=5))
+        group_deviation(ds, "dataset")  # caches a normalized copy, which stays behind
         copy = pickle.loads(pickle.dumps(ds))
         self.assert_one_matrix(copy)
         assert np.array_equal(copy.pixel_matrix(), ds.pixel_matrix())
@@ -183,10 +182,18 @@ class TestPixelMatrix:
         assert copy.volume_slices == ds.volume_slices
         assert len(pickle.dumps(ds)) < 1.5 * ds.pixel_matrix().nbytes
 
-    def test_built_from_records_once(self):
-        ds = make_dataset([(0, 0, 2), (1, 1, 1)], [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        X = ds.pixel_matrix()
-        assert ds.pixel_matrix() is X and not X.flags.writeable
+    def test_takes_over_a_float64_matrix(self):
+        X = np.arange(6.0).reshape(3, 2)
+        ds = DatasetIndex(identity_rows((0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 0)), X, 1, 2)
+        assert np.shares_memory(ds.pixel_matrix(), X)
+        assert not X.flags.writeable
+        self.assert_one_matrix(ds)
+
+    def test_other_input_becomes_float64(self):
+        rows = identity_rows((0, 0, 0, 0), (1, 0, 0, 1))
+        ds = DatasetIndex(rows, np.array([[1, 2], [3, 4]], dtype=np.float32), 1, 2)
+        self.assert_one_matrix(ds)
+        assert np.array_equal(ds.pixel_matrix(), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_statistic_normalizes_once(self, monkeypatch):
         from slicepick import data

@@ -35,6 +35,7 @@ from slicepick.encoder import (
     _layer_views,
     augment_batch,
 )
+from slicepick.gcle import meta_rows_from_dataset
 from slicepick.losses import LossBatch, combined_loss, loss_and_grad
 
 
@@ -277,8 +278,8 @@ class TestTraining:
     def test_smoke_and_bit_determinism(self):
         ds = self.small_ds()
         loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)
-        r1 = train(ds, set(), loss_cfg, self.cfg())
-        r2 = train(ds, set(), loss_cfg, self.cfg())
+        r1 = train(ds, loss_cfg, self.cfg())
+        r2 = train(ds, loss_cfg, self.cfg())
         assert r1.epoch_losses == r2.epoch_losses
         for w1, w2 in zip(r1.params.weights, r2.params.weights):
             assert np.array_equal(w1, w2)
@@ -288,13 +289,13 @@ class TestTraining:
         loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)
         for seed in range(3):
             ds = self.small_ds(seed)
-            res = train(ds, set(), loss_cfg, self.cfg(epochs=30, seed=seed))
+            res = train(ds, loss_cfg, self.cfg(epochs=30, seed=seed))
             assert res.epoch_losses[-1] < res.epoch_losses[0]
 
     def test_zero_gradient_training_is_pure_decay(self):
-        # one patient, every slice its own volume, volume-group loss only:
-        # each anchor's denominator collapses onto its positives, the loss
-        # is identically zero, and steps reduce the global parameter norm
+        # one patient, batches of one slice, NT-Xent only: each anchor's
+        # denominator is its own view, the loss is identically zero, and
+        # steps reduce the global parameter norm
         from conftest import make_dataset
 
         ds = make_dataset(
@@ -302,9 +303,9 @@ class TestTraining:
             [[float(v), 0.0] for v in range(6)],
             h=1, w=2,
         )
-        loss_cfg = LossConfig(tau=0.1, ntxent=0, patient=0, volume=1.0, slice_group=0)
+        loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)
         cfg = self.cfg(epochs=3, batch_size=1, weight_decay=0.01, learning_rate=0.1)
-        res = train(ds, set(), loss_cfg, cfg)
+        res = train(ds, loss_cfg, cfg)
         assert res.epoch_losses == [0.0, 0.0, 0.0]
         init = init_params(res.params.arch, np.random.SeedSequence([cfg.seed, 0]))
         norm_before = np.sqrt(sum(np.sum(w ** 2) for w in init.weights))
@@ -319,14 +320,14 @@ class TestTraining:
         loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)
         # two patients: a batch holds at most two 1-slice tuples
         with pytest.raises(SettingError, match="batch_size must be at most 2: .*, got 3$"):
-            train(self.small_ds(), set(), loss_cfg, self.cfg(batch_size=3))
+            train(self.small_ds(), loss_cfg, self.cfg(batch_size=3))
         assert plans == []
 
     def test_divergence_guard(self):
         ds = self.small_ds()
         loss_cfg = LossConfig(tau=0.1, ntxent=1.0, patient=0, volume=0, slice_group=0)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
-            train(ds, set(), loss_cfg, self.cfg(epochs=5, learning_rate=1e155))
+            train(ds, loss_cfg, self.cfg(epochs=5, learning_rate=1e155))
 
     def test_epochs_validation(self):
         with pytest.raises(ValueError):
@@ -338,8 +339,20 @@ class TestEmbedAll:
         ds = TestTraining().small_ds()
         params = init_params(Architecture(ds.h * ds.w, (6,), 4, 3), 1)
         emb = embed_all(params, ds)
-        for i, rec in enumerate(ds.slices):
-            assert np.array_equal(emb[i], forward(params, rec.pixels)[0])
+        assert emb.shape == (ds.n, 4)
+        for i, x in enumerate(ds.pixel_matrix()):
+            assert np.array_equal(emb[i], forward(params, x)[0])
+
+    def test_other_pixel_size_rejected_before_the_first_row(self, monkeypatch):
+        from slicepick import encoder
+
+        ds = TestTraining().small_ds()
+        params = init_params(Architecture(ds.h * ds.w + 1, (6,), 4, 3), 1)
+        calls = []
+        monkeypatch.setattr(encoder, "forward", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=r"input_dim 10 does not match 3x3 = 9 pixels"):
+            embed_all(params, ds)
+        assert calls == []
 
     def test_zero_params_zero_matrix(self):
         ds = TestTraining().small_ds()
@@ -355,7 +368,10 @@ class TestEmbedAll:
         ds = TestTraining().small_ds()
         params = init_params(Architecture(ds.h * ds.w, (6,), 4, 3), 1)
         perm = np.random.default_rng(3).permutation(ds.n)
-        permuted = DatasetIndex([ds.slices[i] for i in perm], ds.h, ds.w)
+        rows = meta_rows_from_dataset(ds)
+        permuted = DatasetIndex(
+            [rows[i] for i in perm], ds.pixel_matrix()[perm], ds.h, ds.w
+        )
         assert np.array_equal(embed_all(params, permuted), embed_all(params, ds)[perm])
 
 

@@ -34,6 +34,14 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_error_names_the_target_not_the_temp_file(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_atomic(target, "x\n")
+    assert str(info.value).endswith(f": {str(target)!r}")
+    assert info.value.filename == str(target)
+
+
 def test_writes_through_a_symlink(tmp_path):
     (tmp_path / "real").write_text("old\n")
     (tmp_path / "link").symlink_to(tmp_path / "real")

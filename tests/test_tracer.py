@@ -49,7 +49,7 @@ def test_training_layers_are_traced_and_restored(tracer_module, tiny_ds):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        result = encoder.train(ds, None, loss_cfg, train_cfg)
+        result = encoder.train(ds, loss_cfg, train_cfg)
         encoder.embed_all(result.params, ds)
     finally:
         tracer.restore()

@@ -109,7 +109,7 @@ def _assert_train_matches_reference(ds, train_cfg, subsets=SUBSETS):
     returns the steps of the last run."""
     for subset in subsets:
         loss_cfg = preset_loss_config(subset, tau=0.3)
-        result = train(ds, None, loss_cfg, train_cfg)
+        result = train(ds, loss_cfg, train_cfg)
         flat, losses, steps = reference_train(ds, loss_cfg, train_cfg)
         assert np.array_equal(result.params.flat, flat), (subset, train_cfg.hidden)
         assert result.epoch_losses == losses, (subset, train_cfg.hidden)
@@ -135,7 +135,7 @@ def test_train_matches_per_step_loop_past_the_adam_bias_crossing():
 def test_two_patients_cap_the_batch():
     ds = _two_patient_ds()
     loss_cfg = preset_loss_config(("ntxent", "patient", "volume"))
-    assert train(ds, None, loss_cfg, replace(SMALL, epochs=1)).config.batch_size == 6
+    assert train(ds, loss_cfg, replace(SMALL, epochs=1)).config.batch_size == 6
 
 
 def _random_epoch(rng, n_batches, n):
@@ -219,6 +219,6 @@ def test_traced_names_looked_up_once_per_epoch_or_step(monkeypatch, tiny_ds):
     for name in ("augment_batch", "LossBatch", "loss_and_grad"):
         monkeypatch.setattr(encoder, name, counted(name, getattr(encoder, name)))
     loss_cfg = preset_loss_config(("ntxent", "patient", "volume", "slice"))
-    train(ds, None, loss_cfg, replace(SMALL, epochs=3))
+    train(ds, loss_cfg, replace(SMALL, epochs=3))
     assert calls["build_epoch"] == 3 and sum(steps) > 3
     assert calls["augment_batch"] == calls["LossBatch"] == calls["loss_and_grad"] == sum(steps)
