@@ -12,7 +12,6 @@ from .coreset import (
 )
 from .data import (
     DatasetIndex,
-    SliceRecord,
     SynthSpec,
     generate_synthetic,
     group_deviation,
@@ -61,6 +60,6 @@ from .pipeline import (
     probe_accuracy,
     run_experiment,
 )
-from .sampler import AnchorTuple, EpochPlan, build_epoch, default_batch_size, tuple_width
+from .sampler import EpochPlan, build_epoch, default_batch_size, tuple_width
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ partial write.
 import os
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, SlicepickError
 
 
 def json_int(path, value, where):
@@ -32,6 +32,14 @@ def json_int_record(path, value, where, keys):
         if key not in value:
             raise FormatError(f"{path}: {where} is missing key {key!r}")
     return {key: json_int(path, value[key], f"{where}.{key}") for key in keys}
+
+
+def check_output_file(flag, path):
+    """Raise SlicepickError naming ``flag`` and ``path`` unless ``path`` is
+    unset or a file path in an existing directory; a command checks each of
+    its output files before its work, so a bad path costs no run."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise SlicepickError(f"{flag} {path}: not a file path in an existing directory")
 
 
 def write_atomic(path, data):

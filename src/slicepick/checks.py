@@ -20,7 +20,7 @@ from .losses import (
     loss_grad,
     slice_positives_from_rows,
 )
-from .sampler import build_epoch, tuple_width
+from .sampler import GROUP_TYPES, build_epoch, tuple_width
 
 
 def random_loss_batch(rng, n_pairs=4, dim=5, n_patients=2):
@@ -171,9 +171,9 @@ def check_screened_cover(n_instances=30, seed=2024):
         nearest = brute_force_nearest(emb, state.labeled)
         if not np.array_equal(state.nearest, nearest):
             return False, f"{where}: nearest labeled rows differ from the loop"
-        if state.labeled and not np.array_equal(
-            _kernels.nn_indices(emb, emb[sorted(state.labeled)]),
-            np.searchsorted(sorted(state.labeled), nearest),
+        centers = np.array(sorted(state.labeled), dtype=np.int64)
+        if centers.size and not np.array_equal(
+            centers[_kernels.nn_indices(emb, emb[centers])], nearest
         ):
             return False, f"{where}: the 1-NN search differs from the loop"
     return True, f"{n_instances} instances bit-identical to full passes and the nearest-row loop"
@@ -186,32 +186,38 @@ def _require(holds, invariant):
 
 def validate_plan(ds, plan, enabled_groups):
     """Raise SamplerError, naming the invariant, unless an epoch plan
-    satisfies all of them."""
+    satisfies all of them. Pools are re-derived from ``ds.ids`` alone."""
     width = tuple_width(enabled_groups)
-    order = [g for g in ("slice", "volume", "patient") if g in enabled_groups]
-    anchors = []
-    for batch in plan.batches:
-        patients = [ds.record(t.anchor).patient_id for t in batch]
-        _require(len(set(patients)) == len(patients), "patients repeat within a batch")
-        n_slices = sum(len(t.slice_ids()) for t in batch)
-        _require(n_slices == plan.batch_size_slices, "batch is not exactly M slices")
-        for t in batch:
-            anchors.append(t.anchor)
-            a = ds.record(t.anchor)
-            _require(len(t.slice_ids()) == width, "tuple width mismatch")
-            _require([g for g, _ in t.companions] == order, "companion order/type mismatch")
-            for group_type, sid in t.companions:
-                c = ds.record(sid)
-                if group_type == "slice":
-                    single = len(ds.volume_slices[a.volume_id]) == 1
-                    ok = c.volume_id == a.volume_id and abs(c.slice_index - a.slice_index) == 1
-                    ok = ok or (single and sid == a.slice_id)
-                elif group_type == "volume":
-                    ok = c.volume_id == a.volume_id and sid != a.slice_id
-                else:
-                    ok = c.patient_id == a.patient_id and sid != a.slice_id
-                _require(ok, f"bad {group_type} companion")
-    _require(len(anchors) == len(set(anchors)), "an anchor repeats within the epoch")
+    order = tuple(g for g in GROUP_TYPES if g in enabled_groups)
+    rows = plan.batches
+    _require(
+        isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 3,
+        "batches are not a (B, N, width) int64 array",
+    )
+    _require(((rows >= 0) & (rows < ds.n)).all(), "a row is out of range")
+    _require(rows.shape[2] == width, "tuple width mismatch")
+    _require(rows.shape[1] * width == plan.batch_size_slices, "batch is not exactly M slices")
+    _require(plan.groups == order, "companion order/type mismatch")
+    sid, pid, vid, depth = np.moveaxis(ds.ids[rows], 3, 0)  # each (B, N, width)
+    anchor_pids = np.sort(pid[:, :, 0], axis=1)
+    _require(
+        not (anchor_pids[:, 1:] == anchor_pids[:, :-1]).any(), "patients repeat within a batch"
+    )
+    _, volume_of, volume_size = np.unique(ds.ids[:, 2], return_inverse=True, return_counts=True)
+    lone = volume_size[volume_of[rows[:, :, 0]]] == 1
+    for c, group_type in enumerate(order, 1):
+        same_volume = vid[:, :, c] == vid[:, :, 0]
+        other = sid[:, :, c] != sid[:, :, 0]
+        if group_type == "slice":
+            step = np.abs(depth[:, :, c] - depth[:, :, 0]) == 1
+            ok = (same_volume & step) | (lone & ~other)
+        elif group_type == "volume":
+            ok = same_volume & other
+        else:
+            ok = (pid[:, :, c] == pid[:, :, 0]) & other
+        _require(ok.all(), f"bad {group_type} companion")
+    anchors = rows[:, :, 0].ravel()
+    _require(np.unique(anchors).size == anchors.size, "an anchor repeats within the epoch")
 
 
 def check_sampler(n_datasets=10, seed=2024):

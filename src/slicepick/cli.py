@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, gcle
-from ._io import write_atomic
+from ._io import check_output_file, write_atomic
 from .coreset import k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
@@ -284,13 +284,16 @@ def cmd_stats(args, cfg):
 
 
 def cmd_train_encoder(args, cfg):
+    for flag, path in (("--out", args.out), ("--history", args.history),
+                       ("--dump-epoch", args.dump_epoch)):
+        check_output_file(flag, path)
     ds, _ = load_dataset(args.data)
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
     _check_draws(args.data, ds, loss_cfg, train_cfg)
     result = train(ds, loss_cfg, train_cfg)
     train_cfg = result.config
     if args.dump_epoch:
-        write_atomic(args.dump_epoch, result.first_plan.to_json() + "\n")
+        write_atomic(args.dump_epoch, result.first_plan.to_json(ds) + "\n")
     save_checkpoint(args.out, result.params, train_cfg)
     if args.history:
         write_loss_history(args.history, result.epoch_losses)
@@ -302,6 +305,7 @@ def cmd_train_encoder(args, cfg):
 
 
 def cmd_embed(args, cfg):
+    check_output_file("--out", args.out)
     ds, _ = load_dataset(args.data)
     params, _ = load_checkpoint(args.checkpoint)
     try:
@@ -314,9 +318,10 @@ def cmd_embed(args, cfg):
 
 
 def cmd_select(args, cfg):
+    check_output_file("--out", args.out)
     matrix, meta = gcle.read_gcle(args.embeddings)
     emb = matrix.astype(np.float64)
-    row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
+    rows_by_id = {r["slice_id"]: i for i, r in enumerate(meta)}
     initial = []
     if args.initial not in ("empty", ""):
         # an empty item is skipped, as in every other list flag
@@ -327,11 +332,11 @@ def cmd_select(args, cfg):
                 raise SlicepickError(
                     f"--initial: {token!r} is not an integer slice id"
                 ) from None
-            if slice_id not in row_of:
+            if slice_id not in rows_by_id:
                 raise SlicepickError(
                     f"--initial: slice id {slice_id} is not in {args.embeddings}"
                 )
-            initial.append(row_of[slice_id])
+            initial.append(rows_by_id[slice_id])
     state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
     records = [
         {"round": 0, "rank": rank, "slice_id": meta[idx]["slice_id"],
@@ -380,9 +385,7 @@ def cmd_run_rounds(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    out = args.out and Path(args.out)  # written after every training, so checked first
-    if out and (out.is_dir() or not out.parent.is_dir()):
-        raise SlicepickError(f"--out {out}: not a file path in an existing directory")
+    check_output_file("--out", args.out)
     ds, labels = load_dataset(args.data)
     X = ds.pixel_matrix()
     terms = cfg["groups"]
@@ -399,7 +402,7 @@ def cmd_ablate(args, cfg):
         _check_draws(args.data, ds, loss_cfg, train_cfg)
     plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
     budget = budgets(plan, ds.n)[0]
-    n_volumes = len(ds.volume_slices)
+    n_volumes = len(ds.volume_bounds) - 1
     rows = ["terms,ntxent,patient,volume,slice,silhouette,probe_accuracy,delta"]
     for name, loss_cfg in runs:
         if loss_cfg is None:
@@ -424,8 +427,8 @@ def cmd_ablate(args, cfg):
             f"{sil_text},{acc!r},{delta!r}"
         )
     text = "\n".join(rows) + "\n"
-    if out:
-        write_atomic(out, text)
+    if args.out:
+        write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -260,7 +260,7 @@ def silhouette_score(emb, cluster_labels):
     labels = np.asarray(cluster_labels)
     if labels.shape[0] != emb.shape[0]:
         raise ValueError("one cluster label per row is required")
-    uniq = np.unique(labels)
+    uniq, own = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("silhouette needs at least two clusters")
     D = _kernels.pairwise_dists(emb)
@@ -269,7 +269,6 @@ def silhouette_score(emb, cluster_labels):
     members = [np.flatnonzero(labels == c) for c in uniq]
     sums = np.stack([D.take(cols, axis=1).sum(axis=1) for cols in members], axis=1)
     sizes = np.array([cols.size for cols in members])
-    own = np.searchsorted(uniq, labels)
     rows = np.arange(emb.shape[0])
     own_size = sizes[own]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,11 +1,13 @@
 """Slice/volume/patient data model, synthetic generator, and deviation statistic.
 
-A dataset is one read-only pixel matrix, a row per 2D slice, and an
-identity table: every row knows the volume its slice was cut from, the
-patient that volume belongs to, and its depth within the volume. The
-synthetic generator produces a hierarchy with controllable patient-level,
-volume-level, depth-drift, and noise variance so that group structure is
-visible in pixel space.
+A dataset is one read-only pixel matrix, a row per 2D slice, and one
+read-only identity table beside it: row i holds the slice id of pixel row
+i, its patient, its volume and its depth within the volume. One canonical
+order of the rows (patient, then volume, then depth) makes every patient
+and every volume a contiguous run, which is all the sampler and the
+deviation statistic look up. The synthetic generator produces a hierarchy
+with controllable patient-level, volume-level, depth-drift, and noise
+variance so that group structure is visible in pixel space.
 """
 
 import functools
@@ -22,29 +24,36 @@ from .errors import FormatError, InvalidSpecError, SettingError, UndefinedStatis
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
 
 
-@dataclass(frozen=True)
-class SliceRecord:
-    """One 2D slice's identity within the patient/volume hierarchy."""
+def _run_bounds(keys):
+    """Starts of the runs of equal values in ``keys``, then ``len(keys)``."""
+    change = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return np.concatenate(([0], change, [len(keys)]))
 
-    slice_id: int
-    patient_id: int
-    volume_id: int
-    slice_index: int
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 class DatasetIndex:
     """The (n, h*w) ``pixels`` matrix, taken over read-only as float64 (a
-    float64 array without a copy), ``rows``, each matrix row's
-    ``gcle.RECORD_KEYS``, and patient->volumes and volume->slices maps.
-    Construction checks the matrix shape and the hierarchy: each volume's
-    slice indices run 0..d-1, and each volume belongs to one patient.
+    float64 array without a copy), and ``ids``, the read-only (n, 4) int64
+    identity table: row i holds matrix row i's ``gcle.RECORD_KEYS``, the
+    columns slice_id, patient_id, volume_id and slice_index.
+
+    ``order`` lists the rows by patient, then volume, then depth;
+    ``patient_bounds`` and ``volume_bounds`` hold the starts of the patient
+    and volume runs in it, then n. Construction checks the matrix shape and
+    the hierarchy: slice ids are unique, each volume belongs to one patient,
+    and each volume's slice indices run 0..d-1.
     """
 
     def __init__(self, rows, pixels, h, w):
-        self.slices = [SliceRecord(**r) for r in rows]
+        ids = np.array([[r[k] for k in gcle.RECORD_KEYS] for r in rows], dtype=np.int64)
+        self.ids = _read_only(ids.reshape(-1, len(gcle.RECORD_KEYS)))
         self.h = int(h)
         self.w = int(w)
-        if not self.slices:
+        if not self.n:
             raise InvalidSpecError("dataset must contain at least one slice")
         X = np.asarray(pixels, dtype=np.float64)
         if X.shape != (self.n, self.h * self.w):
@@ -56,65 +65,44 @@ class DatasetIndex:
         self._pixels = X
         seen_ids = set()
         vol_patient = {}
-        vol_indices = {}
-        for i, rec in enumerate(self.slices):
-            if rec.slice_id in seen_ids:
-                raise InvalidSpecError(f"slices[{i}]: duplicate slice_id {rec.slice_id}")
-            seen_ids.add(rec.slice_id)
-            prev = vol_patient.setdefault(rec.volume_id, rec.patient_id)
-            if prev != rec.patient_id:
+        vol_depths = {}
+        for i, (sid, pid, vid, depth) in enumerate(self.ids.tolist()):
+            if sid in seen_ids:
+                raise InvalidSpecError(f"slices[{i}]: duplicate slice_id {sid}")
+            seen_ids.add(sid)
+            prev = vol_patient.setdefault(vid, pid)
+            if prev != pid:
                 raise InvalidSpecError(
-                    f"slices[{i}]: volume {rec.volume_id} maps to patients {prev} "
-                    f"and {rec.patient_id}"
+                    f"slices[{i}]: volume {vid} maps to patients {prev} and {pid}"
                 )
-            vol_indices.setdefault(rec.volume_id, []).append(
-                (rec.slice_index, rec.slice_id)
-            )
-        for vid, pairs in vol_indices.items():
-            idxs = sorted(i for i, _ in pairs)
-            if idxs != list(range(len(idxs))):
+            vol_depths.setdefault(vid, []).append(depth)
+        for vid, depths in vol_depths.items():
+            if sorted(depths) != list(range(len(depths))):
                 raise InvalidSpecError(
-                    f"volume {vid} slice_index values {idxs} are not contiguous from 0"
+                    f"volume {vid} slice_index values {sorted(depths)} are not contiguous from 0"
                 )
-        self.volume_slices = {
-            vid: [sid for _, sid in sorted(pairs)] for vid, pairs in vol_indices.items()
-        }
-        self.patient_volumes = {}
-        for vid in sorted(vol_patient):
-            self.patient_volumes.setdefault(vol_patient[vid], []).append(vid)
-        self._row_of = {rec.slice_id: i for i, rec in enumerate(self.slices)}
+        _, pid, vid, depth = self.ids.T
+        self.order = _read_only(np.lexsort((depth, vid, pid)))
+        self.patient_bounds = _read_only(_run_bounds(pid[self.order]))
+        self.volume_bounds = _read_only(_run_bounds(vid[self.order]))
 
     def __reduce__(self):
-        # the matrix and identity rows cross a process boundary, no derived map or cache
+        # the matrix and identity rows cross a process boundary, no derived array or cache
         return DatasetIndex, (gcle.meta_rows_from_dataset(self), self._pixels, self.h, self.w)
 
     @property
     def n(self):
-        return len(self.slices)
-
-    def row_of(self, slice_id):
-        return self._row_of[slice_id]
-
-    def record(self, slice_id):
-        return self.slices[self._row_of[slice_id]]
+        return len(self.ids)
 
     def pixel_matrix(self):
         """All pixels, the read-only (n, h*w) float64 matrix the dataset
-        holds, rows in slice order."""
+        holds, one row per row of ``ids``."""
         return self._pixels
 
     @functools.cached_property
     def _unit_pixels(self):
         """``pixel_matrix`` min-max normalized over the whole dataset, read-only."""
-        X = _minmax_normalize(self.pixel_matrix())
-        X.flags.writeable = False
-        return X
-
-    def patient_slices(self, patient_id):
-        out = []
-        for vid in self.patient_volumes[patient_id]:
-            out.extend(self.volume_slices[vid])
-        return out
+        return _read_only(_minmax_normalize(self.pixel_matrix()))
 
 
 @dataclass(frozen=True)
@@ -206,7 +194,8 @@ def group_deviation(ds, grouping):
     groups are then averaged with equal weight. Groupings:
 
     - "dataset": a single group holding every slice
-    - "patient" / "volume": one group per patient / per volume
+    - "patient" / "volume": one group per patient / per volume, the runs
+      of ``ds.order``, in patient / volume id order
     - "adjacent": one group per same-volume pair at depth distance 1
     """
     if grouping not in GROUPINGS:
@@ -216,26 +205,20 @@ def group_deviation(ds, grouping):
         if ds.n < 2:
             raise UndefinedStatisticError("dataset grouping needs >= 2 slices")
         return _kernels.all_pairs_mean_abs(X)
+    order = ds.order
     if grouping == "adjacent":
-        ia, ib = [], []
-        for sids in ds.volume_slices.values():
-            rows = [ds.row_of(s) for s in sids]
-            for a, b in zip(rows, rows[1:]):
-                ia.append(a)
-                ib.append(b)
-        if not ia:
+        vid = ds.ids[order, 2]
+        same = vid[1:] == vid[:-1]  # neighbors in a volume run are depth neighbors
+        if not same.any():
             raise UndefinedStatisticError("no adjacent slice pairs in any volume")
-        return float(np.mean(_kernels.pair_mean_abs(X, np.array(ia), np.array(ib))))
-    groups = ds.patient_volumes if grouping == "patient" else ds.volume_slices
-    means = []
-    for key in sorted(groups):
-        if grouping == "patient":
-            rows = [ds.row_of(s) for s in ds.patient_slices(key)]
-        else:
-            rows = [ds.row_of(s) for s in groups[key]]
-        if len(rows) < 2:
-            continue
-        means.append(_kernels.all_pairs_mean_abs(X[rows]))
+        pairs = _kernels.pair_mean_abs(X, order[:-1][same], order[1:][same])
+        return float(np.mean(pairs))
+    bounds = ds.patient_bounds if grouping == "patient" else ds.volume_bounds
+    means = [
+        _kernels.all_pairs_mean_abs(X[order[a:b]])
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b - a >= 2
+    ]
     if not means:
         raise UndefinedStatisticError(f"no {grouping} group has >= 2 slices")
     return float(np.mean(means))

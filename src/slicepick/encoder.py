@@ -15,8 +15,9 @@ the whole vector, in place through two scratch vectors allocated once per
 run, and a checkpoint's parameter blob is that vector in little-endian
 float32.
 
-Each epoch turns its batch plan, once, into the dataset rows of every batch
-and one ``LossStructure`` of the epoch's loss masks. A step then only
+Each epoch's batch plan is already dataset rows. The epoch reads their
+patient, volume, slice and depth ids from the dataset's identity table,
+once, into one ``LossStructure`` of its loss masks. A step then only
 gathers its rows into the top half of one (2N, p) input buffer and their
 augmented views into the bottom half, runs forward, evaluates the loss,
 runs backward into gradient views built once per run (stopping at the
@@ -238,7 +239,7 @@ def forward(params, pixels):
 
 
 def embed_all(params, ds):
-    """Representation matrix (n, rep_dim), row i for slices[i], no augmentation:
+    """Representation matrix (n, rep_dim), row i for pixel row i, no augmentation:
     one ``forward`` per pixel row, once the row width matches ``input_dim``."""
     X = ds.pixel_matrix()
     if X.shape[1] != params.arch.input_dim:
@@ -322,31 +323,14 @@ def _adam_step(params, grad, state, cfg):
     p -= a
 
 
-def _epoch_structure(ids, row_of, plan, terms):
-    """Dataset rows (B, N) of an epoch's batches, and their LossStructure.
-
-    ``ids`` is a C-contiguous (4, n) int64 array, the slice_id, patient_id,
-    volume_id and slice_index of every dataset row; ``row_of`` orders the
-    rows by slice_id, so a sorted search maps slice ids to rows.
-    """
-    sids = np.array(
-        [[sid for t in batch for sid in t.slice_ids()] for batch in plan.batches],
-        dtype=np.int64,
-    )
-    rows = row_of[np.searchsorted(ids[0], sids, sorter=row_of)]
-    # take, unlike ids[:, ...], yields contiguous (B, 2N) id rows
-    sid, pid, vid, depth = ids.take(np.concatenate([rows, rows], axis=1), axis=1)
-    slice_pos = slice_positives_from_rows(sid, vid, depth) if "slice" in terms else None
-    return rows, LossStructure(pid, vid, slice_pos, terms)
-
-
 def train(ds, loss_cfg, train_cfg):
     """Train the encoder on the full slice pool; returns a TrainResult.
 
-    Each epoch builds a fresh batch plan (epoch-derived seed) and its loss
-    structure; each step gathers its batch's N rows and their N augmented
-    views into the one 2N-row input buffer, and applies one ADAM step on
-    the combined loss; ``loss_cfg``'s group terms choose the companions.
+    Each epoch builds a fresh batch plan of dataset rows (epoch-derived
+    seed) and the loss structure of their ids in ``ds.ids``; each step
+    gathers its batch's N rows and their N augmented views into the one
+    2N-row input buffer, and applies one ADAM step on the combined loss;
+    ``loss_cfg``'s group terms choose the companions.
     ``sampler.epoch_batch_size`` checks the batch size and companion pools
     before any work, and resolves a ``batch_size`` of None to the stock
     size; the result's ``config`` holds it, and ``first_plan`` the plan of
@@ -358,11 +342,6 @@ def train(ds, loss_cfg, train_cfg):
         ds, loss_cfg.enabled_groups, train_cfg.batch_size
     ))
     X = ds.pixel_matrix()
-    ids = np.array(
-        [[r.slice_id, r.patient_id, r.volume_id, r.slice_index] for r in ds.slices],
-        dtype=np.int64,
-    ).T.copy()
-    row_of = np.argsort(ids[0])
     arch = Architecture(
         input_dim=ds.h * ds.w,
         hidden=tuple(train_cfg.hidden),
@@ -387,7 +366,13 @@ def train(ds, loss_cfg, train_cfg):
             )
             if epoch == 0:
                 first_plan = plan
-            rows, structure = _epoch_structure(ids, row_of, plan, loss_cfg.terms)
+            rows = plan.batches.reshape(len(plan.batches), n)
+            # take, unlike ds.ids[...].T, yields contiguous (B, 2N) id rows
+            sid, pid, vid, depth = ds.ids.T.take(np.concatenate([rows, rows], axis=1), axis=1)
+            slice_pos = None
+            if "slice" in loss_cfg.terms:
+                slice_pos = slice_positives_from_rows(sid, vid, depth)
+            structure = LossStructure(pid, vid, slice_pos, loss_cfg.terms)
             batch_losses = []
             for b in range(len(rows)):
                 X.take(rows[b], axis=0, out=stack[:n])

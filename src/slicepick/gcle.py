@@ -22,7 +22,8 @@ RECORD_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
 
 
 def meta_rows_from_dataset(ds):
-    return [{k: getattr(r, k) for k in RECORD_KEYS} for r in ds.slices]
+    """One ``RECORD_KEYS`` dict of Python ints per row of ``ds.ids``."""
+    return [dict(zip(RECORD_KEYS, r)) for r in ds.ids.tolist()]
 
 
 def write_gcle(path, matrix, meta_rows):

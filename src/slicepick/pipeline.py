@@ -226,7 +226,7 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
     # built here rather than passed in: ds already carries the pixels, and
     # every argument is pickled into each worker's task
     X = ds.pixel_matrix()
-    slice_ids = [rec.slice_id for rec in ds.slices]
+    slice_ids = ds.ids[:, 0].tolist()
     entries = []
     train_seconds = {}
 

@@ -7,6 +7,12 @@ same patient ("patient"). Batches are then composed of whole tuples with at
 most one tuple per patient; tuples that cannot fill a complete batch are
 dropped. Rebuilding the plan each epoch with a fresh seed re-randomizes
 companions and batch composition.
+
+A plan is made of dataset rows. Every companion pool is a stretch of the
+dataset's canonical order (``DatasetIndex.order``), where each patient and
+each volume is one run, so one ``rng.integers`` call over all pool sizes
+draws every companion of an epoch, and index arithmetic finds each one.
+Slice ids appear only in ``EpochPlan.to_json``.
 """
 
 import json
@@ -22,37 +28,24 @@ GROUP_PATIENT = "patient"
 GROUP_TYPES = (GROUP_SLICE, GROUP_VOLUME, GROUP_PATIENT)
 
 
-@dataclass(frozen=True)
-class AnchorTuple:
-    """An anchor slice with one companion slice per enabled group type."""
-
-    anchor: int
-    companions: tuple  # ((group_type, slice_id), ...) in GROUP_TYPES order
-
-    def slice_ids(self):
-        return (self.anchor,) + tuple(sid for _, sid in self.companions)
-
-
 @dataclass
 class EpochPlan:
-    batches: list  # list of batches; each batch is a list of AnchorTuple
-    batch_size_slices: int
+    """``batches`` is a (B, N, width) int64 array of dataset rows: B batches
+    of N tuples, each the anchor and then one companion per group type of
+    ``groups``."""
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "batch_size_slices": self.batch_size_slices,
-                "batches": [
-                    [
-                        {"anchor": t.anchor, "companions": [list(c) for c in t.companions]}
-                        for t in batch
-                    ]
-                    for batch in self.batches
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+    batches: np.ndarray
+    batch_size_slices: int
+    groups: tuple  # the companion columns' group types, in GROUP_TYPES order
+
+    def to_json(self, ds):
+        """The plan in the slice ids of ``ds``, the dataset it was drawn from."""
+        batches = [
+            [{"anchor": t[0], "companions": [list(c) for c in zip(self.groups, t[1:])]} for t in b]
+            for b in ds.ids[self.batches, 0].tolist()
+        ]
+        doc = {"batch_size_slices": self.batch_size_slices, "batches": batches}
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def tuple_width(enabled_groups):
@@ -87,12 +80,15 @@ def _check_draw(ds, groups, batch_size):
     if batch_size % width:
         rule = f"be a multiple of {width}, the tuple width of the groups {'+'.join(sorted(groups))}"
         raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", rule)
-    for pid, vids in sorted(ds.patient_volumes.items()):
-        if GROUP_PATIENT in groups and sum(len(ds.volume_slices[v]) for v in vids) < 2:
+    _, patient_size = _runs(ds.patient_bounds)
+    _, volume_size = _runs(ds.volume_bounds)
+    lone_patient = (GROUP_PATIENT in groups) & (patient_size < 2)
+    lone = np.flatnonzero(lone_patient | ((GROUP_VOLUME in groups) & (volume_size < 2)))
+    if lone.size:
+        _, pid, vid, _ = ds.ids[ds.order[lone[0]]]
+        if lone_patient[lone[0]]:
             raise SamplerError(f"patient {pid} has a single slice; patient companions need >= 2")
-        for vid in vids:
-            if GROUP_VOLUME in groups and len(ds.volume_slices[vid]) < 2:
-                raise SamplerError(f"volume {vid} has a single slice; volume companions need >= 2")
+        raise SamplerError(f"volume {vid} has a single slice; volume companions need >= 2")
     return width
 
 
@@ -100,7 +96,7 @@ def epoch_batch_size(ds, enabled_groups, batch_size=None):
     """The batch size of every epoch of a training on ``ds``: ``batch_size``, or
     the stock size for None. Raises what ``build_epoch`` raises, and SettingError
     for more tuples than patients: only then does a batch never fill, whatever the seed."""
-    n_patients = len(ds.patient_volumes)
+    n_patients = len(ds.patient_bounds) - 1
     if batch_size is None:
         batch_size = default_batch_size(enabled_groups, n_patients=n_patients)
     width = _check_draw(ds, set(enabled_groups), batch_size)
@@ -110,17 +106,17 @@ def epoch_batch_size(ds, enabled_groups, batch_size=None):
     return batch_size
 
 
-def _pick(rng, seq):
-    # rng.integers is drawn even for single-candidate pools so the stream
-    # advances identically across datasets of the same shape
-    return seq[int(rng.integers(len(seq)))]
+def _runs(bounds):
+    """Per position of ``DatasetIndex.order``: the start and the size of its run."""
+    sizes = np.diff(bounds)
+    return np.repeat(bounds[:-1], sizes), np.repeat(sizes, sizes)
 
 
 def build_epoch(ds, enabled_groups, batch_size, seed):
     """Build one epoch of tuple batches; deterministic in ``seed``.
 
     Companion pools (drawn uniformly, in slice/volume/patient order per
-    anchor, anchors visited in sorted patient -> volume -> depth order):
+    anchor, anchors visited in ``ds.order``: patient -> volume -> depth):
 
     - slice: the depth neighbors of the anchor; boundary slices use their
       single neighbor and single-slice volumes fall back to the anchor
@@ -130,6 +126,8 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
       patient has one, otherwise any same-volume slice except the anchor
       (error if the patient has no other slice).
 
+    Every companion comes from one ``rng.integers`` call over all pool
+    sizes, which draws what one scalar call per companion would.
     Batch composition repeats while at least ``batch_size`` slices remain:
     pick a uniform patient among those unused in the current batch with
     tuples left, pop a uniform tuple from it, and mark the patient used.
@@ -142,34 +140,38 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
     tuples_per_batch = batch_size // width
     rng = np.random.default_rng(seed)
 
-    per_patient = {}
-    for pid in sorted(ds.patient_volumes):
-        vids = ds.patient_volumes[pid]
-        tuples = []
-        for vid in vids:
-            vol_sids = ds.volume_slices[vid]
-            cross_volume = [s for v in vids if v != vid for s in ds.volume_slices[v]]
-            for k, anchor in enumerate(vol_sids):
-                others = vol_sids[:k] + vol_sids[k + 1:]
-                companions = []
-                if GROUP_SLICE in groups:
-                    neighbors = [
-                        vol_sids[j] for j in (k - 1, k + 1) if 0 <= j < len(vol_sids)
-                    ]
-                    pool = neighbors if neighbors else [anchor]
-                    companions.append((GROUP_SLICE, _pick(rng, pool)))
-                if GROUP_VOLUME in groups:
-                    companions.append((GROUP_VOLUME, _pick(rng, others)))
-                if GROUP_PATIENT in groups:
-                    pool = cross_volume if cross_volume else others
-                    companions.append((GROUP_PATIENT, _pick(rng, pool)))
-                tuples.append(AnchorTuple(anchor, tuple(companions)))
-        per_patient[pid] = tuples
+    # positions in ds.order: k anchors tuple k, inside runs [v0, v0 + v_len)
+    # of its volume and [p0, p0 + p_len) of its patient
+    k = np.arange(ds.n)
+    v0, v_len = _runs(ds.volume_bounds)
+    p0, p_len = _runs(ds.patient_bounds)
+    has_prev, has_next = k > v0, k + 1 < v0 + v_len
+    cross = p_len - v_len  # the patient's slices outside the anchor's volume
+    columns = tuple(g for g in GROUP_TYPES if g in groups)
+    pool_size = {
+        GROUP_SLICE: np.maximum(has_prev.astype(np.int64) + has_next, 1),
+        GROUP_VOLUME: v_len - 1,
+        GROUP_PATIENT: np.where(cross > 0, cross, v_len - 1),
+    }
+    # (anchors, groups) pool sizes: drawn anchor by anchor, each anchor's groups in turn
+    draws = rng.integers(np.array([pool_size[g] for g in columns], dtype=np.int64).T)
+    positions = [k]
+    for g, j in zip(columns, draws.T):
+        skip_anchor = v0 + j + (j >= k - v0)
+        if g == GROUP_SLICE:  # the neighbor below when there is one, else the one above
+            positions.append(np.where(has_prev, k - 1, np.where(has_next, k + 1, k)) + 2 * j)
+        elif g == GROUP_VOLUME:
+            positions.append(skip_anchor)
+        else:  # skip the anchor's own volume, unless it is the patient's only one
+            skip_volume = p0 + j + v_len * (p0 + j >= v0)
+            positions.append(np.where(cross > 0, skip_volume, skip_anchor))
+    tuples = ds.order[np.stack(positions, axis=1)]
 
     batches = []
-    # built in sorted patient order and only ever shrunk, so it stays sorted
-    remaining = {pid: tl for pid, tl in per_patient.items() if tl}
-    slices_left = sum(len(tl) for tl in remaining.values()) * width
+    # each patient run's tuple positions, in patient order; only ever shrunk
+    bounds = ds.patient_bounds.tolist()
+    remaining = {p: list(range(a, b)) for p, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+    slices_left = ds.n * width
     while slices_left >= batch_size:
         batch = []
         used = set()
@@ -177,15 +179,16 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
             avail = [p for p in remaining if p not in used]
             if not avail:
                 break
-            pid = _pick(rng, avail)
-            tuples = remaining[pid]
-            batch.append(tuples.pop(int(rng.integers(len(tuples)))))
+            p = avail[int(rng.integers(len(avail)))]
+            left = remaining[p]
+            batch.append(left.pop(int(rng.integers(len(left)))))
             slices_left -= width
-            if tuples:
-                used.add(pid)
+            if left:
+                used.add(p)
             else:
-                del remaining[pid]
+                del remaining[p]
         if len(batch) < tuples_per_batch:
             break  # cannot satisfy patient uniqueness; drop leftovers
         batches.append(batch)
-    return EpochPlan(batches=batches, batch_size_slices=batch_size)
+    chosen = np.array(batches, dtype=np.int64).reshape(-1, tuples_per_batch)
+    return EpochPlan(tuples[chosen], batch_size, columns)

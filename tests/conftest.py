@@ -1,11 +1,20 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from slicepick import DatasetIndex, SynthSpec, generate_synthetic
-from slicepick.losses import LossBatch, slice_positives_from_rows
+from slicepick import DatasetIndex, SynthSpec, encoder, gcle, generate_synthetic, sampler
+from slicepick.encoder import (
+    Architecture,
+    _backward_batch,
+    _forward_batch,
+    augment_batch,
+    epoch_seed,
+    init_params,
+)
+from slicepick.losses import LossBatch, loss_and_grad, slice_positives_from_rows
 
 
 @pytest.fixture
@@ -125,17 +134,20 @@ def ref_group_deviation(ds, grouping):
     if grouping == "dataset":
         vals = [pair_dev(i, j) for i, j in itertools.combinations(range(ds.n), 2)]
         return float(np.mean(vals)) if vals else None
+    # the rows of each group, keyed by its id, read from the identity records
+    meta = gcle.meta_rows_from_dataset(ds)
+    key = "volume_id" if grouping == "adjacent" else f"{grouping}_id"
+    groups = {}
+    for i, r in enumerate(meta):
+        groups.setdefault(r[key], []).append(i)
     if grouping == "adjacent":
         vals = []
-        for sids in ds.volume_slices.values():
-            rows = [ds.row_of(s) for s in sids]
+        for rows in groups.values():
+            rows = sorted(rows, key=lambda i: meta[i]["slice_index"])
             vals += [pair_dev(a, b) for a, b in zip(rows, rows[1:])]
         return float(np.mean(vals)) if vals else None
     group_vals = []
-    keys = ds.patient_volumes if grouping == "patient" else ds.volume_slices
-    for key in keys:
-        sids = ds.patient_slices(key) if grouping == "patient" else keys[key]
-        rows = [ds.row_of(s) for s in sids]
+    for rows in groups.values():
         if len(rows) < 2:
             continue
         group_vals.append(
@@ -161,3 +173,121 @@ def ref_group_loss_from_batch(batch, group_type, tau):
         labels=labels,
         positive_sets=sets,
     )
+
+
+# ---------------------------------------------------------------------------
+# references that know a dataset only by its identity records (slice ids)
+
+def plan_slice_ids(ds, plan):
+    """An epoch plan's batches as lists of slice-id tuples."""
+    sids = [r["slice_id"] for r in gcle.meta_rows_from_dataset(ds)]
+    return [[tuple(sids[row] for row in t) for t in batch] for batch in plan.batches.tolist()]
+
+
+def simulate_build_epoch(ds, groups, batch_size, seed):
+    """Independent re-implementation of the epoch builder over the identity
+    records, consuming the documented RNG protocol draw for draw with one
+    scalar call per draw; returns batches of slice-id tuples."""
+    rng = np.random.default_rng(seed)
+    width = 1 + len(groups)
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    volumes, patients = {}, {}  # slice ids by depth; volume ids
+    for r in sorted(gcle.meta_rows_from_dataset(ds), key=lambda r: r["slice_index"]):
+        volumes.setdefault(r["volume_id"], []).append(r["slice_id"])
+        patients.setdefault(r["patient_id"], set()).add(r["volume_id"])
+
+    per_patient = {}
+    for pid in sorted(patients):
+        vids = sorted(patients[pid])
+        tuples = []
+        for vid in vids:
+            vol = volumes[vid]
+            cross = [s for v in vids if v != vid for s in volumes[v]]
+            for k, anchor in enumerate(vol):
+                t = [anchor]
+                if "slice" in groups:
+                    pool = [vol[j] for j in (k - 1, k + 1) if 0 <= j < len(vol)]
+                    t.append(pick(pool if pool else [anchor]))
+                if "volume" in groups:
+                    t.append(pick([s for s in vol if s != anchor]))
+                if "patient" in groups:
+                    t.append(pick(cross if cross else [s for s in vol if s != anchor]))
+                tuples.append(tuple(t))
+        per_patient[pid] = tuples
+
+    batches = []
+    slices_left = sum(len(tl) for tl in per_patient.values()) * width
+    while slices_left >= batch_size:
+        batch = []
+        used = set()
+        while len(batch) < batch_size // width:
+            avail = [p for p in sorted(per_patient) if p not in used]
+            if not avail:
+                break
+            pid = pick(avail)
+            tl = per_patient[pid]
+            batch.append(tl.pop(int(rng.integers(len(tl)))))
+            slices_left -= width
+            if tl:
+                used.add(pid)
+            else:
+                del per_patient[pid]
+        if len(batch) < batch_size // width:
+            break
+        batches.append(batch)
+    return batches
+
+
+def reference_train(ds, loss_cfg, train_cfg):
+    """(flat parameters, epoch losses, steps taken) of the per-step loop
+    that ``encoder.train`` replaced: each step looks its rows and ids up
+    slice by slice, augments them into a new array and stacks both views,
+    builds its masks through a lone ``LossBatch`` and takes an out-of-place
+    textbook ADAM step."""
+    meta = gcle.meta_rows_from_dataset(ds)
+    row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
+    groups = loss_cfg.enabled_groups
+    if train_cfg.batch_size is None:
+        n_patients = len({r["patient_id"] for r in meta})
+        size = sampler.default_batch_size(groups, n_patients=n_patients)
+        train_cfg = replace(train_cfg, batch_size=size)
+    X = ds.pixel_matrix()
+    arch = Architecture(ds.h * ds.w, tuple(train_cfg.hidden), train_cfg.rep_dim,
+                        train_cfg.proj_dim)
+    params = init_params(arch, np.random.SeedSequence([train_cfg.seed, 0]))
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+    aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
+    c = train_cfg
+    t = 0
+    epoch_losses = []
+    for epoch in range(c.epochs):
+        plan = sampler.build_epoch(ds, groups, c.batch_size, epoch_seed(c.seed, epoch))
+        batch_losses = []
+        for batch_tuples in plan_slice_ids(ds, plan):
+            rows = [row_of[sid] for tup in batch_tuples for sid in tup]
+            originals = X[rows]
+            views = augment_batch(originals, c.augment, aug_rng, ds.h, ds.w)
+            _, proj, cache = _forward_batch(params, np.vstack([originals, views]))
+            ids = np.array([[meta[i][k] for k in gcle.RECORD_KEYS] for i in rows * 2]).T
+            slice_pos = None
+            if loss_cfg.slice_group > 0:
+                slice_pos = slice_positives_from_rows(ids[0], ids[2], ids[3])
+            batch = LossBatch(z=proj, patient_ids=ids[1], volume_ids=ids[2],
+                              slice_positives=slice_pos)
+            loss, d_proj = loss_and_grad(batch, loss_cfg)
+            g_w, g_b = _backward_batch(params, cache, d_proj)
+            grad = np.concatenate([np.ravel(x) for p in zip(g_w, g_b) for x in p])
+            t += 1
+            p = params.flat
+            p *= 1.0 - c.learning_rate * c.weight_decay
+            m = encoder.BETA1 * m + (1.0 - encoder.BETA1) * grad
+            v = encoder.BETA2 * v + (1.0 - encoder.BETA2) * (grad * grad)
+            p -= c.learning_rate * (m / (1.0 - encoder.BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - encoder.BETA2 ** t)) + encoder.ADAM_EPS
+            )
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return params.flat, epoch_losses, t

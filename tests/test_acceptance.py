@@ -242,10 +242,9 @@ def test_criterion_4_sampler_invariants():
         batch_size = default_batch_size(groups, n_patients=spec.n_patients)
         plan = build_epoch(ds, groups, batch_size, seed=int(rng.integers(2 ** 31)))
         validate_plan(ds, plan, groups)
-        anchors = [t.anchor for b in plan.batches for t in b]
+        anchors = plan.batches[:, :, 0].ravel().tolist()
         assert len(anchors) == len(set(anchors))
-        for batch in plan.batches:
-            assert sum(len(t.slice_ids()) for t in batch) == batch_size
+        assert plan.batches.shape[1] * plan.batches.shape[2] == batch_size
     elapsed = time.perf_counter() - t0
     assert elapsed < 60
     report(4, f"sampler invariants clean on 50 datasets ({elapsed:.1f}s)")
@@ -311,7 +310,7 @@ def test_criterion_6_label_efficiency(reference_data):
 def test_criterion_7_cluster_quality(reference_data):
     t0 = time.perf_counter()
     ds, _ = reference_data
-    n_vol = len(ds.volume_slices)
+    n_vol = len(ds.volume_bounds) - 1
     volume_cfg = LossConfig(tau=0.1, ntxent=0, patient=0, volume=1.0, slice_group=0)
     wins = 0
     sils = []

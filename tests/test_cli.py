@@ -289,6 +289,56 @@ class TestRunRounds:
         assert trained == [] and out.read_text() == "keep\n"
 
 
+class TestOutputFiles:
+    """Each output file path is checked before any work: a refused path
+    exits 1 naming its flag and path, and nothing runs or is written."""
+
+    def assert_refused(self, capsys, tmp_path, argv, flag, path):
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} {path}: not a file path in an existing directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--history", "--dump-epoch"])
+    def test_train_encoder(self, data_dir, tmp_path, capsys, monkeypatch, flag):
+        from slicepick import cli as cli_mod
+
+        trained = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: trained.append(a))
+        paths = {f: tmp_path / f"{f[2:]}.out" for f in ("--out", "--history", "--dump-epoch")}
+        paths[flag] = tmp_path / "missing" / "file"
+        argv = ["train-encoder", "--data", str(data_dir), "--epochs", "1"]
+        argv += [str(x) for f, path in paths.items() for x in (f, path)]
+        self.assert_refused(capsys, tmp_path, argv, flag, paths[flag])
+        assert trained == []
+
+    def test_embed(self, data_dir, tmp_path, capsys, monkeypatch):
+        from slicepick import cli as cli_mod
+
+        embedded = []
+        monkeypatch.setattr(cli_mod, "embed_all", lambda *a: embedded.append(a))
+        out = tmp_path / "missing" / "emb.gcle"
+        argv = ["embed", "--data", str(data_dir), "--checkpoint", str(tmp_path / "no.ckpt"),
+                "--out", str(out)]
+        self.assert_refused(capsys, tmp_path, argv, "--out", out)
+        assert embedded == []
+
+    def test_select(self, tmp_path, capsys, monkeypatch):
+        from slicepick import cli as cli_mod, gcle
+
+        meta = [{"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
+                for i in range(3)]
+        emb = tmp_path / "emb.gcle"
+        gcle.write_gcle(emb, np.arange(6.0).reshape(3, 2), meta)
+        selected = []
+        monkeypatch.setattr(cli_mod, "k_center_greedy", lambda *a, **k: selected.append(a))
+        # an existing directory is no file path either
+        argv = ["select", "--embeddings", str(emb), "--budget", "1", "--out", str(tmp_path)]
+        self.assert_refused(capsys, tmp_path, argv, "--out", tmp_path)
+        assert selected == []
+
+
 class TestMalformedInputs:
     def test_truncated_checkpoint(self, data_dir, tmp_path, capsys):
         ckpt = tmp_path / "enc.ckpt"

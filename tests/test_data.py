@@ -178,8 +178,8 @@ class TestPixelMatrix:
         copy = pickle.loads(pickle.dumps(ds))
         self.assert_one_matrix(copy)
         assert np.array_equal(copy.pixel_matrix(), ds.pixel_matrix())
-        assert [rec.slice_id for rec in copy.slices] == [rec.slice_id for rec in ds.slices]
-        assert copy.volume_slices == ds.volume_slices
+        for name in ("ids", "order", "patient_bounds", "volume_bounds"):
+            assert np.array_equal(getattr(copy, name), getattr(ds, name))
         assert len(pickle.dumps(ds)) < 1.5 * ds.pixel_matrix().nbytes
 
     def test_takes_over_a_float64_matrix(self):
@@ -215,7 +215,7 @@ class TestDatasetDirectory:
         assert np.array_equal(labels, labels2)
         # pixels pass through float32 storage
         assert np.allclose(ds.pixel_matrix(), ds2.pixel_matrix(), atol=1e-6)
-        assert ds2.volume_slices == ds.volume_slices
+        assert np.array_equal(ds2.ids, ds.ids)
 
     def test_regeneration_is_byte_identical(self, tmp_path, tiny_ds):
         ds, labels = tiny_ds

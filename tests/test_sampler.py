@@ -1,96 +1,51 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import slicepick
-from conftest import make_dataset
-from slicepick import SamplerError, SettingError, SynthSpec, generate_synthetic
+from conftest import make_dataset, plan_slice_ids, simulate_build_epoch
+from slicepick import SamplerError, SettingError, SynthSpec, gcle, generate_synthetic
+from slicepick.checks import validate_plan
 from slicepick.sampler import build_epoch, default_batch_size, tuple_width
-
-
-def simulate_build_epoch(ds, groups, batch_size, seed):
-    """Independent re-implementation of the epoch builder, consuming the
-    documented RNG protocol draw for draw; returns batches of slice-id
-    tuples."""
-    rng = np.random.default_rng(seed)
-    width = 1 + len(groups)
-
-    def pick(seq):
-        return seq[int(rng.integers(len(seq)))]
-
-    per_patient = {}
-    for pid in sorted(ds.patient_volumes):
-        patient_sids = ds.patient_slices(pid)
-        tuples = []
-        for vid in ds.patient_volumes[pid]:
-            vol = ds.volume_slices[vid]
-            cross = [s for s in patient_sids if ds.record(s).volume_id != vid]
-            for k, anchor in enumerate(vol):
-                t = [anchor]
-                if "slice" in groups:
-                    pool = [vol[j] for j in (k - 1, k + 1) if 0 <= j < len(vol)]
-                    t.append(pick(pool if pool else [anchor]))
-                if "volume" in groups:
-                    t.append(pick([s for s in vol if s != anchor]))
-                if "patient" in groups:
-                    t.append(pick(cross if cross else [s for s in vol if s != anchor]))
-                tuples.append(tuple(t))
-        if tuples:
-            per_patient[pid] = tuples
-
-    batches = []
-    slices_left = sum(len(tl) for tl in per_patient.values()) * width
-    while slices_left >= batch_size:
-        batch = []
-        used = set()
-        while len(batch) < batch_size // width:
-            avail = [p for p in sorted(per_patient) if p not in used]
-            if not avail:
-                break
-            pid = pick(avail)
-            tl = per_patient[pid]
-            batch.append(tl.pop(int(rng.integers(len(tl)))))
-            slices_left -= width
-            if tl:
-                used.add(pid)
-            else:
-                del per_patient[pid]
-        if len(batch) < batch_size // width:
-            break
-        batches.append(batch)
-    return batches
 
 
 def assert_plan_invariants(ds, plan, groups, expect_all_anchors=None):
     width = 1 + len(groups)
+    meta = gcle.meta_rows_from_dataset(ds)
+    volume_size = Counter(r["volume_id"] for r in meta)
+    assert plan.batches.dtype == np.int64 and plan.batches.ndim == 3
+    assert plan.groups == tuple(g for g in ("slice", "volume", "patient") if g in groups)
     anchors = []
-    for batch in plan.batches:
-        assert sum(len(t.slice_ids()) for t in batch) == plan.batch_size_slices
-        pids = [ds.record(t.anchor).patient_id for t in batch]
+    for batch in plan.batches.tolist():
+        assert len(batch) * width == plan.batch_size_slices
+        pids = [meta[t[0]]["patient_id"] for t in batch]
         assert len(set(pids)) == len(pids)
         for t in batch:
-            anchors.append(t.anchor)
-            assert len(t.slice_ids()) == width
-            a = ds.record(t.anchor)
-            for group_type, sid in t.companions:
-                c = ds.record(sid)
+            anchors.append(t[0])
+            assert len(t) == width
+            a = meta[t[0]]
+            for group_type, row in zip(plan.groups, t[1:]):
+                c = meta[row]
                 if group_type == "slice":
-                    if sid == t.anchor:
-                        assert len(ds.volume_slices[a.volume_id]) == 1
+                    if row == t[0]:
+                        assert volume_size[a["volume_id"]] == 1
                     else:
-                        assert c.volume_id == a.volume_id
-                        assert abs(c.slice_index - a.slice_index) == 1
+                        assert c["volume_id"] == a["volume_id"]
+                        assert abs(c["slice_index"] - a["slice_index"]) == 1
                 elif group_type == "volume":
-                    assert c.volume_id == a.volume_id and sid != t.anchor
+                    assert c["volume_id"] == a["volume_id"] and row != t[0]
                 elif group_type == "patient":
-                    assert c.patient_id == a.patient_id and sid != t.anchor
+                    assert c["patient_id"] == a["patient_id"] and row != t[0]
     assert len(anchors) == len(set(anchors))
     if expect_all_anchors:
-        assert sorted(anchors) == sorted(r.slice_id for r in ds.slices)
+        assert sorted(anchors) == list(range(ds.n))
 
 
 class TestTupleWidth:
@@ -137,7 +92,7 @@ class TestBuildEpoch:
         ds = make_dataset([(0, 0, 2)], [[0.0], [1.0]], h=1, w=1)
         width = 3
         plan = build_epoch(ds, {"slice", "volume"}, 2 * width, seed=0)
-        assert plan.batches == []
+        assert plan.batches.shape == (0, 2, width)
         plan = build_epoch(ds, {"slice", "volume"}, width, seed=0)
         assert len(plan.batches) == 2  # one single-tuple batch per anchor
         assert all(len(b) == 1 for b in plan.batches)
@@ -146,7 +101,7 @@ class TestBuildEpoch:
         ds = make_dataset([(0, 0, 1)], [[0.0]], h=1, w=1)
         plan = build_epoch(ds, {"slice"}, 2, seed=0)
         assert len(plan.batches) == 1
-        assert plan.batches[0][0].slice_ids() == (0, 0)  # self-fallback view pair
+        assert plan.batches.tolist() == [[[0, 0]]]  # self-fallback view pair
 
     def test_stock_batch_arithmetic(self, tiny_ds):
         ds, _ = tiny_ds
@@ -163,8 +118,8 @@ class TestBuildEpoch:
     def test_single_slice_volume_fallback_and_errors(self):
         ds = make_dataset([(0, 0, 1), (0, 1, 2)], [[0.0], [1.0], [2.0]], h=1, w=1)
         plan = build_epoch(ds, {"slice"}, 2, seed=0)
-        lone = [t for b in plan.batches for t in b if t.anchor == 0]
-        assert lone and lone[0].companions[0] == ("slice", 0)
+        lone = [t for b in plan.batches.tolist() for t in b if t[0] == 0]
+        assert lone == [[0, 0]] and plan.groups == ("slice",)
         with pytest.raises(SamplerError):
             build_epoch(ds, {"volume"}, 2, seed=0)
         single_patient = make_dataset([(0, 0, 1)], [[0.0]], h=1, w=1)
@@ -175,7 +130,7 @@ class TestBuildEpoch:
         ds, _ = tiny_ds
         a = build_epoch(ds, {"slice", "volume"}, 9, seed=5)
         b = build_epoch(ds, {"slice", "volume"}, 9, seed=5)
-        assert a.to_json() == b.to_json()
+        assert np.array_equal(a.batches, b.batches) and a.to_json(ds) == b.to_json(ds)
 
     def test_epoch_randomness(self, tiny_ds):
         # some anchor must receive two distinct adjacent companions across
@@ -184,9 +139,8 @@ class TestBuildEpoch:
         companions = {}
         for seed in range(100):
             plan = build_epoch(ds, {"slice"}, 2, seed=seed)
-            for batch in plan.batches:
-                for t in batch:
-                    companions.setdefault(t.anchor, set()).add(t.companions[0][1])
+            for anchor, companion in plan.batches.reshape(-1, 2).tolist():
+                companions.setdefault(anchor, set()).add(companion)
         assert any(len(v) >= 2 for v in companions.values())
 
     def test_invariants_on_random_datasets(self):
@@ -220,8 +174,41 @@ class TestBuildEpoch:
                     seed = int(rng.integers(2 ** 31))
                     plan = build_epoch(ds, groups, per_batch * width, seed=seed)
                     sim = simulate_build_epoch(ds, groups, per_batch * width, seed=seed)
-                    got = [[t.slice_ids() for t in b] for b in plan.batches]
-                    assert got == [[tuple(t) for t in b] for b in sim]
+                    assert plan_slice_ids(ds, plan) == sim
+
+
+def test_one_integers_call_draws_what_scalar_calls_draw():
+    # build_epoch draws an epoch's companions in one rng.integers call over
+    # an (anchors, groups) array of pool sizes, the transpose of a C array;
+    # its plans, and every digest that follows from them, rest on numpy
+    # drawing exactly what one scalar call per bound, in row-major order,
+    # draws, and leaving the same state
+    for seed in range(50):
+        bounds_rng = np.random.default_rng(1000 + seed)
+        bounds = np.concatenate([[1, 2, 2 ** 32 - 1] * 2, bounds_rng.integers(1, 40, size=30)])
+        bounds_rng.shuffle(bounds)
+        together, apart = np.random.default_rng(seed), np.random.default_rng(seed)
+        grid = bounds.reshape(3, 12).T
+        drawn = together.integers(grid)
+        assert drawn.ravel().tolist() == [int(apart.integers(b)) for b in grid.ravel()]
+        assert together.bit_generator.state == apart.bit_generator.state
+
+
+@pytest.mark.parametrize("fault, invariant", [
+    (lambda b: b.astype(np.int32), "batches are not a (B, N, width) int64 array"),
+    (lambda b: b[:, :, None], "batches are not a (B, N, width) int64 array"),
+    (lambda b: b + 100, "a row is out of range"),
+    (lambda b: b - 100, "a row is out of range"),
+    (lambda b: b[:, :, :2], "tuple width mismatch"),
+    (lambda b: b[:, :1], "batch is not exactly M slices"),
+])
+def test_validate_plan_checks_the_row_array(tiny_ds, fault, invariant):
+    ds, _ = tiny_ds
+    plan = build_epoch(ds, {"slice", "volume"}, 6, seed=0)
+    validate_plan(ds, plan, {"slice", "volume"})
+    plan.batches = fault(plan.batches)
+    with pytest.raises(SamplerError, match=re.escape(f"sampler invariant broken: {invariant}")):
+        validate_plan(ds, plan, {"slice", "volume"})
 
 
 # a plan whose first batch holds one tuple twice, so a patient repeats in it

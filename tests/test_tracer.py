@@ -23,6 +23,7 @@ from slicepick import (
     encoder,
     pipeline,
     preset_loss_config,
+    sampler,
 )
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -45,7 +46,8 @@ def test_training_layers_are_traced_and_restored(tracer_module, tiny_ds):
     ds, _ = tiny_ds
     pixel_matrix = data.DatasetIndex.pixel_matrix
     loss_cfg = preset_loss_config({"ntxent", "patient", "volume"})
-    train_cfg = TrainConfig(epochs=1, hidden=(4,), rep_dim=3, proj_dim=2, seed=1)
+    # two tuples of three patients a batch: a patient can be left alone with tuples
+    train_cfg = TrainConfig(epochs=3, batch_size=6, hidden=(4,), rep_dim=3, proj_dim=2, seed=1)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -55,9 +57,21 @@ def test_training_layers_are_traced_and_restored(tracer_module, tiny_ds):
         tracer.restore()
     names = {span[1] for span in tracer.spans}
     assert {
-        "losses.loss_and_grad", "losses.LossBatch", "encoder.augment_batch",
-        "data.pixel_matrix", "encoder.train", "encoder.embed_all", "encoder.forward",
+        "sampler.build_epoch", "losses.loss_and_grad", "losses.LossBatch",
+        "encoder.augment_batch", "data.pixel_matrix", "encoder.train", "encoder.embed_all",
+        "encoder.forward",
     } <= names
+    # the anchors no batch holds, counted from each epoch's plan rebuilt untraced
+    dropped = 0
+    for epoch in range(train_cfg.epochs):
+        plan = sampler.build_epoch(
+            ds, loss_cfg.enabled_groups, result.config.batch_size,
+            encoder.epoch_seed(train_cfg.seed, epoch),
+        )
+        batches, tuples, _ = plan.batches.shape
+        dropped += ds.n - batches * tuples
+    assert dropped > 0
+    assert tracer.counts["sampler.anchors_dropped"] == dropped
     assert tracer_module.leftovers() == []
     assert data.DatasetIndex.pixel_matrix is pixel_matrix
 

@@ -1,11 +1,11 @@
 """``train`` against the per-step loop it replaced, bit for bit.
 
-``reference_train`` is that loop: each step looks its rows up slice by
-slice, augments them into a new array and stacks both views, builds its
-masks through a lone ``LossBatch`` and takes an out-of-place textbook ADAM
-step. ``train`` fills one input buffer per run, builds the masks once per
-epoch as one ``LossStructure`` and updates ADAM in place; both must give
-the same parameters and epoch losses. The outside tracer of ``perfbench``
+``conftest.reference_train`` is that loop: each step looks its rows up
+slice by slice, augments them into a new array and stacks both views,
+builds its masks through a lone ``LossBatch`` and takes an out-of-place
+textbook ADAM step. ``train`` fills one input buffer per run, builds the
+masks once per epoch as one ``LossStructure`` and updates ADAM in place;
+both must give the same parameters and epoch losses. The outside tracer of ``perfbench``
 wraps ``encoder``'s globals, so the tests also count that ``train`` looks
 each of them up once per epoch or step.
 """
@@ -16,18 +16,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, reference_train
 from slicepick import SynthSpec, TrainConfig, generate_synthetic, preset_loss_config
 from slicepick import encoder, sampler
-from slicepick.encoder import (
-    Architecture,
-    _backward_batch,
-    _forward_batch,
-    augment_batch,
-    epoch_seed,
-    init_params,
-    train,
-)
+from slicepick.encoder import train
 from slicepick.losses import (
     LossBatch,
     LossConfig,
@@ -39,52 +31,6 @@ from slicepick.losses import (
 TERMS = ("ntxent", "patient", "volume", "slice")
 SUBSETS = [c for k in range(1, 5) for c in itertools.combinations(TERMS, k)]
 SMALL = TrainConfig(epochs=2, hidden=(6,), rep_dim=4, proj_dim=3, seed=5)
-
-
-def reference_train(ds, loss_cfg, train_cfg):
-    """(flat parameters, epoch losses, steps taken) of the per-step loop."""
-    groups = loss_cfg.enabled_groups
-    if train_cfg.batch_size is None:
-        size = sampler.default_batch_size(groups, n_patients=len(ds.patient_volumes))
-        train_cfg = replace(train_cfg, batch_size=size)
-    X = ds.pixel_matrix()
-    arch = Architecture(ds.h * ds.w, tuple(train_cfg.hidden), train_cfg.rep_dim,
-                        train_cfg.proj_dim)
-    params = init_params(arch, np.random.SeedSequence([train_cfg.seed, 0]))
-    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-    aug_rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 1]))
-    c = train_cfg
-    t = 0
-    epoch_losses = []
-    for epoch in range(c.epochs):
-        plan = sampler.build_epoch(ds, groups, c.batch_size, epoch_seed(c.seed, epoch))
-        batch_losses = []
-        for batch_tuples in plan.batches:
-            recs = [ds.record(sid) for tup in batch_tuples for sid in tup.slice_ids()]
-            originals = X[[ds.row_of(r.slice_id) for r in recs]]
-            views = augment_batch(originals, c.augment, aug_rng, ds.h, ds.w)
-            _, proj, cache = _forward_batch(params, np.vstack([originals, views]))
-            ids = np.array([[r.slice_id, r.patient_id, r.volume_id, r.slice_index]
-                            for r in recs * 2]).T
-            slice_pos = None
-            if loss_cfg.slice_group > 0:
-                slice_pos = slice_positives_from_rows(ids[0], ids[2], ids[3])
-            batch = LossBatch(z=proj, patient_ids=ids[1], volume_ids=ids[2],
-                              slice_positives=slice_pos)
-            loss, d_proj = loss_and_grad(batch, loss_cfg)
-            g_w, g_b = _backward_batch(params, cache, d_proj)
-            grad = np.concatenate([np.ravel(x) for p in zip(g_w, g_b) for x in p])
-            t += 1
-            p = params.flat
-            p *= 1.0 - c.learning_rate * c.weight_decay
-            m = encoder.BETA1 * m + (1.0 - encoder.BETA1) * grad
-            v = encoder.BETA2 * v + (1.0 - encoder.BETA2) * (grad * grad)
-            p -= c.learning_rate * (m / (1.0 - encoder.BETA1 ** t)) / (
-                np.sqrt(v / (1.0 - encoder.BETA2 ** t)) + encoder.ADAM_EPS
-            )
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return params.flat, epoch_losses, t
 
 
 def _uneven_ds():
