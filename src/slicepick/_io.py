@@ -44,23 +44,45 @@ def check_output_file(flag, path):
 
 def write_atomic(path, data):
     """Write ``data`` (bytes or str, UTF-8) to ``path`` atomically; an error names ``path``."""
-    target = Path(path)
-    if isinstance(data, str):
-        data = data.encode()
-    if target.exists() and not target.is_file():
-        # a pipe or device such as /dev/stdout: there is no file to replace
-        target.write_bytes(data)
-        return
-    path = target.resolve()  # through a symlink to its target, like a plain write
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    write_all_atomic([(path, data)])
+
+
+def write_all_atomic(outputs):
+    """Write every (path, data) of ``outputs``, each atomically.
+
+    Each file is staged first, in a hidden temporary file in its target's
+    directory, and only when all are staged is each renamed over its
+    target. An error while staging removes the staged files and changes no
+    target; a rename that fails part way leaves the earlier targets
+    renamed. A target that exists but is no regular file (a pipe or a
+    device such as /dev/stdout) has no file to replace: it is written last,
+    directly, outside that guarantee. An operating-system error names the
+    user's path of the file being written, never the temporary file.
+    """
+    staged = []  # (temporary file, resolved target, the user's path)
+    direct = []  # (the user's path, data)
+    path = None  # the output being written, which an error names
     try:
-        # 0o666 minus the umask, the mode Path.write_bytes would give
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in outputs:
+            if isinstance(data, str):
+                data = data.encode()
+            if Path(path).exists() and not Path(path).is_file():
+                direct.append((path, data))
+                continue
+            resolved = Path(path).resolve()  # through a symlink to its target, like a plain write
+            tmp = resolved.with_name(f".{resolved.name}.{os.urandom(6).hex()}.tmp")
+            # 0o666 minus the umask, the mode Path.write_bytes would give
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, resolved, path))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+        for tmp, resolved, path in staged:
+            os.replace(tmp, resolved)
+        for path, data in direct:
+            Path(path).write_bytes(data)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is not None:  # not the temporary file
-            raise OSError(exc.errno, exc.strerror, str(target)) from None
+        for tmp, _, _ in staged:
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:  # never the temporary file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

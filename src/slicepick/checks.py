@@ -14,10 +14,14 @@ from .coreset import brute_force_k_center, cover_radius, k_center_greedy
 from .data import SynthSpec, generate_synthetic
 from .errors import SamplerError
 from .losses import (
+    GROUP_LOSSES,
     LossBatch,
     LossConfig,
+    LossStructure,
     combined_loss,
+    loss_and_grad,
     loss_grad,
+    preset_loss_config,
     slice_positives_from_rows,
 )
 from .sampler import GROUP_TYPES, build_epoch, tuple_width
@@ -39,6 +43,24 @@ def random_loss_batch(rng, n_pairs=4, dim=5, n_patients=2):
         volume_ids=np.tile(vid1, 2),
         slice_positives=pos,
     )
+
+
+def random_loss_epoch(rng, n_batches=4, n_pairs=4, n_patients=3):
+    """(B, 2N) patient and volume ids and a (B, N, 2N) adjacency mask of B
+    mirrored two-view batches, B >= 4, with every case a step can meet:
+    batch 1's adjacency term is dead, batch 2's anchor 0 has no adjacency
+    positive, and batch 3 is one patient whose anchor 0 has none either and
+    no row of another patient to repel."""
+    pid = rng.integers(0, n_patients, size=(n_batches, n_pairs))
+    pid[3] = pid[3, 0]
+    vid = pid * 10 + rng.integers(0, 2, size=(n_batches, n_pairs))
+    sid = rng.integers(0, 2 * n_pairs, size=(n_batches, n_pairs))
+    depth = rng.integers(0, 4, size=(n_batches, n_pairs))
+    pid, vid, sid, depth = (np.concatenate([x, x], axis=1) for x in (pid, vid, sid, depth))
+    spos = slice_positives_from_rows(sid, vid, depth)
+    spos[1] = False
+    spos[2:4, 0] = False
+    return pid, vid, spos
 
 
 def fd_loss_grad(batch, cfg, step=1e-5):
@@ -79,6 +101,83 @@ def check_gradients(n_batches=5, seed=2024, tol=1e-6):
         )
         worst = max(worst, max_rel_err(loss_grad(batch, cfg), fd_loss_grad(batch, cfg)))
     return worst < tol, f"max rel err {worst:.3g} (tol {tol:g})"
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reduction_faults(rng, n):
+    """The first reduction of the training step, for batches of n pairs,
+    whose ufunc method differs in bits from the wrapper or the loop it
+    replaces, or None."""
+    n2 = 2 * n
+    for k in (1, 2, 3):
+        blocks = rng.standard_normal((k + 1, n, n2))
+        one_by_one = blocks[0].copy()
+        for block in blocks[1:]:
+            one_by_one += block
+        if not _same_bits(np.add.reduce(blocks, axis=0), one_by_one):
+            return f"axis-0 add.reduce of {k + 1} ({n}, {n2}) blocks differs from +="
+    rows = rng.standard_normal((n2 + 3 * n, n2))
+    z = rng.standard_normal((n2, 16))
+    finite = rng.random((n2, 16)) < 0.99
+    vec = rng.standard_normal(3 * n * n2)
+    stop = int(rng.integers(1, vec.size + 1))
+    start = int(rng.integers(stop))
+    pairs = {
+        "mean": (np.add.reduce(vec[:n2]) / n2, np.mean(vec[:n2])),
+        "1-D sum": (np.add.reduce(vec), vec.sum()),
+        "sum of a slice": (np.add.reduce(vec[start:stop]), vec[start:stop].copy().sum()),
+        "row maxima": (np.maximum.reduce(rows, axis=1), rows.max(axis=1)),
+        "row sums": (np.add.reduce(rows, axis=1), rows.sum(axis=1)),
+        "column sums": (np.add.reduce(z, axis=0), np.sum(z, axis=0)),
+        "all": (np.logical_and.reduce(finite, axis=None), finite.all()),
+        "any": (np.logical_or.reduce(finite[0]), finite[0].any()),
+    }
+    for name, (ours, wrapper) in pairs.items():
+        if not _same_bits(ours, wrapper):
+            return f"{name} over {n} pairs differs from its numpy wrapper"
+    return None
+
+
+def check_loss_tables(n_epochs=4, seed=2024):
+    """The facts the per-epoch loss tables and the training step rest on,
+    re-checked on this machine's numpy: the ufunc reductions give the bits
+    of the wrappers and the loop they replace, on the step's shapes; and on
+    seeded epochs, every batch evaluated through its epoch's structure gives
+    the bits of a lone ``LossBatch`` of the same ids, for every term subset
+    (the epochs hold a dead term, an anchor with no positive and an empty
+    denominator row, see ``random_loss_epoch``)."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 13):
+        fault = _reduction_faults(rng, n)
+        if fault:
+            return False, fault
+    names = ("ntxent", *GROUP_LOSSES)
+    subsets = [[t for j, t in enumerate(names) if mask >> j & 1] for mask in range(1, 16)]
+    for e in range(n_epochs):
+        n = int(rng.integers(1, 10))
+        pid, vid, spos = random_loss_epoch(rng, n_batches=5, n_pairs=n)
+        z = rng.standard_normal((5, 2 * n, 3))
+        for terms in subsets:
+            weights = dict(zip(GROUP_LOSSES, rng.uniform(0.1, 1, 3).tolist()))
+            cfg = preset_loss_config(terms, tau=(0.1, 0.5)[e % 2], overrides={
+                g: w for g, w in weights.items() if g in terms
+            })
+            structure = LossStructure(pid, vid, spos, cfg.terms)
+            for b in range(5):
+                ours = loss_and_grad(LossBatch(z[b], structure=structure, index=b), cfg)
+                lone = loss_and_grad(
+                    LossBatch(z[b], patient_ids=pid[b], volume_ids=vid[b],
+                              slice_positives=spos[b]),
+                    cfg,
+                )
+                if ours[0] != lone[0] or not _same_bits(ours[1], lone[1]):
+                    return False, f"epoch {e} batch {b}, terms {terms}: differs from a lone batch"
+    return True, (f"ufunc reductions match their wrappers for 1-12 pairs; "
+                  f"{n_epochs} epochs x 15 term subsets match lone batches")
 
 
 def check_two_opt(n_instances=30, seed=2024):
@@ -251,4 +350,5 @@ def run_all():
         ("gradient-vs-finite-differences", *check_gradients()),
         ("greedy-vs-exhaustive-and-full-passes", two_opt_ok and cover_ok, f"{two_opt}; {cover}"),
         ("sampler-invariants", *check_sampler()),
+        ("loss-tables-vs-lone-batches", *check_loss_tables()),
     ]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, gcle
-from ._io import check_output_file, write_atomic
+from ._io import check_output_file, write_all_atomic, write_atomic
 from .coreset import k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
@@ -36,11 +36,11 @@ from .data import (
 from .encoder import (
     AugmentSpec,
     TrainConfig,
+    checkpoint_bytes,
     embed_all,
     load_checkpoint,
-    save_checkpoint,
+    loss_history_csv,
     train,
-    write_loss_history,
 )
 from .errors import FormatError, SamplerError, SettingError, SlicepickError, UndefinedStatisticError
 from .losses import GROUP_LOSSES, preset_loss_config
@@ -292,11 +292,14 @@ def cmd_train_encoder(args, cfg):
     _check_draws(args.data, ds, loss_cfg, train_cfg)
     result = train(ds, loss_cfg, train_cfg)
     train_cfg = result.config
+    # all outputs or none: a failed write leaves every target as it was
+    outputs = []
     if args.dump_epoch:
-        write_atomic(args.dump_epoch, result.first_plan.to_json(ds) + "\n")
-    save_checkpoint(args.out, result.params, train_cfg)
+        outputs.append((args.dump_epoch, result.first_plan.to_json(ds) + "\n"))
+    outputs.append((args.out, checkpoint_bytes(result.params, train_cfg)))
     if args.history:
-        write_loss_history(args.history, result.epoch_losses)
+        outputs.append((args.history, loss_history_csv(result.epoch_losses)))
+    write_all_atomic(outputs)
     print(
         f"trained {train_cfg.epochs} epochs; "
         f"mean loss {result.epoch_losses[0]!r} -> {result.epoch_losses[-1]!r}"

@@ -17,12 +17,14 @@ float32.
 
 Each epoch's batch plan is already dataset rows. The epoch reads their
 patient, volume, slice and depth ids from the dataset's identity table,
-once, into one ``LossStructure`` of its loss masks. A step then only
-gathers its rows into the top half of one (2N, p) input buffer and their
-augmented views into the bottom half, runs forward, evaluates the loss,
-runs backward into gradient views built once per run (stopping at the
-first layer's parameters), and updates ADAM. The buffer is allocated once
-per run, like the gradient and ADAM's scratch vectors, and every step
+once, into one ``LossStructure`` of its loss masks, whose loss tables the
+first step builds. A step then only gathers its rows into the top half of
+one (2N, p) input buffer and their augmented views into the bottom half,
+runs forward, evaluates the loss, runs backward into gradient views built
+once per run (stopping at the first layer's parameters), and updates ADAM.
+The buffer is allocated once per run, like the gradient and ADAM's scratch
+vectors; the step's reductions call the ufunc methods (``np.add.reduce``,
+``np.logical_and.reduce``), not numpy's Python wrappers; and every step
 rounds as the textbook expressions do.
 """
 
@@ -216,12 +218,12 @@ def _backward_batch(params, cache, d_proj, views=None):
         views = _layer_views(params.arch, np.empty_like(params.flat))
     g_w, g_b = views
     np.matmul(rep.T, d_proj, out=g_w[n_hidden + 1])
-    np.sum(d_proj, axis=0, out=g_b[n_hidden + 1])
+    np.add.reduce(d_proj, axis=0, out=g_b[n_hidden + 1])
     # dZ: d(loss)/d(pre-activation) of ``layer``, the rep layer's first
     dZ = d_proj @ params.weights[n_hidden + 1].T
     for layer in reversed(range(n_hidden + 1)):
         np.matmul(acts[layer].T, dZ, out=g_w[layer])
-        np.sum(dZ, axis=0, out=g_b[layer])
+        np.add.reduce(dZ, axis=0, out=g_b[layer])
         if layer:
             dZ = (dZ @ params.weights[layer].T) * (pre[layer - 1] > 0)
     return g_w, g_b
@@ -270,7 +272,7 @@ def augment_batch(X, spec, rng, h, w, out=None):
         # a reshape of it would be a copy, and the flip would be lost
         raise ValueError("augment_batch needs a C-contiguous out array")
     np.multiply(X, scales[:, None], out=out)
-    if flips.any():
+    if np.logical_or.reduce(flips):
         img = out.reshape(n, h, w)
         img[flips] = img[flips, :, ::-1]
     out += noise
@@ -378,7 +380,7 @@ def train(ds, loss_cfg, train_cfg):
                 X.take(rows[b], axis=0, out=stack[:n])
                 augment_batch(stack[:n], train_cfg.augment, aug_rng, ds.h, ds.w, out=stack[n:])
                 _, proj, cache = _forward_batch(params, stack)
-                if not np.isfinite(proj).all():
+                if not np.logical_and.reduce(np.isfinite(proj), axis=None):
                     raise TrainingDivergedError(
                         f"non-finite projections at epoch {epoch}, aborting"
                     )
@@ -393,6 +395,7 @@ def train(ds, loss_cfg, train_cfg):
                 _adam_step(params, grad, state, train_cfg)
                 batch_losses.append(loss)
             epoch_losses.append(float(np.mean(batch_losses)))
+            del structure  # its loss tables go before the next epoch builds its own
     return TrainResult(params, epoch_losses, train_cfg, first_plan)
 
 
@@ -400,8 +403,13 @@ def train(ds, loss_cfg, train_cfg):
 # checkpoint file: magic + u32 header length + JSON header + float32 LE blob
 
 def save_checkpoint(path, params, train_cfg=None):
-    """Write ``params``; the header keeps ``train_cfg``, ADAM's constants
-    included, and its seed."""
+    """Write ``checkpoint_bytes(params, train_cfg)`` to ``path``."""
+    write_atomic(path, checkpoint_bytes(params, train_cfg))
+
+
+def checkpoint_bytes(params, train_cfg=None):
+    """The checkpoint file of ``params``; the header keeps ``train_cfg``,
+    ADAM's constants included, and its seed."""
     settings = None if train_cfg is None else {
         **asdict(train_cfg), "beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS
     }
@@ -418,7 +426,7 @@ def save_checkpoint(path, params, train_cfg=None):
     }
     head = json.dumps(header, sort_keys=True).encode()
     blob = params.flat.astype("<f4").tobytes()
-    write_atomic(path, CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + blob)
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + blob
 
 
 def _checkpoint_arch(path, header):
@@ -487,7 +495,8 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: parameter blob: {exc}") from exc
 
 
-def write_loss_history(path, epoch_losses):
+def loss_history_csv(epoch_losses):
+    """The ``--history`` file: one line per epoch with its mean loss."""
     lines = ["epoch,mean_loss"]
     lines += [f"{e + 1},{loss!r}" for e, loss in enumerate(epoch_losses)]
-    write_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -13,8 +13,14 @@ Nothing but the embeddings changes from step to step, so a
 and denominator masks, positive counts, active anchors and 1/(N*G) scale,
 after checking the ids and masks of all B. Training builds one per epoch
 from the batch plan; a lone ``LossBatch`` builds one of B = 1 from its own
-ids. A step then makes one masked log-sum-exp over the stacked rows of
-every term, ntxent's 2N and each group term's N anchors.
+ids. On the first step under a ``LossConfig`` the structure also builds
+that config's loss tables: per batch, each group term's w = lambda * scale
+and w/tau as Python floats, the (w/tau) * positive count coefficients, and
+the gather indices of each term's loss sum. A step then computes the
+logits, makes one masked log-sum-exp over the stacked rows of every term
+(ntxent's 2N and each group term's N anchors), one compacted sum per
+term's loss, and every group term's gradient block in one stacked pass,
+added in term order by one axis-0 reduction.
 
 All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
@@ -148,15 +154,18 @@ class LossStructure:
     are given. For the k-th group term of ``groups`` this holds, per batch:
 
     - ``pos[:, k]``: the (N, 2N) positives of each anchor, and ``pos_counts``
-    - ``active``: the anchors with a positive; ``live``: the batches with any
+    - ``active``: the anchors with a positive
     - ``scale``: 1/(N*G), G the mean group size (rows per distinct id among
       the anchors, or the mean of positive count + 1 for adjacency)
 
     ``den[b]`` stacks the denominator masks of every term's rows, the 2N
-    ntxent rows first and then N anchor rows per group term; ``rows`` is the
-    logit row behind each stacked row. One masked log-sum-exp over them
+    ntxent rows first and then N anchor rows per group term (an anchor
+    without a positive keeps every other row, so none is empty); ``rows`` is
+    the logit row behind each stacked row. One masked log-sum-exp over them
     serves every term of a step. ``pair`` indexes, in a (2N, 2N) matrix,
-    each row's entry for its other view.
+    each row's entry for its other view. ``tables(cfg)`` holds, built by the
+    first step under ``cfg``, what every step under it reads besides the
+    embeddings.
     """
 
     def __init__(self, patient_ids, volume_ids=None, slice_positives=None, terms=None):
@@ -206,13 +215,76 @@ class LossStructure:
         self.pos = pos
         self.pos_counts = pos.sum(axis=3)
         self.active = self.pos_counts > 0
-        self.live = self.active.any(axis=2)
-        # same-patient rows outside the group leave the denominator
+        # same-patient rows outside the group leave the denominator; an
+        # anchor without a positive adds nothing to the loss, and its row
+        # keeps every other row, so that no stacked row is empty
         other_patient = pid[:, None, :n, None] != pid[:, None, None, :]
-        den = ((pos | other_patient) & anchor_not_self).reshape(n_batches, -1, n2)
+        keep = pos | other_patient | ~self.active[..., None]
+        den = (keep & anchor_not_self).reshape(n_batches, -1, n2)
         head = [np.broadcast_to(not_self, (n_batches, n2, n2))] * ntxent
         self.den = np.concatenate(head + [den], axis=1)
         self.rows = np.concatenate([rows] * ntxent + [rows[:n]] * len(self.groups))
+        self._tables = {}  # LossConfig -> its _LossTables, built by its first step
+
+    def tables(self, cfg):
+        """The ``_LossTables`` of ``cfg``, built on first use."""
+        tables = self._tables.get(cfg)
+        if tables is None:
+            tables = self._tables[cfg] = _LossTables(self, cfg)
+        return tables
+
+
+class _LossTables:
+    """What every step under one ``LossConfig`` reads from a
+    ``LossStructure`` besides its embeddings, built once.
+
+    - ``ntxent_wt``: NT-Xent's w/tau, w = weight/(2N); ``pair_mask``: each
+      row's entry for its other view, one per row, so in row order
+    - per batch b and group term k: ``coef[b, k]`` (N, 1), the term's
+      (w/tau) * positive count per anchor, w = lambda * scale, and
+      ``wt[b, k]`` (1, 1), w/tau; a term of weight 0 or without a positive
+      in batch b has a zero block
+    - over the epoch, batch after batch and term after term: ``den_rows``,
+      the active anchors among the stacked rows, ``counts``, their positive
+      counts, and ``pos_flat``, the positives in the flattened (2N, 2N)
+      logits
+    - ``steps[b]``: (terms, a0, a1, p0, p1), batch b's run in
+      ``den_rows[a0:a1]`` and ``pos_flat[p0:p1]``, and per group term
+      (w, end of its run in the first, end in the second)
+    """
+
+    def __init__(self, st, cfg):
+        missing = [t for t in cfg.terms if t not in st.terms]
+        if missing:
+            raise ValueError(f"batch has no structure for the loss terms {missing}")
+        n_batches, n_groups, n, n2 = st.pos.shape
+        tau = cfg.tau
+        self.ntxent_wt = cfg.ntxent / n2 / tau
+        self.pair_mask = np.zeros((n2, n2), dtype=bool)
+        self.pair_mask[st.pair] = True
+
+        lam = np.array([cfg.weight_of(g) for g in st.groups], dtype=np.float64)
+        w = lam * st.scale  # (B, k), as lam * float(scale) term by term
+        wt = w / tau
+        self.coef = (wt[:, :, None] * st.pos_counts)[..., None]
+        self.wt = wt[..., None, None]
+        self.den_rows = st.ntxent_rows + np.flatnonzero(st.active) % (n_groups * n)
+        self.counts = st.pos_counts[st.active].astype(np.float64)
+        self.pos_flat = np.flatnonzero(st.pos) % (n * n2)
+        # each term's end in its batch's run of those three, and the runs
+        anchors, positives = st.active.sum(axis=2), st.pos_counts.sum(axis=2)
+        a_stops = np.cumsum(anchors.sum(axis=1))
+        p_stops = np.cumsum(positives.sum(axis=1))
+        terms = [
+            list(zip(*t)) for t in zip(
+                w.tolist(), np.cumsum(anchors, axis=1).tolist(),
+                np.cumsum(positives, axis=1).tolist(),
+            )
+        ]
+        self.steps = list(zip(
+            terms, (a_stops - anchors.sum(axis=1)).tolist(), a_stops.tolist(),
+            (p_stops - positives.sum(axis=1)).tolist(), p_stops.tolist(),
+        ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,23 +369,22 @@ def _unit_rows(z, eps):
     return z / clamped[:, None], norms, clamped
 
 
-def _masked_log_denoms(logits, den_mask):
-    """Stable log sum exp of each row over its denominator mask.
+def _masked_log_denoms(neg):
+    """Stable log sum exp of each row of ``neg``, the logits with -inf off
+    each row's denominator mask (never empty), and the softmax, written
+    over ``neg``.
 
     Returns (log_denoms, softmax) where softmax is exp(logit)/denom on the
     mask and 0 elsewhere: off the mask the shifted logit is -inf, so its
-    exp is exactly 0. Rows with an empty mask yield garbage and must be
-    ignored by the caller.
+    exp is exactly 0.
     """
-    neg = np.where(den_mask, logits, -np.inf)
-    m = neg.max(axis=1)
-    safe_m = np.where(np.isfinite(m), m, 0.0)
-    E = np.exp(neg - safe_m[:, None])
-    D = E.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_denoms = np.log(D) + safe_m
-        softmax = E / D[:, None]
-    return log_denoms, softmax
+    m = np.maximum.reduce(neg, axis=1)
+    neg -= m[:, None]
+    E = np.exp(neg, out=neg)
+    D = np.add.reduce(E, axis=1)
+    log_denoms = np.log(D)
+    log_denoms += m
+    return log_denoms, np.divide(E, D[:, None], out=E)
 
 
 def ntxent_loss(batch, tau):
@@ -347,52 +418,61 @@ def loss_grad(batch, cfg):
 
 
 def loss_and_grad(batch, cfg):
-    """``combined_loss`` and ``loss_grad`` from one evaluation."""
+    """``combined_loss`` and ``loss_grad`` from one evaluation.
+
+    The weights, scales and gather indices come from the structure's tables
+    for ``cfg``; the step computes the logits, one masked log-sum-exp over
+    every term's stacked rows, each term's loss sum, and every group term's
+    gradient block in one stacked pass, folded into d(loss)/d(similarity)
+    in term order.
+    """
     st, b = batch.structure, batch.index
-    missing = [t for t in cfg.terms if t not in st.terms]
-    if missing:
-        raise ValueError(f"batch has no structure for the loss terms {missing}")
+    tab = st.tables(cfg)
     zhat, norms, clamped = _unit_rows(batch.z, NORM_EPS)
-    S = zhat @ zhat.T
-    n2 = S.shape[0]
+    logits = zhat @ zhat.T
+    logits /= cfg.tau
+    n2 = logits.shape[0]
     n = n2 // 2
-    tau = cfg.tau
-    # shared by every term; the group terms use the top N (anchor) rows
-    logits = S / tau
     # one log-sum-exp over every term's rows, ntxent's first
-    log_denoms, softmax = _masked_log_denoms(logits.take(st.rows, axis=0), st.den[b])
+    neg = np.where(st.den[b], logits.take(st.rows, axis=0), -np.inf)
+    log_denoms, softmax = _masked_log_denoms(neg)
     loss = 0.0
 
     if cfg.ntxent > 0:
-        loss += cfg.ntxent * float(np.mean(log_denoms[:n2] - logits[st.pair]))
-        w = cfg.ntxent / n2
-        GS = (w / tau) * softmax[:n2]
-        GS[st.pair] -= w / tau
+        per_row = log_denoms[:n2] - logits[tab.pair_mask]
+        loss += cfg.ntxent * float(np.add.reduce(per_row) / n2)
+        GS = softmax[:n2]
+        GS *= tab.ntxent_wt
+        np.subtract(GS, tab.ntxent_wt, out=GS, where=tab.pair_mask)
     else:
-        GS = np.zeros_like(S)
+        GS = np.zeros((n2, n2))
 
-    anchor_logits = logits[:n]
-    for k, group_type in enumerate(st.groups):
-        lam = cfg.weight_of(group_type)
-        if lam == 0 or not st.live[b, k]:
-            continue
-        pos, pos_counts, active = st.pos[b, k], st.pos_counts[b, k], st.active[b, k]
-        block = slice(st.ntxent_rows + k * n, st.ntxent_rows + (k + 1) * n)
-        w = lam * float(st.scale[b, k])
-        total = float(
-            (pos_counts[active] * log_denoms[block][active]).sum()
-            - anchor_logits[pos].sum()
-        )
-        loss += w * total
-        contrib = np.where(
-            active[:, None], (w / tau) * pos_counts[:, None] * softmax[block], 0.0
-        )
-        np.subtract(contrib, w / tau, out=contrib, where=pos)
-        GS[:n] += contrib
+    terms, a0, a1, p0, p1 = tab.steps[b]
+    # each term's loss: its own sum over its active anchors and positives;
+    # a term of weight 0 adds 0.0
+    den = log_denoms.take(tab.den_rows[a0:a1])
+    den *= tab.counts[a0:a1]
+    pos_logits = logits.take(tab.pos_flat[p0:p1])
+    a = p = 0
+    for w, a_end, p_end in terms:
+        total = np.add.reduce(den[a:a_end]) - np.add.reduce(pos_logits[p:p_end])
+        loss += w * float(total)
+        a, p = a_end, p_end
+    # every term's gradient block at once, after the ntxent rows in block 0;
+    # an inactive anchor's coefficient is 0, so its row of the block is 0.0
+    blocks = np.empty((len(terms) + 1, n, n2))
+    blocks[0] = GS[:n]
+    block = blocks[1:]
+    np.multiply(tab.coef[b], softmax[st.ntxent_rows:].reshape(-1, n, n2), out=block)
+    np.subtract(block, tab.wt[b], out=block, where=st.pos[b])
+    # axis 0 adds block by block, as one += per term would; a zero block
+    # leaves every entry as it was, since none is -0.0
+    np.add.reduce(blocks, axis=0, out=GS[:n])
 
     # chain d(loss)/d(sim) through S = zhat zhat^T and the clamped row norms
     g_hat = (GS + GS.T) @ zhat
     radial = np.einsum("ij,ij->i", g_hat, zhat)
-    unclamped = (norms > NORM_EPS).astype(np.float64)
-    grad = (g_hat - unclamped[:, None] * radial[:, None] * zhat) / clamped[:, None]
-    return loss, grad
+    radial *= norms > NORM_EPS
+    g_hat -= radial[:, None] * zhat
+    g_hat /= clamped[:, None]
+    return loss, g_hat

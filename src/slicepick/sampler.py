@@ -15,6 +15,7 @@ draws every companion of an epoch, and index arithmetic finds each one.
 Slice ids appear only in ``EpochPlan.to_json``.
 """
 
+import bisect
 import json
 from dataclasses import dataclass
 
@@ -137,7 +138,6 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
     """
     groups = set(enabled_groups)
     width = _check_draw(ds, groups, batch_size)
-    tuples_per_batch = batch_size // width
     rng = np.random.default_rng(seed)
 
     # positions in ds.order: k anchors tuple k, inside runs [v0, v0 + v_len)
@@ -167,28 +167,45 @@ def build_epoch(ds, enabled_groups, batch_size, seed):
             positions.append(np.where(cross > 0, skip_volume, skip_anchor))
     tuples = ds.order[np.stack(positions, axis=1)]
 
+    chosen = _compose(ds.patient_bounds.tolist(), width, batch_size, rng)
+    return EpochPlan(tuples[chosen], batch_size, columns)
+
+
+def _compose(bounds, width, batch_size, rng):
+    """The batch composition of ``build_epoch`` over the patient runs
+    ``bounds`` of ``DatasetIndex.order``: a (B, N) array of tuple positions.
+
+    Each pick draws k below the number of available patients and takes the
+    k-th of them in patient order, found by stepping over the batch's used
+    patients among those with tuples left, not by listing the available.
+    """
+    tuples_per_batch = batch_size // width
+    # each patient run's tuple positions; only ever shrunk
+    left_of = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    patients = list(range(len(left_of)))  # the patients with tuples left, ascending
     batches = []
-    # each patient run's tuple positions, in patient order; only ever shrunk
-    bounds = ds.patient_bounds.tolist()
-    remaining = {p: list(range(a, b)) for p, (a, b) in enumerate(zip(bounds, bounds[1:]))}
-    slices_left = ds.n * width
+    slices_left = bounds[-1] * width
     while slices_left >= batch_size:
         batch = []
-        used = set()
+        used = []  # the batch's patients with tuples left, ascending
         while len(batch) < tuples_per_batch:
-            avail = [p for p in remaining if p not in used]
-            if not avail:
+            available = len(patients) - len(used)
+            if not available:
                 break
-            p = avail[int(rng.integers(len(avail)))]
-            left = remaining[p]
+            i = int(rng.integers(available))
+            for u in used:  # skip each used patient at or before position i
+                if bisect.bisect_left(patients, u) > i:
+                    break
+                i += 1
+            p = patients[i]
+            left = left_of[p]
             batch.append(left.pop(int(rng.integers(len(left)))))
             slices_left -= width
             if left:
-                used.add(p)
+                bisect.insort(used, p)
             else:
-                del remaining[p]
+                del patients[i]
         if len(batch) < tuples_per_batch:
             break  # cannot satisfy patient uniqueness; drop leftovers
         batches.append(batch)
-    chosen = np.array(batches, dtype=np.int64).reshape(-1, tuples_per_batch)
-    return EpochPlan(tuples[chosen], batch_size, columns)
+    return np.array(batches, dtype=np.int64).reshape(-1, tuples_per_batch)

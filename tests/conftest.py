@@ -5,16 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_step import augment_batch, backward_batch, forward_batch, loss_and_grad
 from slicepick import DatasetIndex, SynthSpec, encoder, gcle, generate_synthetic, sampler
-from slicepick.encoder import (
-    Architecture,
-    _backward_batch,
-    _forward_batch,
-    augment_batch,
-    epoch_seed,
-    init_params,
-)
-from slicepick.losses import LossBatch, loss_and_grad, slice_positives_from_rows
+from slicepick.encoder import Architecture, epoch_seed, init_params
+from slicepick.losses import LossBatch, slice_positives_from_rows
 
 
 @pytest.fixture
@@ -41,6 +35,23 @@ def make_dataset(vol_layout, pixel_rows, h=1, w=None):
         for sid, (pid, vid, t) in enumerate(slices)
     ]
     return DatasetIndex(rows, np.asarray(pixel_rows, dtype=np.float64), h, w)
+
+
+def uneven_dataset():
+    """Volumes of 2-5 slices, and patients with one volume, so tuples share
+    slices and patient companions come from the anchor's own volume."""
+    layout = [(0, 0, 2), (0, 1, 5), (1, 2, 3), (2, 3, 2), (2, 4, 4), (3, 5, 4),
+              (4, 6, 3), (4, 7, 2)]
+    n = sum(k for _, _, k in layout)
+    rng = np.random.default_rng(3)
+    return make_dataset(layout, rng.standard_normal((n, 6)), h=2, w=3)
+
+
+def two_patient_dataset():
+    """Two patients cap every stock batch at two tuples."""
+    spec = SynthSpec(n_patients=2, volumes_per_patient=2, slices_per_volume=3, h=2, w=2,
+                     class_count=2, seed=8)
+    return generate_synthetic(spec)[0]
 
 
 def random_structured_batch(rng, n_pairs, dim, n_patients=2, n_volumes=3):
@@ -246,7 +257,8 @@ def reference_train(ds, loss_cfg, train_cfg):
     that ``encoder.train`` replaced: each step looks its rows and ids up
     slice by slice, augments them into a new array and stacks both views,
     builds its masks through a lone ``LossBatch`` and takes an out-of-place
-    textbook ADAM step."""
+    textbook ADAM step. Its augmentation, forward, loss and backward are
+    the plain copies in ``reference_step``, not the package's."""
     meta = gcle.meta_rows_from_dataset(ds)
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
     groups = loss_cfg.enabled_groups
@@ -270,7 +282,7 @@ def reference_train(ds, loss_cfg, train_cfg):
             rows = [row_of[sid] for tup in batch_tuples for sid in tup]
             originals = X[rows]
             views = augment_batch(originals, c.augment, aug_rng, ds.h, ds.w)
-            _, proj, cache = _forward_batch(params, np.vstack([originals, views]))
+            _, proj, cache = forward_batch(params, np.vstack([originals, views]))
             ids = np.array([[meta[i][k] for k in gcle.RECORD_KEYS] for i in rows * 2]).T
             slice_pos = None
             if loss_cfg.slice_group > 0:
@@ -278,7 +290,7 @@ def reference_train(ds, loss_cfg, train_cfg):
             batch = LossBatch(z=proj, patient_ids=ids[1], volume_ids=ids[2],
                               slice_positives=slice_pos)
             loss, d_proj = loss_and_grad(batch, loss_cfg)
-            g_w, g_b = _backward_batch(params, cache, d_proj)
+            g_w, g_b = backward_batch(params, cache, d_proj)
             grad = np.concatenate([np.ravel(x) for p in zip(g_w, g_b) for x in p])
             t += 1
             p = params.flat

@@ -1,5 +1,7 @@
 import argparse
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +314,45 @@ class TestOutputFiles:
         argv += [str(x) for f, path in paths.items() for x in (f, path)]
         self.assert_refused(capsys, tmp_path, argv, flag, paths[flag])
         assert trained == []
+
+    @pytest.mark.parametrize("before", [None, "old\n"], ids=["new-files", "old-files"])
+    def test_train_encoder_writes_all_outputs_or_none(self, data_dir, tmp_path, capsys,
+                                                      monkeypatch, before):
+        # the second of the three staged writes fails: no target changes,
+        # and no staged file is left behind
+        outs = tmp_path / "outs"
+        outs.mkdir()
+        paths = {f: outs / f"{f[2:]}.out" for f in ("--dump-epoch", "--out", "--history")}
+        if before is not None:
+            for path in paths.values():
+                path.write_text(before)
+        opened = []
+        fdopen = os.fdopen
+
+        def failing_second_write(fd, *args, **kwargs):
+            opened.append(fd)
+            if len(opened) == 2:
+                os.close(fd)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return fdopen(fd, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fdopen", failing_second_write)
+        argv = ["train-encoder", "--data", str(data_dir), "--epochs", "1", "--hidden", "4",
+                "--rep-dim", "3", "--proj-dim", "2"]
+        code, out, err = run(capsys, *argv, *[str(x) for f, p in paths.items() for x in (f, p)])
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 28] No space left on device: {str(paths['--out'])!r}\n"
+        assert len(opened) == 2
+        if before is None:
+            assert list(outs.iterdir()) == []
+        else:
+            assert sorted(p.name for p in outs.iterdir()) == sorted(p.name for p in paths.values())
+            assert all(p.read_text() == before for p in paths.values())
+        monkeypatch.undo()
+        # with the writes working, the same command writes all three
+        assert run(capsys, *argv, *[str(x) for f, p in paths.items() for x in (f, p)])[0] == 0
+        assert all(p.read_bytes() != b"old\n" for p in paths.values())
+        assert sorted(p.name for p in outs.iterdir()) == sorted(p.name for p in paths.values())
 
     def test_embed(self, data_dir, tmp_path, capsys, monkeypatch):
         from slicepick import cli as cli_mod
@@ -797,7 +838,7 @@ class TestVerify:
     def test_verify_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0
-        assert out.count("PASS") == 3
+        assert out.count("PASS") == 4
 
     def test_verify_fails_nonzero(self, capsys, monkeypatch):
         from slicepick import cli as cli_mod

@@ -13,9 +13,9 @@ import itertools
 import numpy as np
 import pytest
 
-from slicepick.checks import random_loss_batch
+from slicepick.checks import random_loss_batch, random_loss_epoch
 from slicepick.cli import main
-from slicepick.losses import LossConfig, combined_loss, loss_and_grad
+from slicepick.losses import LossBatch, LossConfig, LossStructure, combined_loss, loss_and_grad
 
 # run-rounds, for --threads 1 and 2 alike
 REPORT_SHA = "d4122505c754b077f21b969a1e217f14886e404e64ddd30a62f9fcbc94316427"
@@ -35,6 +35,8 @@ GCLE_SHA = "093a3abfada824713a0a394623e2133b7ee8fac504392a4ecd7b0c5a32b2239c"
 GCLE_META_SHA = "18416fe7eb35ea36a97b29c3dcf1312c6b895d15c9e8a901a2cce49edc39b53d"
 # loss, gradient and combined_loss over every subset of the four terms
 LOSS_SHA = "0f0acbaf316c4697be4bc29d5a693449d785dde7beed6bc35f311ac7a240ed92"
+# the same per batch of multi-batch epochs, through the epoch structure
+EPOCH_LOSS_SHA = "b8da5ca2e347024398ec651b5bce8537bc70b061ac4845ccd41d22bcbb85b05e"
 # --print-config: every key's default, in CONFIG order
 PRINT_CONFIG_SHA = "833505d591a8578d6c068414cf4ca95cfb13779ee6b090b9930d70625cc766f3"
 
@@ -174,3 +176,33 @@ def test_loss_digest():
                 h.update(grad.tobytes())
                 h.update(repr(combined_loss(batch, cfg)).encode())
     assert h.hexdigest() == LOSS_SHA
+
+
+def test_epoch_loss_digest():
+    """Loss value and gradient bytes of every batch of seeded multi-batch
+    epochs, through a structure of all terms and one of the config's terms,
+    for every non-empty subset of the four terms. The epochs hold a dead
+    adjacency term, an anchor with no positive, a one-patient batch whose
+    anchor without a positive has no row of another patient, and a row whose
+    norm is clamped."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(78)
+    terms = ("ntxent", "patient", "volume", "slice_group")
+    weights = {"patient": 0.05, "volume": 0.35, "slice_group": 0.1}
+    subsets = [s for k in range(1, len(terms) + 1) for s in itertools.combinations(terms, k)]
+    for e, n in enumerate((1, 2, 3, 5, 9)):
+        pid, vid, spos = random_loss_epoch(rng, n_batches=5, n_pairs=n)
+        zs = rng.standard_normal((5, 2 * n, 4))
+        zs[0, 0] *= 1e-13
+        every = LossStructure(pid, vid, spos)
+        for subset in subsets:
+            kwargs = {t: (1.0 if t == "ntxent" else weights[t]) for t in subset}
+            kwargs.setdefault("ntxent", 0.0)
+            cfg = LossConfig(tau=(0.1, 0.5)[e % 2], **kwargs)
+            own = LossStructure(pid, vid, spos, cfg.terms)
+            for structure in (every, own):
+                for b, z in enumerate(zs):
+                    loss, grad = loss_and_grad(LossBatch(z, structure=structure, index=b), cfg)
+                    h.update(repr(loss).encode())
+                    h.update(grad.tobytes())
+    assert h.hexdigest() == EPOCH_LOSS_SHA

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from slicepick._io import write_atomic
+from slicepick._io import write_all_atomic, write_atomic
 
 
 def test_writes_bytes_and_text(tmp_path):
@@ -63,3 +63,17 @@ def test_writes_into_a_pipe_without_replacing_it(tmp_path):
     assert not reader.is_alive()
     assert received == [b"through the pipe"]
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_outputs_written_together_or_not_at_all(tmp_path):
+    # the second output cannot be staged: the first keeps its old bytes
+    first, second = tmp_path / "a.ckpt", tmp_path / "missing" / "b.csv"
+    first.write_text("old\n")
+    with pytest.raises(FileNotFoundError) as info:
+        write_all_atomic([(first, "new\n"), (second, "new\n")])
+    assert info.value.filename == str(second)
+    assert first.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
+    write_all_atomic([(first, "new\n"), (tmp_path / "b.csv", b"b")])
+    assert first.read_text() == "new\n" and (tmp_path / "b.csv").read_bytes() == b"b"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt", "b.csv"]

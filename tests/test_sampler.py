@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 import slicepick
-from conftest import make_dataset, plan_slice_ids, simulate_build_epoch
+from conftest import (
+    make_dataset,
+    plan_slice_ids,
+    simulate_build_epoch,
+    two_patient_dataset,
+    uneven_dataset,
+)
 from slicepick import SamplerError, SettingError, SynthSpec, gcle, generate_synthetic
 from slicepick.checks import validate_plan
-from slicepick.sampler import build_epoch, default_batch_size, tuple_width
+from slicepick.sampler import _compose, build_epoch, default_batch_size, tuple_width
 
 
 def assert_plan_invariants(ds, plan, groups, expect_all_anchors=None):
@@ -192,6 +198,58 @@ def test_one_integers_call_draws_what_scalar_calls_draw():
         drawn = together.integers(grid)
         assert drawn.ravel().tolist() == [int(apart.integers(b)) for b in grid.ravel()]
         assert together.bit_generator.state == apart.bit_generator.state
+
+
+def compose_by_listing(bounds, width, batch_size, rng):
+    """The batch composition as ``build_epoch`` first wrote it: every pick
+    lists the available patients and draws one of them."""
+    tuples_per_batch = batch_size // width
+    batches = []
+    remaining = {p: list(range(a, b)) for p, (a, b) in enumerate(zip(bounds, bounds[1:]))}
+    slices_left = bounds[-1] * width
+    while slices_left >= batch_size:
+        batch = []
+        used = set()
+        while len(batch) < tuples_per_batch:
+            avail = [p for p in remaining if p not in used]
+            if not avail:
+                break
+            p = avail[int(rng.integers(len(avail)))]
+            left = remaining[p]
+            batch.append(left.pop(int(rng.integers(len(left)))))
+            slices_left -= width
+            if left:
+                used.add(p)
+            else:
+                del remaining[p]
+        if len(batch) < tuples_per_batch:
+            break
+        batches.append(batch)
+    return batches
+
+
+def reference_size_dataset():
+    """The benchmark's reference size: 20 patients x 2 volumes x 12 slices."""
+    spec = SynthSpec(n_patients=20, volumes_per_patient=2, slices_per_volume=12, h=2, w=2,
+                     class_count=8, seed=1)
+    return generate_synthetic(spec)[0]
+
+
+@pytest.mark.parametrize("make_ds", [reference_size_dataset, uneven_dataset, two_patient_dataset],
+                         ids=["reference", "uneven", "two-patients"])
+def test_composition_draws_what_listing_the_patients_draws(make_ds):
+    # the k-th available patient, found without listing them, is the
+    # listed one: the same batches and the same generator state after
+    bounds = make_ds().patient_bounds.tolist()
+    n_patients = len(bounds) - 1
+    for width in (1, 4):
+        for per_batch in sorted({1, 2, n_patients}):
+            for seed in range(50):
+                ours, listing = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _compose(bounds, width, per_batch * width, ours)
+                want = compose_by_listing(bounds, width, per_batch * width, listing)
+                assert got.tolist() == want, (width, per_batch, seed)
+                assert ours.bit_generator.state == listing.bit_generator.state
 
 
 @pytest.mark.parametrize("fault, invariant", [

@@ -3,11 +3,13 @@
 ``conftest.reference_train`` is that loop: each step looks its rows up
 slice by slice, augments them into a new array and stacks both views,
 builds its masks through a lone ``LossBatch`` and takes an out-of-place
-textbook ADAM step. ``train`` fills one input buffer per run, builds the
-masks once per epoch as one ``LossStructure`` and updates ADAM in place;
-both must give the same parameters and epoch losses. The outside tracer of ``perfbench``
-wraps ``encoder``'s globals, so the tests also count that ``train`` looks
-each of them up once per epoch or step.
+textbook ADAM step, with the plain augmentation, forward, loss and
+backward of ``reference_step``. ``train`` fills buffers allocated once per
+run, builds the masks once per epoch as one ``LossStructure`` whose loss
+tables are built on the first step, and updates ADAM in place; both must
+give the same parameters and epoch losses. The outside tracer of
+``perfbench`` wraps ``encoder``'s globals, so the tests also count that
+``train`` looks each of them up once per epoch or step.
 """
 
 import itertools
@@ -16,9 +18,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_dataset, reference_train
-from slicepick import SynthSpec, TrainConfig, generate_synthetic, preset_loss_config
+import reference_step
+from conftest import reference_train, two_patient_dataset, uneven_dataset
+from slicepick import TrainConfig, preset_loss_config
 from slicepick import encoder, sampler
+from slicepick.checks import check_loss_tables, random_loss_epoch
 from slicepick.encoder import train
 from slicepick.losses import (
     LossBatch,
@@ -33,23 +37,6 @@ SUBSETS = [c for k in range(1, 5) for c in itertools.combinations(TERMS, k)]
 SMALL = TrainConfig(epochs=2, hidden=(6,), rep_dim=4, proj_dim=3, seed=5)
 
 
-def _uneven_ds():
-    """Volumes of 2-5 slices, and patients with one volume, so tuples share
-    slices and patient companions come from the anchor's own volume."""
-    layout = [(0, 0, 2), (0, 1, 5), (1, 2, 3), (2, 3, 2), (2, 4, 4), (3, 5, 4),
-              (4, 6, 3), (4, 7, 2)]
-    n = sum(k for _, _, k in layout)
-    rng = np.random.default_rng(3)
-    return make_dataset(layout, rng.standard_normal((n, 6)), h=2, w=3)
-
-
-def _two_patient_ds():
-    """Two patients cap every stock batch at two tuples."""
-    spec = SynthSpec(n_patients=2, volumes_per_patient=2, slices_per_volume=3, h=2, w=2,
-                     class_count=2, seed=8)
-    return generate_synthetic(spec)[0]
-
-
 def _assert_train_matches_reference(ds, train_cfg, subsets=SUBSETS):
     """``train`` and ``reference_train`` agree bit for bit on every subset;
     returns the steps of the last run."""
@@ -62,7 +49,7 @@ def _assert_train_matches_reference(ds, train_cfg, subsets=SUBSETS):
     return steps
 
 
-@pytest.mark.parametrize("make_ds", [_uneven_ds, _two_patient_ds],
+@pytest.mark.parametrize("make_ds", [uneven_dataset, two_patient_dataset],
                          ids=["uneven", "two-patients"])
 def test_train_matches_per_step_loop_bit_for_bit(make_ds):
     ds = make_ds()
@@ -74,12 +61,12 @@ def test_train_matches_per_step_loop_bit_for_bit(make_ds):
 def test_train_matches_per_step_loop_past_the_adam_bias_crossing():
     # from step 356 on, 1 - 0.9**t is exactly 1.0 and ADAM skips m / bc1
     cfg = replace(SMALL, epochs=60)
-    steps = _assert_train_matches_reference(_two_patient_ds(), cfg, [TERMS])
+    steps = _assert_train_matches_reference(two_patient_dataset(), cfg, [TERMS])
     assert 1.0 - encoder.BETA1 ** 355 != 1.0 and steps > 356
 
 
 def test_two_patients_cap_the_batch():
-    ds = _two_patient_ds()
+    ds = two_patient_dataset()
     loss_cfg = preset_loss_config(("ntxent", "patient", "volume"))
     assert train(ds, loss_cfg, replace(SMALL, epochs=1)).config.batch_size == 6
 
@@ -114,7 +101,42 @@ def test_epoch_structure_matches_lone_batches():
             loss, grad = loss_and_grad(LossBatch(z=z, structure=structure, index=b), cfg)
             lone_loss, lone_grad = loss_and_grad(lone, cfg)
             assert loss == lone_loss and np.array_equal(grad, lone_grad)
-    assert not LossStructure(pid, vid, spos, ("slice",)).live[1].any()
+    assert not LossStructure(pid, vid, spos, ("slice",)).active[1].any()
+
+
+@np.errstate(divide="raise", invalid="raise", over="raise")
+def test_epoch_step_matches_the_plain_step():
+    # the epoch tables against the plain step, which re-derives every weight,
+    # scale and liveness per call, for every term subset, through a
+    # structure of every term and one of the config's terms alone; an anchor
+    # without a positive or another patient's row must raise no
+    # floating-point error either
+    rng = np.random.default_rng(25)
+    for n, tau in ((1, 0.1), (2, 0.5), (4, 0.1), (7, 0.5)):
+        pid, vid, spos = random_loss_epoch(rng, n_batches=6, n_pairs=n)
+        z = rng.standard_normal((6, 2 * n, 3))
+        z[5, 1] *= 1e-14  # a row whose norm is clamped
+        every = LossStructure(pid, vid, spos)
+        # batch 3's anchor 0 keeps every other row, though none is a positive
+        # or another patient's
+        assert every.den[3, every.ntxent_rows + 2 * n].sum() == 2 * n - 1
+        assert every.den.any(axis=2).all()
+        for subset in SUBSETS:
+            cfg = preset_loss_config(subset, tau=tau)
+            for structure in (every, LossStructure(pid, vid, spos, cfg.terms)):
+                for b in range(6):
+                    batch = LossBatch(z[b], structure=structure, index=b)
+                    loss, grad = loss_and_grad(batch, cfg)
+                    want_loss, want_grad = reference_step.loss_and_grad(batch, cfg)
+                    assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
+def test_loss_tables_rest_on_this_numpy():
+    # the stacked gradient pass, the ufunc reductions and the epoch tables
+    # give the step's bits only while numpy reduces as the step assumes;
+    # ``slicepick verify`` runs the same check
+    ok, detail = check_loss_tables()
+    assert ok, detail
 
 
 @pytest.mark.parametrize("key", ["patient_ids", "volume_ids"])
