@@ -42,6 +42,16 @@ def check_output_file(flag, path):
         raise SlicepickError(f"{flag} {path}: not a file path in an existing directory")
 
 
+def check_output_dir(flag, path):
+    """Raise SlicepickError naming ``flag`` and ``path`` unless ``path`` is
+    a directory or can be made as one, with its parents: its nearest
+    existing ancestor must be a directory."""
+    path = Path(path)
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise SlicepickError(f"{flag} {path}: {nearest} is not a directory")
+
+
 def write_atomic(path, data):
     """Write ``data`` (bytes or str, UTF-8) to ``path`` atomically; an error names ``path``."""
     write_all_atomic([(path, data)])

@@ -3,24 +3,36 @@
 Every kernel converts its matrix arguments to C-contiguous float64 first.
 ``dist_to_row``, ``pair_mean_abs`` and ``pairwise_dists`` compute each value
 directly. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
-difference, O(p n log n) and within a few ulps of the pairwise sum.
-``nn_indices`` finds candidates with one float32 matrix product per query
-block and re-ranks them with the direct float64 squared distance, so its
-answer, ties included, is exactly that of the direct search. The private
-helpers, not part of the traced set, are ``_sq_norms``, ``_as_f32`` (the one
-float32 copy a caller makes of its matrix), ``_sq_dist_expansion`` (that
-product, |a|^2 - 2 a.b + |b|^2, computed nowhere else), ``_sq_dist_slack``
-(its rounding bound, float32 product included), which the screened cover
-update in ``coreset`` shares, ``_sq_dists`` (the direct squared distance of
-each row of a difference matrix, in one summation order wherever the row
-sits) and ``_row_dists`` (``dist_to_row``'s values at a subset of rows, bit
-for bit). ``tests/test_kernels.py`` checks each kernel against a
-plain-Python loop oracle.
+difference, O(p n log n) and within a few ulps of the pairwise sum. It and
+``pair_mean_abs`` take an affine map x -> (x - lo) / scale, which they
+apply to their own sorted copy or pair block, so a caller normalizes
+without a copy of its matrix. ``nn_indices`` finds candidates with one
+float32 matrix product per query block and re-ranks them with the direct
+float64 squared distance, so its answer, ties included, is exactly that of
+the direct search; it searches for a subset of the rows of its query
+matrix without copying them. ``dist_to_row`` and ``nn_indices`` work one
+row block of at most ``_BLOCK`` values at a time, so neither holds an
+(n, p) array beside its input. The private helpers, not part of the
+traced set, are ``_sq_norms``, ``_as_f32`` (the float32 copy of a matrix
+or block), ``_sq_dist_expansion`` (that product, |a|^2 - 2 a.b + |b|^2,
+computed nowhere else), ``_sq_dist_slack`` (its rounding bound, float32
+product included), which the screened cover update in ``coreset`` shares,
+``_sq_dists`` (the direct squared distance of each row of a difference
+matrix, in one summation order wherever the row sits), ``_row_dists``
+(``dist_to_row``'s values at a subset of rows, bit for bit), ``_unit``
+(the affine map, in place) and ``_nn_block`` (one query block of
+``nn_indices``). ``tests/test_kernels.py`` checks each kernel against a
+plain-Python loop oracle, and ``tests/test_memory.py`` the transient
+memory of the blocked passes.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
+
+# the most float64 values a transient row block holds (2 MB): a full
+# distance pass or a 1-NN search keeps no (n, p) copy of its matrix
+_BLOCK = 2 ** 18
 
 
 def _as_c64(a):
@@ -35,10 +47,22 @@ def dist_to_row(emb, idx):
 def _row_dists(emb, idx, rows=None):
     """``dist_to_row(emb, idx)``, or its values at ``rows`` only, bit for bit.
 
-    ``emb`` must be C-contiguous float64.
+    ``emb`` must be C-contiguous float64. The differences are formed one row
+    block at a time, and ``_sq_dists`` sums each row in one order whatever
+    block it falls in.
     """
-    sub = emb if rows is None else emb[rows]
-    return np.sqrt(_sq_dists(sub - emb[idx]))
+    m = emb.shape[0] if rows is None else len(rows)
+    out = np.empty(m)
+    ref = emb[idx]
+    block = max(2, _BLOCK // max(1, emb.shape[1]))
+    for start in range(0, m, block):
+        if rows is None:
+            diff = emb[start:start + block] - ref
+        else:
+            diff = emb[rows[start:start + block]]
+            diff -= ref
+        out[start:start + block] = np.sqrt(_sq_dists(diff))
+    return out
 
 
 def _sq_dists(diff):
@@ -97,8 +121,17 @@ def _sq_dist_slack(scale, p):
     return slack
 
 
-def pair_mean_abs(X, ia, ib):
-    """Mean absolute per-feature difference for each row pair (ia[k], ib[k])."""
+def _unit(a, lo, scale):
+    """``a`` mapped in place by x -> fl(fl(x - lo) / scale), and returned."""
+    a -= lo
+    a /= scale
+    return a
+
+
+def pair_mean_abs(X, ia, ib, lo=0.0, scale=1.0):
+    """Mean absolute per-feature difference for each row pair (ia[k], ib[k])
+    of X mapped by x -> (x - lo) / scale (by default the identity), bit for
+    bit the values on a mapped copy of X, which is never made."""
     X = _as_c64(X)
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
@@ -106,14 +139,18 @@ def pair_mean_abs(X, ia, ib):
     # a block of pairs at a time, so no (pairs, p) matrix is held
     for start in range(0, ia.shape[0], 256):
         rows = slice(start, start + 256)
-        diff = X[ia[rows]] - X[ib[rows]]
+        diff = _unit(X[ia[rows]], lo, scale)
+        diff -= _unit(X[ib[rows]], lo, scale)
         out[rows] = np.abs(diff, out=diff).mean(axis=1)
     return out
 
 
-def all_pairs_mean_abs(X):
-    """Mean over all unordered row pairs of the mean absolute difference.
+def all_pairs_mean_abs(X, lo=0.0, scale=1.0):
+    """Mean over all unordered row pairs of the mean absolute difference,
+    on X mapped by x -> (x - lo) / scale (by default the identity).
 
+    The map is applied to the sorted copy. It is monotone, so this is the
+    sorted mapped matrix bit for bit, and no mapped copy of X is made.
     Per column, sum_{i<j} |x_i - x_j| = sum_k k (n - k) (x_(k+1) - x_(k))
     over the sorted values x_(1) <= ... <= x_(n) (Gini's mean difference in
     sorted form), so the cost is O(p n log n), not O(p n^2). Every gap and
@@ -122,7 +159,7 @@ def all_pairs_mean_abs(X):
     """
     X = _as_c64(X)
     n = X.shape[0]
-    gaps = np.sort(X, axis=0)
+    gaps = _unit(np.sort(X, axis=0), lo, scale)
     # differences taken in place, from the last rows up, one block at a time:
     # each block reads rows not yet overwritten, and no second (n, p) matrix
     # is held
@@ -135,8 +172,9 @@ def all_pairs_mean_abs(X):
     return float(gaps.sum()) / X.shape[1] / (n * (n - 1) / 2.0)
 
 
-def nn_indices(Q, R):
-    """Index of the nearest row of ``R`` for each row of ``Q``.
+def nn_indices(Q, R, rows=None):
+    """Index of the nearest row of ``R`` for each row of ``Q[rows]`` (each
+    row of ``Q`` when ``rows`` is None).
 
     Ties resolve to the lowest reference index. The answer is that of the
     direct search, which takes the first minimum of
@@ -190,28 +228,41 @@ def nn_indices(Q, R):
     because B_q >= 36 u S_q; an underflow of m^2 costs less than ``tiny``.
     When m^2 > 4 S_q, fl(m^2) >= 4 S_q, and the threshold is at least
     (4 S_q + 2 B_q)(1 - u), above 2 S_q (1 + (p + 2) u) + B_q >= ``approx``.
+
+    Each query block is gathered from ``Q``, with its squared norms and
+    float32 copy, by ``_nn_block``; the reference side is built once.
     """
     Q, R = _as_c64(Q), _as_c64(R)
     if R.shape[0] == 0:
         raise ValueError("the 1-NN search needs at least one reference row")
-    q_sq, r_sq = _sq_norms(Q), _sq_norms(R)
-    Q32, R32 = _as_f32(Q), _as_f32(R)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+    m = Q.shape[0] if rows is None else rows.shape[0]
+    r_sq, R32 = _sq_norms(R), _as_f32(R)
+    out = np.empty(m, dtype=np.int64)
+    # block the queries so neither the gathered rows nor the (block, refs)
+    # distance matrix grows with the query count
+    block = max(1, _BLOCK // max(R.shape[0], Q.shape[1]))
+    for start in range(0, m, block):
+        q = Q[start:start + block] if rows is None else Q[rows[start:start + block]]
+        out[start:start + block] = _nn_block(q, R, R32, r_sq)
+    return out
+
+
+def _nn_block(q, R, R32, r_sq):
+    """``nn_indices(q, R)`` for one query block, given the reference side:
+    a function of its own, so a block's arrays are freed before the next
+    block's are made."""
+    q_sq = _sq_norms(q)
+    approx = _sq_dist_expansion(_as_f32(q), q_sq, R32, r_sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        slack = _sq_dist_slack(q_sq + r_sq.max(), Q.shape[1])
-    unbounded = np.isinf(slack)
-    out = np.empty(Q.shape[0], dtype=np.int64)
-    # block the queries so the (block, refs) distance matrix stays small
-    block = max(1, 2 ** 18 // R.shape[0])
-    for start in range(0, Q.shape[0], block):
-        stop = min(start + block, Q.shape[0])
-        approx = _sq_dist_expansion(Q32[start:stop], q_sq[start:stop], R32, r_sq)
-        with np.errstate(over="ignore", invalid="ignore"):
-            near = approx <= (approx.min(axis=1) + slack[start:stop])[:, None]
-        near[unbounded[start:stop]] = True
-        out[start:stop] = np.argmax(near, axis=1)
-        for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
-            cand = np.flatnonzero(near[i])
-            out[start + i] = cand[np.argmin(_sq_dists(Q[start + i] - R[cand]))]
+        slack = _sq_dist_slack(q_sq + r_sq.max(), q.shape[1])
+        near = approx <= (approx.min(axis=1) + slack)[:, None]
+    near[np.isinf(slack)] = True
+    out = np.argmax(near, axis=1)
+    for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
+        cand = np.flatnonzero(near[i])
+        out[i] = cand[np.argmin(_sq_dists(q[i] - R[cand]))]
     return out
 
 

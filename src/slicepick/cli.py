@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, gcle
-from ._io import check_output_file, write_all_atomic, write_atomic
+from ._io import check_output_dir, check_output_file, write_all_atomic, write_atomic
 from .coreset import k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
@@ -259,6 +259,7 @@ def _synth_spec(cfg):
 # subcommands
 
 def cmd_gen_data(args, cfg):
+    check_output_dir("--out", args.out)
     spec = _synth_spec(cfg)
     ds, labels = generate_synthetic(spec)
     save_dataset(ds, labels, args.out, spec)
@@ -357,9 +358,7 @@ def cmd_select(args, cfg):
 
 def cmd_run_rounds(args, cfg):
     out = Path(args.out)  # made with its parents after the experiment, so checked first
-    nearest = next(p for p in (out, *out.parents) if p.exists())
-    if not nearest.is_dir():
-        raise SlicepickError(f"--out {out}: {nearest} is not a directory")
+    check_output_dir("--out", out)
     ds, labels = load_dataset(args.data)
     plan = RoundPlan(
         fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
@@ -375,8 +374,8 @@ def cmd_run_rounds(args, cfg):
         _check_draws(args.data, ds, loss_cfg, train_cfg)
     report = run_experiment(ds, labels, strategies, plan, threads=cfg["threads"])
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "report.json", report.to_json())
-    write_atomic(out / "summary.csv", report.summary_csv())
+    write_all_atomic([(out / "report.json", report.to_json()),
+                      (out / "summary.csv", report.summary_csv())])
     total_train = sum(report.train_seconds.values())
     total_rounds = sum(e.wall_time_s for e in report.entries)
     print(

@@ -5,12 +5,14 @@ read-only identity table beside it: row i holds the slice id of pixel row
 i, its patient, its volume and its depth within the volume. One canonical
 order of the rows (patient, then volume, then depth) makes every patient
 and every volume a contiguous run, which is all the sampler and the
-deviation statistic look up. The synthetic generator produces a hierarchy
+deviation statistic look up. Nothing derived from the matrix is cached:
+the deviation statistic hands the dataset's min and max to the kernels,
+which normalize their own sorted copy or pair block, so ``stats`` holds one
+transient (n, p) array. The synthetic generator produces a hierarchy
 with controllable patient-level, volume-level, depth-drift, and noise
 variance so that group structure is visible in pixel space.
 """
 
-import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, gcle
-from ._io import json_int, json_int_record, write_atomic
+from ._io import json_int, json_int_record, write_all_atomic
 from .errors import FormatError, InvalidSpecError, SettingError, UndefinedStatisticError
 
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
@@ -87,7 +89,7 @@ class DatasetIndex:
         self.volume_bounds = _read_only(_run_bounds(vid[self.order]))
 
     def __reduce__(self):
-        # the matrix and identity rows cross a process boundary, no derived array or cache
+        # the matrix and identity rows cross a process boundary, no derived array
         return DatasetIndex, (gcle.meta_rows_from_dataset(self), self._pixels, self.h, self.w)
 
     @property
@@ -98,11 +100,6 @@ class DatasetIndex:
         """All pixels, the read-only (n, h*w) float64 matrix the dataset
         holds, one row per row of ``ids``."""
         return self._pixels
-
-    @functools.cached_property
-    def _unit_pixels(self):
-        """``pixel_matrix`` min-max normalized over the whole dataset, read-only."""
-        return _read_only(_minmax_normalize(self.pixel_matrix()))
 
 
 @dataclass(frozen=True)
@@ -176,22 +173,15 @@ def generate_synthetic(spec):
     return DatasetIndex(rows, X, spec.h, spec.w), labels
 
 
-def _minmax_normalize(X):
-    lo = X.min()
-    hi = X.max()
-    if hi == lo:
-        return np.zeros_like(X)
-    return (X - lo) / (hi - lo)
-
-
 def group_deviation(ds, grouping):
     """Mean pairwise absolute pixel deviation within groups of one grouping.
 
-    Pixels are min-max normalized over the whole dataset first, once per
-    dataset whichever groupings are asked for. For each
-    group with at least two members the statistic averages, over all
-    unordered slice pairs in the group, the mean absolute pixel difference;
-    groups are then averaged with equal weight. Groupings:
+    Pixels are min-max normalized over the whole dataset, x -> (x - lo) /
+    (hi - lo), or to 0.0 when hi == lo. The kernels apply that map to their
+    own sorted copy or pair block, so no normalized copy of the matrix is
+    made or kept. For each group with at least two members the statistic
+    averages, over all unordered slice pairs in the group, the mean absolute
+    pixel difference; groups are then averaged with equal weight. Groupings:
 
     - "dataset": a single group holding every slice
     - "patient" / "volume": one group per patient / per volume, the runs
@@ -200,22 +190,24 @@ def group_deviation(ds, grouping):
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
-    X = ds._unit_pixels
+    X = ds.pixel_matrix()
+    lo, hi = X.min(), X.max()
+    scale = hi - lo if hi != lo else 1.0  # every finite x - lo is then 0.0
     if grouping == "dataset":
         if ds.n < 2:
             raise UndefinedStatisticError("dataset grouping needs >= 2 slices")
-        return _kernels.all_pairs_mean_abs(X)
+        return _kernels.all_pairs_mean_abs(X, lo, scale)
     order = ds.order
     if grouping == "adjacent":
         vid = ds.ids[order, 2]
         same = vid[1:] == vid[:-1]  # neighbors in a volume run are depth neighbors
         if not same.any():
             raise UndefinedStatisticError("no adjacent slice pairs in any volume")
-        pairs = _kernels.pair_mean_abs(X, order[:-1][same], order[1:][same])
+        pairs = _kernels.pair_mean_abs(X, order[:-1][same], order[1:][same], lo, scale)
         return float(np.mean(pairs))
     bounds = ds.patient_bounds if grouping == "patient" else ds.volume_bounds
     means = [
-        _kernels.all_pairs_mean_abs(X[order[a:b]])
+        _kernels.all_pairs_mean_abs(X[order[a:b]], lo, scale)
         for a, b in zip(bounds[:-1], bounds[1:])
         if b - a >= 2
     ]
@@ -228,6 +220,8 @@ def group_deviation(ds, grouping):
 # dataset directory: meta.json + data.bin (float32 LE row-major) + labels.json
 
 def save_dataset(ds, labels, out_dir, spec=None):
+    """Write the dataset directory, its three files together: a failed
+    write leaves every file as it was, never a mixed set."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -237,11 +231,11 @@ def save_dataset(ds, labels, out_dir, spec=None):
         "slices": gcle.meta_rows_from_dataset(ds),
         "spec": asdict(spec) if spec is not None else None,
     }
-    write_atomic(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    write_atomic(
-        out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4").tobytes()
-    )
-    write_atomic(out / "labels.json", json.dumps([int(x) for x in labels]) + "\n")
+    write_all_atomic([
+        (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
+        (out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4").tobytes()),
+        (out / "labels.json", json.dumps([int(x) for x in labels]) + "\n"),
+    ])
 
 
 def _read_meta(meta_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import json_int_record, write_atomic
+from ._io import json_int_record, write_all_atomic
 from .errors import FormatError
 
 MAGIC = b"GCLE"
@@ -37,9 +37,12 @@ def write_gcle(path, matrix, meta_rows):
         raise FormatError(f"{len(meta_rows)} metadata rows for {n} matrix rows")
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
     header = MAGIC + struct.pack("<III", VERSION, n, dim)
-    write_atomic(path, header + payload)
     meta = {"rows": [{k: int(r[k]) for k in RECORD_KEYS} for r in meta_rows]}
-    write_atomic(str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    # the file and its sidecar together: a failed write changes neither
+    write_all_atomic([
+        (path, header + payload),
+        (str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
+    ])
 
 
 def read_gcle(path):

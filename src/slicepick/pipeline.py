@@ -14,7 +14,8 @@ classification in raw pixel space for every strategy, so the learned metric
 influences selection only, never evaluation. ``coreset_raw`` selects in that
 same space, so its state already holds each row's nearest labeled row and
 its probe is read from there (``cover_probe_accuracy``); the other
-strategies search.
+strategies search, reading the unlabeled rows from the pixel matrix one
+block at a time, so the probe copies only the labeled rows.
 """
 
 import dataclasses
@@ -186,6 +187,8 @@ def probe_accuracy(features, labeled_rows, labels):
 
     Each unlabeled row is classified by its nearest labeled row (ties to
     the lowest labeled row); a fully labeled pool scores 1.0 by convention.
+    The search reads the unlabeled rows from ``features`` a block at a
+    time; only the labeled rows are copied.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -193,7 +196,7 @@ def probe_accuracy(features, labeled_rows, labels):
     unlabeled = _unlabeled_rows(features.shape[0], labeled)
     if unlabeled.size == 0:
         return 1.0
-    nn = _kernels.nn_indices(features[unlabeled], features[labeled])
+    nn = _kernels.nn_indices(features, features[labeled], unlabeled)
     pred = labels[np.asarray(labeled)][nn]
     return float(np.mean(pred == labels[unlabeled]))
 

@@ -16,6 +16,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fail_second_staged_write(monkeypatch):
+    """Make the second file that ``_io.write_all_atomic`` stages fail with
+    ENOSPC; returns the list of descriptors opened so far."""
+    opened = []
+    fdopen = os.fdopen
+
+    def failing_second_write(fd, *args, **kwargs):
+        opened.append(fd)
+        if len(opened) == 2:
+            os.close(fd)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", failing_second_write)
+    return opened
+
+
 @pytest.fixture
 def data_dir(tmp_path, capsys):
     out = tmp_path / "data"
@@ -326,17 +343,7 @@ class TestOutputFiles:
         if before is not None:
             for path in paths.values():
                 path.write_text(before)
-        opened = []
-        fdopen = os.fdopen
-
-        def failing_second_write(fd, *args, **kwargs):
-            opened.append(fd)
-            if len(opened) == 2:
-                os.close(fd)
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return fdopen(fd, *args, **kwargs)
-
-        monkeypatch.setattr(os, "fdopen", failing_second_write)
+        opened = fail_second_staged_write(monkeypatch)
         argv = ["train-encoder", "--data", str(data_dir), "--epochs", "1", "--hidden", "4",
                 "--rep-dim", "3", "--proj-dim", "2"]
         code, out, err = run(capsys, *argv, *[str(x) for f, p in paths.items() for x in (f, p)])
@@ -353,6 +360,62 @@ class TestOutputFiles:
         assert run(capsys, *argv, *[str(x) for f, p in paths.items() for x in (f, p)])[0] == 0
         assert all(p.read_bytes() != b"old\n" for p in paths.values())
         assert sorted(p.name for p in outs.iterdir()) == sorted(p.name for p in paths.values())
+
+    @pytest.mark.parametrize("command", ["gen-data", "embed", "run-rounds"])
+    def test_multi_file_outputs_written_together(self, data_dir, tmp_path, capsys,
+                                                 monkeypatch, command):
+        # each command rewrites a set of files whose second write fails: every
+        # file keeps its old bytes, and no staged file is left behind
+        if command == "gen-data":
+            # another seed at the same sizes: a mixed set would still load
+            outs = data_dir
+            argv = ["gen-data", "--out", str(outs), "--patients", "6",
+                    "--volumes-per-patient", "2", "--slices-per-volume", "4",
+                    "--height", "4", "--width", "4", "--classes", "4", "--seed", "12"]
+            second = outs / "data.bin"
+        elif command == "embed":
+            ckpt = tmp_path / "enc.ckpt"
+            assert run(capsys, "train-encoder", "--data", str(data_dir), "--out", str(ckpt),
+                       "--groups", "ntxent", "--epochs", "1", "--hidden", "4",
+                       "--rep-dim", "3", "--proj-dim", "2")[0] == 0
+            outs = tmp_path / "emb"
+            outs.mkdir()
+            argv = ["embed", "--data", str(data_dir), "--checkpoint", str(ckpt),
+                    "--out", str(outs / "e.gcle")]
+            second = outs / "e.gcle.meta.json"
+            for path in (outs / "e.gcle", second):
+                path.write_text("old\n")
+        else:
+            outs = tmp_path / "rounds"
+            outs.mkdir()
+            argv = ["run-rounds", "--data", str(data_dir), "--out", str(outs),
+                    "--strategies", "random,coreset_raw", "--fractions", "0.1,0.3",
+                    "--repeats", "1"]
+            second = outs / "summary.csv"
+            for name in ("report.json", "summary.csv"):
+                (outs / name).write_text("old\n")
+        before = {p.name: p.read_bytes() for p in outs.iterdir()}
+        fail_second_staged_write(monkeypatch)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: [Errno 28] No space left on device: {str(second)!r}\n"
+        assert {p.name: p.read_bytes() for p in outs.iterdir()} == before
+        monkeypatch.undo()
+        assert run(capsys, *argv)[0] == 0
+        after = {p.name: p.read_bytes() for p in outs.iterdir()}
+        assert after.keys() == before.keys() and after[second.name] != before[second.name]
+
+    def test_gen_data_out_checked_before_generating(self, tmp_path, capsys, monkeypatch):
+        from slicepick import cli as cli_mod
+
+        generated = []
+        monkeypatch.setattr(cli_mod, "generate_synthetic", lambda *a: generated.append(a))
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        code, out, err = run(capsys, "gen-data", "--out", str(taken / "data"))
+        assert code == 1 and out == ""
+        assert err == f"error: --out {taken / 'data'}: {taken} is not a directory\n"
+        assert generated == [] and taken.read_text() == "keep\n"
 
     def test_embed(self, data_dir, tmp_path, capsys, monkeypatch):
         from slicepick import cli as cli_mod

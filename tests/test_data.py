@@ -174,7 +174,6 @@ class TestPixelMatrix:
         import pickle
 
         ds, _ = generate_synthetic(SynthSpec(3, 2, 4, h=8, w=8, seed=5))
-        group_deviation(ds, "dataset")  # caches a normalized copy, which stays behind
         copy = pickle.loads(pickle.dumps(ds))
         self.assert_one_matrix(copy)
         assert np.array_equal(copy.pixel_matrix(), ds.pixel_matrix())
@@ -194,17 +193,6 @@ class TestPixelMatrix:
         ds = DatasetIndex(rows, np.array([[1, 2], [3, 4]], dtype=np.float32), 1, 2)
         self.assert_one_matrix(ds)
         assert np.array_equal(ds.pixel_matrix(), [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_statistic_normalizes_once(self, monkeypatch):
-        from slicepick import data
-
-        calls = []
-        real = data._minmax_normalize
-        monkeypatch.setattr(data, "_minmax_normalize", lambda X: calls.append(1) or real(X))
-        ds, _ = generate_synthetic(SynthSpec(2, 2, 3, h=2, w=2, seed=6))
-        for grouping in data.GROUPINGS:
-            group_deviation(ds, grouping)
-        assert len(calls) == 1
 
 
 class TestDatasetDirectory:

@@ -1,0 +1,132 @@
+"""Transient memory of the (n, p) passes, and the bits of their blocked forms.
+
+``tracemalloc`` sees numpy's array allocations, so the peak it records
+around one call is what that call holds beyond its inputs. The matrix spans
+eight row blocks of ``_kernels._BLOCK`` values: a whole-matrix copy shows
+as a multiple of its bytes, a block as a fraction.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from slicepick import _kernels
+from slicepick.data import DatasetIndex, group_deviation
+from slicepick.pipeline import probe_accuracy
+
+N, P = 8192, 256
+assert N // (_kernels._BLOCK // P) == 8
+
+
+@pytest.fixture(scope="module")
+def X():
+    return np.random.default_rng(41).standard_normal((N, P))
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# -- memory bounds -------------------------------------------------------------
+
+def test_group_deviation_holds_one_sorted_copy(X):
+    # the sorted copy the statistic needs, and no normalized copy beside it
+    rows = (dict(slice_id=i, patient_id=i // 64, volume_id=i // 16, slice_index=i % 16)
+            for i in range(N))
+    ds = DatasetIndex(rows, X.copy(), 1, P)
+    assert peak_bytes(group_deviation, ds, "dataset") < 1.3 * X.nbytes
+
+
+def test_probe_copies_only_the_labeled_rows(X):
+    labels = np.arange(N) % 5
+    assert peak_bytes(probe_accuracy, X, range(0, N, 16), labels) < 0.5 * X.nbytes
+
+
+def test_dist_to_row_forms_differences_by_block(X):
+    assert peak_bytes(_kernels.dist_to_row, X, 7) < 0.5 * X.nbytes
+
+
+# -- bit identity --------------------------------------------------------------
+
+def assert_same_bits(a, b):
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def normalized(X):
+    """The oracle: (the min-max normalized copy of X, lo, scale)."""
+    lo, hi = X.min(), X.max()
+    if hi == lo:
+        return np.zeros_like(X), lo, 1.0
+    return (X - lo) / (hi - lo), lo, hi - lo
+
+
+def matrix(kind, n, rng):
+    X = rng.standard_normal((n, 6)) * 3.0 + 5.0
+    if kind == "constant":
+        X[:] = 2.5
+    elif kind == "inf":
+        X[n // 2, 1] = np.inf
+    elif kind == "-inf":  # half a row, so that hi > lo at every n
+        X[n // 3, :3] = -np.inf
+    elif kind == "nan":
+        X[n - 1, 4] = np.nan
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("kind", ["plain", "constant", "inf", "-inf", "nan"])
+def test_mapped_kernels_match_the_normalized_copy(kind, n):
+    rng = np.random.default_rng(n)
+    X = matrix(kind, n, rng)
+    ia, ib = rng.integers(0, n, n), rng.integers(0, n, n)
+    with np.errstate(invalid="ignore"):
+        Xn, lo, scale = normalized(X)
+        assert_same_bits(_kernels.pair_mean_abs(X, ia, ib, lo, scale),
+                         _kernels.pair_mean_abs(Xn, ia, ib))
+        if n > 1:
+            assert_same_bits(_kernels.all_pairs_mean_abs(X, lo, scale),
+                             _kernels.all_pairs_mean_abs(Xn))
+    if kind == "constant":
+        assert not _kernels.pair_mean_abs(X, ia, ib, lo, scale).any()
+
+
+def test_one_infinity_throughout_is_nan():
+    # hi == lo == -inf: every x - lo is nan, as it is wherever lo or hi is
+    # infinite; the whole-matrix normalized copy held zeros here alone
+    rows = (dict(slice_id=i, patient_id=0, volume_id=0, slice_index=i) for i in range(3))
+    ds = DatasetIndex(rows, np.full((3, 2), -np.inf), 1, 2)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(group_deviation(ds, "dataset"))
+
+
+def test_nn_indices_on_a_row_subset():
+    # integer points, so ties are common; several query blocks
+    rng = np.random.default_rng(43)
+    Q = rng.integers(0, 3, (3000, 8)).astype(float)
+    R = Q[::2]
+    rows = rng.permutation(3000)[:2000]
+    assert _kernels._BLOCK // R.shape[0] < len(rows) // 8
+    assert np.array_equal(_kernels.nn_indices(Q, R, rows), _kernels.nn_indices(Q[rows], R))
+    assert np.array_equal(_kernels.nn_indices(Q, R, rows[:0]), np.empty(0, dtype=np.int64))
+
+
+def test_blocked_row_dists_match_one_block():
+    # past einsum's 8192-element buffer, blocks of 29 rows and a lone last row
+    p = 9000
+    assert _kernels._BLOCK // p == 29
+    emb = np.random.default_rng(44).standard_normal((59, p)) * 1e3
+    for idx in (0, 58):
+        assert_same_bits(_kernels.dist_to_row(emb, idx),
+                         np.sqrt(_kernels._sq_dists(emb - emb[idx])))
+        rows = np.r_[np.arange(58, 0, -2), 7]
+        assert_same_bits(_kernels._row_dists(emb, idx, rows),
+                         np.sqrt(_kernels._sq_dists(emb[rows] - emb[idx])))
