@@ -28,7 +28,6 @@ from .encoder import (
     forward,
     init_params,
     load_checkpoint,
-    save_checkpoint,
     train,
 )
 from .errors import (

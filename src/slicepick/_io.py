@@ -22,18 +22,6 @@ def json_int(path, value, where):
     return value
 
 
-def json_int_record(path, value, where, keys):
-    """The integer fields ``keys`` of the JSON object ``value``, as a new
-    dict; a non-object, a missing key or a non-integer is a FormatError
-    naming the file, ``where`` and the key."""
-    if not isinstance(value, dict):
-        raise FormatError(f"{path}: {where} must be a JSON object")
-    for key in keys:
-        if key not in value:
-            raise FormatError(f"{path}: {where} is missing key {key!r}")
-    return {key: json_int(path, value[key], f"{where}.{key}") for key in keys}
-
-
 def check_output_file(flag, path):
     """Raise SlicepickError naming ``flag`` and ``path`` unless ``path`` is
     unset or a file path in an existing directory; a command checks each of

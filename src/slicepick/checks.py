@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels
-from .coreset import brute_force_k_center, cover_radius, k_center_greedy
+from .coreset import SelectionState, brute_force_k_center, cover_radius, k_center_greedy
 from .data import SynthSpec, generate_synthetic
 from .errors import SamplerError
 from .losses import (
@@ -190,7 +190,7 @@ def check_two_opt(n_instances=30, seed=2024):
         n_init = int(rng.integers(0, 3))
         initial = list(rng.choice(n, size=n_init, replace=False))
         k = min(k, n - n_init)
-        greedy = k_center_greedy(emb, initial, k, cold_start_seed=int(rng.integers(2 ** 31)))
+        greedy = k_center_greedy(SelectionState(emb, initial), k, int(rng.integers(2 ** 31)))
         opt_radius, _ = brute_force_k_center(emb, initial, k)
         radius = cover_radius(emb, greedy.labeled)
         if opt_radius > 0:
@@ -262,7 +262,7 @@ def check_screened_cover(n_instances=30, seed=2024):
         initial = list(rng.choice(n, size=int(rng.integers(0, 3)), replace=False))
         k = int(rng.integers(0, n - len(initial) + 1))
         cold = int(rng.integers(2 ** 31))
-        state = k_center_greedy(emb, initial, k, cold_start_seed=cold)
+        state = k_center_greedy(SelectionState(emb, initial), k, cold_start_seed=cold)
         trace, min_dist = full_pass_greedy(emb, initial, k, cold)
         where = f"instance {i} ({n}x{p}, k={k})"
         if state.trace != trace or state.min_dist.tobytes() != min_dist.tobytes():

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import checks, gcle
 from ._io import check_output_dir, check_output_file, write_all_atomic, write_atomic
-from .coreset import k_center_greedy, kmeans_labels, silhouette_score
+from .coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
     SynthSpec,
@@ -316,16 +316,16 @@ def cmd_embed(args, cfg):
         emb = embed_all(params, ds)
     except ValueError as exc:  # the checkpoint was trained on another pixel size
         raise FormatError(f"{args.checkpoint} does not fit {args.data}: {exc}") from None
-    gcle.write_gcle(args.out, emb, gcle.meta_rows_from_dataset(ds))
+    gcle.write_gcle(args.out, emb, ds.ids)
     print(f"wrote {emb.shape[0]}x{emb.shape[1]} embeddings to {args.out}")
     return 0
 
 
 def cmd_select(args, cfg):
     check_output_file("--out", args.out)
-    matrix, meta = gcle.read_gcle(args.embeddings)
-    emb = matrix.astype(np.float64)
-    rows_by_id = {r["slice_id"]: i for i, r in enumerate(meta)}
+    matrix, ids = gcle.read_gcle(args.embeddings)
+    slice_ids = ids[:, 0].tolist()
+    rows_by_id = {sid: i for i, sid in enumerate(slice_ids)}
     initial = []
     if args.initial not in ("empty", ""):
         # an empty item is skipped, as in every other list flag
@@ -340,10 +340,16 @@ def cmd_select(args, cfg):
                 raise SlicepickError(
                     f"--initial: slice id {slice_id} is not in {args.embeddings}"
                 )
+            if rows_by_id[slice_id] in initial:
+                raise SlicepickError(
+                    f"--initial: slice id {slice_id} is repeated in {args.initial!r}"
+                )
             initial.append(rows_by_id[slice_id])
-    state = k_center_greedy(emb, initial, args.budget, cold_start_seed=cfg["seed"])
+    state = k_center_greedy(
+        SelectionState(matrix, initial), args.budget, cold_start_seed=cfg["seed"]
+    )
     records = [
-        {"round": 0, "rank": rank, "slice_id": meta[idx]["slice_id"],
+        {"round": 0, "rank": rank, "slice_id": slice_ids[idx],
          "min_dist": None if np.isinf(dist) else dist}
         for rank, (idx, dist) in enumerate(state.trace)
     ]
@@ -412,7 +418,7 @@ def cmd_ablate(args, cfg):
         else:
             result = train(ds, loss_cfg, train_cfg)
             space, weights = embed_all(result.params, ds), loss_cfg.weights
-        state = k_center_greedy(space, [], budget, cold_start_seed=cfg["seed"])
+        state = k_center_greedy(SelectionState(space), budget, cold_start_seed=cfg["seed"])
         if loss_cfg is None:  # selected in the probe's space: read its cover
             acc = cover_probe_accuracy(state, labels)
         else:
@@ -500,7 +506,8 @@ def build_parser():
     p = sub.add_parser("select", help="k-center greedy selection over embeddings")
     p.add_argument("--embeddings", required=True, help="GCLE file")
     p.add_argument("--budget", required=True, type=int)
-    p.add_argument("--initial", default="empty", help='"empty" or comma slice ids')
+    p.add_argument("--initial", default="empty",
+                   help='"empty" or comma slice ids, each at most once')
     p.add_argument("--out", help="JSONL trace path (default stdout)")
     _add_common(p, "seed")
     p.set_defaults(func=cmd_select, own_flags={"budget": "--budget"})

@@ -6,19 +6,20 @@ centers, which 2-approximates the optimal max-min cover radius. Distances
 are Euclidean in float64 regardless of the embedding storage precision, and
 the argmax scan takes the first maximum, so ties go to the lowest row.
 
-One ``SelectionState`` is the running cover of one matrix: built once,
-with the matrix's squared norms and float32 copy, and extended in place by
-every later greedy call or by rows chosen elsewhere. Each row's distance to
-its nearest center is lowered by ``SelectionState.extend`` alone, behind a
-screen: one float32 matrix product (``_kernels._sq_dist_expansion``) gives
-|x|^2 - 2 x.c + |c|^2 for every row x and new center c, and only rows
-within the rounding bound of ``_kernels.nn_indices`` of their current
-distance m (or whose bound is not finite) get the direct float64 distance.
-That bound proves every row whose direct distance is at most m passes, so
-the picks and every ``min_dist`` byte are those of a full ``dist_to_row``
-pass per center. A greedy pick computes the screen columns of the next
-farthest rows along with its own, since later picks mostly come from them.
-``cover_radius`` keeps the full passes as the independent oracle.
+One ``SelectionState`` is the running cover of one matrix: built once, with
+the matrix's squared norms and float32 copy, and extended in place by every
+later greedy call or by rows chosen elsewhere; the greedy takes only a
+state. Each row's distance to its nearest center is lowered by
+``SelectionState.extend`` alone, behind a screen: one float32 matrix
+product (``_kernels._sq_dist_expansion``) gives |x|^2 - 2 x.c + |c|^2 for
+every row x and new center c, and only rows within the rounding bound of
+``_kernels.nn_indices`` of their current distance m (or whose bound is not
+finite) get the direct float64 distance. That bound proves every row whose
+direct distance is at most m passes, so the picks and every ``min_dist``
+byte are those of a full ``dist_to_row`` pass per center. A greedy pick
+computes the screen columns of the next farthest rows along with its own,
+since later picks mostly come from them. ``cover_radius`` keeps the full
+passes as the independent oracle.
 
 The cover also holds each row's nearest center, ``SelectionState.nearest``,
 in the order of the 1-NN probe (``pipeline.probe_accuracy``): the least
@@ -138,17 +139,15 @@ def _check_budget(k, free):
         raise SettingError("selection", {"budget": k}, "budget", rule)
 
 
-def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
-    """Extend ``initial_labeled`` with k greedy farthest-point picks.
+def k_center_greedy(state, k, cold_start_seed=None):
+    """Extend the ``SelectionState`` ``state`` with k greedy farthest-point
+    picks, in place, and return it.
 
-    ``initial_labeled`` is either an iterable of row indices, from which a
-    new ``SelectionState`` is built, or a state over the same matrix (an
-    earlier call's result, say). A state is extended in place and returned:
-    it continues its cover without recomputing any distance, norm or float32
-    copy, and gives the same picks as passing its rows as a list. The
-    returned state's ``trace`` holds this call's picks only.
+    The cover continues without recomputing any distance, norm or float32
+    copy, and gives the picks of a new state seeded with its labeled rows.
+    The returned state's ``trace`` holds this call's picks only.
 
-    With an empty initial set the first center is the head of a seeded
+    With no labeled row yet the first center is the head of a seeded
     shuffle of the rows (row 0 when no seed is given); after that every
     pick maximizes the distance to the nearest existing center, ties going
     to the lowest row index. An integer seed must be nonnegative.
@@ -156,16 +155,7 @@ def k_center_greedy(emb, initial_labeled, k, cold_start_seed=None):
     if isinstance(cold_start_seed, (int, np.integer)) and cold_start_seed < 0:
         seed = {"seed": cold_start_seed}
         raise SettingError("selection", seed, "seed", "be a nonnegative integer")
-    if isinstance(initial_labeled, SelectionState):
-        state = initial_labeled
-        if state.min_dist.shape[0] != len(emb):
-            raise ValueError(
-                f"selection state covers {state.min_dist.shape[0]} rows, "
-                f"the matrix has {len(emb)}"
-            )
-        state.trace = []
-    else:
-        state = SelectionState(emb, initial_labeled)
+    state.trace = []
     n = state.min_dist.shape[0]
     _check_budget(k, n - len(state.labeled))
     labeled_mask = np.zeros(n, dtype=bool)

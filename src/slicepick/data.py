@@ -2,15 +2,17 @@
 
 A dataset is one read-only pixel matrix, a row per 2D slice, and one
 read-only identity table beside it: row i holds the slice id of pixel row
-i, its patient, its volume and its depth within the volume. One canonical
-order of the rows (patient, then volume, then depth) makes every patient
-and every volume a contiguous run, which is all the sampler and the
-deviation statistic look up. Nothing derived from the matrix is cached:
-the deviation statistic hands the dataset's min and max to the kernels,
-which normalize their own sorted copy or pair block, so ``stats`` holds one
-transient (n, p) array. The synthetic generator produces a hierarchy
-with controllable patient-level, volume-level, depth-drift, and noise
-variance so that group structure is visible in pixel space.
+i, its patient, its volume and its depth within the volume. The table is
+slice identity's one form in memory, JSON records only in ``meta.json``;
+``load_dataset`` fills the matrix from ``data.bin`` a row block at a time.
+One canonical order of the rows (patient, then volume, then depth) makes
+every patient and every volume a contiguous run, which is all the sampler
+and the deviation statistic look up. Nothing derived from the matrix is
+cached: the deviation statistic hands the dataset's min and max to the
+kernels, which normalize their own sorted copy or pair block, so ``stats``
+holds one transient (n, p) array. The synthetic generator produces a
+hierarchy with controllable patient-level, volume-level, depth-drift, and
+noise variance so that group structure is visible in pixel space.
 """
 
 import json
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, gcle
-from ._io import json_int, json_int_record, write_all_atomic
+from ._io import json_int, write_all_atomic
 from .errors import FormatError, InvalidSpecError, SettingError, UndefinedStatisticError
 
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
@@ -38,21 +40,27 @@ def _read_only(a):
 
 
 class DatasetIndex:
-    """The (n, h*w) ``pixels`` matrix, taken over read-only as float64 (a
-    float64 array without a copy), and ``ids``, the read-only (n, 4) int64
-    identity table: row i holds matrix row i's ``gcle.RECORD_KEYS``, the
-    columns slice_id, patient_id, volume_id and slice_index.
+    """``ids``, an (n, 4) integer identity table kept as a read-only int64
+    copy, row i matrix row i's ``gcle.RECORD_KEYS`` (slice_id, patient_id,
+    volume_id, slice_index), and the (n, h*w) ``pixels`` matrix, taken over
+    read-only as float64 (a float64 array without a copy).
 
     ``order`` lists the rows by patient, then volume, then depth;
     ``patient_bounds`` and ``volume_bounds`` hold the starts of the patient
     and volume runs in it, then n. Construction checks the matrix shape and
     the hierarchy: slice ids are unique, each volume belongs to one patient,
-    and each volume's slice indices run 0..d-1.
+    and each volume's slice indices run 0..d-1; any other ``ids`` than an
+    (n, 4) integer array is an InvalidSpecError.
     """
 
-    def __init__(self, rows, pixels, h, w):
-        ids = np.array([[r[k] for k in gcle.RECORD_KEYS] for r in rows], dtype=np.int64)
-        self.ids = _read_only(ids.reshape(-1, len(gcle.RECORD_KEYS)))
+    def __init__(self, ids, pixels, h, w):
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or ids.shape[1] != len(gcle.RECORD_KEYS) or ids.dtype.kind not in "iu":
+            raise InvalidSpecError(
+                f"identity table has shape {ids.shape} and dtype {ids.dtype}, "
+                f"expected an (n, {len(gcle.RECORD_KEYS)}) integer array"
+            )
+        self.ids = _read_only(ids.astype(np.int64))
         self.h = int(h)
         self.w = int(w)
         if not self.n:
@@ -89,8 +97,8 @@ class DatasetIndex:
         self.volume_bounds = _read_only(_run_bounds(vid[self.order]))
 
     def __reduce__(self):
-        # the matrix and identity rows cross a process boundary, no derived array
-        return DatasetIndex, (gcle.meta_rows_from_dataset(self), self._pixels, self.h, self.w)
+        # the matrix and identity table cross a process boundary, no derived array
+        return DatasetIndex, (self.ids, self._pixels, self.h, self.w)
 
     @property
     def n(self):
@@ -155,22 +163,19 @@ def generate_synthetic(spec):
 
     ramp = np.zeros(d) if d == 1 else np.arange(d) / (d - 1) - 0.5
 
-    # (patient, volume, depth) of each slice id, in id order
-    ids = [(p, p * n_vpp + v, t) for p in range(n_p) for v in range(n_vpp) for t in range(d)]
+    # row i is slice id i: its patient, volume and depth, in id order
+    i = np.arange(n_vol * d)
+    ids = np.stack([i, i // (n_vpp * d), i // d, i % d], axis=1)
     X = np.empty((n_vol * d, pix))
-    for sid, (p, vol, t) in enumerate(ids):
+    for sid, (p, vol, t) in enumerate(ids[:, 1:].tolist()):
         X[sid] = (
             patient_off[p]
             + volume_off[vol]
             + spec.adjacent_scale * ramp[t] * drift_dir[vol]
             + noise[sid]
         )
-    labels = np.array([vol % spec.class_count for _, vol, _ in ids], dtype=np.int64)
-    rows = (
-        dict(slice_id=sid, patient_id=p, volume_id=vol, slice_index=t)
-        for sid, (p, vol, t) in enumerate(ids)
-    )
-    return DatasetIndex(rows, X, spec.h, spec.w), labels
+    labels = ids[:, 2] % spec.class_count
+    return DatasetIndex(ids, X, spec.h, spec.w), labels
 
 
 def group_deviation(ds, grouping):
@@ -228,7 +233,7 @@ def save_dataset(ds, labels, out_dir, spec=None):
         "format_version": 1,
         "h": ds.h,
         "w": ds.w,
-        "slices": gcle.meta_rows_from_dataset(ds),
+        "slices": gcle.records_from_ids(ds.ids),
         "spec": asdict(spec) if spec is not None else None,
     }
     write_all_atomic([
@@ -239,7 +244,7 @@ def save_dataset(ds, labels, out_dir, spec=None):
 
 
 def _read_meta(meta_path):
-    """(h, w, slice records) from meta.json; every missing or malformed key
+    """(h, w, identity table) from meta.json; every missing or malformed key
     is a FormatError naming the file and the key."""
     try:
         meta = json.loads(meta_path.read_text())
@@ -260,26 +265,28 @@ def _read_meta(meta_path):
         raise FormatError(f"{meta_path}: 'h' and 'w' must be >= 1, got {h} and {w}")
     if not isinstance(meta["slices"], list):
         raise FormatError(f"{meta_path}: 'slices' must be a list of slice records")
-    records = [
-        json_int_record(meta_path, r, f"slices[{i}]", gcle.RECORD_KEYS)
-        for i, r in enumerate(meta["slices"])
-    ]
-    return h, w, records
+    return h, w, gcle.ids_from_records(meta_path, meta["slices"], "slices")
 
 
 def load_dataset(in_dir):
     """Read a dataset directory back into (DatasetIndex, labels)."""
     root = Path(in_dir)
     meta_path = root / "meta.json"
-    h, w, rows = _read_meta(meta_path)
+    h, w, ids = _read_meta(meta_path)
     data_path = root / "data.bin"
-    raw = data_path.read_bytes()
-    expected = len(rows) * h * w * 4
-    if len(raw) != expected:
-        raise FormatError(f"{data_path}: holds {len(raw)} bytes, expected {expected}")
-    X = np.frombuffer(raw, dtype="<f4").reshape(len(rows), h * w).astype(np.float64)
-    if not np.all(np.isfinite(X)):
-        raise FormatError(f"{data_path}: contains non-finite values")
+    n, p = len(ids), h * w
+    size = data_path.stat().st_size
+    if size != n * p * 4:
+        raise FormatError(f"{data_path}: holds {size} bytes, expected {n * p * 4}")
+    X = np.empty((n, p))
+    block = max(1, _kernels._BLOCK // p)  # rows converted at a time: no float32 copy
+    with open(data_path, "rb") as fh:
+        for start in range(0, n, block):
+            rows = X[start:start + block]
+            values = np.fromfile(fh, dtype="<f4", count=rows.size)
+            if not np.all(np.isfinite(values)):
+                raise FormatError(f"{data_path}: contains non-finite values")
+            rows[...] = values.reshape(rows.shape)
     labels_path = root / "labels.json"
     try:
         labels = json.loads(labels_path.read_text())
@@ -287,15 +294,15 @@ def load_dataset(in_dir):
         raise FormatError(f"{labels_path}: not valid JSON: {exc}") from exc
     if not isinstance(labels, list):
         raise FormatError(f"{labels_path}: top level must be a JSON list of integers")
-    if len(labels) != len(rows):
+    if len(labels) != len(ids):
         raise FormatError(
-            f"{labels_path}: holds {len(labels)} labels for {len(rows)} slices"
+            f"{labels_path}: holds {len(labels)} labels for {len(ids)} slices"
         )
     labels = np.array(
         [json_int(labels_path, x, f"index {i}") for i, x in enumerate(labels)],
         dtype=np.int64,
     )
     try:  # a hierarchy fault names the record slices[i] or the volume
-        return DatasetIndex(rows, X, h, w), labels
+        return DatasetIndex(ids, X, h, w), labels
     except InvalidSpecError as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc

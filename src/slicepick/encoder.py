@@ -9,11 +9,11 @@ written out by hand; training is single-threaded and bit-reproducible for a
 fixed seed.
 
 Every weight and bias lives in one float64 vector laid out W0, b0, W1, b1,
-...; the per-layer arrays are views into it. The gradient and the ADAM
-moments are vectors with the same layout, so an ADAM step is one update over
-the whole vector, in place through two scratch vectors allocated once per
-run, and a checkpoint's parameter blob is that vector in little-endian
-float32.
+...: ``EncoderParams`` is built from that vector alone, and its per-layer
+arrays are views into it. The gradient and the ADAM moments are vectors
+with the same layout, so an ADAM step is one update over the whole vector,
+in place through two scratch vectors allocated once per run, and a
+checkpoint's parameter blob is that vector in little-endian float32.
 
 Each epoch's batch plan is already dataset rows. The epoch reads their
 patient, volume, slice and depth ids from the dataset's identity table,
@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
-from ._io import write_atomic
 from .errors import FormatError, SettingError, TrainingDivergedError
 from .losses import LossBatch, LossStructure, loss_and_grad, slice_positives_from_rows
 
@@ -73,31 +72,30 @@ def _layer_views(arch, flat):
     return weights, biases
 
 
+def _param_count(arch):
+    return sum(fi * fo + fo for fi, fo in arch.layer_dims())
+
+
 @dataclass(eq=False)
 class EncoderParams:
     """Weights and biases for every layer, ordered hidden -> rep -> proj.
 
-    The constructor copies them into ``flat``, one float64 vector in
-    checkpoint order; ``weights`` and ``biases`` become views into it.
+    The constructor copies ``flat``, the vector of every parameter laid out
+    W0, b0, W1, b1, ..., as float64, and checks its length and that every
+    value is finite; ``weights`` and ``biases`` are per-layer views into it.
     """
 
     arch: Architecture
-    weights: list
-    biases: list
-    flat: np.ndarray = field(init=False, repr=False)
+    flat: np.ndarray = field(repr=False)
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = self.arch.layer_dims()
-        if len(self.weights) != len(dims) or len(self.biases) != len(dims):
-            raise ValueError(f"expected {len(dims)} layers")
-        for layer, (w, b, (fi, fo)) in enumerate(zip(self.weights, self.biases, dims)):
-            if w.shape != (fi, fo) or b.shape != (fo,):
-                raise ValueError(f"layer {layer} shapes do not chain: {w.shape}, {b.shape}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {layer} contains non-finite parameters")
-        self.flat = np.concatenate(
-            [np.ravel(t) for pair in zip(self.weights, self.biases) for t in pair]
-        ).astype(np.float64, copy=False)
+        self.flat, size = np.array(self.flat, dtype=np.float64), _param_count(self.arch)
+        if self.flat.shape != (size,):
+            raise ValueError(f"parameter vector has shape {self.flat.shape}, expected ({size},)")
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("non-finite parameters")
         self.weights, self.biases = _layer_views(self.arch, self.flat)
 
 
@@ -179,12 +177,12 @@ def init_params(arch, seed):
     projection; cosine similarity stays well-conditioned from step one.
     """
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fi, fo in arch.layer_dims():
-        limit = np.sqrt(6.0 / (fi + fo))
-        weights.append(rng.uniform(-limit, limit, size=(fi, fo)))
-        biases.append(rng.uniform(-limit, limit, size=fo))
-    return EncoderParams(arch, weights, biases)
+    flat = np.empty(_param_count(arch))
+    for w, b in zip(*_layer_views(arch, flat)):
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+        b[...] = rng.uniform(-limit, limit, size=b.shape)
+    return EncoderParams(arch, flat)
 
 
 def _forward_batch(params, X):
@@ -402,17 +400,10 @@ def train(ds, loss_cfg, train_cfg):
 # ---------------------------------------------------------------------------
 # checkpoint file: magic + u32 header length + JSON header + float32 LE blob
 
-def save_checkpoint(path, params, train_cfg=None):
-    """Write ``checkpoint_bytes(params, train_cfg)`` to ``path``."""
-    write_atomic(path, checkpoint_bytes(params, train_cfg))
-
-
-def checkpoint_bytes(params, train_cfg=None):
+def checkpoint_bytes(params, train_cfg):
     """The checkpoint file of ``params``; the header keeps ``train_cfg``,
     ADAM's constants included, and its seed."""
-    settings = None if train_cfg is None else {
-        **asdict(train_cfg), "beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS
-    }
+    settings = {**asdict(train_cfg), "beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS}
     header = {
         "format_version": 1,
         "architecture": {
@@ -422,7 +413,7 @@ def checkpoint_bytes(params, train_cfg=None):
             "proj_dim": params.arch.proj_dim,
         },
         "train_cfg": settings,
-        "seed": None if train_cfg is None else train_cfg.seed,
+        "seed": train_cfg.seed,
     }
     head = json.dumps(header, sort_keys=True).encode()
     blob = params.flat.astype("<f4").tobytes()
@@ -483,14 +474,13 @@ def load_checkpoint(path):
         )
     arch = _checkpoint_arch(path, header)
     blob_bytes = len(raw) - 8 - head_len
-    expected = 4 * sum(fi * fo + fo for fi, fo in arch.layer_dims())
+    expected = 4 * _param_count(arch)
     if blob_bytes != expected:
         raise FormatError(
             f"{path}: parameter blob size is {blob_bytes} bytes, expected {expected}"
         )
-    flat = np.frombuffer(raw, dtype="<f4", offset=8 + head_len).astype(np.float64)
     try:
-        return EncoderParams(arch, *_layer_views(arch, flat)), header
+        return EncoderParams(arch, np.frombuffer(raw, dtype="<f4", offset=8 + head_len)), header
     except ValueError as exc:
         raise FormatError(f"{path}: parameter blob: {exc}") from exc
 

@@ -3,7 +3,9 @@
 Layout: magic ``GCLE``, then little-endian u32 version (=1), u32 row count,
 u32 dim, then the float32 little-endian row-major payload. A sidecar
 ``<path>.meta.json`` carries one record per row with slice/patient/volume
-identity and depth index; ``slice_id`` is unique across rows.
+identity and depth index; ``slice_id`` is unique across rows. In memory
+that identity is the (n, 4) int64 table of ``RECORD_KEYS`` columns; it is
+JSON records only in a file, here and in a dataset's ``meta.json``.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import json_int_record, write_all_atomic
+from ._io import json_int, write_all_atomic
 from .errors import FormatError
 
 MAGIC = b"GCLE"
@@ -21,23 +23,41 @@ VERSION = 1
 RECORD_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
 
 
-def meta_rows_from_dataset(ds):
-    """One ``RECORD_KEYS`` dict of Python ints per row of ``ds.ids``."""
-    return [dict(zip(RECORD_KEYS, r)) for r in ds.ids.tolist()]
+def records_from_ids(ids):
+    """One ``RECORD_KEYS`` dict of Python ints per row of the table ``ids``."""
+    return [dict(zip(RECORD_KEYS, r)) for r in ids.tolist()]
 
 
-def write_gcle(path, matrix, meta_rows):
+def ids_from_records(path, records, where):
+    """The (n, 4) int64 table of the JSON records ``records``, the list
+    ``where`` in ``path``. A record that is not an object, lacks a key or
+    holds a non-integer is a FormatError naming the file, ``where[i]`` and
+    the key."""
+    ids = np.empty((len(records), len(RECORD_KEYS)), dtype=np.int64)
+    for i, r in enumerate(records):
+        if not isinstance(r, dict):
+            raise FormatError(f"{path}: {where}[{i}] must be a JSON object")
+        for key in RECORD_KEYS:
+            if key not in r:
+                raise FormatError(f"{path}: {where}[{i}] is missing key {key!r}")
+        ids[i] = [json_int(path, r[key], f"{where}[{i}].{key}") for key in RECORD_KEYS]
+    return ids
+
+
+def write_gcle(path, matrix, ids):
+    """Write ``matrix`` and its (n, 4) identity table ``ids`` as a GCLE
+    file and its sidecar."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise FormatError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
     if matrix.size and not np.all(np.isfinite(matrix)):
         raise FormatError("refusing to write non-finite embedding values")
     n, dim = matrix.shape
-    if len(meta_rows) != n:
-        raise FormatError(f"{len(meta_rows)} metadata rows for {n} matrix rows")
+    if len(ids) != n:
+        raise FormatError(f"{len(ids)} metadata rows for {n} matrix rows")
     payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
     header = MAGIC + struct.pack("<III", VERSION, n, dim)
-    meta = {"rows": [{k: int(r[k]) for k in RECORD_KEYS} for r in meta_rows]}
+    meta = {"rows": records_from_ids(ids)}
     # the file and its sidecar together: a failed write changes neither
     write_all_atomic([
         (path, header + payload),
@@ -46,10 +66,9 @@ def write_gcle(path, matrix, meta_rows):
 
 
 def read_gcle(path):
-    """Read an embedding file; returns (float32 matrix, metadata rows).
+    """Read an embedding file; returns (float32 matrix, (n, 4) int64 ids).
 
-    Each returned row holds exactly the four integer identity keys. A
-    malformed sidecar raises FormatError naming the sidecar, the row and
+    A malformed sidecar raises FormatError naming the sidecar, the row and
     the key.
     """
     raw = Path(path).read_bytes()
@@ -81,14 +100,10 @@ def read_gcle(path):
     if not isinstance(rows, list) or len(rows) != n:
         count = len(rows) if isinstance(rows, list) else "no"
         raise FormatError(f"{meta_path}: {count} metadata rows for {n} matrix rows")
-    records = []
+    ids = ids_from_records(meta_path, rows, "rows")
     seen = set()
-    for i, r in enumerate(rows):
-        record = json_int_record(meta_path, r, f"rows[{i}]", RECORD_KEYS)
-        if record["slice_id"] in seen:
-            raise FormatError(
-                f"{meta_path}: rows[{i}].slice_id {record['slice_id']} repeats an earlier row"
-            )
-        seen.add(record["slice_id"])
-        records.append(record)
-    return matrix, records
+    for i, sid in enumerate(ids[:, 0].tolist()):
+        if sid in seen:
+            raise FormatError(f"{meta_path}: rows[{i}].slice_id {sid} repeats an earlier row")
+        seen.add(sid)
+    return matrix, ids

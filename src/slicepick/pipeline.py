@@ -270,7 +270,7 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
             if strat.kind == "random":
                 new = [int(i) for i in order[len(selected):budget]]
             else:
-                k_center_greedy(space, state, budget - len(selected), cold_start_seed=cold_seed)
+                k_center_greedy(state, budget - len(selected), cold_start_seed=cold_seed)
                 new = [int(i) for i, _ in state.trace]
             selected = selected + new
             if learned is not None and learned is not state:

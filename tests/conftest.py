@@ -30,11 +30,8 @@ def make_dataset(vol_layout, pixel_rows, h=1, w=None):
     if w is None:
         w = len(pixel_rows[0])
     slices = [(pid, vid, t) for pid, vid, n in vol_layout for t in range(n)]
-    rows = [
-        dict(slice_id=sid, patient_id=pid, volume_id=vid, slice_index=t)
-        for sid, (pid, vid, t) in enumerate(slices)
-    ]
-    return DatasetIndex(rows, np.asarray(pixel_rows, dtype=np.float64), h, w)
+    ids = np.array([(sid, *s) for sid, s in enumerate(slices)], dtype=np.int64)
+    return DatasetIndex(ids, np.asarray(pixel_rows, dtype=np.float64), h, w)
 
 
 def uneven_dataset():
@@ -146,7 +143,7 @@ def ref_group_deviation(ds, grouping):
         vals = [pair_dev(i, j) for i, j in itertools.combinations(range(ds.n), 2)]
         return float(np.mean(vals)) if vals else None
     # the rows of each group, keyed by its id, read from the identity records
-    meta = gcle.meta_rows_from_dataset(ds)
+    meta = gcle.records_from_ids(ds.ids)
     key = "volume_id" if grouping == "adjacent" else f"{grouping}_id"
     groups = {}
     for i, r in enumerate(meta):
@@ -191,7 +188,7 @@ def ref_group_loss_from_batch(batch, group_type, tau):
 
 def plan_slice_ids(ds, plan):
     """An epoch plan's batches as lists of slice-id tuples."""
-    sids = [r["slice_id"] for r in gcle.meta_rows_from_dataset(ds)]
+    sids = [r["slice_id"] for r in gcle.records_from_ids(ds.ids)]
     return [[tuple(sids[row] for row in t) for t in batch] for batch in plan.batches.tolist()]
 
 
@@ -206,7 +203,7 @@ def simulate_build_epoch(ds, groups, batch_size, seed):
         return seq[int(rng.integers(len(seq)))]
 
     volumes, patients = {}, {}  # slice ids by depth; volume ids
-    for r in sorted(gcle.meta_rows_from_dataset(ds), key=lambda r: r["slice_index"]):
+    for r in sorted(gcle.records_from_ids(ds.ids), key=lambda r: r["slice_index"]):
         volumes.setdefault(r["volume_id"], []).append(r["slice_id"])
         patients.setdefault(r["patient_id"], set()).add(r["volume_id"])
 
@@ -259,7 +256,7 @@ def reference_train(ds, loss_cfg, train_cfg):
     builds its masks through a lone ``LossBatch`` and takes an out-of-place
     textbook ADAM step. Its augmentation, forward, loss and backward are
     the plain copies in ``reference_step``, not the package's."""
-    meta = gcle.meta_rows_from_dataset(ds)
+    meta = gcle.records_from_ids(ds.ids)
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
     groups = loss_cfg.enabled_groups
     if train_cfg.batch_size is None:

@@ -21,6 +21,7 @@ from conftest import (
 from slicepick import (
     LossConfig,
     RoundPlan,
+    SelectionState,
     StrategySpec,
     SynthSpec,
     TrainConfig,
@@ -194,7 +195,7 @@ def test_criterion_3_two_opt():
         initial = list(rng.choice(n, size=n_init, replace=False))
         k = min(k, n - n_init)
         greedy = k_center_greedy(
-            emb, initial, k, cold_start_seed=int(rng.integers(2 ** 31))
+            SelectionState(emb, initial), k, cold_start_seed=int(rng.integers(2 ** 31))
         )
         radius = cover_radius(emb, greedy.labeled)
         opt_radius, _ = brute_force_k_center(emb, initial, k)

@@ -136,12 +136,9 @@ class TestSelectInitial:
     def gcle_path(self, tmp_path):
         from slicepick import gcle
 
-        meta = [
-            {"slice_id": 10 + i, "patient_id": 0, "volume_id": 0, "slice_index": i}
-            for i in range(4)
-        ]
+        ids = np.array([(10 + i, 0, 0, i) for i in range(4)])
         path = tmp_path / "emb.gcle"
-        gcle.write_gcle(path, np.arange(8.0).reshape(4, 2), meta)
+        gcle.write_gcle(path, np.arange(8.0).reshape(4, 2), ids)
         return path
 
     def test_unknown_slice_id(self, gcle_path, capsys):
@@ -166,6 +163,18 @@ class TestSelectInitial:
         assert picks["10,,11,"] == picks["10,11"]
         assert json.loads(picks["10,11"])["slice_id"] == 13
 
+    @pytest.mark.parametrize("initial", ["10,10", "11,10,,11"])
+    def test_repeated_slice_id(self, gcle_path, capsys, initial):
+        # as name_list rejects a repeated name: never the picks of "10" alone
+        code, out, err = run(
+            capsys, "select", "--embeddings", str(gcle_path), "--budget", "1",
+            "--initial", initial,
+        )
+        assert code == 1
+        assert out == ""
+        slice_id = initial.split(",")[0]
+        assert err == f"error: --initial: slice id {slice_id} is repeated in {initial!r}\n"
+
     def test_non_integer_slice_id(self, gcle_path, capsys):
         code, out, err = run(
             capsys, "select", "--embeddings", str(gcle_path), "--budget", "1",
@@ -185,12 +194,9 @@ class TestMalformedSidecar:
     def gcle_path(self, tmp_path):
         from slicepick import gcle
 
-        meta = [
-            {"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
-            for i in range(3)
-        ]
+        ids = np.array([(i, 0, 0, i) for i in range(3)])
         path = tmp_path / "emb.gcle"
-        gcle.write_gcle(path, np.arange(6.0).reshape(3, 2), meta)
+        gcle.write_gcle(path, np.arange(6.0).reshape(3, 2), ids)
         return path
 
     def select_with_sidecar(self, capsys, gcle_path, doc):
@@ -431,10 +437,9 @@ class TestOutputFiles:
     def test_select(self, tmp_path, capsys, monkeypatch):
         from slicepick import cli as cli_mod, gcle
 
-        meta = [{"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
-                for i in range(3)]
         emb = tmp_path / "emb.gcle"
-        gcle.write_gcle(emb, np.arange(6.0).reshape(3, 2), meta)
+        ids = np.array([(i, 0, 0, i) for i in range(3)])
+        gcle.write_gcle(emb, np.arange(6.0).reshape(3, 2), ids)
         selected = []
         monkeypatch.setattr(cli_mod, "k_center_greedy", lambda *a, **k: selected.append(a))
         # an existing directory is no file path either
@@ -532,12 +537,9 @@ class TestSelectBudget:
     def gcle_path(self, tmp_path):
         from slicepick import gcle
 
-        meta = [
-            {"slice_id": i, "patient_id": 0, "volume_id": 0, "slice_index": i}
-            for i in range(3)
-        ]
+        ids = np.array([(i, 0, 0, i) for i in range(3)])
         path = tmp_path / "emb.gcle"
-        gcle.write_gcle(path, np.arange(6.0).reshape(3, 2), meta)
+        gcle.write_gcle(path, np.arange(6.0).reshape(3, 2), ids)
         return path
 
     @pytest.mark.parametrize("budget", ["-1", "4"])

@@ -78,47 +78,47 @@ class TestGreedy:
     line = np.array([[0.0], [1.0], [10.0]])
 
     def test_farthest_point_first(self):
-        state = k_center_greedy(self.line, [0], 1)
+        state = k_center_greedy(SelectionState(self.line, [0]), 1)
         assert [i for i, _ in state.trace] == [2]
         assert state.trace[0][1] == 10.0
 
     def test_two_picks(self):
-        state = k_center_greedy(self.line, [0], 2)
+        state = k_center_greedy(SelectionState(self.line, [0]), 2)
         assert [i for i, _ in state.trace] == [2, 1]
 
     def test_budget_too_large(self):
         with pytest.raises(ValueError):
-            k_center_greedy(self.line, [0], 3)
+            k_center_greedy(SelectionState(self.line, [0]), 3)
 
     @pytest.mark.parametrize("k", [-1, 3])
     def test_budget_outside_range_gives_range_and_value(self, k):
         with pytest.raises(ValueError) as info:
-            k_center_greedy(self.line, [0], k)
+            k_center_greedy(SelectionState(self.line, [0]), k)
         assert str(info.value) == (
             f"selection setting budget must lie in [0, 2] (the unlabeled rows), got {k}"
         )
 
     def test_cold_start_defaults_to_lowest_index(self):
-        state = k_center_greedy(self.line, [], 1)
+        state = k_center_greedy(SelectionState(self.line), 1)
         assert state.labeled == [0]
         assert np.isinf(state.trace[0][1])
 
     def test_cold_start_seeded(self):
         emb = np.random.default_rng(2).standard_normal((10, 2))
-        a = k_center_greedy(emb, [], 3, cold_start_seed=5)
-        b = k_center_greedy(emb, [], 3, cold_start_seed=5)
+        a = k_center_greedy(SelectionState(emb), 3, cold_start_seed=5)
+        b = k_center_greedy(SelectionState(emb), 3, cold_start_seed=5)
         assert a.labeled == b.labeled
 
     def test_trace_distances_non_increasing(self):
         emb = np.random.default_rng(3).standard_normal((30, 4))
-        state = k_center_greedy(emb, [0], 10)
+        state = k_center_greedy(SelectionState(emb, [0]), 10)
         dists = [d for _, d in state.trace]
         assert all(b <= a for a, b in zip(dists, dists[1:]))
 
     def test_radius_monotone_in_budget(self):
         emb = np.random.default_rng(4).standard_normal((25, 3))
         radii = [
-            cover_radius(emb, k_center_greedy(emb, [0], k).labeled)
+            cover_radius(emb, k_center_greedy(SelectionState(emb, [0]), k).labeled)
             for k in range(1, 10)
         ]
         assert all(b <= a for a, b in zip(radii, radii[1:]))
@@ -130,8 +130,8 @@ class TestGreedy:
             perm = rng.permutation(12)
             inv = np.empty(12, dtype=np.int64)
             inv[perm] = np.arange(12)
-            sel = k_center_greedy(emb, [3], 5).trace
-            sel_perm = k_center_greedy(emb[perm], [int(inv[3])], 5).trace
+            sel = k_center_greedy(SelectionState(emb, [3]), 5).trace
+            sel_perm = k_center_greedy(SelectionState(emb[perm], [int(inv[3])]), 5).trace
             assert [int(inv[i]) for i, _ in sel] == [i for i, _ in sel_perm]
 
     def test_rigid_motion_invariance(self):
@@ -139,8 +139,8 @@ class TestGreedy:
         emb = rng.standard_normal((15, 4))
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         moved = emb @ Q + rng.standard_normal(4)
-        a = [i for i, _ in k_center_greedy(emb, [2], 6).trace]
-        b = [i for i, _ in k_center_greedy(moved, [2], 6).trace]
+        a = [i for i, _ in k_center_greedy(SelectionState(emb, [2]), 6).trace]
+        b = [i for i, _ in k_center_greedy(SelectionState(moved, [2]), 6).trace]
         assert a == b
 
 
@@ -149,34 +149,34 @@ class TestGreedyContinuation:
 
     @pytest.mark.parametrize("initial", [[], [11, 5]])
     def test_continued_state_matches_list_seed(self, initial):
-        first = k_center_greedy(self.emb, initial, 4, cold_start_seed=1)
+        first = k_center_greedy(SelectionState(self.emb, initial), 4, cold_start_seed=1)
         labeled, trace = list(first.labeled), first.trace
-        cont = k_center_greedy(self.emb, first, 6, cold_start_seed=1)
-        seeded = k_center_greedy(self.emb, labeled, 6, cold_start_seed=1)
+        cont = k_center_greedy(first, 6, cold_start_seed=1)
+        seeded = k_center_greedy(SelectionState(self.emb, labeled), 6, cold_start_seed=1)
         assert cont.trace == seeded.trace
         assert np.array_equal(cont.min_dist, seeded.min_dist)
         assert cont.labeled == labeled + [i for i, _ in cont.trace]
-        whole = k_center_greedy(self.emb, initial, 10, cold_start_seed=1)
+        whole = k_center_greedy(SelectionState(self.emb, initial), 10, cold_start_seed=1)
         assert trace + cont.trace == whole.trace
 
     def test_chained_rounds_match_one_call(self):
-        state = k_center_greedy(self.emb, [], 0, cold_start_seed=7)
+        state = k_center_greedy(SelectionState(self.emb), 0, cold_start_seed=7)
         picks = []
         for k in (1, 0, 3, 5):
-            state = k_center_greedy(self.emb, state, k, cold_start_seed=7)
+            state = k_center_greedy(state, k, cold_start_seed=7)
             assert len(state.trace) == k
             picks += state.trace
-        assert picks == k_center_greedy(self.emb, [], 9, cold_start_seed=7).trace
+        assert picks == k_center_greedy(SelectionState(self.emb), 9, cold_start_seed=7).trace
         assert float(state.min_dist.max()) == cover_radius(self.emb, state.labeled)
 
     def test_passed_state_is_extended_in_place(self):
-        first = k_center_greedy(self.emb, [3], 2)
+        first = k_center_greedy(SelectionState(self.emb, [3]), 2)
         labeled, min_dist = list(first.labeled), first.min_dist
-        cont = k_center_greedy(self.emb, first, 4)
+        cont = k_center_greedy(first, 4)
         assert cont is first and cont.min_dist is min_dist
         assert len(cont.trace) == 4
         assert cont.labeled == labeled + [i for i, _ in cont.trace]
-        assert cont.trace == k_center_greedy(self.emb, labeled, 4).trace
+        assert cont.trace == k_center_greedy(SelectionState(self.emb, labeled), 4).trace
 
     def test_continuations_reuse_the_norms_and_float32_copy(self, monkeypatch):
         calls = {"_sq_norms": 0, "_as_f32": 0}
@@ -190,22 +190,18 @@ class TestGreedyContinuation:
             monkeypatch.setattr(_kernels, name, counted)
         state = SelectionState(self.emb)
         for k in (1, 3, 0, 5):
-            assert k_center_greedy(self.emb, state, k, cold_start_seed=2) is state
+            assert k_center_greedy(state, k, cold_start_seed=2) is state
         assert calls == {"_sq_norms": 1, "_as_f32": 1}
-        assert state.trace == k_center_greedy(self.emb, state.labeled[:4], 5).trace
-
-    def test_state_from_another_matrix_rejected(self):
-        state = k_center_greedy(self.emb[:10], [], 2)
-        with pytest.raises(ValueError):
-            k_center_greedy(self.emb, state, 1)
+        seeded = SelectionState(self.emb, state.labeled[:4])
+        assert state.trace == k_center_greedy(seeded, 5).trace
 
     def test_budget_counts_state_rows(self):
-        state = k_center_greedy(self.emb, [], 28)
+        state = k_center_greedy(SelectionState(self.emb), 28)
         with pytest.raises(ValueError):
-            k_center_greedy(self.emb, state, 3)
-        k_center_greedy(self.emb, state, 2)
+            k_center_greedy(state, 3)
+        k_center_greedy(state, 2)
         with pytest.raises(ValueError):
-            k_center_greedy(self.emb, state, 1)
+            k_center_greedy(state, 1)
 
 
 class TestBruteForce:
@@ -225,7 +221,7 @@ class TestBruteForce:
         # {0,1,2,3} with 0 labeled: greedy adds 3 and both radii are 1
         emb = np.arange(4, dtype=np.float64)[:, None]
         radius, _ = brute_force_k_center(emb, [0], 1)
-        greedy = k_center_greedy(emb, [0], 1)
+        greedy = k_center_greedy(SelectionState(emb, [0]), 1)
         assert cover_radius(emb, greedy.labeled) == radius == 1.0
 
     @pytest.mark.parametrize("k", [-1, 6])
@@ -261,7 +257,7 @@ class TestBruteForce:
             emb = rng.standard_normal((n, int(rng.integers(1, 4))))
             init = [] if rng.random() < 0.5 else [int(rng.integers(n))]
             k = min(k, n - len(init))
-            state = k_center_greedy(emb, init, k, cold_start_seed=0)
+            state = k_center_greedy(SelectionState(emb, init), k, cold_start_seed=0)
             opt, _ = brute_force_k_center(emb, init, k)
             assert cover_radius(emb, state.labeled) <= 2 * opt + 1e-12
 

@@ -15,13 +15,12 @@ from slicepick import (
     load_dataset,
     save_dataset,
 )
-from slicepick.gcle import RECORD_KEYS
 
 
 def identity_rows(*records):
-    """``gcle.RECORD_KEYS`` dicts from (slice_id, patient_id, volume_id,
+    """The int64 identity table of (slice_id, patient_id, volume_id,
     slice_index) tuples."""
-    return [dict(zip(RECORD_KEYS, r)) for r in records]
+    return np.array(records, dtype=np.int64)
 
 
 class TestDatasetIndex:
@@ -42,8 +41,28 @@ class TestDatasetIndex:
                 DatasetIndex(rows, np.zeros(shape), 1, 2)
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            DatasetIndex([], np.zeros((0, 2)), 1, 2)
+        with pytest.raises(InvalidSpecError, match="at least one slice"):
+            DatasetIndex(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 2)), 1, 2)
+
+    @pytest.mark.parametrize("ids", [
+        [dict(slice_id=0, patient_id=0, volume_id=0, slice_index=0)],
+        np.zeros((1, 3), dtype=np.int64),
+        np.zeros((1, 5), dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+        np.zeros((1, 4)),
+        np.zeros((1, 4), dtype=bool),
+        [],
+    ], ids=["records", "3-columns", "5-columns", "1-D", "float", "bool", "empty-list"])
+    def test_ids_other_than_an_integer_table_rejected(self, ids):
+        with pytest.raises(InvalidSpecError, match=r"expected an \(n, 4\) integer array"):
+            DatasetIndex(ids, np.zeros((1, 2)), 1, 2)
+
+    def test_ids_copied_as_read_only_int64(self):
+        ids = identity_rows((5, 0, 0, 0), (6, 0, 0, 1)).astype(np.int32)
+        ds = DatasetIndex(ids, np.zeros((2, 2)), 1, 2)
+        assert ds.ids.dtype == np.int64 and not ds.ids.flags.writeable
+        assert np.array_equal(ds.ids, ids) and not np.shares_memory(ds.ids, ids)
+        assert ids.flags.writeable
 
 
 class TestGenerateSynthetic:

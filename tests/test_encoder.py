@@ -19,9 +19,9 @@ from slicepick import (
     generate_synthetic,
     init_params,
     load_checkpoint,
-    save_checkpoint,
     train,
 )
+from slicepick._io import write_atomic
 from slicepick.checks import max_rel_err
 from slicepick.data import DatasetIndex
 from slicepick.encoder import (
@@ -34,8 +34,8 @@ from slicepick.encoder import (
     _forward_batch,
     _layer_views,
     augment_batch,
+    checkpoint_bytes,
 )
-from slicepick.gcle import meta_rows_from_dataset
 from slicepick.losses import LossBatch, combined_loss, loss_and_grad
 
 
@@ -65,20 +65,15 @@ def ref_forward(params, x):
 class TestForward:
     def test_zero_params_zero_outputs(self):
         arch = Architecture(input_dim=4, hidden=(3,), rep_dim=2, proj_dim=2)
-        params = EncoderParams(
-            arch,
-            [np.zeros(s) for s in ((4, 3), (3, 2), (2, 2))],
-            [np.zeros(s) for s in (3, 2, 2)],
-        )
+        params = EncoderParams(arch, np.zeros(4 * 3 + 3 + 3 * 2 + 2 + 2 * 2 + 2))
         rep, proj = forward(params, np.ones(4))
         assert np.all(rep == 0) and np.all(proj == 0)
 
     def test_identity_configuration(self):
         # no hidden layers, identity representation layer: rep == input
         arch = Architecture(input_dim=3, hidden=(), rep_dim=3, proj_dim=2)
-        params = EncoderParams(
-            arch, [np.eye(3), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)]
-        )
+        # W0 = I, then b0, W1 and b1 all zero
+        params = EncoderParams(arch, np.concatenate([np.eye(3).ravel(), np.zeros(3 + 6 + 2)]))
         x = np.array([0.1, -2.0, 5.0])
         rep, _ = forward(params, x)
         assert np.array_equal(rep, x)
@@ -245,21 +240,34 @@ class TestAugment:
 
 
 class TestFlatParams:
+    ARCH = Architecture(4, (3,), 2, 2)
+    SIZE = 4 * 3 + 3 + 3 * 2 + 2 + 2 * 2 + 2
+
     def test_layers_are_views_in_checkpoint_order(self):
-        arch = Architecture(4, (3,), 2, 2)
-        weights = [np.full(s, float(i)) for i, s in enumerate(((4, 3), (3, 2), (2, 2)))]
-        biases = [np.full(s, -float(i)) for i, s in enumerate((3, 2, 2))]
-        params = EncoderParams(arch, weights, biases)
-        expected = np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
+        flat = np.arange(self.SIZE, dtype=np.float32)
+        params = EncoderParams(self.ARCH, flat)
         assert params.flat.dtype == np.float64
-        assert np.array_equal(params.flat, expected)
-        weights[0][0, 0] = 99.0  # the constructor copied its inputs
+        assert np.array_equal(params.flat, flat)
+        shapes = [(4, 3), (3,), (3, 2), (2,), (2, 2), (2,)]
+        tensors = [t for pair in zip(params.weights, params.biases) for t in pair]
+        assert [t.shape for t in tensors] == shapes
+        assert np.array_equal(np.concatenate([t.ravel() for t in tensors]), flat)
+        flat[0] = 99.0  # the constructor copied its input
         assert params.weights[0][0, 0] == 0.0
         params.flat[0] = 7.0
         assert params.weights[0][0, 0] == 7.0
-        assert all(
-            np.shares_memory(t, params.flat) for t in params.weights + params.biases
-        )
+        assert all(np.shares_memory(t, params.flat) for t in tensors)
+
+    @pytest.mark.parametrize("flat,message", [
+        (np.zeros(SIZE - 1), r"shape \(28,\), expected \(29,\)"),
+        (np.zeros(SIZE + 1), r"shape \(30,\), expected \(29,\)"),
+        (np.zeros((SIZE, 1)), r"shape \(29, 1\), expected \(29,\)"),
+        (np.r_[np.zeros(SIZE - 1), np.nan], "non-finite"),
+        (np.r_[-np.inf, np.zeros(SIZE - 1)], "non-finite"),
+    ], ids=["short", "long", "2-D", "nan", "-inf"])
+    def test_malformed_vector_rejected(self, flat, message):
+        with pytest.raises(ValueError, match=message):
+            EncoderParams(self.ARCH, flat)
 
 
 class TestTraining:
@@ -357,21 +365,14 @@ class TestEmbedAll:
     def test_zero_params_zero_matrix(self):
         ds = TestTraining().small_ds()
         arch = Architecture(ds.h * ds.w, (2,), 2, 2)
-        params = EncoderParams(
-            arch,
-            [np.zeros(s) for s in ((ds.h * ds.w, 2), (2, 2), (2, 2))],
-            [np.zeros(2)] * 3,
-        )
+        params = EncoderParams(arch, np.zeros_like(init_params(arch, 0).flat))
         assert np.all(embed_all(params, ds) == 0)
 
     def test_permutation_equivariance(self):
         ds = TestTraining().small_ds()
         params = init_params(Architecture(ds.h * ds.w, (6,), 4, 3), 1)
         perm = np.random.default_rng(3).permutation(ds.n)
-        rows = meta_rows_from_dataset(ds)
-        permuted = DatasetIndex(
-            [rows[i] for i in perm], ds.pixel_matrix()[perm], ds.h, ds.w
-        )
+        permuted = DatasetIndex(ds.ids[perm], ds.pixel_matrix()[perm], ds.h, ds.w)
         assert np.array_equal(embed_all(params, permuted), embed_all(params, ds)[perm])
 
 
@@ -381,7 +382,7 @@ class TestCheckpoint:
         params = init_params(arch, 7)
         cfg = TrainConfig(epochs=1, seed=7)
         path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, params, cfg)
+        write_atomic(path, checkpoint_bytes(params, cfg))
         loaded, header = load_checkpoint(path)
         assert loaded.arch == arch
         assert header["seed"] == 7
@@ -400,7 +401,7 @@ class TestCheckpoint:
     def saved(self, tmp_path):
         path = tmp_path / "enc.ckpt"
         params = init_params(Architecture(input_dim=6, hidden=(5,), rep_dim=4, proj_dim=3), 7)
-        save_checkpoint(path, params, TrainConfig(epochs=1))
+        write_atomic(path, checkpoint_bytes(params, TrainConfig(epochs=1)))
         raw = path.read_bytes()
         head_len = int.from_bytes(raw[4:8], "little")
         return raw, head_len
@@ -429,6 +430,14 @@ class TestCheckpoint:
             with pytest.raises(FormatError) as exc:
                 load_checkpoint(path)
             assert str(path) in str(exc.value) and field in str(exc.value), (cut, exc.value)
+
+    def test_non_finite_blob_rejected(self, tmp_path):
+        raw, _ = self.saved(tmp_path)
+        path = tmp_path / "nan.ckpt"
+        path.write_bytes(raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="parameter blob: non-finite") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         raw, _ = self.saved(tmp_path)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from slicepick import _kernels
-from slicepick.data import DatasetIndex, group_deviation
+from slicepick.data import DatasetIndex, group_deviation, load_dataset, save_dataset
 from slicepick.pipeline import probe_accuracy
 
 N, P = 8192, 256
@@ -22,6 +22,12 @@ assert N // (_kernels._BLOCK // P) == 8
 @pytest.fixture(scope="module")
 def X():
     return np.random.default_rng(41).standard_normal((N, P))
+
+
+def dataset(X):
+    """``X`` as a dataset of patients of 4 volumes of 16 slices."""
+    i = np.arange(len(X))
+    return DatasetIndex(np.stack([i, i // 64, i // 16, i % 16], axis=1), X, 1, X.shape[1])
 
 
 def peak_bytes(fn, *args):
@@ -37,10 +43,17 @@ def peak_bytes(fn, *args):
 
 def test_group_deviation_holds_one_sorted_copy(X):
     # the sorted copy the statistic needs, and no normalized copy beside it
-    rows = (dict(slice_id=i, patient_id=i // 64, volume_id=i // 16, slice_index=i % 16)
-            for i in range(N))
-    ds = DatasetIndex(rows, X.copy(), 1, P)
+    ds = dataset(X.copy())
     assert peak_bytes(group_deviation, ds, "dataset") < 1.3 * X.nbytes
+
+
+def test_load_dataset_holds_one_matrix(X, tmp_path):
+    # data.bin is converted a row block at a time: no float32 copy of the
+    # file and no finiteness mask of the whole matrix beside it
+    save_dataset(dataset(X.copy()), np.zeros(N, dtype=np.int64), tmp_path)
+    assert peak_bytes(load_dataset, tmp_path) < 1.3 * X.nbytes
+    ds, _ = load_dataset(tmp_path)
+    assert ds.pixel_matrix().tobytes() == X.astype("<f4").astype(np.float64).tobytes()
 
 
 def test_probe_copies_only_the_labeled_rows(X):
@@ -102,8 +115,7 @@ def test_mapped_kernels_match_the_normalized_copy(kind, n):
 def test_one_infinity_throughout_is_nan():
     # hi == lo == -inf: every x - lo is nan, as it is wherever lo or hi is
     # infinite; the whole-matrix normalized copy held zeros here alone
-    rows = (dict(slice_id=i, patient_id=0, volume_id=0, slice_index=i) for i in range(3))
-    ds = DatasetIndex(rows, np.full((3, 2), -np.inf), 1, 2)
+    ds = DatasetIndex(np.array([(i, 0, 0, i) for i in range(3)]), np.full((3, 2), -np.inf), 1, 2)
     with np.errstate(invalid="ignore"):
         assert np.isnan(group_deviation(ds, "dataset"))
 

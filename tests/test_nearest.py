@@ -16,7 +16,7 @@ import pytest
 from slicepick import _kernels
 from slicepick.checks import brute_force_nearest as loop_nearest
 from slicepick.checks import full_pass_greedy
-from slicepick.coreset import k_center_greedy
+from slicepick.coreset import SelectionState, k_center_greedy
 from slicepick.pipeline import cover_probe_accuracy, probe_accuracy
 
 
@@ -42,9 +42,9 @@ def check_greedy(emb, initial, k, seed=None):
     """Picks and ``min_dist`` bytes as the full passes give them, and the
     nearest labeled rows as the loop gives them, after every round of a
     greedy that continues its own state."""
-    state = initial
+    state = SelectionState(emb, initial)
     for step in (k // 2, k - k // 2):
-        state = k_center_greedy(emb, state, step, cold_start_seed=seed)
+        state = k_center_greedy(state, step, cold_start_seed=seed)
         labeled = state.labeled
         n_init = len(labeled) - len(state.trace)
         trace, min_dist = full_pass_greedy(emb, labeled[:n_init], len(state.trace), seed)
@@ -108,7 +108,7 @@ def test_tie_goes_to_the_lower_row_whichever_is_picked_first(first, nearest):
     # row 1 is as far from row 0 as from row 2; the greedy picks the other
     # end second, so the lower row is once the later pick and once the earlier
     emb = np.array([[-1.0], [0.0], [1.0]])
-    state = k_center_greedy(emb, [first], 1)
+    state = k_center_greedy(SelectionState(emb, [first]), 1)
     assert [i for i, _ in state.trace] == [2 - first]
     assert state.nearest[1] == nearest
     assert np.array_equal(state.nearest, loop_nearest(emb, state.labeled))
@@ -178,9 +178,9 @@ def test_cover_probe_matches_the_loop_probe():
     rng = np.random.default_rng(38)
     emb = rng.integers(-3, 4, size=(70, 4)).astype(np.float64)
     labels = rng.integers(0, 3, size=70)
-    state = k_center_greedy(emb, [], 0)
+    state = k_center_greedy(SelectionState(emb), 0)
     for k in (1, 4, 10, 55):
-        state = k_center_greedy(emb, state, k - len(state.labeled), cold_start_seed=5)
+        state = k_center_greedy(state, k - len(state.labeled), cold_start_seed=5)
         nearest = scalar_nearest(emb, state.labeled)
         unlabeled = np.setdiff1d(np.arange(70), state.labeled)
         want = float(np.mean(labels[nearest[unlabeled]] == labels[unlabeled]))
@@ -191,6 +191,6 @@ def test_cover_probe_matches_the_loop_probe():
 def test_cover_probe_of_a_full_or_empty_state():
     emb = np.random.default_rng(39).standard_normal((5, 2))
     labels = np.array([0, 1, 0, 1, 1])
-    assert cover_probe_accuracy(k_center_greedy(emb, [], 5), labels) == 1.0
+    assert cover_probe_accuracy(k_center_greedy(SelectionState(emb), 5), labels) == 1.0
     with pytest.raises(ValueError, match="at least one labeled row"):
-        cover_probe_accuracy(k_center_greedy(emb, [], 0), labels)
+        cover_probe_accuracy(k_center_greedy(SelectionState(emb), 0), labels)

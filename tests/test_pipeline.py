@@ -15,7 +15,6 @@ from slicepick import (
     probe_accuracy,
     run_experiment,
 )
-from slicepick import gcle
 from slicepick.checks import brute_force_nearest
 
 # chi-square upper critical value, 19 dof, p = 0.001
@@ -145,7 +144,7 @@ class TestRunExperiment:
         ds, labels = small_experiment_ds()
         report = self.run_small()
         X = ds.pixel_matrix()
-        row_of = {r["slice_id"]: i for i, r in enumerate(gcle.meta_rows_from_dataset(ds))}
+        row_of = {sid: i for i, sid in enumerate(ds.ids[:, 0].tolist())}
         for e in report.entries:
             rows = [row_of[s] for s in e.selected]
             nearest = brute_force_nearest(X, rows)
@@ -185,7 +184,7 @@ class TestRunExperiment:
         report = run_experiment(ds, labels, strategies, plan)
         assert report.budgets == [1, 1, 7, 14]
         X = ds.pixel_matrix()
-        row_of = {r["slice_id"]: i for i, r in enumerate(gcle.meta_rows_from_dataset(ds))}
+        row_of = {sid: i for i, sid in enumerate(ds.ids[:, 0].tolist())}
         for e in report.entries:
             learned = dict(zip(["coreset_learned", "learned_b"], spaces[2 * e.repeat:]))
             space = {"random": None, "coreset_raw": X, **learned}[e.strategy]

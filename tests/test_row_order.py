@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, plan_slice_ids, reference_train, simulate_build_epoch
-from slicepick import DatasetIndex, TrainConfig, gcle, group_deviation, preset_loss_config
+from slicepick import DatasetIndex, TrainConfig, group_deviation, preset_loss_config
 from slicepick.data import GROUPINGS
 from slicepick.encoder import train
 from slicepick.sampler import build_epoch
@@ -34,9 +34,9 @@ def datasets():
     n = sum(k for _, _, k in layout)
     ds = make_dataset(layout, np.random.default_rng(3).standard_normal((n, 6)), h=2, w=3)
     perm = np.random.default_rng(4).permutation(n)
-    meta = gcle.meta_rows_from_dataset(ds)
-    rows = [dict(meta[i], slice_id=relabel(meta[i]["slice_id"])) for i in perm]
-    return ds, DatasetIndex(rows, ds.pixel_matrix()[perm], ds.h, ds.w)
+    ids = ds.ids[perm]
+    ids[:, 0] = relabel(ids[:, 0])
+    return ds, DatasetIndex(ids, ds.pixel_matrix()[perm], ds.h, ds.w)
 
 
 def mapped(batches):

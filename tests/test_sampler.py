@@ -24,7 +24,7 @@ from slicepick.sampler import _compose, build_epoch, default_batch_size, tuple_w
 
 def assert_plan_invariants(ds, plan, groups, expect_all_anchors=None):
     width = 1 + len(groups)
-    meta = gcle.meta_rows_from_dataset(ds)
+    meta = gcle.records_from_ids(ds.ids)
     volume_size = Counter(r["volume_id"] for r in meta)
     assert plan.batches.dtype == np.int64 and plan.batches.ndim == 3
     assert plan.groups == tuple(g for g in ("slice", "volume", "patient") if g in groups)

@@ -17,7 +17,7 @@ from slicepick.coreset import SelectionState, k_center_greedy
 
 
 def assert_same_as_full_passes(emb, initial, k, seed=None):
-    state = k_center_greedy(emb, initial, k, cold_start_seed=seed)
+    state = k_center_greedy(SelectionState(emb, initial), k, cold_start_seed=seed)
     trace, min_dist = full_pass_greedy(emb, initial, k, seed)
     assert state.trace == trace
     assert state.min_dist.tobytes() == min_dist.tobytes()
@@ -55,7 +55,7 @@ def test_property_matches_full_passes(n, p, seed, n_init, first, offset, scale):
     first = state.trace
     # continuing the state gives the picks of one longer call
     k2 = int(rng.integers(0, free - k1 + 1))
-    cont = k_center_greedy(emb, state, k2, cold_start_seed=seed)
+    cont = k_center_greedy(state, k2, cold_start_seed=seed)
     trace, min_dist = full_pass_greedy(emb, initial, k1 + k2, seed)
     assert first + cont.trace == trace
     assert cont.min_dist.tobytes() == min_dist.tobytes()
@@ -152,7 +152,7 @@ def test_cold_start_takes_one_full_pass(monkeypatch):
 
     monkeypatch.setattr(_kernels, "dist_to_row", counted)
     emb = np.random.default_rng(19).standard_normal((400, 16))
-    state = k_center_greedy(emb, [], 60, cold_start_seed=5)
+    state = k_center_greedy(SelectionState(emb), 60, cold_start_seed=5)
     # only the first center meets an all-inf cover; later picks are screened
     assert calls == [state.trace[0][0]]
 
@@ -161,11 +161,11 @@ def test_screened_state_continues_a_foreign_cover():
     # a state whose distances exceed any in the matrix still screens exactly
     rng = np.random.default_rng(20)
     emb = rng.standard_normal((30, 4))
-    state = k_center_greedy(emb, [0], 0)
+    state = k_center_greedy(SelectionState(emb, [0]), 0)
     state.min_dist[:] = 1e30
     state.min_dist[0] = 0.0
     min_dist = state.min_dist.copy()
-    got = k_center_greedy(emb, state, 5)
+    got = k_center_greedy(state, 5)
     labeled = [0]
     for idx, dist in got.trace:
         cand = np.where(np.isin(np.arange(30), labeled), -np.inf, min_dist)

@@ -5,8 +5,9 @@ layers.
 from their arguments and results, so renaming one of them, or changing what
 it returns, silently empties a per-layer metric of
 ``perfbench/run.py --trace 1``. This test loads the tracer read-only (no
-bytecode is written next to it) and runs a tiny training and embedding, and
-a tiny experiment, under it.
+bytecode is written next to it) and runs a tiny training and embedding, a
+tiny experiment, and the ``stats``, ``select`` and ``ablate`` commands under
+it.
 """
 
 import importlib.util
@@ -19,8 +20,10 @@ from slicepick import (
     RoundPlan,
     StrategySpec,
     TrainConfig,
+    cli,
     data,
     encoder,
+    gcle,
     pipeline,
     preset_loss_config,
     sampler,
@@ -99,4 +102,30 @@ def test_selection_counters_are_traced(tracer_module, tiny_ds):
     assert picks == 2 * report.budgets[-1]
     assert tracer.counts["coreset.picks"] == picks
     assert tracer.counts["pipeline.probe.queries"] > 0
+    assert tracer_module.leftovers() == []
+
+
+def test_commands_are_traced_and_restored(tracer_module, tiny_ds, tmp_path, capsys):
+    ds, labels = tiny_ds
+    data.save_dataset(ds, labels, tmp_path / "d")
+    gcle.write_gcle(tmp_path / "e.gcle", ds.pixel_matrix(), ds.ids)
+    commands = [
+        ["stats", "--data", str(tmp_path / "d")],
+        ["select", "--embeddings", str(tmp_path / "e.gcle"), "--budget", "3",
+         "--initial", "0"],
+        ["ablate", "--data", str(tmp_path / "d"), "--epochs", "1", "--hidden", "4",
+         "--rep-dim", "3", "--proj-dim", "2"],
+    ]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        tracer.restore()
+    assert codes == [0, 0, 0], capsys.readouterr().err
+    names = {span[1] for span in tracer.spans}
+    assert {
+        "coreset.k_center_greedy", "coreset.silhouette_score",
+        "kernels.all_pairs_mean_abs", "kernels.nn_indices",
+    } <= names
     assert tracer_module.leftovers() == []
