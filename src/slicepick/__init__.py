@@ -44,9 +44,6 @@ from .losses import (
     LossBatch,
     LossConfig,
     combined_loss,
-    group_loss,
-    loss_grad,
-    ntxent_loss,
     preset_loss_config,
     slice_positives_from_rows,
 )

@@ -22,12 +22,19 @@ def json_int(path, value, where):
     return value
 
 
-def check_output_file(flag, path):
-    """Raise SlicepickError naming ``flag`` and ``path`` unless ``path`` is
-    unset or a file path in an existing directory; a command checks each of
-    its output files before its work, so a bad path costs no run."""
-    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-        raise SlicepickError(f"{flag} {path}: not a file path in an existing directory")
+def check_output_files(outputs):
+    """Raise SlicepickError naming the flag and path unless each (flag, path)
+    of a command's outputs is unset or a file path in an existing directory,
+    or naming both when two resolve to one file, which only a pipe or device
+    takes both writes of; checked before the work, a bad path costs no run."""
+    named = {}  # resolved target -> (flag, path) of the first flag naming it
+    for flag, path in outputs:
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise SlicepickError(f"{flag} {path}: not a file path in an existing directory")
+        if path and not _written_directly(path):
+            first, first_path = named.setdefault(Path(path).resolve(), (flag, path))
+            if first != flag:
+                raise SlicepickError(f"{first} {first_path} and {flag} {path}: the same file")
 
 
 def check_output_dir(flag, path):
@@ -64,7 +71,7 @@ def write_all_atomic(outputs):
         for path, data in outputs:
             if isinstance(data, str):
                 data = data.encode()
-            if Path(path).exists() and not Path(path).is_file():
+            if _written_directly(path):
                 direct.append((path, data))
                 continue
             resolved = Path(path).resolve()  # through a symlink to its target, like a plain write
@@ -84,3 +91,8 @@ def write_all_atomic(outputs):
         if isinstance(exc, OSError) and exc.errno is not None:  # never the temporary file
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def _written_directly(path):
+    """Whether ``path`` exists but is no regular file (a pipe, a device)."""
+    return Path(path).exists() and not Path(path).is_file()

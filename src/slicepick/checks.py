@@ -20,7 +20,6 @@ from .losses import (
     LossStructure,
     combined_loss,
     loss_and_grad,
-    loss_grad,
     preset_loss_config,
     slice_positives_from_rows,
 )
@@ -37,12 +36,7 @@ def random_loss_batch(rng, n_pairs=4, dim=5, n_patients=2):
     pos = slice_positives_from_rows(
         np.tile(sid1, 2), np.tile(vid1, 2), np.tile(idx1, 2)
     )
-    return LossBatch(
-        z=z,
-        patient_ids=np.tile(pid1, 2),
-        volume_ids=np.tile(vid1, 2),
-        slice_positives=pos,
-    )
+    return LossBatch(z, LossStructure(np.tile(pid1, 2)[None], np.tile(vid1, 2)[None], pos[None]))
 
 
 def random_loss_epoch(rng, n_batches=4, n_pairs=4, n_patients=3):
@@ -99,7 +93,7 @@ def check_gradients(n_batches=5, seed=2024, tol=1e-6):
             volume=0.35,
             slice_group=0.1,
         )
-        worst = max(worst, max_rel_err(loss_grad(batch, cfg), fd_loss_grad(batch, cfg)))
+        worst = max(worst, max_rel_err(loss_and_grad(batch, cfg)[1], fd_loss_grad(batch, cfg)))
     return worst < tol, f"max rel err {worst:.3g} (tol {tol:g})"
 
 
@@ -147,9 +141,10 @@ def check_loss_tables(n_epochs=4, seed=2024):
     re-checked on this machine's numpy: the ufunc reductions give the bits
     of the wrappers and the loop they replace, on the step's shapes; and on
     seeded epochs, every batch evaluated through its epoch's structure gives
-    the bits of a lone ``LossBatch`` of the same ids, for every term subset
-    (the epochs hold a dead term, an anchor with no positive and an empty
-    denominator row, see ``random_loss_epoch``)."""
+    the bits of a lone batch, a ``LossStructure`` of B = 1 built from the
+    same ids with every term, for every term subset (the epochs hold a dead
+    term, an anchor with no positive and an empty denominator row, see
+    ``random_loss_epoch``)."""
     rng = np.random.default_rng(seed)
     for n in range(1, 13):
         fault = _reduction_faults(rng, n)
@@ -169,11 +164,8 @@ def check_loss_tables(n_epochs=4, seed=2024):
             structure = LossStructure(pid, vid, spos, cfg.terms)
             for b in range(5):
                 ours = loss_and_grad(LossBatch(z[b], structure=structure, index=b), cfg)
-                lone = loss_and_grad(
-                    LossBatch(z[b], patient_ids=pid[b], volume_ids=vid[b],
-                              slice_positives=spos[b]),
-                    cfg,
-                )
+                alone = LossStructure(pid[b][None], vid[b][None], spos[b][None])
+                lone = loss_and_grad(LossBatch(z[b], alone), cfg)
                 if ours[0] != lone[0] or not _same_bits(ours[1], lone[1]):
                     return False, f"epoch {e} batch {b}, terms {terms}: differs from a lone batch"
     return True, (f"ufunc reductions match their wrappers for 1-12 pairs; "

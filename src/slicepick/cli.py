@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, gcle
-from ._io import check_output_dir, check_output_file, write_all_atomic, write_atomic
+from ._io import check_output_dir, check_output_files, write_all_atomic, write_atomic
 from .coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
 from .data import (
     GROUPINGS,
@@ -285,9 +285,8 @@ def cmd_stats(args, cfg):
 
 
 def cmd_train_encoder(args, cfg):
-    for flag, path in (("--out", args.out), ("--history", args.history),
-                       ("--dump-epoch", args.dump_epoch)):
-        check_output_file(flag, path)
+    check_output_files([("--out", args.out), ("--history", args.history),
+                        ("--dump-epoch", args.dump_epoch)])
     ds, _ = load_dataset(args.data)
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
     _check_draws(args.data, ds, loss_cfg, train_cfg)
@@ -309,7 +308,7 @@ def cmd_train_encoder(args, cfg):
 
 
 def cmd_embed(args, cfg):
-    check_output_file("--out", args.out)
+    check_output_files([("--out", args.out)])
     ds, _ = load_dataset(args.data)
     params, _ = load_checkpoint(args.checkpoint)
     try:
@@ -322,7 +321,7 @@ def cmd_embed(args, cfg):
 
 
 def cmd_select(args, cfg):
-    check_output_file("--out", args.out)
+    check_output_files([("--out", args.out)])
     matrix, ids = gcle.read_gcle(args.embeddings)
     slice_ids = ids[:, 0].tolist()
     rows_by_id = {sid: i for i, sid in enumerate(slice_ids)}
@@ -393,7 +392,7 @@ def cmd_run_rounds(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    check_output_file("--out", args.out)
+    check_output_files([("--out", args.out)])
     ds, labels = load_dataset(args.data)
     X = ds.pixel_matrix()
     terms = cfg["groups"]

@@ -96,10 +96,6 @@ class DatasetIndex:
         self.patient_bounds = _read_only(_run_bounds(pid[self.order]))
         self.volume_bounds = _read_only(_run_bounds(vid[self.order]))
 
-    def __reduce__(self):
-        # the matrix and identity table cross a process boundary, no derived array
-        return DatasetIndex, (self.ids, self._pixels, self.h, self.w)
-
     @property
     def n(self):
         return len(self.ids)

@@ -12,22 +12,23 @@ Nothing but the embeddings changes from step to step, so a
 ``LossStructure`` builds the rest once for B batches: each term's positive
 and denominator masks, positive counts, active anchors and 1/(N*G) scale,
 after checking the ids and masks of all B. Training builds one per epoch
-from the batch plan; a lone ``LossBatch`` builds one of B = 1 from its own
-ids. On the first step under a ``LossConfig`` the structure also builds
-that config's loss tables: per batch, each group term's w = lambda * scale
-and w/tau as Python floats, the (w/tau) * positive count coefficients, and
-the gather indices of each term's loss sum. A step then computes the
-logits, makes one masked log-sum-exp over the stacked rows of every term
-(ntxent's 2N and each group term's N anchors), one compacted sum per
-term's loss, and every group term's gradient block in one stacked pass,
-added in term order by one axis-0 reduction.
+from the batch plan, a caller with one batch one of B = 1; a ``LossBatch``
+is always a batch of a structure. On the first step under a ``LossConfig``
+the structure also builds that config's loss tables: per batch, each group
+term's w = lambda * scale and w/tau as Python floats, the (w/tau) *
+positive count coefficients, and the gather indices of each term's loss
+sum. A step then computes the logits, makes one masked log-sum-exp over
+the stacked rows of every term (ntxent's 2N and each group term's N
+anchors), one compacted sum per term's loss, and every group term's
+gradient block in one stacked pass, added in term order by one axis-0
+reduction.
 
 All similarities are cosine; gradients are assembled as d(loss)/d(similarity)
 matrices and chained through the cosine normalization in closed form.
 A loss-setting fault is a ``SettingError`` naming ``tau``, a weight field,
 ``weights`` (no positive term) or ``groups`` (an unknown term).
-``loss_and_grad`` is the one evaluation: every other loss function returns
-a part of it.
+``loss_and_grad`` is the one evaluation; ``combined_loss`` returns its
+loss.
 """
 
 import math
@@ -146,12 +147,12 @@ class LossStructure:
     embeddings do not change, built once for all B.
 
     ``patient_ids`` and ``volume_ids`` are (B, 2N) id arrays and
-    ``slice_positives`` a (B, N, 2N) adjacency mask; the checks a
-    ``LossBatch`` promises (ids mirrored in the augmented half, mask shape
-    and type, no anchor its own positive) run here, over all B batches at
-    once. ``terms`` names the terms to build, "ntxent" and then group terms
-    in GROUP_LOSSES order; None builds ntxent and every group term whose ids
-    are given. For the k-th group term of ``groups`` this holds, per batch:
+    ``slice_positives`` a (B, N, 2N) adjacency mask; every check on them
+    (ids mirrored in the augmented half, mask shape and type, no anchor its
+    own positive) runs here, over all B batches at once. ``terms`` names the
+    terms to build, "ntxent" and then group terms in GROUP_LOSSES order;
+    None builds ntxent and every group term whose ids are given. For the
+    k-th group term of ``groups`` this holds, per batch:
 
     - ``pos[:, k]``: the (N, 2N) positives of each anchor, and ``pos_counts``
     - ``active``: the anchors with a positive
@@ -289,52 +290,29 @@ class _LossTables:
 
 @dataclass(frozen=True, eq=False)
 class LossBatch:
-    """Embeddings of one two-view batch plus its group structure.
+    """The embeddings of batch ``index`` of a ``LossStructure``.
 
-    A lone batch gives its ids: ``patient_ids`` and ``volume_ids`` of its 2N
-    rows and ``slice_positives`` (when the adjacent-slice loss is used), an
-    (N, 2N) boolean mask whose entry (i, j) is True when row j is another
-    view of anchor i's slice or a depth neighbor within the same volume. Its
-    ``structure`` is then a ``LossStructure`` of B = 1, which checks the ids,
-    and ``z`` must be finite. A training step instead passes its epoch's
-    ``structure`` and the batch's ``index`` in it, and has already tested
-    ``z`` for finiteness (``encoder.train`` raises ``TrainingDivergedError``),
-    so only the shape of ``z`` is checked per step.
-
-    ``z`` must be a (2N, e) matrix whose row count matches the structure's.
+    ``z`` must be a (2N, e) matrix with one row per row of the structure's
+    batches, and ``index`` one of its B batches. The structure has checked
+    the ids, and a training step has tested ``z`` for finiteness
+    (``encoder.train`` raises ``TrainingDivergedError``), so only the shape
+    of ``z`` and the index are checked per step. A caller with one batch
+    builds a structure of B = 1: ``LossStructure(pid[None], vid[None],
+    spos[None])``.
     """
 
     z: np.ndarray  # (2N, e) float64
-    patient_ids: np.ndarray = None  # (2N,)
-    volume_ids: np.ndarray = None  # (2N,) or None
-    slice_positives: np.ndarray = None  # (N, 2N) bool, or None
-    structure: LossStructure = None  # built from the ids when None
+    structure: LossStructure
     index: int = 0  # this batch's position in ``structure``
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
-        if z.ndim != 2 or z.shape[0] < 2 or z.shape[0] % 2:
-            raise ValueError("embeddings must be a (2N, e) matrix with N >= 1")
         object.__setattr__(self, "z", z)
-        n2 = z.shape[0]
-        if self.structure is None:
-            if not np.isfinite(z).all():
-                raise ValueError("embeddings contain non-finite values")
-            if self.patient_ids is None:
-                raise ValueError("a batch needs its patient_ids or a structure")
-            for name in ("patient_ids", "volume_ids"):
-                if getattr(self, name) is not None:
-                    ids = np.asarray(getattr(self, name), dtype=np.int64)
-                    if ids.shape != (n2,):
-                        raise ValueError(f"{name} must have one entry per row")
-                    object.__setattr__(self, name, ids)
-            if self.slice_positives is not None:
-                object.__setattr__(self, "slice_positives", np.asarray(self.slice_positives))
-            parts = (self.patient_ids, self.volume_ids, self.slice_positives)
-            structure = LossStructure(*(None if x is None else x[None] for x in parts))
-            object.__setattr__(self, "structure", structure)
-        elif self.structure.den.shape[2] != n2:
-            raise ValueError("embeddings must have one row per row of the batch structure")
+        n_batches, _, n2 = self.structure.den.shape
+        if z.ndim != 2 or z.shape[0] != n2:
+            raise ValueError("embeddings must be (2N, e), one row per row of the batch structure")
+        if not 0 <= self.index < n_batches:
+            raise ValueError(f"batch index {self.index} is not in [0, {n_batches})")
 
 
 def _check_mirrored(arr, name):
@@ -387,38 +365,14 @@ def _masked_log_denoms(neg):
     return log_denoms, np.divide(E, D[:, None], out=E)
 
 
-def ntxent_loss(batch, tau):
-    """Standard two-view contrastive loss: mean over all 2N rows of
-    -log softmax(sim with the paired view / tau) against every other row."""
-    return combined_loss(batch, LossConfig(tau=tau))
-
-
-def group_loss(batch, group_type, tau):
-    """Group contrastive loss for one group type.
-
-    Anchors are the N unaugmented rows. All other rows in the anchor's
-    group (across both views) are positives; the denominator keeps rows in
-    the same group or belonging to a different patient, so same-patient
-    rows outside the group exert no repulsion.
-    """
-    if group_type not in GROUP_LOSSES:
-        raise ValueError(f"unknown group type {group_type!r}")
-    weight = {_WEIGHT_FIELD[group_type]: 1.0}
-    return combined_loss(batch, LossConfig(tau=tau, ntxent=0.0, **weight))
-
-
 def combined_loss(batch, cfg):
     """Weighted sum of the enabled loss terms."""
     return loss_and_grad(batch, cfg)[0]
 
 
-def loss_grad(batch, cfg):
-    """Exact gradient of ``combined_loss`` with respect to every embedding."""
-    return loss_and_grad(batch, cfg)[1]
-
-
 def loss_and_grad(batch, cfg):
-    """``combined_loss`` and ``loss_grad`` from one evaluation.
+    """``combined_loss`` and its exact gradient with respect to every
+    embedding, from one evaluation.
 
     The weights, scales and gather indices come from the structure's tables
     for ``cfg``; the step computes the logits, one masked log-sum-exp over

@@ -1,15 +1,16 @@
 """Active-learning rounds: cumulative budgets, strategy dispatch, and a
 label-efficiency probe.
 
-Each repeat owns independent seed-derived RNG streams keyed by (plan seed,
-repeat, strategy name), so repeats can run in any number of worker
-processes with byte-identical results. The learned-metric strategy trains
-its encoder once per repeat on the full pool; selection then extends a
+A strategy is its kind, at most once in an experiment. Each repeat owns
+independent seed-derived RNG streams keyed by (plan seed, repeat, kind), so
+repeats can run in any number of worker processes with byte-identical
+results. The learned-metric strategy trains its encoder, the repeat's one
+learned space, once per repeat on the full pool; selection then extends a
 nested labeled set round by round. A selecting strategy builds one
 ``SelectionState`` per repeat, which the greedy extends in place each round.
-``delta_learned``, the selection's cover in the first learned space, is
-that same state when the strategy selects there, and otherwise a state of
-that space extended by each round's new rows. The probe is 1-nearest-neighbor
+``delta_learned``, the selection's cover in the learned space, is that
+same state when the strategy selects there, and otherwise a state of that
+space extended by each round's new rows. The probe is 1-nearest-neighbor
 classification in raw pixel space for every strategy, so the learned metric
 influences selection only, never evaluation. ``coreset_raw`` selects in that
 same space, so its state already holds each row's nearest labeled row and
@@ -64,15 +65,12 @@ class StrategySpec:
     kind: str
     loss: LossConfig = None
     train: TrainConfig = None
-    name: str = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise SettingError("strategy", self, "kind", f"be one of {', '.join(STRATEGY_KINDS)}")
         if self.kind == "coreset_learned" and self.loss is None:
             raise ValueError("coreset_learned requires a loss config")
-        if self.name is None:
-            object.__setattr__(self, "name", self.kind)
 
 
 @dataclass
@@ -220,50 +218,42 @@ def _unlabeled_rows(n, labeled):
     return np.flatnonzero(~mask)
 
 
-def _stream_seed(plan_seed, repeat, name, salt=0):
-    return np.random.SeedSequence([plan_seed, repeat, zlib.crc32(name.encode()), salt])
+def _stream_seed(plan_seed, repeat, kind, salt=0):
+    return np.random.SeedSequence([plan_seed, repeat, zlib.crc32(kind.encode()), salt])
 
 
 def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
     n = ds.n
-    # built here rather than passed in: ds already carries the pixels, and
-    # every argument is pickled into each worker's task
     X = ds.pixel_matrix()
     slice_ids = ds.ids[:, 0].tolist()
     entries = []
     train_seconds = {}
 
-    learned_spaces = {}
-    for strat in strategies:
-        if strat.kind != "coreset_learned":
-            continue
-        cfg = strat.train or TrainConfig()
-        seed = int(_stream_seed(plan.seed, repeat, strat.name, 1).generate_state(1)[0])
-        cfg = dataclasses.replace(cfg, seed=seed)
+    learned_space = None
+    learner = next((s for s in strategies if s.kind == "coreset_learned"), None)
+    if learner is not None:
+        seed = int(_stream_seed(plan.seed, repeat, learner.kind, 1).generate_state(1)[0])
+        cfg = dataclasses.replace(learner.train or TrainConfig(), seed=seed)
         t0 = time.perf_counter()
-        result = train(ds, strat.loss, cfg)
-        emb = embed_all(result.params, ds)
-        train_seconds[(strat.name, repeat)] = time.perf_counter() - t0
-        learned_spaces[strat.name] = emb
-    primary = next((s.name for s in strategies if s.name in learned_spaces), None)
+        result = train(ds, learner.loss, cfg)
+        learned_space = embed_all(result.params, ds)
+        train_seconds[(learner.kind, repeat)] = time.perf_counter() - t0
 
     for strat in strategies:
         # running covers, extended by each round's new rows only: the
-        # strategy's greedy state, and the selection's cover in the primary
-        # learned space, which is that same state when the strategy selects
-        # there
+        # strategy's greedy state, and the selection's cover in the learned
+        # space, which is that same state when the strategy selects there
         state = learned = None
         if strat.kind == "random":
-            rng = np.random.default_rng(_stream_seed(plan.seed, repeat, strat.name))
+            rng = np.random.default_rng(_stream_seed(plan.seed, repeat, strat.kind))
             order = rng.permutation(n)
         else:
-            space = X if strat.kind == "coreset_raw" else learned_spaces[strat.name]
-            state = SelectionState(space)
-            cold_seed = _stream_seed(plan.seed, repeat, strat.name, 2)
-        if strat.name == primary:
+            state = SelectionState(X if strat.kind == "coreset_raw" else learned_space)
+            cold_seed = _stream_seed(plan.seed, repeat, strat.kind, 2)
+        if strat.kind == "coreset_learned":
             learned = state
-        elif primary is not None:
-            learned = SelectionState(learned_spaces[primary])
+        elif learned_space is not None:
+            learned = SelectionState(learned_space)
         selected = []
         for round_index, budget in enumerate(budget_list):
             t0 = time.perf_counter()
@@ -280,7 +270,7 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
             else:
                 acc = probe_accuracy(X, selected, labels)
             entry = RoundEntry(
-                strategy=strat.name,
+                strategy=strat.kind,
                 repeat=repeat,
                 round_index=round_index,
                 fraction=plan.fractions[round_index],
@@ -295,13 +285,27 @@ def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
     return entries, train_seconds
 
 
+_worker_fn = None  # a forked worker's function, set by its pool's initializer
+
+
+def _set_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)
+
+
 def _map_in_processes(fn, items, workers):
     """``[fn(x) for x in items]`` on a pool of forked worker processes.
 
     Training is short Python-bound numpy calls, so threads would serialize
-    on the GIL; forked workers also start with every module imported. An
-    exception raised by ``fn`` reaches the caller unchanged; a worker that
-    dies becomes a SlicepickError.
+    on the GIL; forked workers also start with every module imported, and
+    inherit ``fn`` through the pool's initializer, so a task pickles only
+    its item, never what ``fn`` holds (a dataset). An exception raised by
+    ``fn`` reaches the caller unchanged; a worker that dies becomes a
+    SlicepickError.
     """
     # imported here, not at module level: multiprocessing adds ~20 ms to
     # every command's start-up, and only this path needs it
@@ -310,10 +314,11 @@ def _map_in_processes(fn, items, workers):
     from concurrent.futures.process import BrokenProcessPool
 
     pool = ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_fn, initargs=(fn,),
     )
     try:
-        return list(pool.map(fn, items))
+        return list(pool.map(_call_worker_fn, items))
     except BrokenProcessPool as exc:
         raise SlicepickError(f"a repeat worker process died: {exc}") from exc
     finally:
@@ -324,23 +329,23 @@ def _map_in_processes(fn, items, workers):
 def run_experiment(ds, labels, strategies, plan, threads=1):
     """Run every (strategy, repeat, round) cell; deterministic in plan.seed.
 
-    Repeats are independent; with ``threads > 1`` they run in up to that
-    many forked worker processes (never more than there are repeats).
-    Entries are assembled in (strategy, repeat, round) order regardless of
-    worker count.
+    ``strategies`` holds each kind at most once. Repeats are independent;
+    with ``threads > 1`` they run in up to that many forked worker processes
+    (never more than there are repeats). Entries are assembled in
+    (strategy, repeat, round) order regardless of worker count.
     """
     if threads < 1:
         raise SettingError("experiment", {"threads": threads}, "threads", "be >= 1")
     labels = np.asarray(labels)
     if labels.shape[0] != ds.n:
         raise ValueError("labels must align with the dataset slices")
-    names = [s.name for s in strategies]
-    if not names:
+    kinds = [s.kind for s in strategies]
+    if not kinds:
         raise SettingError(
-            "experiment", {"strategies": names}, "strategies", "hold at least one strategy"
+            "experiment", {"strategies": kinds}, "strategies", "hold at least one strategy"
         )
-    if len(set(names)) != len(names):
-        raise ValueError(f"strategy names must be unique, got {names}")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"strategy kinds must be unique, got {kinds}")
     budget_list = budgets(plan, ds.n)
 
     repeats = list(range(plan.n_repeats))
@@ -351,7 +356,7 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
     else:
         results = [run_repeat(r) for r in repeats]
 
-    order = {name: i for i, name in enumerate(names)}
+    order = {kind: i for i, kind in enumerate(kinds)}
     entries = [e for ents, _ in results for e in ents]
     entries.sort(key=lambda e: (order[e.strategy], e.repeat, e.round_index))
     train_seconds = {}
@@ -362,7 +367,7 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
         fractions=plan.fractions,
         budgets=budget_list,
         n_repeats=plan.n_repeats,
-        strategies=names,
+        strategies=kinds,
         entries=entries,
         train_seconds=train_seconds,
     )

@@ -8,7 +8,7 @@ import pytest
 from reference_step import augment_batch, backward_batch, forward_batch, loss_and_grad
 from slicepick import DatasetIndex, SynthSpec, encoder, gcle, generate_synthetic, sampler
 from slicepick.encoder import Architecture, epoch_seed, init_params
-from slicepick.losses import LossBatch, slice_positives_from_rows
+from slicepick.losses import LossBatch, LossStructure, slice_positives_from_rows
 
 
 @pytest.fixture
@@ -51,21 +51,26 @@ def two_patient_dataset():
     return generate_synthetic(spec)[0]
 
 
+def lone_batch(z, patient_ids, volume_ids=None, slice_positives=None):
+    """The ``LossBatch`` of one two-view batch: embeddings ``z`` in a
+    ``LossStructure`` of B = 1 built from the batch's (2N,) ids and its
+    (N, 2N) adjacency mask, those given."""
+    parts = (patient_ids, volume_ids, slice_positives)
+    structure = LossStructure(*(None if x is None else np.asarray(x)[None] for x in parts))
+    return LossBatch(z, structure)
+
+
 def random_structured_batch(rng, n_pairs, dim, n_patients=2, n_volumes=3):
-    """Random embeddings with random patient/volume/depth structure."""
+    """Random embeddings with random patient/volume/depth structure: the
+    batch and, beside it, its ids (patient ids, volume ids, adjacency mask)."""
     pid = rng.integers(0, n_patients, size=n_pairs)
     vid = pid * 10 + rng.integers(0, n_volumes, size=n_pairs)
     idx = rng.integers(0, 4, size=n_pairs)
     sid = np.arange(n_pairs)
     z = rng.standard_normal((2 * n_pairs, dim))
     pos = slice_positives_from_rows(np.tile(sid, 2), np.tile(vid, 2), np.tile(idx, 2))
-    batch = LossBatch(
-        z=z,
-        patient_ids=np.tile(pid, 2),
-        volume_ids=np.tile(vid, 2),
-        slice_positives=pos,
-    )
-    return batch
+    ids = (np.tile(pid, 2), np.tile(vid, 2), pos)
+    return lone_batch(z, *ids), ids
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +169,21 @@ def ref_group_deviation(ds, grouping):
     return float(np.mean(group_vals)) if group_vals else None
 
 
-def ref_group_loss_from_batch(batch, group_type, tau):
+def ref_group_loss_from_batch(batch, ids, group_type, tau):
+    """``ref_group_loss`` of a batch whose ids (patient ids, volume ids,
+    adjacency mask) are ``ids``."""
+    patient_ids, volume_ids, slice_positives = ids
     labels = None
     sets = None
     if group_type == "patient":
-        labels = list(batch.patient_ids)
+        labels = list(patient_ids)
     elif group_type == "volume":
-        labels = list(batch.volume_ids)
+        labels = list(volume_ids)
     else:
-        sets = [set(int(x) for x in np.flatnonzero(s)) for s in batch.slice_positives]
+        sets = [set(int(x) for x in np.flatnonzero(s)) for s in slice_positives]
     return ref_group_loss(
         [list(row) for row in batch.z],
-        list(batch.patient_ids),
+        list(patient_ids),
         tau,
         group_type,
         labels=labels,
@@ -253,9 +261,10 @@ def reference_train(ds, loss_cfg, train_cfg):
     """(flat parameters, epoch losses, steps taken) of the per-step loop
     that ``encoder.train`` replaced: each step looks its rows and ids up
     slice by slice, augments them into a new array and stacks both views,
-    builds its masks through a lone ``LossBatch`` and takes an out-of-place
-    textbook ADAM step. Its augmentation, forward, loss and backward are
-    the plain copies in ``reference_step``, not the package's."""
+    builds its masks through a ``LossStructure`` of its one batch
+    (``lone_batch``) and takes an out-of-place textbook ADAM step. Its
+    augmentation, forward, loss and backward are the plain copies in
+    ``reference_step``, not the package's."""
     meta = gcle.records_from_ids(ds.ids)
     row_of = {r["slice_id"]: i for i, r in enumerate(meta)}
     groups = loss_cfg.enabled_groups
@@ -284,9 +293,7 @@ def reference_train(ds, loss_cfg, train_cfg):
             slice_pos = None
             if loss_cfg.slice_group > 0:
                 slice_pos = slice_positives_from_rows(ids[0], ids[2], ids[3])
-            batch = LossBatch(z=proj, patient_ids=ids[1], volume_ids=ids[2],
-                              slice_positives=slice_pos)
-            loss, d_proj = loss_and_grad(batch, loss_cfg)
+            loss, d_proj = loss_and_grad(lone_batch(proj, ids[1], ids[2], slice_pos), loss_cfg)
             g_w, g_b = backward_batch(params, cache, d_proj)
             grad = np.concatenate([np.ravel(x) for p in zip(g_w, g_b) for x in p])
             t += 1

@@ -40,7 +40,7 @@ from slicepick.checks import fd_loss_grad, max_rel_err, validate_plan
 from slicepick.cli import main
 from slicepick.encoder import _backward_batch, _forward_batch, init_params
 from slicepick.encoder import Architecture
-from slicepick.losses import LossBatch, combined_loss, loss_and_grad, loss_grad
+from slicepick.losses import LossBatch, combined_loss, loss_and_grad
 from slicepick.sampler import build_epoch, default_batch_size, tuple_width
 
 REFERENCE_SPEC = SynthSpec(
@@ -75,7 +75,7 @@ def test_criterion_1_loss_correctness():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(200):
-        batch = random_structured_batch(
+        batch, ids = random_structured_batch(
             rng,
             n_pairs=int(rng.integers(2, 7)),
             dim=int(rng.integers(3, 8)),
@@ -93,9 +93,9 @@ def test_criterion_1_loss_correctness():
         z = [list(row) for row in batch.z]
         expected = (
             cfg.ntxent * ref_ntxent(z, tau)
-            + cfg.patient * ref_group_loss_from_batch(batch, "patient", tau)
-            + cfg.volume * ref_group_loss_from_batch(batch, "volume", tau)
-            + cfg.slice_group * ref_group_loss_from_batch(batch, "slice", tau)
+            + cfg.patient * ref_group_loss_from_batch(batch, ids, "patient", tau)
+            + cfg.volume * ref_group_loss_from_batch(batch, ids, "volume", tau)
+            + cfg.slice_group * ref_group_loss_from_batch(batch, ids, "slice", tau)
         )
         worst = max(worst, abs(combined_loss(batch, cfg) - expected))
     elapsed = time.perf_counter() - t0
@@ -109,7 +109,7 @@ def test_criterion_2_gradient_fidelity():
     rng = np.random.default_rng(202)
     worst_loss_grad = 0.0
     for _ in range(20):
-        batch = random_structured_batch(
+        batch, _ = random_structured_batch(
             rng, n_pairs=int(rng.integers(2, 7)), dim=int(rng.integers(3, 9))
         )
         cfg = LossConfig(
@@ -119,7 +119,7 @@ def test_criterion_2_gradient_fidelity():
             volume=float(rng.uniform(0.02, 0.5)),
             slice_group=float(rng.uniform(0.0, 0.3)),
         )
-        err = max_rel_err(loss_grad(batch, cfg), fd_loss_grad(batch, cfg))
+        err = max_rel_err(loss_and_grad(batch, cfg)[1], fd_loss_grad(batch, cfg))
         worst_loss_grad = max(worst_loss_grad, err)
     assert worst_loss_grad < 1e-4
 
@@ -132,32 +132,16 @@ def test_criterion_2_gradient_fidelity():
             proj_dim=3,
         )
         params = init_params(arch, int(rng.integers(2 ** 31)))
-        batch0 = random_structured_batch(rng, n_pairs=3, dim=arch.input_dim)
+        batch0, _ = random_structured_batch(rng, n_pairs=3, dim=arch.input_dim)
         X = batch0.z
         cfg = LossConfig(tau=0.5, ntxent=1.0, patient=0.05, volume=0.35, slice_group=0.1)
 
         def loss_of():
             _, proj, _ = _forward_batch(params, X)
-            return combined_loss(
-                LossBatch(
-                    z=proj,
-                    patient_ids=batch0.patient_ids,
-                    volume_ids=batch0.volume_ids,
-                    slice_positives=batch0.slice_positives,
-                ),
-                cfg,
-            )
+            return combined_loss(LossBatch(proj, batch0.structure), cfg)
 
         _, proj, cache = _forward_batch(params, X)
-        _, dz = loss_and_grad(
-            LossBatch(
-                z=proj,
-                patient_ids=batch0.patient_ids,
-                volume_ids=batch0.volume_ids,
-                slice_positives=batch0.slice_positives,
-            ),
-            cfg,
-        )
+        _, dz = loss_and_grad(LossBatch(proj, batch0.structure), cfg)
         g_w, g_b = _backward_batch(params, cache, dz)
         h = 1e-5
         for li in range(len(params.weights)):
@@ -178,7 +162,7 @@ def test_criterion_2_gradient_fidelity():
     assert elapsed < 120
     report(
         2,
-        f"grad fidelity: loss_grad {worst_loss_grad:.2e}, "
+        f"grad fidelity: loss gradient {worst_loss_grad:.2e}, "
         f"backprop {worst_backprop:.2e} (tol 1e-4, {elapsed:.1f}s)",
     )
 

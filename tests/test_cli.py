@@ -338,6 +338,27 @@ class TestOutputFiles:
         self.assert_refused(capsys, tmp_path, argv, flag, paths[flag])
         assert trained == []
 
+    @pytest.mark.parametrize("first,second", [("--out", "--history"), ("--out", "--dump-epoch"),
+                                              ("--history", "--dump-epoch")])
+    @pytest.mark.parametrize("spelling", ["out.ckpt", "./out.ckpt"])
+    def test_train_encoder_outputs_naming_one_file(self, data_dir, tmp_path, capsys, monkeypatch,
+                                                   first, second, spelling):
+        # both would be staged and renamed onto one file, keeping the last
+        from slicepick import cli as cli_mod
+
+        trained = []
+        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: trained.append(a))
+        monkeypatch.chdir(tmp_path)
+        argv = ["train-encoder", "--data", str(data_dir), "--epochs", "1",
+                first, "out.ckpt", second, spelling]
+        if first != "--out":
+            argv += ["--out", "other.ckpt"]
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {first} out.ckpt and {second} {spelling}: the same file\n"
+        assert trained == [] and sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("before", [None, "old\n"], ids=["new-files", "old-files"])
     def test_train_encoder_writes_all_outputs_or_none(self, data_dir, tmp_path, capsys,
                                                       monkeypatch, before):

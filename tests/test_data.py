@@ -189,17 +189,6 @@ class TestPixelMatrix:
         save_dataset(ds, labels, tmp_path / "d")
         self.assert_one_matrix(load_dataset(tmp_path / "d")[0])
 
-    def test_pickled_as_one_matrix(self):
-        import pickle
-
-        ds, _ = generate_synthetic(SynthSpec(3, 2, 4, h=8, w=8, seed=5))
-        copy = pickle.loads(pickle.dumps(ds))
-        self.assert_one_matrix(copy)
-        assert np.array_equal(copy.pixel_matrix(), ds.pixel_matrix())
-        for name in ("ids", "order", "patient_bounds", "volume_bounds"):
-            assert np.array_equal(getattr(copy, name), getattr(ds, name))
-        assert len(pickle.dumps(ds)) < 1.5 * ds.pixel_matrix().nbytes
-
     def test_takes_over_a_float64_matrix(self):
         X = np.arange(6.0).reshape(3, 2)
         ds = DatasetIndex(identity_rows((0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 0)), X, 1, 2)

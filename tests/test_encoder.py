@@ -105,32 +105,16 @@ class TestBackprop:
         rng = np.random.default_rng(11)
         arch = Architecture(input_dim=6, hidden=hidden, rep_dim=4, proj_dim=3)
         params = init_params(arch, 17)
-        batch0 = random_structured_batch(rng, n_pairs=4, dim=6)
+        batch0, _ = random_structured_batch(rng, n_pairs=4, dim=6)
         X = batch0.z  # reuse the random rows as network inputs
         cfg = LossConfig(tau=0.5, ntxent=1.0, patient=0.05, volume=0.35, slice_group=0.1)
 
         def loss_of():
             _, proj, _ = _forward_batch(params, X)
-            return combined_loss(
-                LossBatch(
-                    z=proj,
-                    patient_ids=batch0.patient_ids,
-                    volume_ids=batch0.volume_ids,
-                    slice_positives=batch0.slice_positives,
-                ),
-                cfg,
-            )
+            return combined_loss(LossBatch(proj, batch0.structure), cfg)
 
         _, proj, cache = _forward_batch(params, X)
-        _, dz = loss_and_grad(
-            LossBatch(
-                z=proj,
-                patient_ids=batch0.patient_ids,
-                volume_ids=batch0.volume_ids,
-                slice_positives=batch0.slice_positives,
-            ),
-            cfg,
-        )
+        _, dz = loss_and_grad(LossBatch(proj, batch0.structure), cfg)
         g_w, g_b = _backward_batch(params, cache, dz)
         h = 1e-5
         worst = 0.0

@@ -1,9 +1,11 @@
 import os
+import re
 import threading
 
 import pytest
 
-from slicepick._io import write_all_atomic, write_atomic
+from slicepick._io import check_output_files, write_all_atomic, write_atomic
+from slicepick.errors import SlicepickError
 
 
 def test_writes_bytes_and_text(tmp_path):
@@ -63,6 +65,18 @@ def test_writes_into_a_pipe_without_replacing_it(tmp_path):
     assert not reader.is_alive()
     assert received == [b"through the pipe"]
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_two_outputs_may_name_one_pipe_but_not_one_file(tmp_path):
+    # a pipe takes both writes; a file would keep only the last
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    check_output_files([("--history", fifo), ("--dump-epoch", fifo)])
+    real, link = tmp_path / "real", tmp_path / "link"
+    link.symlink_to(real)
+    message = f"--out {real} and --history {link}: the same file"
+    with pytest.raises(SlicepickError, match=re.escape(message)):
+        check_output_files([("--out", real), ("--history", link)])
 
 
 def test_outputs_written_together_or_not_at_all(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    lone_batch,
     random_structured_batch,
     ref_cosine,
     ref_group_loss_from_batch,
@@ -14,12 +15,11 @@ from slicepick.checks import fd_loss_grad, max_rel_err
 from slicepick.losses import (
     LossBatch,
     LossConfig,
+    LossStructure,
     NORM_EPS,
     _unit_rows,
     combined_loss,
-    group_loss,
-    loss_grad,
-    ntxent_loss,
+    loss_and_grad,
     preset_loss_config,
     slice_positives_from_rows,
 )
@@ -28,12 +28,19 @@ from slicepick.losses import (
 def pair_batch(z_pairs, pid_pairs, vid_pairs=None, slice_pos=None):
     """Batch from per-pair data: augmented rows mirror the originals."""
     z = np.vstack([z_pairs, z_pairs]) if isinstance(z_pairs, np.ndarray) else z_pairs
-    return LossBatch(
-        z=z,
-        patient_ids=np.tile(pid_pairs, 2),
-        volume_ids=None if vid_pairs is None else np.tile(vid_pairs, 2),
-        slice_positives=slice_pos,
-    )
+    vid = None if vid_pairs is None else np.tile(vid_pairs, 2)
+    return lone_batch(z, np.tile(pid_pairs, 2), vid, slice_pos)
+
+
+def ntxent_only(batch, tau):
+    """The standard two-view loss alone: mean over all 2N rows of
+    -log softmax(sim with the paired view / tau) against every other row."""
+    return combined_loss(batch, preset_loss_config({"ntxent"}, tau))
+
+
+def group_only(batch, group_type, tau):
+    """One group loss alone, of weight 1."""
+    return combined_loss(batch, preset_loss_config({group_type}, tau))
 
 
 def cosine_sim(a, b):
@@ -67,15 +74,15 @@ class TestCosine:
 class TestNtxent:
     def test_single_pair_is_zero(self):
         z = np.array([[1.0, 2.0], [0.3, -1.0]])
-        batch = LossBatch(z=z, patient_ids=[0, 0])
-        assert ntxent_loss(batch, tau=1.0) == pytest.approx(0.0, abs=1e-12)
+        batch = lone_batch(z, [0, 0])
+        assert ntxent_only(batch, tau=1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value_orthogonal_cross_pairs(self):
         # identical positives, orthogonal cross pairs: -log(e / (e + 2))
         z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        batch = LossBatch(z=z, patient_ids=[0, 1, 0, 1])
+        batch = lone_batch(z, [0, 1, 0, 1])
         expected = -math.log(math.e / (math.e + 2.0))
-        assert ntxent_loss(batch, tau=1.0) == pytest.approx(expected, abs=1e-12)
+        assert ntxent_only(batch, tau=1.0) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.5514, abs=1e-4)
 
     def test_matches_bruteforce(self):
@@ -83,15 +90,15 @@ class TestNtxent:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             z = rng.standard_normal((2 * n, int(rng.integers(2, 7))))
-            batch = LossBatch(z=z, patient_ids=np.tile(rng.integers(0, 3, n), 2))
+            batch = lone_batch(z, np.tile(rng.integers(0, 3, n), 2))
             tau = float(rng.choice([0.1, 0.5, 1.0]))
-            assert ntxent_loss(batch, tau) == pytest.approx(
+            assert ntxent_only(batch, tau) == pytest.approx(
                 ref_ntxent([list(r) for r in z], tau), abs=1e-10
             )
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            LossBatch(z=np.zeros((0, 3)), patient_ids=[])
+            lone_batch(np.zeros((0, 3)), [])
 
 
 class TestGroupLoss:
@@ -101,27 +108,27 @@ class TestGroupLoss:
         rng = np.random.default_rng(2)
         z = rng.standard_normal((3, 4))
         batch = pair_batch(z, pid_pairs=[7, 7, 7], vid_pairs=[0, 1, 2])
-        assert group_loss(batch, "volume", tau=0.5) == pytest.approx(0.0, abs=1e-12)
+        assert group_only(batch, "volume", tau=0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_unit_vectors_hand_value(self):
         # two same-group same-patient slices, all four rows the same unit
         # vector: every log term is -log(e/(3e)) = log 3; six terms scale
         # by 1/(N*G) = 1/4
         z = np.tile(np.array([[0.6, 0.8]]), (4, 1))
-        batch = LossBatch(z=z, patient_ids=[0, 0, 0, 0], volume_ids=[5, 5, 5, 5])
+        batch = lone_batch(z, [0, 0, 0, 0], [5, 5, 5, 5])
         expected = 6 * math.log(3.0) / 4
-        assert group_loss(batch, "volume", tau=1.0) == pytest.approx(expected, abs=1e-12)
+        assert group_only(batch, "volume", tau=1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_bruteforce_all_group_types(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
-            batch = random_structured_batch(
+            batch, ids = random_structured_batch(
                 rng, n_pairs=int(rng.integers(2, 6)), dim=int(rng.integers(2, 7))
             )
             tau = float(rng.choice([0.1, 0.5, 1.0]))
             for group_type in ("patient", "volume", "slice"):
-                assert group_loss(batch, group_type, tau) == pytest.approx(
-                    ref_group_loss_from_batch(batch, group_type, tau), abs=1e-10
+                assert group_only(batch, group_type, tau) == pytest.approx(
+                    ref_group_loss_from_batch(batch, ids, group_type, tau), abs=1e-10
                 )
 
     def test_patient_exclusion_shrinks_loss(self):
@@ -133,27 +140,25 @@ class TestGroupLoss:
             z = rng.standard_normal((2 * n, 4))
             pid = np.tile(rng.integers(0, 2, n), 2)
             vid = np.tile(rng.integers(0, 3, n), 2)
-            batch = LossBatch(z=z, patient_ids=pid, volume_ids=vid)
+            batch = lone_batch(z, pid, vid)
             # variant without exclusion: every row is its own patient
-            no_excl = LossBatch(
-                z=z, patient_ids=np.tile(np.arange(n), 2), volume_ids=vid
-            )
-            assert group_loss(batch, "volume", 0.5) <= group_loss(no_excl, "volume", 0.5) + 1e-12
+            no_excl = lone_batch(z, np.tile(np.arange(n), 2), vid)
+            assert group_only(batch, "volume", 0.5) <= group_only(no_excl, "volume", 0.5) + 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            batch = random_structured_batch(rng, n_pairs=int(rng.integers(2, 6)), dim=4)
+            batch, _ = random_structured_batch(rng, n_pairs=int(rng.integers(2, 6)), dim=4)
             for group_type in ("patient", "volume", "slice"):
-                assert group_loss(batch, group_type, 0.2) >= -1e-12
+                assert group_only(batch, group_type, 0.2) >= -1e-12
 
     def test_missing_labels_rejected(self):
         z = np.ones((4, 3))
-        batch = LossBatch(z=z, patient_ids=[0, 1, 0, 1])
+        batch = lone_batch(z, [0, 1, 0, 1])
         with pytest.raises(ValueError):
-            group_loss(batch, "volume", 0.5)
+            group_only(batch, "volume", 0.5)
         with pytest.raises(ValueError):
-            group_loss(batch, "slice", 0.5)
+            group_only(batch, "slice", 0.5)
 
 
 @settings(deadline=None, max_examples=25)
@@ -162,17 +167,10 @@ def test_pair_permutation_invariance(seed, n):
     # permuting the N view-pairs (rows and labels together) leaves every
     # loss unchanged
     rng = np.random.default_rng(seed)
-    batch = random_structured_batch(rng, n_pairs=n, dim=4)
+    batch, (pid, vid, spos) = random_structured_batch(rng, n_pairs=n, dim=4)
     perm = rng.permutation(n)
     full = np.concatenate([perm, perm + n])
-    z = batch.z[full]
-    pos = batch.slice_positives[np.ix_(perm, full)]
-    permuted = LossBatch(
-        z=z,
-        patient_ids=batch.patient_ids[full],
-        volume_ids=batch.volume_ids[full],
-        slice_positives=pos,
-    )
+    permuted = lone_batch(batch.z[full], pid[full], vid[full], spos[np.ix_(perm, full)])
     cfg = LossConfig(tau=0.3, ntxent=1.0, patient=0.2, volume=0.4, slice_group=0.1)
     assert combined_loss(permuted, cfg) == pytest.approx(
         combined_loss(batch, cfg), rel=1e-10, abs=1e-12
@@ -182,27 +180,27 @@ def test_pair_permutation_invariance(seed, n):
 class TestCombined:
     def test_ntxent_only_reduction(self):
         rng = np.random.default_rng(6)
-        batch = random_structured_batch(rng, n_pairs=3, dim=5)
+        batch, _ = random_structured_batch(rng, n_pairs=3, dim=5)
         cfg = LossConfig(tau=0.7, ntxent=1.0, patient=0, volume=0, slice_group=0)
         assert combined_loss(batch, cfg) == pytest.approx(
-            ntxent_loss(batch, 0.7), abs=1e-12
+            ntxent_only(batch, 0.7), abs=1e-12
         )
 
     def test_weighted_sum_of_terms(self):
         rng = np.random.default_rng(7)
-        batch = random_structured_batch(rng, n_pairs=4, dim=5)
+        batch, _ = random_structured_batch(rng, n_pairs=4, dim=5)
         tau = 0.1
         cfg = LossConfig(tau=tau, ntxent=1.0, patient=0.05, volume=0.35, slice_group=0)
         expected = (
-            ntxent_loss(batch, tau)
-            + 0.05 * group_loss(batch, "patient", tau)
-            + 0.35 * group_loss(batch, "volume", tau)
+            ntxent_only(batch, tau)
+            + 0.05 * group_only(batch, "patient", tau)
+            + 0.35 * group_only(batch, "volume", tau)
         )
         assert combined_loss(batch, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_linear_in_group_weights(self):
         rng = np.random.default_rng(8)
-        batch = random_structured_batch(rng, n_pairs=3, dim=4)
+        batch, _ = random_structured_batch(rng, n_pairs=3, dim=4)
         base = LossConfig(tau=0.5, ntxent=0, patient=0.1, volume=0.2, slice_group=0.3)
         scaled = LossConfig(tau=0.5, ntxent=0, patient=0.3, volume=0.6, slice_group=0.9)
         assert combined_loss(batch, scaled) == pytest.approx(
@@ -227,93 +225,79 @@ class TestCombined:
 class TestLossGrad:
     def test_single_pair_identical_rows_zero_grad(self):
         z = np.array([[0.3, 0.4], [0.3, 0.4]])
-        batch = LossBatch(z=z, patient_ids=[0, 0])
+        batch = lone_batch(z, [0, 0])
         cfg = LossConfig(tau=1.0, ntxent=1.0, patient=0, volume=0, slice_group=0)
-        assert np.allclose(loss_grad(batch, cfg), 0.0, atol=1e-12)
+        assert np.allclose(loss_and_grad(batch, cfg)[1], 0.0, atol=1e-12)
 
     def test_finite_differences_random_batches(self):
         rng = np.random.default_rng(9)
         for _ in range(6):
-            batch = random_structured_batch(
+            batch, _ = random_structured_batch(
                 rng, n_pairs=int(rng.integers(2, 5)), dim=int(rng.integers(3, 6))
             )
             cfg = LossConfig(
                 tau=float(rng.choice([0.1, 0.5, 1.0])),
                 ntxent=1.0, patient=0.05, volume=0.35, slice_group=0.1,
             )
-            err = max_rel_err(loss_grad(batch, cfg), fd_loss_grad(batch, cfg))
+            err = max_rel_err(loss_and_grad(batch, cfg)[1], fd_loss_grad(batch, cfg))
             assert err < 1e-6
 
     def test_temperature_change_tracks_finite_differences(self):
         rng = np.random.default_rng(10)
-        batch = random_structured_batch(rng, n_pairs=3, dim=4)
+        batch, _ = random_structured_batch(rng, n_pairs=3, dim=4)
         for tau in (0.25, 0.5):
             cfg = LossConfig(tau=tau, ntxent=1.0, patient=0.2, volume=0.2, slice_group=0.2)
-            err = max_rel_err(loss_grad(batch, cfg), fd_loss_grad(batch, cfg))
+            err = max_rel_err(loss_and_grad(batch, cfg)[1], fd_loss_grad(batch, cfg))
             assert err < 1e-6
 
 
 class TestLossBatchValidation:
+    """A one-batch ``LossStructure`` checks its batch's ids and mask."""
+
     def batch_parts(self):
         rng = np.random.default_rng(12)
-        batch = random_structured_batch(rng, n_pairs=3, dim=4)
-        return dict(
-            z=batch.z,
-            patient_ids=batch.patient_ids,
-            volume_ids=batch.volume_ids,
-            slice_positives=batch.slice_positives,
-        )
+        _, ids = random_structured_batch(rng, n_pairs=3, dim=4)
+        keys = ("patient_ids", "volume_ids", "slice_positives")
+        return {key: x[None] for key, x in zip(keys, ids)}
 
     def test_well_formed_batch_accepted(self):
-        batch = LossBatch(**self.batch_parts())
-        assert batch.slice_positives.shape == (3, 6)
+        batch = LossBatch(np.ones((6, 4)), LossStructure(**self.batch_parts()))
+        assert batch.structure.groups == ("patient", "volume", "slice")
+        assert batch.structure.pos.shape == (1, 3, 3, 6)
 
     @pytest.mark.parametrize("shape", [(3, 3), (6, 6), (2, 6), (3, 6, 1)])
     def test_wrong_shape_mask(self, shape):
         parts = self.batch_parts()
-        parts["slice_positives"] = np.zeros(shape, dtype=bool)
+        parts["slice_positives"] = np.zeros((1, *shape), dtype=bool)
         with pytest.raises(ValueError, match=r"\(N, 2N\) boolean mask"):
-            LossBatch(**parts)
+            LossStructure(**parts)
 
     def test_index_sets_are_not_a_mask(self):
         parts = self.batch_parts()
-        parts["slice_positives"] = np.ones((3, 6), dtype=np.int64)
+        parts["slice_positives"] = np.ones((1, 3, 6), dtype=np.int64)
         with pytest.raises(ValueError, match="boolean mask"):
-            LossBatch(**parts)
+            LossStructure(**parts)
 
     @pytest.mark.parametrize("anchor", [0, 2])
     def test_anchor_on_its_own_diagonal(self, anchor):
         parts = self.batch_parts()
-        pos = parts["slice_positives"].copy()
-        pos[anchor, anchor] = True
-        parts["slice_positives"] = pos
+        parts["slice_positives"][0, anchor, anchor] = True
         with pytest.raises(ValueError, match="its own positive"):
-            LossBatch(**parts)
+            LossStructure(**parts)
 
     def test_own_view_is_not_the_diagonal(self):
         parts = self.batch_parts()
-        pos = np.zeros((3, 6), dtype=bool)
-        pos[np.arange(3), np.arange(3) + 3] = True
+        pos = np.zeros((1, 3, 6), dtype=bool)
+        pos[0, np.arange(3), np.arange(3) + 3] = True
         parts["slice_positives"] = pos
-        assert LossBatch(**parts).slice_positives[0, 3]
+        assert LossStructure(**parts).pos[0, 2, 0, 3]
 
     @pytest.mark.parametrize("key", ["patient_ids", "volume_ids"])
     def test_non_mirrored_ids(self, key):
         parts = self.batch_parts()
-        ids = parts[key].copy()
-        ids[4] = ids[1] + 100
-        parts[key] = ids
+        parts[key][0, 4] = parts[key][0, 1] + 100
         with pytest.raises(ValueError, match=f"{key} of augmented rows must mirror"):
-            LossBatch(**parts)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_z(self, value):
-        parts = self.batch_parts()
-        z = parts["z"].copy()
-        z[5, 1] = value
-        parts["z"] = z
-        with pytest.raises(ValueError, match="non-finite"):
-            LossBatch(**parts)
+            LossStructure(**parts)
 
     @pytest.mark.parametrize("key,term", [("volume_ids", "volume"),
                                           ("slice_positives", "slice_group")])
@@ -323,7 +307,7 @@ class TestLossBatchValidation:
         cfg = LossConfig(tau=0.5, ntxent=0.0, **{term: 1.0})
         name = term.replace("_group", "")
         with pytest.raises(ValueError, match=rf"loss terms \['{name}'\]"):
-            combined_loss(LossBatch(**parts), cfg)
+            combined_loss(LossBatch(np.ones((6, 4)), LossStructure(**parts)), cfg)
 
 
 class TestSlicePositives:

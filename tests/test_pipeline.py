@@ -160,7 +160,7 @@ class TestRunExperiment:
 
     def test_deltas_equal_cover_radius_recomputed(self, monkeypatch):
         # the running covers must give exactly what cover_radius gives from
-        # scratch, for every strategy kind and a second learned strategy
+        # scratch, for every strategy kind
         from slicepick import cover_radius, pipeline
 
         spaces = []
@@ -172,28 +172,22 @@ class TestRunExperiment:
 
         monkeypatch.setattr(pipeline, "embed_all", recording_embed_all)
         ds, labels = small_experiment_ds()
-        second = StrategySpec(
-            "coreset_learned",
-            loss=LossConfig(tau=0.5, ntxent=1.0, patient=0, volume=0, slice_group=0),
-            train=TrainConfig(epochs=1, hidden=(6,), rep_dim=3, proj_dim=2),
-            name="learned_b",
-        )
-        strategies = [StrategySpec("random"), StrategySpec("coreset_raw"),
-                      learned_strategy(), second]
+        strategies = [StrategySpec("random"), StrategySpec("coreset_raw"), learned_strategy()]
         plan = RoundPlan(fractions=(0.05, 0.06, 0.3, 0.6), n_repeats=2, seed=3)
         report = run_experiment(ds, labels, strategies, plan)
         assert report.budgets == [1, 1, 7, 14]
         X = ds.pixel_matrix()
         row_of = {sid: i for i, sid in enumerate(ds.ids[:, 0].tolist())}
+        assert len(spaces) == plan.n_repeats
         for e in report.entries:
-            learned = dict(zip(["coreset_learned", "learned_b"], spaces[2 * e.repeat:]))
-            space = {"random": None, "coreset_raw": X, **learned}[e.strategy]
+            learned = spaces[e.repeat]
+            space = {"random": None, "coreset_raw": X, "coreset_learned": learned}[e.strategy]
             rows = [row_of[s] for s in e.selected]
             if space is None:
                 assert e.delta is None
             else:
                 assert e.delta == cover_radius(space, rows)
-            assert e.delta_learned == cover_radius(learned["coreset_learned"], rows)
+            assert e.delta_learned == cover_radius(learned, rows)
 
     def test_json_excludes_wall_time(self):
         report = self.run_small()
@@ -269,11 +263,16 @@ class TestRepeatWorkers:
     def test_pool_never_exceeds_repeat_count(self, monkeypatch):
         import concurrent.futures
 
+        from slicepick import pipeline
+
         asked = []
+        # the inline pool runs its initializer here, in the test's process
+        monkeypatch.setattr(pipeline, "_worker_fn", None)
 
         class InlinePool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
                 asked.append((max_workers, mp_context.get_start_method()))
+                initializer(*initargs)
 
             def map(self, fn, items):
                 return map(fn, items)
@@ -288,6 +287,31 @@ class TestRepeatWorkers:
         assert asked == [(2, "fork")]
         serial = run_experiment(ds, labels, self.strategies(), plan, threads=1)
         assert pooled.to_json() == serial.to_json()
+
+    def test_a_task_pickles_only_its_repeat_number(self, monkeypatch):
+        # forked workers inherit the dataset; at 32 x 32 pixels its matrix
+        # is 256 KB, which a task carrying it would exceed
+        from multiprocessing.reduction import ForkingPickler
+
+        ds, labels = generate_synthetic(SynthSpec(
+            n_patients=4, volumes_per_patient=2, slices_per_volume=4, h=32, w=32, seed=6,
+        ))
+        assert ds.pixel_matrix().nbytes >= 256 * 1024
+        sizes = []
+        dumps = ForkingPickler.dumps
+
+        def counted_dumps(obj, protocol=None):
+            data = dumps(obj, protocol)
+            sizes.append(len(data))
+            return data
+
+        strategies = [StrategySpec("random"), StrategySpec("coreset_raw")]
+        plan = RoundPlan(fractions=(0.1, 0.5), n_repeats=2, seed=2)
+        with monkeypatch.context() as m:
+            m.setattr(ForkingPickler, "dumps", staticmethod(counted_dumps))
+            pooled = run_experiment(ds, labels, strategies, plan, threads=2)
+        assert sizes and max(sizes) < 4096
+        assert pooled.to_json() == run_experiment(ds, labels, strategies, plan).to_json()
 
     def test_single_repeat_runs_without_a_pool(self, monkeypatch):
         import concurrent.futures

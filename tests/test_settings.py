@@ -226,9 +226,8 @@ def test_rejected_setting_names_its_flag_or_config_line(
     assert not out.exists()
 
 
-# fields no config key sets: whole settings objects, a strategy's name, and
-# select's own --budget
-_UNSET_FIELDS = {"augment", "loss", "train", "name", "budget"}
+# fields no config key sets: whole settings objects and select's own --budget
+_UNSET_FIELDS = {"augment", "loss", "train", "budget"}
 # fields a SettingError names outside any settings object
 _OWNER_FIELDS = {"groups", "weights", "batch_size", "threads", "budget", "seed", "strategies"}
 

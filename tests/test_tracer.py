@@ -6,8 +6,8 @@ from their arguments and results, so renaming one of them, or changing what
 it returns, silently empties a per-layer metric of
 ``perfbench/run.py --trace 1``. This test loads the tracer read-only (no
 bytecode is written next to it) and runs a tiny training and embedding, a
-tiny experiment, and the ``stats``, ``select`` and ``ablate`` commands under
-it.
+tiny experiment, serial and on two worker processes, and the ``stats``,
+``select`` and ``ablate`` commands under it.
 """
 
 import importlib.util
@@ -102,6 +102,29 @@ def test_selection_counters_are_traced(tracer_module, tiny_ds):
     assert picks == 2 * report.budgets[-1]
     assert tracer.counts["coreset.picks"] == picks
     assert tracer.counts["pipeline.probe.queries"] > 0
+    assert tracer_module.leftovers() == []
+
+
+def test_a_two_worker_experiment_is_traced_and_restored(tracer_module, tiny_ds):
+    # the repeats run in forked workers, whose spans stay there; the
+    # report must be the untraced serial run's
+    ds, labels = tiny_ds
+    learned = StrategySpec(
+        "coreset_learned",
+        loss=preset_loss_config({"ntxent", "patient", "volume"}),
+        train=TrainConfig(epochs=1, hidden=(4,), rep_dim=3, proj_dim=2),
+    )
+    strategies = [StrategySpec("random"), StrategySpec("coreset_raw"), learned]
+    plan = RoundPlan(fractions=(0.25, 0.5), n_repeats=2, seed=3)
+    serial = pipeline.run_experiment(ds, labels, strategies, plan)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        pooled = pipeline.run_experiment(ds, labels, strategies, plan, threads=2)
+    finally:
+        tracer.restore()
+    assert pooled.to_json() == serial.to_json()
+    assert "pipeline.run_experiment" in {span[1] for span in tracer.spans}
     assert tracer_module.leftovers() == []
 
 

@@ -2,12 +2,12 @@
 
 ``conftest.reference_train`` is that loop: each step looks its rows up
 slice by slice, augments them into a new array and stacks both views,
-builds its masks through a lone ``LossBatch`` and takes an out-of-place
-textbook ADAM step, with the plain augmentation, forward, loss and
-backward of ``reference_step``. ``train`` fills buffers allocated once per
-run, builds the masks once per epoch as one ``LossStructure`` whose loss
-tables are built on the first step, and updates ADAM in place; both must
-give the same parameters and epoch losses. The outside tracer of
+builds its masks through a ``LossStructure`` of its one batch and takes
+an out-of-place textbook ADAM step, with the plain augmentation, forward,
+loss and backward of ``reference_step``. ``train`` fills buffers allocated
+once per run, builds the masks once per epoch as one ``LossStructure``
+whose loss tables are built on the first step, and updates ADAM in place;
+both must give the same parameters and epoch losses. The outside tracer of
 ``perfbench`` wraps ``encoder``'s globals, so the tests also count that
 ``train`` looks each of them up once per epoch or step.
 """
@@ -96,8 +96,7 @@ def test_epoch_structure_matches_lone_batches():
         structure = LossStructure(pid, vid, spos, cfg.terms)
         for b in range(4):
             z = rng.standard_normal((2 * n, 3))
-            lone = LossBatch(z=z, patient_ids=pid[b], volume_ids=vid[b],
-                             slice_positives=spos[b])
+            lone = LossBatch(z, LossStructure(pid[b][None], vid[b][None], spos[b][None]))
             loss, grad = loss_and_grad(LossBatch(z=z, structure=structure, index=b), cfg)
             lone_loss, lone_grad = loss_and_grad(lone, cfg)
             assert loss == lone_loss and np.array_equal(grad, lone_grad)
@@ -163,6 +162,10 @@ def test_step_batch_must_fit_its_structure():
     structure = LossStructure(pid, vid)
     with pytest.raises(ValueError, match="one row per row of the batch structure"):
         LossBatch(z=np.ones((4, 2)), structure=structure, index=1)
+    # a batch of the structure, counted from 0: neither from the end nor past it
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=rf"batch index {index} is not in \[0, 2\)"):
+            LossBatch(z=np.ones((6, 2)), structure=structure, index=index)
 
 
 def test_traced_names_looked_up_once_per_epoch_or_step(monkeypatch, tiny_ds):
