@@ -5,7 +5,6 @@ from ._kernels import BACKEND
 from .coreset import (
     SelectionState,
     brute_force_k_center,
-    cover_radius,
     k_center_greedy,
     kmeans_labels,
     silhouette_score,
@@ -50,10 +49,10 @@ from .losses import (
 from .pipeline import (
     RoundPlan,
     RoundReport,
-    StrategySpec,
     budgets,
     cover_probe_accuracy,
     probe_accuracy,
+    run_ablation,
     run_experiment,
 )
 from .sampler import EpochPlan, build_epoch, default_batch_size, tuple_width

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _kernels
-from .coreset import SelectionState, brute_force_k_center, cover_radius, k_center_greedy
+from .coreset import SelectionState, brute_force_k_center, k_center_greedy
 from .data import SynthSpec, generate_synthetic
 from .errors import SamplerError
 from .losses import (
@@ -191,6 +191,14 @@ def check_two_opt(n_instances=30, seed=2024):
             return False, f"greedy radius {radius} > 0 while optimum is 0"
     ok = worst_ratio <= 2.0 + 1e-9
     return ok, f"worst greedy/optimal ratio {worst_ratio:.4f} (bound 2)"
+
+
+def cover_radius(emb, labeled):
+    """Largest distance from any row to its nearest labeled row: the oracle
+    for the screened cover, ``full_pass_greedy``'s full passes with k = 0."""
+    if len(labeled) == 0:
+        raise ValueError("cover radius of an empty labeled set is undefined")
+    return float(full_pass_greedy(emb, labeled, 0)[1].max())
 
 
 def full_pass_greedy(emb, initial, k, cold_start_seed=None):

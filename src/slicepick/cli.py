@@ -4,10 +4,13 @@ Configuration is a flat key=value file plus per-flag overrides; every
 default is printable via ``slicepick --print-config``. A key's flag and
 its config line share ``CONFIG``'s one named cast; a flag beats the file.
 The CLI checks nothing but its parsing: each value's owner (a settings
-object, the sampler for every training before the first, the experiment,
-the greedy) checks it, and ``main``, the one place that reports a
-``SettingError``, names the rejected value's flag, or its
-``<config path>: <key>``. Every command takes ``--config`` before or
+object, the sampler for every training before the first, the experiment
+and its strategy names, the greedy) checks it, and ``main``, the one place
+that reports a ``SettingError``, names the rejected value's flag, or its
+``<config path>: <key>``. A config file sets each key at most once.
+``run-rounds`` and ``ablate`` only build settings, call ``pipeline``
+(``run_experiment``, ``run_ablation``) and format what it returns; neither
+trains, selects or probes itself. Every command takes ``--config`` before or
 after its name, and reads and checks the file before it runs. All
 randomness is driven by explicit seeds (never the wall clock), so re-running
 a command overwrites its outputs with identical bytes. Exit codes:
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import checks, gcle
 from ._io import check_output_dir, check_output_files, write_all_atomic, write_atomic
-from .coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
+from .coreset import SelectionState, k_center_greedy
 from .data import (
     GROUPINGS,
     SynthSpec,
@@ -44,15 +47,7 @@ from .encoder import (
 )
 from .errors import FormatError, SamplerError, SettingError, SlicepickError, UndefinedStatisticError
 from .losses import GROUP_LOSSES, preset_loss_config
-from .pipeline import (
-    DEFAULT_FRACTIONS,
-    RoundPlan,
-    StrategySpec,
-    budgets,
-    cover_probe_accuracy,
-    probe_accuracy,
-    run_experiment,
-)
+from .pipeline import DEFAULT_FRACTIONS, RoundPlan, run_ablation, run_experiment
 from .sampler import epoch_batch_size
 
 
@@ -121,7 +116,7 @@ CONFIG = {
 _FIELD_KEYS = {
     "learning_rate": ("lr",), "n_repeats": ("repeats",), "n_patients": ("patients",),
     "h": ("height",), "w": ("width",), "class_count": ("classes",),
-    "scale_jitter": ("scale_lo", "scale_hi"), "kind": ("strategies",),
+    "scale_jitter": ("scale_lo", "scale_hi"),
     "patient": ("w_patient",), "volume": ("w_volume",), "slice_group": ("w_slice",),
     "ntxent": ("groups",), "weights": ("groups", "w_patient", "w_volume", "w_slice"),
 }
@@ -147,7 +142,7 @@ def _read_config_file(path):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SlicepickError(f"{path}: not UTF-8 text: {exc}") from None
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -158,6 +153,9 @@ def _read_config_file(path):
         key, raw = key.strip(), raw.strip()
         if key not in CONFIG:
             raise SlicepickError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise SlicepickError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = CONFIG[key][1](raw)
         except argparse.ArgumentTypeError as exc:
@@ -369,15 +367,11 @@ def cmd_run_rounds(args, cfg):
         fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
     )
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
-    strategies = [
-        StrategySpec(kind, loss=loss_cfg, train=train_cfg)
-        if kind == "coreset_learned"
-        else StrategySpec(kind)
-        for kind in cfg["strategies"]
-    ]
     if "coreset_learned" in cfg["strategies"]:
         _check_draws(args.data, ds, loss_cfg, train_cfg)
-    report = run_experiment(ds, labels, strategies, plan, threads=cfg["threads"])
+    report = run_experiment(
+        ds, labels, cfg["strategies"], plan, loss_cfg, train_cfg, threads=cfg["threads"]
+    )
     out.mkdir(parents=True, exist_ok=True)
     write_all_atomic([(out / "report.json", report.to_json()),
                       (out / "summary.csv", report.summary_csv())])
@@ -394,7 +388,6 @@ def cmd_run_rounds(args, cfg):
 def cmd_ablate(args, cfg):
     check_output_files([("--out", args.out)])
     ds, labels = load_dataset(args.data)
-    X = ds.pixel_matrix()
     terms = cfg["groups"]
     _loss_config(cfg)  # rejects a weight for a term outside --groups
     # every subset's LossConfig is built, and so checked, before any training
@@ -407,28 +400,13 @@ def cmd_ablate(args, cfg):
     # so are their draws, the full set first: its companion pools are every subset's
     for _, loss_cfg in reversed(runs[1:]):
         _check_draws(args.data, ds, loss_cfg, train_cfg)
-    plan = RoundPlan(fractions=(args.fraction,), seed=cfg["seed"])
-    budget = budgets(plan, ds.n)[0]
-    n_volumes = len(ds.volume_bounds) - 1
+    results = run_ablation(
+        ds, labels, [loss_cfg for _, loss_cfg in runs], train_cfg, args.fraction, cfg["seed"]
+    )
     rows = ["terms,ntxent,patient,volume,slice,silhouette,probe_accuracy,delta"]
-    for name, loss_cfg in runs:
-        if loss_cfg is None:
-            space, weights = X, (0.0, 0.0, 0.0, 0.0)
-        else:
-            result = train(ds, loss_cfg, train_cfg)
-            space, weights = embed_all(result.params, ds), loss_cfg.weights
-        state = k_center_greedy(SelectionState(space), budget, cold_start_seed=cfg["seed"])
-        if loss_cfg is None:  # selected in the probe's space: read its cover
-            acc = cover_probe_accuracy(state, labels)
-        else:
-            acc = probe_accuracy(X, state.labeled, labels)
-        delta = float(state.min_dist.max())
-        del state  # no row's cover outlives its row
-        sil_text = ""  # undefined: one volume, or k-means finds one cluster
-        if n_volumes >= 2:
-            clusters = kmeans_labels(space, n_volumes, cfg["seed"])
-            if np.unique(clusters).size >= 2:
-                sil_text = repr(silhouette_score(space, clusters))
+    for (name, loss_cfg), (silhouette, acc, delta) in zip(runs, results):
+        weights = (0.0, 0.0, 0.0, 0.0) if loss_cfg is None else loss_cfg.weights
+        sil_text = "" if silhouette is None else repr(silhouette)
         rows.append(
             f"{name},{weights[0]!r},{weights[1]!r},{weights[2]!r},{weights[3]!r},"
             f"{sil_text},{acc!r},{delta!r}"

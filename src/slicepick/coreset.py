@@ -1,5 +1,5 @@
-"""K-center greedy selection, exhaustive k-center oracle, cover radius,
-and clustering quality metrics over an embedding matrix.
+"""K-center greedy selection, exhaustive k-center oracle, and clustering
+quality metrics over an embedding matrix.
 
 Greedy selection repeatedly takes the point farthest from the current
 centers, which 2-approximates the optimal max-min cover radius. Distances
@@ -18,8 +18,8 @@ finite) get the direct float64 distance. That bound proves every row whose
 direct distance is at most m passes, so the picks and every ``min_dist``
 byte are those of a full ``dist_to_row`` pass per center. A greedy pick
 computes the screen columns of the next farthest rows along with its own,
-since later picks mostly come from them. ``cover_radius`` keeps the full
-passes as the independent oracle.
+since later picks mostly come from them. ``checks.cover_radius`` keeps the
+full passes as the independent oracle.
 
 The cover also holds each row's nearest center, ``SelectionState.nearest``,
 in the order of the 1-NN probe (``pipeline.probe_accuracy``): the least
@@ -27,7 +27,8 @@ direct squared distance d2, ties going to the lowest row index. A center
 whose distance is below m takes the row; where it ties m, the two centers'
 direct d2 decide, since two different d2 can round to one distance. So a
 greedy state over the probe's matrix answers the probe with no search
-(``pipeline.cover_probe_accuracy``).
+(``pipeline.cover_probe_accuracy``), which ``pipeline`` reads whenever a
+state's matrix is the pixel matrix itself.
 """
 
 import math
@@ -44,6 +45,10 @@ BRUTE_FORCE_LIMIT = 10 ** 6
 # of the next farthest rows, which later picks mostly are; on a 1,200 x 1,024
 # matrix 16 columns cost about four matrix-vector products
 _PREFETCH = 16
+
+# k-means: Lloyd iterations per restart at most, and k-means++ restarts
+_KMEANS_ITERS = 100
+_KMEANS_RESTARTS = 4
 
 
 class SelectionState:
@@ -187,23 +192,6 @@ def k_center_greedy(state, k, cold_start_seed=None):
     return state
 
 
-def cover_radius(emb, labeled):
-    """Largest distance from any row to its nearest labeled row.
-
-    The oracle for the screened cover: the plain minimum over one full
-    ``dist_to_row`` pass per labeled row, never through
-    ``SelectionState.extend``.
-    """
-    labeled = list(labeled)
-    if not labeled:
-        raise ValueError("cover radius of an empty labeled set is undefined")
-    emb = np.ascontiguousarray(emb, dtype=np.float64)
-    min_dist = np.full(emb.shape[0], np.inf)
-    for idx in labeled:
-        np.minimum(min_dist, _kernels.dist_to_row(emb, idx), out=min_dist)
-    return float(min_dist.max())
-
-
 def brute_force_k_center(emb, initial_labeled, k):
     """Exhaustive optimum of the k-center objective.
 
@@ -288,10 +276,11 @@ def _kmeanspp_centers(emb, n_clusters, rng):
     return centers
 
 
-def kmeans_labels(emb, n_clusters, seed, n_iter=100, n_init=4):
+def kmeans_labels(emb, n_clusters, seed):
     """Lloyd k-means with k-means++ seeding; deterministic, labels only.
 
-    Runs ``n_init`` restarts and keeps the assignment with the lowest
+    Runs ``_KMEANS_RESTARTS`` restarts of at most ``_KMEANS_ITERS``
+    iterations each and keeps the assignment with the lowest
     within-cluster sum of squares. An emptied cluster is reseeded to the
     row farthest from its current center.
     """
@@ -302,10 +291,10 @@ def kmeans_labels(emb, n_clusters, seed, n_iter=100, n_init=4):
     rng = np.random.default_rng(seed)
     best_labels = None
     best_inertia = np.inf
-    for _ in range(n_init):
+    for _ in range(_KMEANS_RESTARTS):
         centers = _kmeanspp_centers(emb, n_clusters, rng)
         labels = np.full(n, -1)
-        for _ in range(n_iter):
+        for _ in range(_KMEANS_ITERS):
             new_labels = _kernels.nn_indices(emb, centers)
             if np.array_equal(new_labels, labels):
                 break

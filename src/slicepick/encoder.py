@@ -144,8 +144,8 @@ class TrainConfig:
         for name in ("rep_dim", "proj_dim"):
             if not _is_width(getattr(self, name)):
                 raise SettingError("training", self, name, "be a layer width >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise SettingError("training", self, "batch_size", "be >= 1 slice")
+        if self.batch_size is not None:
+            sampler.check_batch_size(self.batch_size)
         if self.learning_rate <= 0:
             raise SettingError("training", self, "learning_rate", "be positive")
         if self.weight_decay < 0:

@@ -180,13 +180,15 @@ class LossStructure:
         if volume_ids is not None:
             vid = np.asarray(volume_ids, dtype=np.int64)
             if vid.shape != pid.shape:
-                raise ValueError("volume_ids must have one entry per row")
+                raise ValueError(f"volume_ids must be a (B, 2N) = {pid.shape} array like "
+                                 f"patient_ids, got shape {vid.shape}")
             _check_mirrored(vid, "volume_ids")
             given["volume"] = vid
         if slice_positives is not None:
             spos = np.asarray(slice_positives)
             if spos.dtype != bool or spos.shape != (n_batches, n, n2):
-                raise ValueError("slice_positives must be an (N, 2N) boolean mask")
+                raise ValueError(f"slice_positives must be a (B, N, 2N) = {(n_batches, n, n2)} "
+                                 f"boolean mask, got {spos.dtype} of shape {spos.shape}")
             if spos[:, np.arange(n), np.arange(n)].any():
                 raise ValueError("no anchor can be its own positive")
             given["slice"] = spos

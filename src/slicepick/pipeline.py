@@ -1,22 +1,23 @@
-"""Active-learning rounds: cumulative budgets, strategy dispatch, and a
-label-efficiency probe.
+"""Active-learning rounds (cumulative budgets, strategy dispatch, a
+label-efficiency probe), and the loss ablation as a one-budget round.
 
-A strategy is its kind, at most once in an experiment. Each repeat owns
-independent seed-derived RNG streams keyed by (plan seed, repeat, kind), so
-repeats can run in any number of worker processes with byte-identical
-results. The learned-metric strategy trains its encoder, the repeat's one
-learned space, once per repeat on the full pool; selection then extends a
-nested labeled set round by round. A selecting strategy builds one
-``SelectionState`` per repeat, which the greedy extends in place each round.
-``delta_learned``, the selection's cover in the learned space, is that
-same state when the strategy selects there, and otherwise a state of that
-space extended by each round's new rows. The probe is 1-nearest-neighbor
-classification in raw pixel space for every strategy, so the learned metric
-influences selection only, never evaluation. ``coreset_raw`` selects in that
-same space, so its state already holds each row's nearest labeled row and
-its probe is read from there (``cover_probe_accuracy``); the other
-strategies search, reading the unlabeled rows from the pixel matrix one
-block at a time, so the probe copies only the labeled rows.
+A strategy is its kind, named at most once in an experiment. Each repeat
+owns independent seed-derived RNG streams keyed by (plan seed, repeat,
+kind), so repeats can run in any number of worker processes with
+byte-identical results. ``coreset_learned`` trains the repeat's one learned
+space once per repeat on the full pool; selection then extends a nested
+labeled set round by round. A selecting strategy builds one
+``SelectionState`` per repeat, which the greedy extends in place each
+round. ``delta_learned``, the selection's cover in the learned space, is
+that same state when the strategy selects there, and otherwise a state of
+that space extended by each round's new rows.
+
+Every round, of an experiment or of the ablation, is one ``_select_round``.
+Its probe is 1-nearest-neighbor classification in raw pixel space, so the
+learned metric influences selection only, never evaluation. A state whose
+matrix is the pixel matrix itself already holds each row's nearest labeled
+row, so its probe is read from there (``cover_probe_accuracy``); every other
+selection is searched, reading the unlabeled rows one block at a time.
 """
 
 import dataclasses
@@ -29,10 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .coreset import SelectionState, k_center_greedy
+from .coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
 from .encoder import TrainConfig, embed_all, train
 from .errors import SettingError, SlicepickError
-from .losses import LossConfig
 
 DEFAULT_FRACTIONS = (0.02, 0.03, 0.04, 0.05, 0.10, 0.15, 0.20, 0.40)
 
@@ -58,19 +58,6 @@ class RoundPlan:
             raise SettingError("round", self, "n_repeats", "be >= 1")
         if self.seed < 0:
             raise SettingError("round", self, "seed", "be a nonnegative integer")
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    kind: str
-    loss: LossConfig = None
-    train: TrainConfig = None
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise SettingError("strategy", self, "kind", f"be one of {', '.join(STRATEGY_KINDS)}")
-        if self.kind == "coreset_learned" and self.loss is None:
-            raise ValueError("coreset_learned requires a loss config")
 
 
 @dataclass
@@ -222,66 +209,69 @@ def _stream_seed(plan_seed, repeat, kind, salt=0):
     return np.random.SeedSequence([plan_seed, repeat, zlib.crc32(kind.encode()), salt])
 
 
-def _run_repeat(ds, labels, strategies, plan, budget_list, repeat):
-    n = ds.n
+def _learned_space(ds, loss, train_cfg):
+    """Every slice of ``ds`` embedded by an encoder trained on ``ds``."""
+    result = train(ds, loss, train_cfg)
+    return embed_all(result.params, ds)
+
+
+def _select_round(X, labels, selected, budget, source, cold_seed=None):
+    """Grow the selection ``selected`` to ``budget`` rows from ``source``, a
+    ``SelectionState`` the greedy extends in place or a row order (random's);
+    returns (new rows, probe accuracy, cover radius or None). The probe reads
+    the cover exactly when the state's matrix is the pixel matrix ``X``."""
+    if not isinstance(source, SelectionState):
+        new = [int(i) for i in source[len(selected):budget]]
+        return new, probe_accuracy(X, selected + new, labels), None
+    k_center_greedy(source, budget - len(selected), cold_start_seed=cold_seed)
+    new = [int(i) for i, _ in source.trace]
+    if source.emb is X:
+        acc = cover_probe_accuracy(source, labels)
+    else:
+        acc = probe_accuracy(X, selected + new, labels)
+    return new, acc, float(source.min_dist.max())
+
+
+def _run_repeat(ds, labels, kinds, plan, loss, train_cfg, budget_list, repeat):
     X = ds.pixel_matrix()
     slice_ids = ds.ids[:, 0].tolist()
     entries = []
     train_seconds = {}
 
-    learned_space = None
-    learner = next((s for s in strategies if s.kind == "coreset_learned"), None)
-    if learner is not None:
-        seed = int(_stream_seed(plan.seed, repeat, learner.kind, 1).generate_state(1)[0])
-        cfg = dataclasses.replace(learner.train or TrainConfig(), seed=seed)
+    learned_space = None  # the repeat's one learned space
+    if "coreset_learned" in kinds:
+        seed = int(_stream_seed(plan.seed, repeat, "coreset_learned", 1).generate_state(1)[0])
         t0 = time.perf_counter()
-        result = train(ds, learner.loss, cfg)
-        learned_space = embed_all(result.params, ds)
-        train_seconds[(learner.kind, repeat)] = time.perf_counter() - t0
+        learned_space = _learned_space(ds, loss, dataclasses.replace(train_cfg, seed=seed))
+        train_seconds[("coreset_learned", repeat)] = time.perf_counter() - t0
 
-    for strat in strategies:
+    for kind in kinds:
         # running covers, extended by each round's new rows only: the
         # strategy's greedy state, and the selection's cover in the learned
         # space, which is that same state when the strategy selects there
-        state = learned = None
-        if strat.kind == "random":
-            rng = np.random.default_rng(_stream_seed(plan.seed, repeat, strat.kind))
-            order = rng.permutation(n)
+        cold_seed = _stream_seed(plan.seed, repeat, kind, 2)
+        if kind == "random":
+            source = np.random.default_rng(_stream_seed(plan.seed, repeat, kind)).permutation(ds.n)
         else:
-            state = SelectionState(X if strat.kind == "coreset_raw" else learned_space)
-            cold_seed = _stream_seed(plan.seed, repeat, strat.kind, 2)
-        if strat.kind == "coreset_learned":
-            learned = state
+            source = SelectionState(X if kind == "coreset_raw" else learned_space)
+        learned = None
+        if kind == "coreset_learned":
+            learned = source
         elif learned_space is not None:
             learned = SelectionState(learned_space)
         selected = []
         for round_index, budget in enumerate(budget_list):
             t0 = time.perf_counter()
-            if strat.kind == "random":
-                new = [int(i) for i in order[len(selected):budget]]
-            else:
-                k_center_greedy(state, budget - len(selected), cold_start_seed=cold_seed)
-                new = [int(i) for i, _ in state.trace]
+            new, acc, delta = _select_round(X, labels, selected, budget, source, cold_seed)
             selected = selected + new
-            if learned is not None and learned is not state:
+            if learned is not None and learned is not source:
                 learned.extend(new)
-            if strat.kind == "coreset_raw":
-                acc = cover_probe_accuracy(state, labels)
-            else:
-                acc = probe_accuracy(X, selected, labels)
-            entry = RoundEntry(
-                strategy=strat.kind,
-                repeat=repeat,
-                round_index=round_index,
-                fraction=plan.fractions[round_index],
-                budget=budget,
-                selected=[slice_ids[i] for i in selected],
-                probe_accuracy=acc,
-                delta=float(state.min_dist.max()) if state is not None else None,
-                delta_learned=float(learned.min_dist.max()) if learned is not None else None,
+            entries.append(RoundEntry(
+                kind, repeat, round_index, plan.fractions[round_index], budget,
+                selected=[slice_ids[i] for i in selected], probe_accuracy=acc, delta=delta,
+                delta_learned=None if learned is None else float(learned.min_dist.max()),
                 wall_time_s=time.perf_counter() - t0,
-            )
-            entries.append(entry)
+            ))
     return entries, train_seconds
 
 
@@ -326,30 +316,38 @@ def _map_in_processes(fn, items, workers):
         pool.shutdown(cancel_futures=True)
 
 
-def run_experiment(ds, labels, strategies, plan, threads=1):
+def run_experiment(ds, labels, kinds, plan, loss=None, train=TrainConfig(), threads=1):
     """Run every (strategy, repeat, round) cell; deterministic in plan.seed.
 
-    ``strategies`` holds each kind at most once. Repeats are independent;
-    with ``threads > 1`` they run in up to that many forked worker processes
-    (never more than there are repeats). Entries are assembled in
-    (strategy, repeat, round) order regardless of worker count.
+    ``kinds`` names each strategy of ``STRATEGY_KINDS`` at most once.
+    ``loss`` and ``train`` configure the encoder that ``coreset_learned``
+    trains, each repeat with its own seed; ``loss`` is required with it.
+    Repeats are independent; with ``threads > 1`` they run in up to that
+    many forked worker processes (never more than there are repeats).
+    Entries are assembled in (strategy, repeat, round) order regardless of
+    worker count.
     """
     if threads < 1:
         raise SettingError("experiment", {"threads": threads}, "threads", "be >= 1")
     labels = np.asarray(labels)
     if labels.shape[0] != ds.n:
         raise ValueError("labels must align with the dataset slices")
-    kinds = [s.kind for s in strategies]
+    kinds = list(kinds)
     if not kinds:
         raise SettingError(
             "experiment", {"strategies": kinds}, "strategies", "hold at least one strategy"
         )
+    if not set(kinds) <= set(STRATEGY_KINDS):
+        rule = f"hold only the kinds {', '.join(STRATEGY_KINDS)}"
+        raise SettingError("experiment", {"strategies": kinds}, "strategies", rule)
     if len(set(kinds)) != len(kinds):
         raise ValueError(f"strategy kinds must be unique, got {kinds}")
+    if "coreset_learned" in kinds and loss is None:
+        raise ValueError("coreset_learned requires a loss config")
     budget_list = budgets(plan, ds.n)
 
     repeats = list(range(plan.n_repeats))
-    run_repeat = functools.partial(_run_repeat, ds, labels, strategies, plan, budget_list)
+    run_repeat = functools.partial(_run_repeat, ds, labels, kinds, plan, loss, train, budget_list)
     workers = min(threads, plan.n_repeats)
     if workers > 1:
         results = _map_in_processes(run_repeat, repeats, workers)
@@ -359,15 +357,32 @@ def run_experiment(ds, labels, strategies, plan, threads=1):
     order = {kind: i for i, kind in enumerate(kinds)}
     entries = [e for ents, _ in results for e in ents]
     entries.sort(key=lambda e: (order[e.strategy], e.repeat, e.round_index))
-    train_seconds = {}
-    for _, secs in results:
-        train_seconds.update(secs)
     return RoundReport(
-        n=ds.n,
-        fractions=plan.fractions,
-        budgets=budget_list,
-        n_repeats=plan.n_repeats,
-        strategies=kinds,
-        entries=entries,
-        train_seconds=train_seconds,
+        n=ds.n, fractions=plan.fractions, budgets=budget_list, n_repeats=plan.n_repeats,
+        strategies=kinds, entries=entries,
+        train_seconds={key: s for _, secs in results for key, s in secs.items()},
     )
+
+
+def run_ablation(ds, labels, loss_cfgs, train_cfg, fraction, seed):
+    """One greedy round to ``fraction`` of the slices in each space: the
+    pixel space for a None entry of ``loss_cfgs``, else the space learned
+    under it. ``seed`` itself seeds every training, cold start and k-means.
+    Per entry: (silhouette of k-means into one cluster per volume, or None
+    when that is undefined; probe accuracy; cover radius)."""
+    budget = budgets(RoundPlan(fractions=(fraction,), seed=seed), ds.n)[0]
+    X = ds.pixel_matrix()
+    train_cfg = dataclasses.replace(train_cfg, seed=seed)
+    n_volumes = len(ds.volume_bounds) - 1
+    rows = []
+    for loss in loss_cfgs:
+        space = X if loss is None else _learned_space(ds, loss, train_cfg)
+        # a cover of every row lives only for its round
+        _, acc, delta = _select_round(X, labels, [], budget, SelectionState(space), seed)
+        silhouette = None
+        if n_volumes >= 2:
+            clusters = kmeans_labels(space, n_volumes, seed)
+            if np.unique(clusters).size >= 2:
+                silhouette = silhouette_score(space, clusters)
+        rows.append((silhouette, acc, delta))
+    return rows

@@ -72,12 +72,17 @@ def default_batch_size(enabled_groups, n_patients=None):
     return width * per_batch
 
 
+def check_batch_size(batch_size):
+    """The one check of a batch size below one slice, ``TrainConfig``'s too."""
+    if batch_size < 1:
+        raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", "be >= 1 slice")
+
+
 def _check_draw(ds, groups, batch_size):
     """The tuple width; raises for a batch size of no whole tuples, then for
     the first patient or volume, in ``build_epoch``'s order, with no pool."""
     width = tuple_width(groups)
-    if batch_size < 1:
-        raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", "be >= 1 slice")
+    check_batch_size(batch_size)
     if batch_size % width:
         rule = f"be a multiple of {width}, the tuple width of the groups {'+'.join(sorted(groups))}"
         raise SettingError("sampler", {"batch_size": batch_size}, "batch_size", rule)

@@ -22,11 +22,9 @@ from slicepick import (
     LossConfig,
     RoundPlan,
     SelectionState,
-    StrategySpec,
     SynthSpec,
     TrainConfig,
     brute_force_k_center,
-    cover_radius,
     embed_all,
     generate_synthetic,
     group_deviation,
@@ -36,7 +34,7 @@ from slicepick import (
     silhouette_score,
     train,
 )
-from slicepick.checks import fd_loss_grad, max_rel_err, validate_plan
+from slicepick.checks import cover_radius, fd_loss_grad, max_rel_err, validate_plan
 from slicepick.cli import main
 from slicepick.encoder import _backward_batch, _forward_batch, init_params
 from slicepick.encoder import Architecture
@@ -253,13 +251,11 @@ def test_criterion_5_training_descent(reference_data):
 def test_criterion_6_label_efficiency(reference_data):
     t0 = time.perf_counter()
     ds, labels = reference_data
-    strategies = [
-        StrategySpec("random"),
-        StrategySpec("coreset_raw"),
-        StrategySpec("coreset_learned", loss=BEST_WEIGHTS, train=TrainConfig(epochs=40)),
-    ]
+    kinds = ["random", "coreset_raw", "coreset_learned"]
     plan = RoundPlan(n_repeats=5, seed=123)
-    rep = run_experiment(ds, labels, strategies, plan, threads=1)
+    rep = run_experiment(
+        ds, labels, kinds, plan, loss=BEST_WEIGHTS, train=TrainConfig(epochs=40), threads=1
+    )
     five_pct = plan.fractions.index(0.05)
     n_rounds = len(plan.fractions)
 

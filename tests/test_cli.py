@@ -291,8 +291,8 @@ class TestRunRounds:
         )
         assert code == 1 and stdout == ""
         assert err.splitlines() == [
-            "error: --strategies: strategy setting kind must be one of random, "
-            "coreset_raw, coreset_learned, got 'bogus'"
+            "error: --strategies: experiment setting strategies must hold only the kinds "
+            "random, coreset_raw, coreset_learned, got ['bogus']"
         ]
         assert not out.exists()
 
@@ -644,10 +644,10 @@ class TestAblate:
     def test_unknown_term_rejected_before_training(
         self, data_dir, tmp_path, capsys, monkeypatch
     ):
-        from slicepick import cli as cli_mod
+        from slicepick import pipeline
 
         trained = []
-        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: trained.append(a))
         out_csv = tmp_path / "abl.csv"
         code, _, err = run(
             capsys, "ablate", "--data", str(data_dir), "--groups", "ntxent,foo",
@@ -663,10 +663,10 @@ class TestAblate:
     def test_out_in_missing_directory_rejected_before_training(
         self, data_dir, tmp_path, capsys, monkeypatch
     ):
-        from slicepick import cli as cli_mod
+        from slicepick import pipeline
 
         trained = []
-        monkeypatch.setattr(cli_mod, "train", lambda *a, **k: trained.append(a))
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: trained.append(a))
         out_csv = tmp_path / "missing" / "abl.csv"
         code, stdout, err = run(
             capsys, "ablate", "--data", str(data_dir), "--epochs", "1",
@@ -805,6 +805,14 @@ class TestConfig:
             "'volume,volume'\n"
         )
         assert not out.exists()
+
+    def test_repeated_key_in_config_file(self, tmp_path, capsys):
+        # a later line once silently overrode an earlier one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\nepochs=5\n# a comment\nseed=2\n")
+        code, out, err = run(capsys, "--config", str(cfg), "--print-config")
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}:4: key 'seed' repeats line 1\n"
 
     def test_bad_flag_value_names_its_cast(self, capsys):
         assert all(cast.__name__ != "<lambda>" for _, cast in CONFIG.values())

@@ -4,12 +4,12 @@ import pytest
 from slicepick import (
     _kernels,
     brute_force_k_center,
-    cover_radius,
     k_center_greedy,
     kmeans_labels,
     silhouette_score,
 )
 from slicepick._kernels import dist_to_row, pairwise_dists
+from slicepick.checks import cover_radius
 from slicepick.coreset import SelectionState
 
 

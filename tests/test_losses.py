@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,13 +270,26 @@ class TestLossBatchValidation:
     def test_wrong_shape_mask(self, shape):
         parts = self.batch_parts()
         parts["slice_positives"] = np.zeros((1, *shape), dtype=bool)
-        with pytest.raises(ValueError, match=r"\(N, 2N\) boolean mask"):
+        given = re.escape(str((1, *shape)))
+        with pytest.raises(ValueError, match=(
+            rf"^slice_positives must be a \(B, N, 2N\) = \(1, 3, 6\) boolean mask, "
+            rf"got bool of shape {given}$"
+        )):
             LossStructure(**parts)
 
     def test_index_sets_are_not_a_mask(self):
         parts = self.batch_parts()
         parts["slice_positives"] = np.ones((1, 3, 6), dtype=np.int64)
-        with pytest.raises(ValueError, match="boolean mask"):
+        with pytest.raises(ValueError, match=r"boolean mask, got int64 of shape \(1, 3, 6\)$"):
+            LossStructure(**parts)
+
+    def test_volume_ids_of_another_shape(self):
+        parts = self.batch_parts()
+        parts["volume_ids"] = parts["volume_ids"][:, :4]
+        with pytest.raises(ValueError, match=(
+            r"^volume_ids must be a \(B, 2N\) = \(1, 6\) array like patient_ids, "
+            r"got shape \(1, 4\)$"
+        )):
             LossStructure(**parts)
 
     @pytest.mark.parametrize("anchor", [0, 2])

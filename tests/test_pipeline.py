@@ -7,12 +7,12 @@ import pytest
 from slicepick import (
     LossConfig,
     RoundPlan,
-    StrategySpec,
     SynthSpec,
     TrainConfig,
     budgets,
     generate_synthetic,
     probe_accuracy,
+    run_ablation,
     run_experiment,
 )
 from slicepick.checks import brute_force_nearest
@@ -29,9 +29,12 @@ def small_experiment_ds():
     return generate_synthetic(spec)
 
 
-def learned_strategy(epochs=2):
-    return StrategySpec(
-        "coreset_learned",
+KINDS = ["random", "coreset_raw", "coreset_learned"]
+
+
+def learned_space_settings(epochs=2):
+    """``run_experiment``'s settings of the learned space."""
+    return dict(
         loss=LossConfig(tau=0.1, ntxent=1.0, patient=0.05, volume=0.35, slice_group=0),
         train=TrainConfig(epochs=epochs, hidden=(8,), rep_dim=4, proj_dim=3),
     )
@@ -102,12 +105,9 @@ class TestRunExperiment:
     def run_small(self, threads=1, repeats=2):
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.1, 0.2, 0.5), n_repeats=repeats, seed=9)
-        strategies = [
-            StrategySpec("random"),
-            StrategySpec("coreset_raw"),
-            learned_strategy(),
-        ]
-        return run_experiment(ds, labels, strategies, plan, threads=threads)
+        return run_experiment(
+            ds, labels, KINDS, plan, **learned_space_settings(), threads=threads
+        )
 
     def test_deterministic_and_thread_invariant(self):
         a = self.run_small(threads=1)
@@ -161,7 +161,8 @@ class TestRunExperiment:
     def test_deltas_equal_cover_radius_recomputed(self, monkeypatch):
         # the running covers must give exactly what cover_radius gives from
         # scratch, for every strategy kind
-        from slicepick import cover_radius, pipeline
+        from slicepick import pipeline
+        from slicepick.checks import cover_radius
 
         spaces = []
         real_embed_all = pipeline.embed_all
@@ -172,9 +173,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(pipeline, "embed_all", recording_embed_all)
         ds, labels = small_experiment_ds()
-        strategies = [StrategySpec("random"), StrategySpec("coreset_raw"), learned_strategy()]
         plan = RoundPlan(fractions=(0.05, 0.06, 0.3, 0.6), n_repeats=2, seed=3)
-        report = run_experiment(ds, labels, strategies, plan)
+        report = run_experiment(ds, labels, KINDS, plan, **learned_space_settings())
         assert report.budgets == [1, 1, 7, 14]
         X = ds.pixel_matrix()
         row_of = {sid: i for i, sid in enumerate(ds.ids[:, 0].tolist())}
@@ -200,7 +200,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(
                 ds, labels,
-                [StrategySpec("random"), StrategySpec("random")],
+                ["random", "random"],
                 RoundPlan(fractions=(0.5,), n_repeats=1),
             )
 
@@ -213,18 +213,35 @@ class TestRunExperiment:
             run_experiment(ds, labels, [], RoundPlan(fractions=(0.5,), n_repeats=1))
         assert str(info.value) == message
 
+    def test_unknown_kind_rejected(self):
+        from slicepick import SettingError
+
+        ds, labels = small_experiment_ds()
+        with pytest.raises(SettingError) as info:
+            run_experiment(ds, labels, ["random", "bogus"], RoundPlan(fractions=(0.5,)))
+        assert info.value.setting == "strategies"
+        assert str(info.value) == (
+            "experiment setting strategies must hold only the kinds random, coreset_raw, "
+            "coreset_learned, got ['random', 'bogus']"
+        )
+
+    def test_learned_space_needs_a_loss(self):
+        ds, labels = small_experiment_ds()
+        with pytest.raises(ValueError, match="coreset_learned requires a loss config"):
+            run_experiment(ds, labels, ["coreset_learned"], RoundPlan(fractions=(0.5,)))
+
     def test_label_alignment_checked(self):
         ds, labels = small_experiment_ds()
         with pytest.raises(ValueError):
             run_experiment(
-                ds, labels[:-1], [StrategySpec("random")],
+                ds, labels[:-1], ["random"],
                 RoundPlan(fractions=(0.5,), n_repeats=1),
             )
 
     def test_full_budget_round_scores_one(self):
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(1.0,), n_repeats=1, seed=4)
-        report = run_experiment(ds, labels, [StrategySpec("random")], plan)
+        report = run_experiment(ds, labels, ["random"], plan)
         assert report.entry("random", 0, 0).probe_accuracy == 1.0
         assert len(report.entry("random", 0, 0).selected) == ds.n
 
@@ -237,7 +254,7 @@ class TestRunExperiment:
         )
         ds, labels = generate_synthetic(spec)
         plan = RoundPlan(fractions=(0.25,), n_repeats=1000, seed=17)
-        report = run_experiment(ds, labels, [StrategySpec("random")], plan)
+        report = run_experiment(ds, labels, ["random"], plan)
         counts = np.zeros(ds.n)
         for e in report.entries:
             for sid in e.selected:
@@ -247,18 +264,55 @@ class TestRunExperiment:
         assert chi2 < CHI2_CRIT_19
 
 
+class TestProbePath:
+    """The probe reads the cover of a selection made in the pixel matrix
+    itself and searches the pixel matrix for every other selection."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        from slicepick import pipeline
+
+        calls = []
+        real = pipeline.probe_accuracy
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "probe_accuracy", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kind,searched", [("random", 1), ("coreset_raw", 0), ("coreset_learned", 1)]
+    )
+    def test_each_round_of_a_kind(self, probes, kind, searched):
+        ds, labels = small_experiment_ds()
+        plan = RoundPlan(fractions=(0.1, 0.2, 0.5), n_repeats=2, seed=9)
+        run_experiment(ds, labels, [kind], plan, **learned_space_settings(epochs=1))
+        assert len(probes) == searched * plan.n_repeats * len(plan.fractions)
+        assert all(args[0] is ds.pixel_matrix() for args in probes)
+
+    def test_each_ablation_row(self, probes):
+        ds, labels = small_experiment_ds()
+        settings = learned_space_settings(epochs=1)
+        loss_cfgs = [None, settings["loss"], LossConfig(ntxent=1.0)]
+        rows = run_ablation(ds, labels, loss_cfgs[:1], settings["train"], 0.2, 5)
+        assert probes == []
+        assert run_ablation(ds, labels, loss_cfgs, settings["train"], 0.2, 5)[0] == rows[0]
+        assert len(probes) == 2
+        assert all(args[0] is ds.pixel_matrix() for args in probes)
+
+
 class TestRepeatWorkers:
-    def strategies(self, **train_kw):
+    KINDS = ["random", "coreset_learned"]
+
+    def settings(self, **train_kw):
         base = dict(epochs=1, hidden=(6,), rep_dim=3, proj_dim=2)
         base.update(train_kw)
-        return [
-            StrategySpec("random"),
-            StrategySpec(
-                "coreset_learned",
-                loss=LossConfig(tau=0.5, ntxent=1.0, patient=0.05, volume=0.35),
-                train=TrainConfig(**base),
-            ),
-        ]
+        return dict(
+            loss=LossConfig(tau=0.5, ntxent=1.0, patient=0.05, volume=0.35),
+            train=TrainConfig(**base),
+        )
 
     def test_pool_never_exceeds_repeat_count(self, monkeypatch):
         import concurrent.futures
@@ -283,9 +337,9 @@ class TestRepeatWorkers:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.1, 0.5), n_repeats=2, seed=1)
-        pooled = run_experiment(ds, labels, self.strategies(), plan, threads=8)
+        pooled = run_experiment(ds, labels, self.KINDS, plan, **self.settings(), threads=8)
         assert asked == [(2, "fork")]
-        serial = run_experiment(ds, labels, self.strategies(), plan, threads=1)
+        serial = run_experiment(ds, labels, self.KINDS, plan, **self.settings(), threads=1)
         assert pooled.to_json() == serial.to_json()
 
     def test_a_task_pickles_only_its_repeat_number(self, monkeypatch):
@@ -305,7 +359,7 @@ class TestRepeatWorkers:
             sizes.append(len(data))
             return data
 
-        strategies = [StrategySpec("random"), StrategySpec("coreset_raw")]
+        strategies = ["random", "coreset_raw"]
         plan = RoundPlan(fractions=(0.1, 0.5), n_repeats=2, seed=2)
         with monkeypatch.context() as m:
             m.setattr(ForkingPickler, "dumps", staticmethod(counted_dumps))
@@ -322,14 +376,14 @@ class TestRepeatWorkers:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.5,), n_repeats=1)
-        run_experiment(ds, labels, [StrategySpec("random")], plan, threads=4)
+        run_experiment(ds, labels, ["random"], plan, threads=4)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, threads):
         ds, labels = small_experiment_ds()
         with pytest.raises(ValueError, match="threads"):
             run_experiment(
-                ds, labels, [StrategySpec("random")],
+                ds, labels, ["random"],
                 RoundPlan(fractions=(0.5,), n_repeats=2), threads=threads,
             )
 
@@ -339,7 +393,9 @@ class TestRepeatWorkers:
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.5,), n_repeats=2)
         with pytest.raises(SettingError, match="batch_size must be a multiple of .*, got 7$"):
-            run_experiment(ds, labels, self.strategies(batch_size=7), plan, threads=2)
+            run_experiment(
+                ds, labels, self.KINDS, plan, **self.settings(batch_size=7), threads=2
+            )
 
     def test_dead_worker_is_a_slicepick_error(self, monkeypatch):
         from slicepick import SlicepickError, pipeline
@@ -354,4 +410,4 @@ class TestRepeatWorkers:
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.5,), n_repeats=2)
         with pytest.raises(SlicepickError, match="worker process died"):
-            run_experiment(ds, labels, self.strategies(), plan, threads=2)
+            run_experiment(ds, labels, self.KINDS, plan, **self.settings(), threads=2)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicepick import _kernels, coreset
-from slicepick.checks import brute_force_nearest, full_pass_greedy
+from slicepick import _kernels
+from slicepick.checks import brute_force_nearest, cover_radius, full_pass_greedy
 from slicepick.coreset import SelectionState, k_center_greedy
 
 
@@ -179,4 +179,4 @@ def test_screened_state_continues_a_foreign_cover():
 def test_cover_radius_is_full_passes(n_labeled):
     emb = np.random.default_rng(21).standard_normal((25, 3))
     rows = list(range(n_labeled))
-    assert coreset.cover_radius(emb, rows) == float(full_pass_cover(emb, rows).max())
+    assert cover_radius(emb, rows) == float(full_pass_cover(emb, rows).max())

@@ -91,7 +91,7 @@ def test_cli_batch_size_below_one_exits_one(data_dir, tmp_path, command, size):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        f"error: --batch-size: training setting batch_size must be >= 1 slice, got {size}"
+        f"error: --batch-size: sampler setting batch_size must be >= 1 slice, got {size}"
     ]
     assert not out.exists()
 
@@ -141,7 +141,9 @@ def test_run_rounds_rejects_zero_width_space(data_dir, tmp_path, capsys):
      ("weight_decay", float("nan")), ("hidden", (4, -2))],
 )
 def test_train_config_names_field_and_value(field, value):
-    message = f"training setting {field} must .*, got {re.escape(repr(value))}$"
+    # the sampler owns the batch-size rule and its message
+    owner = "sampler" if field == "batch_size" else "training"
+    message = f"{owner} setting {field} must .*, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         TrainConfig(**{field: value})
 
@@ -227,7 +229,7 @@ def test_rejected_setting_names_its_flag_or_config_line(
 
 
 # fields no config key sets: whole settings objects and select's own --budget
-_UNSET_FIELDS = {"augment", "loss", "train", "budget"}
+_UNSET_FIELDS = {"augment", "budget"}
 # fields a SettingError names outside any settings object
 _OWNER_FIELDS = {"groups", "weights", "batch_size", "threads", "budget", "seed", "strategies"}
 
@@ -235,10 +237,10 @@ _OWNER_FIELDS = {"groups", "weights", "batch_size", "threads", "budget", "seed",
 def test_every_setting_field_resolves_to_config_keys():
     from dataclasses import fields
 
-    from slicepick import AugmentSpec, LossConfig, RoundPlan, StrategySpec, SynthSpec
+    from slicepick import AugmentSpec, LossConfig, RoundPlan, SynthSpec
     from slicepick.cli import _FIELD_KEYS, CONFIG
 
-    owners = (TrainConfig, AugmentSpec, RoundPlan, SynthSpec, LossConfig, StrategySpec)
+    owners = (TrainConfig, AugmentSpec, RoundPlan, SynthSpec, LossConfig)
     names = {f.name for owner in owners for f in fields(owner)} | _OWNER_FIELDS
     unresolved = [
         name for name in sorted(names - _UNSET_FIELDS)

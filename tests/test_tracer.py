@@ -18,7 +18,6 @@ import pytest
 
 from slicepick import (
     RoundPlan,
-    StrategySpec,
     TrainConfig,
     cli,
     data,
@@ -30,6 +29,7 @@ from slicepick import (
 )
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+KINDS = ["random", "coreset_raw", "coreset_learned"]
 
 
 @pytest.fixture(scope="module")
@@ -81,17 +81,15 @@ def test_training_layers_are_traced_and_restored(tracer_module, tiny_ds):
 
 def test_selection_counters_are_traced(tracer_module, tiny_ds):
     ds, labels = tiny_ds
-    learned = StrategySpec(
-        "coreset_learned",
+    learned = dict(
         loss=preset_loss_config({"ntxent", "patient", "volume"}),
         train=TrainConfig(epochs=1, hidden=(4,), rep_dim=3, proj_dim=2),
     )
-    strategies = [StrategySpec("random"), StrategySpec("coreset_raw"), learned]
     plan = RoundPlan(fractions=(0.25, 0.5), n_repeats=1, seed=3)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        report = pipeline.run_experiment(ds, labels, strategies, plan)
+        report = pipeline.run_experiment(ds, labels, KINDS, plan, **learned)
     finally:
         tracer.restore()
     names = {span[1] for span in tracer.spans}
@@ -109,18 +107,16 @@ def test_a_two_worker_experiment_is_traced_and_restored(tracer_module, tiny_ds):
     # the repeats run in forked workers, whose spans stay there; the
     # report must be the untraced serial run's
     ds, labels = tiny_ds
-    learned = StrategySpec(
-        "coreset_learned",
+    learned = dict(
         loss=preset_loss_config({"ntxent", "patient", "volume"}),
         train=TrainConfig(epochs=1, hidden=(4,), rep_dim=3, proj_dim=2),
     )
-    strategies = [StrategySpec("random"), StrategySpec("coreset_raw"), learned]
     plan = RoundPlan(fractions=(0.25, 0.5), n_repeats=2, seed=3)
-    serial = pipeline.run_experiment(ds, labels, strategies, plan)
+    serial = pipeline.run_experiment(ds, labels, KINDS, plan, **learned)
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        pooled = pipeline.run_experiment(ds, labels, strategies, plan, threads=2)
+        pooled = pipeline.run_experiment(ds, labels, KINDS, plan, **learned, threads=2)
     finally:
         tracer.restore()
     assert pooled.to_json() == serial.to_json()

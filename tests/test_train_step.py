@@ -153,8 +153,15 @@ def test_epoch_mask_with_a_diagonal_entry_rejected():
     spos[1, 2, 2] = True
     with pytest.raises(ValueError, match="no anchor can be its own positive"):
         LossStructure(pid, vid, spos)
-    with pytest.raises(ValueError, match=r"\(N, 2N\) boolean mask"):
+    with pytest.raises(ValueError, match=(
+        r"\(B, N, 2N\) = \(3, 4, 8\) boolean mask, got bool of shape \(3, 4, 7\)$"
+    )):
         LossStructure(pid, vid, spos[:, :, :-1])
+    with pytest.raises(ValueError, match=(
+        r"volume_ids must be a \(B, 2N\) = \(3, 8\) array like patient_ids, "
+        r"got shape \(3, 4\)$"
+    )):
+        LossStructure(pid, vid[:, :4])
 
 
 def test_step_batch_must_fit_its_structure():
