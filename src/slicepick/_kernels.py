@@ -10,10 +10,11 @@ without a copy of its matrix. ``nn_indices`` finds candidates with one
 float32 matrix product per query block and re-ranks them with the direct
 float64 squared distance, so its answer, ties included, is exactly that of
 the direct search; it searches for a subset of the rows of its query
-matrix without copying them. ``dist_to_row`` and ``nn_indices`` work one
-row block of at most ``_BLOCK`` values at a time, so neither holds an
-(n, p) array beside its input. The private helpers, not part of the
-traced set, are ``_sq_norms``, ``_as_f32`` (the float32 copy of a matrix
+matrix without copying them. ``dist_to_row``, ``nn_indices`` and the two
+mean-difference kernels work one row block of at most ``_BLOCK`` values
+at a time, its height set by ``_block_rows``, so none holds an (n, p) array
+beside its input. The private helpers, not part of the traced set, are
+``_block_rows``, ``_sq_norms``, ``_as_f32`` (the float32 copy of a matrix
 or block), ``_sq_dist_expansion`` (that product, |a|^2 - 2 a.b + |b|^2,
 computed nowhere else), ``_sq_dist_slack`` (its rounding bound, float32
 product included), which the screened cover update in ``coreset`` shares,
@@ -35,6 +36,11 @@ BACKEND = "numpy"
 _BLOCK = 2 ** 18
 
 
+def _block_rows(width):
+    """The rows of ``width`` values in a transient block, at least one."""
+    return max(1, _BLOCK // max(1, width))
+
+
 def _as_c64(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
@@ -54,7 +60,7 @@ def _row_dists(emb, idx, rows=None):
     m = emb.shape[0] if rows is None else len(rows)
     out = np.empty(m)
     ref = emb[idx]
-    block = max(2, _BLOCK // max(1, emb.shape[1]))
+    block = _block_rows(emb.shape[1])
     for start in range(0, m, block):
         if rows is None:
             diff = emb[start:start + block] - ref
@@ -137,8 +143,9 @@ def pair_mean_abs(X, ia, ib, lo=0.0, scale=1.0):
     ib = np.asarray(ib, dtype=np.int64)
     out = np.empty(ia.shape[0])
     # a block of pairs at a time, so no (pairs, p) matrix is held
-    for start in range(0, ia.shape[0], 256):
-        rows = slice(start, start + 256)
+    block = _block_rows(X.shape[1])
+    for start in range(0, ia.shape[0], block):
+        rows = slice(start, start + block)
         diff = _unit(X[ia[rows]], lo, scale)
         diff -= _unit(X[ib[rows]], lo, scale)
         out[rows] = np.abs(diff, out=diff).mean(axis=1)
@@ -163,8 +170,9 @@ def all_pairs_mean_abs(X, lo=0.0, scale=1.0):
     # differences taken in place, from the last rows up, one block at a time:
     # each block reads rows not yet overwritten, and no second (n, p) matrix
     # is held
-    for stop in range(n, 1, -256):
-        start = max(1, stop - 256)
+    block = _block_rows(X.shape[1])
+    for stop in range(n, 1, -block):
+        start = max(1, stop - block)
         gaps[start:stop] -= gaps[start - 1:stop - 1]
     gaps = gaps[1:]
     k = np.arange(1.0, n)
@@ -242,7 +250,7 @@ def nn_indices(Q, R, rows=None):
     out = np.empty(m, dtype=np.int64)
     # block the queries so neither the gathered rows nor the (block, refs)
     # distance matrix grows with the query count
-    block = max(1, _BLOCK // max(R.shape[0], Q.shape[1]))
+    block = _block_rows(max(R.shape[0], Q.shape[1]))
     for start in range(0, m, block):
         q = Q[start:start + block] if rows is None else Q[rows[start:start + block]]
         out[start:start + block] = _nn_block(q, R, R32, r_sq)

@@ -3,6 +3,10 @@
 Configuration is a flat key=value file plus per-flag overrides; every
 default is printable via ``slicepick --print-config``. A key's flag and
 its config line share ``CONFIG``'s one named cast; a flag beats the file.
+``flip_prob``, ``noise_sigma``, ``scale_lo`` and ``scale_hi`` have no flag,
+only a config line. ``_FIELD_KEYS`` alone pairs a settings field with its
+keys where their names differ: the synthetic-data, augmentation, training
+and round settings are built from it, and a rejected value named from it.
 The CLI checks nothing but its parsing: each value's owner (a settings
 object, the sampler for every training before the first, the experiment
 and its strategy names, the greedy) checks it, and ``main``, the one place
@@ -20,6 +24,7 @@ a command overwrites its outputs with identical bytes. Exit codes:
 import argparse
 import json
 import sys
+from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 
@@ -112,7 +117,8 @@ CONFIG = {
     "noise_scale": (0.05, float),
 }
 
-# the config keys behind each settings-object field not named as its key
+# each settings field's config keys, where they are not the field's own name:
+# ``_settings`` builds from it, and ``_Cfg.explain`` names a rejected field's keys
 _FIELD_KEYS = {
     "learning_rate": ("lr",), "n_repeats": ("repeats",), "n_patients": ("patients",),
     "h": ("height",), "w": ("width",), "class_count": ("classes",),
@@ -210,23 +216,21 @@ def _loss_config(cfg, terms=None):
     )
 
 
+def _settings(cls, cfg, **given):
+    """``cls(**given)``, each other field read from its one config key (its
+    ``_FIELD_KEYS`` entry, else its name); a field of several keys is given."""
+    for f in fields(cls):
+        keys = _FIELD_KEYS.get(f.name, (f.name,))
+        if f.name not in given:
+            if len(keys) != 1:
+                raise TypeError(f"{cls.__name__}.{f.name} has the keys {keys}: give it")
+            given[f.name] = cfg[keys[0]]
+    return cls(**given)
+
+
 def _train_config(cfg):
-    augment = AugmentSpec(
-        flip_prob=cfg["flip_prob"],
-        noise_sigma=cfg["noise_sigma"],
-        scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]),
-    )
-    return TrainConfig(
-        learning_rate=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        hidden=tuple(cfg["hidden"]),
-        rep_dim=cfg["rep_dim"],
-        proj_dim=cfg["proj_dim"],
-        augment=augment,
-        seed=cfg["seed"],
-    )
+    augment = _settings(AugmentSpec, cfg, scale_jitter=(cfg["scale_lo"], cfg["scale_hi"]))
+    return _settings(TrainConfig, cfg, hidden=tuple(cfg["hidden"]), augment=augment)
 
 
 def _check_draws(data, ds, loss_cfg, train_cfg):
@@ -237,28 +241,12 @@ def _check_draws(data, ds, loss_cfg, train_cfg):
         raise SamplerError(f"{data}: loss terms {'+'.join(loss_cfg.terms)}: {exc}") from None
 
 
-def _synth_spec(cfg):
-    return SynthSpec(
-        n_patients=cfg["patients"],
-        volumes_per_patient=cfg["volumes_per_patient"],
-        slices_per_volume=cfg["slices_per_volume"],
-        h=cfg["height"],
-        w=cfg["width"],
-        class_count=cfg["classes"],
-        patient_scale=cfg["patient_scale"],
-        volume_scale=cfg["volume_scale"],
-        adjacent_scale=cfg["adjacent_scale"],
-        noise_scale=cfg["noise_scale"],
-        seed=cfg["seed"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen_data(args, cfg):
     check_output_dir("--out", args.out)
-    spec = _synth_spec(cfg)
+    spec = _settings(SynthSpec, cfg)
     ds, labels = generate_synthetic(spec)
     save_dataset(ds, labels, args.out, spec)
     print(f"wrote {ds.n} slices ({spec.n_patients} patients) to {args.out}")
@@ -363,9 +351,7 @@ def cmd_run_rounds(args, cfg):
     out = Path(args.out)  # made with its parents after the experiment, so checked first
     check_output_dir("--out", out)
     ds, labels = load_dataset(args.data)
-    plan = RoundPlan(
-        fractions=tuple(cfg["fractions"]), n_repeats=cfg["repeats"], seed=cfg["seed"]
-    )
+    plan = _settings(RoundPlan, cfg)
     loss_cfg, train_cfg = _loss_config(cfg), _train_config(cfg)
     if "coreset_learned" in cfg["strategies"]:
         _check_draws(args.data, ds, loss_cfg, train_cfg)
@@ -522,7 +508,7 @@ def main(argv=None):
         return args.func(args, cfg)
     except SettingError as exc:
         message = cfg.explain(exc, getattr(args, "own_flags", {}))
-    except (SlicepickError, ValueError, OSError, KeyError) as exc:
+    except (SlicepickError, ValueError, OSError) as exc:
         message = exc
     print(f"error: {message}", file=sys.stderr)
     return 1

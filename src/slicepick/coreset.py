@@ -98,7 +98,7 @@ class SelectionState:
         emb, sq_norms, min_dist = self.emb, self.sq_norms, self.min_dist
         n = emb.shape[0]
         # block the centers so the (rows, block) screen matrix stays small
-        block = len(rows) if approx is not None else max(1, 2 ** 18 // n)
+        block = len(rows) if approx is not None else _kernels._block_rows(n)
         with np.errstate(over="ignore", invalid="ignore"):
             slack = _kernels._sq_dist_slack(sq_norms[rows] + sq_norms.max(), emb.shape[1])
             for start in range(0, len(rows), block):

@@ -248,10 +248,9 @@ def _read_meta(meta_path):
         raise FormatError(f"{meta_path}: not valid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{meta_path}: top level must be a JSON object")
-    if meta.get("format_version") != 1:
-        raise FormatError(
-            f"{meta_path}: unsupported dataset format_version {meta.get('format_version')!r}"
-        )
+    version = json_int(meta_path, meta.get("format_version"), "'format_version'")
+    if version != 1:
+        raise FormatError(f"{meta_path}: unsupported dataset format_version {version}")
     for key in ("h", "w", "slices"):
         if key not in meta:
             raise FormatError(f"{meta_path}: missing key {key!r}")
@@ -275,7 +274,7 @@ def load_dataset(in_dir):
     if size != n * p * 4:
         raise FormatError(f"{data_path}: holds {size} bytes, expected {n * p * 4}")
     X = np.empty((n, p))
-    block = max(1, _kernels._BLOCK // p)  # rows converted at a time: no float32 copy
+    block = _kernels._block_rows(p)  # rows converted at a time: no float32 copy
     with open(data_path, "rb") as fh:
         for start in range(0, n, block):
             rows = X[start:start + block]

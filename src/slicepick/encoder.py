@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sampler
+from ._io import json_int
 from .errors import FormatError, SettingError, TrainingDivergedError
 from .losses import LossBatch, LossStructure, loss_and_grad, slice_positives_from_rows
 
@@ -424,22 +425,18 @@ def _checkpoint_arch(path, header):
     a = header.get("architecture")
     if not isinstance(a, dict):
         raise FormatError(f"{path}: checkpoint header key 'architecture' is missing")
-    for key in ("input_dim", "hidden", "rep_dim", "proj_dim"):
-        if key not in a:
-            raise FormatError(
-                f"{path}: checkpoint header key 'architecture.{key}' is missing"
-            )
-    try:
-        hidden = tuple(int(d) for d in a["hidden"])
-        arch = Architecture(int(a["input_dim"]), hidden, int(a["rep_dim"]), int(a["proj_dim"]))
-        valid = all(_is_width(d) for layer in arch.layer_dims() for d in layer)
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise FormatError(
-            f"{path}: checkpoint header key 'architecture' has invalid dimensions {a}"
-        )
-    return arch
+    # each dimension is a JSON integer and a layer width, its error named by its key
+    invalid = f"{path}: checkpoint header key 'architecture' has invalid dimensions"
+    hidden = a.get("hidden")
+    if not isinstance(hidden, list):
+        raise FormatError(f"{invalid}: 'architecture.hidden' must be a list, got {hidden!r}")
+    keys = ["input_dim", *(f"hidden[{i}]" for i in range(len(hidden))), "rep_dim", "proj_dim"]
+    values = [a.get("input_dim"), *hidden, a.get("rep_dim"), a.get("proj_dim")]
+    dims = [json_int(invalid, v, f"'architecture.{k}'") for k, v in zip(keys, values)]
+    for key, d in zip(keys, dims):
+        if not _is_width(d):
+            raise FormatError(f"{invalid}: 'architecture.{key}' must be >= 1, got {d}")
+    return Architecture(dims[0], tuple(dims[1:-2]), dims[-2], dims[-1])
 
 
 def load_checkpoint(path):
@@ -467,11 +464,9 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("format_version") != 1:
-        raise FormatError(
-            f"{path}: unsupported checkpoint header key 'format_version' "
-            f"{header.get('format_version')!r}"
-        )
+    version = json_int(path, header.get("format_version"), "checkpoint header key 'format_version'")
+    if version != 1:
+        raise FormatError(f"{path}: unsupported checkpoint header key 'format_version' {version}")
     arch = _checkpoint_arch(path, header)
     blob_bytes = len(raw) - 8 - head_len
     expected = 4 * _param_count(arch)

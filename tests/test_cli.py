@@ -521,6 +521,18 @@ class TestMalformedInputs:
         assert code == 1 and out == ""
         assert err == f"error: {meta_path}: missing key 'slices'\n"
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_meta_format_version_other_than_the_integer_one(self, data_dir, capsys, version):
+        meta_path = data_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_version"] = version
+        meta_path.write_text(json.dumps(meta))
+        code, out, err = run(capsys, "stats", "--data", str(data_dir))
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {meta_path}: 'format_version' must be an integer, got {version!r}\n"
+        )
+
     def stats_with_slices(self, data_dir, capsys, edit):
         meta_path = data_dir / "meta.json"
         meta = json.loads(meta_path.read_text())

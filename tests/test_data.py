@@ -342,6 +342,19 @@ class TestDatasetMetaErrors:
         with pytest.raises(FormatError, match=r"slices\[0\]\.volume_id"):
             load_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+    def test_format_version_must_be_the_integer_one(self, tmp_path, tiny_ds, version):
+        from slicepick import FormatError
+
+        meta_path = self.rewrite_meta(
+            tmp_path, tiny_ds, lambda m: m.__setitem__("format_version", version)
+        )
+        with pytest.raises(FormatError) as exc:
+            load_dataset(tmp_path / "d")
+        rule = ("unsupported dataset format_version 2" if version == 2
+                else f"'format_version' must be an integer, got {version!r}")
+        assert str(exc.value) == f"{meta_path}: {rule}"
+
     def test_invalid_json(self, tmp_path, tiny_ds):
         from slicepick import FormatError
 

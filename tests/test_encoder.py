@@ -454,6 +454,44 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="'architecture' has invalid dimensions"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+    def test_format_version_must_be_the_integer_one(self, tmp_path, version):
+        path = self.with_header(
+            tmp_path, lambda header: header.__setitem__("format_version", version)
+        )
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        rule = "unsupported" if version == 2 else "must be an integer"
+        assert str(path) in str(exc.value) and "'format_version'" in str(exc.value)
+        assert rule in str(exc.value)
+
+    @pytest.mark.parametrize("value", [3.7, 4.0, "4", True, None, 2 ** 70])
+    @pytest.mark.parametrize("key", ["input_dim", "hidden[0]", "rep_dim", "proj_dim"])
+    def test_every_dimension_is_a_json_integer(self, tmp_path, key, value):
+        def edit(header):
+            if key == "hidden[0]":
+                header["architecture"]["hidden"][0] = value
+            else:
+                header["architecture"][key] = value
+
+        path = self.with_header(tmp_path, edit)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        rule = (f"does not fit in int64: {value}" if value == 2 ** 70
+                else f"must be an integer, got {value!r}")
+        assert str(exc.value) == (
+            f"{path}: checkpoint header key 'architecture' has invalid dimensions: "
+            f"'architecture.{key}' {rule}"
+        )
+
+    def test_zero_width_names_its_key(self, tmp_path):
+        path = self.with_header(
+            tmp_path, lambda header: header["architecture"]["hidden"].__setitem__(0, 0)
+        )
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).endswith("'architecture.hidden[0]' must be >= 1, got 0")
+
     def test_corrupt_header_json(self, tmp_path):
         raw, head_len = self.saved(tmp_path)
         path = tmp_path / "garbled.ckpt"

@@ -112,6 +112,21 @@ def test_mapped_kernels_match_the_normalized_copy(kind, n):
         assert not _kernels.pair_mean_abs(X, ia, ib, lo, scale).any()
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 256])
+def test_mean_abs_kernels_do_not_depend_on_block_height(monkeypatch, rows):
+    # per-pair means and in-place gaps are the same bits in blocks of any height
+    rng = np.random.default_rng(45)
+    X = rng.standard_normal((513, 6)) * 3.0 + 5.0
+    ia, ib = rng.integers(0, 513, 700), rng.integers(0, 513, 700)
+    assert _kernels._block_rows(X.shape[1]) > len(X)
+    pairs = _kernels.pair_mean_abs(X, ia, ib, 1.5, 4.0)
+    gini = _kernels.all_pairs_mean_abs(X, 1.5, 4.0)
+    monkeypatch.setattr(_kernels, "_BLOCK", rows * X.shape[1])
+    assert _kernels._block_rows(X.shape[1]) == rows
+    assert_same_bits(_kernels.pair_mean_abs(X, ia, ib, 1.5, 4.0), pairs)
+    assert_same_bits(_kernels.all_pairs_mean_abs(X, 1.5, 4.0), gini)
+
+
 def test_one_infinity_throughout_is_nan():
     # hi == lo == -inf: every x - lo is nan, as it is wherever lo or hi is
     # infinite; the whole-matrix normalized copy held zeros here alone

@@ -1,0 +1,163 @@
+"""Every file reader under one mutation at a time.
+
+The readers are ``load_checkpoint``, ``read_gcle`` (the GCLE file and its
+sidecar), ``load_dataset`` (``meta.json``, ``labels.json`` and
+``data.bin``) and the CLI's config-file reader. Each file of a small valid
+artifact is mutated one way at a time: truncated at every offset, flipped
+at seeded single bits, and, in its JSON, each value set in turn to null, a
+string, a float, a bool, -1 and 2**70, each key dropped and each list cut
+short by one item. The property: each case either loads, or raises a
+``SlicepickError`` (or an ``OSError``) whose message names a file the
+reader reads. A mutation of one file may show as a disagreement with
+another (a changed ``h`` as the wrong ``data.bin`` size), so any of the
+reader's files counts.
+
+A seeded loop, not ``hypothesis``: every run tries the same cases, a few
+thousand in a few seconds.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from slicepick import (
+    Architecture,
+    SlicepickError,
+    SynthSpec,
+    TrainConfig,
+    generate_synthetic,
+    init_params,
+    load_checkpoint,
+    load_dataset,
+    read_gcle,
+    save_dataset,
+    write_gcle,
+)
+from slicepick.cli import _read_config_file, main
+from slicepick.encoder import checkpoint_bytes
+
+ODD_VALUES = (None, "3", 0.5, True, -1, 2 ** 70)
+FLIPS = 400  # seeded single-bit flips per file
+
+
+def truncations(raw):
+    return [raw[:cut] for cut in range(len(raw))]
+
+
+def bit_flips(raw, seed):
+    out = []
+    for bit in np.random.default_rng(seed).integers(0, 8 * len(raw), FLIPS).tolist():
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        out.append(bytes(flipped))
+    return out
+
+
+def json_edits(doc):
+    """Copies of the JSON document ``doc``, each with one value replaced by
+    each of ``ODD_VALUES``, one key dropped or one list one item short."""
+    out = []
+
+    def visit(node, rebuild):
+        if isinstance(node, dict):
+            items = list(node.items())
+            for key, value in items:
+                def at(new, key=key):
+                    return rebuild({**node, key: new})
+                out.extend(at(v) for v in ODD_VALUES)
+                out.append(rebuild({k: v for k, v in items if k != key}))
+                visit(value, at)
+        elif isinstance(node, list):
+            if node:
+                out.append(rebuild(node[:-1]))
+            for i, value in enumerate(node):
+                def at(new, i=i):
+                    return rebuild(node[:i] + [new] + node[i + 1:])
+                out.extend(at(v) for v in ODD_VALUES)
+                visit(value, at)
+
+    visit(doc, lambda new: new)
+    return out
+
+
+def json_text_edits(raw):
+    return [json.dumps(d).encode() for d in json_edits(json.loads(raw))]
+
+
+def assert_each_loads_or_names_a_file(path, cases, load, files):
+    """Write each of ``cases`` to ``path`` and call ``load``; the original
+    bytes are restored after."""
+    original = path.read_bytes()
+    escaped, unnamed = [], []
+    try:
+        for raw in cases:
+            path.write_bytes(raw)
+            try:
+                load()
+            except (SlicepickError, OSError) as exc:
+                if not any(str(f) in str(exc) for f in files):
+                    unnamed.append((raw, str(exc)))
+            except Exception as exc:  # noqa: BLE001 - the property under test
+                escaped.append((raw, repr(exc)))
+    finally:
+        path.write_bytes(original)
+    assert escaped == [] and unnamed == [], (len(cases), escaped[:3], unnamed[:3])
+
+
+@pytest.fixture
+def dataset_dir(tmp_path):
+    spec = SynthSpec(n_patients=2, volumes_per_patient=2, slices_per_volume=2, h=2, w=2,
+                     class_count=2, seed=5)
+    ds, labels = generate_synthetic(spec)
+    save_dataset(ds, labels, tmp_path / "d", spec)
+    return tmp_path / "d"
+
+
+@pytest.mark.parametrize("name", ["meta.json", "labels.json", "data.bin"])
+def test_dataset_files(dataset_dir, name):
+    path = dataset_dir / name
+    raw = path.read_bytes()
+    cases = truncations(raw) + bit_flips(raw, seed=len(name))
+    if name.endswith(".json"):
+        cases += json_text_edits(raw)
+    files = [dataset_dir / f for f in ("meta.json", "labels.json", "data.bin")]
+    assert_each_loads_or_names_a_file(path, cases, lambda: load_dataset(dataset_dir), files)
+
+
+def test_checkpoint(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    params = init_params(Architecture(input_dim=4, hidden=(3,), rep_dim=2, proj_dim=2), 7)
+    raw = checkpoint_bytes(params, TrainConfig(epochs=1, hidden=(3,), rep_dim=2, proj_dim=2))
+    path.write_bytes(raw)
+    (head_len,) = struct.unpack("<I", raw[4:8])
+    blob = raw[8 + head_len:]
+    headers = json_text_edits(raw[8:8 + head_len])
+    cases = truncations(raw) + bit_flips(raw, seed=1) + [
+        raw[:4] + struct.pack("<I", len(head)) + head + blob for head in headers
+    ]
+    assert_each_loads_or_names_a_file(path, cases, lambda: load_checkpoint(path), [path])
+
+
+@pytest.mark.parametrize("sidecar", [False, True])
+def test_gcle_file_and_sidecar(tmp_path, sidecar):
+    path = tmp_path / "emb.gcle"
+    ids = np.array([[10 + i, i // 4, i // 2, i % 2] for i in range(8)])
+    write_gcle(path, np.random.default_rng(3).standard_normal((8, 3)), ids)
+    target = tmp_path / "emb.gcle.meta.json" if sidecar else path
+    raw = target.read_bytes()
+    cases = truncations(raw) + bit_flips(raw, seed=2 + sidecar)
+    if sidecar:
+        cases += json_text_edits(raw)
+    # the sidecar's path starts with the GCLE file's
+    assert_each_loads_or_names_a_file(target, cases, lambda: read_gcle(path), [path])
+
+
+def test_config_file(tmp_path, capsys):
+    assert main(["--print-config"]) == 0
+    path = tmp_path / "run.cfg"
+    raw = capsys.readouterr().out.encode()
+    path.write_bytes(raw)
+    cases = truncations(raw) + bit_flips(raw, seed=4)
+    assert_each_loads_or_names_a_file(path, cases, lambda: _read_config_file(path), [path])

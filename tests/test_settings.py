@@ -252,6 +252,93 @@ def test_every_setting_field_resolves_to_config_keys():
     assert _UNSET_FIELDS <= names
 
 
+# every config key at a value other than its default
+_EVERY_KEY = """
+seed=7
+threads=2
+groups=ntxent,patient,volume,slice
+tau=0.2
+w_patient=0.5
+w_volume=0.25
+w_slice=0.75
+epochs=2
+lr=0.01
+weight_decay=0.001
+batch_size=8
+hidden=5,4
+rep_dim=3
+proj_dim=2
+flip_prob=0.25
+noise_sigma=0.125
+scale_lo=0.75
+scale_hi=1.5
+fractions=0.25,0.5
+repeats=2
+strategies=random,coreset_raw
+patients=3
+volumes_per_patient=3
+slices_per_volume=2
+height=3
+width=2
+classes=3
+patient_scale=0.5
+volume_scale=0.75
+adjacent_scale=0.25
+noise_scale=0.125
+"""
+
+
+def test_every_config_key_reaches_its_field(tmp_path, capsys):
+    import json
+
+    from slicepick import RoundPlan, load_dataset, load_checkpoint, run_experiment
+    from slicepick.cli import CONFIG, _read_config_file
+
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(_EVERY_KEY)
+    values = _read_config_file(cfg)
+    assert values.keys() == CONFIG.keys()
+    assert all(values[k] != default for k, (default, _) in CONFIG.items())
+    data, ckpt, out = tmp_path / "d", tmp_path / "enc.ckpt", tmp_path / "r"
+    assert run(capsys, "gen-data", "--config", str(cfg), "--out", str(data))[0] == 0
+    assert run(capsys, "train-encoder", "--config", str(cfg), "--data", str(data),
+               "--out", str(ckpt))[0] == 0
+    assert run(capsys, "run-rounds", "--config", str(cfg), "--data", str(data),
+               "--out", str(out))[0] == 0
+
+    assert json.loads((data / "meta.json").read_text())["spec"] == {
+        "n_patients": 3, "volumes_per_patient": 3, "slices_per_volume": 2, "h": 3, "w": 2,
+        "class_count": 3, "patient_scale": 0.5, "volume_scale": 0.75,
+        "adjacent_scale": 0.25, "noise_scale": 0.125, "seed": 7,
+    }
+    _, header = load_checkpoint(ckpt)
+    assert header["train_cfg"] == {
+        "learning_rate": 0.01, "weight_decay": 0.001, "epochs": 2, "batch_size": 8,
+        "hidden": [5, 4], "rep_dim": 3, "proj_dim": 2, "seed": 7,
+        "augment": {"flip_prob": 0.25, "noise_sigma": 0.125, "scale_jitter": [0.75, 1.5]},
+        "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8,
+    }
+    # report.json echoes the fractions and repeats; the seed shows in its picks
+    report = (out / "report.json").read_text()
+    doc = json.loads(report)
+    assert (doc["fractions"], doc["n_repeats"]) == ([0.25, 0.5], 2)
+    ds, labels = load_dataset(data)
+    kinds = ["random", "coreset_raw"]
+    for seed in (7, 0):
+        plan = RoundPlan(fractions=(0.25, 0.5), n_repeats=2, seed=seed)
+        assert (run_experiment(ds, labels, kinds, plan).to_json() == report) == (seed == 7)
+
+
+def test_a_field_of_several_keys_must_be_given():
+    from slicepick import AugmentSpec
+    from slicepick.cli import _Cfg, _settings, build_parser
+
+    cfg = _Cfg(build_parser().parse_args(["verify"]))
+    assert _settings(AugmentSpec, cfg, scale_jitter=(0.5, 2.0)).flip_prob == 0.5
+    with pytest.raises(TypeError, match="scale_jitter has the keys"):
+        _settings(AugmentSpec, cfg)
+
+
 def _assert_rejected_before_training(
     data_dir, tmp_path, capsys, monkeypatch, command, argv, config, line
 ):
