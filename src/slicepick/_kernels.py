@@ -1,30 +1,27 @@
 """Hot numeric inner loops, vectorized in numpy.
 
-Every kernel converts its matrix arguments to C-contiguous float64 first.
+Every kernel takes a float32 or float64 matrix as it is (any other input
+becomes float64) and widens each row block it gathers to float64 before
+any arithmetic: every distance and statistic is computed in float64, and a
+float32 matrix gives the bits of its exact float64 widening.
 ``dist_to_row``, ``pair_mean_abs`` and ``pairwise_dists`` compute each value
 directly. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
 difference, O(p n log n) and within a few ulps of the pairwise sum. It and
 ``pair_mean_abs`` take an affine map x -> (x - lo) / scale, which they
-apply to their own sorted copy or pair block, so a caller normalizes
-without a copy of its matrix. ``nn_indices`` finds candidates with one
-float32 matrix product per query block and re-ranks them with the direct
-float64 squared distance, so its answer, ties included, is exactly that of
-the direct search; it searches for a subset of the rows of its query
-matrix without copying them. ``dist_to_row``, ``nn_indices`` and the two
-mean-difference kernels work one row block of at most ``_BLOCK`` values
-at a time, its height set by ``_block_rows``, so none holds an (n, p) array
-beside its input. The private helpers, not part of the traced set, are
-``_block_rows``, ``_sq_norms``, ``_as_f32`` (the float32 copy of a matrix
-or block), ``_sq_dist_expansion`` (that product, |a|^2 - 2 a.b + |b|^2,
-computed nowhere else), ``_sq_dist_slack`` (its rounding bound, float32
-product included), which the screened cover update in ``coreset`` shares,
-``_sq_dists`` (the direct squared distance of each row of a difference
-matrix, in one summation order wherever the row sits), ``_row_dists``
-(``dist_to_row``'s values at a subset of rows, bit for bit), ``_unit``
-(the affine map, in place) and ``_nn_block`` (one query block of
-``nn_indices``). ``tests/test_kernels.py`` checks each kernel against a
-plain-Python loop oracle, and ``tests/test_memory.py`` the transient
-memory of the blocked passes.
+apply to their own float64 sorted copy or pair block, so a caller
+normalizes without a copy of its matrix. ``nn_indices`` finds candidates
+with one float32 matrix product per query block and re-ranks them with the
+direct float64 squared distance, so its answer, ties included, is exactly
+that of the direct search; it searches for a subset of the rows of its
+query matrix without copying them. ``dist_to_row``, ``nn_indices``,
+``pair_mean_abs`` and the squared norms work one row block of at most
+``_BLOCK`` values at a time, so none holds an (n, p) array beside its
+input; ``all_pairs_mean_abs`` holds its one sorted copy. The private
+helpers are not part of the traced set; ``_sq_dist_expansion`` (that
+float32 product, computed nowhere else) and ``_sq_dist_slack`` (its
+rounding bound) also serve the screened cover update in ``coreset``.
+``tests/test_kernels.py`` checks each kernel against a plain-Python loop
+oracle, and ``tests/test_memory.py`` the transient memory of the passes.
 """
 
 import numpy as np
@@ -41,33 +38,37 @@ def _block_rows(width):
     return max(1, _BLOCK // max(1, width))
 
 
-def _as_c64(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
+def _matrix(a):
+    """``a`` as a C-contiguous float32 or float64 array (itself if it is one)."""
+    a = np.asarray(a)
+    return np.ascontiguousarray(a, dtype=a.dtype if a.dtype in (np.float32, np.float64) else float)
+
+
+def _wide(a):
+    """A gathered block in float64: itself, or its exact widening."""
+    return a.astype(np.float64, copy=False)
 
 
 def dist_to_row(emb, idx):
     """Euclidean distance from every row of ``emb`` to row ``idx``."""
-    return _row_dists(_as_c64(emb), int(idx))
+    return _row_dists(_matrix(emb), int(idx))
 
 
 def _row_dists(emb, idx, rows=None):
-    """``dist_to_row(emb, idx)``, or its values at ``rows`` only, bit for bit.
+    """``dist_to_row(emb, idx)``, or its values at ``rows`` only, bit for bit."""
+    return np.sqrt(_sq_dists_to(emb, _wide(emb[idx]), rows))
 
-    ``emb`` must be C-contiguous float64. The differences are formed one row
-    block at a time, and ``_sq_dists`` sums each row in one order whatever
-    block it falls in.
-    """
+
+def _sq_dists_to(emb, ref, rows=None):
+    """The direct squared distance from each row of ``emb`` (or of its
+    ``rows``) to the float64 vector ``ref``, from float64 differences formed
+    one row block at a time and summed by ``_sq_dists``."""
     m = emb.shape[0] if rows is None else len(rows)
     out = np.empty(m)
-    ref = emb[idx]
     block = _block_rows(emb.shape[1])
     for start in range(0, m, block):
-        if rows is None:
-            diff = emb[start:start + block] - ref
-        else:
-            diff = emb[rows[start:start + block]]
-            diff -= ref
-        out[start:start + block] = np.sqrt(_sq_dists(diff))
+        at = slice(start, start + block) if rows is None else rows[start:start + block]
+        out[start:start + block] = _sq_dists(emb[at] - ref)  # float64, as ref is
     return out
 
 
@@ -85,13 +86,14 @@ def _sq_dists(diff):
 
 
 def _sq_norms(X):
-    return np.einsum("ij,ij->i", X, X)
+    """The float64 squared norm of each row of the ``_matrix`` ``X``."""
+    return _sq_dists_to(X, np.zeros(X.shape[1]))
 
 
 def _as_f32(X):
-    """The float32 copy of ``X`` that ``_sq_dist_expansion`` multiplies;
-    a value past the float32 range becomes inf, which ``_sq_dist_slack``
-    already treats as unbounded."""
+    """The float32 form of ``X`` that ``_sq_dist_expansion`` multiplies (a
+    C-contiguous float32 ``X`` itself); a value past the float32 range
+    becomes inf, which ``_sq_dist_slack`` already treats as unbounded."""
     with np.errstate(over="ignore"):
         return np.ascontiguousarray(X, dtype=np.float32)
 
@@ -99,8 +101,8 @@ def _as_f32(X):
 def _sq_dist_expansion(A, a_sq, B, b_sq):
     """|a|^2 - 2 a.b + |b|^2 for every row a of ``A`` (axis 0) and b of ``B``
     (axis 1): ``nn_indices``' ``approx``. ``A`` and ``B`` are the ``_as_f32``
-    copies of the rows, whose product is float32; ``a_sq`` and ``b_sq`` are
-    the float64 squared norms of the float64 rows, and the sum is float64."""
+    forms of the rows, whose product is float32; ``a_sq`` and ``b_sq`` are
+    the float64 squared norms of the rows, and the sum is float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         approx = np.multiply(A @ B.T, -2.0, dtype=np.float64)
         approx += a_sq[:, None]
@@ -138,7 +140,7 @@ def pair_mean_abs(X, ia, ib, lo=0.0, scale=1.0):
     """Mean absolute per-feature difference for each row pair (ia[k], ib[k])
     of X mapped by x -> (x - lo) / scale (by default the identity), bit for
     bit the values on a mapped copy of X, which is never made."""
-    X = _as_c64(X)
+    X = _matrix(X)
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
     out = np.empty(ia.shape[0])
@@ -146,8 +148,8 @@ def pair_mean_abs(X, ia, ib, lo=0.0, scale=1.0):
     block = _block_rows(X.shape[1])
     for start in range(0, ia.shape[0], block):
         rows = slice(start, start + block)
-        diff = _unit(X[ia[rows]], lo, scale)
-        diff -= _unit(X[ib[rows]], lo, scale)
+        diff = _unit(_wide(X[ia[rows]]), lo, scale)
+        diff -= _unit(_wide(X[ib[rows]]), lo, scale)
         out[rows] = np.abs(diff, out=diff).mean(axis=1)
     return out
 
@@ -156,28 +158,30 @@ def all_pairs_mean_abs(X, lo=0.0, scale=1.0):
     """Mean over all unordered row pairs of the mean absolute difference,
     on X mapped by x -> (x - lo) / scale (by default the identity).
 
-    The map is applied to the sorted copy. It is monotone, so this is the
-    sorted mapped matrix bit for bit, and no mapped copy of X is made.
+    The map is applied to the float64 sorted copy, the one (n, p) array
+    held. It is monotone, so this is the sorted mapped matrix bit for bit,
+    and no mapped copy of X is made.
     Per column, sum_{i<j} |x_i - x_j| = sum_k k (n - k) (x_(k+1) - x_(k))
     over the sorted values x_(1) <= ... <= x_(n) (Gini's mean difference in
     sorted form), so the cost is O(p n log n), not O(p n^2). Every gap and
     weight is >= 0, so the sum does not cancel: the result stays within a
     few ulps of the pairwise loop even when the values share a large offset.
     """
-    X = _as_c64(X)
-    n = X.shape[0]
-    gaps = _unit(np.sort(X, axis=0), lo, scale)
+    gaps = np.array(X, dtype=np.float64, order="C")
+    n = gaps.shape[0]
+    gaps.sort(axis=0)
+    _unit(gaps, lo, scale)
     # differences taken in place, from the last rows up, one block at a time:
     # each block reads rows not yet overwritten, and no second (n, p) matrix
     # is held
-    block = _block_rows(X.shape[1])
+    block = _block_rows(gaps.shape[1])
     for stop in range(n, 1, -block):
         start = max(1, stop - block)
         gaps[start:stop] -= gaps[start - 1:stop - 1]
     gaps = gaps[1:]
     k = np.arange(1.0, n)
     gaps *= (k * (n - k))[:, None]
-    return float(gaps.sum()) / X.shape[1] / (n * (n - 1) / 2.0)
+    return float(gaps.sum()) / gaps.shape[1] / (n * (n - 1) / 2.0)
 
 
 def nn_indices(Q, R, rows=None):
@@ -190,7 +194,7 @@ def nn_indices(Q, R, rows=None):
     is one float32 matrix product per query block,
     ``approx = |q|^2 - 2 q.r + |r|^2``, followed by an exact re-rank.
 
-    Rounding bound. ``approx`` multiplies the float32 copies of the rows in
+    Rounding bound. ``approx`` multiplies the float32 forms of the rows in
     float32 and adds their float64 squared norms in float64. For p features,
     let u = 2^-53 and eps = 2 u (float64), u' = 2^-24 (float32),
     gamma_k = k u / (1 - k u) and gamma'_k = k u' / (1 - k u'), tiny and
@@ -238,9 +242,9 @@ def nn_indices(Q, R, rows=None):
     (4 S_q + 2 B_q)(1 - u), above 2 S_q (1 + (p + 2) u) + B_q >= ``approx``.
 
     Each query block is gathered from ``Q``, with its squared norms and
-    float32 copy, by ``_nn_block``; the reference side is built once.
+    float32 form, by ``_nn_block``; the reference side is built once.
     """
-    Q, R = _as_c64(Q), _as_c64(R)
+    Q, R = _matrix(Q), _matrix(R)
     if R.shape[0] == 0:
         raise ValueError("the 1-NN search needs at least one reference row")
     if rows is not None:
@@ -270,13 +274,13 @@ def _nn_block(q, R, R32, r_sq):
     out = np.argmax(near, axis=1)
     for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
         cand = np.flatnonzero(near[i])
-        out[i] = cand[np.argmin(_sq_dists(q[i] - R[cand]))]
+        out[i] = cand[np.argmin(_sq_dists(_wide(q[i]) - R[cand]))]  # float64
     return out
 
 
 def pairwise_dists(X):
     """Full symmetric Euclidean distance matrix."""
-    X = _as_c64(X)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
     D = np.zeros((n, n))
     for i in range(n - 1):

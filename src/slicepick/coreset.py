@@ -3,11 +3,11 @@ quality metrics over an embedding matrix.
 
 Greedy selection repeatedly takes the point farthest from the current
 centers, which 2-approximates the optimal max-min cover radius. Distances
-are Euclidean in float64 regardless of the embedding storage precision, and
-the argmax scan takes the first maximum, so ties go to the lowest row.
+are Euclidean in float64 whether the matrix is float32 or float64, and the
+argmax scan takes the first maximum, so ties go to the lowest row.
 
 One ``SelectionState`` is the running cover of one matrix: built once, with
-the matrix's squared norms and float32 copy, and extended in place by every
+the matrix's squared norms and float32 form, and extended in place by every
 later greedy call or by rows chosen elsewhere; the greedy takes only a
 state. Each row's distance to its nearest center is lowered by
 ``SelectionState.extend`` alone, behind a screen: one float32 matrix
@@ -54,17 +54,18 @@ _KMEANS_RESTARTS = 4
 class SelectionState:
     """A running k-center cover of one matrix, extended in place.
 
-    Holds the C-contiguous float64 matrix ``emb``, its float64 squared row
-    norms ``sq_norms`` and its one float32 copy ``emb32`` (both computed
-    here, once), the selected rows ``labeled``, each row's distance to its
-    nearest center ``min_dist`` and that center ``nearest`` (-1 before the
-    first), and ``trace``, the (picked index, distance at pick time) pairs
-    of the last ``k_center_greedy`` call. ``labeled`` seeds the cover, sorted
-    and without repeats.
+    Holds the matrix ``emb`` as given (a C-contiguous float32 or float64
+    one, not copied), its float64 squared row norms ``sq_norms`` and its
+    float32 form ``emb32``, ``emb`` itself when float32 (both computed here,
+    once), the selected rows ``labeled``, each row's distance to its nearest
+    center ``min_dist`` and that center ``nearest`` (-1 before the first),
+    and ``trace``, the (picked index, distance at pick time) pairs of the
+    last ``k_center_greedy`` call. ``labeled`` seeds the cover, sorted and
+    without repeats.
     """
 
     def __init__(self, emb, labeled=()):
-        self.emb = _kernels._as_c64(emb)
+        self.emb = _kernels._matrix(emb)
         n = self.emb.shape[0]
         labeled = sorted(set(int(i) for i in labeled))
         if labeled and not (0 <= labeled[0] and labeled[-1] < n):
@@ -131,9 +132,9 @@ class SelectionState:
         win = dist < old
         tie = np.flatnonzero(dist == old)
         if tie.size:
-            tied, prev = rows[tie], nearest[rows[tie]]
-            new_d2 = _kernels._sq_dists(emb[tied] - emb[idx])
-            old_d2 = _kernels._sq_dists(emb[tied] - emb[prev])
+            tied, prev = _kernels._wide(emb[rows[tie]]), nearest[rows[tie]]
+            new_d2 = _kernels._sq_dists(tied - emb[idx])  # float64, as tied is
+            old_d2 = _kernels._sq_dists(tied - emb[prev])
             win[tie] = (prev < 0) | (new_d2 < old_d2) | ((new_d2 == old_d2) & (idx < prev))
         nearest[rows[win]] = idx
 
@@ -149,7 +150,7 @@ def k_center_greedy(state, k, cold_start_seed=None):
     picks, in place, and return it.
 
     The cover continues without recomputing any distance, norm or float32
-    copy, and gives the picks of a new state seeded with its labeled rows.
+    form, and gives the picks of a new state seeded with its labeled rows.
     The returned state's ``trace`` holds this call's picks only.
 
     With no labeled row yet the first center is the head of a seeded

@@ -1,16 +1,16 @@
 """Slice/volume/patient data model, synthetic generator, and deviation statistic.
 
-A dataset is one read-only pixel matrix, a row per 2D slice, and one
-read-only identity table beside it: row i holds the slice id of pixel row
-i, its patient, its volume and its depth within the volume. The table is
-slice identity's one form in memory, JSON records only in ``meta.json``;
-``load_dataset`` fills the matrix from ``data.bin`` a row block at a time.
-One canonical order of the rows (patient, then volume, then depth) makes
-every patient and every volume a contiguous run, which is all the sampler
-and the deviation statistic look up. Nothing derived from the matrix is
-cached: the deviation statistic hands the dataset's min and max to the
-kernels, which normalize their own sorted copy or pair block, so ``stats``
-holds one transient (n, p) array. The synthetic generator produces a
+A dataset is one read-only float32 pixel matrix, a row per 2D slice, and
+one read-only identity table beside it: row i holds the slice id of pixel
+row i, its patient, its volume and its depth within the volume. The table
+is slice identity's one form in memory, JSON records only in ``meta.json``;
+the matrix is the values of ``data.bin``, read as they are. One canonical
+order of the rows (patient, then volume, then depth) makes every patient
+and every volume a contiguous run, which is all the sampler and the
+deviation statistic look up. Nothing derived from the matrix is cached:
+the deviation statistic hands the dataset's min and max to the kernels,
+which normalize their own float64 sorted copy or pair block, so ``stats``
+holds one transient (n, p) array. The synthetic generator makes a
 hierarchy with controllable patient-level, volume-level, depth-drift, and
 noise variance so that group structure is visible in pixel space.
 """
@@ -43,7 +43,7 @@ class DatasetIndex:
     """``ids``, an (n, 4) integer identity table kept as a read-only int64
     copy, row i matrix row i's ``gcle.RECORD_KEYS`` (slice_id, patient_id,
     volume_id, slice_index), and the (n, h*w) ``pixels`` matrix, taken over
-    read-only as float64 (a float64 array without a copy).
+    read-only as C-contiguous float32 (any other input rounded once).
 
     ``order`` lists the rows by patient, then volume, then depth;
     ``patient_bounds`` and ``volume_bounds`` hold the starts of the patient
@@ -65,14 +65,13 @@ class DatasetIndex:
         self.w = int(w)
         if not self.n:
             raise InvalidSpecError("dataset must contain at least one slice")
-        X = np.asarray(pixels, dtype=np.float64)
+        X = np.ascontiguousarray(pixels, dtype=np.float32)
         if X.shape != (self.n, self.h * self.w):
             raise InvalidSpecError(
                 f"pixel matrix has shape {X.shape}, expected "
                 f"({self.n}, h*w={self.h * self.w})"
             )
-        X.flags.writeable = False
-        self._pixels = X
+        self._pixels = _read_only(X)
         seen_ids = set()
         vol_patient = {}
         vol_depths = {}
@@ -101,7 +100,7 @@ class DatasetIndex:
         return len(self.ids)
 
     def pixel_matrix(self):
-        """All pixels, the read-only (n, h*w) float64 matrix the dataset
+        """All pixels, the read-only (n, h*w) float32 matrix the dataset
         holds, one row per row of ``ids``."""
         return self._pixels
 
@@ -162,7 +161,7 @@ def generate_synthetic(spec):
     # row i is slice id i: its patient, volume and depth, in id order
     i = np.arange(n_vol * d)
     ids = np.stack([i, i // (n_vpp * d), i // d, i % d], axis=1)
-    X = np.empty((n_vol * d, pix))
+    X = np.empty((n_vol * d, pix), dtype=np.float32)  # each row rounded once
     for sid, (p, vol, t) in enumerate(ids[:, 1:].tolist()):
         X[sid] = (
             patient_off[p]
@@ -177,12 +176,12 @@ def generate_synthetic(spec):
 def group_deviation(ds, grouping):
     """Mean pairwise absolute pixel deviation within groups of one grouping.
 
-    Pixels are min-max normalized over the whole dataset, x -> (x - lo) /
-    (hi - lo), or to 0.0 when hi == lo. The kernels apply that map to their
-    own sorted copy or pair block, so no normalized copy of the matrix is
-    made or kept. For each group with at least two members the statistic
-    averages, over all unordered slice pairs in the group, the mean absolute
-    pixel difference; groups are then averaged with equal weight. Groupings:
+    Pixels are min-max normalized over the whole dataset in float64, by
+    x -> (x - lo) / (hi - lo), or to 0.0 when hi == lo. The kernels apply
+    that map to their own sorted copy or pair block, so no normalized copy
+    of the matrix is made or kept. For each group with at least two members
+    the statistic averages, over all unordered slice pairs in the group, the
+    mean absolute pixel difference; groups then weigh equally. Groupings:
 
     - "dataset": a single group holding every slice
     - "patient" / "volume": one group per patient / per volume, the runs
@@ -192,7 +191,7 @@ def group_deviation(ds, grouping):
     if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
     X = ds.pixel_matrix()
-    lo, hi = X.min(), X.max()
+    lo, hi = float(X.min()), float(X.max())
     scale = hi - lo if hi != lo else 1.0  # every finite x - lo is then 0.0
     if grouping == "dataset":
         if ds.n < 2:
@@ -270,18 +269,13 @@ def load_dataset(in_dir):
     h, w, ids = _read_meta(meta_path)
     data_path = root / "data.bin"
     n, p = len(ids), h * w
-    size = data_path.stat().st_size
-    if size != n * p * 4:
-        raise FormatError(f"{data_path}: holds {size} bytes, expected {n * p * 4}")
-    X = np.empty((n, p))
-    block = _kernels._block_rows(p)  # rows converted at a time: no float32 copy
-    with open(data_path, "rb") as fh:
-        for start in range(0, n, block):
-            rows = X[start:start + block]
-            values = np.fromfile(fh, dtype="<f4", count=rows.size)
-            if not np.all(np.isfinite(values)):
-                raise FormatError(f"{data_path}: contains non-finite values")
-            rows[...] = values.reshape(rows.shape)
+    raw = data_path.read_bytes()
+    if len(raw) != n * p * 4:
+        raise FormatError(f"{data_path}: holds {len(raw)} bytes, {meta_path} implies {n * p * 4}")
+    X = np.frombuffer(raw, dtype="<f4").reshape(n, p)
+    # min and max are nan if any value is, and infinite if any value is: no mask
+    if X.size and not np.isfinite([X.min(), X.max()]).all():
+        raise FormatError(f"{data_path}: contains non-finite values")
     labels_path = root / "labels.json"
     try:
         labels = json.loads(labels_path.read_text())

@@ -376,7 +376,7 @@ def train(ds, loss_cfg, train_cfg):
             structure = LossStructure(pid, vid, slice_pos, loss_cfg.terms)
             batch_losses = []
             for b in range(len(rows)):
-                X.take(rows[b], axis=0, out=stack[:n])
+                stack[:n] = X[rows[b]]  # widened: take's out= would not cast
                 augment_batch(stack[:n], train_cfg.augment, aug_rng, ds.h, ds.w, out=stack[n:])
                 _, proj, cache = _forward_batch(params, stack)
                 if not np.logical_and.reduce(np.isfinite(proj), axis=None):

@@ -66,7 +66,7 @@ def write_gcle(path, matrix, ids):
 
 
 def read_gcle(path):
-    """Read an embedding file; returns (float32 matrix, (n, 4) int64 ids).
+    """Read an embedding file; returns (read-only float32 matrix, (n, 4) int64 ids).
 
     A malformed sidecar raises FormatError naming the sidecar, the row and
     the key.
@@ -84,7 +84,7 @@ def read_gcle(path):
         raise FormatError(
             f"{path}: payload holds {len(raw) - 16} bytes, expected {n * dim * 4}"
         )
-    matrix = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, dim).copy()
+    matrix = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, dim)
     if matrix.size and not np.all(np.isfinite(matrix)):
         raise FormatError(f"{path}: payload contains non-finite values")
     meta_path = Path(str(path) + ".meta.json")

@@ -173,9 +173,9 @@ def probe_accuracy(features, labeled_rows, labels):
     Each unlabeled row is classified by its nearest labeled row (ties to
     the lowest labeled row); a fully labeled pool scores 1.0 by convention.
     The search reads the unlabeled rows from ``features`` a block at a
-    time; only the labeled rows are copied.
+    time, widened to float64; only the labeled rows are copied.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels)
     labeled = sorted(set(int(i) for i in labeled_rows))
     unlabeled = _unlabeled_rows(features.shape[0], labeled)

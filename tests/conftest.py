@@ -136,8 +136,9 @@ def ref_group_loss(z, pid, tau, group_type, labels=None, positive_sets=None):
 
 def ref_group_deviation(ds, grouping):
     """Brute-force deviation statistic: explicit O(n^2) pair loops over
-    min-max normalized pixels; None when the grouping has no valid pair."""
-    X = ds.pixel_matrix()
+    min-max normalized pixels, in float64; None when the grouping has no
+    valid pair."""
+    X = ds.pixel_matrix().astype(np.float64)
     lo, hi = X.min(), X.max()
     X = np.zeros_like(X) if hi == lo else (X - lo) / (hi - lo)
 

@@ -15,6 +15,7 @@ from slicepick import (
     load_dataset,
     save_dataset,
 )
+from slicepick.coreset import SelectionState
 
 
 def identity_rows(*records):
@@ -173,15 +174,17 @@ class TestGroupDeviation:
 
 
 class TestPixelMatrix:
-    """One read-only float64 matrix per dataset: the constructor takes it
-    over, ``pixel_matrix`` returns it without a copy, and the deviation
-    statistic normalizes it once."""
+    """One read-only float32 matrix per dataset, the values ``data.bin``
+    holds: the constructor takes it over, ``pixel_matrix`` returns it
+    without a copy, and a selection state over it keeps it."""
 
     def assert_one_matrix(self, ds):
         X = ds.pixel_matrix()
-        assert ds.pixel_matrix() is X and X.dtype == np.float64
-        assert X.shape == (ds.n, ds.h * ds.w)
+        assert ds.pixel_matrix() is X and X.dtype == np.float32
+        assert X.shape == (ds.n, ds.h * ds.w) and X.flags.c_contiguous
         assert not X.flags.writeable
+        state = SelectionState(X)
+        assert state.emb is X and state.emb32 is X
 
     def test_generated_and_loaded(self, tmp_path):
         ds, labels = generate_synthetic(SynthSpec(2, 2, 3, h=2, w=3, seed=4))
@@ -189,18 +192,28 @@ class TestPixelMatrix:
         save_dataset(ds, labels, tmp_path / "d")
         self.assert_one_matrix(load_dataset(tmp_path / "d")[0])
 
-    def test_takes_over_a_float64_matrix(self):
-        X = np.arange(6.0).reshape(3, 2)
+    def test_takes_over_a_float32_matrix(self):
+        X = np.arange(6.0, dtype=np.float32).reshape(3, 2)
         ds = DatasetIndex(identity_rows((0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 0)), X, 1, 2)
-        assert np.shares_memory(ds.pixel_matrix(), X)
+        assert ds.pixel_matrix() is X
         assert not X.flags.writeable
         self.assert_one_matrix(ds)
 
-    def test_other_input_becomes_float64(self):
+    def test_other_input_is_rounded_to_float32(self):
         rows = identity_rows((0, 0, 0, 0), (1, 0, 0, 1))
-        ds = DatasetIndex(rows, np.array([[1, 2], [3, 4]], dtype=np.float32), 1, 2)
+        X = np.array([[1, 2], [3, 4]]) + np.array([0.1, 1e-9])
+        ds = DatasetIndex(rows, X, 1, 2)
         self.assert_one_matrix(ds)
-        assert np.array_equal(ds.pixel_matrix(), [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.pixel_matrix().tobytes() == X.astype(np.float32).tobytes()
+
+    def test_generator_equals_its_file_round_trip(self, tmp_path):
+        # the in-memory dataset is the one gen-data writes and the CLI loads
+        spec = SynthSpec(3, 2, 4, h=3, w=5, seed=9)
+        ds, labels = generate_synthetic(spec)
+        save_dataset(ds, labels, tmp_path / "d", spec)
+        loaded, loaded_labels = load_dataset(tmp_path / "d")
+        assert loaded.pixel_matrix().tobytes() == ds.pixel_matrix().tobytes()
+        assert np.array_equal(loaded.ids, ds.ids) and np.array_equal(loaded_labels, labels)
 
 
 class TestDatasetDirectory:
@@ -209,8 +222,7 @@ class TestDatasetDirectory:
         save_dataset(ds, labels, tmp_path / "d")
         ds2, labels2 = load_dataset(tmp_path / "d")
         assert np.array_equal(labels, labels2)
-        # pixels pass through float32 storage
-        assert np.allclose(ds.pixel_matrix(), ds2.pixel_matrix(), atol=1e-6)
+        assert ds.pixel_matrix().tobytes() == ds2.pixel_matrix().tobytes()
         assert np.array_equal(ds2.ids, ds.ids)
 
     def test_regeneration_is_byte_identical(self, tmp_path, tiny_ds):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from slicepick import FormatError
+from slicepick.coreset import SelectionState
 from slicepick.gcle import read_gcle, records_from_ids, write_gcle
 
 
@@ -19,7 +20,9 @@ def test_round_trip_bit_exact(tmp_path):
     path = tmp_path / "e.gcle"
     write_gcle(path, m, ids)
     back, back_ids = read_gcle(path)
-    assert back.dtype == np.float32
+    # the payload's own bytes, read-only, as a selection state keeps them
+    assert back.dtype == np.float32 and not back.flags.writeable
+    assert back.flags.c_contiguous and SelectionState(back).emb is back
     assert np.array_equal(back, m)
     assert back_ids.dtype == np.int64 and np.array_equal(back_ids, ids)
     sidecar = json.loads((tmp_path / "e.gcle.meta.json").read_text())

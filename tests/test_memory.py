@@ -3,7 +3,9 @@
 ``tracemalloc`` sees numpy's array allocations, so the peak it records
 around one call is what that call holds beyond its inputs. The matrix spans
 eight row blocks of ``_kernels._BLOCK`` values: a whole-matrix copy shows
-as a multiple of its bytes, a block as a fraction.
+as a multiple of its bytes, a block as a fraction. A float32 matrix's
+float64 copy is twice its bytes, so a kernel that widens one block at a
+time stays below them.
 """
 
 import tracemalloc
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from slicepick import _kernels
+from slicepick.coreset import SelectionState, k_center_greedy
 from slicepick.data import DatasetIndex, group_deviation, load_dataset, save_dataset
 from slicepick.pipeline import probe_accuracy
 
@@ -42,18 +45,44 @@ def peak_bytes(fn, *args):
 # -- memory bounds -------------------------------------------------------------
 
 def test_group_deviation_holds_one_sorted_copy(X):
-    # the sorted copy the statistic needs, and no normalized copy beside it
-    ds = dataset(X.copy())
+    # the float64 sorted copy the statistic needs, and no normalized copy
+    # beside it
+    ds = dataset(X)
     assert peak_bytes(group_deviation, ds, "dataset") < 1.3 * X.nbytes
 
 
 def test_load_dataset_holds_one_matrix(X, tmp_path):
-    # data.bin is converted a row block at a time: no float32 copy of the
-    # file and no finiteness mask of the whole matrix beside it
-    save_dataset(dataset(X.copy()), np.zeros(N, dtype=np.int64), tmp_path)
-    assert peak_bytes(load_dataset, tmp_path) < 1.3 * X.nbytes
+    # data.bin's bytes are the float32 matrix: no float64 copy of the file
+    # and no finiteness mask of the whole matrix beside it
+    save_dataset(dataset(X), np.zeros(N, dtype=np.int64), tmp_path)
+    X32 = X.astype(np.float32)
+    assert peak_bytes(load_dataset, tmp_path) < 1.3 * X32.nbytes
     ds, _ = load_dataset(tmp_path)
-    assert ds.pixel_matrix().tobytes() == X.astype("<f4").astype(np.float64).tobytes()
+    assert ds.pixel_matrix().tobytes() == X32.tobytes()
+
+
+@pytest.fixture(scope="module")
+def X32(X):
+    return X.astype(np.float32)
+
+
+PAIRS = np.arange(N), np.arange(N)[::-1].copy()
+
+# each call on a float32 matrix X
+WIDENING_CALLS = {
+    "dist_to_row": lambda X: _kernels.dist_to_row(X, 7),
+    "_sq_norms": _kernels._sq_norms,
+    "nn_indices": lambda X: _kernels.nn_indices(X, X[:N // 16], PAIRS[0][::2]),
+    "pair_mean_abs": lambda X: _kernels.pair_mean_abs(X, *PAIRS, float(X.min()), 3.0),
+    "probe_accuracy": lambda X: probe_accuracy(X, range(0, N, 16), PAIRS[0] % 5),
+    "greedy": lambda X: k_center_greedy(SelectionState(X), 40, cold_start_seed=1),
+    "adjacent deviation": lambda X: group_deviation(dataset(X), "adjacent"),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDENING_CALLS))
+def test_kernels_widen_a_float32_matrix_one_block_at_a_time(X32, name):
+    assert peak_bytes(WIDENING_CALLS[name], X32) < X32.nbytes
 
 
 def test_probe_copies_only_the_labeled_rows(X):

@@ -6,6 +6,7 @@ the least squared distance ``einsum((x - c)**2)`` over the labeled rows in
 index order, ties going to the lowest row, which is the probe's order. On
 small-integer data every squared distance is exact in any summation order,
 so there ``scalar_nearest`` checks the same answer one scalar at a time.
+A float32 matrix must give the bits of its float64 widening throughout.
 """
 
 import math
@@ -17,6 +18,7 @@ from slicepick import _kernels
 from slicepick.checks import brute_force_nearest as loop_nearest
 from slicepick.checks import full_pass_greedy
 from slicepick.coreset import SelectionState, k_center_greedy
+from slicepick.data import GROUPINGS, DatasetIndex, group_deviation
 from slicepick.pipeline import cover_probe_accuracy, probe_accuracy
 
 
@@ -194,3 +196,78 @@ def test_cover_probe_of_a_full_or_empty_state():
     assert cover_probe_accuracy(k_center_greedy(SelectionState(emb), 5), labels) == 1.0
     with pytest.raises(ValueError, match="at least one labeled row"):
         cover_probe_accuracy(k_center_greedy(SelectionState(emb), 0), labels)
+
+
+# -- float32 storage ---------------------------------------------------------
+
+
+def float32_inputs():
+    """Tie-heavy float32 matrices, an ordinary one, and a tie of distances
+    that only the float64 squared distances resolve."""
+    rng = np.random.default_rng(40)
+    ys = np.arange(-4.0, 5.0)
+    mirrored = [[s * k, 0.0] for k in (1.0, 2.0, 3.0) for s in (1, -1)]
+    # from the zero row, row 0 is at d2 = N + 1 and row 1 at d2 = N, exact
+    # integers below 2^53 whose float64 square roots are equal; in float32
+    # both d2 round to one value
+    c, p = 8386608, 80
+    tie = np.zeros((3, p))
+    tie[:2, 1:] = c
+    tie[0, 0] = 1.0
+    assert math.sqrt((p - 1) * c * c) == math.sqrt((p - 1) * c * c + 1)
+    inputs = {
+        "duplicates": rng.standard_normal((6, 4))[rng.integers(6, size=50)],
+        "mirrored": np.array(mirrored + [[0.0, y] for y in ys] + [[1.0, y] for y in ys]),
+        "small integers": rng.integers(-2, 3, size=(40, 3)),
+        # a few float32 ulps around 1e4
+        "large offset": 1e4 + 1e-3 * rng.standard_normal((60, 5)),
+        "ordinary": 3.0 * rng.standard_normal((60, 7)) - 1.0,
+        "float64 tie": tie,
+    }
+    return {name: X.astype(np.float32) for name, X in inputs.items()}
+
+
+FLOAT32_INPUTS = float32_inputs()
+
+
+@pytest.mark.parametrize("name", list(FLOAT32_INPUTS))
+def test_float32_matrix_gives_the_bits_of_its_widening(name):
+    # every kernel, statistic and cover computes in float64, so a float32
+    # matrix and its exact float64 widening give the same bits
+    X = FLOAT32_INPUTS[name]
+    W = X.astype(np.float64)
+    n = len(X)
+    rng = np.random.default_rng(n)
+    for idx in (0, n // 2, n - 1):
+        assert _kernels.dist_to_row(X, idx).tobytes() == _kernels.dist_to_row(W, idx).tobytes()
+    rows = rng.permutation(n)[:n // 2]
+    for refs in (slice(None, None, 3), slice(2)):
+        assert np.array_equal(_kernels.nn_indices(X, X[refs]), _kernels.nn_indices(W, W[refs]))
+    assert np.array_equal(_kernels.nn_indices(X, X[::3], rows),
+                          _kernels.nn_indices(W, W[::3], rows))
+    lo = float(W.min())
+    scale = float(W.max()) - lo
+    ia, ib = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+    assert (_kernels.pair_mean_abs(X, ia, ib, lo, scale).tobytes()
+            == _kernels.pair_mean_abs(W, ia, ib, lo, scale).tobytes())
+    assert _kernels.all_pairs_mean_abs(X, lo, scale) == _kernels.all_pairs_mean_abs(W, lo, scale)
+    assert scale > 0
+
+    i = np.arange(n)
+    ids = np.stack([i, i // 8, i // 4, i % 4], axis=1)
+    ds = DatasetIndex(ids, X, 1, X.shape[1])
+    wide = DatasetIndex(ids, X, 1, X.shape[1])
+    wide.pixel_matrix = lambda: W
+    for grouping in GROUPINGS:
+        assert group_deviation(ds, grouping) == group_deviation(wide, grouping)
+
+    states = SelectionState(X, [0, 1]), SelectionState(W, [0, 1])
+    assert states[0].emb is X and states[0].emb32 is X
+    if name == "float64 tie":
+        assert list(states[0].nearest) == [0, 1, 1]
+    for k in (0, (n - 2) // 2, (n - 2) - (n - 2) // 2):
+        a, b = (k_center_greedy(s, k, cold_start_seed=3) for s in states)
+        assert a.trace == b.trace
+        assert a.sq_norms.tobytes() == b.sq_norms.tobytes()
+        assert a.min_dist.tobytes() == b.min_dist.tobytes()
+        assert a.nearest.tobytes() == b.nearest.tobytes()

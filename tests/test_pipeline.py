@@ -343,12 +343,12 @@ class TestRepeatWorkers:
         assert pooled.to_json() == serial.to_json()
 
     def test_a_task_pickles_only_its_repeat_number(self, monkeypatch):
-        # forked workers inherit the dataset; at 32 x 32 pixels its matrix
-        # is 256 KB, which a task carrying it would exceed
+        # forked workers inherit the dataset; at 32 x 32 float32 pixels its
+        # matrix is 256 KB, which a task carrying it would exceed
         from multiprocessing.reduction import ForkingPickler
 
         ds, labels = generate_synthetic(SynthSpec(
-            n_patients=4, volumes_per_patient=2, slices_per_volume=4, h=32, w=32, seed=6,
+            n_patients=4, volumes_per_patient=2, slices_per_volume=8, h=32, w=32, seed=6,
         ))
         assert ds.pixel_matrix().nbytes >= 256 * 1024
         sizes = []

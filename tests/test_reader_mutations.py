@@ -13,7 +13,9 @@ another (a changed ``h`` as the wrong ``data.bin`` size), so any of the
 reader's files counts.
 
 A seeded loop, not ``hypothesis``: every run tries the same cases, a few
-thousand in a few seconds.
+thousand in a few seconds. A seeded sample of them also runs through
+``cli.main``, where each case must exit 0 with its output written, or exit
+1 with one ``error:`` line naming the mutated file and no output made.
 """
 
 import json
@@ -161,3 +163,83 @@ def test_config_file(tmp_path, capsys):
     path.write_bytes(raw)
     cases = truncations(raw) + bit_flips(raw, seed=4)
     assert_each_loads_or_names_a_file(path, cases, lambda: _read_config_file(path), [path])
+
+
+# -- the same mutations through the CLI -----------------------------------------
+
+CLI_CASES = 40  # seeded cases per (command, file)
+TRAIN_CONFIG = "groups=ntxent,volume\nepochs=2\nhidden=3\nrep_dim=2\nproj_dim=2\n"
+
+
+def cli_cases(raw, seed):
+    """A seeded sample of the cases above for the file bytes ``raw``."""
+    cases = truncations(raw) + bit_flips(raw, seed)
+    if raw.lstrip()[:1] in (b"{", b"["):
+        cases += json_text_edits(raw)
+    rng = np.random.default_rng(seed)
+    return [cases[i] for i in sorted(rng.choice(len(cases), CLI_CASES, replace=False))]
+
+
+@pytest.fixture
+def cli_inputs(dataset_dir, tmp_path, capsys):
+    """Each CLI reader's inputs, valid, by name: the dataset and its three
+    files, a checkpoint that fits it, its GCLE embeddings and sidecar, and
+    a training config file."""
+    ckpt, emb, config = tmp_path / "enc.ckpt", tmp_path / "emb.gcle", tmp_path / "train.cfg"
+    config.write_text(TRAIN_CONFIG)
+    for argv in (["--config", str(config), "train-encoder", "--data", str(dataset_dir),
+                  "--out", str(ckpt)],
+                 ["embed", "--data", str(dataset_dir), "--checkpoint", str(ckpt),
+                  "--out", str(emb)]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    files = {name: dataset_dir / name for name in ("meta.json", "labels.json", "data.bin")}
+    return {**files, "data": dataset_dir, "ckpt": ckpt, "emb": emb,
+            "emb.meta.json": tmp_path / "emb.gcle.meta.json", "config": config}
+
+
+# command: (the inputs whose files are mutated, its argv given the inputs and
+# the output path, whether it writes that path rather than printing)
+CLI_COMMANDS = {
+    "stats": (["meta.json", "labels.json", "data.bin"],
+              lambda d, out: ["stats", "--data", str(d["data"]), "--json"], False),
+    "embed": (["meta.json", "data.bin", "ckpt"],
+              lambda d, out: ["embed", "--data", str(d["data"]), "--checkpoint",
+                              str(d["ckpt"]), "--out", str(out)], True),
+    "select": (["emb", "emb.meta.json"],
+               lambda d, out: ["select", "--embeddings", str(d["emb"]), "--budget", "3",
+                               "--out", str(out)], True),
+    "train-encoder": (["config"],
+                      lambda d, out: ["--config", str(d["config"]), "train-encoder",
+                                      "--data", str(d["data"]), "--out", str(out)], True),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_COMMANDS))
+def test_cli_exits_cleanly_on_every_mutation(cli_inputs, tmp_path, capsys, command):
+    # each case exits 0 with its output written, or exits 1 with one
+    # ``error:`` line naming the mutated file and no output made
+    names, argv, writes = CLI_COMMANDS[command]
+    out = tmp_path / "out"
+    failures = []
+    for seed, name in enumerate(names):
+        path = cli_inputs[name]
+        original = path.read_bytes()
+        try:
+            for raw in cli_cases(original, seed):
+                path.write_bytes(raw)
+                code = main(argv(cli_inputs, out))
+                printed, err = capsys.readouterr()
+                made = out.exists() if writes else bool(printed)
+                lines = err.splitlines()
+                ok = (code == 0 and made) or (
+                    code == 1 and not made and len(lines) == 1
+                    and lines[0].startswith("error: ") and str(path) in lines[0]
+                )
+                if not ok:
+                    failures.append((name, raw[:60], code, err))
+                if out.exists():
+                    out.unlink()
+        finally:
+            path.write_bytes(original)
+    assert failures == [], (len(failures), failures[:3])
