@@ -48,12 +48,12 @@ def check_output_dir(flag, path):
 
 
 def write_atomic(path, data):
-    """Write ``data`` (bytes or str, UTF-8) to ``path`` atomically; an error names ``path``."""
+    """Write ``data`` (bytes-like, or str as UTF-8) to ``path`` atomically; an error names it."""
     write_all_atomic([(path, data)])
 
 
 def write_all_atomic(outputs):
-    """Write every (path, data) of ``outputs``, each atomically.
+    """Write every (path, data) of ``outputs``, each atomically, as ``write_atomic`` does.
 
     Each file is staged first, in a hidden temporary file in its target's
     directory, and only when all are staged is each renamed over its

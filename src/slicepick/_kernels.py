@@ -1,25 +1,24 @@
 """Hot numeric inner loops, vectorized in numpy.
 
 Every kernel takes a float32 or float64 matrix as it is (any other input
-becomes float64) and widens each row block it gathers to float64 before
-any arithmetic: every distance and statistic is computed in float64, and a
-float32 matrix gives the bits of its exact float64 widening.
-``dist_to_row``, ``pair_mean_abs`` and ``pairwise_dists`` compute each value
-directly. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
+becomes float64) and widens each block it gathers to float64 before any
+arithmetic: every distance and statistic is computed in float64, and a
+float32 matrix gives the bits of its exact float64 widening. Every
+distance is the direct one that ``_sq_dists`` sums, so ``dist_to_row``,
+``pairwise_dists`` and ``nn_indices``' re-rank agree bit for bit.
+``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
 difference, O(p n log n) and within a few ulps of the pairwise sum. It and
 ``pair_mean_abs`` take an affine map x -> (x - lo) / scale, which they
-apply to their own float64 sorted copy or pair block, so a caller
-normalizes without a copy of its matrix. ``nn_indices`` finds candidates
-with one float32 matrix product per query block and re-ranks them with the
-direct float64 squared distance, so its answer, ties included, is exactly
-that of the direct search; it searches for a subset of the rows of its
-query matrix without copying them. ``dist_to_row``, ``nn_indices``,
-``pair_mean_abs`` and the squared norms work one row block of at most
-``_BLOCK`` values at a time, so none holds an (n, p) array beside its
-input; ``all_pairs_mean_abs`` holds its one sorted copy. The private
-helpers are not part of the traced set; ``_sq_dist_expansion`` (that
-float32 product, computed nowhere else) and ``_sq_dist_slack`` (its
-rounding bound) also serve the screened cover update in ``coreset``.
+apply to their own widened column or pair block, so a caller normalizes
+without a copy of its matrix. ``nn_indices`` finds candidates with one
+float32 matrix product per query block and re-ranks them with the direct
+float64 squared distance, so its answer, ties included, is exactly that of
+the direct search; it searches for a subset of the rows of its query
+matrix without copying them. Each kernel works one block of rows (or of
+columns) of at most ``_BLOCK`` values at a time, so none holds an (n, p)
+array beside its input. The private helpers are not part of the traced
+set; ``_sq_dist_expansion`` (that float32 product, computed nowhere else)
+and ``_sq_dist_slack`` (its rounding bound) also serve ``coreset``.
 ``tests/test_kernels.py`` checks each kernel against a plain-Python loop
 oracle, and ``tests/test_memory.py`` the transient memory of the passes.
 """
@@ -28,13 +27,13 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# the most float64 values a transient row block holds (2 MB): a full
-# distance pass or a 1-NN search keeps no (n, p) copy of its matrix
+# the most float64 values a transient block holds (2 MB): a full distance
+# pass, a 1-NN search or a column sort keeps no (n, p) copy of its matrix
 _BLOCK = 2 ** 18
 
 
 def _block_rows(width):
-    """The rows of ``width`` values in a transient block, at least one."""
+    """The rows (or columns) of ``width`` values in a transient block, at least one."""
     return max(1, _BLOCK // max(1, width))
 
 
@@ -59,16 +58,17 @@ def _row_dists(emb, idx, rows=None):
     return np.sqrt(_sq_dists_to(emb, _wide(emb[idx]), rows))
 
 
-def _sq_dists_to(emb, ref, rows=None):
-    """The direct squared distance from each row of ``emb`` (or of its
-    ``rows``) to the float64 vector ``ref``, from float64 differences formed
-    one row block at a time and summed by ``_sq_dists``."""
+def _sq_dists_to(emb, ref, rows=None, ref_rows=None):
+    """The direct squared distance from each row of ``emb`` (or of its ``rows``) to the float64
+    vector ``ref``, or the i-th to ``ref[ref_rows[i]]``, from float64 differences formed one
+    row block at a time and summed by ``_sq_dists``."""
     m = emb.shape[0] if rows is None else len(rows)
     out = np.empty(m)
     block = _block_rows(emb.shape[1])
     for start in range(0, m, block):
         at = slice(start, start + block) if rows is None else rows[start:start + block]
-        out[start:start + block] = _sq_dists(emb[at] - ref)  # float64, as ref is
+        to = ref if ref_rows is None else ref[ref_rows[start:start + block]]
+        out[start:start + block] = _sq_dists(emb[at] - to)  # float64, as ref is
     return out
 
 
@@ -158,30 +158,29 @@ def all_pairs_mean_abs(X, lo=0.0, scale=1.0):
     """Mean over all unordered row pairs of the mean absolute difference,
     on X mapped by x -> (x - lo) / scale (by default the identity).
 
-    The map is applied to the float64 sorted copy, the one (n, p) array
-    held. It is monotone, so this is the sorted mapped matrix bit for bit,
-    and no mapped copy of X is made.
     Per column, sum_{i<j} |x_i - x_j| = sum_k k (n - k) (x_(k+1) - x_(k))
     over the sorted values x_(1) <= ... <= x_(n) (Gini's mean difference in
-    sorted form), so the cost is O(p n log n), not O(p n^2). Every gap and
-    weight is >= 0, so the sum does not cancel: the result stays within a
-    few ulps of the pairwise loop even when the values share a large offset.
+    sorted form), so the cost is O(p n log n), not O(p n^2). A block of
+    columns at a time is copied to rows, sorted in X's own dtype, widened
+    and mapped; widening is exact and the map monotone, so these are the
+    sorted mapped columns bit for bit. numpy sums each column's weighted
+    gaps pairwise, in one order wherever the column sits, so the result
+    does not depend on the block width. Every gap and weight is >= 0, so
+    the sum does not cancel: the result stays within a few ulps of the
+    pairwise loop even when the values share a large offset.
     """
-    gaps = np.array(X, dtype=np.float64, order="C")
-    n = gaps.shape[0]
-    gaps.sort(axis=0)
-    _unit(gaps, lo, scale)
-    # differences taken in place, from the last rows up, one block at a time:
-    # each block reads rows not yet overwritten, and no second (n, p) matrix
-    # is held
-    block = _block_rows(gaps.shape[1])
-    for stop in range(n, 1, -block):
-        start = max(1, stop - block)
-        gaps[start:stop] -= gaps[start - 1:stop - 1]
-    gaps = gaps[1:]
+    X = _matrix(X)
+    n, p = X.shape
     k = np.arange(1.0, n)
-    gaps *= (k * (n - k))[:, None]
-    return float(gaps.sum()) / gaps.shape[1] / (n * (n - 1) / 2.0)
+    weights = k * (n - k)
+    col_sums = np.empty(p)
+    block = _block_rows(n)
+    for start in range(0, p, block):
+        cols = X[:, start:start + block].T.copy()
+        cols.sort(axis=1)
+        cols = _unit(_wide(cols), lo, scale)
+        col_sums[start:start + block] = (np.diff(cols, axis=1) * weights).sum(axis=1)
+    return float(col_sums.sum()) / p / (n * (n - 1) / 2.0)
 
 
 def nn_indices(Q, R, rows=None):
@@ -279,13 +278,10 @@ def _nn_block(q, R, R32, r_sq):
 
 
 def pairwise_dists(X):
-    """Full symmetric Euclidean distance matrix."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    """Full symmetric Euclidean distance matrix, row i bit for bit ``dist_to_row(X, i)``."""
+    X = _matrix(X)
     n = X.shape[0]
     D = np.zeros((n, n))
     for i in range(n - 1):
-        diff = X[i + 1:] - X[i]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        D[i, i + 1:] = d
-        D[i + 1:, i] = d
+        D[i, i + 1:] = D[i + 1:, i] = np.sqrt(_sq_dists_to(X[i + 1:], _wide(X[i])))
     return D

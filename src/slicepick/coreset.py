@@ -202,8 +202,7 @@ def brute_force_k_center(emb, initial_labeled, k):
     included, comes from one direct ``pairwise_dists`` matrix, never through
     ``SelectionState``'s screen.
     """
-    emb = np.ascontiguousarray(emb, dtype=np.float64)
-    n = emb.shape[0]
+    n = len(emb)
     labeled = set(int(i) for i in initial_labeled)
     if labeled and not (0 <= min(labeled) and max(labeled) < n):
         raise IndexError("initial labeled index out of range")
@@ -232,12 +231,11 @@ def brute_force_k_center(emb, initial_labeled, k):
 def silhouette_score(emb, cluster_labels):
     """Mean silhouette over all points under Euclidean distance.
 
-    Singleton clusters score 0, as does the 0/0 case where a point's
-    intra- and inter-cluster distances are both zero.
+    Singleton clusters score 0, as does the 0/0 case where a point's intra- and
+    inter-cluster distances are both zero. No copy of ``emb`` is made, only its distance matrix.
     """
-    emb = np.ascontiguousarray(emb, dtype=np.float64)
     labels = np.asarray(cluster_labels)
-    if labels.shape[0] != emb.shape[0]:
+    if labels.shape[0] != len(emb):
         raise ValueError("one cluster label per row is required")
     uniq, own = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
@@ -248,7 +246,7 @@ def silhouette_score(emb, cluster_labels):
     members = [np.flatnonzero(labels == c) for c in uniq]
     sums = np.stack([D.take(cols, axis=1).sum(axis=1) for cols in members], axis=1)
     sizes = np.array([cols.size for cols in members])
-    rows = np.arange(emb.shape[0])
+    rows = np.arange(len(emb))
     own_size = sizes[own]
     with np.errstate(divide="ignore", invalid="ignore"):
         a = sums[rows, own] / (own_size - 1)
@@ -266,14 +264,14 @@ def _kmeanspp_centers(emb, n_clusters, rng):
     n = emb.shape[0]
     centers = np.empty((n_clusters, emb.shape[1]))
     centers[0] = emb[int(rng.integers(n))]
-    d2 = np.sum((emb - centers[0]) ** 2, axis=1)
+    d2 = _kernels._sq_dists_to(emb, centers[0])
     for c in range(1, n_clusters):
         total = d2.sum()
         if total == 0:
             centers[c:] = emb[int(rng.integers(n))]
             break
         centers[c] = emb[int(rng.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((emb - centers[c]) ** 2, axis=1))
+        d2 = np.minimum(d2, _kernels._sq_dists_to(emb, centers[c]))
     return centers
 
 
@@ -283,9 +281,9 @@ def kmeans_labels(emb, n_clusters, seed):
     Runs ``_KMEANS_RESTARTS`` restarts of at most ``_KMEANS_ITERS``
     iterations each and keeps the assignment with the lowest
     within-cluster sum of squares. An emptied cluster is reseeded to the
-    row farthest from its current center.
+    row farthest from its current center; the matrix is widened a row block or a cluster at a time.
     """
-    emb = np.ascontiguousarray(emb, dtype=np.float64)
+    emb = _kernels._matrix(emb)
     n = emb.shape[0]
     if not 2 <= n_clusters <= n:
         raise ValueError("n_clusters must be in [2, n]")
@@ -300,16 +298,16 @@ def kmeans_labels(emb, n_clusters, seed):
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            dist_to_center = np.linalg.norm(emb - centers[labels], axis=1)
+            dist_to_center = np.sqrt(_kernels._sq_dists_to(emb, centers, ref_rows=labels))
             for c in range(n_clusters):
                 mask = labels == c
                 if mask.any():
-                    centers[c] = emb[mask].mean(axis=0)
+                    centers[c] = _kernels._wide(emb[mask]).mean(axis=0)
                 else:
                     far = int(np.argmax(dist_to_center))
                     centers[c] = emb[far]
                     dist_to_center[far] = 0.0
-        inertia = float(np.sum((emb - centers[labels]) ** 2))
+        inertia = float(np.sum(_kernels._sq_dists_to(emb, centers, ref_rows=labels)))
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels

@@ -9,8 +9,8 @@ order of the rows (patient, then volume, then depth) makes every patient
 and every volume a contiguous run, which is all the sampler and the
 deviation statistic look up. Nothing derived from the matrix is cached:
 the deviation statistic hands the dataset's min and max to the kernels,
-which normalize their own float64 sorted copy or pair block, so ``stats``
-holds one transient (n, p) array. The synthetic generator makes a
+which normalize their own widened column or pair block, so ``stats``
+holds no transient (n, p) array. The synthetic generator makes a
 hierarchy with controllable patient-level, volume-level, depth-drift, and
 noise variance so that group structure is visible in pixel space.
 """
@@ -134,6 +134,7 @@ class SynthSpec:
             raise SettingError("synthetic-data", self, "seed", "be a nonnegative integer")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each rounded row block is checked
 def generate_synthetic(spec):
     """Build a synthetic dataset; a pure, bit-reproducible function of ``spec``.
 
@@ -144,7 +145,7 @@ def generate_synthetic(spec):
     selection has to cover volumes; neighboring volume ids (including the
     two volumes of one patient) always land in different classes.
 
-    Returns (DatasetIndex, labels) with one integer class per slice.
+    Returns (DatasetIndex, labels), one class per slice; pixels past float32 raise InvalidSpecError.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     n_p, n_vpp, d = spec.n_patients, spec.volumes_per_patient, spec.slices_per_volume
@@ -154,21 +155,25 @@ def generate_synthetic(spec):
     patient_off = rng.standard_normal((n_p, pix)) * spec.patient_scale
     volume_off = rng.standard_normal((n_vol, pix)) * spec.volume_scale
     drift_dir = rng.standard_normal((n_vol, pix))
-    noise = rng.standard_normal((n_vol * d, pix)) * spec.noise_scale
-
-    ramp = np.zeros(d) if d == 1 else np.arange(d) / (d - 1) - 0.5
+    step = spec.adjacent_scale * (np.zeros(d) if d == 1 else np.arange(d) / (d - 1) - 0.5)
 
     # row i is slice id i: its patient, volume and depth, in id order
     i = np.arange(n_vol * d)
     ids = np.stack([i, i // (n_vpp * d), i // d, i % d], axis=1)
     X = np.empty((n_vol * d, pix), dtype=np.float32)  # each row rounded once
-    for sid, (p, vol, t) in enumerate(ids[:, 1:].tolist()):
-        X[sid] = (
-            patient_off[p]
-            + volume_off[vol]
-            + spec.adjacent_scale * ramp[t] * drift_dir[vol]
-            + noise[sid]
-        )
+    # noise drawn one row block at a time into one buffer: the values of one draw
+    buffer = np.empty((min(_kernels._block_rows(pix), len(X)), pix))
+    for start in range(0, len(X), len(buffer)):
+        noise = rng.standard_normal(out=buffer[:len(X) - start])
+        noise *= spec.noise_scale
+        rows = X[start:start + len(noise)]
+        for row, (p, vol, t), e in zip(rows, ids[start:start + len(rows), 1:].tolist(), noise):
+            row[:] = patient_off[p] + volume_off[vol] + step[t] * drift_dir[vol] + e
+        if not np.isfinite(rows).all():
+            raise InvalidSpecError(
+                f"synthetic pixels of slices {start}..{start + len(rows) - 1} are not finite "
+                "in float32; lower patient_scale, volume_scale, adjacent_scale or noise_scale"
+            )
     labels = ids[:, 2] % spec.class_count
     return DatasetIndex(ids, X, spec.h, spec.w), labels
 
@@ -178,7 +183,7 @@ def group_deviation(ds, grouping):
 
     Pixels are min-max normalized over the whole dataset in float64, by
     x -> (x - lo) / (hi - lo), or to 0.0 when hi == lo. The kernels apply
-    that map to their own sorted copy or pair block, so no normalized copy
+    that map to their own sorted column or pair block, so no normalized copy
     of the matrix is made or kept. For each group with at least two members
     the statistic averages, over all unordered slice pairs in the group, the
     mean absolute pixel difference; groups then weigh equally. Groupings:
@@ -233,7 +238,7 @@ def save_dataset(ds, labels, out_dir, spec=None):
     }
     write_all_atomic([
         (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
-        (out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4").tobytes()),
+        (out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4")),
         (out / "labels.json", json.dumps([int(x) for x in labels]) + "\n"),
     ])
 

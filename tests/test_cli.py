@@ -2,11 +2,14 @@ import argparse
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slicepick
 from slicepick.cli import CONFIG, build_parser, main
 
 
@@ -947,11 +950,16 @@ class TestVerify:
         assert out.count("PASS") == 4
 
     def test_verify_fails_nonzero(self, capsys, monkeypatch):
-        from slicepick import cli as cli_mod
+        from slicepick import checks
 
-        monkeypatch.setattr(
-            cli_mod.checks, "run_all", lambda: [("doomed", False, "injected")]
-        )
+        monkeypatch.setattr(checks, "run_all", lambda: [("doomed", False, "injected")])
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "FAIL doomed" in out
+
+    def test_only_verify_imports_the_checks(self):
+        # a fresh interpreter: every other command skips compiling them
+        code = "import sys, slicepick.cli; print('slicepick.checks' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(slicepick.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.stdout == "False\n", proc.stderr

@@ -121,6 +121,17 @@ def test_pairwise_dists(X):
     assert np.allclose(got, loop_pairwise_dists(X), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("p", [16, 8193, 20000])
+def test_pairwise_dists_rows_are_dist_to_row(p, dtype):
+    # past einsum's 8192-element buffer too, where a lone last row pair
+    # would be summed in another order
+    X = (np.random.default_rng(p).standard_normal((5, p)) * 1e3).astype(dtype)
+    D = _kernels.pairwise_dists(X)
+    for i in range(len(X)):
+        assert D[i].tobytes() == _kernels.dist_to_row(X, i).tobytes()
+
+
 def test_nn_tie_breaks_to_lowest_reference():
     refs = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
     queries = np.array([[0.0, 0.0], [1.0, 1.0]])

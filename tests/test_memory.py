@@ -2,10 +2,10 @@
 
 ``tracemalloc`` sees numpy's array allocations, so the peak it records
 around one call is what that call holds beyond its inputs. The matrix spans
-eight row blocks of ``_kernels._BLOCK`` values: a whole-matrix copy shows
-as a multiple of its bytes, a block as a fraction. A float32 matrix's
-float64 copy is twice its bytes, so a kernel that widens one block at a
-time stays below them.
+eight blocks of ``_kernels._BLOCK`` values, by rows or by columns: a
+whole-matrix copy shows as a multiple of its bytes, a block as a fraction.
+A float32 matrix's float64 copy is twice its bytes, so a kernel that widens
+one block at a time stays below them.
 """
 
 import tracemalloc
@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 
 from slicepick import _kernels
-from slicepick.coreset import SelectionState, k_center_greedy
-from slicepick.data import DatasetIndex, group_deviation, load_dataset, save_dataset
+from slicepick.coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
+from slicepick.data import (
+    DatasetIndex,
+    SynthSpec,
+    generate_synthetic,
+    group_deviation,
+    load_dataset,
+    save_dataset,
+)
 from slicepick.pipeline import probe_accuracy
 
 N, P = 8192, 256
@@ -45,10 +52,10 @@ def peak_bytes(fn, *args):
 # -- memory bounds -------------------------------------------------------------
 
 def test_group_deviation_holds_one_sorted_copy(X):
-    # the float64 sorted copy the statistic needs, and no normalized copy
-    # beside it
+    # one sorted column block at a time: no sorted or normalized copy of
+    # the matrix
     ds = dataset(X)
-    assert peak_bytes(group_deviation, ds, "dataset") < 1.3 * X.nbytes
+    assert peak_bytes(group_deviation, ds, "dataset") < 0.5 * X.nbytes
 
 
 def test_load_dataset_holds_one_matrix(X, tmp_path):
@@ -77,12 +84,48 @@ WIDENING_CALLS = {
     "probe_accuracy": lambda X: probe_accuracy(X, range(0, N, 16), PAIRS[0] % 5),
     "greedy": lambda X: k_center_greedy(SelectionState(X), 40, cold_start_seed=1),
     "adjacent deviation": lambda X: group_deviation(dataset(X), "adjacent"),
+    "dataset deviation": lambda X: group_deviation(dataset(X), "dataset"),
+    "patient deviation": lambda X: group_deviation(dataset(X), "patient"),
 }
 
 
 @pytest.mark.parametrize("name", list(WIDENING_CALLS))
 def test_kernels_widen_a_float32_matrix_one_block_at_a_time(X32, name):
     assert peak_bytes(WIDENING_CALLS[name], X32) < X32.nbytes
+
+
+# 512 rows of 4,096 values in eight clusters: eight row blocks, and an
+# (n, n) distance matrix a quarter of the float32 matrix's bytes
+@pytest.fixture(scope="module")
+def W32():
+    rng = np.random.default_rng(46)
+    centers = rng.standard_normal((8, 4096)) * 10
+    W = centers[np.arange(512) % 8] + rng.standard_normal((512, 4096))
+    assert len(W) // _kernels._block_rows(W.shape[1]) == 8
+    return W.astype(np.float32)
+
+
+def test_silhouette_holds_its_distance_matrix_alone(W32):
+    assert peak_bytes(silhouette_score, W32, np.arange(512) % 8) < W32.nbytes
+
+
+def test_pairwise_dists_holds_its_result_alone(W32):
+    assert peak_bytes(_kernels.pairwise_dists, W32) - 512 * 512 * 8 < W32.nbytes
+
+
+def test_kmeans_widens_a_float32_matrix_one_block_at_a_time(W32):
+    assert peak_bytes(kmeans_labels, W32, 8, 0) < W32.nbytes
+
+
+def test_generated_and_saved_pixels_are_never_copied(tmp_path):
+    # 2,048 rows of 1,024 values, eight row blocks: the generator holds its
+    # float32 matrix and one block of noise, the writer writes its buffer
+    spec = SynthSpec(n_patients=16, volumes_per_patient=4, slices_per_volume=32, h=32, w=32)
+    ds, labels = generate_synthetic(spec)
+    pixels = ds.pixel_matrix().nbytes
+    assert ds.n // _kernels._block_rows(spec.h * spec.w) == 8
+    assert peak_bytes(generate_synthetic, spec) < 1.75 * pixels
+    assert peak_bytes(save_dataset, ds, labels, tmp_path, spec) < 0.5 * pixels
 
 
 def test_probe_copies_only_the_labeled_rows(X):

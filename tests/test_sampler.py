@@ -200,6 +200,22 @@ def test_one_integers_call_draws_what_scalar_calls_draw():
         assert together.bit_generator.state == apart.bit_generator.state
 
 
+def test_standard_normal_in_row_blocks_draws_one_draw():
+    # generate_synthetic draws its noise one row block at a time into one
+    # buffer; gen-data's bytes rest on numpy drawing exactly the values of
+    # one (rows, width) draw that way, and leaving the same state
+    for seed in range(20):
+        shape_rng = np.random.default_rng(2000 + seed)
+        rows, width, block = (int(v) for v in shape_rng.integers(1, 40, size=3))
+        together, apart = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole = together.standard_normal((rows, width))
+        buffer = np.empty((min(block, rows), width))
+        for start in range(0, rows, block):
+            part = apart.standard_normal(out=buffer[:rows - start])
+            assert part.tobytes() == whole[start:start + block].tobytes()
+        assert together.bit_generator.state == apart.bit_generator.state
+
+
 def compose_by_listing(bounds, width, batch_size, rng):
     """The batch composition as ``build_epoch`` first wrote it: every pick
     lists the available patients and draws one of them."""

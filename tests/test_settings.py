@@ -459,3 +459,20 @@ def test_diverged_training_prints_only_its_error_line(data_dir, tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: non-finite projections at epoch 0, aborting"]
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("scale", ["1e39", "1e308"])
+def test_gen_data_past_float32_prints_only_its_error_line(tmp_path, scale):
+    # a subprocess, so numpy's overflow warnings would reach the stderr read
+    # here; no dataset that stats could not load is written
+    out = tmp_path / "data"
+    proc = run_bounded(
+        "gen-data", "--out", str(out), "--patients", "2", "--volumes-per-patient", "1",
+        "--slices-per-volume", "2", "--height", "2", "--width", "2", "--patient-scale", scale,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: synthetic pixels of slices 0..3 are not finite in float32; lower "
+        "patient_scale, volume_scale, adjacent_scale or noise_scale"
+    ]
+    assert not out.exists()
