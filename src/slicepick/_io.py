@@ -1,4 +1,14 @@
-"""Atomic artifact writes, and the field rules of the JSON readers.
+"""The rules of slicepick's files, each with one owner, and atomic writes.
+
+Every format calls these rules, its writer and its reader alike, so a
+writer refuses what its reader would reject. A JSON document (``meta.json``,
+``labels.json``, a GCLE sidecar, a checkpoint header) is UTF-8 text of one
+top-level type, a versioned one's ``format_version`` is 1, and its integers
+fit in int64. A binary header is a magic and little-endian u32 fields. A
+float32 payload (``data.bin``, a GCLE payload, a checkpoint's parameter
+blob) is little-endian, exactly the size its header or ``meta.json``
+implies, and finite once rounded. A fault is a FormatError, one wording
+per rule, naming the file and the field.
 
 An artifact is written to a temporary file in its own directory and then
 renamed over the target with ``os.replace``, so a reader (or a re-run after
@@ -6,10 +16,17 @@ a crash) sees either the previous file or the complete new one, never a
 partial write.
 """
 
+import json
+import math
 import os
+import struct
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError, SlicepickError
+
+FORMAT_VERSION = 1  # of every file format
 
 
 def json_int(path, value, where):
@@ -20,6 +37,62 @@ def json_int(path, value, where):
     if not -(2 ** 63) <= value < 2 ** 63:
         raise FormatError(f"{path}: {where} does not fit in int64: {value}")
     return value
+
+
+def check_version(path, value, where="'format_version'"):
+    """A FormatError unless ``value``, ``where`` in ``path``, is the integer 1."""
+    if json_int(path, value, where) != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported {where} {value}, expected {FORMAT_VERSION}")
+
+
+def json_document(path, raw, top, versioned=False):
+    """The JSON document ``path`` of the bytes ``raw``, decoded as UTF-8 (never
+    the UTF-16 or UTF-32 ``json.loads`` takes from bytes), whose top level is
+    a ``top`` (dict or list), with ``format_version`` 1 if ``versioned``."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, top):
+        raise FormatError(f"{path}: top level must be a JSON {'object' if top is dict else 'list'}")
+    if versioned:
+        check_version(path, doc.get("format_version"))
+    return doc
+
+
+def unpack_header(path, raw, magic, names):
+    """The little-endian u32 fields ``names`` after ``magic`` at the start of ``raw``."""
+    if raw[:len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic {raw[:len(magic)]!r}, expected {magic!r}")
+    end = len(magic) + 4 * len(names)
+    if len(raw) < end:
+        raise FormatError(f"{path}: truncated header: {len(raw)} bytes, need {end} for the "
+                          f"magic and the {', '.join(names)}")
+    return struct.unpack(f"<{len(names)}I", raw[len(magic):end])
+
+
+def read_f32(path, raw, offset, shape, what, source):
+    """The read-only float32 array of ``shape`` that ``raw`` holds from
+    ``offset`` on, a view; ``what`` names that part of the file ``path``,
+    and ``source`` what implies its size."""
+    got, expected = len(raw) - offset, 4 * math.prod(shape)
+    if got != expected:
+        raise FormatError(f"{path}: {what} holds {got} bytes, {source} implies {expected}")
+    X = np.frombuffer(raw, dtype="<f4", offset=offset).reshape(shape)
+    # min and max are nan if any value is, and infinite if any value is: no mask
+    if X.size and not np.isfinite([X.min(), X.max()]).all():
+        raise FormatError(f"{path}: {what} contains non-finite values")
+    return X
+
+
+def f32_payload(path, values, what):
+    """``values`` as C-contiguous little-endian float32, itself when it is,
+    else rounded once: the ``what`` of the file ``path``, checked finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once rounded
+        X = np.ascontiguousarray(values, dtype="<f4")
+    if X.size and not np.isfinite([X.min(), X.max()]).all():  # as read_f32's
+        raise FormatError(f"{path}: {what} is not finite in float32; refusing to write it")
+    return X
 
 
 def check_output_files(outputs):

@@ -282,7 +282,7 @@ def cmd_train_encoder(args, cfg):
     outputs = []
     if args.dump_epoch:
         outputs.append((args.dump_epoch, result.first_plan.to_json(ds) + "\n"))
-    outputs.append((args.out, checkpoint_bytes(result.params, train_cfg)))
+    outputs.append((args.out, checkpoint_bytes(result.params, train_cfg, args.out)))
     if args.history:
         outputs.append((args.history, loss_history_csv(result.epoch_losses)))
     write_all_atomic(outputs)

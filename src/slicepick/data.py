@@ -4,7 +4,8 @@ A dataset is one read-only float32 pixel matrix, a row per 2D slice, and
 one read-only identity table beside it: row i holds the slice id of pixel
 row i, its patient, its volume and its depth within the volume. The table
 is slice identity's one form in memory, JSON records only in ``meta.json``;
-the matrix is the values of ``data.bin``, read as they are. One canonical
+the matrix is the values of ``data.bin``, read as they are, and written
+only if ``load_dataset`` would take them back (``_io``'s rules). One canonical
 order of the rows (patient, then volume, then depth) makes every patient
 and every volume a contiguous run, which is all the sampler and the
 deviation statistic look up. Nothing derived from the matrix is cached:
@@ -21,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, gcle
-from ._io import json_int, write_all_atomic
+from . import _io, _kernels, gcle
 from .errors import FormatError, InvalidSpecError, SettingError, UndefinedStatisticError
 
 GROUPINGS = ("dataset", "patient", "volume", "adjacent")
@@ -226,77 +226,46 @@ def group_deviation(ds, grouping):
 
 def save_dataset(ds, labels, out_dir, spec=None):
     """Write the dataset directory, its three files together: a failed
-    write leaves every file as it was, never a mixed set."""
+    write (non-finite pixels too) leaves every file as it was, never a mixed set."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    pixels = _io.f32_payload(out / "data.bin", ds.pixel_matrix(), "payload")
     meta = {
-        "format_version": 1,
+        "format_version": _io.FORMAT_VERSION,
         "h": ds.h,
         "w": ds.w,
         "slices": gcle.records_from_ids(ds.ids),
         "spec": asdict(spec) if spec is not None else None,
     }
-    write_all_atomic([
+    out.mkdir(parents=True, exist_ok=True)
+    _io.write_all_atomic([
         (out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
-        (out / "data.bin", np.ascontiguousarray(ds.pixel_matrix(), dtype="<f4")),
+        (out / "data.bin", pixels),
         (out / "labels.json", json.dumps([int(x) for x in labels]) + "\n"),
     ])
 
 
-def _read_meta(meta_path):
-    """(h, w, identity table) from meta.json; every missing or malformed key
-    is a FormatError naming the file and the key."""
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as exc:
-        raise FormatError(f"{meta_path}: not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{meta_path}: top level must be a JSON object")
-    version = json_int(meta_path, meta.get("format_version"), "'format_version'")
-    if version != 1:
-        raise FormatError(f"{meta_path}: unsupported dataset format_version {version}")
+def load_dataset(in_dir):
+    """Read a dataset directory back into (DatasetIndex, labels); every
+    missing or malformed key is a FormatError naming the file and the key."""
+    root = Path(in_dir)
+    meta_path, data_path, labels_path = root / "meta.json", root / "data.bin", root / "labels.json"
+    meta = _io.json_document(meta_path, meta_path.read_bytes(), dict, versioned=True)
     for key in ("h", "w", "slices"):
         if key not in meta:
             raise FormatError(f"{meta_path}: missing key {key!r}")
-    h = json_int(meta_path, meta["h"], "'h'")
-    w = json_int(meta_path, meta["w"], "'w'")
+    h, w = (_io.json_int(meta_path, meta[key], f"'{key}'") for key in ("h", "w"))
     if h < 1 or w < 1:
         raise FormatError(f"{meta_path}: 'h' and 'w' must be >= 1, got {h} and {w}")
     if not isinstance(meta["slices"], list):
         raise FormatError(f"{meta_path}: 'slices' must be a list of slice records")
-    return h, w, gcle.ids_from_records(meta_path, meta["slices"], "slices")
-
-
-def load_dataset(in_dir):
-    """Read a dataset directory back into (DatasetIndex, labels)."""
-    root = Path(in_dir)
-    meta_path = root / "meta.json"
-    h, w, ids = _read_meta(meta_path)
-    data_path = root / "data.bin"
-    n, p = len(ids), h * w
-    raw = data_path.read_bytes()
-    if len(raw) != n * p * 4:
-        raise FormatError(f"{data_path}: holds {len(raw)} bytes, {meta_path} implies {n * p * 4}")
-    X = np.frombuffer(raw, dtype="<f4").reshape(n, p)
-    # min and max are nan if any value is, and infinite if any value is: no mask
-    if X.size and not np.isfinite([X.min(), X.max()]).all():
-        raise FormatError(f"{data_path}: contains non-finite values")
-    labels_path = root / "labels.json"
-    try:
-        labels = json.loads(labels_path.read_text())
-    except ValueError as exc:
-        raise FormatError(f"{labels_path}: not valid JSON: {exc}") from exc
-    if not isinstance(labels, list):
-        raise FormatError(f"{labels_path}: top level must be a JSON list of integers")
+    ids = gcle.ids_from_records(meta_path, meta["slices"], "slices")
+    del meta  # its parsed records go before data.bin is read
+    X = _io.read_f32(data_path, data_path.read_bytes(), 0, (len(ids), h * w), "payload", meta_path)
+    labels = _io.json_document(labels_path, labels_path.read_bytes(), list)
     if len(labels) != len(ids):
-        raise FormatError(
-            f"{labels_path}: holds {len(labels)} labels for {len(ids)} slices"
-        )
-    labels = np.array(
-        [json_int(labels_path, x, f"index {i}") for i, x in enumerate(labels)],
-        dtype=np.int64,
-    )
+        raise FormatError(f"{labels_path}: holds {len(labels)} labels for {len(ids)} slices")
+    labels = [_io.json_int(labels_path, x, f"index {i}") for i, x in enumerate(labels)]
     try:  # a hierarchy fault names the record slices[i] or the volume
-        return DatasetIndex(ids, X, h, w), labels
+        return DatasetIndex(ids, X, h, w), np.array(labels, dtype=np.int64)
     except InvalidSpecError as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc

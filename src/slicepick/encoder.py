@@ -13,7 +13,8 @@ Every weight and bias lives in one float64 vector laid out W0, b0, W1, b1,
 arrays are views into it. The gradient and the ADAM moments are vectors
 with the same layout, so an ADAM step is one update over the whole vector,
 in place through two scratch vectors allocated once per run, and a
-checkpoint's parameter blob is that vector in little-endian float32.
+checkpoint's parameter blob is that vector in little-endian float32, written
+only if ``load_checkpoint`` would take it back (``_io``'s file rules).
 
 Each epoch's batch plan is already dataset rows. The epoch reads their
 patient, volume, slice and depth ids from the dataset's identity table,
@@ -36,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sampler
-from ._io import json_int
+from . import _io, sampler
 from .errors import FormatError, SettingError, TrainingDivergedError
 from .losses import LossBatch, LossStructure, loss_and_grad, slice_positives_from_rows
 
@@ -401,24 +401,20 @@ def train(ds, loss_cfg, train_cfg):
 # ---------------------------------------------------------------------------
 # checkpoint file: magic + u32 header length + JSON header + float32 LE blob
 
-def checkpoint_bytes(params, train_cfg):
+def checkpoint_bytes(params, train_cfg, path="checkpoint"):
     """The checkpoint file of ``params``; the header keeps ``train_cfg``,
-    ADAM's constants included, and its seed."""
+    ADAM's constants included, and its seed. Parameters that are not finite
+    in float32 are a FormatError naming ``path``, the file it is for."""
+    blob = _io.f32_payload(path, params.flat, "parameter blob")
     settings = {**asdict(train_cfg), "beta1": BETA1, "beta2": BETA2, "adam_eps": ADAM_EPS}
     header = {
-        "format_version": 1,
-        "architecture": {
-            "input_dim": params.arch.input_dim,
-            "hidden": list(params.arch.hidden),
-            "rep_dim": params.arch.rep_dim,
-            "proj_dim": params.arch.proj_dim,
-        },
+        "format_version": _io.FORMAT_VERSION,
+        "architecture": asdict(params.arch),
         "train_cfg": settings,
         "seed": train_cfg.seed,
     }
     head = json.dumps(header, sort_keys=True).encode()
-    blob = params.flat.astype("<f4").tobytes()
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(head)) + head + blob
+    return b"".join((CHECKPOINT_MAGIC, struct.pack("<I", len(head)), head, blob))
 
 
 def _checkpoint_arch(path, header):
@@ -432,7 +428,7 @@ def _checkpoint_arch(path, header):
         raise FormatError(f"{invalid}: 'architecture.hidden' must be a list, got {hidden!r}")
     keys = ["input_dim", *(f"hidden[{i}]" for i in range(len(hidden))), "rep_dim", "proj_dim"]
     values = [a.get("input_dim"), *hidden, a.get("rep_dim"), a.get("proj_dim")]
-    dims = [json_int(invalid, v, f"'architecture.{k}'") for k, v in zip(keys, values)]
+    dims = [_io.json_int(invalid, v, f"'architecture.{k}'") for k, v in zip(keys, values)]
     for key, d in zip(keys, dims):
         if not _is_width(d):
             raise FormatError(f"{invalid}: 'architecture.{key}' must be >= 1, got {d}")
@@ -443,41 +439,18 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (EncoderParams, header dict).
 
     A truncated or corrupt file raises FormatError naming the path and the
-    part that is wrong: magic, header length, header key or blob size.
+    part that is wrong: magic, header length, header key or parameter blob.
     """
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    if len(raw) < 8:
-        raise FormatError(
-            f"{path}: truncated checkpoint header length ({len(raw)} bytes, need 8)"
-        )
-    (head_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + head_len:
-        raise FormatError(
-            f"{path}: checkpoint header length {head_len} runs past the end "
-            f"of the {len(raw)}-byte file"
-        )
-    try:
-        header = json.loads(raw[8 : 8 + head_len])
-    except ValueError as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header is not a JSON object")
-    version = json_int(path, header.get("format_version"), "checkpoint header key 'format_version'")
-    if version != 1:
-        raise FormatError(f"{path}: unsupported checkpoint header key 'format_version' {version}")
+    (head_len,) = _io.unpack_header(path, raw, CHECKPOINT_MAGIC, ("header length",))
+    end = 8 + head_len
+    if len(raw) < end:
+        raise FormatError(f"{path}: checkpoint header length {head_len} runs past the end "
+                          f"of the {len(raw)}-byte file")
+    header = _io.json_document(f"{path}: checkpoint header", raw[8:end], dict, versioned=True)
     arch = _checkpoint_arch(path, header)
-    blob_bytes = len(raw) - 8 - head_len
-    expected = 4 * _param_count(arch)
-    if blob_bytes != expected:
-        raise FormatError(
-            f"{path}: parameter blob size is {blob_bytes} bytes, expected {expected}"
-        )
-    try:
-        return EncoderParams(arch, np.frombuffer(raw, dtype="<f4", offset=8 + head_len)), header
-    except ValueError as exc:
-        raise FormatError(f"{path}: parameter blob: {exc}") from exc
+    blob = _io.read_f32(path, raw, end, (_param_count(arch),), "parameter blob", "its header")
+    return EncoderParams(arch, blob), header
 
 
 def loss_history_csv(epoch_losses):

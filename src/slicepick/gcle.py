@@ -5,7 +5,9 @@ u32 dim, then the float32 little-endian row-major payload. A sidecar
 ``<path>.meta.json`` carries one record per row with slice/patient/volume
 identity and depth index; ``slice_id`` is unique across rows. In memory
 that identity is the (n, 4) int64 table of ``RECORD_KEYS`` columns; it is
-JSON records only in a file, here and in a dataset's ``meta.json``.
+JSON records only in a file, here and in a dataset's ``meta.json``, and
+``ids_from_records`` reads both. The writer refuses what the reader would
+reject: the header, payload and JSON rules are ``_io``'s.
 """
 
 import json
@@ -14,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import json_int, write_all_atomic
+from . import _io
 from .errors import FormatError
 
 MAGIC = b"GCLE"
-VERSION = 1
 # the identity fields of a slice record, in GCLE sidecars and meta.json alike
 RECORD_KEYS = ("slice_id", "patient_id", "volume_id", "slice_index")
 
@@ -30,37 +31,41 @@ def records_from_ids(ids):
 
 def ids_from_records(path, records, where):
     """The (n, 4) int64 table of the JSON records ``records``, the list
-    ``where`` in ``path``. A record that is not an object, lacks a key or
-    holds a non-integer is a FormatError naming the file, ``where[i]`` and
-    the key."""
+    ``where`` in ``path``. A record that is not an object, lacks a key,
+    holds a non-integer or repeats an earlier record's slice id is a
+    FormatError naming the file, ``where[i]`` and the key."""
     ids = np.empty((len(records), len(RECORD_KEYS)), dtype=np.int64)
+    seen = set()
     for i, r in enumerate(records):
         if not isinstance(r, dict):
             raise FormatError(f"{path}: {where}[{i}] must be a JSON object")
         for key in RECORD_KEYS:
             if key not in r:
                 raise FormatError(f"{path}: {where}[{i}] is missing key {key!r}")
-        ids[i] = [json_int(path, r[key], f"{where}[{i}].{key}") for key in RECORD_KEYS]
+        ids[i] = [_io.json_int(path, r[key], f"{where}[{i}].{key}") for key in RECORD_KEYS]
+        sid = int(ids[i, 0])
+        if sid in seen:
+            raise FormatError(f"{path}: {where}[{i}].slice_id {sid} repeats an earlier row")
+        seen.add(sid)
     return ids
 
 
 def write_gcle(path, matrix, ids):
     """Write ``matrix`` and its (n, 4) identity table ``ids`` as a GCLE
-    file and its sidecar."""
+    file and its sidecar; a matrix that is not finite in float32 is a
+    FormatError naming ``path``, and nothing is written."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise FormatError(f"embedding matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.size and not np.all(np.isfinite(matrix)):
-        raise FormatError("refusing to write non-finite embedding values")
     n, dim = matrix.shape
     if len(ids) != n:
         raise FormatError(f"{len(ids)} metadata rows for {n} matrix rows")
-    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
-    header = MAGIC + struct.pack("<III", VERSION, n, dim)
+    payload = _io.f32_payload(path, matrix, "payload")
+    header = MAGIC + struct.pack("<III", _io.FORMAT_VERSION, n, dim)
     meta = {"rows": records_from_ids(ids)}
     # the file and its sidecar together: a failed write changes neither
-    write_all_atomic([
-        (path, header + payload),
+    _io.write_all_atomic([
+        (path, b"".join((header, payload))),
         (str(path) + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"),
     ])
 
@@ -72,38 +77,16 @@ def read_gcle(path):
     the key.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: file too short for a GCLE header")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version, n, dim = struct.unpack("<III", raw[4:16])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = 16 + n * dim * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload holds {len(raw) - 16} bytes, expected {n * dim * 4}"
-        )
-    matrix = np.frombuffer(raw, dtype="<f4", offset=16).reshape(n, dim)
-    if matrix.size and not np.all(np.isfinite(matrix)):
-        raise FormatError(f"{path}: payload contains non-finite values")
+    version, n, dim = _io.unpack_header(path, raw, MAGIC, ("version", "row count", "dim"))
+    _io.check_version(path, version, "version")
+    matrix = _io.read_f32(path, raw, 16, (n, dim), "payload", "its header")
     meta_path = Path(str(path) + ".meta.json")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = _io.json_document(meta_path, meta_path.read_bytes(), dict)
     except FileNotFoundError as exc:
         raise FormatError(f"missing sidecar {meta_path}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise FormatError(f"{meta_path}: invalid JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{meta_path}: top level must be a JSON object")
     rows = meta.get("rows")
     if not isinstance(rows, list) or len(rows) != n:
         count = len(rows) if isinstance(rows, list) else "no"
         raise FormatError(f"{meta_path}: {count} metadata rows for {n} matrix rows")
-    ids = ids_from_records(meta_path, rows, "rows")
-    seen = set()
-    for i, sid in enumerate(ids[:, 0].tolist()):
-        if sid in seen:
-            raise FormatError(f"{meta_path}: rows[{i}].slice_id {sid} repeats an earlier row")
-        seen.add(sid)
-    return matrix, ids
+    return matrix, ids_from_records(meta_path, rows, "rows")

@@ -551,7 +551,7 @@ class TestMalformedInputs:
             slices[1]["slice_id"] = slices[0]["slice_id"]
 
         err = self.stats_with_slices(data_dir, capsys, edit)
-        assert "slices[1]: duplicate slice_id 0" in err
+        assert "slices[1].slice_id 0 repeats an earlier row" in err
 
     def test_volume_on_two_patients_names_file_and_record(self, data_dir, capsys):
         def edit(slices):

@@ -363,7 +363,7 @@ class TestDatasetMetaErrors:
         )
         with pytest.raises(FormatError) as exc:
             load_dataset(tmp_path / "d")
-        rule = ("unsupported dataset format_version 2" if version == 2
+        rule = ("unsupported 'format_version' 2, expected 1" if version == 2
                 else f"'format_version' must be an integer, got {version!r}")
         assert str(exc.value) == f"{meta_path}: {rule}"
 

@@ -405,8 +405,8 @@ class TestCheckpoint:
         cuts = {
             0: "magic", 3: "magic", 4: "header length", 7: "header length",
             8: "header length", 8 + head_len // 2: "header length",
-            8 + head_len: "blob size", len(raw) - 5: "blob size",
-            len(raw) - 1: "blob size",
+            8 + head_len: "parameter blob holds", len(raw) - 5: "parameter blob holds",
+            len(raw) - 1: "parameter blob holds",
         }
         for cut, field in cuts.items():
             path = tmp_path / f"cut{cut}.ckpt"
@@ -419,7 +419,7 @@ class TestCheckpoint:
         raw, _ = self.saved(tmp_path)
         path = tmp_path / "nan.ckpt"
         path.write_bytes(raw[:-4] + np.array([np.nan], dtype="<f4").tobytes())
-        with pytest.raises(FormatError, match="parameter blob: non-finite") as exc:
+        with pytest.raises(FormatError, match="parameter blob contains non-finite") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
 
@@ -427,7 +427,7 @@ class TestCheckpoint:
         raw, _ = self.saved(tmp_path)
         path = tmp_path / "long.ckpt"
         path.write_bytes(raw + b"\x00" * 4)
-        with pytest.raises(FormatError, match="blob size"):
+        with pytest.raises(FormatError, match="parameter blob holds"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key", [
@@ -496,5 +496,5 @@ class TestCheckpoint:
         raw, head_len = self.saved(tmp_path)
         path = tmp_path / "garbled.ckpt"
         path.write_bytes(raw[:8] + b"\xff" * head_len + raw[8 + head_len:])
-        with pytest.raises(FormatError, match="corrupt checkpoint header"):
+        with pytest.raises(FormatError, match="checkpoint header: invalid JSON"):
             load_checkpoint(path)

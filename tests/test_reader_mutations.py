@@ -16,9 +16,13 @@ A seeded loop, not ``hypothesis``: every run tries the same cases, a few
 thousand in a few seconds. A seeded sample of them also runs through
 ``cli.main``, where each case must exit 0 with its output written, or exit
 1 with one ``error:`` line naming the mutated file and no output made.
+Last, one case per file of each rule ``_io`` owns (payload size, non-finite
+payload, JSON text, format version) runs through ``cli.main``, and its one
+error line must be that rule's one wording.
 """
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -243,3 +247,71 @@ def test_cli_exits_cleanly_on_every_mutation(cli_inputs, tmp_path, capsys, comma
         finally:
             path.write_bytes(original)
     assert failures == [], (len(failures), failures[:3])
+
+
+# -- each shared file rule, through the CLI, in its one wording ------------------
+
+def _edit_ckpt_header(raw, edit):
+    (head_len,) = struct.unpack("<I", raw[4:8])
+    head = edit(raw[8:8 + head_len])
+    return raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:]
+
+
+def _set_version(raw, version):
+    doc = json.loads(raw)
+    doc["format_version"] = version
+    return json.dumps(doc).encode()
+
+
+def _utf16(raw):
+    """The same JSON text in UTF-16, which ``json.loads`` would take from bytes."""
+    return raw.decode().encode("utf-16")
+
+
+NAN = np.array([np.nan], dtype="<f4").tobytes()
+
+HEADER = ": checkpoint header"  # the part of a checkpoint the JSON rules name
+VERSION = "'format_version'"
+
+# (rule, mutated input, its mutation, the command reading it, the wording's fields)
+RULE_CASES = [
+    ("size", "data.bin", lambda raw: raw[:-4], "stats", {"part": "payload"}),
+    ("size", "ckpt", lambda raw: raw + b"\0" * 4, "embed", {"part": "parameter blob"}),
+    ("size", "emb", lambda raw: raw[:-4], "select", {"part": "payload"}),
+    ("non-finite", "data.bin", lambda raw: NAN + raw[4:], "stats", {"part": "payload"}),
+    ("non-finite", "ckpt", lambda raw: raw[:-4] + NAN, "embed", {"part": "parameter blob"}),
+    ("non-finite", "emb", lambda raw: raw[:-4] + NAN, "select", {"part": "payload"}),
+    ("json", "meta.json", _utf16, "stats", {"part": ""}),
+    ("json", "labels.json", lambda raw: raw[:-2], "stats", {"part": ""}),
+    ("json", "emb.meta.json", _utf16, "select", {"part": ""}),
+    ("json", "ckpt", lambda raw: _edit_ckpt_header(raw, _utf16), "embed", {"part": HEADER}),
+    ("version", "meta.json", lambda raw: _set_version(raw, 2), "stats",
+     {"part": "", "field": VERSION}),
+    ("version", "ckpt", lambda raw: _edit_ckpt_header(raw, lambda h: _set_version(h, 2)),
+     "embed", {"part": HEADER, "field": VERSION}),
+    ("version", "emb", lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "select",
+     {"part": "", "field": "version"}),
+]
+
+# each rule's one wording, a regular expression of the file and its fields
+RULE_WORDING = {
+    "size": r"{file}: {part} holds \d+ bytes, .+ implies \d+",
+    "non-finite": r"{file}: {part} contains non-finite values",
+    "json": r"{file}{part}: invalid JSON: .+",
+    "version": r"{file}{part}: unsupported {field} 2, expected 1",
+}
+
+
+@pytest.mark.parametrize("rule,name,mutate,command,fields", RULE_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in RULE_CASES])
+def test_cli_reports_each_rule_in_its_one_wording(cli_inputs, tmp_path, capsys, rule, name,
+                                                   mutate, command, fields):
+    path = cli_inputs[name]
+    path.write_bytes(mutate(path.read_bytes()))
+    out = tmp_path / "out"
+    code = main(CLI_COMMANDS[command][1](cli_inputs, out))
+    printed, err = capsys.readouterr()
+    escaped = {key: re.escape(value) for key, value in fields.items()}
+    wording = RULE_WORDING[rule].format(file=re.escape(str(path)), **escaped)
+    assert code == 1 and not out.exists() and printed == ""
+    assert re.fullmatch(f"error: {wording}\n", err), err
