@@ -8,9 +8,6 @@ case reads back bit for bit, or the writer raises FormatError and leaves
 no file.
 """
 
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import slicepick
 from slicepick import (
     Architecture,
     DatasetIndex,
@@ -33,8 +29,7 @@ from slicepick import (
 )
 from slicepick.cli import main
 from slicepick.encoder import checkpoint_bytes
-
-SRC = str(Path(slicepick.__file__).resolve().parents[1])
+from test_settings import run_bounded  # a subprocess, so numpy's warnings reach its stderr
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -142,14 +137,6 @@ def test_json_in_another_unicode_encoding_is_invalid(encoding):
 
 # -- the command line: a run whose output would not load writes nothing --------
 
-def cli(*argv):
-    """``slicepick *argv`` in a subprocess, so numpy's warnings reach its stderr."""
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    code = "from slicepick.cli import main; raise SystemExit(main())"
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
-
-
 @pytest.fixture
 def data(tmp_path, capsys):
     out = tmp_path / "d"
@@ -165,7 +152,7 @@ TRAIN = ["--epochs", "1", "--batch-size", "2", "--groups", "ntxent"]
 @pytest.mark.parametrize("step", [["--lr", "1e9"], ["--lr", "1e38", "--weight-decay", "0"]])
 def test_train_encoder_past_float32_writes_nothing(data, tmp_path, step):
     ckpt, history = tmp_path / "c.ckpt", tmp_path / "h.csv"
-    proc = cli("train-encoder", "--data", str(data), "--out", str(ckpt),
+    proc = run_bounded("train-encoder", "--data", str(data), "--out", str(ckpt),
                "--history", str(history), *TRAIN, *step)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
@@ -179,7 +166,7 @@ def test_embed_past_float32_writes_nothing(data, tmp_path, capsys):
     assert main(["train-encoder", "--data", str(data), "--out", str(ckpt), *TRAIN,
                  "--lr", "1e7"]) == 0
     capsys.readouterr()
-    proc = cli("embed", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(emb))
+    proc = run_bounded("embed", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(emb))
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == [
         f"error: {emb}: payload is not finite in float32; refusing to write it"
