@@ -134,7 +134,7 @@ TRAINING_KEYS = (
 )
 
 _HELP = {
-    "threads": "worker processes for independent repeats (at most one per repeat)",
+    "threads": "worker processes for the trainings, then the (strategy, repeat) cells",
     "groups": "loss terms: ntxent,patient,volume,slice",
 }
 

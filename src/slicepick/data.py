@@ -72,28 +72,31 @@ class DatasetIndex:
                 f"({self.n}, h*w={self.h * self.w})"
             )
         self._pixels = _read_only(X)
-        seen_ids = set()
-        vol_patient = {}
-        vol_depths = {}
-        for i, (sid, pid, vid, depth) in enumerate(self.ids.tolist()):
-            if sid in seen_ids:
-                raise InvalidSpecError(f"slices[{i}]: duplicate slice_id {sid}")
-            seen_ids.add(sid)
-            prev = vol_patient.setdefault(vid, pid)
-            if prev != pid:
-                raise InvalidSpecError(
-                    f"slices[{i}]: volume {vid} maps to patients {prev} and {pid}"
-                )
-            vol_depths.setdefault(vid, []).append(depth)
-        for vid, depths in vol_depths.items():
-            if sorted(depths) != list(range(len(depths))):
-                raise InvalidSpecError(
-                    f"volume {vid} slice_index values {sorted(depths)} are not contiguous from 0"
-                )
-        _, pid, vid, depth = self.ids.T
+        sid, pid, vid, depth = self.ids.T
+        # the first row to repeat a slice id, or to put its volume under a
+        # second patient, is named (a repeat first on a tie); row 0 does neither
+        _, sid_first, sid_of = np.unique(sid, return_index=True, return_inverse=True)
+        vids, vid_first, vid_of = np.unique(vid, return_index=True, return_inverse=True)
+        repeated, prev = sid_first[sid_of] != np.arange(self.n), pid[vid_first[vid_of]]
+        i = int(np.argmax(repeated | (prev != pid)))
+        if repeated[i]:
+            raise InvalidSpecError(f"slices[{i}]: duplicate slice_id {sid[i]}")
+        if prev[i] != pid[i]:
+            raise InvalidSpecError(
+                f"slices[{i}]: volume {vid[i]} maps to patients {prev[i]} and {pid[i]}"
+            )
         self.order = _read_only(np.lexsort((depth, vid, pid)))
         self.patient_bounds = _read_only(_run_bounds(pid[self.order]))
-        self.volume_bounds = _read_only(_run_bounds(vid[self.order]))
+        self.volume_bounds = bounds = _read_only(_run_bounds(vid[self.order]))
+        # sorted, a volume's depths are its run positions 0..d-1; of the volumes
+        # that break this, the first to appear is named
+        gaps = depth[self.order] != np.arange(self.n) - np.repeat(bounds[:-1], np.diff(bounds))
+        if gaps.any():
+            v = min(vid_of[self.order[gaps]], key=lambda u: vid_first[u])
+            raise InvalidSpecError(
+                f"volume {vids[v]} slice_index values {np.sort(depth[vid_of == v]).tolist()} "
+                "are not contiguous from 0"
+            )
 
     @property
     def n(self):

@@ -20,7 +20,7 @@ class SettingError(InvalidSpecError, ValueError):
         self.setting = setting
 
     def __reduce__(self):
-        # unpickled from its message, as from a repeat worker, not its owner
+        # unpickled from its message, as from a worker process, not its owner
         return type(self).__new__, (type(self), *self.args), self.__dict__
 
 

@@ -1,16 +1,16 @@
 """Active-learning rounds (cumulative budgets, strategy dispatch, a
 label-efficiency probe), and the loss ablation as a one-budget round.
 
-A strategy is its kind, named at most once in an experiment. Each repeat
-owns independent seed-derived RNG streams keyed by (plan seed, repeat,
-kind), so repeats can run in any number of worker processes with
-byte-identical results. ``coreset_learned`` trains the repeat's one learned
-space once per repeat on the full pool; selection then extends a nested
-labeled set round by round. A selecting strategy builds one
-``SelectionState`` per repeat, which the greedy extends in place each
-round. ``delta_learned``, the selection's cover in the learned space, is
-that same state when the strategy selects there, and otherwise a state of
-that space extended by each round's new rows.
+A strategy is its kind, named at most once in an experiment. Its tasks
+use seed-derived RNG streams keyed by (plan seed, repeat, kind), so they
+run in any number of worker processes with byte-identical results: with
+``coreset_learned``, a training step per repeat learns its one space on
+the full pool; then a cell per (kind, repeat) extends a nested labeled set
+round by round given that space. A selecting strategy builds one
+``SelectionState`` per cell, which the greedy extends in place each round.
+``delta_learned``, the selection's cover in the learned space, is that
+same state when the strategy selects there, and otherwise a state of that
+space extended by each round's new rows.
 
 Every round, of an experiment or of the ablation, is one ``_select_round``.
 Its probe is 1-nearest-neighbor classification in raw pixel space, so the
@@ -82,7 +82,8 @@ class RoundReport:
     n_repeats: int
     strategies: list
     entries: list
-    train_seconds: dict = field(default_factory=dict)  # in-memory only
+    learned_spaces: dict = field(default_factory=dict)  # in-memory only, by repeat
+    train_seconds: dict = field(default_factory=dict)  # in-memory only, by repeat
 
     def entry(self, strategy, repeat, round_index):
         for e in self.entries:
@@ -211,8 +212,15 @@ def _stream_seed(plan_seed, repeat, kind, salt=0):
 
 def _learned_space(ds, loss, train_cfg):
     """Every slice of ``ds`` embedded by an encoder trained on ``ds``."""
-    result = train(ds, loss, train_cfg)
-    return embed_all(result.params, ds)
+    return embed_all(train(ds, loss, train_cfg).params, ds)
+
+
+def _train_repeat(ds, loss, train_cfg, plan_seed, repeat):
+    """Repeat ``repeat``'s learned space and training seconds: its seed's one owner."""
+    seed = int(_stream_seed(plan_seed, repeat, "coreset_learned", 1).generate_state(1)[0])
+    t0 = time.perf_counter()
+    space = _learned_space(ds, loss, dataclasses.replace(train_cfg, seed=seed))
+    return space, time.perf_counter() - t0
 
 
 def _select_round(X, labels, selected, budget, source, cold_seed=None):
@@ -232,47 +240,35 @@ def _select_round(X, labels, selected, budget, source, cold_seed=None):
     return new, acc, float(source.min_dist.max())
 
 
-def _run_repeat(ds, labels, kinds, plan, loss, train_cfg, budget_list, repeat):
+def _run_cell(ds, labels, plan, budget_list, spaces, cell):
+    """The nested rounds of one (kind, repeat) cell, given each repeat's learned space."""
+    kind, repeat = cell
     X = ds.pixel_matrix()
     slice_ids = ds.ids[:, 0].tolist()
-    entries = []
-    train_seconds = {}
-
-    learned_space = None  # the repeat's one learned space
-    if "coreset_learned" in kinds:
-        seed = int(_stream_seed(plan.seed, repeat, "coreset_learned", 1).generate_state(1)[0])
+    # running covers, extended by each round's new rows only: the greedy's state,
+    # and the cover in the learned space, that same state when it selects there
+    cold_seed = _stream_seed(plan.seed, repeat, kind, 2)
+    if kind == "random":
+        source = np.random.default_rng(_stream_seed(plan.seed, repeat, kind)).permutation(ds.n)
+    else:
+        source = SelectionState(X if kind == "coreset_raw" else spaces[repeat])
+    learned = source if kind == "coreset_learned" else None
+    if learned is None and repeat in spaces:
+        learned = SelectionState(spaces[repeat])
+    entries, selected = [], []
+    for round_index, budget in enumerate(budget_list):
         t0 = time.perf_counter()
-        learned_space = _learned_space(ds, loss, dataclasses.replace(train_cfg, seed=seed))
-        train_seconds[("coreset_learned", repeat)] = time.perf_counter() - t0
-
-    for kind in kinds:
-        # running covers, extended by each round's new rows only: the
-        # strategy's greedy state, and the selection's cover in the learned
-        # space, which is that same state when the strategy selects there
-        cold_seed = _stream_seed(plan.seed, repeat, kind, 2)
-        if kind == "random":
-            source = np.random.default_rng(_stream_seed(plan.seed, repeat, kind)).permutation(ds.n)
-        else:
-            source = SelectionState(X if kind == "coreset_raw" else learned_space)
-        learned = None
-        if kind == "coreset_learned":
-            learned = source
-        elif learned_space is not None:
-            learned = SelectionState(learned_space)
-        selected = []
-        for round_index, budget in enumerate(budget_list):
-            t0 = time.perf_counter()
-            new, acc, delta = _select_round(X, labels, selected, budget, source, cold_seed)
-            selected = selected + new
-            if learned is not None and learned is not source:
-                learned.extend(new)
-            entries.append(RoundEntry(
-                kind, repeat, round_index, plan.fractions[round_index], budget,
-                selected=[slice_ids[i] for i in selected], probe_accuracy=acc, delta=delta,
-                delta_learned=None if learned is None else float(learned.min_dist.max()),
-                wall_time_s=time.perf_counter() - t0,
-            ))
-    return entries, train_seconds
+        new, acc, delta = _select_round(X, labels, selected, budget, source, cold_seed)
+        selected = selected + new
+        if learned is not None and learned is not source:
+            learned.extend(new)
+        entries.append(RoundEntry(
+            kind, repeat, round_index, plan.fractions[round_index], budget,
+            selected=[slice_ids[i] for i in selected], probe_accuracy=acc, delta=delta,
+            delta_learned=None if learned is None else float(learned.min_dist.max()),
+            wall_time_s=time.perf_counter() - t0,
+        ))
+    return entries
 
 
 _worker_fn = None  # a forked worker's function, set by its pool's initializer
@@ -287,16 +283,19 @@ def _call_worker_fn(item):
     return _worker_fn(item)
 
 
-def _map_in_processes(fn, items, workers):
-    """``[fn(x) for x in items]`` on a pool of forked worker processes.
+def _map_in_processes(fn, items, threads):
+    """``[fn(x) for x in items]`` on ``min(threads, len(items))`` forked workers, if > 1.
 
     Training is short Python-bound numpy calls, so threads would serialize
     on the GIL; forked workers also start with every module imported, and
     inherit ``fn`` through the pool's initializer, so a task pickles only
-    its item, never what ``fn`` holds (a dataset). An exception raised by
-    ``fn`` reaches the caller unchanged; a worker that dies becomes a
-    SlicepickError.
+    its item, never what ``fn`` holds (a dataset, the learned spaces). An
+    exception raised by ``fn`` reaches the caller unchanged; a worker that
+    dies becomes a SlicepickError.
     """
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
     # imported here, not at module level: multiprocessing adds ~20 ms to
     # every command's start-up, and only this path needs it
     import multiprocessing
@@ -310,7 +309,7 @@ def _map_in_processes(fn, items, workers):
     try:
         return list(pool.map(_call_worker_fn, items))
     except BrokenProcessPool as exc:
-        raise SlicepickError(f"a repeat worker process died: {exc}") from exc
+        raise SlicepickError(f"an experiment worker process died: {exc}") from exc
     finally:
         # after a failure, items still queued are dropped, not run
         pool.shutdown(cancel_futures=True)
@@ -322,10 +321,11 @@ def run_experiment(ds, labels, kinds, plan, loss=None, train=TrainConfig(), thre
     ``kinds`` names each strategy of ``STRATEGY_KINDS`` at most once.
     ``loss`` and ``train`` configure the encoder that ``coreset_learned``
     trains, each repeat with its own seed; ``loss`` is required with it.
-    Repeats are independent; with ``threads > 1`` they run in up to that
-    many forked worker processes (never more than there are repeats).
-    Entries are assembled in (strategy, repeat, round) order regardless of
-    worker count.
+    The trainings, then the (strategy, repeat) cells given their spaces,
+    are independent tasks; with ``threads > 1`` each phase runs in up to
+    that many forked worker processes (never more than it has tasks).
+    Entries come in (strategy, repeat, round) order regardless of worker
+    count; the report keeps each repeat's learned space in memory only.
     """
     if threads < 1:
         raise SettingError("experiment", {"threads": threads}, "threads", "be >= 1")
@@ -346,21 +346,18 @@ def run_experiment(ds, labels, kinds, plan, loss=None, train=TrainConfig(), thre
         raise ValueError("coreset_learned requires a loss config")
     budget_list = budgets(plan, ds.n)
 
-    repeats = list(range(plan.n_repeats))
-    run_repeat = functools.partial(_run_repeat, ds, labels, kinds, plan, loss, train, budget_list)
-    workers = min(threads, plan.n_repeats)
-    if workers > 1:
-        results = _map_in_processes(run_repeat, repeats, workers)
-    else:
-        results = [run_repeat(r) for r in repeats]
-
-    order = {kind: i for i, kind in enumerate(kinds)}
-    entries = [e for ents, _ in results for e in ents]
-    entries.sort(key=lambda e: (order[e.strategy], e.repeat, e.round_index))
+    repeats = list(range(plan.n_repeats)) if "coreset_learned" in kinds else []
+    trained = _map_in_processes(
+        functools.partial(_train_repeat, ds, loss, train, plan.seed), repeats, threads
+    )
+    spaces = {r: space for r, (space, _) in zip(repeats, trained)}
+    cells = [(kind, r) for kind in kinds for r in range(plan.n_repeats)]
+    run_cell = functools.partial(_run_cell, ds, labels, plan, budget_list, spaces)
+    entries = [e for ents in _map_in_processes(run_cell, cells, threads) for e in ents]
     return RoundReport(
         n=ds.n, fractions=plan.fractions, budgets=budget_list, n_repeats=plan.n_repeats,
-        strategies=kinds, entries=entries,
-        train_seconds={key: s for _, secs in results for key, s in secs.items()},
+        strategies=kinds, entries=entries, learned_spaces=spaces,
+        train_seconds={r: s for r, (_, s) in zip(repeats, trained)},
     )
 
 

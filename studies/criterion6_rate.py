@@ -11,15 +11,15 @@ learned space is at most the raw greedy's (+1e-12). Then the rate with a
 Wilson 95% interval, each failing (repeat, round, budget, learned radius,
 raw radius), and the 5% probe accuracies of criterion 6's first assertion.
 
-The share of cold starts: each repeat's learned space is rebuilt from the
-repeat's training stream, as the pipeline derives it, and the learned
-greedy is run from each of K cold-start rows (every row by default, else a
-sample seeded by 0) through the nested budgets. A start keeps the ordering
-when its learned-space radius is at most the raw greedy's ``delta_learned``
-+ 1e-12 in every round. As a self-check, the greedy started from the
-pipeline's own cold-start row must give each round's ``coreset_learned``
-``delta_learned`` of the report bit for bit; if it does not, the study
-exits 1.
+The share of cold starts: each repeat's learned space is read from the
+report, where the repeat's one training left it, and the learned greedy is
+run from each of K cold-start rows (every row by default, else a sample
+seeded by 0) through the nested budgets. A start keeps the ordering when
+its learned-space radius is at most the raw greedy's ``delta_learned`` +
+1e-12 in every round. As a self-check, the greedy started from the
+pipeline's own cold-start row, ``coreset_learned``'s first pick of round 0,
+must give each round's ``coreset_learned`` ``delta_learned`` of the report
+bit for bit; if it does not, the study exits 1.
 
 Each repeat's streams are keyed by its number, so repeats 0-4 are the five
 of the tier-1 test and their count is the one it asserts (>= 4); ``--epochs``
@@ -28,7 +28,6 @@ suite; it changes no test, threshold or seed.
 """
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -42,7 +41,6 @@ import numpy as np  # noqa: E402
 from slicepick import (  # noqa: E402
     RoundPlan, SelectionState, TrainConfig, generate_synthetic, k_center_greedy, run_experiment,
 )
-from slicepick.pipeline import _learned_space, _stream_seed  # noqa: E402
 from test_acceptance import BEST_WEIGHTS, REFERENCE_SPEC  # noqa: E402
 
 KINDS = ["random", "coreset_raw", "coreset_learned"]
@@ -56,13 +54,6 @@ def wilson(successes, n, z=1.959964):
     center = (p + z * z / (2 * n)) / (1 + z * z / n)
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
     return center - half, center + half
-
-
-def learned_space(ds, plan, train, repeat):
-    """Repeat ``repeat``'s learned space, from its training stream, as
-    ``pipeline._run_repeat`` derives it."""
-    seed = int(_stream_seed(plan.seed, repeat, "coreset_learned", 1).generate_state(1)[0])
-    return _learned_space(ds, BEST_WEIGHTS, dataclasses.replace(train, seed=seed))
 
 
 def radii_from(space, start, budgets):
@@ -84,8 +75,10 @@ def main(argv=None):
     parser.add_argument("--cold-starts", type=int, default=None,
                         help="cold-start rows per repeat (default: every row)")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
+    for flag, value in [("--repeats", args.repeats), ("--threads", args.threads),
+                        ("--epochs", args.epochs)]:
+        if value < 1:
+            parser.error(f"{flag} must be >= 1")
 
     t0 = time.perf_counter()
     ds, labels = generate_synthetic(REFERENCE_SPEC)
@@ -94,10 +87,11 @@ def main(argv=None):
     starts = np.arange(ds.n) if args.cold_starts is None else np.sort(
         np.random.default_rng(0).choice(ds.n, args.cold_starts, replace=False))
     plan = RoundPlan(n_repeats=args.repeats, seed=123)
-    train = TrainConfig(epochs=args.epochs)
     rep = run_experiment(
-        ds, labels, KINDS, plan, loss=BEST_WEIGHTS, train=train, threads=args.threads,
+        ds, labels, KINDS, plan, loss=BEST_WEIGHTS, train=TrainConfig(epochs=args.epochs),
+        threads=args.threads,
     )
+    row_of = {sid: i for i, sid in enumerate(ds.ids[:, 0].tolist())}
     five_pct = plan.fractions.index(0.05)
 
     holds, failures, kept, mismatches = [], [], [], []
@@ -110,9 +104,8 @@ def main(argv=None):
                 ok = False
                 failures.append((r, rd, budget, learned, raw[rd]))
         holds.append(ok)
-        space = learned_space(ds, plan, train, r)
-        own = int(np.random.default_rng(
-            _stream_seed(plan.seed, r, "coreset_learned", 2)).permutation(ds.n)[0])
+        space = rep.learned_spaces[r]
+        own = row_of[rep.entry("coreset_learned", r, 0).selected[0]]
         reported = [rep.entry("coreset_learned", r, rd).delta_learned
                     for rd in range(len(rep.budgets))]
         if radii_from(space, own, rep.budgets) != reported:

@@ -254,7 +254,7 @@ def test_criterion_6_label_efficiency(reference_data):
     kinds = ["random", "coreset_raw", "coreset_learned"]
     plan = RoundPlan(n_repeats=5, seed=123)
     rep = run_experiment(
-        ds, labels, kinds, plan, loss=BEST_WEIGHTS, train=TrainConfig(epochs=40), threads=1
+        ds, labels, kinds, plan, loss=BEST_WEIGHTS, train=TrainConfig(epochs=40), threads=2
     )
     five_pct = plan.fractions.index(0.05)
     n_rounds = len(plan.fractions)

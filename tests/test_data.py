@@ -35,6 +35,22 @@ class TestDatasetIndex:
         with pytest.raises(InvalidSpecError):
             DatasetIndex(rows, np.zeros((2, 2)), 1, 2)
 
+    def test_repeated_slice_id_names_its_first_repeat(self):
+        # row 2 repeats slice 5 and also puts volume 0 on a second patient:
+        # the repeat is named, as it is checked first
+        rows = identity_rows((5, 0, 0, 0), (6, 0, 0, 1), (5, 1, 0, 2), (6, 1, 1, 0))
+        with pytest.raises(InvalidSpecError, match=r"^slices\[2\]: duplicate slice_id 5$"):
+            DatasetIndex(rows, np.zeros((4, 2)), 1, 2)
+
+    def test_depth_gap_names_the_volume_that_appears_first(self):
+        # volumes 3 and 1 both have gaps; volume 1 sorts first, volume 3
+        # appears first in the table
+        rows = identity_rows((0, 1, 3, 0), (1, 1, 3, 2), (2, 0, 1, 3), (3, 0, 1, 0))
+        with pytest.raises(
+            InvalidSpecError, match=r"^volume 3 slice_index values \[0, 2\] are not contiguous"
+        ):
+            DatasetIndex(rows, np.zeros((4, 2)), 1, 2)
+
     def test_matrix_of_wrong_shape_rejected(self):
         rows = identity_rows((0, 0, 0, 0), (1, 0, 0, 1))
         for shape in [(2, 3), (3, 2), (1, 2), (4,), (2, 1, 2)]:

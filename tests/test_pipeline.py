@@ -115,6 +115,15 @@ class TestRunExperiment:
         assert a.to_json() == b.to_json()
         assert a.summary_csv() == b.summary_csv()
 
+    def test_one_repeat_is_thread_invariant(self):
+        # one training, then three cells: the pools of 2 and 3 workers must
+        # give the serial bytes
+        serial = self.run_small(threads=1, repeats=1)
+        for threads in (2, 3):
+            pooled = self.run_small(threads=threads, repeats=1)
+            assert pooled.to_json() == serial.to_json()
+            assert pooled.summary_csv() == serial.summary_csv()
+
     def test_nested_selections(self):
         report = self.run_small()
         for strategy in report.strategies:
@@ -314,7 +323,7 @@ class TestRepeatWorkers:
             train=TrainConfig(**base),
         )
 
-    def test_pool_never_exceeds_repeat_count(self, monkeypatch):
+    def test_pool_never_exceeds_its_phase_task_count(self, monkeypatch):
         import concurrent.futures
 
         from slicepick import pipeline
@@ -337,12 +346,18 @@ class TestRepeatWorkers:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.1, 0.5), n_repeats=2, seed=1)
-        pooled = run_experiment(ds, labels, self.KINDS, plan, **self.settings(), threads=8)
-        assert asked == [(2, "fork")]
         serial = run_experiment(ds, labels, self.KINDS, plan, **self.settings(), threads=1)
-        assert pooled.to_json() == serial.to_json()
+        assert asked == []
+        # 2 trainings, then 2 kinds x 2 repeats = 4 cells
+        for threads, pools in [(8, [(2, "fork"), (4, "fork")]), (3, [(2, "fork"), (3, "fork")])]:
+            asked.clear()
+            pooled = run_experiment(
+                ds, labels, self.KINDS, plan, **self.settings(), threads=threads
+            )
+            assert asked == pools
+            assert pooled.to_json() == serial.to_json()
 
-    def test_a_task_pickles_only_its_repeat_number(self, monkeypatch):
+    def test_a_task_pickles_only_its_kind_and_repeat(self, monkeypatch):
         # forked workers inherit the dataset; at 32 x 32 float32 pixels its
         # matrix is 256 KB, which a task carrying it would exceed
         from multiprocessing.reduction import ForkingPickler
