@@ -39,6 +39,18 @@ def json_int(path, value, where):
     return value
 
 
+def json_ints(path, values, where):
+    """The list ``values`` as an int64 array if each passes ``json_int``, checked
+    as one array; else ``json_int``'s FormatError for the first, named ``where(i)``."""
+    if set(map(type, values)) <= {int}:  # never a bool, float or None
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    for i, value in enumerate(values):
+        json_int(path, value, where(i))
+
+
 def check_version(path, value, where="'format_version'"):
     """A FormatError unless ``value``, ``where`` in ``path``, is the integer 1."""
     if json_int(path, value, where) != FORMAT_VERSION:

@@ -2,25 +2,24 @@
 
 Every kernel takes a float32 or float64 matrix as it is (any other input
 becomes float64) and widens each block it gathers to float64 before any
-arithmetic: every distance and statistic is computed in float64, and a
-float32 matrix gives the bits of its exact float64 widening. Every
-distance is the direct one that ``_sq_dists`` sums, so ``dist_to_row``,
-``pairwise_dists`` and ``nn_indices``' re-rank agree bit for bit.
-``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
-difference, O(p n log n) and within a few ulps of the pairwise sum. It and
-``pair_mean_abs`` take an affine map x -> (x - lo) / scale, which they
-apply to their own widened column or pair block, so a caller normalizes
-without a copy of its matrix. ``nn_indices`` finds candidates with one
-float32 matrix product per query block and re-ranks them with the direct
-float64 squared distance, so its answer, ties included, is exactly that of
-the direct search; it searches for a subset of the rows of its query
-matrix without copying them. Each kernel works one block of rows (or of
-columns) of at most ``_BLOCK`` values at a time, so none holds an (n, p)
-array beside its input. The private helpers are not part of the traced
-set; ``_sq_dist_expansion`` (that float32 product, computed nowhere else)
-and ``_sq_dist_slack`` (its rounding bound) also serve ``coreset``.
-``tests/test_kernels.py`` checks each kernel against a plain-Python loop
-oracle, and ``tests/test_memory.py`` the transient memory of the passes.
+arithmetic, so a float32 matrix gives the bits of its exact float64
+widening. Every distance is the direct one that ``_sq_dists`` sums, so
+``dist_to_row``, ``pairwise_dists`` and ``nn_indices``' re-rank agree bit
+for bit. ``all_pairs_mean_abs`` uses the sorted-gap form of Gini's mean
+difference, O(p n log n) and within a few ulps of the pairwise sum; it and
+``pair_mean_abs`` apply an affine map x -> (x - lo) / scale to their own
+widened blocks, so a caller normalizes without a copy of its matrix.
+``nn_indices`` screens candidates with one float32 matrix product per query
+block and re-ranks them by the direct float64 squared distance, so its
+answer, ties included, is that of the direct search; it reads a subset of
+its query rows without copying them, and can return each answer's screen
+value and bound, with which ``pipeline.ProbeCarry`` merges a search of a
+selection's new rows into its earlier nearest rows. Each kernel works one
+block of at most ``_BLOCK`` values at a time, so none holds an (n, p) array
+beside its input. The private helpers are not traced; ``_sq_dist_expansion``
+(that float32 product) and ``_sq_dist_slack`` (its rounding bound) also
+serve ``coreset``. ``tests/test_kernels.py`` checks each kernel against a
+plain-Python loop, and ``tests/test_memory.py`` their transient memory.
 """
 
 import numpy as np
@@ -60,15 +59,15 @@ def _row_dists(emb, idx, rows=None):
 
 def _sq_dists_to(emb, ref, rows=None, ref_rows=None):
     """The direct squared distance from each row of ``emb`` (or of its ``rows``) to the float64
-    vector ``ref``, or the i-th to ``ref[ref_rows[i]]``, from float64 differences formed one
-    row block at a time and summed by ``_sq_dists``."""
+    vector ``ref``, or the i-th to ``ref[ref_rows[i]]`` (rows of any ``_matrix``, widened), from
+    float64 differences formed one row block at a time and summed by ``_sq_dists``."""
     m = emb.shape[0] if rows is None else len(rows)
     out = np.empty(m)
     block = _block_rows(emb.shape[1])
     for start in range(0, m, block):
         at = slice(start, start + block) if rows is None else rows[start:start + block]
-        to = ref if ref_rows is None else ref[ref_rows[start:start + block]]
-        out[start:start + block] = _sq_dists(emb[at] - to)  # float64, as ref is
+        to = ref if ref_rows is None else _wide(ref[ref_rows[start:start + block]])
+        out[start:start + block] = _sq_dists(emb[at] - to)  # float64, as to is
     return out
 
 
@@ -183,9 +182,11 @@ def all_pairs_mean_abs(X, lo=0.0, scale=1.0):
     return float(col_sums.sum()) / p / (n * (n - 1) / 2.0)
 
 
-def nn_indices(Q, R, rows=None):
+def nn_indices(Q, R, rows=None, q_sq=None, screen=False):
     """Index of the nearest row of ``R`` for each row of ``Q[rows]`` (each
-    row of ``Q`` when ``rows`` is None).
+    row of ``Q`` when ``rows`` is None); ``q_sq``, if given, is ``_sq_norms(Q)``.
+    With ``screen``, also each winner's ``approx`` and 2 B_q, or, where the
+    search re-ranked, its direct ``d2`` and 0 (``pipeline.ProbeCarry``).
 
     Ties resolve to the lowest reference index. The answer is that of the
     direct search, which takes the first minimum of
@@ -250,31 +251,36 @@ def nn_indices(Q, R, rows=None):
         rows = np.asarray(rows, dtype=np.int64)
     m = Q.shape[0] if rows is None else rows.shape[0]
     r_sq, R32 = _sq_norms(R), _as_f32(R)
-    out = np.empty(m, dtype=np.int64)
+    out = np.empty(m, dtype=np.int64), np.empty(m), np.empty(m)
     # block the queries so neither the gathered rows nor the (block, refs)
     # distance matrix grows with the query count
     block = _block_rows(max(R.shape[0], Q.shape[1]))
     for start in range(0, m, block):
-        q = Q[start:start + block] if rows is None else Q[rows[start:start + block]]
-        out[start:start + block] = _nn_block(q, R, R32, r_sq)
-    return out
+        at = slice(start, start + block) if rows is None else rows[start:start + block]
+        q = Q[at]
+        found = _nn_block(q, _sq_norms(q) if q_sq is None else q_sq[at], R, R32, r_sq)
+        for a, b in zip(out, found):
+            a[start:start + block] = b
+    return out if screen else out[0]
 
 
-def _nn_block(q, R, R32, r_sq):
-    """``nn_indices(q, R)`` for one query block, given the reference side:
-    a function of its own, so a block's arrays are freed before the next
-    block's are made."""
-    q_sq = _sq_norms(q)
+def _nn_block(q, q_sq, R, R32, r_sq):
+    """``nn_indices(q, R, screen=True)`` for one query block, given the
+    reference side: a function of its own, so a block's arrays are freed
+    before the next block's are made."""
     approx = _sq_dist_expansion(_as_f32(q), q_sq, R32, r_sq)
     with np.errstate(over="ignore", invalid="ignore"):
         slack = _sq_dist_slack(q_sq + r_sq.max(), q.shape[1])
         near = approx <= (approx.min(axis=1) + slack)[:, None]
     near[np.isinf(slack)] = True
     out = np.argmax(near, axis=1)
+    value = approx[np.arange(len(out)), out]
     for i in np.flatnonzero(np.count_nonzero(near, axis=1) > 1):
         cand = np.flatnonzero(near[i])
-        out[i] = cand[np.argmin(_sq_dists(_wide(q[i]) - R[cand]))]  # float64
-    return out
+        d2 = _sq_dists(_wide(q[i]) - R[cand])  # float64
+        j = np.argmin(d2)
+        out[i], value[i], slack[i] = cand[j], d2[j], 0.0
+    return out, value, slack
 
 
 def pairwise_dists(X):

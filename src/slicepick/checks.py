@@ -23,6 +23,7 @@ from .losses import (
     preset_loss_config,
     slice_positives_from_rows,
 )
+from .pipeline import ProbeCarry, probe_accuracy
 from .sampler import GROUP_TYPES, build_epoch, tuple_width
 
 
@@ -248,9 +249,8 @@ def check_screened_cover(n_instances=30, seed=2024):
     """Screened greedy against the full-pass loop, picks and min_dist bytes,
     and its nearest labeled rows against ``brute_force_nearest``, on Gaussian
     data, on near-tie data (a large offset plus tiny noise, where the norm
-    expansion cancels about 16 digits) and on small integers (exact ties).
-    Both screens run through this machine's BLAS: the greedy's float32
-    product, and the probe's inside ``nn_indices``, checked the same way."""
+    expansion cancels about 16 digits) and on small integers (exact ties),
+    with this machine's BLAS computing the screen's float32 product."""
     rng = np.random.default_rng(seed)
     for i in range(n_instances):
         n, p = int(rng.integers(2, 60)), int(rng.integers(1, 40))
@@ -267,15 +267,29 @@ def check_screened_cover(n_instances=30, seed=2024):
         where = f"instance {i} ({n}x{p}, k={k})"
         if state.trace != trace or state.min_dist.tobytes() != min_dist.tobytes():
             return False, f"{where} differs from the full passes"
-        nearest = brute_force_nearest(emb, state.labeled)
-        if not np.array_equal(state.nearest, nearest):
+        if not np.array_equal(state.nearest, brute_force_nearest(emb, state.labeled)):
             return False, f"{where}: nearest labeled rows differ from the loop"
-        centers = np.array(sorted(state.labeled), dtype=np.int64)
-        if centers.size and not np.array_equal(
-            centers[_kernels.nn_indices(emb, emb[centers])], nearest
-        ):
-            return False, f"{where}: the 1-NN search differs from the loop"
     return True, f"{n_instances} instances bit-identical to full passes and the nearest-row loop"
+
+
+def check_carried_probe(n_instances=30, seed=2024):
+    """The 1-NN probe carried over nested random rounds against
+    ``brute_force_nearest`` and a fresh probe, on ``check_screened_cover``'s
+    kinds of data, every other instance as float32, through this BLAS."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_instances):
+        n, p = int(rng.integers(2, 60)), int(rng.integers(1, 40))
+        emb = [rng.standard_normal((n, p)), 1e4 + 1e-4 * rng.standard_normal((n, p)),
+               rng.integers(-2, 3, size=(n, p))][i % 3].astype((np.float64, np.float32)[i % 2])
+        order, labels, carry = rng.permutation(n), rng.integers(0, 3, n), ProbeCarry(emb)
+        for b in np.unique(rng.integers(1, n + 1, size=4)).tolist():
+            labeled = sorted(order[:b].tolist())
+            acc = probe_accuracy(emb, labeled, labels, carry)
+            unlabeled = np.setdiff1d(order, labeled)
+            if acc != probe_accuracy(emb, labeled, labels) or not np.array_equal(
+                    carry.nearest[unlabeled], brute_force_nearest(emb, labeled)[unlabeled]):
+                return False, f"instance {i} ({emb.dtype}, {n}x{p}), {b} labeled: differs"
+    return True, f"{n_instances} instances' nested rounds match the nearest-row loop"
 
 
 def _require(holds, invariant):
@@ -351,4 +365,5 @@ def run_all():
         ("greedy-vs-exhaustive-and-full-passes", two_opt_ok and cover_ok, f"{two_opt}; {cover}"),
         ("sampler-invariants", *check_sampler()),
         ("loss-tables-vs-lone-batches", *check_loss_tables()),
+        ("carried-probe-vs-nearest-row-loop", *check_carried_probe()),
     ]

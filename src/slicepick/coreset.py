@@ -6,29 +6,22 @@ centers, which 2-approximates the optimal max-min cover radius. Distances
 are Euclidean in float64 whether the matrix is float32 or float64, and the
 argmax scan takes the first maximum, so ties go to the lowest row.
 
-One ``SelectionState`` is the running cover of one matrix: built once, with
-the matrix's squared norms and float32 form, and extended in place by every
-later greedy call or by rows chosen elsewhere; the greedy takes only a
-state. Each row's distance to its nearest center is lowered by
-``SelectionState.extend`` alone, behind a screen: one float32 matrix
-product (``_kernels._sq_dist_expansion``) gives |x|^2 - 2 x.c + |c|^2 for
-every row x and new center c, and only rows within the rounding bound of
-``_kernels.nn_indices`` of their current distance m (or whose bound is not
-finite) get the direct float64 distance. That bound proves every row whose
-direct distance is at most m passes, so the picks and every ``min_dist``
-byte are those of a full ``dist_to_row`` pass per center. A greedy pick
-computes the screen columns of the next farthest rows along with its own,
-since later picks mostly come from them. ``checks.cover_radius`` keeps the
-full passes as the independent oracle.
-
-The cover also holds each row's nearest center, ``SelectionState.nearest``,
-in the order of the 1-NN probe (``pipeline.probe_accuracy``): the least
-direct squared distance d2, ties going to the lowest row index. A center
-whose distance is below m takes the row; where it ties m, the two centers'
-direct d2 decide, since two different d2 can round to one distance. So a
-greedy state over the probe's matrix answers the probe with no search
-(``pipeline.cover_probe_accuracy``), which ``pipeline`` reads whenever a
-state's matrix is the pixel matrix itself.
+One ``SelectionState`` is the running cover of one matrix, built once with
+its squared norms, float32 form and each row's screen slack, and extended
+in place by every later greedy call or by rows chosen elsewhere. A new
+center c lowers each row's distance m to its nearest center behind a
+screen: one float32 matrix product (``_kernels._sq_dist_expansion``) gives
+|x|^2 - 2 x.c + |c|^2 for every row x, and only rows within the rounding
+bound of ``_kernels.nn_indices`` of m^2 get the direct float64 distance.
+The bound proves the picks and every ``min_dist`` byte those of a full
+``dist_to_row`` pass per center, the oracle that ``checks.cover_radius``
+keeps. A greedy pick screens the next farthest rows with its own, since
+later picks mostly come from them. The cover also holds each row's nearest
+center, ``nearest``, in the 1-NN probe's order: least direct squared
+distance d2, then lowest row (where a center ties m, the direct d2 decide).
+So a state over the pixel matrix answers the probe with no search
+(``pipeline.cover_probe_accuracy``); every other probe carries its nearest
+rows across rounds by the same bound (``pipeline.ProbeCarry``).
 """
 
 import math
@@ -55,73 +48,73 @@ class SelectionState:
     """A running k-center cover of one matrix, extended in place.
 
     Holds the matrix ``emb`` as given (a C-contiguous float32 or float64
-    one, not copied), its float64 squared row norms ``sq_norms`` and its
-    float32 form ``emb32``, ``emb`` itself when float32 (both computed here,
-    once), the selected rows ``labeled``, each row's distance to its nearest
-    center ``min_dist`` and that center ``nearest`` (-1 before the first),
-    and ``trace``, the (picked index, distance at pick time) pairs of the
-    last ``k_center_greedy`` call. ``labeled`` seeds the cover, sorted and
+    one, not copied), its float64 squared row norms ``sq_norms``, its float32
+    form ``emb32`` (``emb`` itself when float32) and each row's screen slack
+    as a center, ``slack`` (all computed here, once), the selected rows
+    ``labeled``, each row's distance to its nearest center ``min_dist`` and
+    that center ``nearest`` (-1 before the first), and ``trace``, the
+    (picked index, distance at pick time) pairs of the last
+    ``k_center_greedy`` call. ``labeled`` seeds the cover, sorted and
     without repeats.
     """
 
     def __init__(self, emb, labeled=()):
         self.emb = _kernels._matrix(emb)
-        n = self.emb.shape[0]
+        n, p = self.emb.shape
         labeled = sorted(set(int(i) for i in labeled))
         if labeled and not (0 <= labeled[0] and labeled[-1] < n):
             raise IndexError("initial labeled index out of range")
         self.sq_norms = _kernels._sq_norms(self.emb)
         self.emb32 = _kernels._as_f32(self.emb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.slack = _kernels._sq_dist_slack(self.sq_norms + self.sq_norms.max(initial=0), p)
         self.labeled = []
         self.min_dist = np.full(n, np.inf)
         self.nearest = np.full(n, -1, dtype=np.int64)
         self.trace = []
         self.extend(labeled)
 
-    def extend(self, rows, approx=None):
+    def extend(self, rows):
         """Add ``rows``, rows not yet labeled, as centers: append them to
-        ``labeled`` and lower ``min_dist`` and ``nearest`` in place.
-
-        ``approx``, when given, holds the ``_kernels._sq_dist_expansion`` of
-        every row against ``rows``. The result is bit-identical to
-        ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` for each
-        c in turn: for each center, a row whose ``approx`` exceeds fl(m^2)
-        plus ``_kernels._sq_dist_slack`` cannot have a direct distance at
-        most its m (the proof is in ``nn_indices``' docstring), and every
-        other row gets that direct distance. When every row passes, as in a
-        cold start, the center takes a full ``dist_to_row`` pass. ``nearest``
-        follows the module docstring's order.
-        """
+        ``labeled`` and lower ``min_dist`` and ``nearest`` in place, as
+        ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` does for
+        each center c in turn, bit for bit (``_lower``)."""
         rows = [int(i) for i in rows]
         self.labeled += rows
-        if not rows:
-            return
-        emb, sq_norms, min_dist = self.emb, self.sq_norms, self.min_dist
-        n = emb.shape[0]
-        # block the centers so the (rows, block) screen matrix stays small
-        block = len(rows) if approx is not None else _kernels._block_rows(n)
+        # block the centers so the (block, n) screen matrix stays small
+        block = _kernels._block_rows(self.emb.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            slack = _kernels._sq_dist_slack(sq_norms[rows] + sq_norms.max(), emb.shape[1])
             for start in range(0, len(rows), block):
                 centers = rows[start:start + block]
-                cols = approx
-                if cols is None:
-                    cols = _kernels._sq_dist_expansion(
-                        self.emb32, sq_norms, self.emb32[centers], sq_norms[centers]
-                    )
-                for j, idx in enumerate(centers):
-                    bound = min_dist * min_dist
-                    bound += slack[start + j]
-                    # a nan on either side, or an infinite bound, keeps the row
-                    cand = np.flatnonzero(~(cols[:, j] > bound))
-                    if cand.size == n:
-                        dist = _kernels.dist_to_row(emb, idx)
-                    elif cand.size:
-                        dist = _kernels._row_dists(emb, idx, cand)
-                    else:
-                        continue
-                    self._take_nearest(idx, cand, dist)
-                    min_dist[cand] = np.minimum(min_dist[cand], dist)
+                for idx, approx in zip(centers, self._screen(centers)):
+                    self._lower(idx, approx)
+
+    def _screen(self, centers):
+        """Each of ``centers``' ``_kernels._sq_dist_expansion`` column, a row of a view."""
+        return _kernels._sq_dist_expansion(
+            self.emb32, self.sq_norms, self.emb32[centers], self.sq_norms[centers]
+        ).T
+
+    def _lower(self, idx, approx):
+        """Lower ``min_dist`` and ``nearest`` by center ``idx`` of screen
+        column ``approx``, under the caller's ``np.errstate``. A row whose
+        ``approx`` exceeds fl(m^2) plus the center's ``slack`` cannot have a
+        direct distance at most its m (``nn_indices``' docstring has the
+        proof); every other row gets that direct distance, by a full
+        ``dist_to_row`` pass when every row passes, as in a cold start."""
+        min_dist = self.min_dist
+        bound = min_dist * min_dist
+        bound += self.slack[idx]
+        # a nan on either side, or an infinite bound, keeps the row
+        cand = np.flatnonzero(~(approx > bound))
+        if cand.size == min_dist.shape[0]:
+            dist = _kernels.dist_to_row(self.emb, idx)
+        elif cand.size:
+            dist = _kernels._row_dists(self.emb, idx, cand)
+        else:
+            return
+        self._take_nearest(idx, cand, dist)
+        min_dist[cand] = np.minimum(min_dist[cand], dist)
 
     def _take_nearest(self, idx, rows, dist):
         """Make center ``idx`` the nearest of each of ``rows`` (distances
@@ -167,29 +160,28 @@ def k_center_greedy(state, k, cold_start_seed=None):
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[state.labeled] = True
     prefetched = {}
-    for _ in range(k):
-        approx = None
-        if not state.labeled:
-            if cold_start_seed is None:
-                idx = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            if not state.labeled:
+                if cold_start_seed is None:
+                    idx = 0
+                else:
+                    idx = int(np.random.default_rng(cold_start_seed).permutation(n)[0])
+                picked_dist = np.inf
             else:
-                idx = int(np.random.default_rng(cold_start_seed).permutation(n)[0])
-            picked_dist = np.inf
-        else:
-            cand = np.where(labeled_mask, -np.inf, state.min_dist)
-            idx = int(np.argmax(cand))
-            picked_dist = float(state.min_dist[idx])
+                cand = np.where(labeled_mask, -np.inf, state.min_dist)
+                idx = int(np.argmax(cand))
+                picked_dist = float(state.min_dist[idx])
             if idx not in prefetched:
-                top = np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
-                top = [idx] + [int(i) for i in top if i != idx]
-                cols = _kernels._sq_dist_expansion(
-                    state.emb32, state.sq_norms, state.emb32[top], state.sq_norms[top]
-                )
-                prefetched = dict(zip(top, cols.T))
-            approx = prefetched[idx][:, None]
-        labeled_mask[idx] = True
-        state.trace.append((idx, picked_dist))
-        state.extend([idx], approx)
+                top = [idx]
+                if state.labeled:
+                    top += [int(i) for i in np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
+                            if i != idx]
+                prefetched = dict(zip(top, state._screen(top).copy()))  # contiguous rows
+            labeled_mask[idx] = True
+            state.trace.append((idx, picked_dist))
+            state.labeled.append(idx)
+            state._lower(idx, prefetched[idx])
     return state
 
 

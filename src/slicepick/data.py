@@ -267,8 +267,8 @@ def load_dataset(in_dir):
     labels = _io.json_document(labels_path, labels_path.read_bytes(), list)
     if len(labels) != len(ids):
         raise FormatError(f"{labels_path}: holds {len(labels)} labels for {len(ids)} slices")
-    labels = [_io.json_int(labels_path, x, f"index {i}") for i, x in enumerate(labels)]
+    labels = _io.json_ints(labels_path, labels, "index {}".format)
     try:  # a hierarchy fault names the record slices[i] or the volume
-        return DatasetIndex(ids, X, h, w), np.array(labels, dtype=np.int64)
+        return DatasetIndex(ids, X, h, w), labels
     except InvalidSpecError as exc:
         raise FormatError(f"{meta_path}: {exc}") from exc

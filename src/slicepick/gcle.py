@@ -34,20 +34,25 @@ def ids_from_records(path, records, where):
     ``where`` in ``path``. A record that is not an object, lacks a key,
     holds a non-integer or repeats an earlier record's slice id is a
     FormatError naming the file, ``where[i]`` and the key."""
-    ids = np.empty((len(records), len(RECORD_KEYS)), dtype=np.int64)
+    try:  # objects of every key, checked as arrays; the loop below names a fault
+        ids = _io.json_ints(path, [r[key] for r in records for key in RECORD_KEYS], str)
+        ids = ids.reshape(len(records), len(RECORD_KEYS))
+        # with return_index: the plain np.unique's first call imports numpy.ma
+        if np.unique(ids[:, 0], return_index=True)[0].size == len(ids):
+            return ids
+    except (TypeError, KeyError, FormatError):
+        pass
     seen = set()
-    for i, r in enumerate(records):
+    for i, r in enumerate(records):  # raises at the first faulty record
         if not isinstance(r, dict):
             raise FormatError(f"{path}: {where}[{i}] must be a JSON object")
         for key in RECORD_KEYS:
             if key not in r:
                 raise FormatError(f"{path}: {where}[{i}] is missing key {key!r}")
-        ids[i] = [_io.json_int(path, r[key], f"{where}[{i}].{key}") for key in RECORD_KEYS]
-        sid = int(ids[i, 0])
+        sid = [_io.json_int(path, r[key], f"{where}[{i}].{key}") for key in RECORD_KEYS][0]
         if sid in seen:
             raise FormatError(f"{path}: {where}[{i}].slice_id {sid} repeats an earlier row")
         seen.add(sid)
-    return ids
 
 
 def write_gcle(path, matrix, ids):

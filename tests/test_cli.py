@@ -947,7 +947,7 @@ class TestVerify:
     def test_verify_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
 
     def test_verify_fails_nonzero(self, capsys, monkeypatch):
         from slicepick import checks

@@ -10,6 +10,7 @@ A float32 matrix must give the bits of its float64 widening throughout.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from slicepick.checks import brute_force_nearest as loop_nearest
 from slicepick.checks import full_pass_greedy
 from slicepick.coreset import SelectionState, k_center_greedy
 from slicepick.data import GROUPINGS, DatasetIndex, group_deviation
-from slicepick.pipeline import cover_probe_accuracy, probe_accuracy
+from slicepick.pipeline import ProbeCarry, cover_probe_accuracy, probe_accuracy
 
 
 def scalar_nearest(X, labeled):
@@ -271,3 +272,87 @@ def test_float32_matrix_gives_the_bits_of_its_widening(name):
         assert a.sq_norms.tobytes() == b.sq_norms.tobytes()
         assert a.min_dist.tobytes() == b.min_dist.tobytes()
         assert a.nearest.tobytes() == b.nearest.tobytes()
+
+
+# -- the probe's carry -------------------------------------------------------
+
+
+def check_carried_rounds(X, budgets, seed=0):
+    """A probe carried over nested random rounds of ``X``: every round, each
+    unlabeled row's nearest labeled row is the loop's, and the accuracy is
+    the fresh probe's, bit for bit. Returns the carry."""
+    rng = np.random.default_rng(seed)
+    order, labels, carry = rng.permutation(len(X)), rng.integers(0, 3, len(X)), ProbeCarry(X)
+    for b in budgets:
+        labeled = sorted(order[:b].tolist())
+        acc = probe_accuracy(X, labeled, labels, carry)
+        unlabeled = np.setdiff1d(order, labeled)
+        assert np.array_equal(carry.nearest[unlabeled], loop_nearest(X, labeled)[unlabeled])
+        assert acc == probe_accuracy(X, labeled, labels)
+    return carry
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(FLOAT32_INPUTS))
+def test_carried_probe_matches_the_loop_every_round(name, dtype):
+    X = FLOAT32_INPUTS[name].astype(dtype)
+    n = len(X)
+    for seed in range(3):
+        check_carried_rounds(X, sorted({1, 2, n // 4, n // 2, n - 1, n} - {0}), seed)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_new_row_tying_a_carried_one_goes_to_the_lower_row(first):
+    # row 2 is as far from row 0 as from row 1; the lower row wins whether
+    # it is carried or new, and also where a large offset blurs the screen
+    for offset in (0.0, 1e4):
+        X = offset + np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
+        labels = np.array([0, 1, 2, 1])
+        carry = ProbeCarry(X)
+        probe_accuracy(X, [first], labels, carry)
+        assert carry.nearest[2] == first
+        assert probe_accuracy(X, [0, 1], labels, carry) == probe_accuracy(X, [0, 1], labels)
+        assert list(carry.nearest[[2, 3]]) == [0, 0]
+        assert carry.bound[2] == 0  # the tie took the direct d2 of both rows
+
+
+@pytest.mark.parametrize("scale", [3.5e18, 1e20, 1e39])
+def test_carried_probe_where_a_bound_is_infinite(scale):
+    # past the float32 bound every row's search re-ranks all its candidates
+    rng = np.random.default_rng(34)
+    X = scale * rng.uniform(-1, 1, size=(40, 4))
+    X[::7] = X[3]
+    carry = check_carried_rounds(X, [2, 9, 20, 39])
+    assert scale < 1e20 or not carry.bound.any()
+    # one huge row among ordinary ones: its own bound is infinite while it is
+    # unlabeled, and every bound of the round that labels it
+    X = rng.standard_normal((40, 4))
+    X[5] *= scale
+    for seed in range(4):
+        check_carried_rounds(X, [1, 4, 10, 20, 39], seed)
+
+
+def test_carried_probe_needs_nested_rounds():
+    X = np.random.default_rng(41).standard_normal((6, 2))
+    carry = ProbeCarry(X)
+    probe_accuracy(X, [0, 3], np.zeros(6), carry)
+    with pytest.raises(ValueError, match="every earlier round's"):
+        probe_accuracy(X, [1, 3], np.zeros(6), carry)
+
+
+def test_carried_round_copies_only_its_new_labeled_rows():
+    # 8,192 x 256 (eight row blocks): 256 rows seen, then one round of 512
+    # new ones holds no (n, new rows) screen and no copy of the matrix
+    X = np.random.default_rng(41).standard_normal((8192, 256))
+    labels = np.arange(8192) % 5
+    carry = ProbeCarry(X)
+    probe_accuracy(X, range(0, 8192, 32), labels, carry)
+    labeled = sorted(set(range(0, 8192, 32)) | set(range(1, 8192, 16)))
+    tracemalloc.start()
+    try:
+        probe_accuracy(X, labeled, labels, carry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * X.nbytes
+    assert np.count_nonzero(carry.seen) == 768
