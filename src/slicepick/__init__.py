@@ -50,7 +50,6 @@ from .pipeline import (
     RoundPlan,
     RoundReport,
     budgets,
-    cover_probe_accuracy,
     probe_accuracy,
     run_ablation,
     run_experiment,

@@ -13,10 +13,10 @@ widened blocks, so a caller normalizes without a copy of its matrix.
 block and re-ranks them by the direct float64 squared distance, so its
 answer, ties included, is that of the direct search; it reads a subset of
 its query rows without copying them, and can return each answer's screen
-value and bound, with which ``pipeline.ProbeCarry`` merges a search of a
-selection's new rows into its earlier nearest rows. Each kernel works one
-block of at most ``_BLOCK`` values at a time, so none holds an (n, p) array
-beside its input. The private helpers are not traced; ``_sq_dist_expansion``
+value and bound, with which ``coreset.SelectionState.extend`` merges a
+search of new labeled rows into each row's nearest so far. Each kernel
+works one block of at most ``_BLOCK`` values at a time, so none holds an
+(n, p) array beside its input. The private helpers are not traced; ``_sq_dist_expansion``
 (that float32 product) and ``_sq_dist_slack`` (its rounding bound) also
 serve ``coreset``. ``tests/test_kernels.py`` checks each kernel against a
 plain-Python loop, and ``tests/test_memory.py`` their transient memory.
@@ -186,7 +186,7 @@ def nn_indices(Q, R, rows=None, q_sq=None, screen=False):
     """Index of the nearest row of ``R`` for each row of ``Q[rows]`` (each
     row of ``Q`` when ``rows`` is None); ``q_sq``, if given, is ``_sq_norms(Q)``.
     With ``screen``, also each winner's ``approx`` and 2 B_q, or, where the
-    search re-ranked, its direct ``d2`` and 0 (``pipeline.ProbeCarry``).
+    search re-ranked, its direct ``d2`` and 0 (``SelectionState.extend``).
 
     Ties resolve to the lowest reference index. The answer is that of the
     direct search, which takes the first minimum of

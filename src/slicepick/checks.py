@@ -23,7 +23,7 @@ from .losses import (
     preset_loss_config,
     slice_positives_from_rows,
 )
-from .pipeline import ProbeCarry, probe_accuracy
+from .pipeline import probe_accuracy
 from .sampler import GROUP_TYPES, build_epoch, tuple_width
 
 
@@ -272,23 +272,26 @@ def check_screened_cover(n_instances=30, seed=2024):
     return True, f"{n_instances} instances bit-identical to full passes and the nearest-row loop"
 
 
-def check_carried_probe(n_instances=30, seed=2024):
-    """The 1-NN probe carried over nested random rounds against
-    ``brute_force_nearest`` and a fresh probe, on ``check_screened_cover``'s
+def check_carried_state(n_instances=30, seed=2024):
+    """One ``SelectionState`` over nested random rounds: nearest rows against
+    ``brute_force_nearest``, probes against a fresh state's and, every other
+    round, ``min_dist`` against the full passes, on ``check_screened_cover``'s
     kinds of data, every other instance as float32, through this BLAS."""
     rng = np.random.default_rng(seed)
     for i in range(n_instances):
         n, p = int(rng.integers(2, 60)), int(rng.integers(1, 40))
         emb = [rng.standard_normal((n, p)), 1e4 + 1e-4 * rng.standard_normal((n, p)),
                rng.integers(-2, 3, size=(n, p))][i % 3].astype((np.float64, np.float32)[i % 2])
-        order, labels, carry = rng.permutation(n), rng.integers(0, 3, n), ProbeCarry(emb)
-        for b in np.unique(rng.integers(1, n + 1, size=4)).tolist():
+        order, labels, state = rng.permutation(n), rng.integers(0, 3, n), SelectionState(emb)
+        for r, b in enumerate(np.unique(rng.integers(1, n + 1, size=4)).tolist()):
             labeled = sorted(order[:b].tolist())
-            acc = probe_accuracy(emb, labeled, labels, carry)
-            unlabeled = np.setdiff1d(order, labeled)
-            if acc != probe_accuracy(emb, labeled, labels) or not np.array_equal(
-                    carry.nearest[unlabeled], brute_force_nearest(emb, labeled)[unlabeled]):
-                return False, f"instance {i} ({emb.dtype}, {n}x{p}), {b} labeled: differs"
+            where = f"instance {i} ({emb.dtype}, {n}x{p}), {b} labeled"
+            if probe_accuracy(emb, labeled, labels, state) != probe_accuracy(emb, labeled, labels):
+                return False, f"{where}: the probe differs from a fresh state's"
+            if not np.array_equal(state.nearest, brute_force_nearest(emb, labeled)):
+                return False, f"{where}: nearest labeled rows differ from the loop"
+            if r % 2 and state.min_dist.tobytes() != full_pass_greedy(emb, labeled, 0)[1].tobytes():
+                return False, f"{where}: min_dist differs from the full passes"
     return True, f"{n_instances} instances' nested rounds match the nearest-row loop"
 
 
@@ -365,5 +368,5 @@ def run_all():
         ("greedy-vs-exhaustive-and-full-passes", two_opt_ok and cover_ok, f"{two_opt}; {cover}"),
         ("sampler-invariants", *check_sampler()),
         ("loss-tables-vs-lone-batches", *check_loss_tables()),
-        ("carried-probe-vs-nearest-row-loop", *check_carried_probe()),
+        ("carried-probe-vs-nearest-row-loop", *check_carried_state()),
     ]

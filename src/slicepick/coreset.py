@@ -6,24 +6,23 @@ centers, which 2-approximates the optimal max-min cover radius. Distances
 are Euclidean in float64 whether the matrix is float32 or float64, and the
 argmax scan takes the first maximum, so ties go to the lowest row.
 
-One ``SelectionState`` is the running cover of one matrix, built once with
-its squared norms, float32 form and each row's screen slack, and extended
-in place by every later greedy call or by rows chosen elsewhere. A new
-center c lowers each row's distance m to its nearest center behind a
-screen: one float32 matrix product (``_kernels._sq_dist_expansion``) gives
-|x|^2 - 2 x.c + |c|^2 for every row x, and only rows within the rounding
-bound of ``_kernels.nn_indices`` of m^2 get the direct float64 distance.
-The bound proves the picks and every ``min_dist`` byte those of a full
-``dist_to_row`` pass per center, the oracle that ``checks.cover_radius``
-keeps. A greedy pick screens the next farthest rows with its own, since
-later picks mostly come from them. The cover also holds each row's nearest
-center, ``nearest``, in the 1-NN probe's order: least direct squared
-distance d2, then lowest row (where a center ties m, the direct d2 decide).
-So a state over the pixel matrix answers the probe with no search
-(``pipeline.cover_probe_accuracy``); every other probe carries its nearest
-rows across rounds by the same bound (``pipeline.ProbeCarry``).
+One ``SelectionState`` holds each row's nearest labeled row of one matrix
+in the 1-NN probe's order (least direct squared distance d2, then lowest
+row), with that d2 and its square root ``min_dist``; the greedy and the
+probe (``pipeline.probe_accuracy``) both extend it in place. Rows chosen
+elsewhere are merged in bulk from one ``_kernels.nn_indices`` search by
+its screen values, whose rounding bound decides wherever two values lie
+apart, and by direct d2 elsewhere (after Elkan, ICML 2003); ``min_dist``
+gives such rows their direct d2 only when read, which the greedy and the
+cover radius do and a probe never does. A greedy pick lowers the rows
+behind the same bound on one float32 matrix product
+(``_kernels._sq_dist_expansion``), and screens the next farthest rows with
+its own, since later picks mostly come from them. The bound proves the
+picks and every ``min_dist`` byte those of a full ``dist_to_row`` pass per
+center, the oracle that ``checks.cover_radius`` keeps.
 """
 
+import functools
 import math
 from itertools import combinations
 
@@ -45,17 +44,17 @@ _KMEANS_RESTARTS = 4
 
 
 class SelectionState:
-    """A running k-center cover of one matrix, extended in place.
+    """Each row's nearest labeled row of one matrix, extended in place.
 
     Holds the matrix ``emb`` as given (a C-contiguous float32 or float64
-    one, not copied), its float64 squared row norms ``sq_norms``, its float32
-    form ``emb32`` (``emb`` itself when float32) and each row's screen slack
-    as a center, ``slack`` (all computed here, once), the selected rows
-    ``labeled``, each row's distance to its nearest center ``min_dist`` and
-    that center ``nearest`` (-1 before the first), and ``trace``, the
-    (picked index, distance at pick time) pairs of the last
-    ``k_center_greedy`` call. ``labeled`` seeds the cover, sorted and
-    without repeats.
+    one, not copied), its float64 squared row norms ``sq_norms``, each row's
+    screen slack as a center ``slack``, and the greedy's float32 form
+    ``emb32`` (``emb`` itself when float32, else made on first use). Per
+    row: ``nearest`` (-1 before any), its squared distance ``d2`` within
+    ``bound`` (0 once direct) and its distance ``min_dist``. Also the
+    labeled rows in selection order, ``labeled``, and as a ``mask``, and
+    ``trace``, the (picked index, distance at pick time) pairs of the last
+    ``k_center_greedy`` call. ``labeled`` seeds the state, in any order.
     """
 
     def __init__(self, emb, labeled=()):
@@ -65,29 +64,62 @@ class SelectionState:
         if labeled and not (0 <= labeled[0] and labeled[-1] < n):
             raise IndexError("initial labeled index out of range")
         self.sq_norms = _kernels._sq_norms(self.emb)
-        self.emb32 = _kernels._as_f32(self.emb)
         with np.errstate(over="ignore", invalid="ignore"):
             self.slack = _kernels._sq_dist_slack(self.sq_norms + self.sq_norms.max(initial=0), p)
-        self.labeled = []
-        self.min_dist = np.full(n, np.inf)
+        self.labeled, self.mask, self.trace = [], np.zeros(n, dtype=bool), []
         self.nearest = np.full(n, -1, dtype=np.int64)
-        self.trace = []
+        self.d2, self.bound, self._min_dist = np.full(n, np.inf), np.zeros(n), np.full(n, np.inf)
+        self._stale = np.zeros(n, dtype=bool)  # rows whose min_dist awaits their d2
         self.extend(labeled)
 
+    @functools.cached_property
+    def emb32(self):
+        return _kernels._as_f32(self.emb)
+
+    @property
+    def min_dist(self):
+        """Each row's distance to its nearest labeled row, ``sqrt(d2)``: on a
+        finite matrix, bit for bit the least of a full ``dist_to_row`` pass
+        per labeled row. A row merged by its screen value gets its direct d2
+        here, on the first read."""
+        rows = np.flatnonzero(self._stale)
+        if rows.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._exact(rows[self.bound[rows] != 0])
+            self._min_dist[rows] = np.sqrt(self.d2[rows])
+            self._stale[rows] = False
+        return self._min_dist
+
     def extend(self, rows):
-        """Add ``rows``, rows not yet labeled, as centers: append them to
-        ``labeled`` and lower ``min_dist`` and ``nearest`` in place, as
-        ``np.minimum(min_dist, dist_to_row(emb, c), out=min_dist)`` does for
-        each center c in turn, bit for bit (``_lower``)."""
+        """Add ``rows``, rows not yet labeled, as labeled rows: one
+        ``nn_indices`` search of them for every row, merged with each row's
+        nearest so far in the probe's order. Where the two squared distances
+        lie further apart than their bounds the values decide, elsewhere
+        both get their direct d2; each bound is twice its value's error, so
+        it also covers the comparison's own rounding."""
         rows = [int(i) for i in rows]
         self.labeled += rows
-        # block the centers so the (block, n) screen matrix stays small
-        block = _kernels._block_rows(self.emb.shape[0])
+        self.mask[rows] = True
+        if not rows:
+            return
+        new = np.sort(rows)  # the search's ties go to the lowest row
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(rows), block):
-                centers = rows[start:start + block]
-                for idx, approx in zip(centers, self._screen(centers)):
-                    self._lower(idx, approx)
+            near, d2, bound = _kernels.nn_indices(self.emb, self.emb[new], None, self.sq_norms, True)
+            near = new[near]
+            fuzzy = np.flatnonzero(~(np.abs(d2 - self.d2) > bound + self.bound))
+            redo = fuzzy[bound[fuzzy] != 0]
+            d2[redo] = _kernels._sq_dists_to(self.emb, self.emb, redo, near[redo])
+            bound[redo] = 0.0
+            self._exact(fuzzy[self.bound[fuzzy] != 0])
+        take = (d2 < self.d2) | ((d2 == self.d2) & (near < self.nearest)) | (self.nearest < 0)
+        for kept, found in ((self.nearest, near), (self.d2, d2), (self.bound, bound)):
+            kept[take] = found[take]
+        self._stale |= take
+
+    def _exact(self, rows):
+        """Give ``rows`` the direct d2 to their nearest labeled row."""
+        self.d2[rows] = _kernels._sq_dists_to(self.emb, self.emb, rows, self.nearest[rows])
+        self.bound[rows] = 0.0
 
     def _screen(self, centers):
         """Each of ``centers``' ``_kernels._sq_dist_expansion`` column, a row of a view."""
@@ -95,41 +127,44 @@ class SelectionState:
             self.emb32, self.sq_norms, self.emb32[centers], self.sq_norms[centers]
         ).T
 
-    def _lower(self, idx, approx):
-        """Lower ``min_dist`` and ``nearest`` by center ``idx`` of screen
-        column ``approx``, under the caller's ``np.errstate``. A row whose
-        ``approx`` exceeds fl(m^2) plus the center's ``slack`` cannot have a
-        direct distance at most its m (``nn_indices``' docstring has the
-        proof); every other row gets that direct distance, by a full
-        ``dist_to_row`` pass when every row passes, as in a cold start."""
-        min_dist = self.min_dist
-        bound = min_dist * min_dist
-        bound += self.slack[idx]
-        # a nan on either side, or an infinite bound, keeps the row
-        cand = np.flatnonzero(~(approx > bound))
-        if cand.size == min_dist.shape[0]:
-            dist = _kernels.dist_to_row(self.emb, idx)
-        elif cand.size:
-            dist = _kernels._row_dists(self.emb, idx, cand)
-        else:
-            return
-        self._take_nearest(idx, cand, dist)
-        min_dist[cand] = np.minimum(min_dist[cand], dist)
+    def _start(self, idx):
+        """Start with ``idx`` labeled: one full ``dist_to_row`` pass gives
+        each row's ``min_dist``, and fl(min_dist^2) its d2 within 3.01 u d2
+        plus half a subnormal (u = 2^-53), below half of 2^-50 d2 + tiny."""
+        dist = self._min_dist
+        dist[:] = _kernels.dist_to_row(self.emb, idx)
+        self.nearest[:] = idx
+        np.multiply(dist, dist, out=self.d2)
+        np.multiply(self.d2, 2.0 ** -50, out=self.bound)
+        self.bound += np.finfo(np.float64).tiny
 
-    def _take_nearest(self, idx, rows, dist):
-        """Make center ``idx`` the nearest of each of ``rows`` (distances
-        ``dist``, before ``min_dist`` is lowered) that it is nearer to, by
-        direct d2 and then row index, than its current nearest center."""
-        emb, nearest = self.emb, self.nearest
-        old = self.min_dist[rows]
-        win = dist < old
-        tie = np.flatnonzero(dist == old)
-        if tie.size:
-            tied, prev = _kernels._wide(emb[rows[tie]]), nearest[rows[tie]]
-            new_d2 = _kernels._sq_dists(tied - emb[idx])  # float64, as tied is
-            old_d2 = _kernels._sq_dists(tied - emb[prev])
-            win[tie] = (prev < 0) | (new_d2 < old_d2) | ((new_d2 == old_d2) & (idx < prev))
-        nearest[rows[win]] = idx
+    def _lower(self, idx, approx):
+        """Make the new labeled row ``idx``, of screen column ``approx``, the
+        nearest of each row it is nearer to (by direct d2, then row), under
+        the caller's ``np.errstate``. A row whose ``approx`` exceeds fl(m^2)
+        plus the center's ``slack`` cannot have a direct distance at most its
+        m (``nn_indices``' docstring has the proof); every other row gets its
+        direct d2, by a full pass when every row passes."""
+        min_dist = self._min_dist
+        limit = min_dist * min_dist
+        limit += self.slack[idx]
+        # a nan on either side, or an infinite limit, keeps the row
+        cand = np.flatnonzero(~(approx > limit))
+        if not cand.size:
+            return
+        full = cand.size == min_dist.shape[0]
+        d2 = _kernels._sq_dists_to(self.emb, _kernels._wide(self.emb[idx]), None if full else cand)
+        old = self.d2[cand]
+        win = d2 < old
+        # ties, and rows whose d2 lies within its bound (a cold start's) of the new one
+        close = np.flatnonzero(~(np.abs(d2 - old) > self.bound[cand]))
+        if close.size:
+            rows, new = cand[close], d2[close]
+            self._exact(rows[self.bound[rows] != 0])
+            old = self.d2[rows]
+            win[close] = (new < old) | ((new == old) & (idx < self.nearest[rows]))
+        rows, d2 = cand[win], d2[win]
+        self.nearest[rows], self.d2[rows], self.bound[rows], min_dist[rows] = idx, d2, 0.0, np.sqrt(d2)
 
 
 def _check_budget(k, free):
@@ -155,33 +190,30 @@ def k_center_greedy(state, k, cold_start_seed=None):
         seed = {"seed": cold_start_seed}
         raise SettingError("selection", seed, "seed", "be a nonnegative integer")
     state.trace = []
-    n = state.min_dist.shape[0]
+    n = state.mask.shape[0]
     _check_budget(k, n - len(state.labeled))
-    labeled_mask = np.zeros(n, dtype=bool)
-    labeled_mask[state.labeled] = True
+    min_dist = state.min_dist  # made exact here, and kept exact by every pick
     prefetched = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
-            if not state.labeled:
-                if cold_start_seed is None:
-                    idx = 0
-                else:
-                    idx = int(np.random.default_rng(cold_start_seed).permutation(n)[0])
-                picked_dist = np.inf
+            cold = not state.labeled
+            if cold:
+                seeded = cold_start_seed is not None
+                idx = int(np.random.default_rng(cold_start_seed).permutation(n)[0]) if seeded else 0
             else:
-                cand = np.where(labeled_mask, -np.inf, state.min_dist)
+                cand = np.where(state.mask, -np.inf, min_dist)
                 idx = int(np.argmax(cand))
-                picked_dist = float(state.min_dist[idx])
-            if idx not in prefetched:
-                top = [idx]
-                if state.labeled:
-                    top += [int(i) for i in np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
-                            if i != idx]
-                prefetched = dict(zip(top, state._screen(top).copy()))  # contiguous rows
-            labeled_mask[idx] = True
-            state.trace.append((idx, picked_dist))
+                if idx not in prefetched:
+                    far = np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
+                    top = [idx] + [int(i) for i in far if i != idx]
+                    prefetched = dict(zip(top, state._screen(top).copy()))  # contiguous rows
+            state.trace.append((idx, float(min_dist[idx])))
             state.labeled.append(idx)
-            state._lower(idx, prefetched[idx])
+            state.mask[idx] = True
+            if cold:
+                state._start(idx)
+            else:
+                state._lower(idx, prefetched[idx])
     return state
 
 

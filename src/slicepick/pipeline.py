@@ -6,18 +6,16 @@ use seed-derived RNG streams keyed by (plan seed, repeat, kind), so they
 run in any number of worker processes with byte-identical results: with
 ``coreset_learned``, a training step per repeat learns its one space on
 the full pool; then a cell per (kind, repeat) extends a nested labeled set
-round by round given that space. A cell carries its running covers across
-rounds: one ``SelectionState`` that a selecting strategy's greedy extends
-in place, the learned-space cover of ``delta_learned`` (that same state
-when the strategy selects there), and the probe's ``ProbeCarry``.
+round by round given that space. A cell carries its ``SelectionState``s
+across rounds, each extended by the round's new rows only: the greedy's,
+the learned-space cover of ``delta_learned`` and the probe's in the pixel
+space, each the greedy's own when it selects there.
 
 Every round, of an experiment or of the ablation, is one ``_select_round``.
 Its probe is 1-nearest-neighbor classification in raw pixel space, so the
-learned metric influences selection only, never evaluation. A state whose
-matrix is the pixel matrix itself holds each row's nearest labeled row, so
-its probe reads it there (``cover_probe_accuracy``); every other probe
-searches only the labeled rows its carry has not seen, an ablation row's
-from an empty carry, reading the unlabeled rows one block at a time.
+learned metric influences selection only, never evaluation; it reads each
+unlabeled row's nearest labeled row from a pixel-space state, which an
+ablation row builds for its one round.
 """
 
 import dataclasses
@@ -29,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
 from .encoder import TrainConfig, embed_all, train
 from .errors import SettingError, SlicepickError
@@ -168,84 +165,28 @@ def budgets(plan, n):
     return out
 
 
-class ProbeCarry:
-    """The 1-NN probe's carry across the nested rounds of one selection over
-    one matrix: its squared norms, the labeled rows searched (``seen``), and
-    each row's nearest of them (-1 before any) with its ``nn_indices`` screen
-    value ``d2`` and ``bound``, 2 B_q, or its direct d2 and 0 once known. A
-    bound twice the screen's error also covers the merge's own rounding."""
-
-    def __init__(self, features):
-        n = len(features)
-        self.sq_norms = _kernels._sq_norms(_kernels._matrix(features))
-        self.seen = np.zeros(n, dtype=bool)
-        self.nearest, self.d2, self.bound = np.full(n, -1), np.full(n, np.inf), np.zeros(n)
-
-    def search(self, X, labeled, unlabeled):
-        """Each ``unlabeled`` row's nearest row of the sorted ``labeled``, a
-        superset of ``seen``: a search of the new rows merged with the carry
-        in the probe's order (least direct d2, then lowest row), by direct d2
-        only where the two rows' values are within their bounds."""
-        labeled = np.asarray(labeled, dtype=np.int64)
-        new = labeled[~self.seen[labeled]]
-        if labeled.size - new.size != np.count_nonzero(self.seen):
-            raise ValueError("a carried probe's labeled rows must hold every earlier round's")
-        self.seen[new] = True
-        if new.size:
-            near, d2, bound = _kernels.nn_indices(X, X[new], unlabeled, self.sq_norms, True)
-            carried = self.nearest, self.d2, self.bound
-            sides = (new[near], d2, bound), tuple(a[unlabeled] for a in carried)
-            (row, d2, bound), (old_row, old_d2, old_bound) = sides
-            take = (old_row < 0) | (old_d2 - d2 > old_bound + bound)
-            both = np.flatnonzero(~take & ~(d2 - old_d2 > old_bound + bound))
-            for rows, d2s, bounds in sides:
-                redo = both[bounds[both] != 0]
-                d2s[redo] = _kernels._sq_dists_to(X, X, unlabeled[redo], rows[redo])
-                bounds[redo] = 0.0
-            d2_new, d2_old = d2[both], old_d2[both]
-            take[both] = (d2_new < d2_old) | ((d2_new == d2_old) & (row[both] < old_row[both]))
-            for array, found, kept in zip(carried, *sides):
-                array[unlabeled] = np.where(take, found, kept)
-        return self.nearest[unlabeled]
-
-
-def probe_accuracy(features, labeled_rows, labels, carry=None):
+def probe_accuracy(features, labeled_rows, labels, state=None):
     """1-nearest-neighbor accuracy over the unlabeled rows.
 
     Each unlabeled row is classified by its nearest labeled row (ties to
     the lowest labeled row); a fully labeled pool scores 1.0 by convention.
-    It searches only the labeled rows that ``carry``, the selection's
-    ``ProbeCarry`` (an empty one by default), has not seen, reading the
-    unlabeled rows from ``features`` a block at a time, widened to float64;
-    only those labeled rows are copied.
+    ``state``, a ``SelectionState`` over ``features`` (a new one by
+    default), is extended by the labeled rows it does not yet hold, so the
+    rows it holds must be among them; only those new rows are copied.
     """
-    features = _kernels._matrix(features)
     labels = np.asarray(labels)
-    labeled = sorted(set(int(i) for i in labeled_rows))
-    unlabeled = _unlabeled_rows(features.shape[0], labeled)
-    if unlabeled.size == 0:
-        return 1.0
-    nearest = (carry or ProbeCarry(features)).search(features, labeled, unlabeled)
-    return float(np.mean(labels[nearest] == labels[unlabeled]))
-
-
-def cover_probe_accuracy(state, labels):
-    """``probe_accuracy(X, state.labeled, labels)`` for a ``SelectionState``
-    over X, bit for bit, with no search: the cover already holds each row's
-    nearest labeled row, in the probe's order."""
-    labels = np.asarray(labels)
-    unlabeled = _unlabeled_rows(state.nearest.shape[0], state.labeled)
+    labeled = np.array(sorted(set(int(i) for i in labeled_rows)), dtype=np.int64)
+    if labeled.size == 0:
+        raise ValueError("probe needs at least one labeled row")
+    state = SelectionState(features) if state is None else state
+    new = labeled[~state.mask[labeled]]
+    if labeled.size - new.size != len(state.labeled):
+        raise ValueError("a probe's labeled rows must hold every earlier round's: its state's rows")
+    state.extend(new)
+    unlabeled = np.flatnonzero(~state.mask)
     if unlabeled.size == 0:
         return 1.0
     return float(np.mean(labels[state.nearest[unlabeled]] == labels[unlabeled]))
-
-
-def _unlabeled_rows(n, labeled):
-    if len(labeled) == 0:
-        raise ValueError("probe needs at least one labeled row")
-    mask = np.zeros(n, dtype=bool)
-    mask[labeled] = True
-    return np.flatnonzero(~mask)
 
 
 def _stream_seed(plan_seed, repeat, kind, salt=0):
@@ -265,22 +206,18 @@ def _train_repeat(ds, loss, train_cfg, plan_seed, repeat):
     return space, time.perf_counter() - t0
 
 
-def _select_round(X, labels, selected, budget, source, cold_seed=None, carry=None):
+def _select_round(X, labels, selected, budget, source, probe, cold_seed=None):
     """Grow the selection ``selected`` to ``budget`` rows from ``source``, a
-    ``SelectionState`` the greedy extends in place or a row order (random's);
-    returns (new rows, probe accuracy, cover radius or None). The probe reads
-    the cover exactly when the state's matrix is the pixel matrix ``X``, else
-    searches with ``carry``."""
-    if not isinstance(source, SelectionState):
-        new = [int(i) for i in source[len(selected):budget]]
-        return new, probe_accuracy(X, selected + new, labels, carry), None
-    k_center_greedy(source, budget - len(selected), cold_start_seed=cold_seed)
-    new = [int(i) for i, _ in source.trace]
-    if source.emb is X:
-        acc = cover_probe_accuracy(source, labels)
+    ``SelectionState`` the greedy extends in place or a row order (random's),
+    and probe it with ``probe``, a ``SelectionState`` over the pixel matrix
+    ``X`` (``source`` itself when it selects in ``X``); returns (new rows,
+    probe accuracy, cover radius or None)."""
+    if isinstance(source, SelectionState):
+        k_center_greedy(source, budget - len(selected), cold_start_seed=cold_seed)
+        new, delta = [int(i) for i, _ in source.trace], float(source.min_dist.max())
     else:
-        acc = probe_accuracy(X, selected + new, labels, carry)
-    return new, acc, float(source.min_dist.max())
+        new, delta = [int(i) for i in source[len(selected):budget]], None
+    return new, probe_accuracy(X, selected + new, labels, probe), delta
 
 
 def _run_cell(ds, labels, plan, budget_list, spaces, cell):
@@ -288,21 +225,22 @@ def _run_cell(ds, labels, plan, budget_list, spaces, cell):
     kind, repeat = cell
     X = ds.pixel_matrix()
     slice_ids = ds.ids[:, 0].tolist()
-    # running covers, extended by each round's new rows only: the greedy's state,
-    # and the cover in the learned space, that same state when it selects there
+    # states extended by each round's new rows only: the greedy's, the probe's
+    # in the pixel space and the cover in the learned space, each the
+    # greedy's own when it selects there
     cold_seed = _stream_seed(plan.seed, repeat, kind, 2)
     if kind == "random":
         source = np.random.default_rng(_stream_seed(plan.seed, repeat, kind)).permutation(ds.n)
     else:
         source = SelectionState(X if kind == "coreset_raw" else spaces[repeat])
+    probe = source if kind == "coreset_raw" else SelectionState(X)
     learned = source if kind == "coreset_learned" else None
     if learned is None and repeat in spaces:
         learned = SelectionState(spaces[repeat])
-    carry = None if kind == "coreset_raw" else ProbeCarry(X)
     entries, selected = [], []
     for round_index, budget in enumerate(budget_list):
         t0 = time.perf_counter()
-        new, acc, delta = _select_round(X, labels, selected, budget, source, cold_seed, carry)
+        new, acc, delta = _select_round(X, labels, selected, budget, source, probe, cold_seed)
         selected = selected + new
         if learned is not None and learned is not source:
             learned.extend(new)
@@ -418,12 +356,14 @@ def run_ablation(ds, labels, loss_cfgs, train_cfg, fraction, seed):
     rows = []
     for loss in loss_cfgs:
         space = X if loss is None else _learned_space(ds, loss, train_cfg)
-        # a cover of every row lives only for its round
-        _, acc, delta = _select_round(X, labels, [], budget, SelectionState(space), seed)
+        # states of every row live only for their round
+        state = SelectionState(space)
+        probe = state if loss is None else SelectionState(X)
+        _, acc, delta = _select_round(X, labels, [], budget, state, probe, seed)
         silhouette = None
         if n_volumes >= 2:
             clusters = kmeans_labels(space, n_volumes, seed)
-            if np.unique(clusters).size >= 2:
+            if clusters.min() != clusters.max():
                 silhouette = silhouette_score(space, clusters)
         rows.append((silhouette, acc, delta))
     return rows

@@ -20,7 +20,7 @@ from slicepick.checks import brute_force_nearest as loop_nearest
 from slicepick.checks import full_pass_greedy
 from slicepick.coreset import SelectionState, k_center_greedy
 from slicepick.data import GROUPINGS, DatasetIndex, group_deviation
-from slicepick.pipeline import ProbeCarry, cover_probe_accuracy, probe_accuracy
+from slicepick.pipeline import probe_accuracy
 
 
 def scalar_nearest(X, labeled):
@@ -103,7 +103,7 @@ def test_squared_distances_that_round_to_one_distance():
     assert state.nearest[2] == 1
     assert list(_kernels.nn_indices(emb[2:], emb[:2])) == [1]
     labels = np.array([0, 1, 1])
-    assert cover_probe_accuracy(state, labels) == probe_accuracy(emb, [0, 1], labels) == 1.0
+    assert probe_accuracy(emb, [0, 1], labels, state) == probe_accuracy(emb, [0, 1], labels) == 1.0
 
 
 @pytest.mark.parametrize("first, nearest", [(2, 0), (0, 0)])
@@ -187,16 +187,18 @@ def test_cover_probe_matches_the_loop_probe():
         nearest = scalar_nearest(emb, state.labeled)
         unlabeled = np.setdiff1d(np.arange(70), state.labeled)
         want = float(np.mean(labels[nearest[unlabeled]] == labels[unlabeled]))
-        assert cover_probe_accuracy(state, labels) == want
+        assert probe_accuracy(emb, state.labeled, labels, state) == want
         assert probe_accuracy(emb, state.labeled, labels) == want
 
 
 def test_cover_probe_of_a_full_or_empty_state():
     emb = np.random.default_rng(39).standard_normal((5, 2))
     labels = np.array([0, 1, 0, 1, 1])
-    assert cover_probe_accuracy(k_center_greedy(SelectionState(emb), 5), labels) == 1.0
+    state = k_center_greedy(SelectionState(emb), 5)
+    assert probe_accuracy(emb, state.labeled, labels, state) == 1.0
+    state = k_center_greedy(SelectionState(emb), 0)
     with pytest.raises(ValueError, match="at least one labeled row"):
-        cover_probe_accuracy(k_center_greedy(SelectionState(emb), 0), labels)
+        probe_accuracy(emb, state.labeled, labels, state)
 
 
 # -- float32 storage ---------------------------------------------------------
@@ -274,22 +276,22 @@ def test_float32_matrix_gives_the_bits_of_its_widening(name):
         assert a.nearest.tobytes() == b.nearest.tobytes()
 
 
-# -- the probe's carry -------------------------------------------------------
+# -- the state carried across rounds -----------------------------------------
 
 
 def check_carried_rounds(X, budgets, seed=0):
-    """A probe carried over nested random rounds of ``X``: every round, each
-    unlabeled row's nearest labeled row is the loop's, and the accuracy is
-    the fresh probe's, bit for bit. Returns the carry."""
+    """A probe's state carried over nested random rounds of ``X``: every
+    round, each unlabeled row's nearest labeled row is the loop's, and the
+    accuracy is a fresh state's, bit for bit. Returns the state."""
     rng = np.random.default_rng(seed)
-    order, labels, carry = rng.permutation(len(X)), rng.integers(0, 3, len(X)), ProbeCarry(X)
+    order, labels, state = rng.permutation(len(X)), rng.integers(0, 3, len(X)), SelectionState(X)
     for b in budgets:
         labeled = sorted(order[:b].tolist())
-        acc = probe_accuracy(X, labeled, labels, carry)
+        acc = probe_accuracy(X, labeled, labels, state)
         unlabeled = np.setdiff1d(order, labeled)
-        assert np.array_equal(carry.nearest[unlabeled], loop_nearest(X, labeled)[unlabeled])
+        assert np.array_equal(state.nearest[unlabeled], loop_nearest(X, labeled)[unlabeled])
         assert acc == probe_accuracy(X, labeled, labels)
-    return carry
+    return state
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -308,12 +310,12 @@ def test_new_row_tying_a_carried_one_goes_to_the_lower_row(first):
     for offset in (0.0, 1e4):
         X = offset + np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
         labels = np.array([0, 1, 2, 1])
-        carry = ProbeCarry(X)
-        probe_accuracy(X, [first], labels, carry)
-        assert carry.nearest[2] == first
-        assert probe_accuracy(X, [0, 1], labels, carry) == probe_accuracy(X, [0, 1], labels)
-        assert list(carry.nearest[[2, 3]]) == [0, 0]
-        assert carry.bound[2] == 0  # the tie took the direct d2 of both rows
+        state = SelectionState(X)
+        probe_accuracy(X, [first], labels, state)
+        assert state.nearest[2] == first
+        assert probe_accuracy(X, [0, 1], labels, state) == probe_accuracy(X, [0, 1], labels)
+        assert list(state.nearest[[2, 3]]) == [0, 0]
+        assert state.bound[2] == 0  # the tie took the direct d2 of both rows
 
 
 @pytest.mark.parametrize("scale", [3.5e18, 1e20, 1e39])
@@ -322,8 +324,8 @@ def test_carried_probe_where_a_bound_is_infinite(scale):
     rng = np.random.default_rng(34)
     X = scale * rng.uniform(-1, 1, size=(40, 4))
     X[::7] = X[3]
-    carry = check_carried_rounds(X, [2, 9, 20, 39])
-    assert scale < 1e20 or not carry.bound.any()
+    state = check_carried_rounds(X, [2, 9, 20, 39])
+    assert scale < 1e20 or not state.bound.any()
     # one huge row among ordinary ones: its own bound is infinite while it is
     # unlabeled, and every bound of the round that labels it
     X = rng.standard_normal((40, 4))
@@ -334,25 +336,118 @@ def test_carried_probe_where_a_bound_is_infinite(scale):
 
 def test_carried_probe_needs_nested_rounds():
     X = np.random.default_rng(41).standard_normal((6, 2))
-    carry = ProbeCarry(X)
-    probe_accuracy(X, [0, 3], np.zeros(6), carry)
+    state = SelectionState(X)
+    probe_accuracy(X, [0, 3], np.zeros(6), state)
     with pytest.raises(ValueError, match="every earlier round's"):
-        probe_accuracy(X, [1, 3], np.zeros(6), carry)
+        probe_accuracy(X, [1, 3], np.zeros(6), state)
 
 
 def test_carried_round_copies_only_its_new_labeled_rows():
-    # 8,192 x 256 (eight row blocks): 256 rows seen, then one round of 512
+    # 8,192 x 256 (eight row blocks): 256 rows held, then one round of 512
     # new ones holds no (n, new rows) screen and no copy of the matrix
     X = np.random.default_rng(41).standard_normal((8192, 256))
     labels = np.arange(8192) % 5
-    carry = ProbeCarry(X)
-    probe_accuracy(X, range(0, 8192, 32), labels, carry)
+    state = SelectionState(X)
+    probe_accuracy(X, range(0, 8192, 32), labels, state)
     labeled = sorted(set(range(0, 8192, 32)) | set(range(1, 8192, 16)))
     tracemalloc.start()
     try:
-        probe_accuracy(X, labeled, labels, carry)
+        probe_accuracy(X, labeled, labels, state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * X.nbytes
-    assert np.count_nonzero(carry.seen) == 768
+    assert np.count_nonzero(state.mask) == len(state.labeled) == 768
+
+
+# -- one state for the greedy and the probe ----------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(FLOAT32_INPUTS))
+def test_chunked_extends_then_greedy_match_the_full_passes(name, dtype):
+    # extends of random chunks, then a greedy that continues the same state:
+    # its picks and min_dist bytes are the full passes', and every row's
+    # nearest is the loop's, after each step
+    X = FLOAT32_INPUTS[name].astype(dtype)
+    n = len(X)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n).tolist()
+        cuts = sorted(rng.integers(1, max(2, n // 2), size=2).tolist())
+        state = SelectionState(X)
+        for chunk in (order[:cuts[0]], order[cuts[0]:cuts[1]]):
+            state.extend(chunk)
+            assert np.array_equal(state.nearest, loop_nearest(X, state.labeled))
+        labeled = list(state.labeled)
+        k = n - len(labeled) - (n - len(labeled)) // 4
+        k_center_greedy(state, k, cold_start_seed=seed)
+        trace, min_dist = full_pass_greedy(X, labeled, k, seed)
+        assert state.trace == trace
+        assert state.min_dist.tobytes() == min_dist.tobytes()
+        assert np.array_equal(state.nearest, loop_nearest(X, state.labeled))
+
+
+def test_new_duplicate_of_a_labeled_row_becomes_its_nearest():
+    # rows 1 and 4 coincide; row 4 is labeled first, so it is its own
+    # nearest, until the lower duplicate is labeled too
+    rng = np.random.default_rng(42)
+    for X in (rng.standard_normal((6, 3)), 1e4 + 1e-3 * rng.standard_normal((6, 3))):
+        X[1] = X[4]
+        state = SelectionState(X, [4, 0])
+        assert state.nearest[4] == 4 == state.nearest[1]
+        state.extend([1])
+        assert state.nearest[4] == 1 == state.nearest[1]
+        assert np.array_equal(state.nearest, loop_nearest(X, [0, 1, 4]))
+        assert state.min_dist[[1, 4]].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e39])
+def test_extends_where_bounds_are_infinite_match_the_full_passes(scale):
+    # a lone new row past the float32 bound keeps the screen's infinite
+    # bound (no re-rank), as a cold start's rows keep an unknown d2; their
+    # merges and the read must still give the loop's rows and the full
+    # passes' bytes
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((30, 4))
+    X[[3, 11]] *= scale
+    X[20] = X[11]
+    assert np.isinf(_kernels.nn_indices(X, X[[11]], None, None, True)[2]).all()
+    for start in ([], [11]):
+        state = SelectionState(X, start)
+        if not start:
+            k_center_greedy(state, 2, cold_start_seed=1)
+        for row in (3, 20, 0, 7):
+            state.extend([row] if row not in state.labeled else [])
+            assert np.array_equal(state.nearest, loop_nearest(X, state.labeled))
+        labeled = list(state.labeled)
+        assert state.min_dist.tobytes() == full_pass_greedy(X, labeled, 0)[1].tobytes()
+        k_center_greedy(state, 10)
+        trace, min_dist = full_pass_greedy(X, labeled, 10)
+        assert state.trace == trace and state.min_dist.tobytes() == min_dist.tobytes()
+        assert np.array_equal(state.nearest, loop_nearest(X, state.labeled))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["ordinary", "mirrored"])
+def test_a_probed_state_defers_the_direct_pass_to_the_first_read(monkeypatch, name, dtype):
+    # the probe reads nearest rows only: a row merged by its screen value
+    # keeps its bound, with no direct d2, until min_dist is read
+    X = FLOAT32_INPUTS[name].astype(dtype)
+    direct = set()  # (row, labeled row) pairs given a direct d2
+    real = _kernels._sq_dists_to
+
+    def counted(emb, ref, rows=None, ref_rows=None):
+        if rows is not None:
+            direct.update(zip(np.asarray(rows).tolist(), np.asarray(ref_rows).tolist()))
+        return real(emb, ref, rows, ref_rows)
+
+    monkeypatch.setattr(_kernels, "_sq_dists_to", counted)
+    state, labels = SelectionState(X), np.arange(len(X)) % 3
+    for b in (3, 10, 20):
+        probe_accuracy(X, range(b), labels, state)
+    bounded = np.flatnonzero(state.bound)
+    assert bounded.size
+    assert not set(zip(bounded.tolist(), state.nearest[bounded].tolist())) & direct
+    assert state.min_dist.tobytes() == full_pass_greedy(X, range(20), 0)[1].tobytes()
+    assert not state.bound.any()

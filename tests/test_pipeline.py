@@ -274,42 +274,50 @@ class TestRunExperiment:
 
 
 class TestProbePath:
-    """The probe reads the cover of a selection made in the pixel matrix
-    itself and searches the pixel matrix for every other selection."""
+    """Every round probes once, with a state over the pixel matrix: the
+    selection's own for a selection made in that matrix, which then holds
+    every labeled row already, and a cell's or an ablation row's own
+    otherwise."""
 
     @pytest.fixture
     def probes(self, monkeypatch):
         from slicepick import pipeline
 
-        calls = []
+        calls = []  # (args, rows the state held before the call, after it)
         real = pipeline.probe_accuracy
 
         def counted(*args):
-            calls.append(args)
-            return real(*args)
+            held = len(args[3].labeled)
+            acc = real(*args)
+            calls.append((args, held, len(args[3].labeled)))
+            return acc
 
         monkeypatch.setattr(pipeline, "probe_accuracy", counted)
         return calls
 
     @pytest.mark.parametrize(
-        "kind,searched", [("random", 1), ("coreset_raw", 0), ("coreset_learned", 1)]
+        "kind,extends", [("random", 1), ("coreset_raw", 0), ("coreset_learned", 1)]
     )
-    def test_each_round_of_a_kind(self, probes, kind, searched):
+    def test_each_round_of_a_kind(self, probes, kind, extends):
         ds, labels = small_experiment_ds()
         plan = RoundPlan(fractions=(0.1, 0.2, 0.5), n_repeats=2, seed=9)
         run_experiment(ds, labels, [kind], plan, **learned_space_settings(epochs=1))
-        assert len(probes) == searched * plan.n_repeats * len(plan.fractions)
-        assert all(args[0] is ds.pixel_matrix() for args in probes)
+        assert len(probes) == plan.n_repeats * len(plan.fractions)
+        for args, held, after in probes:
+            assert args[0] is ds.pixel_matrix() and args[3].emb is ds.pixel_matrix()
+            assert after == len(set(args[1]))
+            assert (after > held) == bool(extends)
 
     def test_each_ablation_row(self, probes):
         ds, labels = small_experiment_ds()
         settings = learned_space_settings(epochs=1)
         loss_cfgs = [None, settings["loss"], LossConfig(ntxent=1.0)]
         rows = run_ablation(ds, labels, loss_cfgs[:1], settings["train"], 0.2, 5)
-        assert probes == []
+        assert len(probes) == 1 and probes[0][1] == probes[0][2]
         assert run_ablation(ds, labels, loss_cfgs, settings["train"], 0.2, 5)[0] == rows[0]
-        assert len(probes) == 2
-        assert all(args[0] is ds.pixel_matrix() for args in probes)
+        assert len(probes) == 4
+        assert [held for _, held, _ in probes[2:]] == [0, 0]
+        assert all(args[0] is ds.pixel_matrix() for args, _, _ in probes)
 
 
 class TestRepeatWorkers:

@@ -1,9 +1,10 @@
 """The screened cover update against plain full distance passes.
 
-``SelectionState.extend`` skips the rows a new center provably cannot
-lower; every test here compares the picks and the exact ``min_dist`` bytes
-with ``checks.full_pass_greedy``, which takes one full ``dist_to_row`` pass
-per center and no screen, and each row's nearest center with the loop
+A greedy pick skips the rows its new center provably cannot lower, and
+``SelectionState.extend`` merges a search by the same bound; every test
+here compares the picks and the exact ``min_dist`` bytes with
+``checks.full_pass_greedy``, which takes one full ``dist_to_row`` pass per
+center and no screen, and each row's nearest center with the loop
 ``checks.brute_force_nearest``.
 """
 
@@ -162,8 +163,8 @@ def test_screened_state_continues_a_foreign_cover():
     rng = np.random.default_rng(20)
     emb = rng.standard_normal((30, 4))
     state = k_center_greedy(SelectionState(emb, [0]), 0)
-    state.min_dist[:] = 1e30
-    state.min_dist[0] = 0.0
+    state.min_dist[:], state.d2[:] = 1e30, 1e60
+    state.min_dist[0] = state.d2[0] = 0.0
     min_dist = state.min_dist.copy()
     got = k_center_greedy(state, 5)
     labeled = [0]
