@@ -49,12 +49,8 @@ def _wide(a):
 
 def dist_to_row(emb, idx):
     """Euclidean distance from every row of ``emb`` to row ``idx``."""
-    return _row_dists(_matrix(emb), int(idx))
-
-
-def _row_dists(emb, idx, rows=None):
-    """``dist_to_row(emb, idx)``, or its values at ``rows`` only, bit for bit."""
-    return np.sqrt(_sq_dists_to(emb, _wide(emb[idx]), rows))
+    emb = _matrix(emb)
+    return np.sqrt(_sq_dists_to(emb, _wide(emb[int(idx)])))
 
 
 def _sq_dists_to(emb, ref, rows=None, ref_rows=None):

@@ -8,16 +8,16 @@ argmax scan takes the first maximum, so ties go to the lowest row.
 
 One ``SelectionState`` holds each row's nearest labeled row of one matrix
 in the 1-NN probe's order (least direct squared distance d2, then lowest
-row), with that d2 and its square root ``min_dist``; the greedy and the
-probe (``pipeline.probe_accuracy``) both extend it in place. Rows chosen
-elsewhere are merged in bulk from one ``_kernels.nn_indices`` search by
-its screen values, whose rounding bound decides wherever two values lie
-apart, and by direct d2 elsewhere (after Elkan, ICML 2003); ``min_dist``
-gives such rows their direct d2 only when read, which the greedy and the
-cover radius do and a probe never does. A greedy pick lowers the rows
-behind the same bound on one float32 matrix product
-(``_kernels._sq_dist_expansion``), and screens the next farthest rows with
-its own, since later picks mostly come from them. The bound proves the
+row), with that d2 within a bound (0 exactly when direct) and its square
+root ``min_dist``. The greedy and the probe (``pipeline.probe_accuracy``)
+extend it in place by one merge rule: two d2 further apart than their
+bounds decide by value, others by direct d2 (after Elkan, ICML 2003). Rows
+chosen elsewhere come with the screen values of one ``_kernels.nn_indices``
+search, made direct only when ``min_dist`` is read, which the greedy and
+the cover radius do and a probe never does. A greedy pick screens the rows
+it may lower with the same bound on one float32 matrix product
+(``_kernels._sq_dist_expansion``), and the next farthest rows with its
+own, since later picks mostly come from them. The bound proves the
 picks and every ``min_dist`` byte those of a full ``dist_to_row`` pass per
 center, the oracle that ``checks.cover_radius`` keeps.
 """
@@ -51,26 +51,23 @@ class SelectionState:
     screen slack as a center ``slack``, and the greedy's float32 form
     ``emb32`` (``emb`` itself when float32, else made on first use). Per
     row: ``nearest`` (-1 before any), its squared distance ``d2`` within
-    ``bound`` (0 once direct) and its distance ``min_dist``. Also the
-    labeled rows in selection order, ``labeled``, and as a ``mask``, and
-    ``trace``, the (picked index, distance at pick time) pairs of the last
-    ``k_center_greedy`` call. ``labeled`` seeds the state, in any order.
+    ``bound`` (0 exactly when it is direct) and its distance ``min_dist``,
+    all changed by ``_merge``. Also the labeled rows in selection order,
+    ``labeled``, and as a ``mask``, and ``trace``, the (picked index,
+    distance at pick time) pairs of the last ``k_center_greedy`` call.
+    ``labeled`` seeds the state, in any order.
     """
 
     def __init__(self, emb, labeled=()):
         self.emb = _kernels._matrix(emb)
         n, p = self.emb.shape
-        labeled = sorted(set(int(i) for i in labeled))
-        if labeled and not (0 <= labeled[0] and labeled[-1] < n):
-            raise IndexError("initial labeled index out of range")
         self.sq_norms = _kernels._sq_norms(self.emb)
         with np.errstate(over="ignore", invalid="ignore"):
             self.slack = _kernels._sq_dist_slack(self.sq_norms + self.sq_norms.max(initial=0), p)
         self.labeled, self.mask, self.trace = [], np.zeros(n, dtype=bool), []
         self.nearest = np.full(n, -1, dtype=np.int64)
         self.d2, self.bound, self._min_dist = np.full(n, np.inf), np.zeros(n), np.full(n, np.inf)
-        self._stale = np.zeros(n, dtype=bool)  # rows whose min_dist awaits their d2
-        self.extend(labeled)
+        self.extend(sorted(set(map(int, labeled))))
 
     @functools.cached_property
     def emb32(self):
@@ -80,57 +77,65 @@ class SelectionState:
     def min_dist(self):
         """Each row's distance to its nearest labeled row, ``sqrt(d2)``: on a
         finite matrix, bit for bit the least of a full ``dist_to_row`` pass
-        per labeled row. A row merged by its screen value gets its direct d2
-        here, on the first read."""
-        rows = np.flatnonzero(self._stale)
-        if rows.size:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._exact(rows[self.bound[rows] != 0])
-            self._min_dist[rows] = np.sqrt(self.d2[rows])
-            self._stale[rows] = False
+        per labeled row. A row whose bound is not 0 gets its direct d2 here,
+        on the first read."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._exact(np.flatnonzero(self.bound))
         return self._min_dist
 
     def extend(self, rows):
         """Add ``rows``, rows not yet labeled, as labeled rows: one
-        ``nn_indices`` search of them for every row, merged with each row's
-        nearest so far in the probe's order. Where the two squared distances
-        lie further apart than their bounds the values decide, elsewhere
-        both get their direct d2; each bound is twice its value's error, so
-        it also covers the comparison's own rounding."""
+        ``nn_indices`` search of them for every row, merged into each row's
+        nearest so far by ``_merge``. A row outside [0, n) raises
+        ``IndexError`` and leaves the state as it was."""
         rows = [int(i) for i in rows]
-        self.labeled += rows
-        self.mask[rows] = True
+        new = _check_rows(np.sort(np.array(rows, dtype=np.int64)), len(self.mask))
         if not rows:
             return
-        new = np.sort(rows)  # the search's ties go to the lowest row
-        with np.errstate(over="ignore", invalid="ignore"):
+        self.labeled += rows
+        self.mask[new] = True
+        with np.errstate(over="ignore", invalid="ignore"):  # new is sorted: ties to the lower row
             near, d2, bound = _kernels.nn_indices(self.emb, self.emb[new], None, self.sq_norms, True)
-            near = new[near]
-            fuzzy = np.flatnonzero(~(np.abs(d2 - self.d2) > bound + self.bound))
-            redo = fuzzy[bound[fuzzy] != 0]
-            d2[redo] = _kernels._sq_dists_to(self.emb, self.emb, redo, near[redo])
-            bound[redo] = 0.0
-            self._exact(fuzzy[self.bound[fuzzy] != 0])
-        take = (d2 < self.d2) | ((d2 == self.d2) & (near < self.nearest)) | (self.nearest < 0)
-        for kept, found in ((self.nearest, near), (self.d2, d2), (self.bound, bound)):
-            kept[take] = found[take]
-        self._stale |= take
+            self._merge(np.arange(len(self.mask)), new[near], d2, bound)
+
+    def _merge(self, rows, near, d2, bound):
+        """Make ``near`` (one row, or one per row as ``bound``) the nearest
+        labeled row of each of ``rows`` that it is nearer to in the probe's
+        order, given its d2 within ``bound``. Where the two d2 lie further
+        apart than the sum of their bounds the values decide, elsewhere both
+        sides get their direct d2; each bound is twice its value's error, so
+        it also covers the comparison's own rounding. A row taken with its
+        bound keeps it, and gets its ``min_dist`` anew when read. Under the
+        caller's errstate."""
+        old, old_bound = self.d2[rows], self.bound[rows]
+        # a tie, a nan on either side or an infinite bound counts as close
+        close = ~(np.abs(d2 - old) > bound + old_bound)
+        take = d2 < old  # apart, the rule below reduces to this
+        if np.count_nonzero(close):  # most of a greedy pick's rows lie apart
+            near, bound = np.full(rows.shape, near), np.full(rows.shape, bound)
+            nearest = self.nearest[rows]
+            redo = np.flatnonzero(close & (bound != 0))
+            d2[redo] = _kernels._sq_dists_to(self.emb, self.emb, rows[redo], near[redo])
+            self._exact(rows[close & (old_bound != 0)])
+            old[close], bound[close] = self.d2[rows[close]], 0.0
+            take = (d2 < old) | ((d2 == old) & (near < nearest)) | (nearest < 0)
+        rows, d2 = rows[take], d2[take]
+        if isinstance(near, np.ndarray):
+            near, bound = near[take], bound[take]
+        self.nearest[rows], self.d2[rows], self.bound[rows] = near, d2, bound
+        self._min_dist[rows] = np.sqrt(d2)
 
     def _exact(self, rows):
-        """Give ``rows`` the direct d2 to their nearest labeled row."""
-        self.d2[rows] = _kernels._sq_dists_to(self.emb, self.emb, rows, self.nearest[rows])
+        """Give ``rows`` the direct d2 to their nearest labeled row, and its ``min_dist``."""
+        d2 = self.d2[rows] = _kernels._sq_dists_to(self.emb, self.emb, rows, self.nearest[rows])
         self.bound[rows] = 0.0
-
-    def _screen(self, centers):
-        """Each of ``centers``' ``_kernels._sq_dist_expansion`` column, a row of a view."""
-        return _kernels._sq_dist_expansion(
-            self.emb32, self.sq_norms, self.emb32[centers], self.sq_norms[centers]
-        ).T
+        self._min_dist[rows] = np.sqrt(d2)
 
     def _start(self, idx):
         """Start with ``idx`` labeled: one full ``dist_to_row`` pass gives
         each row's ``min_dist``, and fl(min_dist^2) its d2 within 3.01 u d2
-        plus half a subnormal (u = 2^-53), below half of 2^-50 d2 + tiny."""
+        plus half a subnormal (u = 2^-53), below half of 2^-50 d2 + tiny;
+        a read recomputes its rows' exact ``min_dist``, the same bytes."""
         dist = self._min_dist
         dist[:] = _kernels.dist_to_row(self.emb, idx)
         self.nearest[:] = idx
@@ -139,11 +144,11 @@ class SelectionState:
         self.bound += np.finfo(np.float64).tiny
 
     def _lower(self, idx, approx):
-        """Make the new labeled row ``idx``, of screen column ``approx``, the
-        nearest of each row it is nearer to (by direct d2, then row), under
-        the caller's ``np.errstate``. A row whose ``approx`` exceeds fl(m^2)
-        plus the center's ``slack`` cannot have a direct distance at most its
-        m (``nn_indices``' docstring has the proof); every other row gets its
+        """Merge the new labeled row ``idx``, of screen column ``approx``,
+        into the rows it may be nearer to, under the caller's
+        ``np.errstate``. A row whose ``approx`` exceeds fl(m^2) plus the
+        center's ``slack`` cannot have a direct distance at most its m
+        (``nn_indices``' docstring has the proof); every other row gets its
         direct d2, by a full pass when every row passes."""
         min_dist = self._min_dist
         limit = min_dist * min_dist
@@ -154,17 +159,14 @@ class SelectionState:
             return
         full = cand.size == min_dist.shape[0]
         d2 = _kernels._sq_dists_to(self.emb, _kernels._wide(self.emb[idx]), None if full else cand)
-        old = self.d2[cand]
-        win = d2 < old
-        # ties, and rows whose d2 lies within its bound (a cold start's) of the new one
-        close = np.flatnonzero(~(np.abs(d2 - old) > self.bound[cand]))
-        if close.size:
-            rows, new = cand[close], d2[close]
-            self._exact(rows[self.bound[rows] != 0])
-            old = self.d2[rows]
-            win[close] = (new < old) | ((new == old) & (idx < self.nearest[rows]))
-        rows, d2 = cand[win], d2[win]
-        self.nearest[rows], self.d2[rows], self.bound[rows], min_dist[rows] = idx, d2, 0.0, np.sqrt(d2)
+        self._merge(cand, idx, d2, 0.0)
+
+
+def _check_rows(rows, n):
+    """The sorted ``rows``, or ``IndexError`` if one lies outside [0, n)."""
+    if len(rows) and not (0 <= rows[0] and rows[-1] < n):
+        raise IndexError("labeled row out of range")
+    return rows
 
 
 def _check_budget(k, free):
@@ -206,7 +208,9 @@ def k_center_greedy(state, k, cold_start_seed=None):
                 if idx not in prefetched:
                     far = np.argpartition(cand, -min(_PREFETCH, n))[-_PREFETCH:]
                     top = [idx] + [int(i) for i in far if i != idx]
-                    prefetched = dict(zip(top, state._screen(top).copy()))  # contiguous rows
+                    cols = _kernels._sq_dist_expansion(
+                        state.emb32, state.sq_norms, state.emb32[top], state.sq_norms[top])
+                    prefetched = dict(zip(top, cols.T.copy()))  # each column, contiguous
             state.trace.append((idx, float(min_dist[idx])))
             state.labeled.append(idx)
             state.mask[idx] = True
@@ -227,9 +231,7 @@ def brute_force_k_center(emb, initial_labeled, k):
     ``SelectionState``'s screen.
     """
     n = len(emb)
-    labeled = set(int(i) for i in initial_labeled)
-    if labeled and not (0 <= min(labeled) and max(labeled) < n):
-        raise IndexError("initial labeled index out of range")
+    labeled = _check_rows(sorted(set(int(i) for i in initial_labeled)), n)
     free = [i for i in range(n) if i not in labeled]
     _check_budget(k, len(free))
     if math.comb(len(free), k) > BRUTE_FORCE_LIMIT:

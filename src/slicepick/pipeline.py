@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coreset import SelectionState, k_center_greedy, kmeans_labels, silhouette_score
+from .coreset import SelectionState, _check_rows, k_center_greedy, kmeans_labels, silhouette_score
 from .encoder import TrainConfig, embed_all, train
 from .errors import SettingError, SlicepickError
 
@@ -172,14 +172,15 @@ def probe_accuracy(features, labeled_rows, labels, state=None):
     the lowest labeled row); a fully labeled pool scores 1.0 by convention.
     ``state``, a ``SelectionState`` over ``features`` (a new one by
     default), is extended by the labeled rows it does not yet hold, so the
-    rows it holds must be among them; only those new rows are copied.
+    rows it holds must be among them; only those new rows are copied. A row
+    outside [0, n) raises ``IndexError`` and leaves the state as it was.
     """
     labels = np.asarray(labels)
     labeled = np.array(sorted(set(int(i) for i in labeled_rows)), dtype=np.int64)
     if labeled.size == 0:
         raise ValueError("probe needs at least one labeled row")
     state = SelectionState(features) if state is None else state
-    new = labeled[~state.mask[labeled]]
+    new = labeled[~state.mask[_check_rows(labeled, len(state.mask))]]
     if labeled.size - new.size != len(state.labeled):
         raise ValueError("a probe's labeled rows must hold every earlier round's: its state's rows")
     state.extend(new)

@@ -227,5 +227,5 @@ def test_blocked_row_dists_match_one_block():
         assert_same_bits(_kernels.dist_to_row(emb, idx),
                          np.sqrt(_kernels._sq_dists(emb - emb[idx])))
         rows = np.r_[np.arange(58, 0, -2), 7]
-        assert_same_bits(_kernels._row_dists(emb, idx, rows),
+        assert_same_bits(np.sqrt(_kernels._sq_dists_to(emb, _kernels._wide(emb[idx]), rows)),
                          np.sqrt(_kernels._sq_dists(emb[rows] - emb[idx])))

@@ -451,3 +451,109 @@ def test_a_probed_state_defers_the_direct_pass_to_the_first_read(monkeypatch, na
     assert not set(zip(bounded.tolist(), state.nearest[bounded].tolist())) & direct
     assert state.min_dist.tobytes() == full_pass_greedy(X, range(20), 0)[1].tobytes()
     assert not state.bound.any()
+
+
+# -- the merge's invariants --------------------------------------------------
+
+
+def direct_d2(X, rows, refs):
+    """The direct squared distance of each of ``rows`` to its ``refs`` row,
+    by the loop's einsum over each pair taken twice (never a lone row)."""
+    W = np.ascontiguousarray(X, dtype=np.float64)
+    out = np.empty(len(rows))
+    for k, (i, c) in enumerate(zip(rows, refs)):
+        diff = W[i] - W[[c, c]]
+        out[k] = np.einsum("ij,ij->i", diff, diff)[0]
+    return out
+
+
+def check_invariants(state):
+    """A zero bound marks a direct d2, whose min_dist is its square root, bit
+    for bit; any other d2 lies within half its bound of the direct one.
+    Reads the stored ``_min_dist``, so the state is left as it was."""
+    held = np.count_nonzero(state.nearest >= 0)  # every row once any is labeled
+    assert held in (0, len(state.nearest))
+    rows = np.arange(held)
+    direct = direct_d2(state.emb, rows, state.nearest[rows])
+    exact = state.bound[rows] == 0
+    assert state.d2[rows][exact].tobytes() == direct[exact].tobytes()
+    assert state._min_dist[rows][exact].tobytes() == np.sqrt(direct[exact]).tobytes()
+    assert np.all(np.abs(state.d2[rows] - direct) <= state.bound[rows] / 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(FLOAT32_INPUTS))
+def test_a_zero_bound_marks_a_direct_d2_after_every_step(name, dtype):
+    # extends, greedy calls (a cold start's among them) and reads, in turn
+    X = FLOAT32_INPUTS[name].astype(dtype)
+    n = len(X)
+
+    def greedy(state, k, seed=None):
+        k_center_greedy(state, min(k, n - len(state.labeled)), cold_start_seed=seed)
+
+    def extend(state, rows):
+        state.extend([i for i in rows if not state.mask[i]])
+
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(n).tolist()
+        for state in (SelectionState(X), SelectionState(X, order[:2])):
+            check_invariants(state)
+            steps = [
+                lambda: greedy(state, 2, seed),
+                lambda: extend(state, order[:n // 3]),
+                lambda: greedy(state, n // 4),
+                lambda: extend(state, order[:n // 2 + 1]),
+            ]
+            for step in steps:
+                step()
+                check_invariants(state)
+                state.min_dist
+                check_invariants(state)
+                assert not state.bound.any()
+            assert np.array_equal(state.nearest, loop_nearest(X, state.labeled))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_picks_tying_a_cold_start_center_go_to_the_lower_row(dtype):
+    # on small integers a later pick is often exactly as near a row as the
+    # first center, which the row holds with a cold start's bound, not 0
+    X = FLOAT32_INPUTS["small integers"].astype(dtype)
+    n = len(X)
+    ties = moved = 0
+    for seed in range(12):
+        state = k_center_greedy(SelectionState(X), 9, cold_start_seed=seed)
+        first = state.labeled[0]
+        least = to_first = direct_d2(X, range(n), [first] * n)
+        for pick in state.labeled[1:]:
+            to_pick = direct_d2(X, range(n), [pick] * n)
+            tied = np.count_nonzero((to_pick == to_first) & (to_first == least))
+            ties, moved = ties + tied, moved + tied * (pick < first)
+            least = np.minimum(least, to_pick)
+        trace, min_dist = full_pass_greedy(X, [], 9, seed)
+        assert state.trace == trace
+        assert state.min_dist.tobytes() == min_dist.tobytes()
+        assert np.array_equal(state.nearest, loop_nearest(X, state.labeled))
+    assert ties > 0 and moved > 0
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 6])
+def test_a_row_out_of_range_leaves_the_state_unchanged(bad):
+    X = np.random.default_rng(44).standard_normal((6, 3))
+    labels = np.arange(6) % 2
+    with pytest.raises(IndexError):
+        SelectionState(X, [bad])
+    with pytest.raises(IndexError):
+        probe_accuracy(X, [bad], labels)
+    state = SelectionState(X, [5])
+    before = list(state.labeled), state.mask.tobytes(), state.nearest.tobytes(), state.d2.tobytes()
+    calls = (
+        lambda: state.extend([bad]),
+        lambda: state.extend([2, bad]),
+        lambda: probe_accuracy(X, [bad], labels, state),
+        lambda: probe_accuracy(X, [5, bad], labels, state),
+    )
+    for call in calls:
+        with pytest.raises(IndexError):
+            call()
+        after = list(state.labeled), state.mask.tobytes(), state.nearest.tobytes(), state.d2.tobytes()
+        assert after == before

@@ -106,7 +106,7 @@ def test_wide_rows_subset_distances_match_full_pass():
     for idx in (0, 5, 11):
         full = _kernels.dist_to_row(emb, idx)
         for rows in ([3], [idx], [0, 7], [2, 3, 4, 9, 11], list(range(12))):
-            got = _kernels._row_dists(emb, idx, np.array(rows))
+            got = np.sqrt(_kernels._sq_dists_to(emb, _kernels._wide(emb[idx]), np.array(rows)))
             assert got.tobytes() == full[rows].tobytes()
     assert_same_as_full_passes(emb, [], 11, seed=3)
     assert_same_as_full_passes(emb, [2, 6], 8)

@@ -34,8 +34,11 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
 
-def run_bounded(*argv, code="from slicepick.cli import main; raise SystemExit(main())"):
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+def run_bounded(*argv, code="from slicepick.cli import main; raise SystemExit(main())", env=None):
+    """``code`` with ``argv`` in a subprocess under a timeout and a memory
+    limit, its BLAS pinned to one thread unless ``env`` overrides that."""
+    pinned = dict(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = {**os.environ, **pinned, **(env or {})}
     return subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
         timeout=60, preexec_fn=_limit_memory,
