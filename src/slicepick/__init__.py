@@ -1,10 +1,8 @@
 """Group-contrastive metric learning and k-center coreset selection for
 slice-based active learning over patient/volume-structured 2D slices."""
 
-from ._kernels import BACKEND
 from .coreset import (
     SelectionState,
-    brute_force_k_center,
     k_center_greedy,
     kmeans_labels,
     silhouette_score,

@@ -5,12 +5,14 @@ Each suite re-derives an expected result through an independent route
 checking) and compares the production path against it.
 """
 
+import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
 from . import _kernels
-from .coreset import SelectionState, brute_force_k_center, k_center_greedy
+from .coreset import SelectionState, _check_budget, _check_rows, k_center_greedy
 from .data import SynthSpec, generate_synthetic
 from .errors import SamplerError
 from .losses import (
@@ -25,6 +27,8 @@ from .losses import (
 )
 from .pipeline import probe_accuracy
 from .sampler import GROUP_TYPES, build_epoch, tuple_width
+
+BRUTE_FORCE_LIMIT = 10 ** 6
 
 
 def random_loss_batch(rng, n_pairs=4, dim=5, n_patients=2):
@@ -173,6 +177,31 @@ def check_loss_tables(n_epochs=4, seed=2024):
                   f"{n_epochs} epochs x 15 term subsets match lone batches")
 
 
+def brute_force_k_center(emb, initial_labeled, k):
+    """Exhaustive optimum of the k-center objective.
+
+    Tries every k-subset of the unlabeled rows and returns (optimal radius,
+    first optimal subset in lexicographic order). Refuses instances with
+    more than 10^6 candidate subsets. Every distance, the initial cover's
+    included, comes from one direct ``pairwise_dists`` matrix, never through
+    ``SelectionState``'s screen.
+    """
+    n = len(emb)
+    labeled = _check_rows(sorted(set(int(i) for i in initial_labeled)), n)
+    free = [i for i in range(n) if i not in labeled]
+    _check_budget(k, len(free))
+    if math.comb(len(free), k) > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"C({len(free)}, {k}) exceeds the {BRUTE_FORCE_LIMIT} subset limit")
+    D = _kernels.pairwise_dists(emb)
+    base = D[labeled].min(axis=0) if labeled else np.full(n, np.inf)
+    best_radius, best_set = np.inf, None
+    for combo in combinations(free, k):
+        radius = float(np.max(np.minimum(base, D[list(combo)].min(axis=0)) if combo else base))
+        if radius < best_radius:
+            best_radius, best_set = radius, combo
+    return best_radius, list(best_set)
+
+
 def check_two_opt(n_instances=30, seed=2024):
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
@@ -273,10 +302,12 @@ def check_screened_cover(n_instances=30, seed=2024):
 
 
 def check_carried_state(n_instances=30, seed=2024):
-    """One ``SelectionState`` over nested random rounds: nearest rows against
-    ``brute_force_nearest``, probes against a fresh state's and, every other
-    round, ``min_dist`` against the full passes, on ``check_screened_cover``'s
-    kinds of data, every other instance as float32, through this BLAS."""
+    """One ``SelectionState`` over nested random rounds, each first extended
+    by its last row twice and by round 0's first row, which later rounds
+    hold: nearest rows against ``brute_force_nearest``, probes against a
+    fresh state's and, every other round, ``min_dist`` against the full
+    passes, on ``check_screened_cover``'s kinds of data, every other
+    instance as float32, through this BLAS."""
     rng = np.random.default_rng(seed)
     for i in range(n_instances):
         n, p = int(rng.integers(2, 60)), int(rng.integers(1, 40))
@@ -286,6 +317,7 @@ def check_carried_state(n_instances=30, seed=2024):
         for r, b in enumerate(np.unique(rng.integers(1, n + 1, size=4)).tolist()):
             labeled = sorted(order[:b].tolist())
             where = f"instance {i} ({emb.dtype}, {n}x{p}), {b} labeled"
+            state.extend([order[b - 1], order[b - 1], order[0]])
             if probe_accuracy(emb, labeled, labels, state) != probe_accuracy(emb, labeled, labels):
                 return False, f"{where}: the probe differs from a fresh state's"
             if not np.array_equal(state.nearest, brute_force_nearest(emb, labeled)):

@@ -1,37 +1,33 @@
-"""K-center greedy selection, exhaustive k-center oracle, and clustering
-quality metrics over an embedding matrix.
+"""K-center greedy selection and clustering quality metrics over an
+embedding matrix.
 
 Greedy selection repeatedly takes the point farthest from the current
 centers, which 2-approximates the optimal max-min cover radius. Distances
 are Euclidean in float64 whether the matrix is float32 or float64, and the
 argmax scan takes the first maximum, so ties go to the lowest row.
 
-One ``SelectionState`` holds each row's nearest labeled row of one matrix
-in the 1-NN probe's order (least direct squared distance d2, then lowest
-row), with that d2 within a bound (0 exactly when direct) and its square
-root ``min_dist``. The greedy and the probe (``pipeline.probe_accuracy``)
-extend it in place by one merge rule: two d2 further apart than their
-bounds decide by value, others by direct d2 (after Elkan, ICML 2003). Rows
-chosen elsewhere come with the screen values of one ``_kernels.nn_indices``
-search, made direct only when ``min_dist`` is read, which the greedy and
-the cover radius do and a probe never does. A greedy pick screens the rows
-it may lower with the same bound on one float32 matrix product
-(``_kernels._sq_dist_expansion``), and the next farthest rows with its
-own, since later picks mostly come from them. The bound proves the
-picks and every ``min_dist`` byte those of a full ``dist_to_row`` pass per
-center, the oracle that ``checks.cover_radius`` keeps.
+One ``SelectionState`` holds the labeled set of one matrix as a ``mask``,
+and each row's nearest labeled row in the 1-NN probe's order (least direct
+squared distance d2, then lowest row), with that d2 within a bound (0
+exactly when direct) and its square root ``min_dist``. The greedy and the
+probe (``pipeline.probe_accuracy``) extend it in place by one merge rule:
+two d2 further apart than their bounds decide by value, others by direct
+d2 (after Elkan, ICML 2003). Rows chosen elsewhere come with the screen
+values of one ``_kernels.nn_indices`` search, made direct only when
+``min_dist`` is read, which the greedy and the cover radius do and a probe
+never does. A greedy pick screens the rows it may lower with the same
+bound on one float32 matrix product (``_kernels._sq_dist_expansion``), and
+the next farthest rows with its own, since later picks mostly come from
+them. The bound proves the picks and every ``min_dist`` byte those of a
+full ``dist_to_row`` pass per center, ``checks.cover_radius``'s oracle.
 """
 
 import functools
-import math
-from itertools import combinations
 
 import numpy as np
 
 from . import _kernels
 from .errors import SettingError
-
-BRUTE_FORCE_LIMIT = 10 ** 6
 
 # rows whose screen columns a greedy pick computes at once: its own and those
 # of the next farthest rows, which later picks mostly are; on a 1,200 x 1,024
@@ -52,10 +48,9 @@ class SelectionState:
     ``emb32`` (``emb`` itself when float32, else made on first use). Per
     row: ``nearest`` (-1 before any), its squared distance ``d2`` within
     ``bound`` (0 exactly when it is direct) and its distance ``min_dist``,
-    all changed by ``_merge``. Also the labeled rows in selection order,
-    ``labeled``, and as a ``mask``, and ``trace``, the (picked index,
-    distance at pick time) pairs of the last ``k_center_greedy`` call.
-    ``labeled`` seeds the state, in any order.
+    all changed by ``_merge``; the labeled set, only as a ``mask`` (seeded
+    by any rows ``labeled``); and ``trace``, the last ``k_center_greedy``
+    call's (picked index, distance at pick time) pairs in pick order.
     """
 
     def __init__(self, emb, labeled=()):
@@ -64,14 +59,19 @@ class SelectionState:
         self.sq_norms = _kernels._sq_norms(self.emb)
         with np.errstate(over="ignore", invalid="ignore"):
             self.slack = _kernels._sq_dist_slack(self.sq_norms + self.sq_norms.max(initial=0), p)
-        self.labeled, self.mask, self.trace = [], np.zeros(n, dtype=bool), []
+        self.mask, self.trace = np.zeros(n, dtype=bool), []
         self.nearest = np.full(n, -1, dtype=np.int64)
         self.d2, self.bound, self._min_dist = np.full(n, np.inf), np.zeros(n), np.full(n, np.inf)
-        self.extend(sorted(set(map(int, labeled))))
+        self.extend(labeled)
 
     @functools.cached_property
     def emb32(self):
         return _kernels._as_f32(self.emb)
+
+    @property
+    def labeled(self):
+        """The labeled rows, ``mask``'s rows in index order."""
+        return np.flatnonzero(self.mask).tolist()
 
     @property
     def min_dist(self):
@@ -84,15 +84,15 @@ class SelectionState:
         return self._min_dist
 
     def extend(self, rows):
-        """Add ``rows``, rows not yet labeled, as labeled rows: one
-        ``nn_indices`` search of them for every row, merged into each row's
-        nearest so far by ``_merge``. A row outside [0, n) raises
-        ``IndexError`` and leaves the state as it was."""
-        rows = [int(i) for i in rows]
-        new = _check_rows(np.sort(np.array(rows, dtype=np.int64)), len(self.mask))
-        if not rows:
+        """Label ``rows``, any rows: a repeated or already labeled row is
+        dropped, and the others get one ``nn_indices`` search for every row,
+        merged into each row's nearest so far by ``_merge``. A row outside
+        [0, n) raises ``IndexError`` and leaves the state as it was."""
+        rows = np.sort(np.array([int(i) for i in rows], dtype=np.int64))
+        fresh = ~self.mask[_check_rows(rows, len(self.mask))]
+        new = rows[fresh & (np.diff(rows, prepend=-1) > 0)]  # a sorted repeat follows its first
+        if not new.size:
             return
-        self.labeled += rows
         self.mask[new] = True
         with np.errstate(over="ignore", invalid="ignore"):  # new is sorted: ties to the lower row
             near, d2, bound = _kernels.nn_indices(self.emb, self.emb[new], None, self.sq_norms, True)
@@ -193,12 +193,13 @@ def k_center_greedy(state, k, cold_start_seed=None):
         raise SettingError("selection", seed, "seed", "be a nonnegative integer")
     state.trace = []
     n = state.mask.shape[0]
-    _check_budget(k, n - len(state.labeled))
+    held = np.count_nonzero(state.mask)
+    _check_budget(k, n - held)
     min_dist = state.min_dist  # made exact here, and kept exact by every pick
     prefetched = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            cold = not state.labeled
+        for pick in range(k):
+            cold = not (held or pick)
             if cold:
                 seeded = cold_start_seed is not None
                 idx = int(np.random.default_rng(cold_start_seed).permutation(n)[0]) if seeded else 0
@@ -212,46 +213,12 @@ def k_center_greedy(state, k, cold_start_seed=None):
                         state.emb32, state.sq_norms, state.emb32[top], state.sq_norms[top])
                     prefetched = dict(zip(top, cols.T.copy()))  # each column, contiguous
             state.trace.append((idx, float(min_dist[idx])))
-            state.labeled.append(idx)
             state.mask[idx] = True
             if cold:
                 state._start(idx)
             else:
                 state._lower(idx, prefetched[idx])
     return state
-
-
-def brute_force_k_center(emb, initial_labeled, k):
-    """Exhaustive optimum of the k-center objective.
-
-    Tries every k-subset of the unlabeled rows and returns (optimal radius,
-    first optimal subset in lexicographic order). Refuses instances with
-    more than 10^6 candidate subsets. Every distance, the initial cover's
-    included, comes from one direct ``pairwise_dists`` matrix, never through
-    ``SelectionState``'s screen.
-    """
-    n = len(emb)
-    labeled = _check_rows(sorted(set(int(i) for i in initial_labeled)), n)
-    free = [i for i in range(n) if i not in labeled]
-    _check_budget(k, len(free))
-    if math.comb(len(free), k) > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"C({len(free)}, {k}) exceeds the {BRUTE_FORCE_LIMIT} subset limit"
-        )
-    D = _kernels.pairwise_dists(emb)
-    base = D[list(labeled)].min(axis=0) if labeled else np.full(n, np.inf)
-    best_radius = np.inf
-    best_set = None
-    for combo in combinations(free, k):
-        radius = float(
-            np.max(np.minimum(base, D[list(combo)].min(axis=0)))
-            if combo
-            else np.max(base)
-        )
-        if radius < best_radius:
-            best_radius = radius
-            best_set = combo
-    return best_radius, list(best_set)
 
 
 def silhouette_score(emb, cluster_labels):
@@ -324,11 +291,12 @@ def kmeans_labels(emb, n_clusters, seed):
             if np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            dist_to_center = np.sqrt(_kernels._sq_dists_to(emb, centers, ref_rows=labels))
+            sizes = np.bincount(labels, minlength=n_clusters)
+            if not sizes.all():  # a reseed reads the distances to this iteration's centers
+                dist_to_center = np.sqrt(_kernels._sq_dists_to(emb, centers, ref_rows=labels))
             for c in range(n_clusters):
-                mask = labels == c
-                if mask.any():
-                    centers[c] = _kernels._wide(emb[mask]).mean(axis=0)
+                if sizes[c]:
+                    centers[c] = _kernels._wide(emb[labels == c]).mean(axis=0)
                 else:
                     far = int(np.argmax(dist_to_center))
                     centers[c] = emb[far]

@@ -171,19 +171,20 @@ def probe_accuracy(features, labeled_rows, labels, state=None):
     Each unlabeled row is classified by its nearest labeled row (ties to
     the lowest labeled row); a fully labeled pool scores 1.0 by convention.
     ``state``, a ``SelectionState`` over ``features`` (a new one by
-    default), is extended by the labeled rows it does not yet hold, so the
-    rows it holds must be among them; only those new rows are copied. A row
-    outside [0, n) raises ``IndexError`` and leaves the state as it was.
+    default), is extended by the labeled rows, so the rows it holds must be
+    among them; only the rows it does not yet hold are copied. A row outside
+    [0, n) raises ``IndexError`` and leaves the state as it was.
     """
     labels = np.asarray(labels)
-    labeled = np.array(sorted(set(int(i) for i in labeled_rows)), dtype=np.int64)
-    if labeled.size == 0:
+    rows = np.sort(np.array([int(i) for i in labeled_rows], dtype=np.int64))
+    if rows.size == 0:
         raise ValueError("probe needs at least one labeled row")
     state = SelectionState(features) if state is None else state
-    new = labeled[~state.mask[_check_rows(labeled, len(state.mask))]]
-    if labeled.size - new.size != len(state.labeled):
+    chosen = np.zeros_like(state.mask)
+    chosen[_check_rows(rows, len(chosen))] = True
+    if (state.mask & ~chosen).any():
         raise ValueError("a probe's labeled rows must hold every earlier round's: its state's rows")
-    state.extend(new)
+    state.extend(rows)
     unlabeled = np.flatnonzero(~state.mask)
     if unlabeled.size == 0:
         return 1.0

@@ -62,7 +62,7 @@ def radii_from(space, start, budgets):
     state = SelectionState(space, [start])
     radii = []
     for budget in budgets:
-        k_center_greedy(state, budget - len(state.labeled))
+        k_center_greedy(state, budget - np.count_nonzero(state.mask))
         radii.append(float(state.min_dist.max()))
     return radii
 

@@ -24,7 +24,6 @@ from slicepick import (
     SelectionState,
     SynthSpec,
     TrainConfig,
-    brute_force_k_center,
     embed_all,
     generate_synthetic,
     group_deviation,
@@ -34,7 +33,8 @@ from slicepick import (
     silhouette_score,
     train,
 )
-from slicepick.checks import cover_radius, fd_loss_grad, max_rel_err, validate_plan
+from slicepick.checks import brute_force_k_center, cover_radius, fd_loss_grad
+from slicepick.checks import max_rel_err, validate_plan
 from slicepick.cli import main
 from slicepick.encoder import _backward_batch, _forward_batch, init_params
 from slicepick.encoder import Architecture

@@ -3,13 +3,12 @@ import pytest
 
 from slicepick import (
     _kernels,
-    brute_force_k_center,
     k_center_greedy,
     kmeans_labels,
     silhouette_score,
 )
 from slicepick._kernels import dist_to_row, pairwise_dists
-from slicepick.checks import cover_radius
+from slicepick.checks import brute_force_k_center, cover_radius
 from slicepick.coreset import SelectionState
 
 
@@ -107,7 +106,7 @@ class TestGreedy:
         emb = np.random.default_rng(2).standard_normal((10, 2))
         a = k_center_greedy(SelectionState(emb), 3, cold_start_seed=5)
         b = k_center_greedy(SelectionState(emb), 3, cold_start_seed=5)
-        assert a.labeled == b.labeled
+        assert a.trace == b.trace
 
     def test_trace_distances_non_increasing(self):
         emb = np.random.default_rng(3).standard_normal((30, 4))
@@ -155,7 +154,7 @@ class TestGreedyContinuation:
         seeded = k_center_greedy(SelectionState(self.emb, labeled), 6, cold_start_seed=1)
         assert cont.trace == seeded.trace
         assert np.array_equal(cont.min_dist, seeded.min_dist)
-        assert cont.labeled == labeled + [i for i, _ in cont.trace]
+        assert cont.labeled == sorted(labeled + [i for i, _ in cont.trace])
         whole = k_center_greedy(SelectionState(self.emb, initial), 10, cold_start_seed=1)
         assert trace + cont.trace == whole.trace
 
@@ -175,7 +174,7 @@ class TestGreedyContinuation:
         cont = k_center_greedy(first, 4)
         assert cont is first and cont.min_dist is min_dist
         assert len(cont.trace) == 4
-        assert cont.labeled == labeled + [i for i, _ in cont.trace]
+        assert cont.labeled == sorted(labeled + [i for i, _ in cont.trace])
         assert cont.trace == k_center_greedy(SelectionState(self.emb, labeled), 4).trace
 
     def test_continuations_reuse_the_norms_and_float32_copy(self, monkeypatch):
@@ -192,7 +191,7 @@ class TestGreedyContinuation:
         for k in (1, 3, 0, 5):
             assert k_center_greedy(state, k, cold_start_seed=2) is state
         assert calls == {"_sq_norms": 1, "_as_f32": 1}
-        seeded = SelectionState(self.emb, state.labeled[:4])
+        seeded = SelectionState(self.emb, set(state.labeled) - {i for i, _ in state.trace})
         assert state.trace == k_center_greedy(seeded, 5).trace
 
     def test_budget_counts_state_rows(self):
@@ -235,12 +234,12 @@ class TestBruteForce:
 
     def test_initial_cover_uses_no_selection_state(self, monkeypatch):
         # the oracle must not run through the screen it checks
-        from slicepick import coreset
+        from slicepick import checks
 
         def no_state(*args, **kwargs):
             raise AssertionError("brute force built a SelectionState")
 
-        monkeypatch.setattr(coreset, "SelectionState", no_state)
+        monkeypatch.setattr(checks, "SelectionState", no_state)
         emb = np.array([[0.0], [1.0], [4.0], [6.0], [10.0]])
         assert brute_force_k_center(emb, [0, 4], 1) == (2.0, [2])
 

@@ -48,12 +48,11 @@ def check_greedy(emb, initial, k, seed=None):
     state = SelectionState(emb, initial)
     for step in (k // 2, k - k // 2):
         state = k_center_greedy(state, step, cold_start_seed=seed)
-        labeled = state.labeled
-        n_init = len(labeled) - len(state.trace)
-        trace, min_dist = full_pass_greedy(emb, labeled[:n_init], len(state.trace), seed)
+        held = set(state.labeled) - {i for i, _ in state.trace}
+        trace, min_dist = full_pass_greedy(emb, held, len(state.trace), seed)
         assert state.trace == trace
         assert state.min_dist.tobytes() == min_dist.tobytes()
-        assert np.array_equal(state.nearest, loop_nearest(emb, labeled))
+        assert np.array_equal(state.nearest, loop_nearest(emb, state.labeled))
     return state
 
 
@@ -522,9 +521,9 @@ def test_picks_tying_a_cold_start_center_go_to_the_lower_row(dtype):
     ties = moved = 0
     for seed in range(12):
         state = k_center_greedy(SelectionState(X), 9, cold_start_seed=seed)
-        first = state.labeled[0]
+        first, *picks = [i for i, _ in state.trace]
         least = to_first = direct_d2(X, range(n), [first] * n)
-        for pick in state.labeled[1:]:
+        for pick in picks:
             to_pick = direct_d2(X, range(n), [pick] * n)
             tied = np.count_nonzero((to_pick == to_first) & (to_first == least))
             ties, moved = ties + tied, moved + tied * (pick < first)
@@ -557,3 +556,16 @@ def test_a_row_out_of_range_leaves_the_state_unchanged(bad):
             call()
         after = list(state.labeled), state.mask.tobytes(), state.nearest.tobytes(), state.d2.tobytes()
         assert after == before
+
+
+def test_repeated_and_labeled_rows_are_labeled_once():
+    # row 5 already labeled and row 2 given twice: the state is a fresh
+    # one's of the same set, for the greedy's budget and the probe's nesting
+    X = np.random.default_rng(45).standard_normal((6, 3))
+    labels = np.arange(6) % 2
+    state, fresh = SelectionState(X, [5]), SelectionState(X, [2, 5])
+    state.extend([5, 2, 2])
+    for name in ("mask", "nearest", "d2", "min_dist"):
+        assert getattr(state, name).tobytes() == getattr(fresh, name).tobytes()
+    assert probe_accuracy(X, [2, 5], labels, state) == probe_accuracy(X, [2, 5], labels)
+    assert k_center_greedy(state, 3).trace == k_center_greedy(fresh, 3).trace
